@@ -1,0 +1,12 @@
+"""The benchmark's modules import each other by bare name, as ``run.py``
+does when it runs as a script; the program's sources sit under ``src``."""
+
+from __future__ import annotations
+
+import sys
+from pathlib import Path
+
+BENCH_DIR = Path(__file__).resolve().parent.parent
+for path in (BENCH_DIR, BENCH_DIR.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
