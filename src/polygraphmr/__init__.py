@@ -23,7 +23,7 @@ Layers (see ``docs/ARCHITECTURE.md``):
 from .breaker import BreakerBoard, BreakerPolicy, CircuitBreaker
 from .cache import ArtifactCache, SharedMemoryPlane
 from .decision import DetectionMetrics, LogisticDecisionModule
-from .ensemble import DegradedResult, EnsembleResult, EnsembleRuntime, ModelSkipped
+from .ensemble import DegradedResult, EnsembleResult, EnsembleRuntime, ModelSession, ModelSkipped
 from .errors import (
     ArtifactCorrupt,
     ArtifactError,
@@ -80,7 +80,6 @@ _PARALLEL_EXPORTS = ("ParallelCampaignRunner",)
 _SCENARIO_EXPORTS = ("Scenario", "ScenarioFault", "builtin_scenarios", "resolve_scenarios")
 _SERVE_EXPORTS = (
     "FrameAssembler",
-    "ModelSession",
     "PolygraphService",
     "ServeConfig",
     "ServeGateway",

@@ -51,8 +51,8 @@ import time
 import numpy as np
 
 from .breaker import CLOSED
-from .decision import ensemble_features_batch, misprediction_targets
-from .faults import degradation_payload, prepare_degradation, sanitize_probs_batch
+from .decision import ensemble_features_batch
+from .faults import degradation_payload, degradation_report, prepare_degradation, sanitize_probs_batch
 from .metrics import BATCH_SIZE_BUCKETS, get_registry
 from .tracing import get_tracer
 
@@ -302,39 +302,28 @@ class BatchTrialEngine:
 
         executor = self.executor
         faults = [executor.fault_for(spec) for spec in specs]
-        module = ctx.module
-        out: dict[int, dict] = {}
-
         if getattr(faults[0], "target", "probs") == "weights":
             # the faulted surface is the module's own weight vector — tiny,
             # so batching buys nothing; the fit is still amortized
-            pristine = module.w
-            try:
-                for spec, fault in zip(specs, faults):
-                    module.w = np.asarray(fault.apply(pristine), dtype=np.float64)
-                    faulted_flags = module.predict(ctx.clean_features)
-                    faulted = module.evaluate(ctx.clean_features, ctx.clean_targets)
-                    out[spec.index] = degradation_payload(ctx, fault, faulted, faulted_flags)
-            finally:
-                module.w = pristine
-            return out
+            return {spec.index: degradation_report(ctx, fault) for spec, fault in zip(specs, faults)}
 
+        session = ctx.session
         n_trials = len(specs)
-        n_members = len(ctx.members)
-        inner = ctx.test_stack.shape[1:]
+        n_members = len(session.members)
+        inner = session.test_stack.shape[1:]
         # tile the clean test stack across the batch: (B*M, N, C); every
         # member of trial b shares that trial's fault seed, exactly like the
-        # serial per-member loop re-seeding the same Generator
+        # serial path applying one seed to the whole member stack
         tiled = np.broadcast_to(
-            ctx.test_stack[None], (n_trials,) + ctx.test_stack.shape
+            session.test_stack[None], (n_trials,) + session.test_stack.shape
         ).reshape((n_trials * n_members,) + inner)
         seeds = np.repeat([spec.fault_seed for spec in specs], n_members)
         faulted = faults[0].apply_batch(tiled, seeds=seeds)
         faulted = sanitize_probs_batch(faulted).reshape((n_trials, n_members) + inner)
         features = ensemble_features_batch(faulted)
+        out: dict[int, dict] = {}
         for b, (spec, fault) in enumerate(zip(specs, faults)):
-            faulted_targets = misprediction_targets(faulted[b, ctx.org_i], ctx.test_labels)
-            faulted_flags = module.predict(features[b])
-            metrics = module.evaluate(features[b], faulted_targets)
+            faulted_flags = session.module.predict(features[b])
+            metrics = session.module.evaluate(features[b], session.test_targets(faulted[b]))
             out[spec.index] = degradation_payload(ctx, fault, metrics, faulted_flags)
         return out

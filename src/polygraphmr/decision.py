@@ -50,34 +50,22 @@ class DetectionMetrics:
 
 
 def ensemble_features(stacked: np.ndarray) -> np.ndarray:
-    """Feature matrix from a stacked probability tensor ``(M, N, C)``.
+    """Feature matrix from a stacked probability tensor ``(M, N, C)``: the
+    batch-of-one form of :func:`ensemble_features_batch`."""
+
+    return ensemble_features_batch(stacked[None])[0]
+
+
+def ensemble_features_batch(batched: np.ndarray) -> np.ndarray:
+    """Feature matrices from a batch of stacked tensors ``(B, M, N, C)``.
 
     Concatenates every member's probability vector with cheap agreement
     statistics (mean-prob entropy, max mean-prob, top-1 vote agreement,
     ORG-vs-ensemble disagreement) that carry most of the detection signal
-    and keep the feature map usable when members drop out.
-    """
-
-    m, n, c = stacked.shape
-    flat = np.transpose(stacked, (1, 0, 2)).reshape(n, m * c)
-    mean = stacked.mean(axis=0)  # (N, C)
-    eps = 1e-12
-    entropy = -(mean * np.log(mean + eps)).sum(axis=1, keepdims=True)
-    max_mean = mean.max(axis=1, keepdims=True)
-    votes = stacked.argmax(axis=2)  # (M, N)
-    majority = np.apply_along_axis(lambda col: np.bincount(col, minlength=c).argmax(), 0, votes)
-    agreement = (votes == majority[None, :]).mean(axis=0, keepdims=True).T  # (N, 1)
-    org_disagrees = (votes[0] != majority).astype(np.float64)[:, None]
-    return np.concatenate([flat, entropy, max_mean, agreement, org_disagrees], axis=1)
-
-
-def ensemble_features_batch(batched: np.ndarray) -> np.ndarray:
-    """:func:`ensemble_features` over a batch of stacked tensors ``(B, M, N, C)``.
-
-    ``out[b]`` is bit-identical to ``ensemble_features(batched[b])``: every
-    statistic reduces over the member or class axis elementwise, and the
-    majority vote is recomputed as a one-hot count + argmax, which breaks
-    ties toward the lowest class exactly like ``np.bincount(...).argmax()``.
+    and keep the feature map usable when members drop out.  Every statistic
+    reduces over the member or class axis elementwise, so ``out[b]`` depends
+    on ``batched[b]`` alone; the majority vote is a one-hot count + argmax,
+    which breaks ties toward the lowest class.
     """
 
     b, m, n, c = batched.shape

@@ -2,10 +2,13 @@
 
 Assembles whatever submodel artifacts validated into a stacked probability
 tensor, aggregates predictions, and runs the decision module end-to-end
-(train on ``val``, evaluate on ``test``).  A model with quarantined or
-missing members still produces a result — explicitly marked degraded and
-naming the members that dropped out — and only when fewer than
-``min_members`` survive does it raise :class:`DegradedEnsemble`.
+(train on ``val``, evaluate on ``test``).  :meth:`EnsembleRuntime.session`
+is the one builder of that fitted state: :meth:`~EnsembleRuntime.run_model`,
+the fault-degradation measurement and the serving gateway all evaluate the
+:class:`ModelSession` it returns.  A model with quarantined or missing
+members still produces a result — explicitly marked degraded and naming the
+members that dropped out — and only when fewer than ``min_members`` survive
+does it raise :class:`DegradedEnsemble`.
 
 A runtime instance (store + breaker board + decision caches) is mutable
 state and must stay within one process: multiprocess campaign workers each
@@ -34,7 +37,7 @@ from .metrics import get_registry
 from .store import ArtifactStore
 from .tracing import get_tracer
 
-__all__ = ["EnsembleBatch", "EnsembleResult", "DegradedResult", "ModelSkipped", "EnsembleRuntime"]
+__all__ = ["EnsembleBatch", "EnsembleResult", "DegradedResult", "ModelSkipped", "ModelSession", "EnsembleRuntime"]
 
 FULL = "full"
 DEGRADED = "degraded"
@@ -89,6 +92,64 @@ class ModelSkipped:
     detail: str = ""
 
 
+@dataclass
+class ModelSession:
+    """Fitted evaluation state for one (model, member set).
+
+    Built by :meth:`EnsembleRuntime.session`: both splits stacked over the
+    same members (ORG first when it survived), the decision gate fitted on
+    ``val``, and the ``test`` labels when they match the split.  Every
+    evaluation against it is then pure numpy on the resident tensors.
+    """
+
+    model: str
+    members: list[str]
+    val_stack: np.ndarray  # (M, N_val, C)
+    test_stack: np.ndarray  # (M, N_test, C)
+    module: LogisticDecisionModule | None  # None without ORG or usable val labels
+    missing: list[str]
+    quarantined: dict[str, str]
+    test_labels: np.ndarray | None = None  # None when missing or not sized to the split
+
+    @property
+    def degraded(self) -> bool:
+        return bool(self.missing or self.quarantined)
+
+    @property
+    def n_samples(self) -> int:
+        return int(self.test_stack.shape[1])
+
+    @property
+    def n_classes(self) -> int:
+        return int(self.test_stack.shape[2])
+
+    def test_targets(self, stack: np.ndarray | None = None) -> np.ndarray:
+        """1 where ORG mispredicts a test sample, read from ``stack`` (a
+        faulted copy of ``test_stack``; the clean one by default).  Needs ORG
+        and ``test_labels``."""
+
+        stack = self.test_stack if stack is None else stack
+        return misprediction_targets(stack[self.members.index("ORG")], self.test_labels)
+
+    def evaluate(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Mean probs, ensemble predictions, and decision flags for ``indices``.
+
+        Per-sample math throughout (member-mean, argmax, features, logistic
+        predict with frozen standardisation stats), so evaluating a
+        concatenation and slicing equals evaluating each slice directly —
+        bit for bit.
+        """
+
+        sub = self.test_stack[:, indices, :]  # (M, k, C)
+        probs = sub.mean(axis=0)
+        predictions = probs.argmax(axis=1)
+        if self.module is not None:
+            flags = self.module.predict(ensemble_features(sub))
+        else:
+            flags = np.zeros(len(indices), dtype=np.int64)
+        return probs, predictions, flags
+
+
 class EnsembleRuntime:
     """Drives assemble → aggregate → decide over an :class:`ArtifactStore`."""
 
@@ -97,13 +158,11 @@ class EnsembleRuntime:
         store: ArtifactStore,
         *,
         min_members: int = 2,
-        decision_factory=LogisticDecisionModule,
         seed: int = 0,
         breakers: BreakerBoard | None = None,
     ):
         self.store = store
         self.min_members = min_members
-        self.decision_factory = decision_factory
         self.seed = seed
         self.breakers = breakers
 
@@ -192,19 +251,58 @@ class EnsembleRuntime:
             quarantined=quarantined,
         )
 
-    # -- aggregation -----------------------------------------------------
+    # -- the fitted session ---------------------------------------------
+
+    def fit_gate(self, model: str, members: list[str], val_stack: np.ndarray) -> LogisticDecisionModule | None:
+        """The decision gate for ``members``, fitted on their ``val`` stack;
+        ``None`` when ORG is absent or the val labels are missing or do not
+        match the split."""
+
+        val_labels = self.store.load_labels(model, "val")
+        if val_labels is None or "ORG" not in members or len(val_labels) != val_stack.shape[1]:
+            return None
+        module = LogisticDecisionModule(seed=self.seed)
+        org_val = val_stack[members.index("ORG")]
+        module.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
+        return module
+
+    def session(self, model: str, members: list[str] | None = None) -> ModelSession:
+        """Assemble both splits of ``model`` and fit its decision gate.
+
+        Members are the intersection of the val and test survivors, so the
+        feature layout is identical at fit and eval time.  Raises
+        :class:`DegradedEnsemble` when fewer than ``min_members`` survive on
+        either split or in their intersection.
+        """
+
+        plan = members if members is not None else self.member_plan(model)
+        val = self.assemble(model, "val", members=plan)
+        test = self.assemble(model, "test", members=plan)
+        common = [s for s in val.members if s in set(test.members)]
+        if len(common) < self.min_members:
+            raise DegradedEnsemble(model, common, self.min_members)
+        val_stack = val.stacked[[val.members.index(s) for s in common]]
+        test_stack = test.stacked[[test.members.index(s) for s in common]]
+        quarantined = {**val.quarantined, **test.quarantined}
+        test_labels = self.store.load_labels(model, "test")
+        if test_labels is not None and len(test_labels) != test_stack.shape[1]:
+            test_labels = None
+        return ModelSession(
+            model=model,
+            members=common,
+            val_stack=val_stack,
+            test_stack=test_stack,
+            module=self.fit_gate(model, common, val_stack),
+            missing=sorted(s for s in plan if s not in common and s not in quarantined),
+            quarantined=quarantined,
+            test_labels=test_labels,
+        )
 
     @staticmethod
-    def aggregate(batch: EnsembleBatch, *, method: str = "mean") -> np.ndarray:
-        """Ensemble top-1 prediction per sample: ``mean`` probs or majority ``vote``."""
+    def aggregate(batch: EnsembleBatch) -> np.ndarray:
+        """Ensemble top-1 prediction per sample: argmax of the member-mean probs."""
 
-        if method == "mean":
-            return batch.stacked.mean(axis=0).argmax(axis=1)
-        if method == "vote":
-            votes = batch.stacked.argmax(axis=2)  # (M, N)
-            c = batch.stacked.shape[2]
-            return np.apply_along_axis(lambda col: np.bincount(col, minlength=c).argmax(), 0, votes)
-        raise ValueError(f"unknown aggregation method: {method!r}")
+        return batch.stacked.mean(axis=0).argmax(axis=1)
 
     # -- end to end ------------------------------------------------------
 
@@ -234,45 +332,29 @@ class EnsembleRuntime:
         if self.breakers is not None:
             self.breakers.tick()
         plan = members if members is not None else self.member_plan(model, greedy=greedy)
-        val = self.assemble(model, "val", members=plan)
-        test = self.assemble(model, "test", members=plan)
-
-        common = [s for s in val.members if s in set(test.members)]
-        if len(common) < self.min_members:
-            raise DegradedEnsemble(model, common, self.min_members)
-        val_stack = np.stack([val.stacked[val.members.index(s)] for s in common], axis=0)
-        test_stack = np.stack([test.stacked[test.members.index(s)] for s in common], axis=0)
-
-        quarantined = {**val.quarantined, **test.quarantined}
-        missing = sorted(s for s in plan if s not in common and s not in quarantined)
+        session = self.session(model, plan)
 
         metrics = None
-        flags = np.zeros(test_stack.shape[1], dtype=np.int64)
-        val_labels = self.store.load_labels(model, "val")
-        test_labels = self.store.load_labels(model, "test")
-        if val_labels is not None and "ORG" in common and len(val_labels) == val_stack.shape[1]:
-            module = self.decision_factory(seed=self.seed)
-            org_val = val_stack[common.index("ORG")]
-            module.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
-            test_features = ensemble_features(test_stack)
-            flags = module.predict(test_features)
-            if test_labels is not None and len(test_labels) == test_stack.shape[1]:
-                org_test = test_stack[common.index("ORG")]
-                metrics = module.evaluate(test_features, misprediction_targets(org_test, test_labels))
+        flags = np.zeros(session.n_samples, dtype=np.int64)
+        if session.module is not None:
+            test_features = ensemble_features(session.test_stack)
+            flags = session.module.predict(test_features)
+            if session.test_labels is not None:
+                metrics = session.module.evaluate(test_features, session.test_targets())
 
-        batch = EnsembleBatch(model=model, split="test", members=common, stacked=test_stack)
+        batch = EnsembleBatch(model=model, split="test", members=session.members, stacked=session.test_stack)
         predictions = self.aggregate(batch)
         breaker_states = self.breakers.states_for(model) if self.breakers is not None else {}
-        cls = DegradedResult if (missing or quarantined) else EnsembleResult
+        cls = DegradedResult if session.degraded else EnsembleResult
         return cls(
             model=model,
             status=FULL,
-            members=common,
+            members=session.members,
             predictions=predictions,
             flags=flags,
             metrics=metrics,
-            missing=missing,
-            quarantined=quarantined,
+            missing=session.missing,
+            quarantined=session.quarantined,
             breakers=breaker_states,
         )
 

@@ -31,8 +31,8 @@ from pathlib import Path
 import numpy as np
 
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
-from .decision import LogisticDecisionModule, ensemble_features, misprediction_targets
-from .ensemble import EnsembleRuntime
+from .decision import DetectionMetrics, ensemble_features
+from .ensemble import EnsembleRuntime, ModelSession
 from .errors import ConfigError
 from .metrics import get_registry
 from .store import ArtifactStore
@@ -52,7 +52,6 @@ __all__ = [
     "inject_gaussian",
     "inject_quantize",
     "inject_stuck_at",
-    "sanitize_probs",
     "sanitize_probs_batch",
     "corrupt_file_truncate",
     "corrupt_file_header",
@@ -403,26 +402,12 @@ def inject_stuck_at(arr: np.ndarray, *, rate: float, value: int, rng: np.random.
     return apply_fault(arr, surface="tensor", kind="stuck1" if value else "stuck0", rate=rate, rng=rng)
 
 
-def sanitize_probs(arr: np.ndarray) -> np.ndarray:
-    """Repair a faulted probability matrix so downstream code keeps running:
-    non-finite → 0, clip to [0, 1], renormalise rows (uniform if a row dies)."""
-
-    out = np.asarray(arr, dtype=np.float64).copy()
-    out[~np.isfinite(out)] = 0.0
-    np.clip(out, 0.0, 1.0, out=out)
-    sums = out.sum(axis=1, keepdims=True)
-    dead = sums.reshape(-1) <= 0.0
-    out[dead] = 1.0 / out.shape[1]
-    sums[dead.reshape(-1)] = 1.0
-    return out / sums
-
-
 def sanitize_probs_batch(arr: np.ndarray) -> np.ndarray:
-    """:func:`sanitize_probs` over any number of leading batch axes.
+    """Repair faulted probability rows so downstream code keeps running:
+    non-finite → 0, clip to [0, 1], renormalise rows (uniform if a row dies).
 
-    Rows live on the *last* axis, so for a stack of probability matrices
-    ``out[b] == sanitize_probs(arr[b])`` bit-for-bit (the clip, the dead-row
-    uniform fill, and the renormalising divide are all elementwise)."""
+    Rows live on the *last* axis and every step is per-row, so any number of
+    leading batch axes (members, trials) may ride along."""
 
     out = np.asarray(arr, dtype=np.float64).copy()
     out[~np.isfinite(out)] = 0.0
@@ -464,23 +449,18 @@ def corrupt_file_header(src: str | Path, dst: str | Path, *, n_bytes: int = 4, s
 
 @dataclass
 class DegradationContext:
-    """The fault-independent half of a degradation measurement: assembled
-    test stack, fitted decision module, and clean-split metrics for one
-    model.  Prepared once and shared across every fault evaluated against
-    the same (model, breaker-steady) state — the batch kernel's amortized
-    work; :func:`degradation_report` supplies the per-fault half."""
+    """The fault-independent half of a degradation measurement: the model's
+    fitted :class:`~polygraphmr.ensemble.ModelSession` and its clean-split
+    features, flags and metrics.  Prepared once and shared across every
+    fault evaluated against the same (model, breaker-steady) state — the
+    batch kernel's amortized work; :func:`degradation_report` supplies the
+    per-fault half."""
 
-    model: str
-    members: list[str]
-    degraded: bool
-    module: LogisticDecisionModule
-    org_i: int
-    test_labels: np.ndarray
-    test_stack: np.ndarray
+    session: ModelSession
     clean_features: np.ndarray
     clean_targets: np.ndarray
     clean_flags: np.ndarray
-    clean: "object"
+    clean: DetectionMetrics
 
 
 def prepare_degradation(
@@ -492,7 +472,12 @@ def prepare_degradation(
     runtime: EnsembleRuntime | None = None,
     tick: bool = True,
 ) -> DegradationContext:
-    """Assemble, fit, and measure the clean baseline for one model.
+    """Build the model's :meth:`~polygraphmr.ensemble.EnsembleRuntime.session`
+    and measure its clean baseline.
+
+    Raises ``ValueError`` when ORG did not survive or the labels are missing
+    or not sized to their split.  ``seed`` seeds the gate of a fresh runtime;
+    a passed ``runtime`` fits with its own seed.
 
     ``tick=False`` skips the breaker-board tick — the batch kernel ticks
     once per *trial* itself, so its one shared context prep must not
@@ -503,40 +488,20 @@ def prepare_degradation(
         runtime = EnsembleRuntime(store, seed=seed)
     if tick and runtime.breakers is not None:
         runtime.breakers.tick()
-    plan = members if members is not None else runtime.member_plan(model)
-    val = runtime.assemble(model, "val", members=plan)
-    test = runtime.assemble(model, "test", members=plan)
-    common = [s for s in val.members if s in set(test.members)]
-    if "ORG" not in common:
+    session = runtime.session(model, members)
+    if "ORG" not in session.members:
         raise ValueError(f"model {model!r}: ORG did not survive validation; cannot define targets")
-    val_stack = np.stack([val.stacked[val.members.index(s)] for s in common], axis=0)
-    test_stack = np.stack([test.stacked[test.members.index(s)] for s in common], axis=0)
-
-    val_labels = store.load_labels(model, "val")
-    test_labels = store.load_labels(model, "test")
-    if val_labels is None or test_labels is None:
+    if session.module is None or session.test_labels is None:
         raise ValueError(f"model {model!r}: labels required to measure detection quality")
 
-    module = LogisticDecisionModule(seed=seed)
-    org_i = common.index("ORG")
-    module.fit(ensemble_features(val_stack), misprediction_targets(val_stack[org_i], val_labels))
-
-    clean_features = ensemble_features(test_stack)
-    clean_targets = misprediction_targets(test_stack[org_i], test_labels)
-    clean_flags = module.predict(clean_features)
-    clean = module.evaluate(clean_features, clean_targets)
+    clean_features = ensemble_features(session.test_stack)
+    clean_targets = session.test_targets()
     return DegradationContext(
-        model=model,
-        members=common,
-        degraded=bool(val.degraded or test.degraded),
-        module=module,
-        org_i=org_i,
-        test_labels=test_labels,
-        test_stack=test_stack,
+        session=session,
         clean_features=clean_features,
         clean_targets=clean_targets,
-        clean_flags=clean_flags,
-        clean=clean,
+        clean_flags=session.module.predict(clean_features),
+        clean=session.module.evaluate(clean_features, clean_targets),
     )
 
 
@@ -547,9 +512,9 @@ def degradation_payload(ctx: DegradationContext, spec, faulted, faulted_flags: n
     bytes for the same metric values."""
 
     return {
-        "model": ctx.model,
-        "members": ctx.members,
-        "degraded": ctx.degraded,
+        "model": ctx.session.model,
+        "members": ctx.session.members,
+        "degraded": ctx.session.degraded,
         "fault": spec.describe(),
         "clean": ctx.clean.to_dict(),
         "faulted": faulted.to_dict(),
@@ -569,7 +534,7 @@ def degradation_payload(ctx: DegradationContext, spec, faulted, faulted_flags: n
 def degradation_report(ctx: DegradationContext, spec) -> dict:
     """Evaluate one fault spec against a prepared context (serial path)."""
 
-    module = ctx.module
+    module = ctx.session.module
     if getattr(spec, "target", "probs") == "weights":
         pristine = module.w
         try:
@@ -579,13 +544,10 @@ def degradation_report(ctx: DegradationContext, spec) -> dict:
         finally:
             module.w = pristine
     else:
-        faulted_stack = np.stack(
-            [sanitize_probs(spec.apply(ctx.test_stack[i])) for i in range(len(ctx.members))], axis=0
-        )
+        faulted_stack = sanitize_probs_batch(spec.apply_batch(ctx.session.test_stack))
         faulted_features = ensemble_features(faulted_stack)
-        faulted_targets = misprediction_targets(faulted_stack[ctx.org_i], ctx.test_labels)
         faulted_flags = module.predict(faulted_features)
-        faulted = module.evaluate(faulted_features, faulted_targets)
+        faulted = module.evaluate(faulted_features, ctx.session.test_targets(faulted_stack))
     return degradation_payload(ctx, spec, faulted, faulted_flags)
 
 

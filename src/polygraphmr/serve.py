@@ -4,9 +4,10 @@ The batch campaign machinery answers "how reliable is this ensemble?";
 this module answers requests.  A :class:`ServeGateway` accepts concurrent
 classification requests over a newline-delimited-JSON protocol (TCP and/or
 Unix socket), coalesces them into micro-batches, and executes each batch
-through the same ensemble-runtime math the campaigns use — assemble a
-stacked probability tensor, aggregate, run the decision module — served out
-of a warm, verified-once :class:`~polygraphmr.cache.ArtifactCache`
+against the :class:`~polygraphmr.ensemble.ModelSession` that
+:meth:`~polygraphmr.ensemble.EnsembleRuntime.session` builds for the
+campaigns too — stacked probability tensors and a fitted decision module —
+served out of a warm, verified-once :class:`~polygraphmr.cache.ArtifactCache`
 (optionally backed by a pre-published
 :class:`~polygraphmr.cache.SharedMemoryPlane`).
 
@@ -79,15 +80,14 @@ import math
 import multiprocessing as mp
 import signal
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
 from .breaker import BreakerBoard, BreakerPolicy
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, SharedMemoryPlane
-from .decision import LogisticDecisionModule, ensemble_features, misprediction_targets
-from .ensemble import EnsembleRuntime
+from .ensemble import EnsembleRuntime, ModelSession
 from .errors import ConfigError, DegradedEnsemble, RetryPolicy, ServeError
 from .metrics import BATCH_SIZE_BUCKETS, MetricsRegistry, get_registry, set_registry
 from .store import ArtifactStore
@@ -316,51 +316,6 @@ def flat_sample_indices(requests: list[ServeRequest]) -> np.ndarray:
     return np.array([idx for r in requests for idx in r.samples], dtype=np.int64)
 
 
-@dataclass
-class ModelSession:
-    """Warm, fitted serving state for one (model, member-subset) pair.
-
-    Assembled once — stacks live in memory (backed by the artifact cache /
-    shared-memory plane underneath), the decision module is fitted on the
-    ``val`` split exactly as the campaign runtime fits it — then every
-    request against this member set is pure numpy on the resident tensors.
-    """
-
-    model: str
-    members: list[str]
-    val_stack: np.ndarray  # (M, N_val, C)
-    test_stack: np.ndarray  # (M, N_test, C)
-    module: LogisticDecisionModule | None
-    missing: list[str]
-    quarantined: dict[str, str]
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.test_stack.shape[1])
-
-    @property
-    def n_classes(self) -> int:
-        return int(self.test_stack.shape[2])
-
-    def evaluate(self, indices: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Mean probs, ensemble predictions, and decision flags for ``indices``.
-
-        Per-sample math throughout (member-mean, argmax, features, logistic
-        predict with frozen standardisation stats), so evaluating a
-        concatenation and slicing equals evaluating each slice directly —
-        bit for bit.
-        """
-
-        sub = self.test_stack[:, indices, :]  # (M, k, C)
-        probs = sub.mean(axis=0)
-        predictions = probs.argmax(axis=1)
-        if self.module is not None:
-            flags = self.module.predict(ensemble_features(sub))
-        else:
-            flags = np.zeros(len(indices), dtype=np.int64)
-        return probs, predictions, flags
-
-
 class PolygraphService:
     """The gateway's compute core: sessions, breakers, and request payloads.
 
@@ -379,11 +334,9 @@ class PolygraphService:
         breakers: BreakerBoard | None = None,
     ):
         self.store = store
-        self.min_members = min_members
         # members beyond the first ``keep_members`` are sheddable under load;
         # ORG and enough companions to stay above min_members never shed
         self.keep_members = max(min_members, keep_members if keep_members is not None else min_members)
-        self.seed = seed
         self.board = breakers if breakers is not None else BreakerBoard(BreakerPolicy())
         self.runtime = EnsembleRuntime(store, min_members=min_members, seed=seed, breakers=self.board)
         self._base: dict[str, ModelSession] = {}
@@ -393,50 +346,18 @@ class PolygraphService:
     # -- sessions --------------------------------------------------------
 
     def base_session(self, model: str) -> ModelSession:
-        """The full-ensemble session for ``model``, built on first use.
-
-        Mirrors ``EnsembleRuntime._run_model_inner``'s assembly: members are
-        the intersection of the val/test survivors so the feature layout is
-        identical at fit and serve time; corrupt members quarantine (and
-        feed their breakers) rather than crash.
-        """
+        """The full-ensemble :meth:`EnsembleRuntime.session` for ``model``,
+        built on first use; corrupt members quarantine (and feed their
+        breakers) rather than crash."""
 
         session = self._base.get(model)
         if session is not None:
             return session
         if not self.store.model_dir(model).is_dir():
             raise ServeError("unknown-model", f"no model directory {model!r} in {self.store.root}")
-        plan = self.runtime.member_plan(model)
-        val = self.runtime.assemble(model, "val", members=plan)
-        test = self.runtime.assemble(model, "test", members=plan)
-        common = [s for s in val.members if s in set(test.members)]
-        if len(common) < self.min_members:
-            raise DegradedEnsemble(model, common, self.min_members)
-        val_stack = np.stack([val.stacked[val.members.index(s)] for s in common], axis=0)
-        test_stack = np.stack([test.stacked[test.members.index(s)] for s in common], axis=0)
-        quarantined = {**val.quarantined, **test.quarantined}
-        missing = sorted(s for s in plan if s not in common and s not in quarantined)
-        session = ModelSession(
-            model=model,
-            members=common,
-            val_stack=val_stack,
-            test_stack=test_stack,
-            module=self._fit(model, common, val_stack),
-            missing=missing,
-            quarantined=quarantined,
-        )
-        self._base[model] = session
+        session = self._base[model] = self.runtime.session(model)
         get_registry().counter("serve_sessions_built_total", kind="base").inc()
         return session
-
-    def _fit(self, model: str, members: list[str], val_stack: np.ndarray) -> LogisticDecisionModule | None:
-        val_labels = self.store.load_labels(model, "val")
-        if val_labels is None or "ORG" not in members or len(val_labels) != val_stack.shape[1]:
-            return None
-        module = LogisticDecisionModule(seed=self.seed)
-        org_val = val_stack[members.index("ORG")]
-        module.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
-        return module
 
     def session_for(self, model: str, members: tuple[str, ...]) -> ModelSession:
         """A session restricted to ``members`` (a subset of the base session's,
@@ -453,17 +374,13 @@ class PolygraphService:
             return session
         rows = [base.members.index(s) for s in members]
         val_stack = base.val_stack[rows]
-        test_stack = base.test_stack[rows]
-        session = ModelSession(
-            model=model,
+        session = self._derived[key] = replace(
+            base,
             members=list(members),
             val_stack=val_stack,
-            test_stack=test_stack,
-            module=self._fit(model, list(members), val_stack),
-            missing=base.missing,
-            quarantined=base.quarantined,
+            test_stack=base.test_stack[rows],
+            module=self.runtime.fit_gate(model, list(members), val_stack),
         )
-        self._derived[key] = session
         get_registry().counter("serve_sessions_built_total", kind="derived").inc()
         return session
 

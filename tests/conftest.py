@@ -106,6 +106,19 @@ def write_probs():
 
 
 @pytest.fixture()
+def write_labels():
+    """Factory writing a raw labels npz — for tests that need labels the
+    split's probs disagree with."""
+
+    def write(path: Path, labels: np.ndarray) -> Path:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        np.savez(path, labels=labels)
+        return path
+
+    return write
+
+
+@pytest.fixture()
 def seed_store() -> ArtifactStore:
     if not SEED_CACHE.is_dir():
         pytest.skip("seed .repro_cache not present")

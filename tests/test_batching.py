@@ -36,7 +36,6 @@ from polygraphmr.faults import (
     apply_fault,
     apply_fault_batch,
     corrupt_file_truncate,
-    sanitize_probs,
     sanitize_probs_batch,
     select_fault_indices,
     select_fault_indices_batch,
@@ -44,6 +43,8 @@ from polygraphmr.faults import (
 from polygraphmr.metrics import get_registry
 from polygraphmr.parallel import ParallelCampaignRunner
 from polygraphmr.scenarios import resolve_scenarios
+
+from . import oracles
 
 SWEEP = ("channel-bitflip-10pct", "quantize-4bit", "stuck-at-zero-1pct")
 
@@ -351,35 +352,83 @@ class TestVectorizedInjectorProperties:
         n=st.integers(min_value=1, max_value=5),
         c=st.integers(min_value=2, max_value=4),
         base=st.integers(min_value=0, max_value=99),
-        poison=st.sampled_from(["none", "nan", "inf", "negative", "dead-row"]),
+        poison=st.sampled_from(
+            ["none", "nan", "inf", "-inf", "negative", "dead-row", "nan-row", "inf-row"]
+        ),
     )
     def test_sanitize_probs_batch_equals_serial_loop(self, b, n, c, base, poison):
+        """Each batch slice equals the scalar oracle, non-finite rows included."""
+
         arr = np.random.default_rng(base).random((b, n, c))
         if poison == "nan":
             arr[..., 0] = np.nan
         elif poison == "inf":
             arr[..., 0] = np.inf
+        elif poison == "-inf":
+            arr[..., 0] = -np.inf
         elif poison == "negative":
             arr[..., 0] = -3.0
         elif poison == "dead-row":
             arr[:, 0, :] = 0.0
+        elif poison == "nan-row":
+            arr[:, 0, :] = np.nan
+        elif poison == "inf-row":
+            arr[:, -1, :] = np.inf
         before = arr.copy()
         batched = sanitize_probs_batch(arr)
         assert np.array_equal(arr, before, equal_nan=True)
         for i in range(b):
-            assert np.array_equal(batched[i], sanitize_probs(arr[i]))
+            assert np.array_equal(batched[i], oracles.sanitize_probs(arr[i]))
 
-    @settings(max_examples=30)
+    @settings(max_examples=60)
     @given(
         b=st.integers(min_value=1, max_value=3),
         m=st.integers(min_value=2, max_value=4),
         n=st.integers(min_value=2, max_value=6),
         c=st.integers(min_value=2, max_value=4),
         base=st.integers(min_value=0, max_value=99),
+        shape=st.sampled_from(["random", "all-distinct", "two-way-tie", "nan-row", "inf-row", "zero-row"]),
     )
-    def test_ensemble_features_batch_equals_serial_loop(self, b, m, n, c, base):
-        raw = np.random.default_rng(base).random((b, m, n, c))
-        stacked = raw / raw.sum(axis=-1, keepdims=True)
+    def test_ensemble_features_batch_equals_serial_loop(self, b, m, n, c, base, shape):
+        """Each batch slice, and the batch-of-one form, equals the scalar
+        oracle — on tied votes and non-finite or all-zero rows too."""
+
+        rng = np.random.default_rng(base)
+        majority = None
+        if shape == "all-distinct":
+            # every member votes a different class: a tie across all M
+            c = max(c, m)
+            offsets = rng.integers(0, c, size=(b, 1, n))
+            votes = (np.arange(m)[None, :, None] + offsets) % c
+            majority = votes.min(axis=1)
+        elif shape == "two-way-tie":
+            # half the members vote ``lo``, half vote a higher class
+            m = 2 * (m // 2)
+            lo = rng.integers(0, c - 1, size=(b, n))
+            hi = lo + 1 + rng.integers(0, c - 1 - lo)
+            halves = np.concatenate([np.zeros(m // 2, int), np.ones(m // 2, int)])
+            order = np.stack([rng.permutation(halves) for _ in range(b * n)]).reshape(b, n, m)
+            votes = np.where(order.transpose(0, 2, 1) == 0, lo[:, None, :], hi[:, None, :])
+            majority = lo
+        if majority is not None:
+            # a one-hot vote plus noise below 1 keeps the argmax on the vote
+            stacked = np.eye(c)[votes] + 0.1 * rng.random((b, m, n, c))
+        else:
+            stacked = rng.random((b, m, n, c))
+        stacked = stacked / stacked.sum(axis=-1, keepdims=True)
+        if shape == "nan-row":
+            stacked[:, 0, 0, :] = np.nan
+        elif shape == "inf-row":
+            stacked[:, -1, 0, :] = np.inf
+        elif shape == "zero-row":
+            stacked[:, :, -1, :] = 0.0
         batched = ensemble_features_batch(stacked)
         for i in range(b):
-            assert np.array_equal(batched[i], ensemble_features(stacked[i]))
+            expected = oracles.ensemble_features(stacked[i])
+            assert np.array_equal(batched[i], expected, equal_nan=True)
+            assert np.array_equal(ensemble_features(stacked[i]), expected, equal_nan=True)
+        if majority is not None:
+            # ties resolve to the lowest class
+            votes_share = (votes == majority[:, None, :]).mean(axis=1)
+            assert np.array_equal(batched[..., -2], votes_share)
+            assert np.array_equal(batched[..., -1], (votes[:, 0] != majority).astype(np.float64))

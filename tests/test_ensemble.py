@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from polygraphmr.decision import ensemble_features
 from polygraphmr.ensemble import DegradedResult, EnsembleResult, EnsembleRuntime, ModelSkipped
 from polygraphmr.errors import DegradedEnsemble
-from polygraphmr.faults import corrupt_file_truncate
+from polygraphmr.faults import corrupt_file_truncate, prepare_degradation
+from polygraphmr.serve import PolygraphService
 from polygraphmr.store import ArtifactStore
 
 from .conftest import SYNTH_MEMBERS
@@ -31,14 +33,34 @@ class TestFullEnsemble:
         plan = runtime.member_plan("tinynet", greedy="greedy-4")
         assert plan == ["ORG", "pp-Gamma_2", "pp-Hist", "pp-FlipX"]
 
-    def test_aggregation_methods_agree_on_easy_data(self, synthetic_store):
+    def test_aggregate_is_member_mean_argmax(self, synthetic_store):
         runtime = EnsembleRuntime(synthetic_store)
         batch = runtime.assemble("tinynet", "test")
-        mean_pred = runtime.aggregate(batch, method="mean")
-        vote_pred = runtime.aggregate(batch, method="vote")
-        assert (mean_pred == vote_pred).mean() > 0.8
-        with pytest.raises(ValueError):
-            runtime.aggregate(batch, method="magic")
+        assert np.array_equal(runtime.aggregate(batch), batch.stacked.mean(0).argmax(1))
+
+
+class TestOneSession:
+    """``run_model``, the degradation measurement and the serving gateway all
+    evaluate the one session :meth:`EnsembleRuntime.session` builds."""
+
+    @pytest.mark.parametrize("quarantine", [False, True], ids=["clean", "one-quarantined"])
+    def test_callers_agree(self, synthetic_store, synthetic_cache, write_probs, quarantine):
+        if quarantine:
+            write_probs(synthetic_store.probs_path("tinynet", "pp-Hist", "test"), np.full((8, 10), 0.1))
+        result = EnsembleRuntime(ArtifactStore(synthetic_cache), seed=0).run_model("tinynet")
+        ctx = prepare_degradation(ArtifactStore(synthetic_cache), "tinynet", seed=0)
+        session = PolygraphService(ArtifactStore(synthetic_cache), seed=0).base_session("tinynet")
+        served = session.module.predict(ensemble_features(session.test_stack))
+
+        assert np.array_equal(result.flags, ctx.clean_flags)
+        assert np.array_equal(result.flags, served)
+        for view in (ctx.session, session):
+            assert (view.members, view.missing, view.quarantined) == (
+                result.members,
+                result.missing,
+                result.quarantined,
+            )
+        assert ("pp-Hist" in result.quarantined) == quarantine
 
 
 class TestDegradedMode:

@@ -7,7 +7,7 @@ import json
 import numpy as np
 import pytest
 
-from polygraphmr.errors import ConfigError
+from polygraphmr.errors import ConfigError, DegradedEnsemble
 from polygraphmr.faults import (
     FaultSpec,
     build_synthetic_model,
@@ -16,7 +16,8 @@ from polygraphmr.faults import (
     inject_gaussian,
     main,
     measure_degradation,
-    sanitize_probs,
+    prepare_degradation,
+    sanitize_probs_batch,
 )
 from polygraphmr.scenarios import get_builtin
 from polygraphmr.store import ArtifactStore
@@ -72,7 +73,7 @@ class TestInjectors:
     def test_sanitize_repairs_bitflipped_probs(self):
         probs = np.full((32, 10), 0.1, dtype=np.float32)
         faulted = inject_bitflips(probs, rate=0.05, rng=np.random.default_rng(2))
-        repaired = sanitize_probs(faulted)
+        repaired = sanitize_probs_batch(faulted)
         assert np.isfinite(repaired).all()
         np.testing.assert_allclose(repaired.sum(axis=1), 1.0, atol=1e-9)
         assert (repaired >= 0).all()
@@ -132,6 +133,26 @@ class TestDegradationMeasurement:
             synthetic_store, "tinynet", FaultSpec("gaussian", sigma=0.0), seed=0
         )
         assert clean_again["clean"] == report["clean"]
+
+
+class TestPrepareDegradationChecks:
+    """The session checks ``run_model`` and serve make hold for the
+    degradation measurement too."""
+
+    def test_split_survivors_below_minimum_raise(self, synthetic_store, write_probs):
+        # val survivors {ORG, A}, test survivors {ORG, B}: each split alone
+        # meets min_members=2, their intersection {ORG} does not
+        write_probs(synthetic_store.probs_path("tinynet", "pp-Gamma_2", "test"), np.full((8, 10), 0.1))
+        write_probs(synthetic_store.probs_path("tinynet", "pp-Hist", "val"), np.full((8, 10), 0.1))
+        with pytest.raises(DegradedEnsemble) as exc_info:
+            prepare_degradation(synthetic_store, "tinynet", members=["ORG", "pp-Gamma_2", "pp-Hist"])
+        assert exc_info.value.available == ["ORG"]
+
+    @pytest.mark.parametrize("split", ["val", "test"])
+    def test_mis_sized_labels_raise(self, synthetic_store, synthetic_cache, write_labels, split):
+        write_labels(synthetic_cache / "tinynet" / f"labels.{split}.npz", np.array([3]))
+        with pytest.raises(ValueError, match="labels required"):
+            prepare_degradation(synthetic_store, "tinynet")
 
 
 class TestCLI:

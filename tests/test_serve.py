@@ -22,7 +22,7 @@ import numpy as np
 import pytest
 
 from polygraphmr.breaker import OPEN, BreakerBoard, BreakerPolicy
-from polygraphmr.decision import LogisticDecisionModule, ensemble_features, misprediction_targets
+from polygraphmr.decision import LogisticDecisionModule, misprediction_targets
 from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import RetryPolicy
 from polygraphmr.metrics import get_registry
@@ -42,6 +42,8 @@ from polygraphmr.serve import (
     response_frame,
 )
 from polygraphmr.store import ArtifactStore
+
+from . import oracles
 
 MODEL = "tinynet"
 
@@ -92,7 +94,7 @@ class TestDifferential:
         module = LogisticDecisionModule(seed=0)
         org_val = val_stack[common.index("ORG")]
         labels = runtime.store.load_labels(MODEL, "val")
-        module.fit(ensemble_features(val_stack), misprediction_targets(org_val, labels))
+        module.fit(oracles.ensemble_features(val_stack), misprediction_targets(org_val, labels))
         sub = test_stack[:, list(samples), :]
         probs = sub.mean(axis=0)
         expected = {
@@ -102,7 +104,7 @@ class TestDifferential:
             "members": common,
             "probs": [[float(p) for p in row] for row in probs],
             "predictions": [int(p) for p in probs.argmax(axis=1)],
-            "flags": [int(f) for f in module.predict(ensemble_features(sub))],
+            "flags": [int(f) for f in module.predict(oracles.ensemble_features(sub))],
             "degraded": False,
             "shed": [],
             "missing": [],
