@@ -89,23 +89,21 @@ def misprediction_targets(org_probs: np.ndarray, labels: np.ndarray) -> np.ndarr
 
 
 def _rank_auc(scores: np.ndarray, targets: np.ndarray) -> float:
-    """Mann-Whitney AUC via average ranks; 0.5 when one class is absent."""
+    """Mann-Whitney AUC via average ranks; 0.5 when one class is absent.
+
+    Equal scores share their group's average rank.  NaN scores (a gate whose
+    weights were bit-flipped to NaN) form one tie group ranked above every
+    finite score, so the result never depends on row order; all-NaN gives 0.5.
+    """
 
     pos = targets > 0.5
     n_pos = int(pos.sum())
     n_neg = len(targets) - n_pos
     if n_pos == 0 or n_neg == 0:
         return 0.5
-    order = np.argsort(scores, kind="mergesort")
-    ranks = np.empty(len(scores), dtype=np.float64)
-    sorted_scores = scores[order]
-    i = 0
-    while i < len(scores):
-        j = i
-        while j + 1 < len(scores) and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    starts = np.cumsum(counts) - counts
+    ranks = (starts + (counts + 1) / 2.0)[group]
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

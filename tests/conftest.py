@@ -67,6 +67,16 @@ def multi_model_cache(tmp_path: Path) -> Path:
 
 
 @pytest.fixture()
+def demo_cache(tmp_path: Path) -> Path:
+    """A cache root holding :func:`build_synthetic_model`'s default model
+    (``synthetic``, 200 val + 200 test samples, seed 0)."""
+
+    root = tmp_path / "demo"
+    build_synthetic_model(root, seed=0)
+    return root
+
+
+@pytest.fixture()
 def bare_cache(tmp_path: Path):
     """Factory for a cache root with empty model directories — enough for
     campaign runners whose ``trial_fn`` is faked and never touches the store."""

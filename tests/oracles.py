@@ -1,7 +1,8 @@
 """Slow, obviously-correct reference implementations the vectorized kernels
 are checked against.  Used only by tests; the program runs the batched
 kernels (:func:`polygraphmr.decision.ensemble_features_batch`,
-:func:`polygraphmr.faults.sanitize_probs_batch`)."""
+:func:`polygraphmr.faults.sanitize_probs_batch`) and the rank-based
+``polygraphmr.decision._rank_auc``."""
 
 from __future__ import annotations
 
@@ -42,3 +43,25 @@ def sanitize_probs(arr: np.ndarray) -> np.ndarray:
     out[dead] = 1.0 / out.shape[1]
     sums[dead.reshape(-1)] = 1.0
     return out / sums
+
+
+def pairwise_auc(scores: np.ndarray, targets: np.ndarray) -> float:
+    """Mann-Whitney AUC by direct O(n²) pair counting: the share of
+    (positive, negative) pairs whose positive scores higher, ties counting ½;
+    0.5 when one class is absent.
+
+    NaN scores tie with each other and outrank every finite score, so a gate
+    whose output went NaN has a defined, order-free AUC."""
+
+    def key(x: float) -> tuple[bool, float]:
+        return (True, 0.0) if np.isnan(x) else (False, float(x))
+
+    pos = [key(s) for s, t in zip(scores, targets) if t > 0.5]
+    neg = [key(s) for s, t in zip(scores, targets) if not t > 0.5]
+    if not pos or not neg:
+        return 0.5
+    wins = 0.0
+    for p in pos:
+        for q in neg:
+            wins += 1.0 if p > q else 0.5 if p == q else 0.0
+    return wins / (len(pos) * len(neg))

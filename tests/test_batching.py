@@ -119,7 +119,7 @@ class TestJournalBatchFlush:
 
 
 class TestSerialBatchedEquivalence:
-    @pytest.mark.parametrize("batch_size", [1, 3, DEFAULT_BATCH_SIZE])
+    @pytest.mark.parametrize("batch_size", [1, 3, DEFAULT_BATCH_SIZE, 64])
     def test_legacy_campaign_is_byte_identical(self, multi_model_cache, tmp_path, batch_size):
         config = _config(multi_model_cache)
         CampaignRunner(config, tmp_path / "serial", use_batch=False).run()

@@ -11,6 +11,9 @@ from polygraphmr.decision import (
     misprediction_targets,
 )
 from polygraphmr.decision import _rank_auc  # noqa: PLC2701 - unit-testing the internal
+from polygraphmr.faults import degradation_report, prepare_degradation
+from polygraphmr.scenarios import get_builtin
+from polygraphmr.store import ArtifactStore
 
 
 def _toy_stack(seed=0, m=4, n=50, c=6):
@@ -64,6 +67,18 @@ class TestMetrics:
     def test_tied_scores_average_ranks(self):
         auc = _rank_auc(np.array([0.5, 0.5, 0.5, 0.5]), np.array([0, 1, 0, 1]))
         assert auc == 0.5
+        assert _rank_auc(np.full(4, np.nan), np.array([0, 1, 0, 1])) == 0.5
+        # NaN outranks every finite score, and NaNs tie with each other
+        assert _rank_auc(np.array([0.1, np.nan, 0.2, np.nan]), np.array([0, 1, 0, 1])) == 1.0
+        assert _rank_auc(np.array([np.nan, np.nan, 0.1]), np.array([1, 0, 0])) == 0.75
+
+    def test_nan_gate_weights_give_order_free_auc(self, demo_cache):
+        # seed 1816 turns a gate weight into NaN, so every score is NaN and
+        # the faulted AUC is chance, not the rank sum in test-row order
+        ctx = prepare_degradation(ArtifactStore(demo_cache), "synthetic", seed=0)
+        with np.errstate(invalid="ignore"):
+            report = degradation_report(ctx, get_builtin("gate-weights-bitflip-1").fault(1816))
+        assert report["faulted"]["auc"] == 0.5
 
     def test_metrics_dict_round(self):
         x = np.random.default_rng(0).normal(size=(50, 3))

@@ -162,6 +162,47 @@ class TestPooledDifferential:
         assert hur_raw == response_frame({"id": "h1", "outcome": OUTCOME_DEADLINE, "model": MODEL})
 
 
+class TestPoolOverlap:
+    @pytest.mark.parametrize(("workers", "expected_peak"), [(2, 2), (0, 1)])
+    def test_batches_overlap_up_to_the_pool_size(self, service, monkeypatch, workers, expected_peak):
+        """Pooled batches run concurrently, at most one per worker; the
+        in-process gateway runs them one at a time.  Counted directly on
+        ``_run_plans``, so the sleep padding cannot pass for worker speed."""
+
+        running = 0
+        peak = 0
+        calls = 0
+        run_plans = ServeGateway._run_plans
+
+        async def counting_run_plans(self, plans):
+            nonlocal running, peak, calls
+            calls += 1
+            running += 1
+            peak = max(peak, running)
+            try:
+                await run_plans(self, plans)
+            finally:
+                running -= 1
+
+        monkeypatch.setattr(ServeGateway, "_run_plans", counting_run_plans)
+        requests = [ServeRequest(id=f"o{i}", model=MODEL, samples=(i,)) for i in range(4)]
+
+        async def run():
+            gateway = make_pooled_gateway(
+                service, workers=workers, batch_max=1, coalesce_ms=0.0, batch_sleep_s=0.2
+            )
+            await gateway.start()
+            try:
+                return await asyncio.gather(*[tcp_request(gateway.bound_port, r) for r in requests])
+            finally:
+                await gateway.drain()
+
+        results = asyncio.run(run())
+        assert [payload["outcome"] for payload, _ in results] == [OUTCOME_OK] * len(requests)
+        assert calls == len(requests)  # batch_max=1: one batch per request
+        assert peak == expected_peak
+
+
 class TestPoolCrash:
     def test_sigkill_worker_mid_batch_still_answers_byte_identical(self, synthetic_cache, service):
         """Kill-matrix for the serving pool: SIGKILL the only worker while
