@@ -24,10 +24,11 @@ Five phases, all against the same 4-model synthetic cache::
 5. **Batched identity + speedup** — a sleep-free 64-trial campaign runs
    through the per-trial loop (``--no-batch``) and through the vectorized
    batch engine, serially and with 4 workers; every journal and checkpoint
-   must be byte-identical to the per-trial run and verify exit 0, and the
-   serial batched run must finish at least 1.5x faster wall-clock than the
-   per-trial one.  With no sleep padding that ratio measures the batched
-   kernels' compute against the per-trial loop's.
+   must be byte-identical to the per-trial run and verify exit 0, the
+   serial batched run must fit the decision gate exactly once per model
+   (its ``metrics.json``), and it must finish at least 1.5x faster
+   wall-clock than the per-trial one.  With no sleep padding that ratio
+   measures the batched kernels' compute against the per-trial loop's.
 
 Every phase boundary is additionally audited with ``python -m
 polygraphmr.campaign verify`` — after the serial run, after the shard
@@ -53,6 +54,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from polygraphmr.campaign import CampaignJournal, scan_campaign  # noqa: E402
+from polygraphmr.metrics import METRICS_NAME, load_registry  # noqa: E402
 
 N_TRIALS = 16
 N_MODELS = 4
@@ -332,9 +334,9 @@ def phase_batched_identity_and_speedup(tmp: Path) -> None:
 
     Sleep-free, so every second timed is compute: the per-trial loop
     (``--no-batch``) is the byte reference and the timing baseline, the
-    serial batched run must match its bytes and beat its wall-clock by
-    ``MIN_BATCHED_SPEEDUP``, and a 4-worker batched run must match its bytes
-    too."""
+    serial batched run must match its bytes, fit the decision gate once per
+    model and beat its wall-clock by ``MIN_BATCHED_SPEEDUP``, and a 4-worker
+    batched run must match its bytes too."""
 
     cache = tmp / "cache"
     sleep_free = {"trials": BATCHED_TRIALS, "trial_sleep": 0.0}
@@ -347,6 +349,11 @@ def phase_batched_identity_and_speedup(tmp: Path) -> None:
             raise SystemExit(f"FAIL: {label} batched run completed {summary['completed']}/{BATCHED_TRIALS}")
         if _bytes(batched_out) != _bytes(loop_out):
             raise SystemExit(f"FAIL: {label} batched journal/checkpoint differ from the per-trial loop")
+        registry = load_registry(batched_out / METRICS_NAME)
+        hist = registry.histogram_for("decision_fit_seconds") if registry is not None else None
+        fits = hist.count if hist is not None else None
+        if fits != N_MODELS:
+            raise SystemExit(f"FAIL: {label} batched run fitted the gate {fits} time(s), want one per model")
         speedup = loop_s / batched_s if batched_s > 0 else float("inf")
         print(f"per-trial loop {loop_s:.2f}s / batched {batched_s:.2f}s -> speedup {speedup:.2f}x")
         return speedup

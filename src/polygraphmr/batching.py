@@ -1,13 +1,15 @@
 """Batch planner + vectorized numpy trial kernel for campaigns.
 
 The serial campaign loop pays full Python-interpreter overhead per trial:
-spec derivation, ensemble assembly, decision-module fitting, fault
-injection, and metric evaluation all run once per trial even though most
-of that work is identical across every trial of the same model.  This
-module turns contiguous runs of pending trials into **batches** that share
-the expensive, fault-independent half (:func:`polygraphmr.faults.
-prepare_degradation` — assemble + fit + clean metrics, done once per
-batch) and run the fault-dependent half as stacked tensor ops
+spec derivation, ensemble assembly, fault injection, and metric evaluation
+all run once per trial even though much of that work is identical across
+every trial of the same model.  (The decision gate is not among them: the
+executor's per-model runtime memoises it, so it is fitted once per (member
+set, artifact identity) on either path, never once per trial or chunk.)
+This module turns contiguous runs of pending trials into **batches** that
+share the fault-independent half (:func:`polygraphmr.faults.
+prepare_degradation` — assemble + clean metrics, done once per batch) and
+run the fault-dependent half as stacked tensor ops
 (:func:`~polygraphmr.faults.apply_fault_batch`,
 :func:`~polygraphmr.faults.sanitize_probs_batch`,
 :func:`~polygraphmr.decision.ensemble_features_batch`).
@@ -304,7 +306,7 @@ class BatchTrialEngine:
         faults = [executor.fault_for(spec) for spec in specs]
         if getattr(faults[0], "target", "probs") == "weights":
             # the faulted surface is the module's own weight vector — tiny,
-            # so batching buys nothing; the fit is still amortized
+            # so batching buys nothing
             return {spec.index: degradation_report(ctx, fault) for spec, fault in zip(specs, faults)}
 
         session = ctx.session
@@ -322,8 +324,9 @@ class BatchTrialEngine:
         faulted = sanitize_probs_batch(faulted).reshape((n_trials, n_members) + inner)
         features = ensemble_features_batch(faulted)
         out: dict[int, dict] = {}
+        module = session.module
         for b, (spec, fault) in enumerate(zip(specs, faults)):
-            faulted_flags = session.module.predict(features[b])
-            metrics = session.module.evaluate(features[b], session.test_targets(faulted[b]))
-            out[spec.index] = degradation_payload(ctx, fault, metrics, faulted_flags)
+            scores = module.predict_proba(features[b])
+            metrics = module.evaluate(scores, session.test_targets(faulted[b]))
+            out[spec.index] = degradation_payload(ctx, fault, metrics, module.flag(scores))
         return out

@@ -170,13 +170,22 @@ class LogisticDecisionModule:
         get_registry().histogram("decision_predict_seconds").observe(time.perf_counter() - start)
         return out
 
-    def predict(self, features: np.ndarray, *, threshold: float = 0.5) -> np.ndarray:
-        return (self.predict_proba(features) >= threshold).astype(np.int64)
+    @staticmethod
+    def flag(scores: np.ndarray, *, threshold: float = 0.5) -> np.ndarray:
+        """Decision flags (1 = ORG predicted wrong) from :meth:`predict_proba` scores."""
 
-    def evaluate(self, features: np.ndarray, targets: np.ndarray, *, threshold: float = 0.5) -> DetectionMetrics:
+        return (scores >= threshold).astype(np.int64)
+
+    def predict(self, features: np.ndarray, *, threshold: float = 0.5) -> np.ndarray:
+        return self.flag(self.predict_proba(features), threshold=threshold)
+
+    def evaluate(self, scores: np.ndarray, targets: np.ndarray, *, threshold: float = 0.5) -> DetectionMetrics:
+        """Detection metrics of ``scores`` (from :meth:`predict_proba`)
+        against ``targets``; takes scores rather than features so a caller
+        that also needs the flags computes them once."""
+
         y = np.asarray(targets, dtype=np.float64).reshape(-1)
-        scores = self.predict_proba(features)
-        pred = (scores >= threshold).astype(np.float64)
+        pred = self.flag(scores, threshold=threshold).astype(np.float64)
         tp = float(((pred == 1) & (y == 1)).sum())
         fp = float(((pred == 1) & (y == 0)).sum())
         fn = float(((pred == 0) & (y == 1)).sum())

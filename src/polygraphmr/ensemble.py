@@ -10,11 +10,12 @@ members still produces a result — explicitly marked degraded and naming the
 members that dropped out — and only when fewer than ``min_members`` survive
 does it raise :class:`DegradedEnsemble`.
 
-A runtime instance (store + breaker board + decision caches) is mutable
-state and must stay within one process: multiprocess campaign workers each
-build their own runtime after ``fork`` via
+A runtime instance (store + breaker board + memoised decision gates) is
+mutable state and must stay within one process: multiprocess campaign
+workers each build their own runtime after ``fork`` via
 :class:`polygraphmr.campaign.TrialExecutor` rather than inherit the
-parent's.
+parent's.  :meth:`EnsembleRuntime.fit_gate` fits each member set's gate once
+per val-artifact identity; discarding the runtime discards the memo.
 
 The store the runtime drives may carry a verified-once
 :class:`~polygraphmr.cache.ArtifactCache`: the probability arrays it serves
@@ -31,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .breaker import BreakerBoard
+from .cache import stat_signature
 from .decision import DetectionMetrics, LogisticDecisionModule, ensemble_features, misprediction_targets
 from .errors import DegradedEnsemble
 from .metrics import get_registry
@@ -165,6 +167,8 @@ class EnsembleRuntime:
         self.min_members = min_members
         self.seed = seed
         self.breakers = breakers
+        # fitted gates: (model, members, seed) -> (val artifact identity, gate)
+        self._gates: dict[tuple, tuple[tuple, LogisticDecisionModule]] = {}
 
     # -- assembly --------------------------------------------------------
 
@@ -253,17 +257,40 @@ class EnsembleRuntime:
 
     # -- the fitted session ---------------------------------------------
 
+    def _val_identity(self, model: str, members: list[str]) -> tuple | None:
+        """Stat signatures of the members' ``val`` probs and the ``val``
+        labels — the artifact cache's notion of file identity — or ``None``
+        when a file cannot be statted."""
+
+        paths = [self.store.probs_path(model, s, "val") for s in members]
+        sigs = tuple(stat_signature(p) for p in [*paths, self.store.labels_path(model, "val")])
+        return None if None in sigs else sigs
+
     def fit_gate(self, model: str, members: list[str], val_stack: np.ndarray) -> LogisticDecisionModule | None:
         """The decision gate for ``members``, fitted on their ``val`` stack;
         ``None`` when ORG is absent or the val labels are missing or do not
-        match the split."""
+        match the split.
+
+        ``val_stack`` must be those members' ``val`` artifacts as this
+        runtime's store loaded them: the fit is a pure function of (model,
+        members, val files, val labels, seed), so the gate is memoised on
+        the files' identity and fitted once per member set until a file
+        changes.  Callers share the returned gate and must not mutate it.
+        """
 
         val_labels = self.store.load_labels(model, "val")
         if val_labels is None or "ORG" not in members or len(val_labels) != val_stack.shape[1]:
             return None
+        key = (model, tuple(members), self.seed)
+        identity = self._val_identity(model, members)
+        memo = self._gates.get(key)
+        if memo is not None and memo[0] == identity:
+            return memo[1]
         module = LogisticDecisionModule(seed=self.seed)
         org_val = val_stack[members.index("ORG")]
         module.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
+        if identity is not None:
+            self._gates[key] = (identity, module)
         return module
 
     def session(self, model: str, members: list[str] | None = None) -> ModelSession:
@@ -337,10 +364,10 @@ class EnsembleRuntime:
         metrics = None
         flags = np.zeros(session.n_samples, dtype=np.int64)
         if session.module is not None:
-            test_features = ensemble_features(session.test_stack)
-            flags = session.module.predict(test_features)
+            scores = session.module.predict_proba(ensemble_features(session.test_stack))
+            flags = session.module.flag(scores)
             if session.test_labels is not None:
-                metrics = session.module.evaluate(test_features, session.test_targets())
+                metrics = session.module.evaluate(scores, session.test_targets())
 
         batch = EnsembleBatch(model=model, split="test", members=session.members, stacked=session.test_stack)
         predictions = self.aggregate(batch)

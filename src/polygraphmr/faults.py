@@ -22,6 +22,7 @@ Run ``python -m polygraphmr.faults --help`` for the measurement CLI.
 from __future__ import annotations
 
 import argparse
+import copy
 import json
 import shutil
 import sys
@@ -454,7 +455,12 @@ class DegradationContext:
     features, flags and metrics.  Prepared once and shared across every
     fault evaluated against the same (model, breaker-steady) state — the
     batch kernel's amortized work; :func:`degradation_report` supplies the
-    per-fault half."""
+    per-fault half.
+
+    The session's gate comes from the runtime's
+    :meth:`~polygraphmr.ensemble.EnsembleRuntime.fit_gate` memo, fitted once
+    per (member set, artifact identity) rather than once per context, so
+    every context of that runtime shares it and none may write to it."""
 
     session: ModelSession
     clean_features: np.ndarray
@@ -496,12 +502,13 @@ def prepare_degradation(
 
     clean_features = ensemble_features(session.test_stack)
     clean_targets = session.test_targets()
+    clean_scores = session.module.predict_proba(clean_features)
     return DegradationContext(
         session=session,
         clean_features=clean_features,
         clean_targets=clean_targets,
-        clean_flags=session.module.predict(clean_features),
-        clean=session.module.evaluate(clean_features, clean_targets),
+        clean_flags=session.module.flag(clean_scores),
+        clean=session.module.evaluate(clean_scores, clean_targets),
     )
 
 
@@ -536,19 +543,17 @@ def degradation_report(ctx: DegradationContext, spec) -> dict:
 
     module = ctx.session.module
     if getattr(spec, "target", "probs") == "weights":
-        pristine = module.w
-        try:
-            module.w = np.asarray(spec.apply(pristine), dtype=np.float64)
-            faulted_flags = module.predict(ctx.clean_features)
-            faulted = module.evaluate(ctx.clean_features, ctx.clean_targets)
-        finally:
-            module.w = pristine
+        # the gate is shared by every trial of the runtime, so the faulted
+        # weights go on a shallow copy and the shared gate is never written
+        faulted_gate = copy.copy(module)
+        faulted_gate.w = np.asarray(spec.apply(module.w), dtype=np.float64)
+        scores = faulted_gate.predict_proba(ctx.clean_features)
+        targets = ctx.clean_targets
     else:
         faulted_stack = sanitize_probs_batch(spec.apply_batch(ctx.session.test_stack))
-        faulted_features = ensemble_features(faulted_stack)
-        faulted_flags = module.predict(faulted_features)
-        faulted = module.evaluate(faulted_features, ctx.session.test_targets(faulted_stack))
-    return degradation_payload(ctx, spec, faulted, faulted_flags)
+        scores = module.predict_proba(ensemble_features(faulted_stack))
+        targets = ctx.session.test_targets(faulted_stack)
+    return degradation_payload(ctx, spec, module.evaluate(scores, targets), module.flag(scores))
 
 
 def measure_degradation(

@@ -134,6 +134,9 @@ class ArtifactStore:
     def weights_path(self, model: str, stem: str) -> Path:
         return self.model_dir(model) / f"{stem}.weights.npz"
 
+    def labels_path(self, model: str, split: str) -> Path:
+        return self.model_dir(model) / f"labels.{split}.npz"
+
     # -- quarantine ------------------------------------------------------
 
     def _quarantine(self, path: Path, reason: str) -> None:
@@ -329,7 +332,7 @@ class ArtifactStore:
     def load_labels(self, model: str, split: str) -> np.ndarray | None:
         """Optional ground-truth labels (``labels.<split>.npz``, key ``labels``)."""
 
-        path = self.model_dir(model) / f"labels.{split}.npz"
+        path = self.labels_path(model, split)
         with self._observed_load("labels") as obs:
             if not path.is_file() or self.is_quarantined(path):
                 obs["result"] = "quarantined-hit" if self.is_quarantined(path) else "missing"

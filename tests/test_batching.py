@@ -29,6 +29,7 @@ from polygraphmr.campaign import (
     verify_campaign,
 )
 from polygraphmr.decision import ensemble_features, ensemble_features_batch
+from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.faults import (
     FAULT_MODELS,
     SURFACES,
@@ -43,6 +44,7 @@ from polygraphmr.faults import (
 from polygraphmr.metrics import get_registry
 from polygraphmr.parallel import ParallelCampaignRunner
 from polygraphmr.scenarios import resolve_scenarios
+from polygraphmr.store import ArtifactStore
 
 from . import oracles
 
@@ -62,6 +64,12 @@ def _sweep_config(cache, **overrides) -> CampaignConfig:
 
 def _bytes(out_dir) -> tuple[bytes, bytes]:
     return (out_dir / JOURNAL_NAME).read_bytes(), (out_dir / CHECKPOINT_NAME).read_bytes()
+
+
+def _fits() -> int:
+    """Decision-gate fits of the latest campaign run in this process."""
+
+    return get_registry().histogram("decision_fit_seconds").count
 
 
 class TestPlanner:
@@ -177,6 +185,9 @@ class TestSerialBatchedEquivalence:
         CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
         assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
         assert get_registry().counter("campaign_batch_fallback_total", reason="timeout").value > 0
+        # the rebuild discards the runtime and its memoised gate: the probe's
+        # fit plus one refit for the serial replay
+        assert _fits() == 2
 
     def test_kernel_error_falls_back_to_serial_replay(self, synthetic_cache, tmp_path, monkeypatch):
         config = _config(synthetic_cache, n_trials=4)
@@ -189,6 +200,7 @@ class TestSerialBatchedEquivalence:
         CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
         assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
         assert get_registry().counter("campaign_batch_fallback_total", reason="error").value > 0
+        assert _fits() == 2
 
     def test_interrupted_batched_run_resumes_to_identical_bytes(self, multi_model_cache, tmp_path):
         config = _config(multi_model_cache)
@@ -207,6 +219,37 @@ class TestSerialBatchedEquivalence:
         )
         assert not runner.use_batch  # faked trial bodies have no kernel
         assert runner.run()["completed"] == 3
+
+
+class TestGateFitOncePerModel:
+    """Each model's runtime memoises its fitted gate, so a run fits it once
+    whatever the chunking — and the journal bytes do not move."""
+
+    def test_one_fit_per_model_batched_and_per_trial(self, synthetic_cache, add_model, tmp_path):
+        add_model(synthetic_cache, "net-b")
+        config = _config(synthetic_cache, n_trials=32)
+        CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+        assert _fits() == 2
+        CampaignRunner(config, tmp_path / "batched", batch_size=DEFAULT_BATCH_SIZE).run()
+        assert get_registry().counter("campaign_batched_trials_total").value > 0
+        assert _fits() == 2
+        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
+
+    @pytest.mark.parametrize("options", [{"use_batch": False}, {"batch_size": 4}], ids=["serial", "batched"])
+    def test_weights_faults_leave_the_memoised_gate_pristine(self, synthetic_cache, tmp_path, options):
+        config = _config(
+            synthetic_cache,
+            n_trials=8,
+            scenarios=scenarios_config_field(resolve_scenarios(["gate-weights-bitflip-1"])),
+        )
+        runner = CampaignRunner(config, tmp_path / "out", **options)
+        assert runner.run()["outcomes"]["ok"] == 8
+        if runner.use_batch:
+            assert get_registry().counter("campaign_batched_trials_total").value > 0
+        assert _fits() == 1  # one gate served every trial
+        gate = runner.executor.runtime_for("tinynet").session("tinynet").module
+        fresh = EnsembleRuntime(ArtifactStore(synthetic_cache), seed=config.seed).session("tinynet").module
+        assert gate.w.tobytes() == fresh.w.tobytes() and gate.b == fresh.b
 
 
 class TestThreeWayEquivalenceMatrix:

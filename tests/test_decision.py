@@ -41,7 +41,7 @@ class TestTraining:
         x = rng.normal(size=(300, 5))
         y = (x[:, 0] + 0.5 * x[:, 1] > 0).astype(float)
         module = LogisticDecisionModule(seed=0).fit(x, y)
-        metrics = module.evaluate(x, y)
+        metrics = module.evaluate(module.predict_proba(x), y)
         assert metrics.accuracy > 0.9
         assert metrics.auc > 0.95
 
@@ -83,7 +83,8 @@ class TestMetrics:
     def test_metrics_dict_round(self):
         x = np.random.default_rng(0).normal(size=(50, 3))
         y = (x[:, 0] > 0).astype(float)
-        metrics = LogisticDecisionModule(seed=0).fit(x, y).evaluate(x, y)
+        module = LogisticDecisionModule(seed=0).fit(x, y)
+        metrics = module.evaluate(module.predict_proba(x), y)
         d = metrics.to_dict()
         assert set(d) == {"n", "accuracy", "precision", "recall", "f1", "auc", "base_rate"}
         assert d["n"] == 50

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,7 @@ from polygraphmr.decision import ensemble_features
 from polygraphmr.ensemble import DegradedResult, EnsembleResult, EnsembleRuntime, ModelSkipped
 from polygraphmr.errors import DegradedEnsemble
 from polygraphmr.faults import corrupt_file_truncate, prepare_degradation
+from polygraphmr.metrics import get_registry
 from polygraphmr.serve import PolygraphService
 from polygraphmr.store import ArtifactStore
 
@@ -61,6 +64,63 @@ class TestOneSession:
                 result.quarantined,
             )
         assert ("pp-Hist" in result.quarantined) == quarantine
+
+
+def _fits() -> int:
+    hist = get_registry().histogram_for("decision_fit_seconds")
+    return 0 if hist is None else hist.count
+
+
+def _fresh_gate(cache):
+    return EnsembleRuntime(ArtifactStore(cache), seed=0).session("tinynet").module
+
+
+class TestGateMemo:
+    """``fit_gate`` is a pure function of (model, members, val artifacts, val
+    labels, seed), so a runtime fits each member set once and refits only
+    when a val file's stat signature or the member set changes."""
+
+    def test_sessions_share_one_fit(self, synthetic_store):
+        runtime = EnsembleRuntime(synthetic_store, seed=0)
+        gate = runtime.session("tinynet").module
+        assert runtime.session("tinynet").module is gate
+        runtime.run_model("tinynet")
+        assert _fits() == 1
+
+    @pytest.mark.parametrize("artifact", ["member-probs", "labels"])
+    def test_rewritten_val_artifact_forces_a_refit(
+        self, synthetic_store, synthetic_cache, write_probs, write_labels, artifact
+    ):
+        runtime = EnsembleRuntime(synthetic_store, seed=0)
+        stale = runtime.session("tinynet").module
+        if artifact == "labels":
+            path = synthetic_store.labels_path("tinynet", "val")
+            write_labels(path, np.roll(np.load(path)["labels"], 1))
+        else:
+            path = synthetic_store.probs_path("tinynet", "pp-Hist", "val")
+            write_probs(path, np.roll(np.load(path)["probs"], 1, axis=1))
+        # a new stat signature even where the rewrite lands in the same mtime tick
+        st = os.stat(path)
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+
+        refit = runtime.session("tinynet").module
+        fresh = _fresh_gate(synthetic_cache)
+        assert _fits() == 3  # stale, refit, fresh
+        assert refit.w.tobytes() == fresh.w.tobytes() and refit.b == fresh.b
+        assert refit.w.tobytes() != stale.w.tobytes()
+
+    def test_quarantined_member_gives_a_new_key_and_a_refit(self, synthetic_store, synthetic_cache):
+        runtime = EnsembleRuntime(synthetic_store, seed=0)
+        full = runtime.session("tinynet")
+        # only the member's test split breaks: its val file keeps its identity
+        path = synthetic_store.probs_path("tinynet", "pp-Hist", "test")
+        corrupt_file_truncate(path, path, keep_fraction=0.3, seed=11)
+
+        narrowed = runtime.session("tinynet")
+        assert "pp-Hist" in narrowed.quarantined and "pp-Hist" not in narrowed.members
+        assert narrowed.module is not full.module and _fits() == 2
+        assert narrowed.module.w.tobytes() == _fresh_gate(synthetic_cache).w.tobytes()
+        assert runtime.session("tinynet").module is narrowed.module and _fits() == 3
 
 
 class TestDegradedMode:

@@ -7,11 +7,14 @@ import json
 import numpy as np
 import pytest
 
+from polygraphmr.decision import LogisticDecisionModule
+from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import ConfigError, DegradedEnsemble
 from polygraphmr.faults import (
     FaultSpec,
     build_synthetic_model,
     corrupt_file_truncate,
+    degradation_report,
     inject_bitflips,
     inject_gaussian,
     main,
@@ -133,6 +136,39 @@ class TestDegradationMeasurement:
             synthetic_store, "tinynet", FaultSpec("gaussian", sigma=0.0), seed=0
         )
         assert clean_again["clean"] == report["clean"]
+
+
+    def test_weights_fault_never_writes_the_shared_gate(self, synthetic_store, monkeypatch):
+        ctx = prepare_degradation(synthetic_store, "tinynet", seed=0)
+        gate = ctx.session.module
+        pristine = gate.w.tobytes()
+        gate.w.setflags(write=False)
+        seen = []
+        predict_proba = LogisticDecisionModule.predict_proba
+
+        def spy(module, features):
+            seen.append(gate.w.tobytes() == pristine)
+            return predict_proba(module, features)
+
+        monkeypatch.setattr(LogisticDecisionModule, "predict_proba", spy)
+        report = degradation_report(ctx, get_builtin("gate-weights-bitflip-1").fault(4))
+        # one scoring pass, and the shared gate held its weights throughout
+        assert seen == [True]
+        assert gate.w.tobytes() == pristine
+        assert report["clean"]["n"] == report["faulted"]["n"]
+
+    def test_one_predict_proba_per_evaluation(self, synthetic_store, monkeypatch):
+        calls = []
+        predict_proba = LogisticDecisionModule.predict_proba
+        monkeypatch.setattr(
+            LogisticDecisionModule, "predict_proba", lambda m, f: calls.append(1) or predict_proba(m, f)
+        )
+        ctx = prepare_degradation(synthetic_store, "tinynet", seed=0)
+        assert len(calls) == 1  # clean flags and metrics
+        degradation_report(ctx, FaultSpec("bitflip", rate=0.01, seed=3))
+        assert len(calls) == 2
+        EnsembleRuntime(synthetic_store, seed=0).run_model("tinynet")
+        assert len(calls) == 3
 
 
 class TestPrepareDegradationChecks:

@@ -213,7 +213,9 @@ class TestSerialParallelEquivalence:
 
 class TestStopAndResume:
     def test_request_stop_drains_and_resume_completes(self, multi_model_cache, tmp_path):
-        config = _config(multi_model_cache, trial_sleep_s=0.1)
+        # eight 0.1 s trials per worker: the sleep alone outlasts the 0.3 s
+        # stop timer, however fast the trial body itself runs
+        config = _config(multi_model_cache, n_trials=2 * N_TRIALS, trial_sleep_s=0.1)
         CampaignRunner(config, tmp_path / "serial").run()
 
         shm_before = _shm_entries()
@@ -226,13 +228,13 @@ class TestStopAndResume:
         assert partial["stopped_early"]
         assert partial["failed_workers"] == []  # SIGTERM drain is a clean exit
         assert _shm_entries() == shm_before  # no plane segment outlives the run
-        assert 0 < partial["completed"] < N_TRIALS
+        assert 0 < partial["completed"] < config.n_trials
         assert shard_journals(tmp_path / "par")  # shards kept for resume
 
         # resume under a *different* worker count — parallelism is an
         # execution detail, not part of the campaign's identity
         resumed = ParallelCampaignRunner(config, tmp_path / "par", workers=2).run(resume=True)
-        assert resumed["completed"] == N_TRIALS
+        assert resumed["completed"] == config.n_trials
         assert not resumed["stopped_early"]
         assert (tmp_path / "par" / JOURNAL_NAME).read_bytes() == (
             tmp_path / "serial" / JOURNAL_NAME
@@ -243,7 +245,7 @@ class TestStopAndResume:
         assert verify_campaign(tmp_path / "par")["ok"]
 
     def test_serial_runner_resumes_and_merges_a_parallel_run(self, multi_model_cache, tmp_path):
-        config = _config(multi_model_cache, trial_sleep_s=0.1)
+        config = _config(multi_model_cache, n_trials=2 * N_TRIALS, trial_sleep_s=0.1)
         CampaignRunner(config, tmp_path / "serial").run()
 
         runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4, use_batch=False)
@@ -251,7 +253,7 @@ class TestStopAndResume:
         assert runner.run()["stopped_early"]
 
         summary = CampaignRunner(config, tmp_path / "par").run(resume=True)
-        assert summary["completed"] == N_TRIALS
+        assert summary["completed"] == config.n_trials
         assert not shard_journals(tmp_path / "par")
         assert (tmp_path / "par" / JOURNAL_NAME).read_bytes() == (
             tmp_path / "serial" / JOURNAL_NAME

@@ -151,8 +151,16 @@ class TestMetricsReconcileWithJournal:
         )
         assert taxonomy_corrupt == corrupt_loads
 
-        # 6. one decision-module fit per ok trial
-        assert reg.histogram_for("decision_fit_seconds").count == tally[OUTCOME_OK]
+        # 6. one decision-module fit per distinct (model, member set) the ok
+        # trials ran on: each worker's per-model runtime memoises its gate,
+        # and trial ownership is partitioned by model, so no pair is fitted
+        # by two runtimes
+        fitted = {
+            (r["spec"]["model"], tuple(r["result"]["members"]))
+            for r in records
+            if r["outcome"] == OUTCOME_OK
+        }
+        assert reg.histogram_for("decision_fit_seconds").count == len(fitted)
 
     def test_serial_soak_with_timeouts_and_errors_reconciles(self, tmp_path, bare_cache):
         """A fake workload that hangs and raises on schedule: the watchdog
