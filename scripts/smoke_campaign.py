@@ -22,13 +22,15 @@ Five phases, all against the same 4-model synthetic cache::
    (exit 0), and its ``report`` must reconcile per-scenario trial counts
    exactly with the journal.
 5. **Batched identity + speedup** — a sleep-free 64-trial campaign runs
-   through the per-trial loop (``--no-batch``) and through the vectorized
-   batch engine, serially and with 4 workers; every journal and checkpoint
-   must be byte-identical to the per-trial run and verify exit 0, the
-   serial batched run must fit the decision gate exactly once per model
-   (its ``metrics.json``), and it must finish at least 1.5x faster
-   wall-clock than the per-trial one.  With no sleep padding that ratio
-   measures the batched kernels' compute against the per-trial loop's.
+   at batch size 1 (``--no-batch``: every trial on its own) and at
+   ``--batch-size 16``, serially and with 4 workers; every journal and
+   checkpoint must be byte-identical to the batch-size-1 run and verify
+   exit 0, the serial batched run must fit the decision gate exactly once
+   per model (its ``metrics.json``), and it must spend at least 1.5x less
+   in-run trial time: the sum of each run's ``campaign_trial_seconds``
+   histogram.  With no sleep padding and no interpreter start-up in it,
+   that ratio measures the batched kernels' compute against per-trial
+   execution; the wall-clock ratio is printed next to it.
 
 Every phase boundary is additionally audited with ``python -m
 polygraphmr.campaign verify`` — after the serial run, after the shard
@@ -108,9 +110,10 @@ def campaign_cmd(
         cmd += ["--scenarios", ",".join(SCENARIOS)]
     if resume:
         cmd.append("--resume")
-    # the timing/kill phases measure the per-trial executor: speedup floors
-    # and mid-run kill windows assume one sleep per trial, which the batch
-    # engine deliberately amortizes away -- so batching is opt-in here
+    # phases 1-4 time and kill the per-trial executor: their speedup floor
+    # and mid-run kill windows assume one sleep per trial, which batch
+    # sizes above 1 amortize away -- so they run at batch size 1, where
+    # every trial runs on its own; phase 5 passes a batch size
     cmd += ["--no-batch"] if batch_size is None else ["--batch-size", str(batch_size)]
     return cmd
 
@@ -329,33 +332,52 @@ def phase_scenario_sweep(tmp: Path) -> None:
     print(f"OK: report reconciles with the journal: {per_scenario} == {journalled} trial(s)")
 
 
+def trial_seconds(out: Path) -> float:
+    """A finished run's summed in-run trial time: the ``campaign_trial_seconds``
+    histogram sum in its ``metrics.json``, one observation per trial."""
+
+    registry = load_registry(out / METRICS_NAME)
+    hist = registry.histogram_for("campaign_trial_seconds") if registry is not None else None
+    if hist is None or hist.count != BATCHED_TRIALS:
+        count = None if hist is None else hist.count
+        raise SystemExit(f"FAIL: {out.name} metrics.json observed {count} trial(s), want {BATCHED_TRIALS}")
+    return hist.sum
+
+
 def phase_batched_identity_and_speedup(tmp: Path) -> None:
     """The batch engine must be invisible on disk and must pay for itself.
 
-    Sleep-free, so every second timed is compute: the per-trial loop
+    Sleep-free, so every second timed is compute: the batch-size-1 run
     (``--no-batch``) is the byte reference and the timing baseline, the
     serial batched run must match its bytes, fit the decision gate once per
-    model and beat its wall-clock by ``MIN_BATCHED_SPEEDUP``, and a 4-worker
-    batched run must match its bytes too."""
+    model and beat its summed in-run trial time by ``MIN_BATCHED_SPEEDUP``,
+    and a 4-worker batched run must match its bytes too.  The in-run sums
+    leave out interpreter start-up, which dominates both runs' wall-clock at
+    this shape."""
 
     cache = tmp / "cache"
     sleep_free = {"trials": BATCHED_TRIALS, "trial_sleep": 0.0}
 
     def reference_and_batched(label: str) -> float:
         loop_out, batched_out = tmp / f"{label}-loop", tmp / f"{label}-serial"
-        loop_s, _ = timed_run(cache, loop_out, workers=1, **sleep_free)
-        batched_s, summary = timed_run(cache, batched_out, workers=1, batch_size=BATCH_SIZE, **sleep_free)
+        loop_wall, _ = timed_run(cache, loop_out, workers=1, **sleep_free)
+        batched_wall, summary = timed_run(cache, batched_out, workers=1, batch_size=BATCH_SIZE, **sleep_free)
         if summary["completed"] != BATCHED_TRIALS:
             raise SystemExit(f"FAIL: {label} batched run completed {summary['completed']}/{BATCHED_TRIALS}")
         if _bytes(batched_out) != _bytes(loop_out):
-            raise SystemExit(f"FAIL: {label} batched journal/checkpoint differ from the per-trial loop")
+            raise SystemExit(f"FAIL: {label} batched journal/checkpoint differ from the --no-batch run")
         registry = load_registry(batched_out / METRICS_NAME)
         hist = registry.histogram_for("decision_fit_seconds") if registry is not None else None
         fits = hist.count if hist is not None else None
         if fits != N_MODELS:
             raise SystemExit(f"FAIL: {label} batched run fitted the gate {fits} time(s), want one per model")
+        loop_s, batched_s = trial_seconds(loop_out), trial_seconds(batched_out)
         speedup = loop_s / batched_s if batched_s > 0 else float("inf")
-        print(f"per-trial loop {loop_s:.2f}s / batched {batched_s:.2f}s -> speedup {speedup:.2f}x")
+        print(
+            f"in-run trial time: batch size 1 {loop_s:.2f}s / batched {batched_s:.2f}s -> "
+            f"speedup {speedup:.2f}x (wall-clock {loop_wall:.2f}s / {batched_wall:.2f}s -> "
+            f"{loop_wall / batched_wall:.2f}x)"
+        )
         return speedup
 
     speedup = reference_and_batched("batched")
@@ -363,9 +385,9 @@ def phase_batched_identity_and_speedup(tmp: Path) -> None:
     parallel_out = tmp / "batched-4w"
     timed_run(cache, parallel_out, workers=4, batch_size=BATCH_SIZE, **sleep_free)
     if _bytes(parallel_out) != _bytes(tmp / "batched-loop"):
-        raise SystemExit("FAIL: batched-4w journal/checkpoint differ from the per-trial loop")
+        raise SystemExit("FAIL: batched-4w journal/checkpoint differ from the --no-batch run")
     verify_dir(parallel_out, "batched-4w")
-    print(f"OK: --batch-size {BATCH_SIZE} journals byte-identical to the per-trial loop (serial and 4-worker)")
+    print(f"OK: --batch-size {BATCH_SIZE} journals byte-identical to the --no-batch run (serial and 4-worker)")
 
     attempt = 1
     while speedup < MIN_BATCHED_SPEEDUP and attempt < SPEEDUP_RETRIES:
@@ -373,8 +395,8 @@ def phase_batched_identity_and_speedup(tmp: Path) -> None:
         print(f"batched speedup below {MIN_BATCHED_SPEEDUP}x; re-timing (attempt {attempt}/{SPEEDUP_RETRIES})")
         speedup = reference_and_batched(f"batched-retry-{attempt}")
     if speedup < MIN_BATCHED_SPEEDUP:
-        raise SystemExit(f"FAIL: batched speedup {speedup:.2f}x < {MIN_BATCHED_SPEEDUP}x over the per-trial loop")
-    print(f"OK: >= {MIN_BATCHED_SPEEDUP}x sleep-free wall-clock speedup from batching")
+        raise SystemExit(f"FAIL: batched in-run speedup {speedup:.2f}x < {MIN_BATCHED_SPEEDUP}x over batch size 1")
+    print(f"OK: >= {MIN_BATCHED_SPEEDUP}x sleep-free in-run speedup from batching")
 
 
 def main() -> int:

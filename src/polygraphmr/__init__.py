@@ -58,13 +58,6 @@ __version__ = "0.1.0"
 
 _FAULT_EXPORTS = (
     "FaultSpec",
-    "apply_fault",
-    "inject_bitflips",
-    "inject_bitflips_channel",
-    "inject_bitflips_element",
-    "inject_gaussian",
-    "inject_quantize",
-    "inject_stuck_at",
     "measure_degradation",
 )
 _CAMPAIGN_EXPORTS = (
@@ -165,17 +158,10 @@ __all__ = [
     "TransientIOError",
     "TrialExecutor",
     "TrialSpec",
-    "apply_fault",
     "builtin_scenarios",
     "display_to_stem",
     "get_registry",
     "get_tracer",
-    "inject_bitflips",
-    "inject_bitflips_channel",
-    "inject_bitflips_element",
-    "inject_gaussian",
-    "inject_quantize",
-    "inject_stuck_at",
     "load_registry",
     "measure_degradation",
     "merge_registries",

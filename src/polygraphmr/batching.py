@@ -1,7 +1,8 @@
-"""Batch planner + vectorized numpy trial kernel for campaigns.
+"""Batch planner + vectorized numpy trial kernel for campaigns — the one
+trial loop both campaign runners drive.
 
-The serial campaign loop pays full Python-interpreter overhead per trial:
-spec derivation, ensemble assembly, fault injection, and metric evaluation
+Run one by one, trials pay full Python-interpreter overhead each: spec
+derivation, ensemble assembly, fault injection, and metric evaluation
 all run once per trial even though much of that work is identical across
 every trial of the same model.  (The decision gate is not among them: the
 executor's per-model runtime memoises it, so it is fitted once per (member
@@ -15,7 +16,8 @@ run the fault-dependent half as stacked tensor ops
 :func:`~polygraphmr.decision.ensemble_features_batch`).
 
 The contract is the repo's north star: **journal bytes must be identical
-to the serial runner's.**  Three rules keep that true:
+at every batch size**, batch size 1 — every trial run on its own — being
+the reference.  Three rules keep that true:
 
 * **Windows preserve order.**  :func:`plan_windows` slices the ascending
   pending list into windows of ``batch_size × n_models`` contiguous
@@ -27,22 +29,22 @@ to the serial runner's.**  Three rules keep that true:
 * **Breaker-bounded batching (probe then batch).**  Journalled breaker
   snapshots are per-trial state-machine history, so a batch is only legal
   while the board is *steady*.  The first trial of every per-model chunk
-  runs through the exact serial :meth:`TrialExecutor.execute` path as a
-  probe; the remainder is batched only if the probe's outcome was ``ok``
-  and the board advanced by exactly one tick with no breaker activity
-  (:func:`board_is_steady`).  Any trip, reopen, half-open probe, or
-  non-ok outcome falls back to serial execution for the rest of the
-  chunk — replaying exactly what the serial runner would have journalled.
+  runs on its own through :meth:`TrialExecutor.execute` as a probe (at
+  batch size 1 every chunk is just its probe); the remainder is batched
+  only if the probe's outcome was ``ok`` and the board advanced by
+  exactly one tick with no breaker activity (:func:`board_is_steady`).
+  Any trip, reopen, half-open probe, or non-ok outcome falls back to
+  per-trial execution for the rest of the chunk — replaying exactly what
+  batch size 1 would have journalled.
 * **Serial fallback on kernel trouble.**  The batch kernel runs under a
   watchdog budget of ``timeout_s × k``; if it fires or the kernel raises,
   the board is restored to its post-probe snapshot, the store and
-  runtimes are rebuilt, and the chunk's remainder re-runs through the
-  serial path (which journals per-trial timeouts/errors exactly as the
-  serial runner would).
+  runtimes are rebuilt, and the chunk's remainder re-runs trial by trial
+  (which journals per-trial timeouts/errors exactly as batch size 1
+  would).
 
-Custom ``trial_fn`` injections (test fakes) disable batching entirely —
-the runner falls back to the per-trial loop, because a faked trial body
-has no vectorized equivalent.
+Custom ``trial_fn`` injections (test fakes) force batch size 1 in both
+runners, because a faked trial body has no vectorized equivalent.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def board_is_steady(pre: dict, post: dict) -> bool:
     same model produces a snapshot that differs from the probe's only in
     ``tick_count`` — which is precisely what the batch kernel emits.  Any
     failure, trip, cooldown expiry, or half-open probe breaks steadiness
-    and forces the chunk remainder back onto the serial path.
+    and forces the chunk remainder back onto the per-trial path.
     """
 
     if post.get("tick_count") != pre.get("tick_count", 0) + 1:
@@ -125,7 +127,7 @@ class BatchTrialEngine:
 
     def __init__(self, executor, *, batch_size: int = DEFAULT_BATCH_SIZE):
         self.executor = executor
-        self.batch_size = max(1, int(batch_size))
+        self.batch_size = batch_size
 
     # -- window / group orchestration ------------------------------------
 
@@ -168,8 +170,8 @@ class BatchTrialEngine:
         return records
 
     def _execute_chunk(self, chunk: list[int]) -> dict[int, dict]:
-        """Probe the first trial serially; batch the remainder if the board
-        stayed steady, otherwise replay the remainder serially."""
+        """Probe the first trial on its own; batch the remainder if the
+        board stayed steady, otherwise replay the remainder trial by trial."""
 
         executor = self.executor
         registry = get_registry()
@@ -204,7 +206,7 @@ class BatchTrialEngine:
 
         Returns the records, or ``None`` after restoring the executor to
         its post-probe state — the caller then replays the trials through
-        the serial path, which re-applies per-trial watchdog semantics.
+        the per-trial path, which re-applies per-trial watchdog semantics.
         """
 
         executor = self.executor
@@ -232,7 +234,7 @@ class BatchTrialEngine:
         if "error" in box:
             get_registry().counter("campaign_batch_fallback_total", reason="error").inc()
             # the kernel may have partially advanced the board before
-            # raising; rebuild exactly as the serial timeout path does
+            # raising; rebuild exactly as the per-trial timeout path does
             executor._rebuild_after_timeout(model, post_snapshot)
             return None
         return box["value"]
@@ -252,7 +254,7 @@ class BatchTrialEngine:
         with get_tracer().span("campaign.batch", model=model, size=len(indices)) as span:
             start = time.perf_counter()
             if config.trial_sleep_s > 0:
-                # the serial path sleeps per trial; the batch amortizes the
+                # the per-trial path sleeps per trial; the batch amortizes the
                 # padding across the whole kernel run
                 time.sleep(config.trial_sleep_s)
             specs = [executor.derive_spec(index) for index in indices]
@@ -315,7 +317,7 @@ class BatchTrialEngine:
         inner = session.test_stack.shape[1:]
         # tile the clean test stack across the batch: (B*M, N, C); every
         # member of trial b shares that trial's fault seed, exactly like the
-        # serial path applying one seed to the whole member stack
+        # per-trial path applying one seed to the whole member stack
         tiled = np.broadcast_to(
             session.test_stack[None], (n_trials,) + session.test_stack.shape
         ).reshape((n_trials * n_members,) + inner)

@@ -9,16 +9,19 @@ built around three guarantees:
 * **Tamper-evident write-ahead journal** — every trial outcome is one
   append-only JSONL record, sealed with a SHA-256 over its canonical JSON
   and hash-chained to its predecessor (:mod:`polygraphmr.journal`, format
-  v3).  Records are flushed and fsynced per trial, so at most the torn
-  tail of the final line is ever lost to a crash — and a dropped,
-  reordered, or spliced record anywhere breaks the chain.  ``python -m
+  v3).  Trials run in windows (:mod:`polygraphmr.batching`; ``--batch-size
+  N`` trials per model, ``--batch-size 1`` runs one trial per model per
+  window), and each finished window is flushed and fsynced in index order,
+  so a crash loses at most the unflushed window — which ``--resume``
+  re-runs to identical bytes — and a dropped, reordered, or spliced record
+  anywhere breaks the chain.  ``python -m
   polygraphmr.campaign verify <dir>`` audits a finished (or interrupted)
   campaign end to end: chain walk, checkpoint-sealed head, and a replay of
   every trial spec from the journalled config.
 * **Atomic checkpoints** — a small checksummed ``checkpoint.json`` is
-  replaced atomically after every trial; it seals the journal's current
-  chain head + record count, so on resume a journal that lost or rewrote
-  committed records is refused.
+  replaced atomically after every flushed window; it seals the journal's
+  current chain head + record count, so on resume a journal that lost or
+  rewrote committed records is refused.
 * **Deterministic trials** — each trial's spec is derived from
   ``(campaign seed, trial index)`` alone, and every trial record is a pure
   function of the trial sub-sequence of its *model* (circuit-breaker boards
@@ -50,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .batching import DEFAULT_BATCH_SIZE
+from .batching import DEFAULT_BATCH_SIZE, BatchTrialEngine, plan_windows
 from .breaker import BreakerBoard, BreakerPolicy, merge_snapshots, non_closed_in_snapshot
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
 from .ensemble import EnsembleRuntime
@@ -313,6 +316,13 @@ def derive_trial_spec(
         sigma=float(config.sigmas[int(rng.integers(len(config.sigmas)))]),
         fault_seed=int(rng.integers(2**31 - 1)),
     )
+
+
+def check_batch_size(batch_size: int) -> None:
+    """Both runners refuse a batch size below one instead of clamping it."""
+
+    if batch_size < 1:
+        raise CampaignError("bad-batch-size", f"batch_size must be >= 1, got {batch_size}")
 
 
 def discover_models(config: CampaignConfig) -> list[str]:
@@ -703,12 +713,15 @@ def header_record(config: CampaignConfig, models: list[str], audit: dict | None 
 
 
 class CampaignRunner:
-    """Drives trials serially through the journal/checkpoint machinery.
+    """Drives trials in one process through the journal/checkpoint machinery.
 
     For the multiprocess executor see
-    :class:`polygraphmr.parallel.ParallelCampaignRunner`; both delegate trial
-    execution to the same :class:`TrialExecutor`, which is what keeps their
-    journals byte-identical.
+    :class:`polygraphmr.parallel.ParallelCampaignRunner`; both run trials
+    through the same :class:`~polygraphmr.batching.BatchTrialEngine` over a
+    :class:`TrialExecutor`, which is what keeps their journals
+    byte-identical.  ``batch_size=1`` makes every chunk a single probe the
+    executor runs on its own; a custom ``trial_fn`` forces it, because a
+    faked trial body has no vectorized equivalent.
     """
 
     def __init__(
@@ -721,8 +734,8 @@ class CampaignRunner:
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         use_cache: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        use_batch: bool = True,
     ):
+        check_batch_size(batch_size)
         self.config = config
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -734,15 +747,13 @@ class CampaignRunner:
         self.executor = TrialExecutor(
             config, self.models, trial_fn=trial_fn, cache_bytes=cache_bytes, use_cache=use_cache
         )
-        # batch settings are executor tuning like the cache: they never
-        # enter the journalled config, because batched and serial runs must
-        # produce the same bytes
-        self.batch_size = max(1, int(batch_size))
-        self.use_batch = bool(use_batch) and self.executor.batchable
+        # the batch size is executor tuning like the cache: it never enters
+        # the journalled config, because every size must produce the same bytes
+        self.batch_size = batch_size if self.executor.batchable else 1
 
     def request_stop(self) -> None:
-        """Finish the in-flight trial, journal it, then exit the loop —
-        the graceful-SIGTERM path."""
+        """Finish the in-flight chunk, journal the window's finished
+        prefix, then exit the loop — the graceful-SIGTERM path."""
 
         self._stop.set()
 
@@ -778,19 +789,16 @@ class CampaignRunner:
             checkpoint_payload(self.config, done, journal_records, chain_head),
         )
 
-    def _run_batched(
+    def _run_windows(
         self, done: dict[int, dict], journal_records: int, max_new_trials: int | None
     ) -> tuple[int, int, bool]:
-        """The batched main loop: plan windows over the pending trials, run
-        each through the :class:`~polygraphmr.batching.BatchTrialEngine`,
-        and flush every completed window to the journal in index order with
-        one fsync + one checkpoint per window.
+        """The main loop: plan windows over the pending trials, run each
+        through the :class:`~polygraphmr.batching.BatchTrialEngine`, and
+        flush every completed window to the journal in index order with one
+        fsync + one checkpoint per window.
 
-        Returns ``(new_trials, journal_records, stopped_early)`` with the
-        same semantics the serial loop reports.
+        Returns ``(new_trials, journal_records, stopped_early)``.
         """
-
-        from .batching import BatchTrialEngine, plan_windows
 
         pending = [i for i in range(self.config.n_trials) if i not in done]
         bounded = pending if max_new_trials is None else pending[: max(0, max_new_trials)]
@@ -873,28 +881,9 @@ class CampaignRunner:
             journal_records = 1
         self._discard_stale_metric_shards()
 
-        if self.use_batch:
-            new_trials, journal_records, stopped_early = self._run_batched(
-                done, journal_records, max_new_trials
-            )
-        else:
-            new_trials = 0
-            stopped_early = False
-            for index in range(self.config.n_trials):
-                if index in done:
-                    continue
-                if self._stop.is_set() or (
-                    max_new_trials is not None and new_trials >= max_new_trials
-                ):
-                    stopped_early = True
-                    break
-                record = self.executor.execute(index)
-                self.journal.append(record)
-                journal_records += 1
-                done[index] = record
-                new_trials += 1
-                self._write_checkpoint(done, journal_records, self.journal.head)
-
+        new_trials, journal_records, stopped_early = self._run_windows(
+            done, journal_records, max_new_trials
+        )
         if not stopped_early and len(done) == self.config.n_trials and shard_journals(self.out_dir):
             # a previous parallel (or mixed) run left shards: fold everything
             # into the canonical journal so the final artefact is identical
@@ -1457,7 +1446,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-batch",
         action="store_true",
-        help="disable the batched trial kernel and run the per-trial serial loop",
+        help="same as --batch-size 1: every trial runs on its own, and each "
+        "window of one trial per model is journalled and checkpointed together",
     )
     parser.add_argument(
         "--metrics-out",
@@ -1487,6 +1477,9 @@ def main(argv: list[str] | None = None) -> int:
         help="with --synthetic: number of models to build (default: 1)",
     )
     args = parser.parse_args(argv)
+    for flag, value in (("--workers", args.workers), ("--batch-size", args.batch_size)):
+        if value < 1:
+            parser.error(f"argument {flag}: must be >= 1, got {value}")
 
     cache = args.cache
     if args.synthetic is not None:
@@ -1535,8 +1528,7 @@ def main(argv: list[str] | None = None) -> int:
     run_opts = {
         "cache_bytes": args.cache_bytes,
         "use_cache": not args.no_cache,
-        "batch_size": args.batch_size,
-        "use_batch": not args.no_batch,
+        "batch_size": 1 if args.no_batch else args.batch_size,
     }
     if args.workers > 1:
         from .parallel import ParallelCampaignRunner

@@ -1,18 +1,17 @@
 """MRFI-style multi-resolution fault-injection harness.
 
-Three families of injectors, all seeded and reproducible:
+One seeded, reproducible tensor injector plus artifact-level damage:
 
-* **Tensor-level** — random bit-flips in the float32 mantissa/exponent/sign
-  bits and additive gaussian noise, applied to loaded probability or weight
-  tensors.  Used to measure how misprediction-detection quality degrades as
-  the ensemble's inputs are perturbed.
-* **Multi-resolution surfaces** (MRFI) — the same fault models addressed at
-  finer granularities: channel-masked injection (a fraction of last-axis
-  channels/columns, every element within a hit channel faulted) and
-  element-addressed injection (a fixed count of addressed cells), plus
-  quantization-style rounding perturbation and stuck-at-0/1 faults.
-  :func:`apply_fault` is the one surface × fault-model dispatch the
-  declarative :mod:`polygraphmr.scenarios` subsystem drives.
+* **Tensor faults** — :func:`apply_fault_batch` is the one surface × fault
+  model injector (MRFI).  A surface selects the cells (a ``rate`` fraction
+  of the whole tensor, a ``rate`` fraction of last-axis channels, or
+  ``count`` addressed elements); a fault model perturbs them (IEEE-754
+  bit-flip, additive gaussian, quantization rounding, stuck-at-0/1).  It
+  takes a leading batch axis with one seed per slice, and a single tensor
+  is a batch of one (``arr[None]``).  The declarative
+  :mod:`polygraphmr.scenarios` subsystem drives it; :class:`FaultSpec`, the
+  legacy ``--kind/--rate/--sigma`` sweep's fault, drives it for bit-flips
+  and keeps its own whole-tensor gaussian noise.
 * **Artifact-level** — byte truncation and header damage applied to copies
   of ``.npz`` files, used to exercise the store's quarantine path.
 
@@ -44,15 +43,7 @@ __all__ = [
     "FAULT_SPEC_KINDS",
     "FaultSpec",
     "select_fault_indices",
-    "select_fault_indices_batch",
-    "apply_fault",
     "apply_fault_batch",
-    "inject_bitflips",
-    "inject_bitflips_channel",
-    "inject_bitflips_element",
-    "inject_gaussian",
-    "inject_quantize",
-    "inject_stuck_at",
     "sanitize_probs_batch",
     "corrupt_file_truncate",
     "corrupt_file_header",
@@ -105,29 +96,28 @@ class FaultSpec:
         _require_number("fault.rate", self.rate, low=0.0, high=1.0)
         _require_number("fault.sigma", self.sigma, low=0.0)
 
-    def apply(self, arr: np.ndarray) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        if self.kind == "bitflip":
-            return inject_bitflips(arr, rate=self.rate, rng=rng)
-        return inject_gaussian(arr, sigma=self.sigma, rng=rng)
-
     def apply_batch(self, stacked: np.ndarray, *, seeds=None) -> np.ndarray:
-        """Batched :meth:`apply`: ``out[b]`` is bit-identical to
-        ``FaultSpec(..., seed=seeds[b]).apply(stacked[b])``.  ``seeds``
+        """Inject this fault into every slice of ``stacked``; ``out[b]``
+        depends only on ``stacked[b]`` and ``seeds[b]``, so a single tensor
+        is a batch of one (``spec.apply_batch(arr[None])[0]``).  ``seeds``
         defaults to ``self.seed`` for every batch slice (the per-member
-        tiling of one trial); the input is never mutated."""
+        tiling of one trial); the input is never mutated.
+
+        ``bitflip`` flips one random bit in a ``rate`` fraction of the
+        slice's float32 elements; ``gaussian`` adds N(0, sigma) noise to
+        every element (float64)."""
 
         stacked = np.asarray(stacked)
         if stacked.ndim < 2:
             raise ConfigError("fault.batch", "bad-shape", f"need a batch axis, got shape {stacked.shape}")
         seeds = _batch_seeds(self.seed, stacked.shape[0], seeds)
         if self.kind == "bitflip":
-            # inject_bitflips draws the same (choice, integers) stream as the
-            # tensor-surface bitflip path, including the no-draw early return
+            # the legacy whole-tensor bitflip is exactly the tensor-surface
+            # bitflip: the same (choice, integers) draws, and no draw at all
             # when the rate rounds to zero hits
             return apply_fault_batch(stacked, surface="tensor", kind="bitflip", rate=self.rate, seeds=seeds)
-        # inject_gaussian adds noise to the *whole* tensor (no index
-        # selection), so it gets its own full-tensor batched path
+        # legacy gaussian noise covers the *whole* tensor (no index
+        # selection), a stream no surface draws, so it keeps its own path
         out = np.asarray(stacked, dtype=np.float64).copy()
         noise_for: dict[int, np.ndarray] = {}
         for b, seed in enumerate(seeds):
@@ -142,34 +132,6 @@ class FaultSpec:
         """The journalled ``fault`` stanza of a degradation report."""
 
         return {"kind": self.kind, "rate": self.rate, "sigma": self.sigma, "seed": self.seed}
-
-
-def inject_bitflips(arr: np.ndarray, *, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Flip one random bit in a ``rate`` fraction of float32 elements.
-
-    Returns a new array; the input is never mutated.  Flips hit the raw IEEE
-    bit pattern, so a single flip can turn a probability into ``inf`` or a
-    denormal — exactly the silent-data-corruption model from the fault
-    injection literature.
-    """
-
-    out = np.ascontiguousarray(arr, dtype=np.float32).copy()
-    flat = out.reshape(-1)
-    n_hit = int(round(rate * flat.size))
-    if n_hit == 0:
-        return out.reshape(arr.shape)
-    idx = rng.choice(flat.size, size=n_hit, replace=False)
-    bits = rng.integers(0, 32, size=n_hit, dtype=np.uint32)
-    view = flat.view(np.uint32)
-    view[idx] ^= (np.uint32(1) << bits)
-    return out.reshape(arr.shape)
-
-
-def inject_gaussian(arr: np.ndarray, *, sigma: float, rng: np.random.Generator) -> np.ndarray:
-    """Additive zero-mean gaussian noise; returns a new float64 array."""
-
-    out = np.asarray(arr, dtype=np.float64).copy()
-    return out + rng.normal(0.0, sigma, size=out.shape)
 
 
 # -- multi-resolution surfaces (MRFI) --------------------------------------
@@ -223,79 +185,6 @@ def _batch_seeds(default: int, n: int, seeds) -> list[int]:
     return seeds
 
 
-def select_fault_indices_batch(
-    shape: tuple[int, ...], surface: str, *, rate: float = 0.0, count: int = 0, seeds
-) -> np.ndarray:
-    """Per-trial fault selections for a batch, one row per seed.
-
-    Row ``b`` equals ``select_fault_indices(shape, surface, ...,
-    rng=np.random.default_rng(seeds[b]))`` exactly — each seed gets its own
-    independent ``Generator`` stream so the draws replay the serial ones
-    bit-for-bit.  The row width is uniform across the batch because the
-    selection *count* is a pure function of ``(shape, surface, rate/count)``;
-    draws are memoized per unique seed, so the per-member tiling of one
-    trial (every member shares the trial's fault seed) draws only once.
-    """
-
-    rows: dict[int, np.ndarray] = {}
-    out = []
-    for seed in (int(s) for s in seeds):
-        row = rows.get(seed)
-        if row is None:
-            rng = np.random.default_rng(seed)
-            row = rows[seed] = select_fault_indices(shape, surface, rate=rate, count=count, rng=rng)
-        out.append(row)
-    if not out:
-        return np.empty((0, 0), dtype=np.int64)
-    return np.stack(out, axis=0)
-
-
-def apply_fault(
-    arr: np.ndarray,
-    *,
-    surface: str,
-    kind: str,
-    rate: float = 0.0,
-    sigma: float = 0.0,
-    step: float = 0.0,
-    count: int = 0,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """One surface × fault-model injection; returns a new array, the input
-    is never mutated.
-
-    ``bitflip`` flips one random IEEE-754 bit per selected float32 element;
-    ``gaussian`` adds N(0, sigma) to the selected elements; ``quantize``
-    snaps them to the nearest multiple of ``step`` (a storage-grid rounding
-    perturbation, e.g. ``step=1/16`` ≈ 4-bit cells); ``stuck0``/``stuck1``
-    clamp them to 0.0 / 1.0.  The surface decides *which* elements those
-    are (:func:`select_fault_indices`).
-    """
-
-    if kind == "bitflip":
-        out = np.ascontiguousarray(arr, dtype=np.float32).copy()
-    else:
-        out = np.asarray(arr, dtype=np.float64).copy()
-    idx = select_fault_indices(out.shape, surface, rate=rate, count=count, rng=rng)
-    if idx.size == 0:
-        return out
-    flat = out.reshape(-1)
-    if kind == "bitflip":
-        bits = rng.integers(0, 32, size=idx.size, dtype=np.uint32)
-        flat.view(np.uint32)[idx] ^= np.uint32(1) << bits
-    elif kind == "gaussian":
-        flat[idx] += rng.normal(0.0, sigma, size=idx.size)
-    elif kind == "quantize":
-        flat[idx] = np.round(flat[idx] / step) * step
-    elif kind == "stuck0":
-        flat[idx] = 0.0
-    elif kind == "stuck1":
-        flat[idx] = 1.0
-    else:
-        raise ConfigError("scenario.kind", "unknown-kind", f"got {kind!r}; known kinds: {', '.join(FAULT_MODELS)}")
-    return out
-
-
 def apply_fault_batch(
     stacked: np.ndarray,
     *,
@@ -307,16 +196,24 @@ def apply_fault_batch(
     count: int = 0,
     seeds,
 ) -> np.ndarray:
-    """:func:`apply_fault` with a leading batch axis; the input is never
-    mutated.
+    """One surface × fault-model injection into every slice of a batch;
+    returns a new array, the input is never mutated.
 
-    ``out[b]`` is bit-identical to ``apply_fault(stacked[b], ...,
-    rng=np.random.default_rng(seeds[b]))``.  The random draws (index
-    selection plus bit positions / noise values) must replay each seed's
-    serial ``Generator`` stream, so those stay per-seed — memoized per
-    *unique* seed, which makes the per-member tiling of one trial draw
-    once, not once per member — while the dtype conversion and the element
-    mutations run as single vectorized operations across the whole batch.
+    ``bitflip`` flips one random IEEE-754 bit per selected float32 element;
+    ``gaussian`` adds N(0, sigma) to the selected elements; ``quantize``
+    snaps them to the nearest multiple of ``step`` (a storage-grid rounding
+    perturbation, e.g. ``step=1/16`` ≈ 4-bit cells); ``stuck0``/``stuck1``
+    clamp them to 0.0 / 1.0.  The surface decides *which* elements those
+    are (:func:`select_fault_indices`, on one slice's shape).
+
+    ``out[b]`` depends only on ``stacked[b]`` and ``seeds[b]``: slice
+    ``b`` draws its selection, then its bit positions or noise values, from
+    ``np.random.default_rng(seeds[b])``, so a single tensor is a batch of
+    one (``arr[None]``) and any batch equals its slices run one by one.
+    Draws are memoized per *unique* seed, which makes the per-member tiling
+    of one trial draw once, not once per member; the dtype conversion and
+    the element mutations run as single vectorized operations across the
+    whole batch.
     """
 
     stacked = np.asarray(stacked)
@@ -333,8 +230,7 @@ def apply_fault_batch(
     if n_batch == 0 or out[0].size == 0:
         return out
 
-    # replay each unique seed's serial draw sequence: selection first, then
-    # the value draws, in exactly the order apply_fault makes them
+    # each unique seed's draw sequence: selection first, then the values
     draws: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
     for seed in seeds:
         if seed in draws:
@@ -369,38 +265,6 @@ def apply_fault_batch(
     else:
         flat[batch_rows, idx_all] = 1.0
     return out
-
-
-def inject_bitflips_channel(arr: np.ndarray, *, rate: float, rng: np.random.Generator) -> np.ndarray:
-    """Channel-masked bit-flips: every element of a ``rate`` fraction of
-    last-axis channels gets one random bit flipped.  Returns a new array."""
-
-    return apply_fault(arr, surface="channel", kind="bitflip", rate=rate, rng=rng)
-
-
-def inject_bitflips_element(arr: np.ndarray, *, count: int, rng: np.random.Generator) -> np.ndarray:
-    """Element-addressed bit-flips: exactly ``count`` addressed cells each
-    get one random bit flipped.  Returns a new array."""
-
-    return apply_fault(arr, surface="element", kind="bitflip", count=count, rng=rng)
-
-
-def inject_quantize(arr: np.ndarray, *, step: float) -> np.ndarray:
-    """Quantization-style rounding perturbation: snap every element to the
-    nearest multiple of ``step``.  Deterministic; returns a new float64 array."""
-
-    out = np.asarray(arr, dtype=np.float64).copy()
-    if step > 0:
-        out = np.round(out / step) * step
-    return out
-
-
-def inject_stuck_at(arr: np.ndarray, *, rate: float, value: int, rng: np.random.Generator) -> np.ndarray:
-    """Stuck-at faults: a ``rate`` fraction of elements clamped to 0 or 1."""
-
-    if value not in (0, 1):
-        raise ConfigError("fault.value", "out-of-range", f"stuck-at value must be 0 or 1, got {value!r}")
-    return apply_fault(arr, surface="tensor", kind="stuck1" if value else "stuck0", rate=rate, rng=rng)
 
 
 def sanitize_probs_batch(arr: np.ndarray) -> np.ndarray:
@@ -515,7 +379,7 @@ def prepare_degradation(
 def degradation_payload(ctx: DegradationContext, spec, faulted, faulted_flags: np.ndarray) -> dict:
     """The journalled report dict for one fault against a prepared context.
 
-    Shared by the serial path and the batch kernel so both emit the same
+    Shared by the per-trial path and the batch kernel so both emit the same
     bytes for the same metric values."""
 
     return {
@@ -539,14 +403,15 @@ def degradation_payload(ctx: DegradationContext, spec, faulted, faulted_flags: n
 
 
 def degradation_report(ctx: DegradationContext, spec) -> dict:
-    """Evaluate one fault spec against a prepared context (serial path)."""
+    """Evaluate one fault against a prepared context: the per-trial path
+    (a chunk's probe, and every gate-weights fault)."""
 
     module = ctx.session.module
     if getattr(spec, "target", "probs") == "weights":
         # the gate is shared by every trial of the runtime, so the faulted
         # weights go on a shallow copy and the shared gate is never written
         faulted_gate = copy.copy(module)
-        faulted_gate.w = np.asarray(spec.apply(module.w), dtype=np.float64)
+        faulted_gate.w = np.asarray(spec.apply_batch(module.w[None])[0], dtype=np.float64)
         scores = faulted_gate.predict_proba(ctx.clean_features)
         targets = ctx.clean_targets
     else:
@@ -568,8 +433,9 @@ def measure_degradation(
     """Clean-vs-faulted misprediction-detection metrics for one model.
 
     ``spec`` is any seeded fault — a :class:`FaultSpec` or a
-    :class:`polygraphmr.scenarios.ScenarioFault`; it needs ``apply(arr)``,
-    ``describe()``, and (optionally) a ``target`` attribute.
+    :class:`polygraphmr.scenarios.ScenarioFault`; it needs
+    ``apply_batch(stacked, *, seeds=None)``, ``describe()``, a ``seed``
+    attribute, and (optionally) a ``target`` attribute.
 
     Trains the decision module on clean ``val`` data, then evaluates on the
     clean ``test`` split and on a faulted copy.  For ``target="probs"``
@@ -695,7 +561,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Imported here, not at module top: scenarios imports apply_fault from
+    # Imported here, not at module top: scenarios imports apply_fault_batch from
     # this module, so the package level must stay one-directional.
     from .scenarios import builtin_scenarios, resolve_scenarios
 

@@ -62,7 +62,7 @@ import sys
 import threading
 from pathlib import Path
 
-from .batching import DEFAULT_BATCH_SIZE
+from .batching import DEFAULT_BATCH_SIZE, BatchTrialEngine, plan_windows
 from .cache import DEFAULT_CACHE_BYTES, SharedMemoryPlane
 from .campaign import (
     CHECKPOINT_NAME,
@@ -72,6 +72,7 @@ from .campaign import (
     CampaignJournal,
     TrialExecutor,
     chain_genesis,
+    check_batch_size,
     checkpoint_payload,
     config_chain_hash,
     config_genesis,
@@ -139,15 +140,16 @@ def _worker_main(
     cache_bytes: int = DEFAULT_CACHE_BYTES,
     use_cache: bool = True,
     batch_size: int = DEFAULT_BATCH_SIZE,
-    use_batch: bool = True,
     plane: SharedMemoryPlane | None = None,
 ) -> None:
     """One worker process: drain ``assignment`` through a private
-    :class:`TrialExecutor` into a private journal shard.
+    :class:`TrialExecutor` and :class:`~polygraphmr.batching.BatchTrialEngine`
+    into a private journal shard.
 
-    SIGTERM/SIGINT set a stop flag checked *between* trials, so the
-    in-flight trial always finishes and is journalled before exit — the
-    same draining contract as the serial runner.
+    SIGTERM/SIGINT set a stop flag checked *between* chunks, so the
+    in-flight chunk always finishes and the window's finished prefix is
+    journalled before exit — the same draining contract as the serial
+    runner.
 
     ``plane`` is the parent's pre-published shared-memory working set,
     inherited through ``fork`` (never re-attached by name — the parent
@@ -190,33 +192,22 @@ def _worker_main(
             plane=plane,
         )
         executor.restore_boards(done_trials)
-        if use_batch and executor.batchable:
-            # batched execution inside this worker's partition: window over
-            # the models this worker owns, flush whole windows through the
-            # shard with one fsync, then report per-record progress — each
-            # event carries the chain head *as of that record* so a parent
-            # checkpoint taken mid-window stays position-consistent with
-            # the shard chain on resume
-            from .batching import BatchTrialEngine, plan_windows
-
-            engine = BatchTrialEngine(executor, batch_size=batch_size)
-            n_owned = len({index % len(models) for index in assignment}) or 1
-            for window in plan_windows(assignment, n_owned, batch_size):
-                if stop.is_set():
-                    break
-                records, aborted = engine.execute_window(window, stop=stop)
-                seals = shard.append_many(records)
-                for record, seal in zip(records, seals):
-                    progress.put((worker_id, record["index"], record["outcome"], seal))
-                if aborted:
-                    break
-        else:
-            for index in assignment:
-                if stop.is_set():
-                    break
-                record = executor.execute(index)
-                shard.append(record)
-                progress.put((worker_id, index, record["outcome"], shard.head))
+        # window over the models this worker owns, flush whole windows
+        # through the shard with one fsync, then report per-record progress
+        # — each event carries the chain head *as of that record* so a
+        # parent checkpoint taken mid-window stays position-consistent with
+        # the shard chain on resume
+        engine = BatchTrialEngine(executor, batch_size=batch_size)
+        n_owned = len({index % len(models) for index in assignment}) or 1
+        for window in plan_windows(assignment, n_owned, batch_size):
+            if stop.is_set():
+                break
+            records, aborted = engine.execute_window(window, stop=stop)
+            seals = shard.append_many(records)
+            for record, seal in zip(records, seals):
+                progress.put((worker_id, record["index"], record["outcome"], seal))
+            if aborted:
+                break
     except BaseException as exc:  # noqa: BLE001 - worker failure is an outcome
         print(f"worker {worker_id:02d} failed: {exc!r}", file=sys.stderr)
         write_metrics_shard()
@@ -249,10 +240,10 @@ class ParallelCampaignRunner:
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         use_cache: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
-        use_batch: bool = True,
     ):
         if workers < 1:
             raise CampaignError("bad-workers", f"workers must be >= 1, got {workers}")
+        check_batch_size(batch_size)
         self.config = config
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -261,11 +252,11 @@ class ParallelCampaignRunner:
         self.audit = audit
         self.cache_bytes = cache_bytes
         self.use_cache = use_cache
-        # like the cache knobs, batch settings shape execution only — they
-        # never enter the journalled config, so journal bytes are invariant
-        # under any (workers, batch_size, use_batch) combination
-        self.batch_size = max(1, int(batch_size))
-        self.use_batch = bool(use_batch)
+        # like the cache knobs, the batch size shapes execution only — it
+        # never enters the journalled config, so journal bytes are invariant
+        # under any (workers, batch_size) combination; a faked trial body
+        # has no vectorized equivalent, so it runs at batch size 1
+        self.batch_size = batch_size if trial_fn is None else 1
         self.journal = CampaignJournal(self.out_dir / JOURNAL_NAME, genesis=config_genesis(config))
         self.checkpoint_path = self.out_dir / CHECKPOINT_NAME
         self._stop = threading.Event()
@@ -377,7 +368,6 @@ class ParallelCampaignRunner:
                     self.cache_bytes,
                     self.use_cache,
                     self.batch_size,
-                    self.use_batch,
                     plane,
                 ),
                 name=f"campaign-w{worker_id:02d}",

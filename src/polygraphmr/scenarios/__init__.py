@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..faults import FAULT_MODELS, SURFACES, _require_number, apply_fault, apply_fault_batch
+from ..faults import FAULT_MODELS, SURFACES, _require_number, apply_fault_batch
 from ..journal import canonical_json, sha256_hex
 
 try:
@@ -166,8 +166,9 @@ class Scenario:
 @dataclass(frozen=True)
 class ScenarioFault:
     """A scenario bound to one trial's seed — the duck-typed fault object
-    :func:`polygraphmr.faults.measure_degradation` consumes (``apply`` /
-    ``describe`` / ``target``), mirroring :class:`polygraphmr.faults.FaultSpec`."""
+    :func:`polygraphmr.faults.measure_degradation` consumes (``apply_batch``
+    / ``describe`` / ``seed`` / ``target``), mirroring
+    :class:`polygraphmr.faults.FaultSpec`."""
 
     scenario: Scenario
     seed: int = 0
@@ -176,16 +177,11 @@ class ScenarioFault:
     def target(self) -> str:
         return self.scenario.target
 
-    def apply(self, arr: np.ndarray) -> np.ndarray:
-        rng = np.random.default_rng(self.seed)
-        s = self.scenario
-        return apply_fault(
-            arr, surface=s.surface, kind=s.kind, rate=s.rate, sigma=s.sigma, step=s.step, count=s.count, rng=rng
-        )
-
     def apply_batch(self, stacked: np.ndarray, *, seeds=None) -> np.ndarray:
-        """Batched :meth:`apply`: ``out[b]`` is bit-identical to
-        ``self.scenario.fault(seeds[b]).apply(stacked[b])``.  ``seeds``
+        """Inject the scenario into every slice of ``stacked`` through
+        :func:`~polygraphmr.faults.apply_fault_batch`; ``out[b]`` depends
+        only on ``stacked[b]`` and ``seeds[b]``, so a single tensor is a
+        batch of one (``fault.apply_batch(arr[None])[0]``).  ``seeds``
         defaults to this fault's seed for every slice; the input is never
         mutated."""
 

@@ -1,12 +1,102 @@
 """Slow, obviously-correct reference implementations the vectorized kernels
 are checked against.  Used only by tests; the program runs the batched
 kernels (:func:`polygraphmr.decision.ensemble_features_batch`,
-:func:`polygraphmr.faults.sanitize_probs_batch`) and the rank-based
+:func:`polygraphmr.faults.sanitize_probs_batch`,
+:func:`polygraphmr.faults.apply_fault_batch`,
+:meth:`polygraphmr.faults.FaultSpec.apply_batch`) and the rank-based
 ``polygraphmr.decision._rank_auc``."""
 
 from __future__ import annotations
 
 import numpy as np
+
+from polygraphmr.faults import select_fault_indices
+
+
+def apply_fault(
+    arr: np.ndarray,
+    *,
+    surface: str,
+    kind: str,
+    rate: float = 0.0,
+    sigma: float = 0.0,
+    step: float = 0.0,
+    count: int = 0,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """One surface × fault-model injection into one tensor; returns a new
+    array, the input is never mutated.
+
+    ``bitflip`` flips one random IEEE-754 bit per selected float32 element;
+    ``gaussian`` adds N(0, sigma) to the selected elements; ``quantize``
+    snaps them to the nearest multiple of ``step``; ``stuck0``/``stuck1``
+    clamp them to 0.0 / 1.0.  The surface decides *which* elements those
+    are; the selection is drawn first, then the bit positions or noise.
+    """
+
+    if kind == "bitflip":
+        out = np.ascontiguousarray(arr, dtype=np.float32).copy()
+    else:
+        out = np.asarray(arr, dtype=np.float64).copy()
+    idx = select_fault_indices(out.shape, surface, rate=rate, count=count, rng=rng)
+    if idx.size == 0:
+        return out
+    flat = out.reshape(-1)
+    if kind == "bitflip":
+        bits = rng.integers(0, 32, size=idx.size, dtype=np.uint32)
+        flat.view(np.uint32)[idx] ^= np.uint32(1) << bits
+    elif kind == "gaussian":
+        flat[idx] += rng.normal(0.0, sigma, size=idx.size)
+    elif kind == "quantize":
+        flat[idx] = np.round(flat[idx] / step) * step
+    elif kind == "stuck0":
+        flat[idx] = 0.0
+    elif kind == "stuck1":
+        flat[idx] = 1.0
+    else:
+        raise ValueError(f"unknown fault kind {kind!r}")
+    return out
+
+
+def apply_scenario(scenario, arr: np.ndarray, seed: int) -> np.ndarray:
+    """:func:`apply_fault` with a :class:`~polygraphmr.scenarios.Scenario`'s
+    parameters and a fresh generator seeded with ``seed``."""
+
+    s = scenario
+    return apply_fault(
+        arr,
+        surface=s.surface,
+        kind=s.kind,
+        rate=s.rate,
+        sigma=s.sigma,
+        step=s.step,
+        count=s.count,
+        rng=np.random.default_rng(seed),
+    )
+
+
+def inject_bitflips(arr: np.ndarray, *, rate: float, rng: np.random.Generator) -> np.ndarray:
+    """The legacy whole-tensor bit-flip: one random bit flipped in a
+    ``rate`` fraction of float32 elements.  Returns a new array."""
+
+    out = np.ascontiguousarray(arr, dtype=np.float32).copy()
+    flat = out.reshape(-1)
+    n_hit = int(round(rate * flat.size))
+    if n_hit == 0:
+        return out.reshape(arr.shape)
+    idx = rng.choice(flat.size, size=n_hit, replace=False)
+    bits = rng.integers(0, 32, size=n_hit, dtype=np.uint32)
+    view = flat.view(np.uint32)
+    view[idx] ^= (np.uint32(1) << bits)
+    return out.reshape(arr.shape)
+
+
+def inject_gaussian(arr: np.ndarray, *, sigma: float, rng: np.random.Generator) -> np.ndarray:
+    """The legacy whole-tensor gaussian: zero-mean noise on every element;
+    returns a new float64 array."""
+
+    out = np.asarray(arr, dtype=np.float64).copy()
+    return out + rng.normal(0.0, sigma, size=out.shape)
 
 
 def ensemble_features(stacked: np.ndarray) -> np.ndarray:

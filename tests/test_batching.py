@@ -2,8 +2,8 @@
 detail, so every campaign artifact — journal bytes, chain links, checkpoint —
 must be byte-identical to the serial per-trial loop's, across scenario
 sweeps, timeouts, tripping breakers, kills, and worker × batch-size combos.
-Plus hypothesis properties pinning the vectorized injectors to their serial
-counterparts element-for-element."""
+Plus hypothesis properties pinning the vectorized injectors to the
+loop-based reference oracles element-for-element."""
 
 from __future__ import annotations
 
@@ -34,16 +34,13 @@ from polygraphmr.faults import (
     FAULT_MODELS,
     SURFACES,
     FaultSpec,
-    apply_fault,
     apply_fault_batch,
     corrupt_file_truncate,
     sanitize_probs_batch,
-    select_fault_indices,
-    select_fault_indices_batch,
 )
 from polygraphmr.metrics import get_registry
 from polygraphmr.parallel import ParallelCampaignRunner
-from polygraphmr.scenarios import resolve_scenarios
+from polygraphmr.scenarios import builtin_scenarios, resolve_scenarios
 from polygraphmr.store import ArtifactStore
 
 from . import oracles
@@ -130,7 +127,7 @@ class TestSerialBatchedEquivalence:
     @pytest.mark.parametrize("batch_size", [1, 3, DEFAULT_BATCH_SIZE, 64])
     def test_legacy_campaign_is_byte_identical(self, multi_model_cache, tmp_path, batch_size):
         config = _config(multi_model_cache)
-        CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
         summary = CampaignRunner(config, tmp_path / "batched", batch_size=batch_size).run()
         assert summary["completed"] == config.n_trials
         assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
@@ -142,7 +139,7 @@ class TestSerialBatchedEquivalence:
     @pytest.mark.parametrize("batch_size", [2, 8])
     def test_scenario_sweep_is_byte_identical(self, synthetic_cache, tmp_path, batch_size):
         config = _sweep_config(synthetic_cache, n_trials=9)
-        CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
         CampaignRunner(config, tmp_path / "batched", batch_size=batch_size).run()
         assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
         assert verify_campaign(tmp_path / "batched")["exit_code"] == 0
@@ -153,7 +150,7 @@ class TestSerialBatchedEquivalence:
             target = victim / f"pp-Gamma_2.{split}.probs.npz"
             corrupt_file_truncate(target, target, keep_fraction=0.2, seed=5)
         config = _config(multi_model_cache, failure_threshold=2, cooldown_ticks=1)
-        serial = CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+        serial = CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
         assert serial["breakers"], "stressor failed to trip any breaker"
         batched = CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
         assert batched["breakers"] == serial["breakers"]
@@ -167,14 +164,14 @@ class TestSerialBatchedEquivalence:
         # a 1 µs budget always fires before a real trial can finish, so every
         # probe times out and the whole campaign replays down the serial path
         config = _config(multi_model_cache, n_trials=8, timeout_s=1e-6)
-        serial = CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+        serial = CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
         assert serial["outcomes"].get("trial_timeout") == 8
         CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
         assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
 
     def test_kernel_timeout_falls_back_to_serial_replay(self, synthetic_cache, tmp_path, monkeypatch):
         config = _config(synthetic_cache, n_trials=4, timeout_s=0.75)
-        CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
 
         def stall(self, model, indices):  # never touches the executor
             import time
@@ -191,7 +188,7 @@ class TestSerialBatchedEquivalence:
 
     def test_kernel_error_falls_back_to_serial_replay(self, synthetic_cache, tmp_path, monkeypatch):
         config = _config(synthetic_cache, n_trials=4)
-        CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
 
         def explode(self, model, indices):
             raise RuntimeError("kernel blew up")
@@ -204,7 +201,7 @@ class TestSerialBatchedEquivalence:
 
     def test_interrupted_batched_run_resumes_to_identical_bytes(self, multi_model_cache, tmp_path):
         config = _config(multi_model_cache)
-        CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
         partial = CampaignRunner(config, tmp_path / "batched", batch_size=4).run(max_new_trials=5)
         assert partial["stopped_early"] and partial["completed"] == 5
         resumed = CampaignRunner(config, tmp_path / "batched", batch_size=4).run(resume=True)
@@ -217,7 +214,7 @@ class TestSerialBatchedEquivalence:
         runner = CampaignRunner(
             config, tmp_path / "out", trial_fn=lambda spec: {"model": spec.model}
         )
-        assert not runner.use_batch  # faked trial bodies have no kernel
+        assert runner.batch_size == 1  # faked trial bodies have no kernel
         assert runner.run()["completed"] == 3
 
 
@@ -228,14 +225,14 @@ class TestGateFitOncePerModel:
     def test_one_fit_per_model_batched_and_per_trial(self, synthetic_cache, add_model, tmp_path):
         add_model(synthetic_cache, "net-b")
         config = _config(synthetic_cache, n_trials=32)
-        CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
         assert _fits() == 2
         CampaignRunner(config, tmp_path / "batched", batch_size=DEFAULT_BATCH_SIZE).run()
         assert get_registry().counter("campaign_batched_trials_total").value > 0
         assert _fits() == 2
         assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
 
-    @pytest.mark.parametrize("options", [{"use_batch": False}, {"batch_size": 4}], ids=["serial", "batched"])
+    @pytest.mark.parametrize("options", [{"batch_size": 1}, {"batch_size": 4}], ids=["serial", "batched"])
     def test_weights_faults_leave_the_memoised_gate_pristine(self, synthetic_cache, tmp_path, options):
         config = _config(
             synthetic_cache,
@@ -244,7 +241,7 @@ class TestGateFitOncePerModel:
         )
         runner = CampaignRunner(config, tmp_path / "out", **options)
         assert runner.run()["outcomes"]["ok"] == 8
-        if runner.use_batch:
+        if runner.batch_size > 1:
             assert get_registry().counter("campaign_batched_trials_total").value > 0
         assert _fits() == 1  # one gate served every trial
         gate = runner.executor.runtime_for("tinynet").session("tinynet").module
@@ -256,7 +253,7 @@ class TestThreeWayEquivalenceMatrix:
     @pytest.mark.parametrize(("workers", "batch_size"), [(2, 1), (2, 8), (4, 4)])
     def test_serial_parallel_batched_all_match(self, multi_model_cache, tmp_path, workers, batch_size):
         config = _config(multi_model_cache)
-        CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
         CampaignRunner(config, tmp_path / "batched", batch_size=batch_size).run()
         par = ParallelCampaignRunner(
             config, tmp_path / "par", workers=workers, batch_size=batch_size
@@ -269,7 +266,7 @@ class TestThreeWayEquivalenceMatrix:
 
     def test_scenario_sweep_three_way(self, multi_model_cache, tmp_path):
         config = _sweep_config(multi_model_cache)
-        CampaignRunner(config, tmp_path / "serial", use_batch=False).run()
+        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
         CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
         par = ParallelCampaignRunner(config, tmp_path / "par", workers=4, batch_size=4).run()
         assert par["failed_workers"] == []
@@ -300,18 +297,22 @@ class TestScenarioResolutionHoisting:
 
 
 # ---------------------------------------------------------------------------
-# hypothesis properties: vectorized injectors ≡ per-trial serial loop
+# hypothesis properties: vectorized injectors ≡ loop-based oracles
 # ---------------------------------------------------------------------------
 
 
 @st.composite
 def _batch_case(draw):
+    """A batch of 2-D slices (a member's probs) or 1-D slices (the shape of
+    the gate-weights vector), with one seed per slice."""
+
     b = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=2, max_value=6))
     c = draw(st.integers(min_value=2, max_value=5))
+    shape = draw(st.sampled_from([(b, n, c), (b, n * c)]))
     seeds = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=b, max_size=b))
     base = draw(st.integers(min_value=0, max_value=99))
-    stacked = np.random.default_rng(base).random((b, n, c))
+    stacked = np.random.default_rng(base).random(shape)
     return stacked, seeds
 
 
@@ -336,32 +337,11 @@ class TestVectorizedInjectorProperties:
         batched = apply_fault_batch(stacked, seeds=seeds, **params)
         assert np.array_equal(stacked, before), "batched injection mutated its input"
         for i, seed in enumerate(seeds):
-            serial = apply_fault(stacked[i], rng=np.random.default_rng(seed), **params)
-            assert batched[i].dtype == serial.dtype
-            assert np.array_equal(batched[i], serial), f"slice {i} diverged from serial"
-
-    @settings(max_examples=40)
-    @given(case=_batch_case(), params=FAULT_PARAMS)
-    def test_select_indices_batch_equals_serial_loop(self, case, params):
-        stacked, seeds = case
-        rows = select_fault_indices_batch(
-            stacked.shape[1:],
-            params["surface"],
-            rate=params["rate"],
-            count=params["count"],
-            seeds=seeds,
-        )
-        assert rows.shape[0] in (0, len(seeds))
-        for i, seed in enumerate(seeds):
-            serial = select_fault_indices(
-                stacked.shape[1:],
-                params["surface"],
-                rate=params["rate"],
-                count=params["count"],
-                rng=np.random.default_rng(seed),
-            )
-            got = rows[i] if rows.shape[0] else np.empty(0, dtype=np.int64)
-            assert np.array_equal(got, serial)
+            expected = oracles.apply_fault(stacked[i], rng=np.random.default_rng(seed), **params)
+            assert batched[i].dtype == expected.dtype
+            assert np.array_equal(batched[i], expected), f"slice {i} diverged from the oracle"
+            one = apply_fault_batch(stacked[i][None], seeds=[seed], **params)[0]
+            assert np.array_equal(one, expected), f"batch of one diverged at slice {i}"
 
     @settings(max_examples=40)
     @given(
@@ -377,17 +357,21 @@ class TestVectorizedInjectorProperties:
         batched = spec.apply_batch(stacked, seeds=seeds)
         assert np.array_equal(stacked, before)
         for i, seed in enumerate(seeds):
-            serial = FaultSpec(kind=kind, rate=rate, sigma=sigma, seed=seed).apply(stacked[i])
-            assert np.array_equal(batched[i], serial)
+            rng = np.random.default_rng(seed)
+            if kind == "bitflip":
+                expected = oracles.inject_bitflips(stacked[i], rate=rate, rng=rng)
+            else:
+                expected = oracles.inject_gaussian(stacked[i], sigma=sigma, rng=rng)
+            assert np.array_equal(batched[i], expected)
 
     @settings(max_examples=30)
-    @given(case=_batch_case(), name=st.sampled_from(SWEEP))
+    @given(case=_batch_case(), name=st.sampled_from(sorted(builtin_scenarios())))
     def test_scenario_fault_apply_batch_equals_serial_loop(self, case, name):
         stacked, seeds = case
-        (scenario,) = resolve_scenarios([name])
+        scenario = builtin_scenarios()[name]
         batched = scenario.fault(seeds[0]).apply_batch(stacked, seeds=seeds)
         for i, seed in enumerate(seeds):
-            assert np.array_equal(batched[i], scenario.fault(seed).apply(stacked[i]))
+            assert np.array_equal(batched[i], oracles.apply_scenario(scenario, stacked[i], seed))
 
     @settings(max_examples=40)
     @given(

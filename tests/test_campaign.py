@@ -204,8 +204,12 @@ class TestRunner:
         assert records[1]["outcome"] == OUTCOME_TIMEOUT
         assert records[0]["outcome"] == records[2]["outcome"] == OUTCOME_OK
 
-    def test_request_stop_finishes_in_flight_trial(self, tmp_path, bare_cache):
-        cache = bare_cache()
+    @pytest.mark.parametrize("models", [(), ("a", "b", "c")], ids=["one-model", "three-models"])
+    def test_request_stop_finishes_in_flight_trial(self, tmp_path, bare_cache, models):
+        # at batch size 1 a window holds one trial per model: with three
+        # models the stop lands mid-window, and the window's finished
+        # prefix (trials 0 and 1) is journalled, nothing more
+        cache = bare_cache(*models)
         config = CampaignConfig(cache=str(cache), n_trials=5)
         runner = CampaignRunner(config, tmp_path / "out", trial_fn=_fake_trial)
 
@@ -223,6 +227,13 @@ class TestRunner:
         assert summary["completed"] == 2
         assert summary["stopped_early"]
         assert len(runner.journal.trial_records()) == 2
+
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_bad_batch_size_is_refused(self, tmp_path, bare_cache, batch_size):
+        config = CampaignConfig(cache=str(bare_cache()), n_trials=1)
+        with pytest.raises(CampaignError) as exc_info:
+            CampaignRunner(config, tmp_path / "out", batch_size=batch_size)
+        assert exc_info.value.reason == "bad-batch-size"
 
 
 class TestKillResumeDeterminism:
@@ -310,6 +321,19 @@ class TestCLI:
         capsys.readouterr()
         assert main(args) == 2  # no --resume: refuse, don't clobber
         assert "journal-exists" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        ("flag", "value"),
+        [("--workers", "0"), ("--workers", "-1"), ("--batch-size", "0"), ("--batch-size", "-4")],
+    )
+    def test_out_of_range_counts_exit_2_naming_the_flag(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "out"
+        args = ["--synthetic", str(tmp_path / "cache"), "--out", str(out), "--trials", "3", flag, value]
+        with pytest.raises(SystemExit) as exc_info:
+            main(args)
+        assert exc_info.value.code == 2
+        assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
+        assert not (out / JOURNAL_NAME).exists()  # refused before any trial ran
 
     def test_audit_json_lands_in_header(self, tmp_path, capsys):
         audit_path = tmp_path / "audit.json"

@@ -15,23 +15,29 @@ from polygraphmr.faults import (
     build_synthetic_model,
     corrupt_file_truncate,
     degradation_report,
-    inject_bitflips,
-    inject_gaussian,
     main,
     measure_degradation,
     prepare_degradation,
     sanitize_probs_batch,
 )
-from polygraphmr.scenarios import get_builtin
+from polygraphmr.scenarios import Scenario, get_builtin
 from polygraphmr.store import ArtifactStore
+
+from . import oracles
+
+
+def _one(spec, arr):
+    """Inject ``spec`` into a single tensor: a batch of one."""
+
+    return spec.apply_batch(arr[None])[0]
 
 
 class TestInjectors:
     def test_bitflips_seeded_reproducible(self):
         arr = np.linspace(0.0, 1.0, 256, dtype=np.float32).reshape(16, 16)
-        a = inject_bitflips(arr, rate=0.1, rng=np.random.default_rng(9))
-        b = inject_bitflips(arr, rate=0.1, rng=np.random.default_rng(9))
-        c = inject_bitflips(arr, rate=0.1, rng=np.random.default_rng(10))
+        a = _one(FaultSpec("bitflip", rate=0.1, seed=9), arr)
+        b = _one(FaultSpec("bitflip", rate=0.1, seed=9), arr)
+        c = _one(FaultSpec("bitflip", rate=0.1, seed=10), arr)
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
         # input untouched, and roughly rate*size elements changed
@@ -41,21 +47,21 @@ class TestInjectors:
 
     def test_bitflip_zero_rate_is_identity(self):
         arr = np.ones((4, 4), dtype=np.float32)
-        out = inject_bitflips(arr, rate=0.0, rng=np.random.default_rng(0))
+        out = _one(FaultSpec("bitflip", rate=0.0), arr)
         np.testing.assert_array_equal(out, arr)
 
     def test_gaussian_noise_scale(self):
         arr = np.zeros((1000,))
-        out = inject_gaussian(arr, sigma=0.1, rng=np.random.default_rng(0))
+        out = _one(FaultSpec("gaussian", sigma=0.1), arr)
         assert 0.05 < out.std() < 0.15
         assert arr.sum() == 0.0  # input untouched
 
     def test_fault_spec_dispatch(self):
         arr = np.full((8, 8), 0.5, dtype=np.float32)
-        assert FaultSpec("bitflip", rate=0.2, seed=1).apply(arr).shape == (8, 8)
-        assert FaultSpec("gaussian", sigma=0.1, seed=1).apply(arr).shape == (8, 8)
+        assert _one(FaultSpec("bitflip", rate=0.2, seed=1), arr).shape == (8, 8)
+        assert _one(FaultSpec("gaussian", sigma=0.1, seed=1), arr).shape == (8, 8)
         with pytest.raises(ValueError):
-            FaultSpec("rowhammer").apply(arr)
+            FaultSpec("rowhammer")
 
     def test_fault_spec_validates_at_construction(self):
         with pytest.raises(ConfigError) as exc_info:
@@ -75,7 +81,7 @@ class TestInjectors:
 
     def test_sanitize_repairs_bitflipped_probs(self):
         probs = np.full((32, 10), 0.1, dtype=np.float32)
-        faulted = inject_bitflips(probs, rate=0.05, rng=np.random.default_rng(2))
+        faulted = _one(FaultSpec("bitflip", rate=0.05, seed=2), probs)
         repaired = sanitize_probs_batch(faulted)
         assert np.isfinite(repaired).all()
         np.testing.assert_allclose(repaired.sum(axis=1), 1.0, atol=1e-9)
@@ -156,6 +162,33 @@ class TestDegradationMeasurement:
         assert seen == [True]
         assert gate.w.tobytes() == pristine
         assert report["clean"]["n"] == report["faulted"]["n"]
+
+    @pytest.mark.parametrize(
+        "scenario",
+        [
+            get_builtin("gate-weights-bitflip-1"),
+            Scenario("gate-noise", "tensor", "gaussian", target="weights", rate=0.5, sigma=0.1),
+        ],
+        ids=lambda s: s.name,
+    )
+    def test_weights_fault_scores_the_oracle_faulted_gate(self, synthetic_store, monkeypatch, scenario):
+        """The gate-weights branch injects the weight vector as a batch of
+        one: the gate it scores with carries exactly the weights the scalar
+        oracle produces from the same seed."""
+
+        ctx = prepare_degradation(synthetic_store, "tinynet", seed=0)
+        clean_w = ctx.session.module.w
+        scored = []
+        predict_proba = LogisticDecisionModule.predict_proba
+        monkeypatch.setattr(
+            LogisticDecisionModule, "predict_proba", lambda m, f: scored.append(m.w) or predict_proba(m, f)
+        )
+        for seed in range(5):
+            scored.clear()
+            degradation_report(ctx, scenario.fault(seed))
+            expected = oracles.apply_scenario(scenario, clean_w, seed)
+            assert len(scored) == 1
+            assert scored[0].tobytes() == np.asarray(expected, dtype=np.float64).tobytes()
 
     def test_one_predict_proba_per_evaluation(self, synthetic_store, monkeypatch):
         calls = []

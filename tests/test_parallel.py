@@ -77,6 +77,12 @@ class TestAssignment:
             ParallelCampaignRunner(_config(tmp_path), tmp_path / "out", workers=0)
         assert exc_info.value.reason == "bad-workers"
 
+    @pytest.mark.parametrize("batch_size", [0, -4])
+    def test_bad_batch_size_is_refused(self, tmp_path, batch_size):
+        with pytest.raises(CampaignError) as exc_info:
+            ParallelCampaignRunner(_config(tmp_path), tmp_path / "out", batch_size=batch_size)
+        assert exc_info.value.reason == "bad-batch-size"
+
 
 class TestSerialParallelEquivalence:
     def test_merged_journal_checkpoint_and_summary_match_serial(self, multi_model_cache, tmp_path):
@@ -222,7 +228,7 @@ class TestStopAndResume:
         # per-trial drain contract: pin the per-trial loop (the batched
         # runner amortizes trial_sleep_s, finishing before the timer fires;
         # its window-abort stop path is covered in test_batching.py)
-        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4, use_batch=False)
+        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4, batch_size=1)
         threading.Timer(0.3, runner.request_stop).start()
         partial = runner.run()
         assert partial["stopped_early"]
@@ -248,7 +254,7 @@ class TestStopAndResume:
         config = _config(multi_model_cache, n_trials=2 * N_TRIALS, trial_sleep_s=0.1)
         CampaignRunner(config, tmp_path / "serial").run()
 
-        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4, use_batch=False)
+        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4, batch_size=1)
         threading.Timer(0.3, runner.request_stop).start()
         assert runner.run()["stopped_early"]
 

@@ -12,11 +12,7 @@ from polygraphmr.errors import ConfigError
 from polygraphmr.faults import (
     FAULT_MODELS,
     SURFACES,
-    apply_fault,
-    inject_bitflips_channel,
-    inject_bitflips_element,
-    inject_quantize,
-    inject_stuck_at,
+    apply_fault_batch,
     select_fault_indices,
 )
 from polygraphmr.scenarios import (
@@ -31,6 +27,12 @@ from polygraphmr.scenarios import (
 
 def _arr(shape=(20, 10), seed=0):
     return np.random.default_rng(seed).random(shape)
+
+
+def _inject(scenario: Scenario, arr: np.ndarray, seed: int = 0) -> np.ndarray:
+    """Inject ``scenario`` into a single tensor: a batch of one."""
+
+    return scenario.fault(seed).apply_batch(arr[None])[0]
 
 
 class TestScenarioValidation:
@@ -150,8 +152,8 @@ class TestBuiltinLibrary:
     def test_every_builtin_is_deterministic_under_a_fixed_seed(self):
         arr = _arr((30, 10))
         for scenario in builtin_scenarios().values():
-            a = scenario.fault(123).apply(arr)
-            b = scenario.fault(123).apply(arr)
+            a = _inject(scenario, arr, 123)
+            b = _inject(scenario, arr, 123)
             assert a.tobytes() == b.tobytes(), scenario.name
             assert a.shape == arr.shape
 
@@ -196,32 +198,30 @@ class TestInjectionSemantics:
         with pytest.raises(ConfigError):
             select_fault_indices((4, 4), "plane", rate=0.5, rng=rng)
         with pytest.raises(ConfigError):
-            apply_fault(_arr(), surface="tensor", kind="rowhammer", rate=0.5, rng=rng)
+            apply_fault_batch(_arr()[None], surface="tensor", kind="rowhammer", rate=0.5, seeds=[0])
 
     def test_injectors_never_mutate_input(self):
         arr = _arr((16, 8))
         pristine = arr.copy()
-        rng = np.random.default_rng(1)
-        inject_bitflips_channel(arr, rate=0.5, rng=rng)
-        inject_bitflips_element(arr, count=9, rng=rng)
-        inject_quantize(arr, step=0.125)
-        inject_stuck_at(arr, rate=0.3, value=1, rng=rng)
+        _inject(Scenario("c", "channel", "bitflip", rate=0.5), arr, 1)
+        _inject(Scenario("e", "element", "bitflip", count=9), arr, 1)
+        _inject(Scenario("q", "tensor", "quantize", rate=1.0, step=0.125), arr, 1)
+        _inject(Scenario("s", "tensor", "stuck1", rate=0.3), arr, 1)
         np.testing.assert_array_equal(arr, pristine)
 
     def test_quantize_snaps_to_grid(self):
         arr = _arr((12, 4))
-        out = inject_quantize(arr, step=0.25)
+        out = _inject(Scenario("q", "tensor", "quantize", rate=1.0, step=0.25), arr)
         np.testing.assert_allclose(out, np.round(arr / 0.25) * 0.25)
-        np.testing.assert_array_equal(inject_quantize(arr, step=0.0), arr)
 
     def test_stuck_at_clamps_selected_cells(self):
         arr = np.full((10, 10), 0.5)
-        out0 = inject_stuck_at(arr, rate=0.2, value=0, rng=np.random.default_rng(2))
-        out1 = inject_stuck_at(arr, rate=0.2, value=1, rng=np.random.default_rng(2))
+        out0 = _inject(Scenario("s0", "tensor", "stuck0", rate=0.2), arr, 2)
+        out1 = _inject(Scenario("s1", "tensor", "stuck1", rate=0.2), arr, 2)
         assert (out0 == 0.0).sum() == 20
         assert (out1 == 1.0).sum() == 20
-        with pytest.raises(ConfigError):
-            inject_stuck_at(arr, rate=0.2, value=2, rng=np.random.default_rng(2))
+        # same seed, same selection: only the clamped value differs
+        np.testing.assert_array_equal(out0 == 0.0, out1 == 1.0)
 
     def test_scenario_fault_describe_pins_identity(self):
         scenario = get_builtin("channel-bitflip-10pct")

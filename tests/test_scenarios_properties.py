@@ -94,8 +94,8 @@ class TestBuiltinDeterminismProperties:
         scenario = builtin_scenarios()[name]
         arr = np.random.default_rng(7).random((24, 10))
         pristine = arr.copy()
-        a = scenario.fault(seed).apply(arr)
-        b = scenario.fault(seed).apply(arr)
+        a = scenario.fault(seed).apply_batch(arr[None])[0]
+        b = scenario.fault(seed).apply_batch(arr[None])[0]
         assert a.tobytes() == b.tobytes()
         np.testing.assert_array_equal(arr, pristine)  # mutation-free
         assert scenario.fault(seed).describe() == scenario.fault(seed).describe()

@@ -76,7 +76,7 @@ class TestMetricsReconcileWithJournal:
         out = tmp_path / "out"
         # the reconciliation below counts assemble calls per trial, which the
         # batched kernel deliberately amortizes — pin the per-trial loop
-        runner = ParallelCampaignRunner(config, out, workers=4, use_batch=False)
+        runner = ParallelCampaignRunner(config, out, workers=4, batch_size=1)
         summary = runner.run()
         assert summary["completed"] == N_TRIALS
         assert summary["failed_workers"] == []
