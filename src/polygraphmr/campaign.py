@@ -48,7 +48,7 @@ import sys
 import threading
 import time
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +107,7 @@ __all__ = [
     "shard_journals",
     "merge_journal",
     "validate_resume",
+    "seal_finding",
     "read_checkpoint",
     "write_checkpoint",
     "checkpoint_payload",
@@ -318,13 +319,6 @@ def derive_trial_spec(
     )
 
 
-def check_batch_size(batch_size: int) -> None:
-    """Both runners refuse a batch size below one instead of clamping it."""
-
-    if batch_size < 1:
-        raise CampaignError("bad-batch-size", f"batch_size must be >= 1, got {batch_size}")
-
-
 def discover_models(config: CampaignConfig) -> list[str]:
     """The campaign's model roster: the configured subset, or every model
     directory in the cache (sorted, so the ``index -> model`` map is stable)."""
@@ -351,90 +345,135 @@ def _version_mismatch_detail(found) -> str:
     return f"journal format v{found}, this runner expects v{JOURNAL_VERSION}; {hint}"
 
 
-def validate_resume(state: CampaignState, config: CampaignConfig, checkpoint: dict | None) -> dict:
-    """Shared resume guards for the serial and parallel runners.
+def _checkpoint_defect(checkpoint: dict) -> str | None:
+    """Why a checksum-valid checkpoint is still malformed, or ``None``:
+    every record count must be a non-negative int, every sealed head a
+    string, and every ``workers`` entry an object under a worker-id key."""
 
-    Returns the verified header record.  Raises :class:`CampaignError` when
-    the header is absent or written by a different config/format version,
-    when the journal is not chain-rooted in this campaign's config, when
-    the checkpoint committed more durable history than the journal (or any
-    shard) still holds, or when the checkpoint-sealed chain head disagrees
-    with the chain the journal actually carries — extending tampered
-    evidence is never allowed.
+    marks = checkpoint.get("workers", {})
+    if not isinstance(marks, dict):
+        return f"workers is {type(marks).__name__}, not an object"
+    bodies = [("", checkpoint, ("journal_records", "completed"))]
+    for key, mark in marks.items():
+        try:
+            int(key)
+        except ValueError:
+            return f"malformed worker key {key!r}"
+        if not isinstance(mark, dict):
+            return f"worker {key} mark is {type(mark).__name__}, not an object"
+        bodies.append((f"worker {key} ", mark, ("journalled",)))
+    for where, body, counts in bodies:
+        for name in counts:
+            value = body.get(name, 0)
+            if type(value) is not int or value < 0:
+                return f"{where}{name} {value!r} is not a record count"
+        head = body.get("chain_head")
+        if head is not None and not isinstance(head, str):
+            return f"{where}chain_head {head!r} is not a hash"
+    return None
+
+
+def seal_finding(
+    state: CampaignState, checkpoint: dict | None, config: CampaignConfig | None = None
+) -> tuple[str, int | None, str, str] | None:
+    """The first header or checkpoint-seal finding in a campaign directory,
+    as ``(file, line, reason, detail)``, or ``None`` when every rule holds.
+
+    The one rule set behind both ``--resume`` (:func:`validate_resume`
+    raises the finding) and ``campaign verify`` (which reports it):
+
+    * the canonical journal opens with a header of this format version whose
+      ``prev`` is the genesis hash of its own journalled config — and, given
+      ``config``, that config is the resuming runner's;
+    * a checkpoint is well-typed (:func:`_checkpoint_defect`), commits no
+      more records to the journal or to any worker shard than that file
+      still holds, seals the chain head each file actually carries at the
+      committed count, and commits no more trials than journal + shards hold.
     """
 
-    if state.header is None:
-        raise CampaignError("journal-no-header", "no verifiable header record; cannot resume")
-    if state.header.get("version") != JOURNAL_VERSION:
-        raise CampaignError(
-            "journal-version-mismatch", _version_mismatch_detail(state.header.get("version"))
-        )
-    if state.header.get("config") != config.to_dict():
-        raise CampaignError(
+    header = state.header
+    if header is None:
+        return JOURNAL_NAME, 1, "journal-no-header", "no verifiable header record"
+    if header.get("version") != JOURNAL_VERSION:
+        return JOURNAL_NAME, 1, "journal-version-mismatch", _version_mismatch_detail(header.get("version"))
+    cfg = header.get("config")
+    if config is not None and cfg != config.to_dict():
+        return (
+            JOURNAL_NAME,
+            1,
             "config-mismatch",
             "journal was written by a campaign with different settings; "
             "start a fresh --out directory instead",
         )
-    genesis = config_genesis(config)
-    if state.canonical_chain and state.header.get("prev") != genesis:
-        raise CampaignError(
+    if not isinstance(cfg, dict):
+        return JOURNAL_NAME, 1, "journal-bad-header", "header carries no config object"
+    genesis = chain_genesis(config_chain_hash(cfg))
+    if header.get("prev") != genesis:
+        return (
+            JOURNAL_NAME,
+            1,
             "journal-chain-broken",
-            f"{JOURNAL_NAME} line 1 (header): prev does not match the genesis hash "
-            f"{genesis[:12]}… derived from this campaign's config — the journal is "
-            "not rooted in this campaign",
+            f"header prev {str(header.get('prev'))[:12]}… is not the genesis hash "
+            f"{genesis[:12]}… derived from the journalled config — the journal is not "
+            "rooted in this campaign",
         )
-    if checkpoint is not None:
-        if checkpoint.get("journal_records", 0) > state.canonical_records:
-            raise CampaignError(
+    if checkpoint is None:
+        return None
+    defect = _checkpoint_defect(checkpoint)
+    if defect is not None:
+        return CHECKPOINT_NAME, None, "checkpoint-invalid", defect
+    seals = [(JOURNAL_NAME, checkpoint, "journal_records", state.canonical_chain)]
+    for key, mark in sorted(checkpoint.get("workers", {}).items()):
+        seals.append((shard_name(int(key)), mark, "journalled", state.shard_chains.get(int(key), [])))
+    for file, body, count_key, chain in seals:
+        n = body.get(count_key, 0)
+        if n > len(chain):
+            return (
+                file,
+                None,
                 "journal-behind-checkpoint",
-                f"checkpoint committed {checkpoint['journal_records']} record(s) "
-                f"but the journal holds {state.canonical_records} — committed history was lost",
+                f"checkpoint committed {n} record(s) to {file} but it holds {len(chain)} "
+                "— committed history was lost",
             )
-        if checkpoint.get("completed", 0) > len(state.trials):
-            raise CampaignError(
-                "journal-behind-checkpoint",
-                f"checkpoint committed {checkpoint['completed']} trial(s) "
-                f"but journal + shards hold {len(state.trials)}",
-            )
-        sealed = checkpoint.get("chain_head")
-        n = checkpoint.get("journal_records", 0)
-        if sealed is not None and 0 < n <= len(state.canonical_chain) and state.canonical_chain[n - 1] != sealed:
-            raise CampaignError(
+        sealed = body.get("chain_head")
+        if sealed is not None and n > 0 and chain[n - 1] != sealed:
+            return (
+                file,
+                n,
                 "journal-chain-broken",
-                f"checkpoint seals chain head {str(sealed)[:12]}… over {JOURNAL_NAME} "
-                f"record {n} but the journal's chain reads "
-                f"{state.canonical_chain[n - 1][:12]}… there — committed history was altered",
+                f"checkpoint seals chain head {sealed[:12]}… over record {n} but the "
+                f"chain reads {chain[n - 1][:12]}… there — committed history was altered",
             )
-        for key, mark in checkpoint.get("workers", {}).items():
-            have = state.shard_counts.get(int(key), 0)
-            if mark.get("journalled", 0) > have:
-                raise CampaignError(
-                    "journal-behind-checkpoint",
-                    f"checkpoint committed {mark['journalled']} record(s) for worker {key} "
-                    f"but its shard holds {have}",
-                )
-            shard_chain = state.shard_chains.get(int(key), [])
-            shard_head = mark.get("chain_head")
-            shard_n = mark.get("journalled", 0)
-            if (
-                shard_head is not None
-                and 0 < shard_n <= len(shard_chain)
-                and shard_chain[shard_n - 1] != shard_head
-            ):
-                raise CampaignError(
-                    "journal-chain-broken",
-                    f"checkpoint seals chain head {str(shard_head)[:12]}… over "
-                    f"{shard_name(int(key))} record {shard_n} but the shard's chain reads "
-                    f"{shard_chain[shard_n - 1][:12]}… there — committed history was altered",
-                )
+    if checkpoint.get("completed", 0) > len(state.trials):
+        return (
+            JOURNAL_NAME,
+            None,
+            "journal-behind-checkpoint",
+            f"checkpoint committed {checkpoint['completed']} trial(s) "
+            f"but journal + shards hold {len(state.trials)}",
+        )
+    return None
+
+
+def validate_resume(state: CampaignState, config: CampaignConfig, checkpoint: dict | None) -> dict:
+    """Resume guard: returns the verified header record, or raises the first
+    :func:`seal_finding` as a :class:`CampaignError` — extending tampered or
+    foreign evidence is never allowed."""
+
+    finding = seal_finding(state, checkpoint, config)
+    if finding is not None:
+        file, line, reason, detail = finding
+        where = file if line is None else f"{file} line {line}"
+        raise CampaignError(reason, f"{where}: {detail}")
     return state.header
 
 
 def checkpoint_payload(
-    config: CampaignConfig, done: dict[int, dict], journal_records: int, chain_head: str
+    config: CampaignConfig, done: dict[int, dict] | set[int], journal_records: int, chain_head: str
 ) -> dict:
     """The canonical checkpoint body — identical for serial and (post-merge)
     parallel runs, so the final checkpoints of both are byte-comparable.
+    ``done`` holds the completed trial indices (a record map or a set).
 
     ``chain_head`` seals the canonical journal's chain at ``journal_records``
     records: together they pin the journal's entire committed history, the
@@ -501,9 +540,6 @@ class TrialExecutor:
         self.config = config
         self.models = list(models)
         self._trial_fn = trial_fn or self._run_trial
-        # a custom trial_fn has no vectorized equivalent, so only the real
-        # trial body is eligible for the batch kernel
-        self.batchable = trial_fn is None
         # resolved once per executor: derive_spec and _scenario_for run in
         # the hot loop and must not re-parse the config's canonical JSON
         self.scenarios = config.scenario_objects()
@@ -713,12 +749,18 @@ def header_record(config: CampaignConfig, models: list[str], audit: dict | None 
 
 
 class CampaignRunner:
-    """Drives trials in one process through the journal/checkpoint machinery.
+    """Drives one campaign directory through its lifecycle, running trials in
+    this process.
 
-    For the multiprocess executor see
-    :class:`polygraphmr.parallel.ParallelCampaignRunner`; both run trials
-    through the same :class:`~polygraphmr.batching.BatchTrialEngine` over a
-    :class:`TrialExecutor`, which is what keeps their journals
+    :meth:`run` is the whole lifecycle: open the directory (fresh, resumed,
+    or refused with ``journal-exists``), execute the pending trials, then
+    finish — merge any worker shards into the canonical journal once every
+    trial is journalled, fold metrics into ``metrics.json``, and summarise.
+    Only the execution step (:meth:`_execute`) is specific to this class:
+    :class:`polygraphmr.parallel.ParallelCampaignRunner` overrides it to fan
+    trials out to worker processes and inherits everything else.  Both run
+    trials through the same :class:`~polygraphmr.batching.BatchTrialEngine`
+    over a :class:`TrialExecutor`, which is what keeps their journals
     byte-identical.  ``batch_size=1`` makes every chunk a single probe the
     executor runs on its own; a custom ``trial_fn`` forces it, because a
     faked trial body has no vectorized equivalent.
@@ -735,53 +777,72 @@ class CampaignRunner:
         use_cache: bool = True,
         batch_size: int = DEFAULT_BATCH_SIZE,
     ):
-        check_batch_size(batch_size)
+        if batch_size < 1:  # refused, not clamped
+            raise CampaignError("bad-batch-size", f"batch_size must be >= 1, got {batch_size}")
         self.config = config
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.journal = CampaignJournal(self.out_dir / JOURNAL_NAME, genesis=config_genesis(config))
         self.checkpoint_path = self.out_dir / CHECKPOINT_NAME
         self.audit = audit
-        self._stop = threading.Event()
-        self.models = discover_models(config)
-        self.executor = TrialExecutor(
-            config, self.models, trial_fn=trial_fn, cache_bytes=cache_bytes, use_cache=use_cache
-        )
+        self.trial_fn = trial_fn
+        self.cache_bytes = cache_bytes
+        self.use_cache = use_cache
         # the batch size is executor tuning like the cache: it never enters
         # the journalled config, because every size must produce the same bytes
-        self.batch_size = batch_size if self.executor.batchable else 1
+        self.batch_size = batch_size if trial_fn is None else 1
+        self._stop = threading.Event()
+        self.models = discover_models(config)
+
+    @cached_property
+    def executor(self) -> TrialExecutor:
+        """The in-process trial executor (built on first use)."""
+
+        return TrialExecutor(
+            self.config,
+            self.models,
+            trial_fn=self.trial_fn,
+            cache_bytes=self.cache_bytes,
+            use_cache=self.use_cache,
+        )
 
     def request_stop(self) -> None:
-        """Finish the in-flight chunk, journal the window's finished
-        prefix, then exit the loop — the graceful-SIGTERM path."""
+        """Graceful stop (SIGTERM): in-flight trials finish and their
+        window's finished prefix is journalled, then the run checkpoints
+        and returns an incomplete summary."""
 
         self._stop.set()
 
-    # -- resume plumbing -------------------------------------------------
+    def _open(self, resume: bool) -> CampaignState:
+        """Open the directory: start a fresh journal, resume one (after tail
+        repair and :func:`validate_resume`), or refuse to clobber records.
 
-    def _header_record(self) -> dict:
-        return header_record(self.config, self.models, self.audit)
-
-    def _load_resume_state(self) -> tuple[dict[int, dict], dict, int]:
-        """(completed trials, header, canonical record count) after tail
-        repair and consistency checks — scanning the merged journal *and*
-        any shards a parallel run left behind; restores per-model breaker
-        boards mid-sweep."""
+        Returns the directory's state — the canonical journal *and* any
+        shards a parallel run left behind — with the header in place.
+        """
 
         state = scan_campaign(self.out_dir, repair=True)
-        if state.canonical_records == 0 and not state.trials:
-            header = self._header_record()
-            self.journal.append(header)
-            return {}, header, 1
-        header = validate_resume(state, self.config, read_checkpoint(self.checkpoint_path))
-        if state.canonical_chain:
+        if not (state.canonical_records or state.trials):
+            state.header = header_record(self.config, self.models, self.audit)
+            self.journal.append(state.header)
+            state.canonical_records, state.canonical_chain = 1, [self.journal.head]
+        elif not resume:
+            raise CampaignError(
+                "journal-exists",
+                f"{self.journal.path} (or a shard) already holds records; "
+                "pass resume=True / --resume",
+            )
+        else:
+            validate_resume(state, self.config, read_checkpoint(self.checkpoint_path))
             self.journal.prime_head(state.canonical_chain[-1])
-        # pin the model roster to what the interrupted run saw, so the
-        # index -> model assignment cannot drift if the cache changed
-        self.models = list(header.get("models", self.models))
-        self.executor.models = self.models
-        self.executor.restore_boards(state.trials)
-        return dict(state.trials), header, state.canonical_records
+            # pin the model roster to what the interrupted run saw, so the
+            # index -> model assignment cannot drift if the cache changed
+            self.models = list(state.header.get("models", self.models))
+        # metric shards are per-run scratch: a shard left by a dead run
+        # would double-count if folded into this run's totals
+        for path in metrics_shards(self.out_dir).values():
+            path.unlink()
+        return state
 
     def _write_checkpoint(self, done: dict[int, dict], journal_records: int, chain_head: str) -> None:
         write_checkpoint(
@@ -789,17 +850,19 @@ class CampaignRunner:
             checkpoint_payload(self.config, done, journal_records, chain_head),
         )
 
-    def _run_windows(
-        self, done: dict[int, dict], journal_records: int, max_new_trials: int | None
-    ) -> tuple[int, int, bool]:
-        """The main loop: plan windows over the pending trials, run each
+    def _execute(self, state: CampaignState, max_new_trials: int | None) -> tuple[dict[int, dict], dict]:
+        """The execution step: plan windows over the pending trials, run each
         through the :class:`~polygraphmr.batching.BatchTrialEngine`, and
         flush every completed window to the journal in index order with one
         fsync + one checkpoint per window.
 
-        Returns ``(new_trials, journal_records, stopped_early)``.
+        Returns ``(completed trials, summary fields)``.
         """
 
+        done = dict(state.trials)
+        journal_records = state.canonical_records
+        self.executor.models = self.models
+        self.executor.restore_boards(done)
         pending = [i for i in range(self.config.n_trials) if i not in done]
         bounded = pending if max_new_trials is None else pending[: max(0, max_new_trials)]
         stopped_early = len(bounded) < len(pending)
@@ -820,16 +883,7 @@ class CampaignRunner:
             if aborted:
                 stopped_early = True
                 break
-        return new_trials, journal_records, stopped_early
-
-    # -- metrics (strictly out-of-band) ----------------------------------
-
-    def _discard_stale_metric_shards(self) -> None:
-        """Metric shards are per-run scratch: a shard left by a dead run
-        would double-count if folded into this run's totals."""
-
-        for path in metrics_shards(self.out_dir).values():
-            path.unlink()
+        return done, {"new_trials": new_trials, "stopped_early": stopped_early or self._stop.is_set()}
 
     def _finalize_metrics(self, completed: int) -> MetricsRegistry:
         """Fold the process-global registry with any worker shards into
@@ -841,14 +895,14 @@ class CampaignRunner:
 
         registry = get_registry()
         registry.gauge("campaign_trials_completed").set(float(completed))
-        shards = [load_registry(p) for _, p in sorted(metrics_shards(self.out_dir).items())]
+        paths = [p for _, p in sorted(metrics_shards(self.out_dir).items())]
+        shards = [load_registry(p) for p in paths]
         merged = merge_registries([registry, *[s for s in shards if s is not None]])
         merged.write_json(self.out_dir / METRICS_NAME)
-        self._discard_stale_metric_shards()
+        for path in paths:
+            path.unlink()
         self.merged_registry = merged
         return merged
-
-    # -- the loop --------------------------------------------------------
 
     def run(self, *, resume: bool = False, max_new_trials: int | None = None) -> dict:
         """Run (or resume) the campaign; returns a summary dict.
@@ -865,40 +919,21 @@ class CampaignRunner:
 
         get_registry().reset()
         get_tracer().reset()
-        if resume:
-            done, header, journal_records = self._load_resume_state()
-        else:
-            state = scan_campaign(self.out_dir, repair=True)
-            if state.canonical_records or state.trials:
-                raise CampaignError(
-                    "journal-exists",
-                    f"{self.journal.path} (or a shard) already holds records; "
-                    "pass resume=True / --resume",
-                )
-            header = self._header_record()
-            self.journal.append(header)
-            done = {}
-            journal_records = 1
-        self._discard_stale_metric_shards()
-
-        new_trials, journal_records, stopped_early = self._run_windows(
-            done, journal_records, max_new_trials
-        )
-        if not stopped_early and len(done) == self.config.n_trials and shard_journals(self.out_dir):
-            # a previous parallel (or mixed) run left shards: fold everything
-            # into the canonical journal so the final artefact is identical
-            # to a pure serial run's
-            _, chain_head = merge_journal(self.out_dir, header, done)
+        state = self._open(resume)
+        done, fields = self._execute(state, max_new_trials)
+        if all(i in done for i in range(self.config.n_trials)) and shard_journals(self.out_dir):
+            # a parallel run (this one or an interrupted one) left shards:
+            # fold everything into the canonical journal so the final
+            # artefact is identical to a pure serial run's
+            _, chain_head = merge_journal(self.out_dir, state.header, done)
             self.journal.prime_head(chain_head)
-            journal_records = 1 + len(done)
-            self._write_checkpoint(done, journal_records, chain_head)
+            self._write_checkpoint(done, 1 + len(done), chain_head)
 
         self._finalize_metrics(len(done))
         summary = summarize_trials(self.config, done)
+        summary.update(fields)
         summary.update(
             {
-                "new_trials": new_trials,
-                "stopped_early": stopped_early or self._stop.is_set(),
                 "journal": str(self.journal.path),
                 "checkpoint": str(self.checkpoint_path),
                 "metrics": str(self.out_dir / METRICS_NAME),
@@ -927,14 +962,14 @@ def verify_campaign(out_dir: str | Path) -> dict:
     Four passes, stopping at the exact first offending record:
 
     1. **Chain walk** — every canonical-journal record's seal and ``prev``
-       link, rooted at the genesis hash derived from the journalled config;
-       then every shard's chain, each rooted at its own shard genesis.
-    2. **Cross-file consistency** — a trial journalled in two files must be
+       link; then every shard's chain, each rooted at its own shard genesis.
+    2. **Header and checkpoint seal** — :func:`seal_finding`, the very rules
+       ``--resume`` applies: the header is rooted at the genesis hash of its
+       journalled config, and a well-typed checkpoint seals chain heads (and
+       counts) the journal and every shard actually carry.
+    3. **Cross-file consistency** — a trial journalled in two files must be
        identical (minus chain position); duplicate indices within a file are
        refused.
-    3. **Checkpoint seal** — the checkpoint's ``chain_head`` must be the
-       journal's actual chain hash at the sealed record count, and it can
-       never have committed more history than the files still hold.
     4. **Replay audit** — every trial's journalled spec must re-derive
        exactly from the journalled config + model roster, proving the
        journal replay-matches the campaign it claims to record.
@@ -1004,153 +1039,74 @@ def _verify_campaign(out: Path) -> dict:
     if not journal_path.is_file():
         return chain_fail(JOURNAL_NAME, None, "journal-missing", f"no {JOURNAL_NAME} in {out}")
 
-    # 1a. canonical chain: every seal and every internal link, in line order
+    # 1. chains: every seal and every internal link, in line order — the
+    # canonical journal, then each shard rooted at its own shard genesis
     records, chain, issue = walk_chain(journal_path)
     report["records_verified"] += len(records)
     if issue is not None:
         return chain_fail(JOURNAL_NAME, issue.line, issue.reason, issue.detail)
-    if not records or records[0].get("type") != "header":
-        return chain_fail(JOURNAL_NAME, 1, "journal-no-header", "no verifiable header record")
-    header = records[0]
-    found = header.get("version")
-    if found != JOURNAL_VERSION:
-        return chain_fail(JOURNAL_NAME, 1, "journal-version-mismatch", _version_mismatch_detail(found))
-    cfg_dict = header.get("config")
-    if not isinstance(cfg_dict, dict):
-        return chain_fail(JOURNAL_NAME, 1, "journal-bad-header", "header carries no config object")
-    config_sha = config_chain_hash(cfg_dict)
-    genesis = chain_genesis(config_sha)
-    if header.get("prev") != genesis:
-        return chain_fail(
-            JOURNAL_NAME,
-            1,
-            "journal-chain-broken",
-            f"header prev {str(header.get('prev'))[:12]}… is not the genesis hash "
-            f"{genesis[:12]}… derived from the journalled config",
-        )
-    report["chain_head"] = chain[-1]
-
-    # trial provenance: index -> (file, line, record)
-    trials: dict = {}
-    for lineno, r in enumerate(records[1:], start=2):
-        if r.get("type") != "trial":
-            return chain_fail(
-                JOURNAL_NAME,
-                lineno,
-                "journal-unknown-record",
-                f"unexpected record type {r.get('type')!r} after the header",
-            )
-        idx = r.get("index")
-        if idx in trials:
-            return chain_fail(
-                JOURNAL_NAME,
-                lineno,
-                "journal-duplicate-trial",
-                f"trial {idx!r} already journalled at {trials[idx][0]} line {trials[idx][1]}",
-            )
-        trials[idx] = (JOURNAL_NAME, lineno, r)
-
-    # 1b+2. shard chains, each rooted at its own shard genesis
-    shard_chain_by_worker: dict[int, list[str]] = {}
+    header = records[0] if records and records[0].get("type") == "header" else None
+    cfg_dict = header.get("config") if header is not None else None
+    config_sha = config_chain_hash(cfg_dict) if isinstance(cfg_dict, dict) else None
+    files = [(JOURNAL_NAME, 2, records[1:])]  # (name, first line, records after any header)
+    shard_chains: dict[int, list[str]] = {}
     for worker, shard in sorted(shard_journals(out).items()):
         name = shard.path.name
-        s_records, s_chain, s_issue = walk_chain(
-            shard.path, genesis=chain_genesis(config_sha, shard=worker)
-        )
+        genesis = None if config_sha is None else chain_genesis(config_sha, shard=worker)
+        s_records, s_chain, s_issue = walk_chain(shard.path, genesis=genesis)
         report["records_verified"] += len(s_records)
         if s_issue is not None:
             return chain_fail(name, s_issue.line, s_issue.reason, s_issue.detail)
-        shard_chain_by_worker[worker] = s_chain
+        shard_chains[worker] = s_chain
         report["shards"][f"{worker:02d}"] = {
             "records": len(s_records),
             "chain_head": s_chain[-1] if s_chain else None,
         }
-        for lineno, r in enumerate(s_records, start=1):
-            if r.get("type") != "trial":
-                return chain_fail(
-                    name,
-                    lineno,
-                    "journal-unknown-record",
-                    f"unexpected record type {r.get('type')!r} in a shard",
-                )
-            idx = r.get("index")
-            if idx in trials:
-                ofile, oline, other = trials[idx]
-                if ofile == name or _strip_links(r) != _strip_links(other):
-                    return chain_fail(
-                        name,
-                        lineno,
-                        "journal-record-conflict" if ofile != name else "journal-duplicate-trial",
-                        f"trial {idx!r} disagrees with {ofile} line {oline}"
-                        if ofile != name
-                        else f"trial {idx!r} already journalled at {ofile} line {oline}",
-                    )
-            else:
-                trials[idx] = (name, lineno, r)
-    report["trials"] = len(trials)
+        files.append((name, 1, s_records))
 
-    # 3. checkpoint: must seal a head (and counts) the files actually carry
+    # 2. header and checkpoint seal: the same rules --resume applies
     cp_payload, cp_problem = load_checkpoint(out / CHECKPOINT_NAME)
-    if cp_problem == "checkpoint-invalid":
-        return chain_fail(
-            CHECKPOINT_NAME, None, "checkpoint-invalid", "checkpoint exists but fails its checksum"
-        )
     if cp_payload is not None:
         report["checkpoint"] = {
             "present": True,
             "journal_records": cp_payload.get("journal_records"),
             "chain_head": cp_payload.get("chain_head"),
         }
-        n = cp_payload.get("journal_records", 0)
-        if isinstance(n, int) and n > len(chain):
-            return chain_fail(
-                JOURNAL_NAME,
-                None,
-                "journal-behind-checkpoint",
-                f"checkpoint committed {n} record(s) but the journal holds {len(chain)}",
-            )
-        sealed = cp_payload.get("chain_head")
-        if sealed is not None and isinstance(n, int) and n > 0 and chain[n - 1] != sealed:
-            return chain_fail(
-                JOURNAL_NAME,
-                n,
-                "journal-chain-broken",
-                f"checkpoint seals chain head {str(sealed)[:12]}… over record {n} "
-                f"but the journal's chain reads {chain[n - 1][:12]}… there",
-            )
-        if cp_payload.get("completed", 0) > len(trials):
-            return chain_fail(
-                JOURNAL_NAME,
-                None,
-                "journal-behind-checkpoint",
-                f"checkpoint committed {cp_payload['completed']} trial(s) "
-                f"but journal + shards hold {len(trials)}",
-            )
-        for key, mark in sorted(cp_payload.get("workers", {}).items()):
-            try:
-                w = int(key)
-            except (TypeError, ValueError):
+    held = {r.get("index"): r for _, _, rs in files for r in rs if r.get("type") == "trial"}
+    report["trials"] = len(held)
+    state = CampaignState(header, held, len(records), canonical_chain=chain, shard_chains=shard_chains)
+    finding = seal_finding(state, cp_payload)
+    if finding is not None:
+        return chain_fail(*finding)
+    if cp_problem == "checkpoint-invalid":
+        return chain_fail(
+            CHECKPOINT_NAME, None, "checkpoint-invalid", "checkpoint exists but fails its checksum"
+        )
+    report["chain_head"] = chain[-1]
+
+    # 3. cross-file consistency: trial provenance, index -> (file, line, record)
+    trials: dict = {}
+    for name, first, file_records in files:
+        for lineno, r in enumerate(file_records, start=first):
+            if r.get("type") != "trial":
                 return chain_fail(
-                    CHECKPOINT_NAME, None, "checkpoint-invalid", f"malformed worker key {key!r}"
+                    name, lineno, "journal-unknown-record", f"unexpected record type {r.get('type')!r}"
                 )
-            wchain = shard_chain_by_worker.get(w, [])
-            wn = mark.get("journalled", 0) if isinstance(mark, dict) else 0
-            if isinstance(wn, int) and wn > len(wchain):
+            idx = r.get("index")
+            if idx not in trials:
+                trials[idx] = (name, lineno, r)
+                continue
+            ofile, oline, other = trials[idx]
+            if ofile == name:
                 return chain_fail(
-                    shard_name(w),
-                    None,
-                    "journal-behind-checkpoint",
-                    f"checkpoint committed {wn} record(s) for worker {key} "
-                    f"but its shard holds {len(wchain)}",
+                    name,
+                    lineno,
+                    "journal-duplicate-trial",
+                    f"trial {idx!r} already journalled at {ofile} line {oline}",
                 )
-            whead = mark.get("chain_head") if isinstance(mark, dict) else None
-            if whead is not None and isinstance(wn, int) and wn > 0 and wchain[wn - 1] != whead:
+            if _strip_links(r) != _strip_links(other):
                 return chain_fail(
-                    shard_name(w),
-                    wn,
-                    "journal-chain-broken",
-                    f"checkpoint seals chain head {str(whead)[:12]}… over record {wn} "
-                    f"but the shard's chain reads {wchain[wn - 1][:12]}… there",
+                    name, lineno, "journal-record-conflict", f"trial {idx!r} disagrees with {ofile} line {oline}"
                 )
 
     # 4. replay audit: every trial must re-derive from the journalled config
@@ -1420,7 +1376,8 @@ def main(argv: list[str] | None = None) -> int:
         "--trial-sleep",
         type=float,
         default=0.0,
-        help="artificial seconds of latency per trial (testing/benchmark aid)",
+        help="artificial seconds of latency per trial (testing aid: the tests and "
+        "scripts/smoke_campaign.py use it to widen kill and speedup windows)",
     )
     parser.add_argument(
         "--cache-bytes",

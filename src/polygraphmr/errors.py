@@ -123,7 +123,8 @@ class CampaignError(PolygraphError):
     the journal), ``journal-no-header``, ``journal-version-mismatch``,
     ``config-mismatch``, ``journal-behind-checkpoint`` (a checkpoint
     committed more records than the journal or a worker shard still holds),
-    ``journal-exists``, ``no-models``, and ``bad-workers``."""
+    ``checkpoint-invalid`` (a checksum-valid checkpoint with a mistyped
+    field), ``journal-exists``, ``no-models``, and ``bad-workers``."""
 
     def __init__(self, reason: str, detail: str = ""):
         self.reason = reason

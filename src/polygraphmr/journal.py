@@ -301,8 +301,9 @@ class CampaignJournal:
         including the final line, because no crash can produce a well-sealed
         record whose ``prev`` doesn't match its predecessor.  The first
         record's link to the genesis hash is deliberately not checked here
-        (a scan doesn't know the campaign config); root checks belong to
-        ``validate_resume`` and ``verify_campaign``.
+        (a scan doesn't know the campaign config); root checks live in
+        :func:`polygraphmr.campaign.seal_finding`, the one rule set both
+        ``--resume`` and ``campaign verify`` apply.
 
         With ``repair=True`` a torn tail is also truncated off the file so
         the next append starts on a fresh line.

@@ -1,9 +1,14 @@
-"""Multiprocess campaign executor with a deterministic journal merge.
+"""Multiprocess campaign execution with a deterministic journal merge.
 
 Fault-injection campaigns are embarrassingly parallel across trials
 (MRFI-style sweeps), but parallelism must not weaken the campaign
-subsystem's crash-safety or reproducibility guarantees.  The design here
-keeps both:
+subsystem's crash-safety or reproducibility guarantees.
+:class:`ParallelCampaignRunner` is a
+:class:`~polygraphmr.campaign.CampaignRunner` whose execution step fans out
+to worker processes: opening, resuming or refusing the campaign directory,
+the completion merge, the canonical checkpoint, the metrics fold and the
+summary are the serial runner's own code.  The design keeps both
+guarantees:
 
 * **Model-partitioned fan-out.**  Trial ``i`` belongs to
   ``models[i % n_models]`` and every trial of a model is owned by one
@@ -24,10 +29,11 @@ keeps both:
   inherits the torn-tail-repair and chain guarantees of
   :class:`~polygraphmr.campaign.CampaignJournal`.
 * **Atomic completion merge.**  Shards stay the write-ahead source of
-  truth until every trial is journalled; only then does
-  :func:`~polygraphmr.campaign.merge_journal` atomically rewrite the
-  canonical journal in index order — re-linking the unified hash chain
-  from the campaign's canonical genesis — and delete the shards.  A crash
+  truth until every trial is journalled; only then does the inherited
+  completion step call :func:`~polygraphmr.campaign.merge_journal`, which
+  atomically rewrites the canonical journal in index order — re-linking
+  the unified hash chain from the campaign's canonical genesis — and
+  deletes the shards.  A crash
   at any point — including between the replace and the shard cleanup —
   loses nothing: resume re-scans canonical + shards and deduplicates by
   index (duplicate records are byte-identical because trials are
@@ -65,40 +71,21 @@ from pathlib import Path
 from .batching import DEFAULT_BATCH_SIZE, BatchTrialEngine, plan_windows
 from .cache import DEFAULT_CACHE_BYTES, SharedMemoryPlane
 from .campaign import (
-    CHECKPOINT_NAME,
-    JOURNAL_NAME,
-    JOURNAL_VERSION,
     CampaignConfig,
     CampaignJournal,
+    CampaignRunner,
+    CampaignState,
     TrialExecutor,
     chain_genesis,
-    check_batch_size,
     checkpoint_payload,
     config_chain_hash,
-    config_genesis,
-    discover_models,
-    header_record,
-    merge_journal,
-    read_checkpoint,
     scan_campaign,
-    shard_journals,
     shard_name,
-    summarize_trials,
-    validate_resume,
     write_checkpoint,
 )
 from .errors import CampaignError
+from .metrics import MetricsRegistry, get_registry, metrics_shard_name, set_registry
 from .store import ArtifactStore
-from .metrics import (
-    METRICS_NAME,
-    MetricsRegistry,
-    get_registry,
-    load_registry,
-    merge_registries,
-    metrics_shard_name,
-    metrics_shards,
-    set_registry,
-)
 from .tracing import get_tracer
 
 __all__ = ["trial_owner", "worker_assignments", "ParallelCampaignRunner"]
@@ -219,57 +206,34 @@ def _worker_main(
     progress.join_thread()  # flush the queue feeder before exiting
 
 
-class ParallelCampaignRunner:
-    """Runs a campaign across ``workers`` forked processes.
+class ParallelCampaignRunner(CampaignRunner):
+    """A :class:`~polygraphmr.campaign.CampaignRunner` whose execution step
+    fans out to ``workers`` forked processes.
 
-    API-compatible with :class:`~polygraphmr.campaign.CampaignRunner`
-    (``run(resume=...)`` returning the same summary shape, plus
-    ``workers``/``failed_workers`` fields), and artifact-compatible: once a
-    parallel campaign completes, its merged ``journal.jsonl`` and final
-    ``checkpoint.json`` payload are byte-identical to a serial run's.
+    Opening, resuming or refusing the directory, the completion merge, the
+    canonical checkpoint, the metrics fold and the summary are all
+    inherited; this class adds only the worker fan-out, per-worker
+    high-water checkpoints while the workers run, and the re-scan of the
+    shards once they exit.  The summary gains ``workers`` and
+    ``failed_workers`` fields; once a parallel campaign completes, its
+    merged ``journal.jsonl`` and final ``checkpoint.json`` are
+    byte-identical to a serial run's.
     """
 
-    def __init__(
-        self,
-        config: CampaignConfig,
-        out_dir: str | Path,
-        *,
-        workers: int = 2,
-        trial_fn=None,
-        audit: dict | None = None,
-        cache_bytes: int = DEFAULT_CACHE_BYTES,
-        use_cache: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
-    ):
+    def __init__(self, config: CampaignConfig, out_dir: str | Path, *, workers: int = 2, **kwargs):
         if workers < 1:
             raise CampaignError("bad-workers", f"workers must be >= 1, got {workers}")
-        check_batch_size(batch_size)
-        self.config = config
-        self.out_dir = Path(out_dir)
-        self.out_dir.mkdir(parents=True, exist_ok=True)
+        super().__init__(config, out_dir, **kwargs)
         self.workers = workers
-        self.trial_fn = trial_fn
-        self.audit = audit
-        self.cache_bytes = cache_bytes
-        self.use_cache = use_cache
-        # like the cache knobs, the batch size shapes execution only — it
-        # never enters the journalled config, so journal bytes are invariant
-        # under any (workers, batch_size) combination; a faked trial body
-        # has no vectorized equivalent, so it runs at batch size 1
-        self.batch_size = batch_size if trial_fn is None else 1
-        self.journal = CampaignJournal(self.out_dir / JOURNAL_NAME, genesis=config_genesis(config))
-        self.checkpoint_path = self.out_dir / CHECKPOINT_NAME
-        self._stop = threading.Event()
-        self.models = discover_models(config)
         # trial_fn closures don't survive pickling; fork keeps them intact
         # (and is what lets workers inherit the parent's loaded modules)
         self._ctx = mp.get_context("fork")
 
-    def request_stop(self) -> None:
-        """Forward a graceful stop: every worker finishes its in-flight
-        trial, journals it, and exits; the parent checkpoints and returns."""
+    def run(self, *, resume: bool = False) -> dict:
+        """Run (or resume) the campaign; ``max_new_trials`` is a serial-only
+        test hook, so it is not accepted here."""
 
-        self._stop.set()
+        return super().run(resume=resume)
 
     def _checkpoint(
         self,
@@ -279,56 +243,21 @@ class ParallelCampaignRunner:
         marks: dict[int, int],
         heads: dict[int, str],
     ) -> None:
-        next_index = next((i for i in range(self.config.n_trials) if i not in done), self.config.n_trials)
-        workers = {}
+        """The canonical checkpoint body plus a ``workers`` stanza: each
+        worker's journalled high-water mark and its shard's chain head."""
+
+        payload = checkpoint_payload(self.config, done, canonical_records, canonical_head)
+        payload["workers"] = {}
         for w, n in sorted(marks.items()):
-            mark = {"journalled": n}
+            mark = payload["workers"][f"{w:02d}"] = {"journalled": n}
             if w in heads:
                 mark["chain_head"] = heads[w]
-            workers[f"{w:02d}"] = mark
-        payload = {
-            "version": JOURNAL_VERSION,
-            "n_trials": self.config.n_trials,
-            "completed": len(done),
-            "next_index": next_index,
-            "journal_records": canonical_records,
-            "chain_head": canonical_head,
-            "workers": workers,
-        }
         write_checkpoint(self.checkpoint_path, payload)
 
-    def run(self, *, resume: bool = False) -> dict:
-        # per-run metrics: see CampaignRunner.run — metrics.json must
-        # describe this run only, not every run this process ever made
-        get_registry().reset()
-        get_tracer().reset()
-        state = scan_campaign(self.out_dir, repair=True)
-        if resume and (state.canonical_records or state.trials):
-            header = validate_resume(state, self.config, read_checkpoint(self.checkpoint_path))
-            self.models = list(header.get("models", self.models))
-            done_trials = dict(state.trials)
-            canonical_records = state.canonical_records
-            canonical_head = (
-                state.canonical_chain[-1] if state.canonical_chain else self.journal.genesis
-            )
-            heads = {w: c[-1] for w, c in state.shard_chains.items() if c}
-        else:
-            if state.canonical_records or state.trials:
-                raise CampaignError(
-                    "journal-exists",
-                    f"{self.journal.path} (or a shard) already holds records; "
-                    "pass resume=True / --resume",
-                )
-            header = header_record(self.config, self.models, self.audit)
-            self.journal.append(header)
-            done_trials = {}
-            canonical_records = 1
-            canonical_head = self.journal.head
-            heads = {}
-        # metric shards are per-run scratch; a shard from a dead run would
-        # double-count if folded into this run's totals
-        for stale in metrics_shards(self.out_dir).values():
-            stale.unlink()
+    def _execute(self, state: CampaignState, max_new_trials: int | None) -> tuple[dict[int, dict], dict]:
+        """The execution step, fanned out: fork one worker per non-empty
+        assignment, checkpoint per-worker high-water marks as progress
+        arrives, then re-scan the shards once every worker has exited."""
 
         # Publish the working set once, pre-fork: every artifact is loaded
         # and validated here exactly one time, then served zero-copy to all
@@ -346,9 +275,11 @@ class ParallelCampaignRunner:
 
         n_workers = min(self.workers, max(1, len(self.models)))
         assignments = worker_assignments(
-            self.config.n_trials, len(self.models), n_workers, set(done_trials)
+            self.config.n_trials, len(self.models), n_workers, set(state.trials)
         )
+        canonical_records, canonical_head = state.canonical_records, state.canonical_chain[-1]
         marks = dict(state.shard_counts)
+        heads = {w: c[-1] for w, c in state.shard_chains.items() if c}
         progress = self._ctx.Queue()
         procs: dict[int, mp.process.BaseProcess] = {}
         for worker_id, assignment in assignments.items():
@@ -362,7 +293,7 @@ class ParallelCampaignRunner:
                     str(self.out_dir),
                     self.models,
                     assignment,
-                    done_trials,
+                    state.trials,
                     self.trial_fn,
                     progress,
                     self.cache_bytes,
@@ -375,7 +306,7 @@ class ParallelCampaignRunner:
             proc.start()
             procs[worker_id] = proc
 
-        done = set(done_trials)
+        done = set(state.trials)
         new_trials = 0
         forwarded_stop = False
         while True:
@@ -402,52 +333,22 @@ class ParallelCampaignRunner:
             # releases the parent's mapping early instead of at process exit
             plane.close()
 
-        failed_workers = sorted(w for w, p in procs.items() if p.exitcode != 0)
         # the shards are authoritative — a worker may have journalled a trial
         # and died before its progress event was consumed
         state = scan_campaign(self.out_dir, repair=True)
-        done_trials = dict(state.trials)
         complete = state.complete(self.config.n_trials)
-        if complete:
-            _, chain_head = merge_journal(self.out_dir, header, done_trials)
-            self.journal.prime_head(chain_head)
-            canonical_records = 1 + len(done_trials)
-            write_checkpoint(
-                self.checkpoint_path,
-                checkpoint_payload(self.config, done_trials, canonical_records, chain_head),
-            )
-        else:
+        if not complete:
             self._checkpoint(
-                set(done_trials),
+                set(state.trials),
                 canonical_records,
                 canonical_head,
                 state.shard_counts,
                 {w: c[-1] for w, c in state.shard_chains.items() if c},
             )
-
-        # fold worker metric shards (sorted by worker id) with the parent's
-        # own registry into metrics.json — deterministic and out-of-band,
-        # mirroring the journal-shard merge without touching journal bytes
-        registry = get_registry()
-        registry.gauge("campaign_workers").set(float(n_workers))
-        registry.gauge("campaign_trials_completed").set(float(len(done_trials)))
-        shards = [load_registry(p) for _, p in sorted(metrics_shards(self.out_dir).items())]
-        merged = merge_registries([registry, *[s for s in shards if s is not None]])
-        merged.write_json(self.out_dir / METRICS_NAME)
-        for path in metrics_shards(self.out_dir).values():
-            path.unlink()
-        self.merged_registry = merged
-
-        summary = summarize_trials(self.config, done_trials)
-        summary.update(
-            {
-                "new_trials": new_trials,
-                "stopped_early": not complete,
-                "workers": n_workers,
-                "failed_workers": failed_workers,
-                "journal": str(self.journal.path),
-                "checkpoint": str(self.checkpoint_path),
-                "metrics": str(self.out_dir / METRICS_NAME),
-            }
-        )
-        return summary
+        get_registry().gauge("campaign_workers").set(float(n_workers))
+        return dict(state.trials), {
+            "new_trials": new_trials,
+            "stopped_early": not complete,
+            "workers": n_workers,
+            "failed_workers": sorted(w for w, p in procs.items() if p.exitcode != 0),
+        }

@@ -7,6 +7,8 @@ loop-based reference oracles element-for-element."""
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -25,6 +27,7 @@ from polygraphmr.campaign import (
     CampaignConfig,
     CampaignJournal,
     CampaignRunner,
+    TrialExecutor,
     scenarios_config_field,
     verify_campaign,
 )
@@ -160,13 +163,24 @@ class TestSerialBatchedEquivalence:
         ).value
         assert fallback > 0, "breaker activity never forced a serial fallback"
 
-    def test_timeouts_are_journalled_identically(self, multi_model_cache, tmp_path):
-        # a 1 µs budget always fires before a real trial can finish, so every
-        # probe times out and the whole campaign replays down the serial path
-        config = _config(multi_model_cache, n_trials=8, timeout_s=1e-6)
-        serial = CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
-        assert serial["outcomes"].get("trial_timeout") == 8
-        CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
+    def test_timeouts_are_journalled_identically(self, multi_model_cache, tmp_path, monkeypatch):
+        # the trial body blocks until the test ends, so it outlasts the
+        # watchdog by construction: every probe times out and the whole
+        # campaign replays down the serial path
+        release = threading.Event()
+
+        def blocked(self, spec):
+            release.wait()
+            return {}
+
+        monkeypatch.setattr(TrialExecutor, "_run_trial", blocked)
+        config = _config(multi_model_cache, n_trials=8, timeout_s=0.02)
+        try:
+            serial = CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
+            assert serial["outcomes"].get("trial_timeout") == 8
+            CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
+        finally:
+            release.set()
         assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
 
     def test_kernel_timeout_falls_back_to_serial_replay(self, synthetic_cache, tmp_path, monkeypatch):

@@ -35,6 +35,7 @@ from polygraphmr.journal import (
     load_checkpoint,
     seal_record,
     sha256_hex,
+    shard_journals,
     walk_chain,
 )
 from polygraphmr.metrics import get_registry
@@ -50,6 +51,21 @@ def _run_campaign(tmp_path, bare_cache, n_trials=3, **kwargs):
     config = CampaignConfig(cache=str(bare_cache()), n_trials=n_trials, seed=5)
     runner = CampaignRunner(config, tmp_path / "out", trial_fn=_fake_trial)
     runner.run(**kwargs)
+    return config, tmp_path / "out"
+
+
+def _interrupted_parallel_run(tmp_path, bare_cache):
+    """A 2-worker campaign stopped mid-sweep, its shards left on disk."""
+
+    def slow_trial(spec):
+        time.sleep(0.15)
+        return _fake_trial(spec)
+
+    config = CampaignConfig(cache=str(bare_cache("m0", "m1")), n_trials=12, seed=5)
+    runner = ParallelCampaignRunner(config, tmp_path / "out", workers=2, trial_fn=slow_trial)
+    threading.Timer(0.2, runner.request_stop).start()
+    summary = runner.run()
+    assert summary["stopped_early"]
     return config, tmp_path / "out"
 
 
@@ -72,6 +88,42 @@ def _reforge(out, mutate):
     if checkpoint is not None:
         checkpoint["chain_head"] = head
         write_checkpoint(out / CHECKPOINT_NAME, checkpoint)
+
+
+def _tamper_checkpoint(checkpoint: dict, case: str) -> None:
+    """Apply one tamper ``case`` to a checkpoint body.  A serial checkpoint
+    has no workers stanza, so a worker case first adds a mark claiming
+    nothing journalled."""
+
+    workers = checkpoint.setdefault("workers", {"00": {"journalled": 0}}) if "worker" in case else {}
+    first = min(workers, default=None)
+    if case == "worker-key-not-an-integer":
+        workers["xx"] = workers.pop(first)
+    elif case == "worker-mark-not-an-object":
+        workers[first] = 7
+    elif case == "worker-over-count":
+        workers[first]["journalled"] += 1
+    elif case == "worker-head-forged":
+        workers[first]["journalled"] = max(workers[first]["journalled"], 1)
+        workers[first]["chain_head"] = sha256_hex("forged")
+    elif case == "canonical-head-forged":
+        checkpoint["chain_head"] = sha256_hex("forged")
+    else:
+        name = {"journal-records-a-string": "journal_records", "completed-a-string": "completed"}[case]
+        checkpoint[name] = str(checkpoint[name])
+
+
+# tamper case -> the reason --resume and verify must both name; a forged
+# worker head over a serial run's (absent) shard over-counts it instead
+_TAMPER_REASONS = {
+    "worker-key-not-an-integer": "checkpoint-invalid",
+    "worker-mark-not-an-object": "checkpoint-invalid",
+    "journal-records-a-string": "checkpoint-invalid",
+    "completed-a-string": "checkpoint-invalid",
+    "worker-over-count": "journal-behind-checkpoint",
+    "worker-head-forged": {"serial": "journal-behind-checkpoint", "parallel": "journal-chain-broken"},
+    "canonical-head-forged": "journal-chain-broken",
+}
 
 
 class TestChainPrimitives:
@@ -189,6 +241,44 @@ class TestVerifyCampaign:
         assert report["exit_code"] == 3
         assert report["first_bad"]["reason"] == "journal-chain-broken"
         assert report["first_bad"]["line"] == checkpoint["journal_records"]
+
+    @pytest.mark.parametrize("runner", ["serial", "parallel"])
+    @pytest.mark.parametrize("case", list(_TAMPER_REASONS))
+    def test_resume_and_verify_agree_on_a_tampered_checkpoint(
+        self, tmp_path, bare_cache, capsys, case, runner
+    ):
+        # one rule set: a re-sealed (checksum-valid) checkpoint carrying a
+        # tampered or mistyped field is refused by --resume for exactly the
+        # reason the auditor reports — never a traceback
+        if runner == "serial":
+            config, out = _run_campaign(tmp_path, bare_cache, n_trials=4, max_new_trials=2)
+            resumer = CampaignRunner(config, out, trial_fn=_fake_trial)
+            workers = "1"
+        else:
+            config, out = _interrupted_parallel_run(tmp_path, bare_cache)
+            assert shard_journals(out)
+            resumer = ParallelCampaignRunner(config, out, workers=2, trial_fn=_fake_trial)
+            workers = "2"
+        checkpoint = read_checkpoint(out / CHECKPOINT_NAME)
+        _tamper_checkpoint(checkpoint, case)
+        write_checkpoint(out / CHECKPOINT_NAME, checkpoint)
+        reason = _TAMPER_REASONS[case]
+        reason = reason if isinstance(reason, str) else reason[runner]
+
+        report = verify_campaign(out)
+        assert report["exit_code"] == 3
+        assert report["first_bad"]["reason"] == reason
+        with pytest.raises(CampaignError) as exc_info:
+            resumer.run(resume=True)
+        assert exc_info.value.reason == reason
+
+        capsys.readouterr()
+        argv = ["--cache", config.cache, "--out", str(out), "--trials", str(config.n_trials)]
+        argv += ["--seed", str(config.seed), "--workers", workers, "--resume"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"campaign error: {reason}")
+        assert "Traceback" not in err
 
     def test_corrupt_checkpoint_fails_the_audit(self, tmp_path, bare_cache):
         _, out = _run_campaign(tmp_path, bare_cache)
@@ -341,21 +431,8 @@ class TestVersionMismatch:
 
 
 class TestVerifyShards:
-    def _interrupted_parallel_run(self, tmp_path, bare_cache):
-        def slow_trial(spec):
-            time.sleep(0.15)
-            return _fake_trial(spec)
-
-        cache = bare_cache("m0", "m1")
-        config = CampaignConfig(cache=str(cache), n_trials=12, seed=5)
-        runner = ParallelCampaignRunner(config, tmp_path / "out", workers=2, trial_fn=slow_trial)
-        threading.Timer(0.2, runner.request_stop).start()
-        summary = runner.run()
-        assert summary["stopped_early"]
-        return tmp_path / "out"
-
     def test_interrupted_parallel_campaign_verifies_with_shards(self, tmp_path, bare_cache):
-        out = self._interrupted_parallel_run(tmp_path, bare_cache)
+        _, out = _interrupted_parallel_run(tmp_path, bare_cache)
         report = verify_campaign(out)
         assert report["ok"], report["first_bad"]
         assert report["shards"]
@@ -364,7 +441,7 @@ class TestVerifyShards:
             assert mark["chain_head"] == report["shards"][key]["chain_head"]
 
     def test_damaged_shard_fails_verification(self, tmp_path, bare_cache):
-        out = self._interrupted_parallel_run(tmp_path, bare_cache)
+        _, out = _interrupted_parallel_run(tmp_path, bare_cache)
         shard = next(p for p in out.iterdir() if ".w" in p.name)
         lines = shard.read_bytes().splitlines(keepends=True)
         assert lines, "expected at least one shard record"
