@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import io
 import json
 import shutil
 import sys
@@ -457,6 +458,25 @@ def measure_degradation(
 # -- synthetic demo cache (the seed cache has zero valid artifacts) --------
 
 
+def _npz_bytes(**arrays: np.ndarray) -> bytes:
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    return buffer.getvalue()
+
+
+def _write_if_changed(path: Path, data: bytes) -> None:
+    """Write ``data`` to ``path`` unless the file already holds exactly
+    those bytes, so an unchanged artifact keeps its ``mtime_ns`` (and with
+    it every stat-keyed cache entry and gate memo)."""
+
+    try:
+        if path.read_bytes() == data:
+            return
+    except FileNotFoundError:
+        pass
+    path.write_bytes(data)
+
+
 def build_synthetic_model(
     root: str | Path,
     model: str = "synthetic",
@@ -471,7 +491,10 @@ def build_synthetic_model(
 
     Samples share a per-example difficulty, so on hard inputs every member's
     probabilities blur together — giving the decision module a real
-    disagreement signal to learn, as in the paper's setting.
+    disagreement signal to learn, as in the paper's setting.  Each file is
+    rendered in memory and written only when its bytes differ from what is
+    on disk, so rebuilding an existing model with the same arguments leaves
+    it untouched.
     """
 
     rng = np.random.default_rng(seed)
@@ -480,21 +503,21 @@ def build_synthetic_model(
     for split, n in (("val", n_val), ("test", n_test)):
         labels = rng.integers(0, n_classes, size=n)
         difficulty = rng.uniform(0.0, 1.0, size=n)
-        np.savez(mdir / f"labels.{split}.npz", labels=labels)
+        _write_if_changed(mdir / f"labels.{split}.npz", _npz_bytes(labels=labels))
         for stem in members:
             signal = 4.0 * (1.1 - difficulty)[:, None]
             logits = rng.normal(0.0, 1.0, size=(n, n_classes))
             logits[np.arange(n), labels] += signal[:, 0]
             z = logits - logits.max(axis=1, keepdims=True)
             probs = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-            np.savez(mdir / f"{stem}.{split}.probs.npz", probs=probs.astype(np.float32))
+            _write_if_changed(mdir / f"{stem}.{split}.probs.npz", _npz_bytes(probs=probs.astype(np.float32)))
     for stem in members:
-        np.savez(
-            mdir / f"{stem}.weights.npz",
+        weights = _npz_bytes(
             dense=rng.normal(size=(16, n_classes)).astype(np.float32),
             bias=np.zeros(n_classes, dtype=np.float32),
         )
-    (mdir / "greedy-4.json").write_text(json.dumps(["ORG", "Gamma(2)", "Hist", "FlipX"]))
+        _write_if_changed(mdir / f"{stem}.weights.npz", weights)
+    _write_if_changed(mdir / "greedy-4.json", json.dumps(["ORG", "Gamma(2)", "Hist", "FlipX"]).encode("utf-8"))
     return mdir
 
 

@@ -33,6 +33,19 @@ decision module) is a per-sample computation, so slicing the coalesced
 result back per request is **byte-identical** to running each request
 alone — the differential guarantee ``tests/test_serve.py`` enforces.
 
+**Reply memo.**  A session never changes once built, so each test row's
+reply text (its ``probs`` row, prediction and flag) is a pure function of
+(session, row).  The gateway keeps a :class:`RowMemo` per session key
+``(model, active members)``, bounded by the test split (about 275 B a row);
+a batch evaluates only its *cold* rows, once each, and every reply frame is
+spliced from the rows' cached text, the batch's encoded breaker map and the
+cached text of the static stanza (:meth:`PolygraphService.reply_frames`).
+Warm replies thus skip evaluation and float formatting; a row's first use
+costs what it did before.  The dict path —
+:meth:`PolygraphService.respond` → ``evaluate_requests`` →
+``build_payloads`` → :func:`response_frame` — stays memo-free as the
+serial reference every gateway frame must equal byte for byte.
+
 **Load shedding and degradation.**  Past ``max_queue`` pending requests the
 gateway replies ``overloaded`` immediately — the queue never grows beyond
 its bound.  Above ``degrade_depth`` pending requests, each served batch
@@ -59,14 +72,16 @@ shared-memory plane.  The dispatcher remains authoritative for *all*
 policy — :meth:`ServeGateway._plan_batch` ticks the breaker board, decides
 the ``active``/``shed`` member split, and records pressure synchronously in
 dispatch order — while workers receive only ``(model, active_members,
-flat_sample_indices)`` and return raw arrays the parent slices and encodes
-itself, so pooled responses are byte-identical to the in-process path.  A
+cold_rows)`` and return raw arrays the parent encodes into its row memo
+itself, so pooled responses are byte-identical to the in-process path; a
+fully warm batch sends no job to any worker.  A
 crashed worker is respawned and its batch transparently re-evaluated
 in-process (``serve_pool_fallback_total{reason}``); worker metrics shards
 and spans are merged into the parent registry on drain.
 
-Latency quantiles (``serve_request_seconds``), queue depth, and
-shed/degraded/deadline-exceeded counters flow through
+Latency quantiles (``serve_request_seconds``), queue depth,
+shed/degraded/deadline-exceeded counters, and the reply rows served from the
+memo or evaluated (``serve_reply_rows_total{source}``) flow through
 :mod:`polygraphmr.metrics` and export as JSON + Prometheus on drain.
 """
 
@@ -109,7 +124,9 @@ __all__ = [
     "request_frame",
     "response_frame",
     "flat_sample_indices",
+    "reply_template",
     "FrameAssembler",
+    "RowMemo",
     "ModelSession",
     "PolygraphService",
     "PoolFallback",
@@ -138,6 +155,11 @@ OUTCOMES = (OUTCOME_OK, OUTCOME_DEGRADED, OUTCOME_OVERLOADED, OUTCOME_DEADLINE, 
 
 # shed reasons reported per excluded member
 SHED_LOAD = "load-shed"
+
+# where a reply row's text came from (``serve_reply_rows_total{source}``)
+ROW_MEMO = "memo"
+ROW_EVALUATED = "evaluated"
+ROW_SOURCES = (ROW_MEMO, ROW_EVALUATED)
 
 _REQUEST_FIELDS = ("id", "model", "samples", "deadline_ms", "op")
 
@@ -171,8 +193,14 @@ class ServeRequest:
         return out
 
 
+# The one canonical encoder (sorted keys, minimal separators) behind every
+# frame and every memoised reply fragment; ``json.dumps`` with these options
+# would build a fresh encoder on each call.
+_ENCODE = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+
+
 def _frame_bytes(payload: dict) -> bytes:
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")).encode("utf-8") + b"\n"
+    return _ENCODE(payload).encode("utf-8") + b"\n"
 
 
 def request_frame(request: ServeRequest) -> bytes:
@@ -310,10 +338,82 @@ class FrameAssembler:
 
 
 def flat_sample_indices(requests: list[ServeRequest]) -> np.ndarray:
-    """Concatenated sample indices across ``requests`` — the flat batch that
-    one tensor op (in-process or shipped to a pool worker) evaluates."""
+    """Concatenated sample indices across ``requests`` — the flat batch the
+    serial reference (:meth:`PolygraphService.evaluate_requests`) evaluates
+    in one tensor op."""
 
     return np.array([idx for r in requests for idx in r.samples], dtype=np.int64)
+
+
+# the reply fields spliced in per request or per batch, in canonical key order
+_SPLICED_FIELDS = ("breakers", "flags", "id", "predictions", "probs")
+
+
+def reply_template(stanza: dict) -> tuple[str, ...]:
+    """The canonical text of a reply carrying ``stanza``, cut around the
+    spliced fields: one literal piece before each of :data:`_SPLICED_FIELDS`
+    (in sorted key order, like the encoder) and one after the last.
+    :meth:`RowMemo.frame` fills the gaps."""
+
+    pieces: list[str] = []
+    text = "{"
+    for n, key in enumerate(sorted({*stanza, *_SPLICED_FIELDS})):
+        text += ("," if n else "") + _ENCODE(key) + ":"
+        if key in _SPLICED_FIELDS:
+            pieces.append(text)
+            text = ""
+        else:
+            text += _ENCODE(stanza[key])
+    pieces.append(text + "}\n")
+    return tuple(pieces)
+
+
+class RowMemo:
+    """The encoded reply text of each test row of one session: its ``probs``
+    row, prediction and flag, each encoded on a row's first use.
+
+    A :class:`~polygraphmr.ensemble.ModelSession` never changes once built,
+    and every statistic it serves is per-sample, so a row's text is a pure
+    function of (session, row).  One slot per test row bounds the memo at
+    the split size (about 275 B a row for 10 classes)."""
+
+    def __init__(self, n_rows: int):
+        self.probs: list[str | None] = [None] * n_rows
+        self.predictions: list[str | None] = [None] * n_rows
+        self.flags: list[str | None] = [None] * n_rows
+
+    def cold(self, requests: list[ServeRequest]) -> np.ndarray:
+        """The distinct rows of ``requests`` with no text yet, ascending."""
+
+        probs = self.probs
+        return np.array(sorted({i for r in requests for i in r.samples if probs[i] is None}), dtype=np.int64)
+
+    def fill(self, rows: np.ndarray, probs: np.ndarray, predictions: np.ndarray, flags: np.ndarray) -> None:
+        """Store the text of ``rows`` from their evaluation arrays.
+
+        One encoder call per array; the outer list's text is then cut at
+        its row separators, which float and integer text never contains."""
+
+        probs_text = _ENCODE(probs.tolist())[2:-2].split("],[")
+        predictions_text = _ENCODE(predictions.tolist())[1:-1].split(",")
+        flags_text = _ENCODE(flags.tolist())[1:-1].split(",")
+        for row, p, y, f in zip(rows.tolist(), probs_text, predictions_text, flags_text):
+            self.probs[row] = f"[{p}]"
+            self.predictions[row] = y
+            self.flags[row] = f
+
+    def frame(self, template: tuple[str, ...], breakers: str, request: ServeRequest) -> bytes:
+        """The reply frame of ``request``: ``template`` spliced with the
+        encoded ``breakers`` map, the request id and the rows' text — byte
+        for byte :func:`response_frame` of the same payload."""
+
+        t = template
+        rows = request.samples
+        probs = ",".join([self.probs[i] for i in rows])
+        predictions = ",".join([self.predictions[i] for i in rows])
+        flags = ",".join([self.flags[i] for i in rows])
+        rid = _ENCODE(request.id)
+        return f"{t[0]}{breakers}{t[1]}[{flags}]{t[2]}{rid}{t[3]}[{predictions}]{t[4]}[{probs}]{t[5]}".encode()
 
 
 class PolygraphService:
@@ -341,7 +441,10 @@ class PolygraphService:
         self.runtime = EnsembleRuntime(store, min_members=min_members, seed=seed, breakers=self.board)
         self._base: dict[str, ModelSession] = {}
         self._derived: dict[tuple[str, tuple[str, ...]], ModelSession] = {}
+        # reply text per session, keyed like ``_derived`` (the base session too)
+        self._memos: dict[tuple[str, tuple[str, ...]], RowMemo] = {}
         self._stanzas: dict[tuple[str, tuple[str, ...], tuple[str, ...]], dict] = {}
+        self._templates: dict[tuple[str, tuple[str, ...], tuple[str, ...]], tuple[str, ...]] = {}
 
     # -- sessions --------------------------------------------------------
 
@@ -383,6 +486,18 @@ class PolygraphService:
         )
         get_registry().counter("serve_sessions_built_total", kind="derived").inc()
         return session
+
+    def row_memo(self, model: str, active: list[str]) -> RowMemo:
+        """The reply-text memo of the session serving ``active`` members.
+        Keyed by member set, so a row warmed under one set is never served
+        under another; sized from the base session, so a pooled parent
+        never builds a derived session just to size it."""
+
+        key = (model, tuple(active))
+        memo = self._memos.get(key)
+        if memo is None:
+            memo = self._memos[key] = RowMemo(self.base_session(model).n_samples)
+        return memo
 
     # -- breaker-driven member selection ---------------------------------
 
@@ -467,6 +582,32 @@ class PolygraphService:
             self._stanzas[key] = stanza
         return stanza
 
+    def reply_frames(
+        self,
+        model: str,
+        requests: list[ServeRequest],
+        *,
+        active: list[str],
+        shed: list[str],
+        breaker_states: dict,
+    ) -> list[bytes]:
+        """The gateway's reply frames, spliced from the row memo.
+
+        Every row of ``requests`` must already be in :meth:`row_memo`'s memo
+        for ``active``.  The frames equal ``response_frame`` of
+        :meth:`build_payloads`' payloads byte for byte, without building
+        them: the static stanza's text is cached per ``(model, active,
+        shed)``, the breaker map is encoded once per batch, and each row's
+        text once per session."""
+
+        key = (model, tuple(active), tuple(shed))
+        template = self._templates.get(key)
+        if template is None:
+            template = self._templates[key] = reply_template(self.static_stanza(model, active, shed))
+        memo = self.row_memo(model, active)
+        breakers = _ENCODE(breaker_states)
+        return [memo.frame(template, breakers, request) for request in requests]
+
     def build_payloads(
         self,
         model: str,
@@ -482,14 +623,15 @@ class PolygraphService:
     ) -> list[dict]:
         """Slice raw evaluation arrays back into per-request payloads.
 
-        Pure assembly — no policy, no board reads: everything dynamic
+        The dict-based serial reference: :meth:`respond` goes through here,
+        while the gateway sends :meth:`reply_frames`, which must equal
+        ``response_frame`` of these payloads byte for byte.  Pure assembly —
+        no policy, no board reads: everything dynamic
         (``active``/``shed``/``breaker_states``) is decided by the caller
-        and passed in, which is what lets pooled workers return raw arrays
-        while the dispatcher stays authoritative.  ``ndarray.tolist()`` does
-        the number conversion in one C call per array (bit-identical to the
-        old per-element ``float()``/``int()`` loops — enforced by a
-        regression test), and the static stanza is shared by reference
-        across payloads.
+        and passed in.  ``ndarray.tolist()`` does the number conversion in
+        one C call per array (bit-identical to the old per-element
+        ``float()``/``int()`` loops — enforced by a regression test), and
+        the static stanza is shared by reference across payloads.
         """
 
         stanza = self.static_stanza(model, active, shed)
@@ -526,9 +668,8 @@ class PolygraphService:
 
         All requests' sample indices are concatenated, evaluated once, and
         sliced back per request — byte-identical to evaluating each request
-        alone because every statistic involved is per-sample.  This is the
-        in-process composite the worker pool decomposes: policy inputs in,
-        :meth:`ModelSession.evaluate`, :meth:`build_payloads` out.
+        alone because every statistic involved is per-sample.  Part of the
+        serial reference (:meth:`respond`); it reads and fills no row memo.
         """
 
         base = self.base_session(model)
@@ -556,9 +697,11 @@ class PolygraphService:
     def respond(self, request: ServeRequest) -> dict:
         """The serial reference path: one request, straight through.
 
-        The gateway's coalesced path must produce byte-identical frames to
-        this (given the same board state and no overload) — the differential
-        tests compare against it directly.
+        Evaluates every row afresh and builds the payload dict, memo-free.
+        The gateway's memo frames must be byte-identical to
+        ``response_frame`` of this (given the same board state and no
+        overload) — the differential tests and the benchmark's reply check
+        compare against it directly.
         """
 
         try:
@@ -600,9 +743,9 @@ class PoolFallback(Exception):
     """A pooled evaluation could not be completed by any worker.
 
     Raised by :meth:`WorkerPool.evaluate`; the dispatcher catches it, counts
-    ``serve_pool_fallback_total{reason}``, and evaluates the batch in-process
-    — the request is always answered, and because workers run the exact same
-    tensor-op path the fallback response is byte-identical.
+    ``serve_pool_fallback_total{reason}``, and evaluates the batch's cold rows
+    in-process — the request is always answered, and because workers run the
+    exact same tensor-op path the fallback response is byte-identical.
     """
 
     def __init__(self, reason: str, detail: str = ""):
@@ -615,8 +758,8 @@ def _pool_worker_main(worker_id: int, service: PolygraphService, conn) -> None:
 
     Stateless by contract: every policy decision (coalescing, deadlines,
     shedding, breaker member selection) already happened in the parent —
-    a job is ``(model, active_members, flat_sample_indices)`` and the reply
-    is the raw evaluation arrays.  The worker never touches a breaker board,
+    a job is ``(model, active_members, cold_rows)`` and the reply is the raw
+    evaluation arrays.  The worker never touches a breaker board,
     a queue, or a socket, which is what makes pooled responses byte-identical
     to in-process ones.
 
@@ -1043,7 +1186,7 @@ class ServeGateway:
             request = parse_request(frame)
         except ConfigError as exc:
             rid = _salvage_id(frame)
-            await self._finish(conn, error_payload(rid, exc), started)
+            await self._finish(conn, OUTCOME_ERROR, response_frame(error_payload(rid, exc)), started)
             return
         if request.op == OP_PING:
             await conn.send(response_frame({"id": request.id, "op": OP_PING, "ok": True}))
@@ -1061,7 +1204,7 @@ class ServeGateway:
                 "model": request.model,
                 "queue_depth": self.queue.qsize(),
             }
-            await self._finish(conn, payload, started)
+            await self._finish(conn, OUTCOME_OVERLOADED, response_frame(payload), started)
             return
         registry.gauge("serve_queue_depth").set(float(self.queue.qsize()))
 
@@ -1074,6 +1217,9 @@ class ServeGateway:
             "deadline_exceeded": registry.counter_value("serve_deadline_exceeded_total"),
             "batches": registry.counter_value("serve_batches_total"),
             "queue_depth": self.queue.qsize(),
+            "reply_rows": {
+                source: registry.counter_value("serve_reply_rows_total", source=source) for source in ROW_SOURCES
+            },
         }
         if self._pool is not None:
             snapshot["pool"] = {
@@ -1086,15 +1232,15 @@ class ServeGateway:
             }
         return snapshot
 
-    async def _finish(self, conn: _Connection, payload: dict, started: float) -> None:
-        """Send a terminal response: the single point that counts outcomes,
-        so ``serve_requests_total{outcome}`` reconciles exactly with the
-        frames clients receive."""
+    async def _finish(self, conn: _Connection, outcome: str, frame: bytes, started: float) -> None:
+        """Send a terminal response ``frame`` with ``outcome``: the single
+        point that counts outcomes, so ``serve_requests_total{outcome}``
+        reconciles exactly with the frames clients receive."""
 
         registry = get_registry()
-        registry.counter("serve_requests_total", outcome=payload["outcome"]).inc()
+        registry.counter("serve_requests_total", outcome=outcome).inc()
         registry.histogram("serve_request_seconds").observe(time.perf_counter() - started)
-        await conn.send(response_frame(payload))
+        await conn.send(frame)
 
     # -- dispatcher ------------------------------------------------------
 
@@ -1247,54 +1393,67 @@ class ServeGateway:
                 if remaining is not None and remaining <= 0.0:
                     registry.counter("serve_deadline_exceeded_total").inc()
                     payload = {"id": queued.request.id, "outcome": OUTCOME_DEADLINE, "model": plan.model}
-                    await self._finish(queued.conn, payload, queued.started)
+                    await self._finish(queued.conn, OUTCOME_DEADLINE, response_frame(payload), queued.started)
                 else:
                     live.append(queued)
             for queued, payload in plan.errors:
-                await self._finish(queued.conn, payload, queued.started)
+                await self._finish(queued.conn, OUTCOME_ERROR, response_frame(payload), queued.started)
             if not live:
                 continue
-            payloads = await self._evaluate_plan(plan, live)
-            for queued, payload in zip(live, payloads):
-                if payload["outcome"] == OUTCOME_DEGRADED:
+            frames = await self._evaluate_plan(plan, live)
+            outcome = self.service.static_stanza(plan.model, plan.active, plan.shed)["outcome"]
+            for queued, frame in zip(live, frames):
+                if outcome == OUTCOME_DEGRADED:
                     registry.counter("serve_degraded_total").inc()
-                await self._finish(queued.conn, payload, queued.started)
+                await self._finish(queued.conn, outcome, frame, queued.started)
 
-    async def _evaluate_plan(self, plan: _BatchPlan, live: list[_Queued]) -> list[dict]:
-        """Evaluate one plan's surviving requests — pooled when a pool is
-        up, in-process otherwise, and in-process as the always-correct
-        fallback when the pool fails (``serve_pool_fallback_total{reason}``).
-        Both paths run the identical tensor-op math on identical policy
-        inputs, so the response bytes cannot differ."""
+    async def _evaluate_plan(self, plan: _BatchPlan, live: list[_Queued]) -> list[bytes]:
+        """Reply frames for one plan's surviving requests, from the row memo
+        of the plan's session (:meth:`PolygraphService.reply_frames`).
+
+        Only the memo's cold rows are evaluated, once each: by a pool worker
+        when a pool is up, in-process otherwise, and in-process as the
+        always-correct fallback when the pool fails
+        (``serve_pool_fallback_total{reason}``).  A fully warm batch
+        evaluates nothing and sends no job to a worker.  Either way the
+        rows' text comes from one encoder and one splice, so the frames
+        equal the serial :meth:`PolygraphService.respond` reference byte for
+        byte.  ``serve_reply_rows_total{source}`` counts every reply row as
+        ``evaluated`` here or served from the ``memo``."""
 
         registry = get_registry()
         requests = [q.request for q in live]
-        if self._pool is not None:
-            flat = flat_sample_indices(requests)
-            try:
-                probs, predictions, flags = await self._pool.evaluate(plan.model, plan.active, flat)
-            except PoolFallback as exc:
-                registry.counter("serve_pool_fallback_total", reason=exc.reason).inc()
-            else:
-                registry.counter("serve_pool_samples_total").inc(len(flat))
-                return self.service.build_payloads(
-                    plan.model,
-                    requests,
-                    [len(r.samples) for r in requests],
-                    probs,
-                    predictions,
-                    flags,
-                    active=plan.active,
-                    shed=plan.shed,
-                    breaker_states=plan.breaker_states,
-                )
-        return self.service.evaluate_requests(
+        memo = self.service.row_memo(plan.model, plan.active)
+        cold = memo.cold(requests)
+        if cold.size:
+            memo.fill(cold, *(await self._evaluate_rows(plan, cold)))
+        rows = sum(len(r.samples) for r in requests)
+        registry.counter("serve_reply_rows_total", source=ROW_EVALUATED).inc(cold.size)
+        registry.counter("serve_reply_rows_total", source=ROW_MEMO).inc(rows - cold.size)
+        return self.service.reply_frames(
             plan.model,
             requests,
             active=plan.active,
             shed=plan.shed,
             breaker_states=plan.breaker_states,
         )
+
+    async def _evaluate_rows(
+        self, plan: _BatchPlan, rows: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``ModelSession.evaluate`` of ``rows`` under the plan's members:
+        on a pool worker when a pool is up, in-process otherwise or when
+        the pool fails."""
+
+        if self._pool is not None:
+            try:
+                arrays = await self._pool.evaluate(plan.model, plan.active, rows)
+            except PoolFallback as exc:
+                get_registry().counter("serve_pool_fallback_total", reason=exc.reason).inc()
+            else:
+                get_registry().counter("serve_pool_samples_total").inc(len(rows))
+                return arrays
+        return self.service.session_for(plan.model, tuple(plan.active)).evaluate(rows)
 
 
 def _salvage_id(frame: bytes) -> str:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 
 import numpy as np
 import pytest
@@ -86,6 +87,31 @@ class TestInjectors:
         assert np.isfinite(repaired).all()
         np.testing.assert_allclose(repaired.sum(axis=1), 1.0, atol=1e-9)
         assert (repaired >= 0).all()
+
+
+class TestSyntheticModel:
+    def test_identical_rebuild_leaves_every_file_untouched(self, tmp_path):
+        """A repeat build with the same arguments writes nothing: every
+        file keeps its bytes and its ``mtime_ns`` (which the artifact cache
+        and the gate memo key on); a different seed rewrites them."""
+
+        mdir = build_synthetic_model(tmp_path, "m", n_val=32, n_test=32, seed=3)
+        files = sorted(path for path in mdir.iterdir() if path.is_file())
+        old_ns = 1_000_000_000_000_000_000  # far from "now": any rewrite moves it
+        for path in files:
+            os.utime(path, ns=(old_ns, old_ns))
+        before = {path: path.read_bytes() for path in files}
+
+        build_synthetic_model(tmp_path, "m", n_val=32, n_test=32, seed=3)
+        assert sorted(path for path in mdir.iterdir() if path.is_file()) == files
+        for path in files:
+            assert path.read_bytes() == before[path], path.name
+            assert path.stat().st_mtime_ns == old_ns, f"{path.name} was rewritten"
+
+        build_synthetic_model(tmp_path, "m", n_val=32, n_test=32, seed=4)
+        changed = [path for path in files if path.read_bytes() != before[path]]
+        assert {path.name for path in changed} == {p.name for p in files if p.suffix == ".npz"}
+        assert all(path.stat().st_mtime_ns != old_ns for path in changed)
 
 
 class TestArtifactCorruption:

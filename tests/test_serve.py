@@ -165,6 +165,62 @@ class TestDifferential:
             assert raw == response_frame(serial.respond(request))
 
 
+class TestRowMemo:
+    def test_shed_and_recover_never_mix_member_sets(self, synthetic_cache):
+        """Rows warmed under the full member set never appear in a reply
+        served by a narrower one: each member set has its own row memo.
+        Every frame equals serial ``respond`` under the same board, and
+        recovery serves the full set's rows from its memo again."""
+
+        board = BreakerBoard(BreakerPolicy(failure_threshold=1, cooldown_ticks=10**6))
+        service = PolygraphService(ArtifactStore(synthetic_cache), seed=0, breakers=board)
+        requests = [ServeRequest(id=f"w{i}", model=MODEL, samples=(i, 2 * i, i)) for i in range(6)]
+
+        def serial_frames(tripped: bool) -> list[bytes]:
+            ref_board = BreakerBoard(BreakerPolicy(failure_threshold=1, cooldown_ticks=10**6))
+            ref = PolygraphService(ArtifactStore(synthetic_cache), seed=0, breakers=ref_board)
+            ref.base_session(MODEL)  # built with every member, as the gateway's was
+            if tripped:
+                ref_board.record_failure(MODEL, "pp-Hist")
+            return [response_frame(ref.respond(r)) for r in requests]
+
+        def serve() -> tuple[list[dict], list[bytes]]:
+            async def run():
+                gateway = make_gateway(service, coalesce_ms=20.0, batch_max=4)
+                await gateway.start()
+                try:
+                    return await asyncio.gather(*[tcp_request(gateway.bound_port, r) for r in requests])
+                finally:
+                    await gateway.drain()
+
+            results = asyncio.run(run())
+            return [payload for payload, _ in results], [raw for _, raw in results]
+
+        def evaluated_rows() -> int:
+            return get_registry().counter_value("serve_reply_rows_total", source="evaluated")
+
+        full, full_frames = serve()
+        assert [p["outcome"] for p in full] == [OUTCOME_OK] * len(requests)
+        assert full_frames == serial_frames(tripped=False)
+        warmed = evaluated_rows()
+
+        board.record_failure(MODEL, "pp-Hist")
+        shed, shed_frames = serve()
+        assert [p["outcome"] for p in shed] == [OUTCOME_DEGRADED] * len(requests)
+        assert all("pp-Hist" not in p["members"] and p["shed"] == ["pp-Hist"] for p in shed)
+        assert shed_frames == serial_frames(tripped=True)
+        for before, after in zip(full, shed):
+            assert before["probs"] != after["probs"], "a full-set row was served to a narrower set"
+        assert evaluated_rows() > warmed  # the narrower set evaluated its own rows
+        narrowed = evaluated_rows()
+
+        board.record_success(MODEL, "pp-Hist")
+        recovered, recovered_frames = serve()
+        assert [p["outcome"] for p in recovered] == [OUTCOME_OK] * len(requests)
+        assert recovered_frames == full_frames
+        assert evaluated_rows() == narrowed  # every row came from the full set's memo
+
+
 class TestDeadlines:
     def test_coalesce_slices_ride_the_retry_policy_schedule(self):
         """The dispatcher's coalescing waits ARE a RetryPolicy sleep schedule
@@ -409,6 +465,7 @@ class TestTransportsAndOps:
         assert pong == {"id": "p", "ok": True, "op": "ping"}
         assert snapshot["requests"][OUTCOME_OK] == 1
         assert snapshot["shed"] == 0
+        assert snapshot["reply_rows"] == {"memo": 0, "evaluated": 1}
         # admin ops never count as classifications
         assert sum(snapshot["requests"].values()) == 1
 
@@ -485,4 +542,14 @@ class TestCLI:
         assert summary["drained"] is True
         assert summary["served"][OUTCOME_OK] == 1
         assert metrics_path.is_file()
-        assert "serve_requests_total" in prom_path.read_text(encoding="utf-8")
+        prom = prom_path.read_text(encoding="utf-8")
+        assert "serve_requests_total" in prom
+        # the one reply's two rows were both evaluated: none came from the memo
+        assert 'serve_reply_rows_total{source="evaluated"} 2' in prom
+        assert 'serve_reply_rows_total{source="memo"} 0' in prom
+        rows = {
+            row["labels"]["source"]: row["value"]
+            for row in json.loads(metrics_path.read_text(encoding="utf-8"))["counters"]
+            if row["name"] == "serve_reply_rows_total"
+        }
+        assert rows == {"evaluated": 2, "memo": 0}

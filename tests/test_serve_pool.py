@@ -77,9 +77,10 @@ def shm_plane_entries() -> list[str]:
 class TestPooledDifferential:
     def test_pooled_ok_responses_byte_identical_to_serial(self, synthetic_cache, service):
         """Coalesced batches through 4 forked workers == serial in-process
-        evaluation, byte for byte."""
+        evaluation, byte for byte.  Every row is distinct and cold, so the
+        pool evaluates each exactly once."""
 
-        requests = [ServeRequest(id=f"p{i}", model=MODEL, samples=(i, (i * 7) % 160, 159 - i)) for i in range(12)]
+        requests = [ServeRequest(id=f"p{i}", model=MODEL, samples=(i, 12 + i, 159 - i)) for i in range(12)]
 
         async def run():
             gateway = make_pooled_gateway(service, workers=4, coalesce_ms=100.0, batch_max=8)
@@ -329,6 +330,53 @@ class TestPoolDrain:
         reg = get_registry()
         for outcome in (OUTCOME_OK, OUTCOME_DEGRADED, OUTCOME_OVERLOADED, OUTCOME_DEADLINE, OUTCOME_ERROR):
             assert reg.counter_value("serve_requests_total", outcome=outcome) == tallies.get(outcome, 0), outcome
+        served_rows = sum(
+            len(payload["predictions"])
+            for payload, _ in results
+            if payload["outcome"] in (OUTCOME_OK, OUTCOME_DEGRADED)
+        )
+        assert (
+            reg.counter_value("serve_reply_rows_total", source="memo")
+            + reg.counter_value("serve_reply_rows_total", source="evaluated")
+            == served_rows
+        )
+
+
+class TestPoolRowMemo:
+    def test_second_pass_over_served_rows_ships_nothing_to_the_pool(self, synthetic_cache, service):
+        """Rows already served come from the parent's row memo: a second
+        pass over them sends no job to a worker, and its replies stay
+        byte-identical to serial serving."""
+
+        first = [ServeRequest(id=f"a{i}", model=MODEL, samples=(i, 40 + i)) for i in range(8)]
+        second = [ServeRequest(id=f"b{i}", model=MODEL, samples=(40 + i, i, i)) for i in range(8)]
+
+        async def run():
+            gateway = make_pooled_gateway(service, workers=2, coalesce_ms=20.0, batch_max=4)
+            await gateway.start()
+            reg = get_registry()
+            try:
+                await asyncio.gather(*[tcp_request(gateway.bound_port, r) for r in first])
+                shipped = reg.counter_value("serve_pool_samples_total")
+                jobs = reg.counter_total("serve_pool_jobs_total")
+                results = await asyncio.gather(*[tcp_request(gateway.bound_port, r) for r in second])
+                assert reg.counter_value("serve_pool_samples_total") == shipped
+                assert reg.counter_total("serve_pool_jobs_total") == jobs
+                return shipped, results
+            finally:
+                await gateway.drain()
+
+        shipped, results = asyncio.run(run())
+        reg = get_registry()
+        assert reg.counter_total("serve_pool_fallback_total") == 0
+        assert shipped == sum(len(r.samples) for r in first)  # distinct cold rows, each shipped once
+        assert reg.counter_value("serve_reply_rows_total", source="evaluated") == shipped
+        assert reg.counter_value("serve_reply_rows_total", source="memo") == sum(len(r.samples) for r in second)
+
+        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        for request, (payload, raw) in zip(second, results):
+            assert payload["outcome"] == OUTCOME_OK
+            assert raw == response_frame(serial.respond(request))
 
 
 class TestCheckSamplesVectorized:

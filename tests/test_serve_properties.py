@@ -1,13 +1,15 @@
 """Property tests for the serving wire codec: parse∘serialize is a fixed
-point, malformed frames are rejected with exact field paths, and the frame
-assembler reconstructs frames across arbitrary chunk splits."""
+point, malformed frames are rejected with exact field paths, the frame
+assembler reconstructs frames across arbitrary chunk splits, and reply
+frames spliced from the row memo equal the canonical JSON of the payload."""
 
 from __future__ import annotations
 
 import json
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from polygraphmr.errors import ConfigError, ServeError
@@ -15,10 +17,15 @@ from polygraphmr.serve import (
     MAX_ID_CHARS,
     MAX_SAMPLES_PER_REQUEST,
     FrameAssembler,
+    PolygraphService,
+    RowMemo,
     ServeRequest,
     parse_request,
+    reply_template,
     request_frame,
+    response_frame,
 )
+from polygraphmr.store import ArtifactStore
 
 _ids = st.text(
     alphabet="abcdefghijklmnopqrstuvwxyz0123456789-_.", min_size=1, max_size=24
@@ -207,3 +214,115 @@ class TestFrameAssembly:
         # a terminated frame of any length under the bound is still fine
         ok = FrameAssembler(max_frame_bytes=limit)
         assert ok.feed(b"y" * limit + b"\n") == [b"y" * limit]
+
+
+# text the encoder must escape: quotes, backslashes, control characters,
+# non-ASCII, and lone surrogates as ``json.loads`` yields them from
+# ``\ud800``-style escapes
+_LONE_SURROGATES = [json.loads(r'"\ud800"'), json.loads(r'"\udbff"'), json.loads(r'"\udfff"')]
+_awkward_text = st.lists(
+    st.one_of(
+        st.text(max_size=3),
+        st.sampled_from(
+            ['"', "\\", "\x00", "\n", "\x1f", "\x7f", "/", "é", "\u2028", "\U0001f600", *_LONE_SURROGATES]
+        ),
+    ),
+    max_size=6,
+).map("".join)
+_breaker_maps = st.dictionaries(_awkward_text, st.sampled_from(["open", "half-open", "closed"]), max_size=4)
+N_ROWS = 6
+N_CLASSES = 3
+
+
+@st.composite
+def stanzas(draw) -> dict:
+    degraded = draw(st.booleans())
+    return {
+        "outcome": "degraded" if degraded else "ok",
+        "model": draw(_awkward_text),
+        "members": draw(st.lists(_awkward_text, max_size=4)),
+        "degraded": degraded,
+        "shed": sorted(draw(st.lists(_awkward_text, max_size=3))),
+        "missing": draw(st.lists(_awkward_text, max_size=3)),
+        "quarantined": draw(st.dictionaries(_awkward_text, _awkward_text, max_size=3)),
+    }
+
+
+def _requests(max_row: int, model: str = "m"):
+    """Requests with awkward ids and sample lists that repeat rows within a
+    request and across requests."""
+
+    return st.lists(
+        st.builds(
+            lambda rid, samples: ServeRequest(id=rid, model=model, samples=tuple(samples)),
+            _awkward_text,
+            st.lists(st.integers(min_value=0, max_value=max_row), min_size=1, max_size=8),
+        ),
+        min_size=1,
+        max_size=5,
+    )
+
+
+class TestSpliceIsCanonicalJson:
+    @given(
+        stanzas(),
+        _breaker_maps,
+        _requests(N_ROWS - 1),
+        st.lists(st.floats(width=32), min_size=N_ROWS * N_CLASSES, max_size=N_ROWS * N_CLASSES),
+        st.lists(st.integers(min_value=0, max_value=N_CLASSES - 1), min_size=N_ROWS, max_size=N_ROWS),
+        st.lists(st.integers(min_value=0, max_value=1), min_size=N_ROWS, max_size=N_ROWS),
+        st.data(),
+    )
+    def test_spliced_frame_equals_response_frame(self, stanza, breakers, requests, values, labels, bits, data):
+        """Whatever the stanza, breaker map, ids and rows (NaN and infinite
+        probabilities included), and however the rows were warmed, the
+        spliced frame is byte for byte the canonical JSON of the payload."""
+
+        probs = np.array(values, dtype=np.float32).reshape(N_ROWS, N_CLASSES)
+        predictions = np.array(labels, dtype=np.int64)
+        flags = np.array(bits, dtype=np.int64)
+        memo = RowMemo(N_ROWS)
+        split = data.draw(st.integers(min_value=0, max_value=len(requests)), label="warmed first")
+        for batch in (requests[:split], requests[split:]):
+            cold = memo.cold(batch)
+            assert cold.tolist() == sorted({i for r in batch for i in r.samples if memo.probs[i] is None})
+            memo.fill(cold, probs[cold], predictions[cold], flags[cold])
+
+        template = reply_template(stanza)
+        breakers_text = json.dumps(breakers, sort_keys=True, separators=(",", ":"))
+        for request in requests:
+            rows = list(request.samples)
+            payload = {
+                "id": request.id,
+                **stanza,
+                "probs": probs[rows].tolist(),
+                "predictions": predictions[rows].tolist(),
+                "flags": flags[rows].tolist(),
+                "breakers": breakers,
+            }
+            assert memo.frame(template, breakers_text, request) == response_frame(payload)
+
+    @given(
+        st.sets(st.sampled_from(["pp-Hist", "pp-FlipX", "replica-001"])),
+        _breaker_maps,
+        st.lists(_requests(159, "tinynet"), min_size=1, max_size=3),
+    )
+    @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    def test_service_reply_frames_equal_the_serial_payloads(self, synthetic_cache, shed, breakers, batches):
+        """Through real sessions, full and derived: batches served from the
+        row memo (cold rows evaluated per batch, warm ones reused across
+        batches) give the frames of the dict-based serial reference."""
+
+        service = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        reference = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        members = service.base_session("tinynet").members
+        active = [m for m in members if m not in shed]
+        shed = sorted(shed)
+        session = service.session_for("tinynet", tuple(active))
+        memo = service.row_memo("tinynet", active)
+        for batch in batches:
+            cold = memo.cold(batch)
+            memo.fill(cold, *session.evaluate(cold))
+            frames = service.reply_frames("tinynet", batch, active=active, shed=shed, breaker_states=breakers)
+            payloads = reference.evaluate_requests("tinynet", batch, active=active, shed=shed, breaker_states=breakers)
+            assert frames == [response_frame(p) for p in payloads]

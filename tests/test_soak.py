@@ -299,6 +299,13 @@ class TestServeSoak:
         batch_sizes = reg.histogram_for("serve_batch_size")
         assert batch_sizes is not None and batch_sizes.sum == executed
         assert batch_sizes.count == reg.counter_value("serve_batches_total")
+        # every row of every ok/degraded reply was either evaluated for its
+        # batch or served from the session's row memo, never both
+        served_rows = sum(len(p["predictions"]) for p in [*responses, final] if p["outcome"] in ("ok", "degraded"))
+        memo_rows = reg.counter_value("serve_reply_rows_total", source="memo")
+        evaluated_rows = reg.counter_value("serve_reply_rows_total", source="evaluated")
+        assert memo_rows + evaluated_rows == served_rows
+        assert memo_rows > 0 and evaluated_rows > 0
 
         if workers:
             # merged-shard invariant: every sample the dispatcher shipped to
