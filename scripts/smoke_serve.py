@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""End-to-end smoke test for the serving gateway: concurrent load,
-mid-load SIGTERM drain, and shared-memory hygiene.
+"""End-to-end smoke test for the serving gateway: concurrent load, a
+client that never reads, mid-load SIGTERM drain, and shared-memory hygiene.
 
-Three phases against one gateway subprocess over a synthetic cache::
+Four phases against one gateway subprocess over a synthetic cache::
 
     PYTHONPATH=src python scripts/smoke_serve.py
 
@@ -10,13 +10,19 @@ Three phases against one gateway subprocess over a synthetic cache::
    shared-memory plane on), wait for the ready line, fire concurrent
    classification requests plus a ping and a metrics op; every request must
    be answered ``ok`` with the full member set.
-2. **SIGTERM mid-load** — start a paced stream of requests, SIGTERM the
-   gateway while they are in flight, and require: every request accepted
-   before the drain gets a terminal response, the process exits 0 within
-   the deadline, the drain summary's per-outcome counts reconcile exactly
-   with the responses received across both phases, and the metrics JSON +
+2. **Slow reader** — one connection sends maximum-size requests and never
+   reads; once the gateway has finished them (about 10 MB of replies left
+   unsent), another client's request must still be answered within
+   ``REPLY_WITHIN_S``.
+3. **SIGTERM mid-load** — start a paced stream of requests, SIGTERM the
+   gateway while they are in flight and the slow reader's replies are still
+   unsent, and require: every request accepted before the drain gets a
+   terminal response, the process exits 0 within the deadline, the drain
+   closes the slow reader (``slow_reader_closed == 1``), the drain
+   summary's per-outcome counts reconcile exactly with the responses
+   received plus the slow reader's requests, and the metrics JSON +
    Prometheus dumps are written and parseable.
-3. **Hygiene** — no ``pgmr-*`` shared-memory segment may remain under
+4. **Hygiene** — no ``pgmr-*`` shared-memory segment may remain under
    ``/dev/shm`` after exit (the plane publisher unlinks before serving, so
    even a SIGKILL cannot leak), and a fresh connection attempt must be
    refused.
@@ -50,12 +56,17 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from polygraphmr.serve import OUTCOMES, ServeRequest, request_frame  # noqa: E402
+from polygraphmr.serve import MAX_SAMPLES_PER_REQUEST, OUTCOMES, ServeRequest, request_frame  # noqa: E402
 
 N_MODELS = 2
 MODEL = "net-00"
+N_TEST = 96  # test rows of each synthetic model the gateway builds
 N_CONCURRENT = 24
 N_MIDLOAD = 40
+# max-size requests from the connection that never reads: about 10 MB of
+# replies, more than the sockets absorb and less than the outbox bound
+N_SLOW = 12
+REPLY_WITHIN_S = 1.0
 DEADLINE_S = 300.0
 ENV = {"PYTHONPATH": str(REPO_ROOT / "src")}
 
@@ -143,6 +154,53 @@ def phase_concurrent_requests(port: int) -> dict[str, int]:
     return outcomes
 
 
+def phase_slow_reader(port: int) -> tuple[socket.socket, dict[str, int]]:
+    """Open a connection that sends ``N_SLOW`` maximum-size requests and
+    never reads, wait until the gateway has finished them, then require a
+    normal request to be answered within ``REPLY_WITHIN_S``.  Returns the
+    open slow socket (it must stay open through the drain) and the normal
+    client's outcomes."""
+
+    slow = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    slow.connect(("127.0.0.1", port))
+    samples = tuple(i % N_TEST for i in range(MAX_SAMPLES_PER_REQUEST))
+    for i in range(N_SLOW):
+        slow.sendall(request_frame(ServeRequest(id=f"s{i}", model=MODEL, samples=samples)))
+
+    async def run():
+        deadline = time.monotonic() + DEADLINE_S
+        while True:
+            snapshot = await one_request(port, ServeRequest(op="metrics"))
+            if snapshot["requests"]["ok"] >= N_CONCURRENT + N_SLOW:
+                break
+            if time.monotonic() > deadline:
+                raise SystemExit(f"FAIL: gateway never finished the slow reader's requests: {snapshot!r}")
+            await asyncio.sleep(0.05)
+        started = time.monotonic()
+        try:
+            payload = await asyncio.wait_for(
+                one_request(port, ServeRequest(id="beside-slow", model=MODEL, samples=(1, 2, 3))),
+                timeout=REPLY_WITHIN_S,
+            )
+        except asyncio.TimeoutError:
+            raise SystemExit(
+                f"FAIL: a client beside the slow reader got no reply within {REPLY_WITHIN_S} s"
+            ) from None
+        return snapshot, payload, time.monotonic() - started
+
+    snapshot, payload, waited = asyncio.run(run())
+    if snapshot["slow_reader_closed"] != 0:
+        raise SystemExit(f"FAIL: slow reader closed below the outbox bound: {snapshot!r}")
+    if payload["outcome"] != "ok":
+        raise SystemExit(f"FAIL: request beside the slow reader answered {payload['outcome']}")
+    print(
+        f"OK: slow reader holds {N_SLOW} unread max-size replies; "
+        f"the client beside it was answered in {waited * 1000:.0f} ms"
+    )
+    return slow, {"ok": 1}
+
+
 def phase_sigterm_mid_load(proc: subprocess.Popen, port: int) -> tuple[dict[str, int], str]:
     """SIGTERM while a paced stream is in flight; every accepted request
     must still get a terminal reply before the process exits 0."""
@@ -199,6 +257,8 @@ def phase_sigterm_mid_load(proc: subprocess.Popen, port: int) -> tuple[dict[str,
     summary = json.loads(lines[-1])
     if summary.get("drained") is not True:
         raise SystemExit(f"FAIL: no drain summary: {stdout!r}")
+    if summary.get("slow_reader_closed") != 1:
+        raise SystemExit(f"FAIL: drain did not close the slow reader exactly once: {summary!r}")
     print(
         f"OK: SIGTERM mid-load; all {N_MIDLOAD} in-flight requests answered during drain, "
         "exit 0, drain summary present"
@@ -220,6 +280,9 @@ def check_reconciliation(summary: dict, outcomes: dict[str, int], tmp: Path, wor
     }
     if served != {k: v for k, v in outcomes.items() if v}:
         raise SystemExit(f"FAIL: metrics.json says {served}, responses tallied {outcomes}")
+    closed = sum(row["value"] for row in metrics["counters"] if row["name"] == "serve_slow_reader_closed_total")
+    if closed != 1:
+        raise SystemExit(f"FAIL: metrics.json counts {closed} slow-reader closes, expected 1")
     prom = (tmp / "metrics.prom").read_text(encoding="utf-8")
     if "serve_requests_total" not in prom or "serve_request_seconds" not in prom:
         raise SystemExit("FAIL: Prometheus dump is missing the serve metrics")
@@ -237,7 +300,7 @@ def check_reconciliation(summary: dict, outcomes: dict[str, int], tmp: Path, wor
                 f"FAIL: merged metrics carry {shard_batches} worker batches, pool stanza says "
                 f"{pool['worker_batches']} — shard merge lost counts"
             )
-    print("OK: drain summary, metrics.json, and responses all reconcile exactly")
+    print("OK: drain summary, metrics.json, and responses (plus the slow reader's requests) reconcile exactly")
 
 
 def check_hygiene(port: int, before: list[str], worker_pids: list[int]) -> None:
@@ -263,14 +326,21 @@ def run_cycle(workers: int) -> None:
     shm_before = shm_segments()
     tmp = Path(tempfile.mkdtemp(prefix="polygraphmr-smoke-serve-"))
     proc, port, worker_pids = start_gateway(tmp, workers)
+    slow = None
     try:
         outcomes = phase_concurrent_requests(port)
+        slow, beside_outcomes = phase_slow_reader(port)
         drain_outcomes, summary = phase_sigterm_mid_load(proc, port)
     finally:
         if proc.poll() is None:
             proc.kill()
-    for outcome, n in drain_outcomes.items():
-        outcomes[outcome] = outcomes.get(outcome, 0) + n
+        if slow is not None:
+            slow.close()
+    # the slow reader's requests were served and counted, never read
+    outcomes["ok"] = outcomes.get("ok", 0) + N_SLOW
+    for tally in (beside_outcomes, drain_outcomes):
+        for outcome, n in tally.items():
+            outcomes[outcome] = outcomes.get(outcome, 0) + n
     check_reconciliation(summary, outcomes, tmp, workers)
     check_hygiene(port, shm_before, worker_pids)
 
@@ -278,7 +348,7 @@ def run_cycle(workers: int) -> None:
 def main() -> int:
     for workers in (0, 4):
         run_cycle(workers)
-    print("OK: serve smoke complete (in-process + pooled)")
+    print("OK: serve smoke complete (in-process + pooled, slow reader included)")
     return 0
 
 

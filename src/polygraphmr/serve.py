@@ -79,10 +79,25 @@ crashed worker is respawned and its batch transparently re-evaluated
 in-process (``serve_pool_fallback_total{reason}``); worker metrics shards
 and spans are merged into the parent registry on drain.
 
+**Outbox.**  Nothing on the dispatch path waits for a socket.  A batch's
+reply frames — deadline, error and evaluated, in that order per model
+group — are gathered per connection and handed to the connection's
+transport in one ``write`` of their joined bytes; the read loop answers
+parse errors, ``overloaded``, ``ping`` and ``metrics`` the same way,
+without awaiting.  The transport's write buffer is the connection's
+outbox: when its unsent bytes pass ``OUTBOX_LIMIT_BYTES`` (about twenty
+maximum-size 10-class replies) the client is a slow reader, and the
+connection is aborted and counted in ``serve_slow_reader_closed_total``.
+One client that stops reading therefore costs the gateway a bounded amount
+of memory and never delays another client's replies.  On drain, outboxes
+get ``DRAIN_FLUSH_S`` to empty; connections still holding bytes after that
+are aborted and counted the same way, so drain always ends.
+
 Latency quantiles (``serve_request_seconds``), queue depth,
-shed/degraded/deadline-exceeded counters, and the reply rows served from the
-memo or evaluated (``serve_reply_rows_total{source}``) flow through
-:mod:`polygraphmr.metrics` and export as JSON + Prometheus on drain.
+shed/degraded/deadline-exceeded counters, slow-reader closes, and the reply
+rows served from the memo or evaluated (``serve_reply_rows_total{source}``)
+flow through :mod:`polygraphmr.metrics` and export as JSON + Prometheus on
+drain.
 """
 
 from __future__ import annotations
@@ -140,6 +155,14 @@ __all__ = [
 MAX_FRAME_BYTES = 1 << 20
 MAX_SAMPLES_PER_REQUEST = 4096
 MAX_ID_CHARS = 200
+# Unsent reply bytes a connection may hold before it is closed as a slow
+# reader.  A maximum-size reply (MAX_SAMPLES_PER_REQUEST rows of 10-class
+# probabilities) is about 0.85 MB, so this holds about twenty of them.
+OUTBOX_LIMIT_BYTES = 16 << 20
+# How long drain waits for outboxes to empty before it aborts the
+# connections still holding bytes, and how often it looks.
+DRAIN_FLUSH_S = 2.0
+DRAIN_POLL_S = 0.01
 
 OP_CLASSIFY = "classify"
 OP_PING = "ping"
@@ -543,17 +566,16 @@ class PolygraphService:
     def check_samples(self, model: str, request: ServeRequest) -> None:
         """Range-check sample indices against the model's test split.
 
-        One vectorized comparison over the whole request instead of a Python
-        loop per index; the error still names the exact offending field path
-        (``request.samples[i]`` for the *first* out-of-range index, matching
-        what the per-index loop reported).
+        One ``max`` over the request's tuple (the parser already rejected
+        negative indices); only a failing request walks its indices, so the
+        error names the exact offending field path, ``request.samples[i]``
+        for the *first* out-of-range index.
         """
 
         n = self.base_session(model).n_samples
-        samples = np.fromiter(request.samples, dtype=np.int64, count=len(request.samples))
-        bad = np.nonzero(samples >= n)[0]
-        if bad.size:
-            i = int(bad[0])
+        samples = request.samples
+        if max(samples, default=-1) >= n:
+            i = next(i for i, value in enumerate(samples) if value >= n)
             raise _bad(f"request.samples[{i}]", "out-of-range", f"model {model!r} has {n} test samples")
 
     def static_stanza(self, model: str, active: list[str], shed: list[str]) -> dict:
@@ -1048,20 +1070,37 @@ class _BatchPlan:
 
 
 class _Connection:
-    """One client connection: a writer plus a lock so interleaved batch
-    completions never tear frames."""
+    """One client connection's outbox: its transport's write buffer, bounded
+    at :data:`OUTBOX_LIMIT_BYTES`.
 
-    def __init__(self, writer: asyncio.StreamWriter):
-        self.writer = writer
-        self.lock = asyncio.Lock()
+    :meth:`write` hands whole frames to the transport and never waits for
+    the socket, so concurrent batches append without a lock and cannot tear
+    frames.  A write that leaves more than the bound unsent closes the
+    connection as a slow reader."""
 
-    async def send(self, frame: bytes) -> None:
-        async with self.lock:
-            if self.writer.is_closing():
-                return
-            self.writer.write(frame)
-            with contextlib.suppress(ConnectionError):
-                await self.writer.drain()
+    def __init__(self, transport: asyncio.WriteTransport):
+        self.transport = transport
+
+    @property
+    def unsent(self) -> int:
+        """Reply bytes written but not yet taken by the socket."""
+
+        return self.transport.get_write_buffer_size()
+
+    def write(self, data: bytes) -> None:
+        transport = self.transport
+        if transport.is_closing():
+            return
+        transport.write(data)
+        if transport.get_write_buffer_size() > OUTBOX_LIMIT_BYTES:
+            self.close_slow()
+
+    def close_slow(self) -> None:
+        """Abort the connection, dropping its unsent bytes, and count it in
+        ``serve_slow_reader_closed_total``."""
+
+        self.transport.abort()
+        get_registry().counter("serve_slow_reader_closed_total").inc()
 
 
 class ServeGateway:
@@ -1074,6 +1113,7 @@ class ServeGateway:
         self._servers: list[asyncio.base_events.Server] = []
         self._dispatcher: asyncio.Task | None = None
         self._handlers: set[asyncio.Task] = set()
+        self._connections: set[_Connection] = set()
         self._draining = False
         self._drained = asyncio.Event()
         self.bound_port: int | None = None
@@ -1116,7 +1156,8 @@ class ServeGateway:
 
     async def drain(self) -> None:
         """Graceful SIGTERM semantics: stop accepting, complete everything
-        already queued, export metrics, close connections."""
+        already queued, give the outboxes :data:`DRAIN_FLUSH_S` to empty,
+        export metrics, close connections."""
 
         if self._draining:
             await self._drained.wait()
@@ -1135,11 +1176,24 @@ class ServeGateway:
             await asyncio.gather(*self._inflight, return_exceptions=True)
         if self._pool is not None:
             await self._pool.drain()  # folds worker shards into this registry
+        await self._flush_outboxes()
         self._export_metrics()
         for task in list(self._handlers):
             task.cancel()
         await asyncio.gather(*self._handlers, return_exceptions=True)
         self._drained.set()
+
+    async def _flush_outboxes(self) -> None:
+        """Wait up to :data:`DRAIN_FLUSH_S` for every connection's unsent
+        replies to reach its client, then close the connections still
+        holding bytes as slow readers."""
+
+        deadline = time.monotonic() + DRAIN_FLUSH_S
+        while any(conn.unsent for conn in self._connections) and time.monotonic() < deadline:
+            await asyncio.sleep(DRAIN_POLL_S)
+        for conn in list(self._connections):
+            if conn.unsent:
+                conn.close_slow()
 
     def _export_metrics(self) -> None:
         registry = get_registry()
@@ -1157,7 +1211,8 @@ class ServeGateway:
         if task is not None:
             self._handlers.add(task)
             task.add_done_callback(self._handlers.discard)
-        conn = _Connection(writer)
+        conn = _Connection(writer.transport)
+        self._connections.add(conn)
         assembler = FrameAssembler()
         try:
             while not self._draining:
@@ -1167,35 +1222,40 @@ class ServeGateway:
                 try:
                     frames = assembler.feed(chunk)
                 except ServeError as exc:
-                    await conn.send(response_frame(error_payload("", exc)))
+                    conn.write(response_frame(error_payload("", exc)))
                     break
                 for frame in frames:
-                    if not frame.strip():
-                        continue
-                    await self._ingest(conn, frame)
+                    if frame.strip():
+                        self._ingest(conn, frame)
         except (ConnectionError, asyncio.CancelledError):
             pass
         finally:
+            self._connections.discard(conn)
             with contextlib.suppress(ConnectionError):
                 writer.close()
 
-    async def _ingest(self, conn: _Connection, frame: bytes) -> None:
+    def _ingest(self, conn: _Connection, frame: bytes) -> None:
+        """Parse one frame and queue it, or answer it at once: parse errors,
+        ``overloaded``, ``ping`` and ``metrics`` never reach the dispatcher."""
+
         started = time.perf_counter()
         registry = get_registry()
         try:
             request = parse_request(frame)
         except ConfigError as exc:
             rid = _salvage_id(frame)
-            await self._finish(conn, OUTCOME_ERROR, response_frame(error_payload(rid, exc)), started)
+            reply = response_frame(error_payload(rid, exc))
+            self._finish([(OUTCOME_ERROR, [_Queued(ServeRequest(id=rid), conn, started)], [reply])])
             return
         if request.op == OP_PING:
-            await conn.send(response_frame({"id": request.id, "op": OP_PING, "ok": True}))
+            conn.write(response_frame({"id": request.id, "op": OP_PING, "ok": True}))
             return
         if request.op == OP_METRICS:
-            await conn.send(response_frame({"id": request.id, "op": OP_METRICS, **self._metrics_snapshot()}))
+            conn.write(response_frame({"id": request.id, "op": OP_METRICS, **self._metrics_snapshot()}))
             return
+        queued = _Queued(request, conn, started)
         try:
-            self.queue.put_nowait(_Queued(request, conn, started))
+            self.queue.put_nowait(queued)
         except asyncio.QueueFull:
             registry.counter("serve_shed_total").inc()
             payload = {
@@ -1204,7 +1264,7 @@ class ServeGateway:
                 "model": request.model,
                 "queue_depth": self.queue.qsize(),
             }
-            await self._finish(conn, OUTCOME_OVERLOADED, response_frame(payload), started)
+            self._finish([(OUTCOME_OVERLOADED, [queued], [response_frame(payload)])])
             return
         registry.gauge("serve_queue_depth").set(float(self.queue.qsize()))
 
@@ -1216,6 +1276,7 @@ class ServeGateway:
             "degraded": registry.counter_value("serve_degraded_total"),
             "deadline_exceeded": registry.counter_value("serve_deadline_exceeded_total"),
             "batches": registry.counter_value("serve_batches_total"),
+            "slow_reader_closed": registry.counter_value("serve_slow_reader_closed_total"),
             "queue_depth": self.queue.qsize(),
             "reply_rows": {
                 source: registry.counter_value("serve_reply_rows_total", source=source) for source in ROW_SOURCES
@@ -1232,15 +1293,31 @@ class ServeGateway:
             }
         return snapshot
 
-    async def _finish(self, conn: _Connection, outcome: str, frame: bytes, started: float) -> None:
-        """Send a terminal response ``frame`` with ``outcome``: the single
-        point that counts outcomes, so ``serve_requests_total{outcome}``
-        reconciles exactly with the frames clients receive."""
+    def _finish(self, replies: list[tuple[str, list[_Queued], list[bytes]]]) -> None:
+        """Count and send terminal reply frames, given as ``(outcome,
+        requests, frames)`` groups in send order.
+
+        The single point that counts outcomes — ``serve_requests_total
+        {outcome}`` once per group, ``serve_request_seconds`` once per
+        request — so the counters reconcile exactly with the frames clients
+        receive (a client closed as a slow reader is counted for every reply
+        it was sent).  Each connection gets all of its frames in one write."""
 
         registry = get_registry()
-        registry.counter("serve_requests_total", outcome=outcome).inc()
-        registry.histogram("serve_request_seconds").observe(time.perf_counter() - started)
-        await conn.send(frame)
+        observe = registry.histogram("serve_request_seconds").observe
+        now = time.perf_counter()
+        outboxes: dict[_Connection, list[bytes]] = {}
+        for outcome, queued, frames in replies:
+            registry.counter("serve_requests_total", outcome=outcome).inc(len(queued))
+            for q, frame in zip(queued, frames):
+                observe(now - q.started)
+                outbox = outboxes.get(q.conn)
+                if outbox is None:
+                    outboxes[q.conn] = [frame]
+                else:
+                    outbox.append(frame)
+        for conn, frames in outboxes.items():
+            conn.write(b"".join(frames))
 
     # -- dispatcher ------------------------------------------------------
 
@@ -1378,34 +1455,44 @@ class ServeGateway:
 
     async def _run_plans(self, plans: list[_BatchPlan]) -> None:
         """Execute planned work: sleep-padding, deadline filtering, tensor
-        evaluation, response frames.  Touches no policy state, so any number
-        of these may be in flight at once in pooled mode."""
+        evaluation, response frames, then one :meth:`_finish` for the whole
+        batch.  Touches no policy state, so any number of these may be in
+        flight at once in pooled mode."""
 
         registry = get_registry()
         if self.config.batch_sleep_s > 0.0:
             await asyncio.sleep(self.config.batch_sleep_s)
 
         now = time.perf_counter()
+        replies: list[tuple[str, list[_Queued], list[bytes]]] = []
         for plan in plans:
             live: list[_Queued] = []
+            expired: list[_Queued] = []
             for queued in plan.queued:
                 remaining = queued.remaining_s(now, self.config.default_deadline_ms)
                 if remaining is not None and remaining <= 0.0:
-                    registry.counter("serve_deadline_exceeded_total").inc()
-                    payload = {"id": queued.request.id, "outcome": OUTCOME_DEADLINE, "model": plan.model}
-                    await self._finish(queued.conn, OUTCOME_DEADLINE, response_frame(payload), queued.started)
+                    expired.append(queued)
                 else:
                     live.append(queued)
-            for queued, payload in plan.errors:
-                await self._finish(queued.conn, OUTCOME_ERROR, response_frame(payload), queued.started)
+            if expired:
+                registry.counter("serve_deadline_exceeded_total").inc(len(expired))
+                frames = [
+                    response_frame({"id": q.request.id, "outcome": OUTCOME_DEADLINE, "model": plan.model})
+                    for q in expired
+                ]
+                replies.append((OUTCOME_DEADLINE, expired, frames))
+            if plan.errors:
+                replies.append(
+                    (OUTCOME_ERROR, [q for q, _ in plan.errors], [response_frame(p) for _, p in plan.errors])
+                )
             if not live:
                 continue
             frames = await self._evaluate_plan(plan, live)
             outcome = self.service.static_stanza(plan.model, plan.active, plan.shed)["outcome"]
-            for queued, frame in zip(live, frames):
-                if outcome == OUTCOME_DEGRADED:
-                    registry.counter("serve_degraded_total").inc()
-                await self._finish(queued.conn, outcome, frame, queued.started)
+            if outcome == OUTCOME_DEGRADED:
+                registry.counter("serve_degraded_total").inc(len(live))
+            replies.append((outcome, live, frames))
+        self._finish(replies)
 
     async def _evaluate_plan(self, plan: _BatchPlan, live: list[_Queued]) -> list[bytes]:
         """Reply frames for one plan's surviving requests, from the row memo
@@ -1545,6 +1632,7 @@ async def _serve(args) -> int:
         "shed": registry.counter_value("serve_shed_total"),
         "degraded": registry.counter_value("serve_degraded_total"),
         "deadline_exceeded": registry.counter_value("serve_deadline_exceeded_total"),
+        "slow_reader_closed": registry.counter_value("serve_slow_reader_closed_total"),
     }
     if args.serve_workers > 0:
         # worker shards are already merged (pool drain precedes export)

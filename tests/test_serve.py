@@ -11,6 +11,7 @@ and graceful drain with in-flight requests completed.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import os
 import signal
@@ -27,6 +28,8 @@ from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import RetryPolicy
 from polygraphmr.metrics import get_registry
 from polygraphmr.serve import (
+    DRAIN_FLUSH_S,
+    OUTBOX_LIMIT_BYTES,
     OUTCOME_DEADLINE,
     OUTCOME_DEGRADED,
     OUTCOME_ERROR,
@@ -36,6 +39,8 @@ from polygraphmr.serve import (
     ServeConfig,
     ServeGateway,
     ServeRequest,
+    _Connection,
+    _Queued,
     coalesce_slices,
     main,
     request_frame,
@@ -44,6 +49,14 @@ from polygraphmr.serve import (
 from polygraphmr.store import ArtifactStore
 
 from . import oracles
+from .slow_reader import (
+    DRAIN_WITHIN_S,
+    REPLY_WITHIN_S,
+    assert_slow_reader_isolated,
+    max_size_request,
+    open_non_reader,
+    settle,
+)
 
 MODEL = "tinynet"
 
@@ -382,6 +395,117 @@ class TestDrain:
         assert refused, "gateway kept accepting connections after drain"
         hist = get_registry().histogram_for("serve_request_seconds")
         assert hist is not None and hist.count == n
+
+
+class RecordingTransport:
+    """A transport stand-in that records each write; ``buffered`` plays the
+    bytes the socket has not taken yet."""
+
+    def __init__(self):
+        self.writes: list[bytes] = []
+        self.buffered = 0
+        self.aborted = False
+
+    def write(self, data: bytes) -> None:
+        self.writes.append(bytes(data))
+
+    def is_closing(self) -> bool:
+        return self.aborted
+
+    def get_write_buffer_size(self) -> int:
+        return 0 if self.aborted else self.buffered
+
+    def abort(self) -> None:
+        self.aborted = True
+
+
+class TestOutbox:
+    def test_a_batch_is_one_write_per_connection(self, synthetic_cache, service):
+        """Every frame a batch owes one connection — deadline, error and
+        evaluated, in that order — leaves in a single write of their joined
+        bytes, each frame byte-identical to serial serving."""
+
+        ok_a = [ServeRequest(id=f"a{i}", model=MODEL, samples=(i, 2 * i + 1)) for i in range(5)]
+        late = ServeRequest(id="late", model=MODEL, samples=(1,), deadline_ms=1.0)
+        bad = ServeRequest(id="bad", model=MODEL, samples=(3, 10**6))
+        ok_b = [ServeRequest(id=f"b{i}", model=MODEL, samples=(100 + i,)) for i in range(3)]
+        a = _Connection(RecordingTransport())
+        b = _Connection(RecordingTransport())
+
+        async def run():
+            gateway = make_gateway(service)
+            now = time.perf_counter()
+            batch = [_Queued(r, a, now) for r in ok_a[:3]]
+            batch += [_Queued(r, b, now) for r in ok_b]
+            batch += [_Queued(late, a, now - 1.0), _Queued(bad, a, now)]
+            batch += [_Queued(r, a, now) for r in ok_a[3:]]
+            await gateway._execute(batch)
+
+        asyncio.run(run())
+        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        deadline = response_frame({"id": "late", "outcome": OUTCOME_DEADLINE, "model": MODEL})
+        expected_a = [deadline, response_frame(serial.respond(bad))]
+        expected_a += [response_frame(serial.respond(r)) for r in ok_a]
+        assert a.transport.writes == [b"".join(expected_a)]
+        assert b.transport.writes == [b"".join(response_frame(serial.respond(r)) for r in ok_b)]
+
+        reg = get_registry()
+        assert reg.counter_value("serve_requests_total", outcome=OUTCOME_OK) == len(ok_a) + len(ok_b)
+        assert reg.counter_value("serve_requests_total", outcome=OUTCOME_DEADLINE) == 1
+        assert reg.counter_value("serve_requests_total", outcome=OUTCOME_ERROR) == 1
+        assert reg.histogram_for("serve_request_seconds").count == len(ok_a) + len(ok_b) + 2
+
+    def test_write_past_the_bound_closes_the_connection_once(self):
+        transport = RecordingTransport()
+        conn = _Connection(transport)
+        conn.write(b"x\n")
+        transport.buffered = OUTBOX_LIMIT_BYTES  # at the bound: still open
+        conn.write(b"y\n")
+        assert not transport.aborted
+        transport.buffered = OUTBOX_LIMIT_BYTES + 1
+        conn.write(b"z\n")
+        assert transport.aborted and conn.unsent == 0
+        conn.write(b"w\n")  # a closed outbox drops writes
+        assert transport.writes == [b"x\n", b"y\n", b"z\n"]
+        assert get_registry().counter_value("serve_slow_reader_closed_total") == 1
+
+
+class TestSlowReader:
+    def test_non_reader_is_isolated_then_closed_by_the_drain_flush_window(self, synthetic_cache, service):
+        assert_slow_reader_isolated(make_gateway(service), synthetic_cache)
+
+    def test_outbox_past_the_bound_closes_the_non_reader_while_serving(self, synthetic_cache, service):
+        """A non-reader whose replies outgrow ``OUTBOX_LIMIT_BYTES`` is
+        closed at once, not at drain; the other client is served as usual
+        and drain has nothing left to wait for."""
+
+        n_slow = 40  # about 34 MB of replies, twice the bound
+        request = ServeRequest(id="n0", model=MODEL, samples=(5, 6, 7))
+        reg = get_registry()
+
+        async def run():
+            gateway = make_gateway(service)
+            await gateway.start()
+            try:
+                slow = await open_non_reader(gateway.bound_port)
+                for i in range(n_slow):
+                    slow.write(request_frame(max_size_request(f"s{i}")))
+                with contextlib.suppress(ConnectionError):
+                    await slow.drain()
+                await settle(lambda: reg.counter_value("serve_slow_reader_closed_total") == 1, "closed the non-reader")
+                raw = await asyncio.wait_for(tcp_request(gateway.bound_port, request), timeout=REPLY_WITHIN_S)
+            finally:
+                started = time.monotonic()
+                await asyncio.wait_for(gateway.drain(), timeout=DRAIN_WITHIN_S)
+                drain_s = time.monotonic() - started
+            slow.close()
+            return raw, drain_s
+
+        (_, raw), drain_s = asyncio.run(run())
+        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        assert raw == response_frame(serial.respond(request))
+        assert drain_s < DRAIN_FLUSH_S
+        assert reg.counter_value("serve_slow_reader_closed_total") == 1
 
 
 class TestErrorsOverTheWire:

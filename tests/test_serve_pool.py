@@ -7,8 +7,9 @@ error, and deadline_exceeded — because all policy stays in the dispatcher
 and workers run the identical tensor-op path on identical inputs.  Plus the
 crash contract (SIGKILL a worker mid-batch → the request is still answered,
 byte-identical, the pool respawns, ``/dev/shm`` stays clean), the drain
-shard-merge, and the satellite fast-path regressions (vectorized
-``check_samples``, ``.tolist()`` payload encoding).
+shard-merge, slow-reader isolation through pooled batches, and the
+satellite fast-path regressions (``check_samples``, ``.tolist()`` payload
+encoding).
 """
 
 from __future__ import annotations
@@ -44,6 +45,8 @@ from polygraphmr.serve import (
 )
 from polygraphmr.store import ArtifactStore
 from polygraphmr.tracing import get_tracer
+
+from .slow_reader import assert_slow_reader_isolated
 
 MODEL = "tinynet"
 
@@ -342,6 +345,14 @@ class TestPoolDrain:
         )
 
 
+class TestPoolSlowReader:
+    def test_non_reader_is_isolated_then_closed_by_the_drain_flush_window(self, synthetic_cache, service):
+        """Pooled batches write through the same outboxes: a client that
+        never reads delays nobody, and drain still ends."""
+
+        assert_slow_reader_isolated(make_pooled_gateway(service, workers=2), synthetic_cache)
+
+
 class TestPoolRowMemo:
     def test_second_pass_over_served_rows_ships_nothing_to_the_pool(self, synthetic_cache, service):
         """Rows already served come from the parent's row memo: a second
@@ -379,17 +390,27 @@ class TestPoolRowMemo:
             assert raw == response_frame(serial.respond(request))
 
 
-class TestCheckSamplesVectorized:
+class TestCheckSamples:
     def test_valid_indices_pass(self, service):
         service.check_samples(MODEL, ServeRequest(id="v", model=MODEL, samples=(0, 159, 42)))
 
-    def test_first_offending_index_names_the_exact_field(self, service):
-        """The numpy range check reports the same field path the old
-        per-index Python loop reported: the *first* out-of-range index."""
+    @pytest.mark.parametrize(
+        ("samples", "first_bad"),
+        [
+            ((0, 160, 3, 9999), 1),
+            ((0, 170, 10**6, 160, 7), 1),  # the largest index is not the first bad one
+            ((5, 6, 160, 161, 9999, 1), 2),
+            ((200, 300, 400), 0),
+            ((0, 1, 2, 159, 160), 4),
+        ],
+    )
+    def test_first_offending_index_names_the_exact_field(self, service, samples, first_bad):
+        """With several indices out of range, the error names the *first*
+        one's field path, as the old per-index Python loop did."""
 
         with pytest.raises(ConfigError) as excinfo:
-            service.check_samples(MODEL, ServeRequest(id="v", model=MODEL, samples=(0, 160, 3, 9999)))
-        assert excinfo.value.field == "request.samples[1]"
+            service.check_samples(MODEL, ServeRequest(id="v", model=MODEL, samples=samples))
+        assert excinfo.value.field == f"request.samples[{first_bad}]"
         assert excinfo.value.reason == "out-of-range"
         assert "160 test samples" in excinfo.value.detail
 

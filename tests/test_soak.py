@@ -294,6 +294,9 @@ class TestServeSoak:
         assert reg.counter_value("serve_degraded_total") == tally["degraded"]
         assert reg.counter_value("serve_deadline_exceeded_total") == tally["deadline_exceeded"]
         assert reg.histogram_for("serve_request_seconds").count == self.N_REQUESTS + 1
+        # every client read its replies: no outbox ever passed its bound or
+        # outlived the drain flush window
+        assert reg.counter_value("serve_slow_reader_closed_total") == 0
         # every non-shed request crossed the dispatcher in some batch
         executed = self.N_REQUESTS + 1 - tally["overloaded"]
         batch_sizes = reg.histogram_for("serve_batch_size")
