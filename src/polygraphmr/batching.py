@@ -1,4 +1,4 @@
-"""Batch planner + vectorized numpy trial kernel for campaigns — the one
+"""Batch planner + streamed numpy trial kernel for campaigns — the one
 trial loop both campaign runners drive.
 
 Run one by one, trials pay full Python-interpreter overhead each: spec
@@ -9,11 +9,15 @@ executor's per-model runtime memoises it, so it is fitted once per (member
 set, artifact identity) on either path, never once per trial or chunk.)
 This module turns contiguous runs of pending trials into **batches** that
 share the fault-independent half (:func:`polygraphmr.faults.
-prepare_degradation` — assemble + clean metrics, done once per batch) and
-run the fault-dependent half as stacked tensor ops
+prepare_degradation` — assemble + the memoised clean baseline, done once
+per batch) and stream the fault-dependent half one trial at a time through
+inject → sanitize → features → predict → evaluate
 (:func:`~polygraphmr.faults.apply_fault_batch`,
 :func:`~polygraphmr.faults.sanitize_probs_batch`,
-:func:`~polygraphmr.decision.ensemble_features_batch`).
+:func:`~polygraphmr.decision.ensemble_features_batch`, the gate).  One
+trial's faulted member stack (``M × N × C`` float64, 8 MB at CIFAR shape)
+stays cache-resident through every stage, where a stacked batch would be
+a DRAM-bound tensor many times the size of the last-level cache.
 
 The contract is the repo's north star: **journal bytes must be identical
 at every batch size**, batch size 1 — every trial run on its own — being
@@ -44,15 +48,13 @@ the reference.  Three rules keep that true:
   would).
 
 Custom ``trial_fn`` injections (test fakes) force batch size 1 in both
-runners, because a faked trial body has no vectorized equivalent.
+runners, because a faked trial body has no kernel equivalent.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-
-import numpy as np
 
 from .breaker import CLOSED
 from .decision import ensemble_features_batch
@@ -242,9 +244,9 @@ class BatchTrialEngine:
     # -- the numpy kernel -------------------------------------------------
 
     def _run_batch(self, model: str, indices: list[int]) -> dict[int, dict]:
-        """Vectorized execution of ``indices`` (all one model, board known
-        steady): one context prep, stacked fault injection, then per-trial
-        record emission with the board ticked once per trial."""
+        """Kernel execution of ``indices`` (all one model, board known
+        steady): one context prep, the trials streamed group by group, then
+        per-trial record emission with the board ticked once per trial."""
 
         executor = self.executor
         config = executor.config
@@ -302,33 +304,33 @@ class BatchTrialEngine:
 
     def _run_fault_group(self, ctx, specs: list) -> dict[int, dict]:
         """Evaluate one fault identity (same scenario or legacy kind/rate/
-        sigma, distinct per-trial seeds) across the whole batch."""
+        sigma, distinct per-trial seeds), streaming the trials one by one.
+
+        Each trial runs the whole pipeline before the next starts, so only
+        one trial's arrays are ever live and they stay cache-resident; every
+        stage is per-slice, which makes the result the per-trial path's."""
 
         executor = self.executor
         faults = [executor.fault_for(spec) for spec in specs]
         if getattr(faults[0], "target", "probs") == "weights":
-            # the faulted surface is the module's own weight vector — tiny,
-            # so batching buys nothing
+            # the faulted surface is the module's own weight vector, scored
+            # against the memoised clean features
             return {spec.index: degradation_report(ctx, fault) for spec, fault in zip(specs, faults)}
 
-        session = ctx.session
-        n_trials = len(specs)
-        n_members = len(session.members)
-        inner = session.test_stack.shape[1:]
-        # tile the clean test stack across the batch: (B*M, N, C); every
-        # member of trial b shares that trial's fault seed, exactly like the
-        # per-trial path applying one seed to the whole member stack
-        tiled = np.broadcast_to(
-            session.test_stack[None], (n_trials,) + session.test_stack.shape
-        ).reshape((n_trials * n_members,) + inner)
-        seeds = np.repeat([spec.fault_seed for spec in specs], n_members)
-        faulted = faults[0].apply_batch(tiled, seeds=seeds)
-        faulted = sanitize_probs_batch(faulted).reshape((n_trials, n_members) + inner)
-        features = ensemble_features_batch(faulted)
-        out: dict[int, dict] = {}
-        module = session.module
-        for b, (spec, fault) in enumerate(zip(specs, faults)):
-            scores = module.predict_proba(features[b])
-            metrics = module.evaluate(scores, session.test_targets(faulted[b]))
-            out[spec.index] = degradation_payload(ctx, fault, metrics, module.flag(scores))
-        return out
+        return {spec.index: _stream_trial(ctx, fault) for spec, fault in zip(specs, faults)}
+
+
+def _stream_trial(ctx, fault) -> dict:
+    """One trial through inject → sanitize → features → predict → evaluate:
+    the report :func:`~polygraphmr.faults.degradation_report` gives, with
+    the faulted stack dropped before the gate allocates its standardised
+    copy of the features, so at most two stack-sized arrays are live."""
+
+    session = ctx.session
+    module = session.module
+    faulted = sanitize_probs_batch(fault.apply_batch(session.test_stack))
+    targets = session.test_targets(faulted)
+    features = ensemble_features_batch(faulted[None])[0]
+    del faulted
+    scores = module.predict_proba(features)
+    return degradation_payload(ctx, fault, module.evaluate(scores, targets), module.flag(scores))

@@ -763,7 +763,7 @@ class CampaignRunner:
     over a :class:`TrialExecutor`, which is what keeps their journals
     byte-identical.  ``batch_size=1`` makes every chunk a single probe the
     executor runs on its own; a custom ``trial_fn`` forces it, because a
-    faked trial body has no vectorized equivalent.
+    faked trial body has no kernel equivalent.
     """
 
     def __init__(
@@ -1396,7 +1396,7 @@ def main(argv: list[str] | None = None) -> int:
         "--batch-size",
         type=int,
         default=DEFAULT_BATCH_SIZE,
-        help="max trials per model batched through the vectorized kernel; "
+        help="max trials per model batched through the streamed kernel; "
         "journal bytes are identical at every size "
         f"(default: {DEFAULT_BATCH_SIZE})",
     )

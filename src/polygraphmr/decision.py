@@ -64,22 +64,30 @@ def ensemble_features_batch(batched: np.ndarray) -> np.ndarray:
     ORG-vs-ensemble disagreement) that carry most of the detection signal
     and keep the feature map usable when members drop out.  Every statistic
     reduces over the member or class axis elementwise, so ``out[b]`` depends
-    on ``batched[b]`` alone; the majority vote is a one-hot count + argmax,
+    on ``batched[b]`` alone; the majority vote is a vote tally + argmax,
     which breaks ties toward the lowest class.
+
+    Member columns and statistics are written straight into one
+    preallocated ``(B, N, M·C + 4)`` matrix; each statistic is computed in
+    the input's dtype, exactly as if the pieces were concatenated.
     """
 
     b, m, n, c = batched.shape
-    flat = np.transpose(batched, (0, 2, 1, 3)).reshape(b, n, m * c)
+    out = np.empty((b, n, m * c + 4), dtype=np.result_type(batched.dtype, np.float64))
+    # splitting the last axis of the column block is always a view
+    out[..., : m * c].reshape(b, n, m, c)[...] = batched.transpose(0, 2, 1, 3)
     mean = batched.mean(axis=1)  # (B, N, C)
     eps = 1e-12
-    entropy = -(mean * np.log(mean + eps)).sum(axis=2, keepdims=True)
-    max_mean = mean.max(axis=2, keepdims=True)
+    out[..., m * c] = -(mean * np.log(mean + eps)).sum(axis=2)  # entropy
+    out[..., m * c + 1] = mean.max(axis=2)
     votes = batched.argmax(axis=3)  # (B, M, N)
-    counts = (votes[..., None] == np.arange(c)).sum(axis=1)  # (B, N, C) vote tallies
+    # one tally over every (trial, sample) row: vote v of row r lands in bin r·C + v
+    rows = np.arange(b * n).reshape(b, 1, n)
+    counts = np.bincount((votes + rows * c).ravel(), minlength=b * n * c).reshape(b, n, c)
     majority = counts.argmax(axis=2)  # (B, N)
-    agreement = (votes == majority[:, None, :]).mean(axis=1)[..., None]  # (B, N, 1)
-    org_disagrees = (votes[:, 0] != majority).astype(np.float64)[..., None]
-    return np.concatenate([flat, entropy, max_mean, agreement, org_disagrees], axis=2)
+    out[..., m * c + 2] = (votes == majority[:, None, :]).mean(axis=1)  # agreement
+    out[..., m * c + 3] = votes[:, 0] != majority  # ORG disagrees
+    return out
 
 
 def misprediction_targets(org_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -127,12 +135,17 @@ class LogisticDecisionModule:
     # -- internals -------------------------------------------------------
 
     def _standardise(self, x: np.ndarray, *, fit: bool) -> np.ndarray:
+        """``(x - mu) / sigma`` in one new float64 array; ``x`` is never
+        written, so callers may pass shared feature matrices."""
+
         if fit:
             self._mu = x.mean(axis=0)
             self._sigma = x.std(axis=0)
             self._sigma[self._sigma < 1e-9] = 1.0
         assert self._mu is not None and self._sigma is not None
-        return (x - self._mu) / self._sigma
+        out = np.subtract(x, self._mu, dtype=np.float64)
+        out /= self._sigma
+        return out
 
     @staticmethod
     def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -165,7 +178,7 @@ class LogisticDecisionModule:
         if self.w is None:
             raise RuntimeError("decision module is not fitted")
         start = time.perf_counter()
-        x = self._standardise(np.asarray(features, dtype=np.float64), fit=False)
+        x = self._standardise(features, fit=False)
         out = self._sigmoid(x @ self.w + self.b)
         get_registry().histogram("decision_predict_seconds").observe(time.perf_counter() - start)
         return out

@@ -15,7 +15,9 @@ mutable state and must stay within one process: multiprocess campaign
 workers each build their own runtime after ``fork`` via
 :class:`polygraphmr.campaign.TrialExecutor` rather than inherit the
 parent's.  :meth:`EnsembleRuntime.fit_gate` fits each member set's gate once
-per val-artifact identity; discarding the runtime discards the memo.
+per val-artifact identity, and :meth:`EnsembleRuntime.clean_baseline`
+scores each gate's clean test split once per test-artifact identity;
+discarding the runtime discards both memos.
 
 The store the runtime drives may carry a verified-once
 :class:`~polygraphmr.cache.ArtifactCache`: the probability arrays it serves
@@ -39,7 +41,7 @@ from .metrics import get_registry
 from .store import ArtifactStore
 from .tracing import get_tracer
 
-__all__ = ["EnsembleBatch", "EnsembleResult", "DegradedResult", "ModelSkipped", "ModelSession", "EnsembleRuntime"]
+__all__ = ["EnsembleBatch", "EnsembleResult", "DegradedResult", "ModelSkipped", "ModelSession", "CleanBaseline", "EnsembleRuntime"]
 
 FULL = "full"
 DEGRADED = "degraded"
@@ -152,6 +154,28 @@ class ModelSession:
         return probs, predictions, flags
 
 
+@dataclass(frozen=True)
+class CleanBaseline:
+    """A gate's scores on the clean ``test`` split of one (model, member
+    set), built by :meth:`EnsembleRuntime.clean_baseline`."""
+
+    features: np.ndarray  # (N_test, M·C + 4)
+    targets: np.ndarray  # 1 where ORG mispredicts
+    flags: np.ndarray  # the gate's decision flags
+    metrics: DetectionMetrics
+
+
+def _score_clean(session: ModelSession) -> CleanBaseline:
+    module = session.module
+    features = ensemble_features(session.test_stack)
+    targets = session.test_targets()
+    scores = module.predict_proba(features)
+    flags = module.flag(scores)
+    for array in (features, targets, flags):
+        array.flags.writeable = False
+    return CleanBaseline(features, targets, flags, module.evaluate(scores, targets))
+
+
 class EnsembleRuntime:
     """Drives assemble → aggregate → decide over an :class:`ArtifactStore`."""
 
@@ -169,6 +193,9 @@ class EnsembleRuntime:
         self.breakers = breakers
         # fitted gates: (model, members, seed) -> (val artifact identity, gate)
         self._gates: dict[tuple, tuple[tuple, LogisticDecisionModule]] = {}
+        # clean test baselines: (model, members) -> (test artifact identity,
+        # the gate that scored it, baseline)
+        self._baselines: dict[tuple, tuple[tuple, LogisticDecisionModule, CleanBaseline]] = {}
 
     # -- assembly --------------------------------------------------------
 
@@ -257,13 +284,13 @@ class EnsembleRuntime:
 
     # -- the fitted session ---------------------------------------------
 
-    def _val_identity(self, model: str, members: list[str]) -> tuple | None:
-        """Stat signatures of the members' ``val`` probs and the ``val``
+    def _split_identity(self, model: str, members: list[str], split: str) -> tuple | None:
+        """Stat signatures of the members' ``split`` probs and the ``split``
         labels — the artifact cache's notion of file identity — or ``None``
         when a file cannot be statted."""
 
-        paths = [self.store.probs_path(model, s, "val") for s in members]
-        sigs = tuple(stat_signature(p) for p in [*paths, self.store.labels_path(model, "val")])
+        paths = [self.store.probs_path(model, s, split) for s in members]
+        sigs = tuple(stat_signature(p) for p in [*paths, self.store.labels_path(model, split)])
         return None if None in sigs else sigs
 
     def fit_gate(self, model: str, members: list[str], val_stack: np.ndarray) -> LogisticDecisionModule | None:
@@ -282,7 +309,7 @@ class EnsembleRuntime:
         if val_labels is None or "ORG" not in members or len(val_labels) != val_stack.shape[1]:
             return None
         key = (model, tuple(members), self.seed)
-        identity = self._val_identity(model, members)
+        identity = self._split_identity(model, members, "val")
         memo = self._gates.get(key)
         if memo is not None and memo[0] == identity:
             return memo[1]
@@ -292,6 +319,27 @@ class EnsembleRuntime:
         if identity is not None:
             self._gates[key] = (identity, module)
         return module
+
+    def clean_baseline(self, session: ModelSession) -> CleanBaseline:
+        """The clean ``test`` split of ``session`` scored by its gate: the
+        features, misprediction targets, flags and metrics every fault is
+        measured against.  Needs the gate and the test labels.
+
+        A pure function of (members' test files, test labels, gate), so it
+        is memoised per (model, members) on the test files' identity and
+        on the gate object itself — a refitted gate is a miss.  Callers
+        share the returned arrays, which are read-only.
+        """
+
+        key = (session.model, tuple(session.members))
+        identity = self._split_identity(session.model, session.members, "test")
+        memo = self._baselines.get(key)
+        if memo is not None and memo[0] == identity and memo[1] is session.module:
+            return memo[2]
+        baseline = _score_clean(session)
+        if identity is not None:
+            self._baselines[key] = (identity, session.module, baseline)
+        return baseline
 
     def session(self, model: str, members: list[str] | None = None) -> ModelSession:
         """Assemble both splits of ``model`` and fit its decision gate.

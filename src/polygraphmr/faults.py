@@ -101,8 +101,8 @@ class FaultSpec:
         """Inject this fault into every slice of ``stacked``; ``out[b]``
         depends only on ``stacked[b]`` and ``seeds[b]``, so a single tensor
         is a batch of one (``spec.apply_batch(arr[None])[0]``).  ``seeds``
-        defaults to ``self.seed`` for every batch slice (the per-member
-        tiling of one trial); the input is never mutated.
+        defaults to ``self.seed`` for every batch slice (the members of one
+        trial share its seed); the input is never mutated.
 
         ``bitflip`` flips one random bit in a ``rate`` fraction of the
         slice's float32 elements; ``gaussian`` adds N(0, sigma) noise to
@@ -119,7 +119,7 @@ class FaultSpec:
             return apply_fault_batch(stacked, surface="tensor", kind="bitflip", rate=self.rate, seeds=seeds)
         # legacy gaussian noise covers the *whole* tensor (no index
         # selection), a stream no surface draws, so it keeps its own path
-        out = np.asarray(stacked, dtype=np.float64).copy()
+        out = np.array(stacked, dtype=np.float64, order="C")
         noise_for: dict[int, np.ndarray] = {}
         for b, seed in enumerate(seeds):
             noise = noise_for.get(seed)
@@ -211,10 +211,10 @@ def apply_fault_batch(
     ``b`` draws its selection, then its bit positions or noise values, from
     ``np.random.default_rng(seeds[b])``, so a single tensor is a batch of
     one (``arr[None]``) and any batch equals its slices run one by one.
-    Draws are memoized per *unique* seed, which makes the per-member tiling
-    of one trial draw once, not once per member; the dtype conversion and
-    the element mutations run as single vectorized operations across the
-    whole batch.
+    Draws are memoized per *unique* seed, which makes the members of one
+    trial (one seed) draw once, not once per member; the dtype conversion
+    (in the one copy) and the element mutations run as single vectorized
+    operations across the whole batch.
     """
 
     stacked = np.asarray(stacked)
@@ -222,10 +222,12 @@ def apply_fault_batch(
         raise ConfigError("fault.batch", "bad-shape", f"need a batch axis, got shape {stacked.shape}")
     n_batch = stacked.shape[0]
     seeds = _batch_seeds(0, n_batch, seeds)
+    # one C-ordered copy, converting the dtype on the way: the flat view
+    # below writes through to it
     if kind == "bitflip":
-        out = np.ascontiguousarray(stacked, dtype=np.float32).copy()
+        out = np.array(stacked, dtype=np.float32, order="C")
     elif kind in ("gaussian", "quantize", "stuck0", "stuck1"):
-        out = np.asarray(stacked, dtype=np.float64).copy()
+        out = np.array(stacked, dtype=np.float64, order="C")
     else:
         raise ConfigError("scenario.kind", "unknown-kind", f"got {kind!r}; known kinds: {', '.join(FAULT_MODELS)}")
     if n_batch == 0 or out[0].size == 0:
@@ -275,15 +277,18 @@ def sanitize_probs_batch(arr: np.ndarray) -> np.ndarray:
     Rows live on the *last* axis and every step is per-row, so any number of
     leading batch axes (members, trials) may ride along."""
 
-    out = np.asarray(arr, dtype=np.float64).copy()
-    out[~np.isfinite(out)] = 0.0
+    # the one copy (converting float32 on the way); every step after it
+    # works in place, so the input is never written
+    out = np.array(arr, dtype=np.float64, order="C")
+    np.copyto(out, 0.0, where=~np.isfinite(out))
     np.clip(out, 0.0, 1.0, out=out)
     sums = out.sum(axis=-1, keepdims=True)
     dead = sums <= 0.0
     if dead.any():
-        out = np.where(dead, 1.0 / out.shape[-1], out)
-        sums = np.where(dead, 1.0, sums)
-    return out / sums
+        np.copyto(out, 1.0 / out.shape[-1], where=dead)
+        sums[dead] = 1.0
+    out /= sums
+    return out
 
 
 def corrupt_file_truncate(src: str | Path, dst: str | Path, *, keep_fraction: float, seed: int = 0) -> Path:
@@ -324,8 +329,10 @@ class DegradationContext:
 
     The session's gate comes from the runtime's
     :meth:`~polygraphmr.ensemble.EnsembleRuntime.fit_gate` memo, fitted once
-    per (member set, artifact identity) rather than once per context, so
-    every context of that runtime shares it and none may write to it."""
+    per (member set, artifact identity) rather than once per context, and
+    the clean fields from its
+    :meth:`~polygraphmr.ensemble.EnsembleRuntime.clean_baseline` memo, so
+    every context of that runtime shares them and none may write to them."""
 
     session: ModelSession
     clean_features: np.ndarray
@@ -348,7 +355,10 @@ def prepare_degradation(
 
     Raises ``ValueError`` when ORG did not survive or the labels are missing
     or not sized to their split.  ``seed`` seeds the gate of a fresh runtime;
-    a passed ``runtime`` fits with its own seed.
+    a passed ``runtime`` fits with its own seed.  The session is assembled
+    afresh on every call (its breaker calls are per-trial history), while
+    the clean baseline comes from the runtime's
+    :meth:`~polygraphmr.ensemble.EnsembleRuntime.clean_baseline` memo.
 
     ``tick=False`` skips the breaker-board tick — the batch kernel ticks
     once per *trial* itself, so its one shared context prep must not
@@ -365,15 +375,13 @@ def prepare_degradation(
     if session.module is None or session.test_labels is None:
         raise ValueError(f"model {model!r}: labels required to measure detection quality")
 
-    clean_features = ensemble_features(session.test_stack)
-    clean_targets = session.test_targets()
-    clean_scores = session.module.predict_proba(clean_features)
+    baseline = runtime.clean_baseline(session)
     return DegradationContext(
         session=session,
-        clean_features=clean_features,
-        clean_targets=clean_targets,
-        clean_flags=session.module.flag(clean_scores),
-        clean=session.module.evaluate(clean_scores, clean_targets),
+        clean_features=baseline.features,
+        clean_targets=baseline.targets,
+        clean_flags=baseline.flags,
+        clean=baseline.metrics,
     )
 
 

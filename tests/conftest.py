@@ -11,6 +11,7 @@ import pytest
 
 from polygraphmr.faults import build_synthetic_model
 from polygraphmr.metrics import get_registry
+from polygraphmr.naming import standard_roster
 from polygraphmr.store import ArtifactStore
 from polygraphmr.tracing import get_tracer
 
@@ -63,6 +64,17 @@ def multi_model_cache(tmp_path: Path) -> Path:
     root = tmp_path / "cache4"
     for i in range(4):
         build_synthetic_model(root, f"net-{i:02d}", n_val=64, n_test=64, seed=11 + i)
+    return root
+
+
+@pytest.fixture()
+def wide_cache(tmp_path: Path) -> Path:
+    """A cache root holding one 10-member model named ``wide`` (200 val +
+    1000 test samples, 10 classes): the benchmark's member count at a
+    tenth of its test split."""
+
+    root = tmp_path / "wide"
+    build_synthetic_model(root, "wide", members=tuple(standard_roster()[:10]), n_val=200, n_test=1000, seed=5)
     return root
 
 
@@ -126,6 +138,19 @@ def write_labels():
         return path
 
     return write
+
+
+@pytest.fixture()
+def clean_scorings(monkeypatch) -> list:
+    """Records the member list of every clean-baseline scoring a runtime
+    computes (memo misses of ``EnsembleRuntime.clean_baseline``)."""
+
+    from polygraphmr import ensemble
+
+    calls: list = []
+    real = ensemble._score_clean
+    monkeypatch.setattr(ensemble, "_score_clean", lambda session: calls.append(session.members) or real(session))
+    return calls
 
 
 @pytest.fixture()

@@ -7,7 +7,9 @@ loop-based reference oracles element-for-element."""
 
 from __future__ import annotations
 
+import dataclasses
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from polygraphmr.campaign import (
     CampaignJournal,
     CampaignRunner,
     TrialExecutor,
+    discover_models,
     scenarios_config_field,
     verify_campaign,
 )
@@ -39,6 +42,7 @@ from polygraphmr.faults import (
     FaultSpec,
     apply_fault_batch,
     corrupt_file_truncate,
+    prepare_degradation,
     sanitize_probs_batch,
 )
 from polygraphmr.metrics import get_registry
@@ -263,6 +267,92 @@ class TestGateFitOncePerModel:
         assert gate.w.tobytes() == fresh.w.tobytes() and gate.b == fresh.b
 
 
+def _fault_group(config, n):
+    """An executor, the prepared context of its first model, and the specs
+    of trials ``0..n-1`` (one fault identity when the config sweeps one
+    kind, rate and sigma)."""
+
+    executor = TrialExecutor(config, discover_models(config))
+    model = executor.models[0]
+    ctx = prepare_degradation(
+        executor.store, model, seed=config.seed, runtime=executor.runtime_for(model), tick=False
+    )
+    return executor, ctx, [executor.derive_spec(index) for index in range(n)]
+
+
+class TestStreamedKernel:
+    """The kernel streams each trial through inject → sanitize → features →
+    predict → evaluate; its stages copy once and never write their inputs."""
+
+    @pytest.mark.parametrize("kind", ["bitflip", "gaussian"])
+    def test_group_peak_memory_is_one_trial_not_the_group(self, wide_cache, kind):
+        config = _config(wide_cache, n_trials=16, kinds=(kind,), rates=(0.01,), sigmas=(0.05,))
+        executor, ctx, specs = _fault_group(config, 16)
+        stack_bytes = ctx.session.test_stack.astype(np.float64).nbytes
+        engine = BatchTrialEngine(executor, batch_size=16)
+        tracemalloc.start()
+        try:
+            results = engine._run_fault_group(ctx, specs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(results) == 16
+        # streaming keeps one trial's faulted stack and features live; a
+        # kernel holding the whole group's stacks peaks near 16× instead
+        assert peak < 3 * stack_bytes, f"peak {peak / stack_bytes:.2f}× one trial's stack"
+
+    def test_weights_trial_after_probs_trials_matches_batch_size_one(self, synthetic_cache, tmp_path):
+        """A gate-weights trial scores the context's shared clean features
+        after the chunk's probs trials ran the gate on their own features;
+        it must journal what it journals when every trial runs alone."""
+
+        sweep = ("channel-bitflip-10pct", "gate-weights-bitflip-1")
+        base = _sweep_config(synthetic_cache, n_trials=8, scenarios=scenarios_config_field(resolve_scenarios(sweep)))
+        for seed in range(100):
+            config = dataclasses.replace(base, seed=seed)
+            executor = TrialExecutor(config, discover_models(config))
+            order = [executor.derive_spec(i).scenario for i in range(1, 8)]
+            if order[0] == sweep[0] and sweep[1] in order:
+                break
+        else:
+            pytest.fail("no seed puts a weights trial after a probs trial in one chunk")
+        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
+        get_registry().reset()
+        CampaignRunner(config, tmp_path / "batched", batch_size=8).run()
+        assert get_registry().counter("campaign_batched_trials_total").value == 7
+        for reason in ("error", "timeout", "breaker-activity"):
+            assert get_registry().counter("campaign_batch_fallback_total", reason=reason).value == 0
+        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
+
+
+class TestCleanBaselineMemo:
+    """Each runtime scores a member set's clean test split once per test
+    artifact identity and gate; the journal does not move."""
+
+    @pytest.mark.parametrize("batch_size", [1, DEFAULT_BATCH_SIZE])
+    def test_one_clean_scoring_per_model_in_a_steady_run(
+        self, synthetic_cache, add_model, tmp_path, clean_scorings, batch_size
+    ):
+        add_model(synthetic_cache, "net-b")
+        config = _config(synthetic_cache, n_trials=32)
+        assert CampaignRunner(config, tmp_path / "out", batch_size=batch_size).run()["outcomes"]["ok"] == 32
+        assert len(clean_scorings) == 2
+
+    def test_journal_bytes_match_a_run_that_never_reuses_the_baseline(self, multi_model_cache, tmp_path, monkeypatch):
+        sweep = resolve_scenarios(SWEEP + ("gate-weights-bitflip-1",))
+        config = _sweep_config(multi_model_cache, n_trials=16, scenarios=scenarios_config_field(sweep))
+        CampaignRunner(config, tmp_path / "memo", batch_size=4).run()
+        real = EnsembleRuntime.clean_baseline
+
+        def fresh(self, session):
+            self._baselines.clear()
+            return real(self, session)
+
+        monkeypatch.setattr(EnsembleRuntime, "clean_baseline", fresh)
+        CampaignRunner(config, tmp_path / "fresh", batch_size=4).run()
+        assert _bytes(tmp_path / "memo") == _bytes(tmp_path / "fresh")
+
+
 class TestThreeWayEquivalenceMatrix:
     @pytest.mark.parametrize(("workers", "batch_size"), [(2, 1), (2, 8), (4, 4)])
     def test_serial_parallel_batched_all_match(self, multi_model_cache, tmp_path, workers, batch_size):
@@ -396,11 +486,14 @@ class TestVectorizedInjectorProperties:
         poison=st.sampled_from(
             ["none", "nan", "inf", "-inf", "negative", "dead-row", "nan-row", "inf-row"]
         ),
+        dtype=st.sampled_from([np.float32, np.float64]),
     )
-    def test_sanitize_probs_batch_equals_serial_loop(self, b, n, c, base, poison):
-        """Each batch slice equals the scalar oracle, non-finite rows included."""
+    def test_sanitize_probs_batch_equals_serial_loop(self, b, n, c, base, poison, dtype):
+        """Each batch slice equals the scalar oracle, non-finite rows
+        included; float32 input converts in the one copy and is never
+        written."""
 
-        arr = np.random.default_rng(base).random((b, n, c))
+        arr = np.random.default_rng(base).random((b, n, c)).astype(dtype)
         if poison == "nan":
             arr[..., 0] = np.nan
         elif poison == "inf":
@@ -418,6 +511,7 @@ class TestVectorizedInjectorProperties:
         before = arr.copy()
         batched = sanitize_probs_batch(arr)
         assert np.array_equal(arr, before, equal_nan=True)
+        assert batched.dtype == np.float64 and not np.shares_memory(batched, arr)
         for i in range(b):
             assert np.array_equal(batched[i], oracles.sanitize_probs(arr[i]))
 

@@ -53,6 +53,30 @@ class TestTraining:
         b = LogisticDecisionModule(seed=42).fit(feats, y).predict_proba(feats)
         np.testing.assert_array_equal(a, b)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("poison", ["none", "nan", "inf", "zero-row"])
+    def test_predict_proba_never_writes_its_features(self, dtype, poison):
+        """The clean features are shared by every gate-weights trial of a
+        runtime, so scoring must standardise into its own array."""
+
+        feats = ensemble_features(_toy_stack(seed=2))
+        y = (np.arange(feats.shape[0]) % 2).astype(float)
+        module = LogisticDecisionModule(seed=0).fit(feats, y)
+        x = feats.astype(dtype)
+        if poison == "nan":
+            x[3, 1] = np.nan
+        elif poison == "inf":
+            x[4, 0] = np.inf
+        elif poison == "zero-row":
+            x[0] = 0.0
+        before = x.copy()
+        scores = module.predict_proba(x)
+        assert x.dtype == dtype and np.array_equal(x, before, equal_nan=True)
+        assert np.array_equal(scores, module.predict_proba(x.astype(np.float64)), equal_nan=True)
+        frozen = x.copy()
+        frozen.flags.writeable = False
+        assert np.array_equal(module.predict_proba(frozen), scores, equal_nan=True)
+
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             LogisticDecisionModule().predict_proba(np.zeros((2, 3)))

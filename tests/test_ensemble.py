@@ -123,6 +123,63 @@ class TestGateMemo:
         assert runtime.session("tinynet").module is narrowed.module and _fits() == 3
 
 
+def _rewrite(path, write, key):
+    """Rewrite an npz artifact with shifted contents and a new stat signature."""
+
+    write(path, np.roll(np.load(path)[key], 1, axis=-1))
+    st = os.stat(path)
+    os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+
+
+class TestCleanBaselineMemo:
+    """The clean test split is scored once per (model, members), test
+    artifact identity and gate."""
+
+    def test_one_scoring_per_member_set(self, synthetic_store, clean_scorings):
+        calls = clean_scorings
+        runtime = EnsembleRuntime(synthetic_store, seed=7)
+        first = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
+        again = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
+        assert again.clean_features is first.clean_features and again.clean == first.clean
+        narrowed = prepare_degradation(synthetic_store, "tinynet", members=["ORG", "pp-Hist"], runtime=runtime)
+        assert narrowed.clean_features.shape[1] < first.clean_features.shape[1]
+        assert [len(members) for members in calls] == [len(SYNTH_MEMBERS), 2]
+
+    @pytest.mark.parametrize("artifact", ["member-probs", "labels"])
+    def test_rewritten_test_artifact_is_scored_again(
+        self, synthetic_store, synthetic_cache, clean_scorings, write_probs, write_labels, artifact
+    ):
+        calls = clean_scorings
+        runtime = EnsembleRuntime(synthetic_store, seed=7)
+        stale = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
+        if artifact == "labels":
+            _rewrite(synthetic_store.labels_path("tinynet", "test"), write_labels, "labels")
+        else:
+            _rewrite(synthetic_store.probs_path("tinynet", "ORG", "test"), write_probs, "probs")
+        rescored = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
+        fresh = prepare_degradation(ArtifactStore(synthetic_cache), "tinynet", seed=7)
+        assert len(calls) == 3  # stale, rescored, fresh
+        assert rescored.session.module is stale.session.module  # the val side kept its gate
+        assert rescored.clean == fresh.clean and rescored.clean != stale.clean
+        assert np.array_equal(rescored.clean_targets, fresh.clean_targets)
+
+    def test_refitted_gate_is_a_miss(self, synthetic_store, clean_scorings, write_probs):
+        calls = clean_scorings
+        runtime = EnsembleRuntime(synthetic_store, seed=7)
+        stale = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
+        _rewrite(synthetic_store.probs_path("tinynet", "pp-Hist", "val"), write_probs, "probs")
+        refit = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
+        assert refit.session.module is not stale.session.module
+        assert len(calls) == 2
+        assert runtime.clean_baseline(refit.session).features is refit.clean_features
+
+    def test_shared_baseline_arrays_are_read_only(self, synthetic_store):
+        ctx = prepare_degradation(synthetic_store, "tinynet")
+        for array in (ctx.clean_features, ctx.clean_targets, ctx.clean_flags):
+            with pytest.raises(ValueError):
+                array[0] = 1
+
+
 class TestDegradedMode:
     def test_default_plan_reports_degradation(self, synthetic_store, synthetic_cache):
         """Regression: the default member plan must attempt present-but-broken

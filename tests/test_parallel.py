@@ -266,10 +266,14 @@ class TestStopAndResume:
         ).read_bytes()
 
     def test_torn_shard_tail_is_repaired_on_resume(self, multi_model_cache, tmp_path):
-        config = _config(multi_model_cache, trial_sleep_s=0.05)
-        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4)
+        # four 0.1 s trials per worker on the per-trial loop: the sleep alone
+        # outlasts the 0.2 s stop timer, so the run is interrupted with its
+        # shards on disk however fast the trial body runs (batched, the
+        # sleep is paid once per window and the run finished first)
+        config = _config(multi_model_cache, trial_sleep_s=0.1)
+        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4, batch_size=1)
         threading.Timer(0.2, runner.request_stop).start()
-        runner.run()
+        assert runner.run()["stopped_early"]
         shard = tmp_path / "par" / shard_name(0)
         with open(shard, "ab") as fh:
             fh.write(b'{"type":"trial","index":99,"torn')  # SIGKILL mid-append

@@ -374,11 +374,21 @@ class TestDrain:
             gateway = make_gateway(service, batch_max=2, coalesce_ms=1.0, batch_sleep_s=0.05, max_queue=64)
             await gateway.start()
             port = gateway.bound_port
+            ingested = []
+            ingest = gateway._ingest
+            gateway._ingest = lambda conn, frame: ingested.append(frame) or ingest(conn, frame)
             in_flight = [
                 asyncio.create_task(tcp_request(port, ServeRequest(id=f"d{i}", model=MODEL, samples=(i,))))
                 for i in range(n)
             ]
-            await asyncio.sleep(0.03)  # let them hit the queue mid-load
+            # drain once every request is queued, not after a fixed pause: a
+            # busy host can leave a client unconnected past any pause, and
+            # drain rightly refuses it; four 50 ms batches keep it mid-load
+            for _ in range(10_000):
+                if len(ingested) == n:
+                    break
+                await asyncio.sleep(0.001)
+            assert len(ingested) == n, "the gateway never received every request"
             await gateway.drain()
             results = await asyncio.gather(*in_flight)
             refused = False
