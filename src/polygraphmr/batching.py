@@ -11,13 +11,12 @@ This module turns contiguous runs of pending trials into **batches** that
 share the fault-independent half (:func:`polygraphmr.faults.
 prepare_degradation` — assemble + the memoised clean baseline, done once
 per batch) and stream the fault-dependent half one trial at a time through
-inject → sanitize → features → predict → evaluate
-(:func:`~polygraphmr.faults.apply_fault_batch`,
-:func:`~polygraphmr.faults.sanitize_probs_batch`,
-:func:`~polygraphmr.decision.ensemble_features_batch`, the gate).  One
-trial's faulted member stack (``M × N × C`` float64, 8 MB at CIFAR shape)
-stays cache-resident through every stage, where a stacked batch would be
-a DRAM-bound tensor many times the size of the last-level cache.
+:func:`~polygraphmr.faults.degradation_report` (inject → sanitize →
+features → predict → evaluate), the same function the per-trial path
+runs.  One trial's faulted member stack (``M × N × C`` float64, 8 MB at
+CIFAR shape) stays cache-resident through every stage, where a stacked
+batch would be a DRAM-bound tensor many times the size of the last-level
+cache.
 
 The contract is the repo's north star: **journal bytes must be identical
 at every batch size**, batch size 1 — every trial run on its own — being
@@ -57,8 +56,8 @@ import threading
 import time
 
 from .breaker import CLOSED
-from .decision import ensemble_features_batch
-from .faults import degradation_payload, degradation_report, prepare_degradation, sanitize_probs_batch
+from .faults import degradation_report, prepare_degradation
+from .faults import sanitize_probs_batch  # noqa: F401 - a binding benchmark/spans.py wraps
 from .metrics import BATCH_SIZE_BUCKETS, get_registry
 from .tracing import get_tracer
 
@@ -245,8 +244,10 @@ class BatchTrialEngine:
 
     def _run_batch(self, model: str, indices: list[int]) -> dict[int, dict]:
         """Kernel execution of ``indices`` (all one model, board known
-        steady): one context prep, the trials streamed group by group, then
-        per-trial record emission with the board ticked once per trial."""
+        steady): one context prep, each trial streamed through
+        :func:`~polygraphmr.faults.degradation_report` — the per-trial
+        path's own pipeline, so the results are its bytes — then per-trial
+        record emission with the board ticked once per trial."""
 
         executor = self.executor
         config = executor.config
@@ -267,13 +268,7 @@ class BatchTrialEngine:
                 runtime=executor.runtime_for(model),
                 tick=False,
             )
-            results: dict[int, dict] = {}
-            grouped: dict[tuple, list] = {}
-            for spec in specs:
-                key = (spec.scenario, spec.scenario_sha256, spec.kind, spec.rate, spec.sigma)
-                grouped.setdefault(key, []).append(spec)
-            for group in grouped.values():
-                results.update(self._run_fault_group(ctx, group))
+            results = {spec.index: degradation_report(ctx, executor.fault_for(spec)) for spec in specs}
             elapsed = time.perf_counter() - start
             span.set(outcome=OUTCOME_OK)
 
@@ -301,36 +296,3 @@ class BatchTrialEngine:
                     "campaign_scenario_trials_total", scenario=spec.scenario, outcome=OUTCOME_OK
                 ).inc()
         return records
-
-    def _run_fault_group(self, ctx, specs: list) -> dict[int, dict]:
-        """Evaluate one fault identity (same scenario or legacy kind/rate/
-        sigma, distinct per-trial seeds), streaming the trials one by one.
-
-        Each trial runs the whole pipeline before the next starts, so only
-        one trial's arrays are ever live and they stay cache-resident; every
-        stage is per-slice, which makes the result the per-trial path's."""
-
-        executor = self.executor
-        faults = [executor.fault_for(spec) for spec in specs]
-        if getattr(faults[0], "target", "probs") == "weights":
-            # the faulted surface is the module's own weight vector, scored
-            # against the memoised clean features
-            return {spec.index: degradation_report(ctx, fault) for spec, fault in zip(specs, faults)}
-
-        return {spec.index: _stream_trial(ctx, fault) for spec, fault in zip(specs, faults)}
-
-
-def _stream_trial(ctx, fault) -> dict:
-    """One trial through inject → sanitize → features → predict → evaluate:
-    the report :func:`~polygraphmr.faults.degradation_report` gives, with
-    the faulted stack dropped before the gate allocates its standardised
-    copy of the features, so at most two stack-sized arrays are live."""
-
-    session = ctx.session
-    module = session.module
-    faulted = sanitize_probs_batch(fault.apply_batch(session.test_stack))
-    targets = session.test_targets(faulted)
-    features = ensemble_features_batch(faulted[None])[0]
-    del faulted
-    scores = module.predict_proba(features)
-    return degradation_payload(ctx, fault, module.evaluate(scores, targets), module.flag(scores))

@@ -193,9 +193,9 @@ class EnsembleRuntime:
         self.breakers = breakers
         # fitted gates: (model, members, seed) -> (val artifact identity, gate)
         self._gates: dict[tuple, tuple[tuple, LogisticDecisionModule]] = {}
-        # clean test baselines: (model, members) -> (test artifact identity,
-        # the gate that scored it, baseline)
-        self._baselines: dict[tuple, tuple[tuple, LogisticDecisionModule, CleanBaseline]] = {}
+        # clean test baselines, one per model: model -> ((members, test
+        # artifact identity), the gate that scored it, baseline)
+        self._baselines: dict[str, tuple[tuple, LogisticDecisionModule, CleanBaseline]] = {}
 
     # -- assembly --------------------------------------------------------
 
@@ -325,20 +325,22 @@ class EnsembleRuntime:
         features, misprediction targets, flags and metrics every fault is
         measured against.  Needs the gate and the test labels.
 
-        A pure function of (members' test files, test labels, gate), so it
-        is memoised per (model, members) on the test files' identity and
-        on the gate object itself — a refitted gate is a miss.  Callers
-        share the returned arrays, which are read-only.
+        A pure function of (members, their test files, test labels, gate),
+        so it is memoised on the member set, the test files' identity and
+        the gate object itself — a refitted gate is a miss.  Each model
+        keeps one entry: a new member set replaces the old one, so breaker
+        churn over member subsets cannot grow the memo.  Callers share the
+        returned arrays, which are read-only.
         """
 
-        key = (session.model, tuple(session.members))
-        identity = self._split_identity(session.model, session.members, "test")
-        memo = self._baselines.get(key)
+        split = self._split_identity(session.model, session.members, "test")
+        identity = None if split is None else (tuple(session.members), split)
+        memo = self._baselines.get(session.model)
         if memo is not None and memo[0] == identity and memo[1] is session.module:
             return memo[2]
         baseline = _score_clean(session)
         if identity is not None:
-            self._baselines[key] = (identity, session.module, baseline)
+            self._baselines[session.model] = (identity, session.module, baseline)
         return baseline
 
     def session(self, model: str, members: list[str] | None = None) -> ModelSession:

@@ -50,7 +50,6 @@ __all__ = [
     "corrupt_file_header",
     "DegradationContext",
     "prepare_degradation",
-    "degradation_payload",
     "degradation_report",
     "measure_degradation",
     "main",
@@ -385,12 +384,30 @@ def prepare_degradation(
     )
 
 
-def degradation_payload(ctx: DegradationContext, spec, faulted, faulted_flags: np.ndarray) -> dict:
-    """The journalled report dict for one fault against a prepared context.
+def degradation_report(ctx: DegradationContext, spec) -> dict:
+    """Evaluate one fault against a prepared context: inject → sanitize →
+    features → predict → evaluate.  Every trial runs through here, probe or
+    batched, so one trial's arrays are live at a time and stay
+    cache-resident; the faulted stack is dropped before the gate allocates
+    its standardised copy of the features, so at most about two and a half
+    stack-sized arrays are live."""
 
-    Shared by the per-trial path and the batch kernel so both emit the same
-    bytes for the same metric values."""
-
+    module = ctx.session.module
+    if getattr(spec, "target", "probs") == "weights":
+        # the gate is shared by every trial of the runtime, so the faulted
+        # weights go on a shallow copy and the shared gate is never written
+        faulted_gate = copy.copy(module)
+        faulted_gate.w = np.asarray(spec.apply_batch(module.w[None])[0], dtype=np.float64)
+        scores = faulted_gate.predict_proba(ctx.clean_features)
+        targets = ctx.clean_targets
+    else:
+        faulted_stack = sanitize_probs_batch(spec.apply_batch(ctx.session.test_stack))
+        targets = ctx.session.test_targets(faulted_stack)
+        features = ensemble_features(faulted_stack)
+        del faulted_stack
+        scores = module.predict_proba(features)
+    faulted = module.evaluate(scores, targets)
+    faulted_flags = module.flag(scores)
     return {
         "model": ctx.session.model,
         "members": ctx.session.members,
@@ -409,25 +426,6 @@ def degradation_payload(ctx: DegradationContext, spec, faulted, faulted_flags: n
             for k in ("accuracy", "precision", "recall", "f1", "auc")
         },
     }
-
-
-def degradation_report(ctx: DegradationContext, spec) -> dict:
-    """Evaluate one fault against a prepared context: the per-trial path
-    (a chunk's probe, and every gate-weights fault)."""
-
-    module = ctx.session.module
-    if getattr(spec, "target", "probs") == "weights":
-        # the gate is shared by every trial of the runtime, so the faulted
-        # weights go on a shallow copy and the shared gate is never written
-        faulted_gate = copy.copy(module)
-        faulted_gate.w = np.asarray(spec.apply_batch(module.w[None])[0], dtype=np.float64)
-        scores = faulted_gate.predict_proba(ctx.clean_features)
-        targets = ctx.clean_targets
-    else:
-        faulted_stack = sanitize_probs_batch(spec.apply_batch(ctx.session.test_stack))
-        scores = module.predict_proba(ensemble_features(faulted_stack))
-        targets = ctx.session.test_targets(faulted_stack)
-    return degradation_payload(ctx, spec, module.evaluate(scores, targets), module.flag(scores))
 
 
 def measure_degradation(

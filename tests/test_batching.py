@@ -267,38 +267,34 @@ class TestGateFitOncePerModel:
         assert gate.w.tobytes() == fresh.w.tobytes() and gate.b == fresh.b
 
 
-def _fault_group(config, n):
-    """An executor, the prepared context of its first model, and the specs
-    of trials ``0..n-1`` (one fault identity when the config sweeps one
-    kind, rate and sigma)."""
-
-    executor = TrialExecutor(config, discover_models(config))
-    model = executor.models[0]
-    ctx = prepare_degradation(
-        executor.store, model, seed=config.seed, runtime=executor.runtime_for(model), tick=False
-    )
-    return executor, ctx, [executor.derive_spec(index) for index in range(n)]
-
-
 class TestStreamedKernel:
     """The kernel streams each trial through inject → sanitize → features →
     predict → evaluate; its stages copy once and never write their inputs."""
 
     @pytest.mark.parametrize("kind", ["bitflip", "gaussian"])
-    def test_group_peak_memory_is_one_trial_not_the_group(self, wide_cache, kind):
+    def test_batch_peak_memory_is_one_trial_not_the_batch(self, wide_cache, kind, monkeypatch):
+        import polygraphmr.batching as batching
+
         config = _config(wide_cache, n_trials=16, kinds=(kind,), rates=(0.01,), sigmas=(0.05,))
-        executor, ctx, specs = _fault_group(config, 16)
+        executor = TrialExecutor(config, discover_models(config))
+        model = executor.models[0]
+        ctx = prepare_degradation(
+            executor.store, model, seed=config.seed, runtime=executor.runtime_for(model), tick=False
+        )
+        # the context (session stacks, clean baseline) is built before
+        # tracing starts, so the peak is the streamed trials' own arrays
+        monkeypatch.setattr(batching, "prepare_degradation", lambda *args, **kwargs: ctx)
         stack_bytes = ctx.session.test_stack.astype(np.float64).nbytes
         engine = BatchTrialEngine(executor, batch_size=16)
         tracemalloc.start()
         try:
-            results = engine._run_fault_group(ctx, specs)
+            records = engine._run_batch(model, list(range(16)))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert len(results) == 16
+        assert sorted(records) == list(range(16))
         # streaming keeps one trial's faulted stack and features live; a
-        # kernel holding the whole group's stacks peaks near 16× instead
+        # kernel holding the whole batch's stacks peaks near 16× instead
         assert peak < 3 * stack_bytes, f"peak {peak / stack_bytes:.2f}× one trial's stack"
 
     def test_weights_trial_after_probs_trials_matches_batch_size_one(self, synthetic_cache, tmp_path):

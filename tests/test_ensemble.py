@@ -145,6 +145,17 @@ class TestCleanBaselineMemo:
         assert narrowed.clean_features.shape[1] < first.clean_features.shape[1]
         assert [len(members) for members in calls] == [len(SYNTH_MEMBERS), 2]
 
+    def test_one_entry_per_model_across_member_sets(self, synthetic_store, clean_scorings):
+        """Breakers that keep changing the survivors must not grow the memo:
+        a new member set replaces the model's entry."""
+
+        calls = clean_scorings
+        runtime = EnsembleRuntime(synthetic_store, seed=7)
+        for members in (None, ["ORG", "pp-Hist"], None, ["ORG", "pp-Hist"]):
+            prepare_degradation(synthetic_store, "tinynet", members=members, runtime=runtime)
+            assert len(runtime._baselines) == 1
+        assert len(calls) == 4
+
     @pytest.mark.parametrize("artifact", ["member-probs", "labels"])
     def test_rewritten_test_artifact_is_scored_again(
         self, synthetic_store, synthetic_cache, clean_scorings, write_probs, write_labels, artifact
