@@ -264,7 +264,6 @@ class BatchTrialEngine:
             ctx = prepare_degradation(
                 executor.store,
                 model,
-                seed=config.seed,
                 runtime=executor.runtime_for(model),
                 tick=False,
             )

@@ -63,6 +63,7 @@ from .journal import (
     CHECKPOINT_NAME,
     JOURNAL_NAME,
     JOURNAL_VERSION,
+    VERIFIABLE_VERSIONS,
     CampaignJournal,
     CampaignState,
     ChainIssue,
@@ -334,8 +335,9 @@ def discover_models(config: CampaignConfig) -> list[str]:
 def _version_mismatch_detail(found) -> str:
     if isinstance(found, int) and found < JOURNAL_VERSION:
         hint = (
-            f"it predates the v{JOURNAL_VERSION} hash chain — finish it with a polygraphmr "
-            f"release that writes v{found} journals, or start a fresh --out directory"
+            f"it predates the v{JOURNAL_VERSION} format, whose trials another decision gate "
+            f"scored — finish it with a polygraphmr release that writes v{found} journals, "
+            "or start a fresh --out directory"
         )
     else:
         hint = (
@@ -374,7 +376,11 @@ def _checkpoint_defect(checkpoint: dict) -> str | None:
 
 
 def seal_finding(
-    state: CampaignState, checkpoint: dict | None, config: CampaignConfig | None = None
+    state: CampaignState,
+    checkpoint: dict | None,
+    config: CampaignConfig | None = None,
+    *,
+    versions: tuple[int, ...] = (JOURNAL_VERSION,),
 ) -> tuple[str, int | None, str, str] | None:
     """The first header or checkpoint-seal finding in a campaign directory,
     as ``(file, line, reason, detail)``, or ``None`` when every rule holds.
@@ -382,9 +388,10 @@ def seal_finding(
     The one rule set behind both ``--resume`` (:func:`validate_resume`
     raises the finding) and ``campaign verify`` (which reports it):
 
-    * the canonical journal opens with a header of this format version whose
-      ``prev`` is the genesis hash of its own journalled config — and, given
-      ``config``, that config is the resuming runner's;
+    * the canonical journal opens with a header of one of ``versions`` (by
+      default only this runner's) whose ``prev`` is that version's genesis
+      hash of its own journalled config — and, given ``config``, that config
+      is the resuming runner's;
     * a checkpoint is well-typed (:func:`_checkpoint_defect`), commits no
       more records to the journal or to any worker shard than that file
       still holds, seals the chain head each file actually carries at the
@@ -394,8 +401,9 @@ def seal_finding(
     header = state.header
     if header is None:
         return JOURNAL_NAME, 1, "journal-no-header", "no verifiable header record"
-    if header.get("version") != JOURNAL_VERSION:
-        return JOURNAL_NAME, 1, "journal-version-mismatch", _version_mismatch_detail(header.get("version"))
+    version = header.get("version")
+    if type(version) is not int or version not in versions:
+        return JOURNAL_NAME, 1, "journal-version-mismatch", _version_mismatch_detail(version)
     cfg = header.get("config")
     if config is not None and cfg != config.to_dict():
         return (
@@ -407,7 +415,7 @@ def seal_finding(
         )
     if not isinstance(cfg, dict):
         return JOURNAL_NAME, 1, "journal-bad-header", "header carries no config object"
-    genesis = chain_genesis(config_chain_hash(cfg))
+    genesis = chain_genesis(config_chain_hash(cfg), version=version)
     if header.get("prev") != genesis:
         return (
             JOURNAL_NAME,
@@ -570,7 +578,6 @@ class TrialExecutor:
             runtime = self._runtimes[model] = EnsembleRuntime(
                 self.store,
                 min_members=self.config.min_members,
-                seed=self.config.seed,
                 breakers=self.board_for(model),
             )
         return runtime
@@ -628,9 +635,7 @@ class TrialExecutor:
 
     def _run_trial(self, spec: TrialSpec) -> dict:
         fault = self.fault_for(spec)
-        return measure_degradation(
-            self.store, spec.model, fault, seed=self.config.seed, runtime=self.runtime_for(spec.model)
-        )
+        return measure_degradation(self.store, spec.model, fault, runtime=self.runtime_for(spec.model))
 
     def _call_with_watchdog(self, spec: TrialSpec):
         """(outcome, value, error) — never raises, never hangs past the timeout."""
@@ -966,7 +971,10 @@ def verify_campaign(out_dir: str | Path) -> dict:
     2. **Header and checkpoint seal** — :func:`seal_finding`, the very rules
        ``--resume`` applies: the header is rooted at the genesis hash of its
        journalled config, and a well-typed checkpoint seals chain heads (and
-       counts) the journal and every shard actually carry.
+       counts) the journal and every shard actually carry.  Unlike
+       ``--resume``, verify accepts every format in
+       :data:`~polygraphmr.journal.VERIFIABLE_VERSIONS` (v3 and v4), each
+       checked against its own version's genesis.
     3. **Cross-file consistency** — a trial journalled in two files must be
        identical (minus chain position); duplicate indices within a file are
        refused.
@@ -1048,11 +1056,15 @@ def _verify_campaign(out: Path) -> dict:
     header = records[0] if records and records[0].get("type") == "header" else None
     cfg_dict = header.get("config") if header is not None else None
     config_sha = config_chain_hash(cfg_dict) if isinstance(cfg_dict, dict) else None
+    # shards are rooted in the header's format version; any other header
+    # version is refused by seal_finding below
+    version = header.get("version") if header is not None else None
+    version = version if version in VERIFIABLE_VERSIONS else JOURNAL_VERSION
     files = [(JOURNAL_NAME, 2, records[1:])]  # (name, first line, records after any header)
     shard_chains: dict[int, list[str]] = {}
     for worker, shard in sorted(shard_journals(out).items()):
         name = shard.path.name
-        genesis = None if config_sha is None else chain_genesis(config_sha, shard=worker)
+        genesis = None if config_sha is None else chain_genesis(config_sha, shard=worker, version=version)
         s_records, s_chain, s_issue = walk_chain(shard.path, genesis=genesis)
         report["records_verified"] += len(s_records)
         if s_issue is not None:
@@ -1075,7 +1087,7 @@ def _verify_campaign(out: Path) -> dict:
     held = {r.get("index"): r for _, _, rs in files for r in rs if r.get("type") == "trial"}
     report["trials"] = len(held)
     state = CampaignState(header, held, len(records), canonical_chain=chain, shard_chains=shard_chains)
-    finding = seal_finding(state, cp_payload)
+    finding = seal_finding(state, cp_payload, versions=VERIFIABLE_VERSIONS)
     if finding is not None:
         return chain_fail(*finding)
     if cp_problem == "checkpoint-invalid":

@@ -2,9 +2,10 @@
 
 PolygraphMR's decision module looks at the outputs of the whole submodel
 ensemble for one input and predicts whether the original model's (ORG's)
-top-1 prediction is wrong.  Here it is a seeded logistic regression over
-features derived from the stacked probability tensor, trained on the ``val``
-split and evaluated on ``test`` — pure numpy, no external ML dependency.
+top-1 prediction is wrong.  Here it is a logistic regression over six
+agreement statistics of the stacked probability tensor, fitted by Newton's
+method on the ``val`` split and evaluated on ``test`` — pure numpy, no
+external ML dependency.
 """
 
 from __future__ import annotations
@@ -17,12 +18,24 @@ import numpy as np
 from .metrics import get_registry
 
 __all__ = [
+    "FEATURE_NAMES",
     "DetectionMetrics",
     "LogisticDecisionModule",
+    "baseline_aucs",
     "ensemble_features",
     "ensemble_features_batch",
     "misprediction_targets",
 ]
+
+# the gate's feature columns, in order (see :func:`ensemble_features_batch`)
+FEATURE_NAMES = (
+    "entropy",
+    "max_mean_prob",
+    "agreement",
+    "org_disagrees",
+    "org_support",
+    "org_max_prob",
+)
 
 
 @dataclass(frozen=True)
@@ -50,43 +63,48 @@ class DetectionMetrics:
 
 
 def ensemble_features(stacked: np.ndarray) -> np.ndarray:
-    """Feature matrix from a stacked probability tensor ``(M, N, C)``: the
-    batch-of-one form of :func:`ensemble_features_batch`."""
+    """Feature matrix ``(N, 6)`` from a stacked probability tensor
+    ``(M, N, C)``: the batch-of-one form of :func:`ensemble_features_batch`."""
 
     return ensemble_features_batch(stacked[None])[0]
 
 
 def ensemble_features_batch(batched: np.ndarray) -> np.ndarray:
-    """Feature matrices from a batch of stacked tensors ``(B, M, N, C)``.
+    """Feature matrices ``(B, N, 6)`` from a batch of stacked tensors
+    ``(B, M, N, C)``, ORG at member index 0.
 
-    Concatenates every member's probability vector with cheap agreement
-    statistics (mean-prob entropy, max mean-prob, top-1 vote agreement,
-    ORG-vs-ensemble disagreement) that carry most of the detection signal
-    and keep the feature map usable when members drop out.  Every statistic
-    reduces over the member or class axis elementwise, so ``out[b]`` depends
-    on ``batched[b]`` alone; the majority vote is a vote tally + argmax,
-    which breaks ties toward the lowest class.
-
-    Member columns and statistics are written straight into one
-    preallocated ``(B, N, M·C + 4)`` matrix; each statistic is computed in
-    the input's dtype, exactly as if the pieces were concatenated.
+    Six agreement statistics per sample, in :data:`FEATURE_NAMES` order:
+    the member-mean probabilities' entropy and maximum, the share of
+    members voting the majority class, whether ORG's vote differs from the
+    majority, ORG *support* (the member-mean probability of ORG's top-1
+    class: how strongly the redundant submodels back ORG's answer) and
+    ORG's own max probability.  They do not depend on the member count, so
+    the layout stays the same when members drop out.  Every statistic
+    reduces over the member or class axis elementwise, so ``out[b]``
+    depends on ``batched[b]`` alone; the majority vote is a vote tally +
+    argmax, which breaks ties toward the lowest class.  Each statistic is
+    computed in the input's dtype and stored as float64.
     """
 
-    b, m, n, c = batched.shape
-    out = np.empty((b, n, m * c + 4), dtype=np.result_type(batched.dtype, np.float64))
-    # splitting the last axis of the column block is always a view
-    out[..., : m * c].reshape(b, n, m, c)[...] = batched.transpose(0, 2, 1, 3)
+    b, _, n, c = batched.shape
+    out = np.empty((b, n, len(FEATURE_NAMES)), dtype=np.result_type(batched.dtype, np.float64))
     mean = batched.mean(axis=1)  # (B, N, C)
     eps = 1e-12
-    out[..., m * c] = -(mean * np.log(mean + eps)).sum(axis=2)  # entropy
-    out[..., m * c + 1] = mean.max(axis=2)
+    out[..., 0] = -(mean * np.log(mean + eps)).sum(axis=2)  # entropy
+    out[..., 1] = mean.max(axis=2)
     votes = batched.argmax(axis=3)  # (B, M, N)
     # one tally over every (trial, sample) row: vote v of row r lands in bin r·C + v
     rows = np.arange(b * n).reshape(b, 1, n)
     counts = np.bincount((votes + rows * c).ravel(), minlength=b * n * c).reshape(b, n, c)
     majority = counts.argmax(axis=2)  # (B, N)
-    out[..., m * c + 2] = (votes == majority[:, None, :]).mean(axis=1)  # agreement
-    out[..., m * c + 3] = votes[:, 0] != majority  # ORG disagrees
+    org_vote = votes[:, 0]  # (B, N)
+    out[..., 2] = (votes == majority[:, None, :]).mean(axis=1)  # agreement
+    out[..., 3] = org_vote != majority
+    org_top = org_vote[..., None]
+    out[..., 4] = np.take_along_axis(mean, org_top, axis=2)[..., 0]  # ORG support
+    # ORG's max prob is the prob of its vote (argmax picks a row's first NaN,
+    # so NaN rows match ``max`` too) — a gather instead of a second row scan
+    out[..., 5] = np.take_along_axis(batched[:, 0], org_top, axis=2)[..., 0]
     return out
 
 
@@ -115,18 +133,39 @@ def _rank_auc(scores: np.ndarray, targets: np.ndarray) -> float:
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 
-class LogisticDecisionModule:
-    """L2-regularised logistic regression trained by full-batch gradient descent.
+# the Newton fit stops once no coordinate of a step exceeds NEWTON_TOL; it
+# converges in about ten steps, the cap only bounds a pathological input
+NEWTON_MAX_ITER = 50
+NEWTON_TOL = 1e-10
 
-    Deterministic for a fixed ``seed``; features are standardised with the
-    training split's statistics.
+# training-free baselines: each reads one feature column as "the lower, the
+# likelier ORG is wrong" — ORG's max-softmax confidence (the paper's
+# baseline) and ORG support (the ensemble's backing of ORG's answer)
+BASELINES = {"org_max_softmax": "org_max_prob", "org_support": "org_support"}
+
+
+def baseline_aucs(features: np.ndarray, targets: np.ndarray) -> dict[str, float]:
+    """Misprediction-detection AUC of each :data:`BASELINES` score over a
+    feature matrix from :func:`ensemble_features`."""
+
+    return {
+        name: _rank_auc(-features[:, FEATURE_NAMES.index(column)], targets)
+        for name, column in BASELINES.items()
+    }
+
+
+class LogisticDecisionModule:
+    """L2-regularised logistic regression fitted by Newton's method (IRLS).
+
+    Minimises the mean log-loss plus ``l2 / 2 · (|w|² + b²)`` over features
+    standardised with the training split's statistics.  The bias is
+    penalised like the weights, so the loss is strictly convex and has a
+    finite minimiser even when every target is one class.  The solve starts
+    from zero and is deterministic: the same data gives the same bytes.
     """
 
-    def __init__(self, *, lr: float = 0.5, epochs: int = 400, l2: float = 1e-3, seed: int = 0):
-        self.lr = lr
-        self.epochs = epochs
+    def __init__(self, *, l2: float = 1e-3):
         self.l2 = l2
-        self.seed = seed
         self.w: np.ndarray | None = None
         self.b: float = 0.0
         self._mu: np.ndarray | None = None
@@ -156,21 +195,44 @@ class LogisticDecisionModule:
         out[~pos] = ez / (1.0 + ez)
         return out
 
+    def _loss(self, x: np.ndarray, y: np.ndarray, theta: np.ndarray) -> float:
+        """The penalised loss at ``theta`` = ``(w, b)`` over bias-augmented ``x``."""
+
+        z = x @ theta
+        return float((np.logaddexp(0.0, z) - y * z).mean() + 0.5 * self.l2 * (theta @ theta))
+
     # -- API -------------------------------------------------------------
 
     def fit(self, features: np.ndarray, targets: np.ndarray) -> "LogisticDecisionModule":
         start = time.perf_counter()
-        x = self._standardise(np.asarray(features, dtype=np.float64), fit=True)
+        n, d = np.shape(features)
+        x = np.empty((n, d + 1))
+        x[:, :d] = self._standardise(np.asarray(features, dtype=np.float64), fit=True)
+        x[:, d] = 1.0  # the bias column
         y = np.asarray(targets, dtype=np.float64).reshape(-1)
-        rng = np.random.default_rng(self.seed)
-        n, d = x.shape
-        self.w = rng.normal(0.0, 0.01, size=d)
-        self.b = 0.0
-        for _ in range(self.epochs):
-            p = self._sigmoid(x @ self.w + self.b)
-            err = p - y
-            self.w -= self.lr * (x.T @ err / n + self.l2 * self.w)
-            self.b -= self.lr * float(err.mean())
+        theta = np.zeros(d + 1)
+        ridge = self.l2 * np.eye(d + 1)
+        loss = self._loss(x, y, theta)
+        for _ in range(NEWTON_MAX_ITER):
+            p = self._sigmoid(x @ theta)
+            grad = x.T @ (p - y) / n + self.l2 * theta
+            hess = (x.T * (p * (1.0 - p))) @ x / n + ridge
+            step = np.linalg.solve(hess, grad)
+            if np.abs(step).max() <= NEWTON_TOL:
+                theta -= step
+                break
+            # halve the Newton step until the loss does not rise: the full
+            # step is taken near the optimum, damping only guards the start
+            t = 1.0
+            while True:
+                trial = theta - t * step
+                trial_loss = self._loss(x, y, trial)
+                if trial_loss <= loss or t < 1e-6:
+                    break
+                t *= 0.5
+            theta, loss = trial, trial_loss
+        self.w = theta[:d].copy()
+        self.b = float(theta[d])
         get_registry().histogram("decision_fit_seconds").observe(time.perf_counter() - start)
         return self
 

@@ -159,7 +159,7 @@ class CleanBaseline:
     """A gate's scores on the clean ``test`` split of one (model, member
     set), built by :meth:`EnsembleRuntime.clean_baseline`."""
 
-    features: np.ndarray  # (N_test, M·C + 4)
+    features: np.ndarray  # (N_test, 6): decision.FEATURE_NAMES per test row
     targets: np.ndarray  # 1 where ORG mispredicts
     flags: np.ndarray  # the gate's decision flags
     metrics: DetectionMetrics
@@ -176,6 +176,15 @@ def _score_clean(session: ModelSession) -> CleanBaseline:
     return CleanBaseline(features, targets, flags, module.evaluate(scores, targets))
 
 
+def _restack(batch: EnsembleBatch, members: list[str]) -> np.ndarray:
+    """``batch``'s stack over ``members``: the stack itself when it already
+    holds exactly those members in that order, else one re-indexed copy."""
+
+    if batch.members == members:
+        return batch.stacked
+    return batch.stacked[[batch.members.index(s) for s in members]]
+
+
 class EnsembleRuntime:
     """Drives assemble → aggregate → decide over an :class:`ArtifactStore`."""
 
@@ -184,14 +193,12 @@ class EnsembleRuntime:
         store: ArtifactStore,
         *,
         min_members: int = 2,
-        seed: int = 0,
         breakers: BreakerBoard | None = None,
     ):
         self.store = store
         self.min_members = min_members
-        self.seed = seed
         self.breakers = breakers
-        # fitted gates: (model, members, seed) -> (val artifact identity, gate)
+        # fitted gates: (model, members) -> (val artifact identity, gate)
         self._gates: dict[tuple, tuple[tuple, LogisticDecisionModule]] = {}
         # clean test baselines, one per model: model -> ((members, test
         # artifact identity), the gate that scored it, baseline)
@@ -300,7 +307,7 @@ class EnsembleRuntime:
 
         ``val_stack`` must be those members' ``val`` artifacts as this
         runtime's store loaded them: the fit is a pure function of (model,
-        members, val files, val labels, seed), so the gate is memoised on
+        members, val files, val labels), so the gate is memoised on
         the files' identity and fitted once per member set until a file
         changes.  Callers share the returned gate and must not mutate it.
         """
@@ -308,12 +315,12 @@ class EnsembleRuntime:
         val_labels = self.store.load_labels(model, "val")
         if val_labels is None or "ORG" not in members or len(val_labels) != val_stack.shape[1]:
             return None
-        key = (model, tuple(members), self.seed)
+        key = (model, tuple(members))
         identity = self._split_identity(model, members, "val")
         memo = self._gates.get(key)
         if memo is not None and memo[0] == identity:
             return memo[1]
-        module = LogisticDecisionModule(seed=self.seed)
+        module = LogisticDecisionModule()
         org_val = val_stack[members.index("ORG")]
         module.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
         if identity is not None:
@@ -358,8 +365,7 @@ class EnsembleRuntime:
         common = [s for s in val.members if s in set(test.members)]
         if len(common) < self.min_members:
             raise DegradedEnsemble(model, common, self.min_members)
-        val_stack = val.stacked[[val.members.index(s) for s in common]]
-        test_stack = test.stacked[[test.members.index(s) for s in common]]
+        val_stack, test_stack = _restack(val, common), _restack(test, common)
         quarantined = {**val.quarantined, **test.quarantined}
         test_labels = self.store.load_labels(model, "test")
         if test_labels is not None and len(test_labels) != test_stack.shape[1]:

@@ -32,7 +32,7 @@ from pathlib import Path
 import numpy as np
 
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
-from .decision import DetectionMetrics, ensemble_features
+from .decision import DetectionMetrics, baseline_aucs, ensemble_features
 from .ensemble import EnsembleRuntime, ModelSession
 from .errors import ConfigError
 from .metrics import get_registry
@@ -345,7 +345,6 @@ def prepare_degradation(
     model: str,
     *,
     members: list[str] | None = None,
-    seed: int = 0,
     runtime: EnsembleRuntime | None = None,
     tick: bool = True,
 ) -> DegradationContext:
@@ -353,8 +352,8 @@ def prepare_degradation(
     and measure its clean baseline.
 
     Raises ``ValueError`` when ORG did not survive or the labels are missing
-    or not sized to their split.  ``seed`` seeds the gate of a fresh runtime;
-    a passed ``runtime`` fits with its own seed.  The session is assembled
+    or not sized to their split.  Without ``runtime`` a fresh one is built.
+    The session is assembled
     afresh on every call (its breaker calls are per-trial history), while
     the clean baseline comes from the runtime's
     :meth:`~polygraphmr.ensemble.EnsembleRuntime.clean_baseline` memo.
@@ -365,7 +364,7 @@ def prepare_degradation(
     """
 
     if runtime is None:
-        runtime = EnsembleRuntime(store, seed=seed)
+        runtime = EnsembleRuntime(store)
     if tick and runtime.breakers is not None:
         runtime.breakers.tick()
     session = runtime.session(model, members)
@@ -384,13 +383,16 @@ def prepare_degradation(
     )
 
 
-def degradation_report(ctx: DegradationContext, spec) -> dict:
+def degradation_report(ctx: DegradationContext, spec, *, baselines: bool = False) -> dict:
     """Evaluate one fault against a prepared context: inject → sanitize →
     features → predict → evaluate.  Every trial runs through here, probe or
     batched, so one trial's arrays are live at a time and stay
-    cache-resident; the faulted stack is dropped before the gate allocates
-    its standardised copy of the features, so at most about two and a half
-    stack-sized arrays are live."""
+    cache-resident; the faulted stack is dropped before the gate computes
+    its scores.
+
+    ``baselines=True`` adds a ``baselines`` stanza (see
+    :func:`_baselines_stanza`); campaigns leave it off, so journal bytes do
+    not depend on it."""
 
     module = ctx.session.module
     if getattr(spec, "target", "probs") == "weights":
@@ -398,8 +400,8 @@ def degradation_report(ctx: DegradationContext, spec) -> dict:
         # weights go on a shallow copy and the shared gate is never written
         faulted_gate = copy.copy(module)
         faulted_gate.w = np.asarray(spec.apply_batch(module.w[None])[0], dtype=np.float64)
-        scores = faulted_gate.predict_proba(ctx.clean_features)
-        targets = ctx.clean_targets
+        features, targets = ctx.clean_features, ctx.clean_targets
+        scores = faulted_gate.predict_proba(features)
     else:
         faulted_stack = sanitize_probs_batch(spec.apply_batch(ctx.session.test_stack))
         targets = ctx.session.test_targets(faulted_stack)
@@ -408,7 +410,7 @@ def degradation_report(ctx: DegradationContext, spec) -> dict:
         scores = module.predict_proba(features)
     faulted = module.evaluate(scores, targets)
     faulted_flags = module.flag(scores)
-    return {
+    report = {
         "model": ctx.session.model,
         "members": ctx.session.members,
         "degraded": ctx.session.degraded,
@@ -426,6 +428,31 @@ def degradation_report(ctx: DegradationContext, spec) -> dict:
             for k in ("accuracy", "precision", "recall", "f1", "auc")
         },
     }
+    if baselines:
+        report["baselines"] = _baselines_stanza(ctx, faulted, features, targets)
+    return report
+
+
+def _baselines_stanza(
+    ctx: DegradationContext, faulted: DetectionMetrics, features: np.ndarray, targets: np.ndarray
+) -> dict:
+    """The gate's AUC next to the training-free baselines'
+    (:data:`~polygraphmr.decision.BASELINES`), clean and faulted, and which
+    baselines the gate scores below — reported, never hidden.  A gate-weights
+    fault leaves the inputs clean, so its faulted baselines equal the clean
+    ones."""
+
+    stanza: dict = {}
+    loses: dict = {}
+    for side, gate_auc, feats, ys in (
+        ("clean", ctx.clean.auc, ctx.clean_features, ctx.clean_targets),
+        ("faulted", faulted.auc, features, targets),
+    ):
+        aucs = baseline_aucs(feats, ys)
+        stanza[side] = {"gate": round(gate_auc, 6), **{k: round(v, 6) for k, v in aucs.items()}}
+        loses[side] = sorted(k for k, v in aucs.items() if v > gate_auc)
+    stanza["gate_loses_to"] = loses
+    return stanza
 
 
 def measure_degradation(
@@ -434,8 +461,8 @@ def measure_degradation(
     spec,
     *,
     members: list[str] | None = None,
-    seed: int = 0,
     runtime: EnsembleRuntime | None = None,
+    baselines: bool = False,
 ) -> dict:
     """Clean-vs-faulted misprediction-detection metrics for one model.
 
@@ -455,10 +482,11 @@ def measure_degradation(
     Pass ``runtime`` to reuse one :class:`EnsembleRuntime` across many
     calls — the campaign runner does this so its circuit-breaker board
     accumulates state over trials instead of resetting every time.
+    ``baselines`` adds :func:`degradation_report`'s baselines stanza.
     """
 
-    ctx = prepare_degradation(store, model, members=members, seed=seed, runtime=runtime)
-    return degradation_report(ctx, spec)
+    ctx = prepare_degradation(store, model, members=members, runtime=runtime)
+    return degradation_report(ctx, spec, baselines=baselines)
 
 
 # -- synthetic demo cache (the seed cache has zero valid artifacts) --------
@@ -631,7 +659,7 @@ def main(argv: list[str] | None = None) -> int:
     reports = []
     for model in models:
         try:
-            reports.append(measure_degradation(store, model, spec, seed=args.seed))
+            reports.append(measure_degradation(store, model, spec, baselines=True))
         except Exception as exc:  # noqa: BLE001 - CLI reports, never crashes the sweep
             reports.append({"model": model, "error": repr(exc)})
     registry = get_registry()

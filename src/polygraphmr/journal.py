@@ -1,4 +1,4 @@
-"""Tamper-evident, hash-chained campaign journal (format v3).
+"""Tamper-evident, hash-chained campaign journal (format v4).
 
 The journal is the campaign subsystem's write-ahead evidence trail, and
 PolygraphMR's reliability claims rest on it — so the format must be
@@ -49,6 +49,7 @@ __all__ = [
     "JOURNAL_NAME",
     "CHECKPOINT_NAME",
     "JOURNAL_VERSION",
+    "VERIFIABLE_VERSIONS",
     "canonical_json",
     "sha256_hex",
     "config_chain_hash",
@@ -69,7 +70,11 @@ __all__ = [
 
 JOURNAL_NAME = "journal.jsonl"
 CHECKPOINT_NAME = "checkpoint.json"
-JOURNAL_VERSION = 3
+JOURNAL_VERSION = 4
+# formats ``campaign verify`` audits; ``--resume`` extends only JOURNAL_VERSION.
+# v3 and v4 share the chain and seal rules; v4 trials carry the six-feature
+# Newton-fitted gate's metrics, so a v3 journal can be audited, not extended
+VERIFIABLE_VERSIONS = (3, 4)
 
 _SHARD_RE = re.compile(r"^journal\.w(\d{2,})\.jsonl$")
 
@@ -91,19 +96,20 @@ def config_chain_hash(config_dict: dict) -> str:
     return sha256_hex(canonical_json(config_dict))
 
 
-def chain_genesis(config_sha: str | None = None, *, shard: int | None = None) -> str:
-    """The genesis hash a journal chain starts from.
+def chain_genesis(
+    config_sha: str | None = None, *, shard: int | None = None, version: int = JOURNAL_VERSION
+) -> str:
+    """The genesis hash a journal chain of format ``version`` starts from.
 
     The canonical journal uses ``shard=None``; worker shard ``NN`` uses
     ``shard=NN`` — every chain in a campaign directory is rooted in the same
     config hash but no shard's chain can be passed off as another's.
     ``config_sha=None`` is the anonymous genesis for journals with no
-    campaign identity (tests, ad-hoc logs).
+    campaign identity (tests, ad-hoc logs).  The format version is part of
+    the root, so a chain cannot be passed off as another version's.
     """
 
-    return sha256_hex(
-        canonical_json({"chain": JOURNAL_VERSION, "config_sha256": config_sha, "shard": shard})
-    )
+    return sha256_hex(canonical_json({"chain": version, "config_sha256": config_sha, "shard": shard}))
 
 
 def seal_record(record: dict, prev: str) -> tuple[str, str]:

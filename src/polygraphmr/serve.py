@@ -27,11 +27,15 @@ never queued or counted as classifications.
 after the first request of a batch it waits briefly for companions, then
 groups the batch by model, concatenates every request's sample indices, and
 evaluates them in one tensor op.  Every statistic on the serving path
-(member-mean probabilities, argmax predictions,
-:func:`~polygraphmr.decision.ensemble_features`, the fitted logistic
-decision module) is a per-sample computation, so slicing the coalesced
-result back per request is **byte-identical** to running each request
-alone — the differential guarantee ``tests/test_serve.py`` enforces.
+(member-mean probabilities, argmax predictions, the six agreement features
+of :func:`~polygraphmr.decision.ensemble_features`, the logistic gate's
+score) is a per-sample computation, so slicing the coalesced result back
+per request is **byte-identical** to running each request alone — the
+differential guarantee ``tests/test_serve.py`` enforces.  A reply's
+``flags`` are that gate's decisions: the gate campaigns journal since
+journal v4, fitted by Newton's method on the session's ``val`` stack once
+per member set (no seed: ``PolygraphService(seed=...)`` is accepted and
+ignored).
 
 **Reply memo.**  A session never changes once built, so each test row's
 reply text (its ``probs`` row, prediction and flag) is a pure function of
@@ -453,7 +457,7 @@ class PolygraphService:
         *,
         min_members: int = 2,
         keep_members: int | None = None,
-        seed: int = 0,
+        seed: int = 0,  # unused: the gate fit is unseeded; accepted for existing callers
         breakers: BreakerBoard | None = None,
     ):
         self.store = store
@@ -461,7 +465,7 @@ class PolygraphService:
         # ORG and enough companions to stay above min_members never shed
         self.keep_members = max(min_members, keep_members if keep_members is not None else min_members)
         self.board = breakers if breakers is not None else BreakerBoard(BreakerPolicy())
-        self.runtime = EnsembleRuntime(store, min_members=min_members, seed=seed, breakers=self.board)
+        self.runtime = EnsembleRuntime(store, min_members=min_members, breakers=self.board)
         self._base: dict[str, ModelSession] = {}
         self._derived: dict[tuple[str, tuple[str, ...]], ModelSession] = {}
         # reply text per session, keyed like ``_derived`` (the base session too)
@@ -1585,7 +1589,6 @@ async def _serve(args) -> int:
         store,
         min_members=args.min_members,
         keep_members=args.keep_members,
-        seed=args.seed,
         breakers=board,
     )
     config = ServeConfig(

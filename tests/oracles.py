@@ -3,10 +3,13 @@ are checked against.  Used only by tests; the program runs the batched
 kernels (:func:`polygraphmr.decision.ensemble_features_batch`,
 :func:`polygraphmr.faults.sanitize_probs_batch`,
 :func:`polygraphmr.faults.apply_fault_batch`,
-:meth:`polygraphmr.faults.FaultSpec.apply_batch`) and the rank-based
-``polygraphmr.decision._rank_auc``."""
+:meth:`polygraphmr.faults.FaultSpec.apply_batch`), the rank-based
+``polygraphmr.decision._rank_auc`` and the gate's split ``_sigmoid`` and
+Newton fit."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -100,25 +103,94 @@ def inject_gaussian(arr: np.ndarray, *, sigma: float, rng: np.random.Generator) 
 
 
 def ensemble_features(stacked: np.ndarray) -> np.ndarray:
-    """Feature matrix from a stacked probability tensor ``(M, N, C)``.
+    """The gate's six features ``(N, 6)`` of a stacked tensor ``(M, N, C)``,
+    one sample at a time (see :data:`polygraphmr.decision.FEATURE_NAMES`).
 
-    Concatenates every member's probability vector with cheap agreement
-    statistics (mean-prob entropy, max mean-prob, top-1 vote agreement,
-    ORG-vs-ensemble disagreement) that carry most of the detection signal
-    and keep the feature map usable when members drop out.
+    Vote agreement is computed the way pypuf's ``reliabilities_PUF`` treats
+    repeated responses: every member's vote is a ±1 response, +1 where it
+    agrees with the reference vote (here the majority, ties to the lowest
+    class).  pypuf's reliability is ``|mean(responses)|``; the share of
+    agreeing members is its signed form ``(M + Σ responses) / 2M``, which
+    is exactly ``k / M`` for ``k`` agreeing members.  ORG disagrees where
+    its own response is −1.
     """
+
+    m, n, _ = stacked.shape
+    eps = 1e-12
+    rows = []
+    for i in range(n):
+        sample = stacked[:, i, :]  # (M, C), ORG first
+        mean = sample.mean(axis=0)
+        votes = [int(np.argmax(sample[k])) for k in range(m)]
+        majority = int(np.argmax(np.bincount(votes)))
+        responses = [1 if v == majority else -1 for v in votes]
+        rows.append(
+            [
+                -(mean * np.log(mean + eps)).sum(),  # entropy of the mean probs
+                mean.max(),
+                (m + sum(responses)) / (2 * m),  # agreement
+                1.0 if responses[0] < 0 else 0.0,  # ORG disagrees
+                mean[votes[0]],  # ORG support
+                sample[0].max(),  # ORG max prob
+            ]
+        )
+    return np.array(rows, dtype=np.float64).reshape(n, 6)
+
+
+def v3_ensemble_features(stacked: np.ndarray) -> np.ndarray:
+    """The journal-v3 gate's features ``(N, M·C + 4)``, kept as a reference:
+    every member's probability vector, then the mean probs' entropy and
+    maximum, majority-vote agreement and ORG-disagrees."""
 
     m, n, c = stacked.shape
     flat = np.transpose(stacked, (1, 0, 2)).reshape(n, m * c)
-    mean = stacked.mean(axis=0)  # (N, C)
-    eps = 1e-12
-    entropy = -(mean * np.log(mean + eps)).sum(axis=1, keepdims=True)
-    max_mean = mean.max(axis=1, keepdims=True)
-    votes = stacked.argmax(axis=2)  # (M, N)
-    majority = np.apply_along_axis(lambda col: np.bincount(col, minlength=c).argmax(), 0, votes)
-    agreement = (votes == majority[None, :]).mean(axis=0, keepdims=True).T  # (N, 1)
-    org_disagrees = (votes[0] != majority).astype(np.float64)[:, None]
-    return np.concatenate([flat, entropy, max_mean, agreement, org_disagrees], axis=1)
+    return np.concatenate([flat, ensemble_features(stacked)[:, :4]], axis=1)
+
+
+def sigmoid(z: float) -> float:
+    """The logistic function of one float, split at zero so neither branch
+    overflows; NaN stays NaN."""
+
+    if z >= 0:
+        return 1.0 / (1.0 + math.exp(-z))
+    ez = math.exp(z)
+    return ez / (1.0 + ez)
+
+
+def penalised_loss_and_grad(x: np.ndarray, y: np.ndarray, w: np.ndarray, b: float, l2: float):
+    """The gate's training objective by scalar loops: mean log-loss plus
+    ``l2 / 2 · (|w|² + b²)`` over (already standardised) ``x``, and its
+    gradient with respect to ``(w, b)`` as one array, the bias last."""
+
+    n, d = x.shape
+    loss = 0.0
+    grad = [0.0] * (d + 1)
+    for i in range(n):
+        z = b + sum(float(w[j]) * float(x[i, j]) for j in range(d))
+        # log(1 + e^z) without overflow
+        loss += max(z, 0.0) + math.log1p(math.exp(-abs(z))) - float(y[i]) * z
+        err = sigmoid(z) - float(y[i])
+        for j in range(d):
+            grad[j] += err * float(x[i, j])
+        grad[d] += err
+    theta = [float(v) for v in w] + [float(b)]
+    loss = loss / n + 0.5 * l2 * sum(t * t for t in theta)
+    return loss, np.array([g / n + l2 * t for g, t in zip(grad, theta)])
+
+
+def gradient_descent_fit(x: np.ndarray, y: np.ndarray, *, lr=0.5, epochs=400, l2=1e-3, seed=0):
+    """The journal-v3 gate's fit, kept as a reference: full-batch gradient
+    descent from a seeded N(0, 0.01²) weight draw, the bias unpenalised.
+    Returns ``(w, b)`` over (already standardised) ``x``."""
+
+    n, d = x.shape
+    w = np.random.default_rng(seed).normal(0.0, 0.01, size=d)
+    b = 0.0
+    for _ in range(epochs):
+        err = 1.0 / (1.0 + np.exp(-(x @ w + b))) - y
+        w -= lr * (x.T @ err / n + l2 * w)
+        b -= lr * float(err.mean())
+    return w, b
 
 
 def sanitize_probs(arr: np.ndarray) -> np.ndarray:

@@ -110,7 +110,7 @@ def assert_slow_reader_isolated(gateway: ServeGateway, cache) -> None:
     assert drain_s >= DRAIN_FLUSH_S, "drain closed the non-reader before its flush window ran out"
     assert registry.counter_value("serve_slow_reader_closed_total") == 1
 
-    serial = PolygraphService(ArtifactStore(cache), seed=0)
+    serial = PolygraphService(ArtifactStore(cache))
     for request, raw in zip(normal, raws):
         assert raw == response_frame(serial.respond(request)), request.id
     tally = {outcome: 0 for outcome in OUTCOMES}

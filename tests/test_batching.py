@@ -34,7 +34,7 @@ from polygraphmr.campaign import (
     scenarios_config_field,
     verify_campaign,
 )
-from polygraphmr.decision import ensemble_features, ensemble_features_batch
+from polygraphmr.decision import FEATURE_NAMES, ensemble_features, ensemble_features_batch
 from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.faults import (
     FAULT_MODELS,
@@ -263,7 +263,7 @@ class TestGateFitOncePerModel:
             assert get_registry().counter("campaign_batched_trials_total").value > 0
         assert _fits() == 1  # one gate served every trial
         gate = runner.executor.runtime_for("tinynet").session("tinynet").module
-        fresh = EnsembleRuntime(ArtifactStore(synthetic_cache), seed=config.seed).session("tinynet").module
+        fresh = EnsembleRuntime(ArtifactStore(synthetic_cache)).session("tinynet").module
         assert gate.w.tobytes() == fresh.w.tobytes() and gate.b == fresh.b
 
 
@@ -279,7 +279,7 @@ class TestStreamedKernel:
         executor = TrialExecutor(config, discover_models(config))
         model = executor.models[0]
         ctx = prepare_degradation(
-            executor.store, model, seed=config.seed, runtime=executor.runtime_for(model), tick=False
+            executor.store, model, runtime=executor.runtime_for(model), tick=False
         )
         # the context (session stacks, clean baseline) is built before
         # tracing starts, so the peak is the streamed trials' own arrays
@@ -561,5 +561,6 @@ class TestVectorizedInjectorProperties:
         if majority is not None:
             # ties resolve to the lowest class
             votes_share = (votes == majority[:, None, :]).mean(axis=1)
-            assert np.array_equal(batched[..., -2], votes_share)
-            assert np.array_equal(batched[..., -1], (votes[:, 0] != majority).astype(np.float64))
+            assert np.array_equal(batched[..., FEATURE_NAMES.index("agreement")], votes_share)
+            org_disagrees = (votes[:, 0] != majority).astype(np.float64)
+            assert np.array_equal(batched[..., FEATURE_NAMES.index("org_disagrees")], org_disagrees)

@@ -20,7 +20,7 @@ from .conftest import SYNTH_MEMBERS
 
 class TestFullEnsemble:
     def test_end_to_end_result(self, synthetic_store):
-        runtime = EnsembleRuntime(synthetic_store, seed=0)
+        runtime = EnsembleRuntime(synthetic_store)
         result = runtime.run_model("tinynet")
         assert isinstance(result, EnsembleResult) and not isinstance(result, DegradedResult)
         assert result.status == "full"
@@ -50,9 +50,9 @@ class TestOneSession:
     def test_callers_agree(self, synthetic_store, synthetic_cache, write_probs, quarantine):
         if quarantine:
             write_probs(synthetic_store.probs_path("tinynet", "pp-Hist", "test"), np.full((8, 10), 0.1))
-        result = EnsembleRuntime(ArtifactStore(synthetic_cache), seed=0).run_model("tinynet")
-        ctx = prepare_degradation(ArtifactStore(synthetic_cache), "tinynet", seed=0)
-        session = PolygraphService(ArtifactStore(synthetic_cache), seed=0).base_session("tinynet")
+        result = EnsembleRuntime(ArtifactStore(synthetic_cache)).run_model("tinynet")
+        ctx = prepare_degradation(ArtifactStore(synthetic_cache), "tinynet")
+        session = PolygraphService(ArtifactStore(synthetic_cache)).base_session("tinynet")
         served = session.module.predict(ensemble_features(session.test_stack))
 
         assert np.array_equal(result.flags, ctx.clean_flags)
@@ -72,16 +72,16 @@ def _fits() -> int:
 
 
 def _fresh_gate(cache):
-    return EnsembleRuntime(ArtifactStore(cache), seed=0).session("tinynet").module
+    return EnsembleRuntime(ArtifactStore(cache)).session("tinynet").module
 
 
 class TestGateMemo:
     """``fit_gate`` is a pure function of (model, members, val artifacts, val
-    labels, seed), so a runtime fits each member set once and refits only
+    labels), so a runtime fits each member set once and refits only
     when a val file's stat signature or the member set changes."""
 
     def test_sessions_share_one_fit(self, synthetic_store):
-        runtime = EnsembleRuntime(synthetic_store, seed=0)
+        runtime = EnsembleRuntime(synthetic_store)
         gate = runtime.session("tinynet").module
         assert runtime.session("tinynet").module is gate
         runtime.run_model("tinynet")
@@ -91,7 +91,7 @@ class TestGateMemo:
     def test_rewritten_val_artifact_forces_a_refit(
         self, synthetic_store, synthetic_cache, write_probs, write_labels, artifact
     ):
-        runtime = EnsembleRuntime(synthetic_store, seed=0)
+        runtime = EnsembleRuntime(synthetic_store)
         stale = runtime.session("tinynet").module
         if artifact == "labels":
             path = synthetic_store.labels_path("tinynet", "val")
@@ -110,7 +110,7 @@ class TestGateMemo:
         assert refit.w.tobytes() != stale.w.tobytes()
 
     def test_quarantined_member_gives_a_new_key_and_a_refit(self, synthetic_store, synthetic_cache):
-        runtime = EnsembleRuntime(synthetic_store, seed=0)
+        runtime = EnsembleRuntime(synthetic_store)
         full = runtime.session("tinynet")
         # only the member's test split breaks: its val file keeps its identity
         path = synthetic_store.probs_path("tinynet", "pp-Hist", "test")
@@ -121,6 +121,44 @@ class TestGateMemo:
         assert narrowed.module is not full.module and _fits() == 2
         assert narrowed.module.w.tobytes() == _fresh_gate(synthetic_cache).w.tobytes()
         assert runtime.session("tinynet").module is narrowed.module and _fits() == 3
+
+
+class TestSessionStacks:
+    """``session`` re-indexes a split's stack onto the common members only
+    when the order differs; otherwise it keeps the assembled stack."""
+
+    def _assembled(self, runtime, monkeypatch) -> dict:
+        batches: dict = {}
+        real = runtime.assemble
+
+        def spy(model, split, **kwargs):
+            batches[split] = real(model, split, **kwargs)
+            return batches[split]
+
+        monkeypatch.setattr(runtime, "assemble", spy)
+        return batches
+
+    def test_nothing_dropped_keeps_the_assembled_stacks(self, synthetic_store, monkeypatch):
+        runtime = EnsembleRuntime(synthetic_store)
+        batches = self._assembled(runtime, monkeypatch)
+        session = runtime.session("tinynet")
+        assert session.members == batches["val"].members == batches["test"].members
+        assert np.shares_memory(session.val_stack, batches["val"].stacked)
+        assert np.shares_memory(session.test_stack, batches["test"].stacked)
+
+    def test_member_dropped_on_one_split_restacks_the_other(self, synthetic_store, monkeypatch):
+        path = synthetic_store.probs_path("tinynet", "pp-Hist", "test")
+        corrupt_file_truncate(path, path, keep_fraction=0.3, seed=11)
+        runtime = EnsembleRuntime(synthetic_store)
+        batches = self._assembled(runtime, monkeypatch)
+        session = runtime.session("tinynet")
+        val, test = batches["val"], batches["test"]
+        assert "pp-Hist" in val.members and session.members == test.members
+        # the val stack is the re-indexed copy, the test stack the assembled one
+        expected = val.stacked[[val.members.index(s) for s in session.members]]
+        assert session.val_stack.tobytes() == expected.tobytes()
+        assert not np.shares_memory(session.val_stack, val.stacked)
+        assert np.shares_memory(session.test_stack, test.stacked)
 
 
 def _rewrite(path, write, key):
@@ -137,12 +175,16 @@ class TestCleanBaselineMemo:
 
     def test_one_scoring_per_member_set(self, synthetic_store, clean_scorings):
         calls = clean_scorings
-        runtime = EnsembleRuntime(synthetic_store, seed=7)
+        runtime = EnsembleRuntime(synthetic_store)
         first = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
         again = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
         assert again.clean_features is first.clean_features and again.clean == first.clean
         narrowed = prepare_degradation(synthetic_store, "tinynet", members=["ORG", "pp-Hist"], runtime=runtime)
-        assert narrowed.clean_features.shape[1] < first.clean_features.shape[1]
+        # the feature layout does not depend on the member count, so the
+        # narrower set shows as its own fit and its own scoring
+        assert narrowed.session.module is not first.session.module and _fits() == 2
+        assert narrowed.clean_features.shape == first.clean_features.shape
+        assert not np.array_equal(narrowed.clean_features, first.clean_features)
         assert [len(members) for members in calls] == [len(SYNTH_MEMBERS), 2]
 
     def test_one_entry_per_model_across_member_sets(self, synthetic_store, clean_scorings):
@@ -150,7 +192,7 @@ class TestCleanBaselineMemo:
         a new member set replaces the model's entry."""
 
         calls = clean_scorings
-        runtime = EnsembleRuntime(synthetic_store, seed=7)
+        runtime = EnsembleRuntime(synthetic_store)
         for members in (None, ["ORG", "pp-Hist"], None, ["ORG", "pp-Hist"]):
             prepare_degradation(synthetic_store, "tinynet", members=members, runtime=runtime)
             assert len(runtime._baselines) == 1
@@ -161,14 +203,14 @@ class TestCleanBaselineMemo:
         self, synthetic_store, synthetic_cache, clean_scorings, write_probs, write_labels, artifact
     ):
         calls = clean_scorings
-        runtime = EnsembleRuntime(synthetic_store, seed=7)
+        runtime = EnsembleRuntime(synthetic_store)
         stale = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
         if artifact == "labels":
             _rewrite(synthetic_store.labels_path("tinynet", "test"), write_labels, "labels")
         else:
             _rewrite(synthetic_store.probs_path("tinynet", "ORG", "test"), write_probs, "probs")
         rescored = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
-        fresh = prepare_degradation(ArtifactStore(synthetic_cache), "tinynet", seed=7)
+        fresh = prepare_degradation(ArtifactStore(synthetic_cache), "tinynet")
         assert len(calls) == 3  # stale, rescored, fresh
         assert rescored.session.module is stale.session.module  # the val side kept its gate
         assert rescored.clean == fresh.clean and rescored.clean != stale.clean
@@ -176,7 +218,7 @@ class TestCleanBaselineMemo:
 
     def test_refitted_gate_is_a_miss(self, synthetic_store, clean_scorings, write_probs):
         calls = clean_scorings
-        runtime = EnsembleRuntime(synthetic_store, seed=7)
+        runtime = EnsembleRuntime(synthetic_store)
         stale = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
         _rewrite(synthetic_store.probs_path("tinynet", "pp-Hist", "val"), write_probs, "probs")
         refit = prepare_degradation(synthetic_store, "tinynet", runtime=runtime)
@@ -274,7 +316,7 @@ class TestRunCacheDeterminism:
         add_model(synthetic_cache, "aaanet", n_val=96, n_test=96, seed=3)
 
         def sweep():
-            runtime = EnsembleRuntime(ArtifactStore(synthetic_cache), seed=0)
+            runtime = EnsembleRuntime(ArtifactStore(synthetic_cache))
             return runtime.run_cache()
 
         first, second = sweep(), sweep()

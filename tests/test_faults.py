@@ -130,7 +130,7 @@ class TestDegradationMeasurement:
         measurable change in misprediction-detection metrics."""
 
         spec = FaultSpec("bitflip", rate=0.05, seed=13)
-        report = measure_degradation(synthetic_store, "tinynet", spec, seed=0)
+        report = measure_degradation(synthetic_store, "tinynet", spec)
         assert report["clean"]["auc"] > 0.6
         deltas = report["delta"]
         moved = max(abs(deltas[k]) for k in ("accuracy", "f1", "auc", "recall", "precision"))
@@ -138,40 +138,38 @@ class TestDegradationMeasurement:
 
     def test_report_reproducible(self, synthetic_store):
         spec = FaultSpec("bitflip", rate=0.05, seed=13)
-        r1 = measure_degradation(synthetic_store, "tinynet", spec, seed=0)
-        r2 = measure_degradation(synthetic_store, "tinynet", spec, seed=0)
+        r1 = measure_degradation(synthetic_store, "tinynet", spec)
+        r2 = measure_degradation(synthetic_store, "tinynet", spec)
         assert r1 == r2
 
     def test_zero_fault_is_no_op_on_metrics(self, synthetic_store):
         spec = FaultSpec("gaussian", sigma=0.0, seed=0)
-        report = measure_degradation(synthetic_store, "tinynet", spec, seed=0)
+        report = measure_degradation(synthetic_store, "tinynet", spec)
         assert all(abs(v) < 1e-9 for v in report["delta"].values())
         assert report["override"]["clean"] == report["override"]["faulted"]
         assert report["degraded"] is False
 
     def test_scenario_fault_measures_degradation(self, synthetic_store):
         fault = get_builtin("channel-bitflip-10pct").fault(21)
-        report = measure_degradation(synthetic_store, "tinynet", fault, seed=0)
+        report = measure_degradation(synthetic_store, "tinynet", fault)
         assert report["fault"]["scenario"] == "channel-bitflip-10pct"
         assert report["fault"]["scenario_sha256"]
         assert 0.0 <= report["override"]["faulted"] <= 1.0
-        again = measure_degradation(synthetic_store, "tinynet", fault, seed=0)
+        again = measure_degradation(synthetic_store, "tinynet", fault)
         assert report == again
 
     def test_weights_target_perturbs_the_gate_not_the_inputs(self, synthetic_store):
         fault = get_builtin("gate-weights-bitflip-1").fault(4)
-        report = measure_degradation(synthetic_store, "tinynet", fault, seed=0)
+        report = measure_degradation(synthetic_store, "tinynet", fault)
         # inputs stay clean, so clean targets == faulted targets: n agrees
         assert report["clean"]["n"] == report["faulted"]["n"]
         # and the module is restored: a second clean measurement is unchanged
-        clean_again = measure_degradation(
-            synthetic_store, "tinynet", FaultSpec("gaussian", sigma=0.0), seed=0
-        )
+        clean_again = measure_degradation(synthetic_store, "tinynet", FaultSpec("gaussian", sigma=0.0))
         assert clean_again["clean"] == report["clean"]
 
 
     def test_weights_fault_never_writes_the_shared_gate(self, synthetic_store, monkeypatch):
-        ctx = prepare_degradation(synthetic_store, "tinynet", seed=0)
+        ctx = prepare_degradation(synthetic_store, "tinynet")
         gate = ctx.session.module
         pristine = gate.w.tobytes()
         gate.w.setflags(write=False)
@@ -202,7 +200,7 @@ class TestDegradationMeasurement:
         one: the gate it scores with carries exactly the weights the scalar
         oracle produces from the same seed."""
 
-        ctx = prepare_degradation(synthetic_store, "tinynet", seed=0)
+        ctx = prepare_degradation(synthetic_store, "tinynet")
         clean_w = ctx.session.module.w
         scored = []
         predict_proba = LogisticDecisionModule.predict_proba
@@ -222,11 +220,11 @@ class TestDegradationMeasurement:
         monkeypatch.setattr(
             LogisticDecisionModule, "predict_proba", lambda m, f: calls.append(1) or predict_proba(m, f)
         )
-        ctx = prepare_degradation(synthetic_store, "tinynet", seed=0)
+        ctx = prepare_degradation(synthetic_store, "tinynet")
         assert len(calls) == 1  # clean flags and metrics
         degradation_report(ctx, FaultSpec("bitflip", rate=0.01, seed=3))
         assert len(calls) == 2
-        EnsembleRuntime(synthetic_store, seed=0).run_model("tinynet")
+        EnsembleRuntime(synthetic_store).run_model("tinynet")
         assert len(calls) == 3
 
 

@@ -1,7 +1,9 @@
-"""Journal v3 chain format and the `campaign verify` auditor.
+"""Journal v4 chain format and the `campaign verify` auditor.
 
 Covers the sealing/linking primitives, chain-aware resume refusals,
-actionable version-mismatch errors, and the full verify walk: exit 0 on a
+actionable version-mismatch errors, verify's acceptance of v3 journals
+(the committed ``tests/data/journal_v3`` directories, written by the last
+v3 release) that ``--resume`` refuses, and the full verify walk: exit 0 on a
 fresh campaign, exit 3 with the exact first offending record on chain
 damage, exit 4 on a journal whose chain is intact but whose records do not
 re-derive from the journalled config.
@@ -10,8 +12,10 @@ re-derive from the journalled config.
 from __future__ import annotations
 
 import json
+import shutil
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +25,7 @@ from polygraphmr.campaign import (
     JOURNAL_VERSION,
     CampaignConfig,
     CampaignRunner,
+    config_from_dict,
     config_genesis,
     main,
     read_checkpoint,
@@ -428,6 +433,63 @@ class TestVersionMismatch:
         assert report["exit_code"] == 3
         assert report["first_bad"]["reason"] == "journal-version-mismatch"
         assert "predates" in report["first_bad"]["detail"]
+
+
+V3_DIRS = Path(__file__).parent / "data" / "journal_v3"
+
+
+class TestV3Journals:
+    """v3 and v4 share the chain rules, so verify audits a v3 directory
+    against v3's genesis; its trials were scored by the old gate, so
+    ``--resume`` still refuses to extend it."""
+
+    def _copy(self, tmp_path, name):
+        return Path(shutil.copytree(V3_DIRS / name, tmp_path / name))
+
+    @pytest.mark.parametrize("name", ["serial", "sharded"])
+    def test_verify_accepts_a_v3_directory(self, tmp_path, name):
+        out = self._copy(tmp_path, name)
+        report = verify_campaign(out)
+        assert report["ok"], report["first_bad"]
+        header = json.loads((out / JOURNAL_NAME).read_text().splitlines()[0])
+        assert header["version"] == 3 < JOURNAL_VERSION
+        assert bool(report["shards"]) == (name == "sharded")
+        assert report["trials"] > 0
+
+    @pytest.mark.parametrize("name", ["serial", "sharded"])
+    def test_v3_chain_damage_is_still_caught(self, tmp_path, name):
+        out = self._copy(tmp_path, name)
+        victim = max(out.glob("journal*.jsonl"), key=lambda p: p.stat().st_size)
+        lines = victim.read_text().splitlines(keepends=True)
+        lines[1] = lines[1].replace('"outcome": "ok"', '"outcome": "error"', 1)
+        victim.write_text("".join(lines))
+        report = verify_campaign(out)
+        assert report["exit_code"] == 3
+        assert report["first_bad"]["file"] == victim.name and report["first_bad"]["line"] == 2
+
+    def test_v3_header_needs_the_v3_genesis(self, tmp_path, bare_cache):
+        config = CampaignConfig(cache=str(bare_cache()), n_trials=2)
+        out = tmp_path / "out"
+        # a v3 header rooted at the v4 genesis: neither format's chain
+        journal = CampaignJournal(out / JOURNAL_NAME, genesis=config_genesis(config))
+        journal.append({"type": "header", "version": 3, "config": config.to_dict(), "models": ["m"]})
+        report = verify_campaign(out)
+        assert report["exit_code"] == 3
+        assert report["first_bad"]["reason"] == "journal-chain-broken"
+        genesis = chain_genesis(config_chain_hash(config.to_dict()), version=3)
+        assert genesis != config_genesis(config)
+
+    @pytest.mark.parametrize("name", ["serial", "sharded"])
+    def test_resume_of_a_v3_directory_is_refused(self, tmp_path, monkeypatch, name):
+        out = self._copy(tmp_path, name)
+        header = json.loads((out / JOURNAL_NAME).read_text().splitlines()[0])
+        monkeypatch.chdir(tmp_path)  # the journalled cache path is relative
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(CampaignError) as exc_info:
+            CampaignRunner(config_from_dict(header["config"]), out, trial_fn=_fake_trial).run(resume=True)
+        assert exc_info.value.reason == "journal-version-mismatch"
+        assert "journal format v3" in str(exc_info.value)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 class TestVerifyShards:

@@ -194,12 +194,12 @@ class TestStoreSalvage:
         offsets = _member_offsets(rebuilt)
         target.write_bytes(rebuilt[: offsets[1] + 40])
 
-        salvaging = EnsembleRuntime(ArtifactStore(synthetic_cache, allow_salvaged=True), seed=0)
+        salvaging = EnsembleRuntime(ArtifactStore(synthetic_cache, allow_salvaged=True))
         result = salvaging.run_model("tinynet")
         assert not isinstance(result, DegradedResult)
         assert "pp-Hist" in result.members
 
-        strict = EnsembleRuntime(ArtifactStore(synthetic_cache), seed=0)
+        strict = EnsembleRuntime(ArtifactStore(synthetic_cache))
         degraded = strict.run_model("tinynet")
         assert isinstance(degraded, DegradedResult)
         assert "pp-Hist" in degraded.quarantined

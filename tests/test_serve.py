@@ -63,7 +63,7 @@ MODEL = "tinynet"
 
 @pytest.fixture()
 def service(synthetic_cache):
-    return PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+    return PolygraphService(ArtifactStore(synthetic_cache))
 
 
 def make_gateway(service: PolygraphService, **overrides) -> ServeGateway:
@@ -97,14 +97,14 @@ class TestDifferential:
         an independent walk through the ensemble runtime produces."""
 
         samples = (3, 0, 17, 44)
-        runtime = EnsembleRuntime(ArtifactStore(synthetic_cache), min_members=2, seed=0)
+        runtime = EnsembleRuntime(ArtifactStore(synthetic_cache), min_members=2)
         plan = runtime.member_plan(MODEL)
         val = runtime.assemble(MODEL, "val", members=plan)
         test = runtime.assemble(MODEL, "test", members=plan)
         common = [s for s in val.members if s in set(test.members)]
         val_stack = np.stack([val.stacked[val.members.index(s)] for s in common], axis=0)
         test_stack = np.stack([test.stacked[test.members.index(s)] for s in common], axis=0)
-        module = LogisticDecisionModule(seed=0)
+        module = LogisticDecisionModule()
         org_val = val_stack[common.index("ORG")]
         labels = runtime.store.load_labels(MODEL, "val")
         module.fit(oracles.ensemble_features(val_stack), misprediction_targets(org_val, labels))
@@ -153,7 +153,7 @@ class TestDifferential:
         results = asyncio.run(run())
         assert get_registry().counter_value("serve_batches_total") < len(requests), "nothing coalesced"
 
-        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        serial = PolygraphService(ArtifactStore(synthetic_cache))
         for request, (payload, raw) in zip(requests, results):
             assert payload["outcome"] == OUTCOME_OK
             assert raw == response_frame(serial.respond(request))
@@ -173,7 +173,7 @@ class TestDifferential:
                 await gateway.drain()
 
         results = asyncio.run(run())
-        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        serial = PolygraphService(ArtifactStore(synthetic_cache))
         for request, (_, raw) in zip(requests, results):
             assert raw == response_frame(serial.respond(request))
 
@@ -186,12 +186,12 @@ class TestRowMemo:
         recovery serves the full set's rows from its memo again."""
 
         board = BreakerBoard(BreakerPolicy(failure_threshold=1, cooldown_ticks=10**6))
-        service = PolygraphService(ArtifactStore(synthetic_cache), seed=0, breakers=board)
+        service = PolygraphService(ArtifactStore(synthetic_cache), breakers=board)
         requests = [ServeRequest(id=f"w{i}", model=MODEL, samples=(i, 2 * i, i)) for i in range(6)]
 
         def serial_frames(tripped: bool) -> list[bytes]:
             ref_board = BreakerBoard(BreakerPolicy(failure_threshold=1, cooldown_ticks=10**6))
-            ref = PolygraphService(ArtifactStore(synthetic_cache), seed=0, breakers=ref_board)
+            ref = PolygraphService(ArtifactStore(synthetic_cache), breakers=ref_board)
             ref.base_session(MODEL)  # built with every member, as the gateway's was
             if tripped:
                 ref_board.record_failure(MODEL, "pp-Hist")
@@ -304,7 +304,7 @@ class TestOverload:
         responses name the shed members; a calm queue closes them again."""
 
         board = BreakerBoard(BreakerPolicy(failure_threshold=1, cooldown_ticks=2))
-        service = PolygraphService(ArtifactStore(synthetic_cache), seed=0, breakers=board)
+        service = PolygraphService(ArtifactStore(synthetic_cache), breakers=board)
         full_members = list(service.base_session(MODEL).members)
         core, sheddable = full_members[:2], full_members[2:]
 
@@ -346,7 +346,7 @@ class TestBreakerOpenMembers:
     def test_pre_opened_breaker_yields_degraded_member_responses(self, synthetic_cache):
         board = BreakerBoard(BreakerPolicy(failure_threshold=1, cooldown_ticks=10**6))
         board.record_failure(MODEL, "pp-Hist")
-        service = PolygraphService(ArtifactStore(synthetic_cache), seed=0, breakers=board)
+        service = PolygraphService(ArtifactStore(synthetic_cache), breakers=board)
 
         async def run():
             gateway = make_gateway(service)
@@ -452,7 +452,7 @@ class TestOutbox:
             await gateway._execute(batch)
 
         asyncio.run(run())
-        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        serial = PolygraphService(ArtifactStore(synthetic_cache))
         deadline = response_frame({"id": "late", "outcome": OUTCOME_DEADLINE, "model": MODEL})
         expected_a = [deadline, response_frame(serial.respond(bad))]
         expected_a += [response_frame(serial.respond(r)) for r in ok_a]
@@ -512,7 +512,7 @@ class TestSlowReader:
             return raw, drain_s
 
         (_, raw), drain_s = asyncio.run(run())
-        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        serial = PolygraphService(ArtifactStore(synthetic_cache))
         assert raw == response_frame(serial.respond(request))
         assert drain_s < DRAIN_FLUSH_S
         assert reg.counter_value("serve_slow_reader_closed_total") == 1

@@ -53,7 +53,7 @@ MODEL = "tinynet"
 
 @pytest.fixture()
 def service(synthetic_cache):
-    return PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+    return PolygraphService(ArtifactStore(synthetic_cache))
 
 
 def make_pooled_gateway(service: PolygraphService, *, workers: int = 2, **overrides) -> ServeGateway:
@@ -100,7 +100,7 @@ class TestPooledDifferential:
         assert reg.counter_value("serve_pool_samples_total") == sum(len(r.samples) for r in requests)
         assert reg.counter_value("serve_worker_batches_total") >= 1, "worker shards never merged"
 
-        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        serial = PolygraphService(ArtifactStore(synthetic_cache))
         for request, (payload, raw) in zip(requests, results):
             assert payload["outcome"] == OUTCOME_OK
             assert raw == response_frame(serial.respond(request))
@@ -115,7 +115,7 @@ class TestPooledDifferential:
             board.record_failure(MODEL, "pp-Hist")
             return board
 
-        pooled = PolygraphService(ArtifactStore(synthetic_cache), seed=0, breakers=tripped_board())
+        pooled = PolygraphService(ArtifactStore(synthetic_cache), breakers=tripped_board())
         request = ServeRequest(id="deg1", model=MODEL, samples=(0, 1, 7))
 
         async def run():
@@ -131,7 +131,7 @@ class TestPooledDifferential:
         assert "pp-Hist" not in payload["members"]
         assert payload["breakers"]["pp-Hist"] == OPEN
 
-        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0, breakers=tripped_board())
+        serial = PolygraphService(ArtifactStore(synthetic_cache), breakers=tripped_board())
         assert raw == response_frame(serial.respond(request))
 
     def test_pooled_error_and_deadline_outcomes_byte_identical(self, synthetic_cache, service):
@@ -161,7 +161,7 @@ class TestPooledDifferential:
         assert unk_p["error"]["reason"] == "unknown-model"
         assert hur_p["outcome"] == OUTCOME_DEADLINE
 
-        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        serial = PolygraphService(ArtifactStore(synthetic_cache))
         assert bad_raw == response_frame(serial.respond(bad))
         assert hur_raw == response_frame({"id": "h1", "outcome": OUTCOME_DEADLINE, "model": MODEL})
 
@@ -234,7 +234,7 @@ class TestPoolCrash:
 
         payload, raw, first_pid, respawned = asyncio.run(run())
         assert payload["outcome"] == OUTCOME_OK
-        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        serial = PolygraphService(ArtifactStore(synthetic_cache))
         assert raw == response_frame(serial.respond(request))
 
         assert respawned and respawned != [first_pid], "pool never respawned the killed slot"
@@ -384,7 +384,7 @@ class TestPoolRowMemo:
         assert reg.counter_value("serve_reply_rows_total", source="evaluated") == shipped
         assert reg.counter_value("serve_reply_rows_total", source="memo") == sum(len(r.samples) for r in second)
 
-        serial = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        serial = PolygraphService(ArtifactStore(synthetic_cache))
         for request, (payload, raw) in zip(second, results):
             assert payload["outcome"] == OUTCOME_OK
             assert raw == response_frame(serial.respond(request))

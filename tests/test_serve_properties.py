@@ -313,8 +313,8 @@ class TestSpliceIsCanonicalJson:
         row memo (cold rows evaluated per batch, warm ones reused across
         batches) give the frames of the dict-based serial reference."""
 
-        service = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
-        reference = PolygraphService(ArtifactStore(synthetic_cache), seed=0)
+        service = PolygraphService(ArtifactStore(synthetic_cache))
+        reference = PolygraphService(ArtifactStore(synthetic_cache))
         members = service.base_session("tinynet").members
         active = [m for m in members if m not in shed]
         shed = sorted(shed)

@@ -218,7 +218,7 @@ class TestServeSoak:
         # breaker is re-admitted as a half-open probe on the very next batch
         # and no response is ever actually served degraded
         board = BreakerBoard(BreakerPolicy(failure_threshold=2, cooldown_ticks=2))
-        service = PolygraphService(ArtifactStore(synthetic_cache), seed=0, breakers=board)
+        service = PolygraphService(ArtifactStore(synthetic_cache), breakers=board)
         config = ServeConfig(
             host="127.0.0.1",
             port=0,
