@@ -6,10 +6,10 @@ Four phases against one gateway subprocess over a synthetic cache::
 
     PYTHONPATH=src python scripts/smoke_serve.py
 
-1. **Serve** — spawn ``python -m polygraphmr.serve`` (TCP, auto port,
-   shared-memory plane on), wait for the ready line, fire concurrent
-   classification requests plus a ping and a metrics op; every request must
-   be answered ``ok`` with the full member set.
+1. **Serve** — spawn ``python -m polygraphmr.serve`` (TCP, auto port),
+   wait for the ready line, fire concurrent classification requests plus a
+   ping and a metrics op; every request must be answered ``ok`` with the
+   full member set.
 2. **Slow reader** — one connection sends maximum-size requests and never
    reads; once the gateway has finished them (about 10 MB of replies left
    unsent), another client's request must still be answered within
@@ -22,17 +22,10 @@ Four phases against one gateway subprocess over a synthetic cache::
    summary's per-outcome counts reconcile exactly with the responses
    received plus the slow reader's requests, and the metrics JSON +
    Prometheus dumps are written and parseable.
-4. **Hygiene** — no ``pgmr-*`` shared-memory segment may remain under
-   ``/dev/shm`` after exit (the plane publisher unlinks before serving, so
-   even a SIGKILL cannot leak), and a fresh connection attempt must be
-   refused.
-
-The full cycle runs twice: once against an in-process gateway and once
-against ``--serve-workers 4`` (the multi-process execution plane).  The
-pooled cycle additionally requires the ready line to carry four live worker
-pids, the drain summary's pool stanza to report worker batches with zero
-crash fallbacks, the merged metrics JSON to carry the workers' shard
-counters, and every worker process to be reaped after exit.
+4. **Hygiene** — serving publishes no shared memory: the running gateway
+   maps no ``/dev/shm/pgmr-*`` segment (read from ``/proc/<pid>/maps``,
+   where even an unlinked segment shows), no ``pgmr-*`` entry appears under
+   ``/dev/shm``, and after exit a fresh connection attempt must be refused.
 
 Exits 0 on success; any deviation is a hard failure.  Run by CI on every
 push.
@@ -44,7 +37,6 @@ import asyncio
 import contextlib
 import glob
 import json
-import os
 import signal
 import socket
 import subprocess
@@ -75,7 +67,18 @@ def shm_segments() -> list[str]:
     return sorted(glob.glob("/dev/shm/pgmr-*"))
 
 
-def start_gateway(tmp: Path, workers: int) -> tuple[subprocess.Popen, int, list[int]]:
+def mapped_segments(pid: int) -> list[str]:
+    """The ``pgmr-*`` shared-memory segments process ``pid`` maps, unlinked
+    ones included; empty where ``/proc`` has no maps file."""
+
+    try:
+        with open(f"/proc/{pid}/maps", encoding="utf-8") as fh:
+            return sorted({line.split()[-2] for line in fh if "/dev/shm/pgmr-" in line})
+    except FileNotFoundError:  # pragma: no cover - no procfs
+        return []
+
+
+def start_gateway(tmp: Path) -> tuple[subprocess.Popen, int]:
     cmd = [
         sys.executable,
         "-m",
@@ -92,8 +95,6 @@ def start_gateway(tmp: Path, workers: int) -> tuple[subprocess.Popen, int, list[
         "0.01",
         "--batch-max",
         "8",
-        "--serve-workers",
-        str(workers),
         "--metrics-out",
         str(tmp / "metrics.json"),
         "--prom-out",
@@ -108,14 +109,8 @@ def start_gateway(tmp: Path, workers: int) -> tuple[subprocess.Popen, int, list[
     ready = json.loads(ready_line)
     if ready.get("ready") is not True or sorted(ready.get("models", [])) != [f"net-{i:02d}" for i in range(N_MODELS)]:
         raise SystemExit(f"FAIL: bad ready line: {ready_line!r}")
-    pids = [int(pid) for pid in ready.get("workers", [])]
-    if len(pids) != workers:
-        raise SystemExit(f"FAIL: asked for {workers} pool workers, ready line lists pids {pids}")
-    for pid in pids:
-        os.kill(pid, 0)  # raises ProcessLookupError if the worker is not alive
-    label = f"{workers}-worker pool" if workers else "in-process"
-    print(f"OK: {label} gateway ready on port {ready['port']} serving {ready['models']}")
-    return proc, int(ready["port"]), pids
+    print(f"OK: gateway ready on port {ready['port']} serving {ready['models']}")
+    return proc, int(ready["port"])
 
 
 async def one_request(port: int, request: ServeRequest) -> dict:
@@ -266,7 +261,7 @@ def phase_sigterm_mid_load(proc: subprocess.Popen, port: int) -> tuple[dict[str,
     return outcomes, summary
 
 
-def check_reconciliation(summary: dict, outcomes: dict[str, int], tmp: Path, workers: int) -> None:
+def check_reconciliation(summary: dict, outcomes: dict[str, int], tmp: Path) -> None:
     for outcome in OUTCOMES:
         if summary["served"].get(outcome, 0) != outcomes.get(outcome, 0):
             raise SystemExit(
@@ -286,49 +281,30 @@ def check_reconciliation(summary: dict, outcomes: dict[str, int], tmp: Path, wor
     prom = (tmp / "metrics.prom").read_text(encoding="utf-8")
     if "serve_requests_total" not in prom or "serve_request_seconds" not in prom:
         raise SystemExit("FAIL: Prometheus dump is missing the serve metrics")
-    if workers:
-        pool = summary.get("pool", {})
-        if pool.get("workers") != workers or not pool.get("worker_batches"):
-            raise SystemExit(f"FAIL: pooled drain summary has no worker batches: {pool!r}")
-        if pool.get("restarts") or any(pool.get("fallbacks", {}).values()):
-            raise SystemExit(f"FAIL: healthy pool reported restarts/fallbacks: {pool!r}")
-        shard_batches = sum(
-            row["value"] for row in metrics["counters"] if row["name"] == "serve_worker_batches_total"
-        )
-        if shard_batches != pool["worker_batches"]:
-            raise SystemExit(
-                f"FAIL: merged metrics carry {shard_batches} worker batches, pool stanza says "
-                f"{pool['worker_batches']} — shard merge lost counts"
-            )
     print("OK: drain summary, metrics.json, and responses (plus the slow reader's requests) reconcile exactly")
 
 
-def check_hygiene(port: int, before: list[str], worker_pids: list[int]) -> None:
-    after = shm_segments()
-    leaked = sorted(set(after) - set(before))
-    if leaked:
-        raise SystemExit(f"FAIL: shared-memory segments leaked: {leaked}")
+def check_hygiene(port: int, before: list[str], mapped: list[str]) -> None:
+    if mapped:
+        raise SystemExit(f"FAIL: the serving gateway mapped shared-memory segments: {mapped}")
+    published = sorted(set(shm_segments()) - set(before))
+    if published:
+        raise SystemExit(f"FAIL: shared-memory segments appeared under /dev/shm: {published}")
     with socket.socket() as sock:
         sock.settimeout(1.0)
         if sock.connect_ex(("127.0.0.1", port)) == 0:
             raise SystemExit(f"FAIL: port {port} still accepting connections after exit")
-    for pid in worker_pids:
-        try:
-            os.kill(pid, 0)
-        except ProcessLookupError:
-            continue
-        raise SystemExit(f"FAIL: pool worker {pid} survived gateway drain")
-    suffix = f", all {len(worker_pids)} workers reaped" if worker_pids else ""
-    print(f"OK: no /dev/shm leak, listener gone{suffix}")
+    print("OK: no shared-memory segment mapped or published, listener gone")
 
 
-def run_cycle(workers: int) -> None:
+def main() -> int:
     shm_before = shm_segments()
     tmp = Path(tempfile.mkdtemp(prefix="polygraphmr-smoke-serve-"))
-    proc, port, worker_pids = start_gateway(tmp, workers)
+    proc, port = start_gateway(tmp)
     slow = None
     try:
         outcomes = phase_concurrent_requests(port)
+        mapped = mapped_segments(proc.pid)  # sessions are built: anything the gateway maps is mapped by now
         slow, beside_outcomes = phase_slow_reader(port)
         drain_outcomes, summary = phase_sigterm_mid_load(proc, port)
     finally:
@@ -341,14 +317,9 @@ def run_cycle(workers: int) -> None:
     for tally in (beside_outcomes, drain_outcomes):
         for outcome, n in tally.items():
             outcomes[outcome] = outcomes.get(outcome, 0) + n
-    check_reconciliation(summary, outcomes, tmp, workers)
-    check_hygiene(port, shm_before, worker_pids)
-
-
-def main() -> int:
-    for workers in (0, 4):
-        run_cycle(workers)
-    print("OK: serve smoke complete (in-process + pooled, slow reader included)")
+    check_reconciliation(summary, outcomes, tmp)
+    check_hygiene(port, shm_before, mapped)
+    print("OK: serve smoke complete (slow reader included)")
     return 0
 
 

@@ -547,25 +547,6 @@ class SharedMemoryPlane:
             self._views[spath] = view
         return view
 
-    def describe(self) -> dict:
-        """JSON-safe summary of the published working set.
-
-        The serving gateway prints this on its ready line so operators can
-        see at a glance what the forked evaluator pool inherited (record
-        and byte totals, per-kind counts, and whether the segment name is
-        already unlinked).
-        """
-
-        kinds: dict[str, int] = {}
-        for rec in self.index.values():
-            kinds[rec.kind] = kinds.get(rec.kind, 0) + 1
-        return {
-            "records": len(self.index),
-            "bytes": self.nbytes,
-            "kinds": dict(sorted(kinds.items())),
-            "sealed": self.sealed,
-        }
-
     # ------------------------------------------------------------------
     # lifecycle
 

@@ -67,17 +67,14 @@ from .journal import (
     CampaignJournal,
     CampaignState,
     ChainIssue,
-    canonical_json,
     chain_genesis,
     config_chain_hash,
     load_checkpoint,
     merge_journal,
     read_checkpoint,
     scan_campaign,
-    seal_record,
     shard_journals,
     shard_name,
-    sha256_hex,
     walk_chain,
     write_checkpoint,
 )

@@ -330,18 +330,6 @@ class MetricsRegistry:
             h.sum = math.fsum((h.sum, float(row["sum"])))
         return reg
 
-    def merge_dict(self, payload: dict) -> MetricsRegistry:
-        """Fold a :meth:`to_dict` export into this registry.
-
-        The pipe-transported twin of the campaign's file-shard merge: serve
-        pool workers ship their registry export over the control pipe on
-        drain instead of writing ``metrics.wNN.json``, and the parent folds
-        each shard with the same counter-add / gauge-max / bucket-add
-        semantics.  Returns ``self``.
-        """
-
-        return self.merge_from(MetricsRegistry.from_dict(payload))
-
     def merge_from(self, other: MetricsRegistry) -> MetricsRegistry:
         """Fold ``other`` into this registry: counters add, gauges take the
         max, histograms add bucket-wise.  Returns ``self``."""

@@ -7,9 +7,7 @@ Unix socket), coalesces them into micro-batches, and executes each batch
 against the :class:`~polygraphmr.ensemble.ModelSession` that
 :meth:`~polygraphmr.ensemble.EnsembleRuntime.session` builds for the
 campaigns too — stacked probability tensors and a fitted decision module —
-served out of a warm, verified-once :class:`~polygraphmr.cache.ArtifactCache`
-(optionally backed by a pre-published
-:class:`~polygraphmr.cache.SharedMemoryPlane`).
+served out of a warm, verified-once :class:`~polygraphmr.cache.ArtifactCache`.
 
 **Protocol.**  One JSON object per ``\\n``-terminated line, at most
 ``MAX_FRAME_BYTES`` per frame::
@@ -69,19 +67,12 @@ dispatcher's coalescing waits are a ``RetryPolicy`` schedule whose
 request whose budget is exhausted by the time its batch executes is answered
 ``deadline_exceeded`` instead of evaluated.
 
-**Multi-process execution plane.**  ``workers=N`` (CLI
-``--serve-workers``) forks a :class:`WorkerPool` of stateless evaluator
-processes that inherit the pre-warmed sessions and the already-sealed
-shared-memory plane.  The dispatcher remains authoritative for *all*
-policy — :meth:`ServeGateway._plan_batch` ticks the breaker board, decides
-the ``active``/``shed`` member split, and records pressure synchronously in
-dispatch order — while workers receive only ``(model, active_members,
-cold_rows)`` and return raw arrays the parent encodes into its row memo
-itself, so pooled responses are byte-identical to the in-process path; a
-fully warm batch sends no job to any worker.  A
-crashed worker is respawned and its batch transparently re-evaluated
-in-process (``serve_pool_fallback_total{reason}``); worker metrics shards
-and spans are merged into the parent registry on drain.
+**One evaluation path.**  Batches run one at a time, in-process, on the
+dispatcher: :meth:`ServeGateway._plan_batch` ticks the breaker board,
+decides the ``active``/``shed`` member split and records pressure, then
+the batch's cold rows are evaluated and its frames spliced.  Shipping rows
+to forked evaluator processes was measured slower, on cold rows and on
+warm ones (``docs/ARCHITECTURE.md``, "One evaluation path").
 
 **Outbox.**  Nothing on the dispatch path waits for a socket.  A batch's
 reply frames — deadline, error and evaluated, in that order per model
@@ -111,7 +102,6 @@ import asyncio
 import contextlib
 import json
 import math
-import multiprocessing as mp
 import signal
 import time
 from dataclasses import dataclass, field, replace
@@ -120,12 +110,11 @@ from pathlib import Path
 import numpy as np
 
 from .breaker import BreakerBoard, BreakerPolicy
-from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, SharedMemoryPlane
+from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
 from .ensemble import EnsembleRuntime, ModelSession
 from .errors import ConfigError, DegradedEnsemble, RetryPolicy, ServeError
-from .metrics import BATCH_SIZE_BUCKETS, MetricsRegistry, get_registry, set_registry
+from .metrics import BATCH_SIZE_BUCKETS, get_registry
 from .store import ArtifactStore
-from .tracing import Tracer, get_tracer, set_tracer
 
 __all__ = [
     "MAX_FRAME_BYTES",
@@ -135,9 +124,6 @@ __all__ = [
     "OUTCOME_OVERLOADED",
     "OUTCOME_DEADLINE",
     "OUTCOME_ERROR",
-    "FALLBACK_NO_WORKERS",
-    "FALLBACK_WORKER_CRASH",
-    "FALLBACK_WORKER_ERROR",
     "ServeRequest",
     "parse_request",
     "request_frame",
@@ -148,8 +134,6 @@ __all__ = [
     "RowMemo",
     "ModelSession",
     "PolygraphService",
-    "PoolFallback",
-    "WorkerPool",
     "ServeConfig",
     "ServeGateway",
     "coalesce_slices",
@@ -517,8 +501,7 @@ class PolygraphService:
     def row_memo(self, model: str, active: list[str]) -> RowMemo:
         """The reply-text memo of the session serving ``active`` members.
         Keyed by member set, so a row warmed under one set is never served
-        under another; sized from the base session, so a pooled parent
-        never builds a derived session just to size it."""
+        under another; sized from the base session's test split."""
 
         key = (model, tuple(active))
         memo = self._memos.get(key)
@@ -752,236 +735,6 @@ def error_payload(rid: str, exc: BaseException) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# worker pool (multi-process execution plane)
-# ---------------------------------------------------------------------------
-
-# control-pipe verbs, parent -> worker
-POOL_EVAL = "eval"
-POOL_DRAIN = "drain"
-
-# reasons a pooled batch fell back to in-process evaluation
-FALLBACK_NO_WORKERS = "no-workers"
-FALLBACK_WORKER_CRASH = "worker-crash"
-FALLBACK_WORKER_ERROR = "worker-error"
-
-
-class PoolFallback(Exception):
-    """A pooled evaluation could not be completed by any worker.
-
-    Raised by :meth:`WorkerPool.evaluate`; the dispatcher catches it, counts
-    ``serve_pool_fallback_total{reason}``, and evaluates the batch's cold rows
-    in-process — the request is always answered, and because workers run the
-    exact same tensor-op path the fallback response is byte-identical.
-    """
-
-    def __init__(self, reason: str, detail: str = ""):
-        super().__init__(detail or reason)
-        self.reason = reason
-
-
-def _pool_worker_main(worker_id: int, service: PolygraphService, conn) -> None:
-    """Body of one forked evaluator process.
-
-    Stateless by contract: every policy decision (coalescing, deadlines,
-    shedding, breaker member selection) already happened in the parent —
-    a job is ``(model, active_members, cold_rows)`` and the reply is the raw
-    evaluation arrays.  The worker never touches a breaker board,
-    a queue, or a socket, which is what makes pooled responses byte-identical
-    to in-process ones.
-
-    Shutdown: SIGTERM/SIGINT are ignored (the parent's drain owns shutdown
-    ordering); the worker exits on ``POOL_DRAIN`` — replying with its
-    metrics/tracing shard first — or on pipe EOF if the parent died.
-    """
-
-    signal.signal(signal.SIGTERM, signal.SIG_IGN)
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # fork duplicated the parent's metric and tracing state (locks included);
-    # start from fresh objects so the shard carries only this worker's deltas
-    # and no lock inherited mid-acquire can wedge the child
-    set_registry(MetricsRegistry())
-    set_tracer(Tracer())
-    registry = get_registry()
-    tracer = get_tracer()
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break  # parent is gone; nothing left to serve
-        if message[0] == POOL_DRAIN:
-            with contextlib.suppress(OSError, BrokenPipeError):
-                conn.send(("metrics", registry.to_dict(), tracer.to_dicts()))
-            break
-        _, model, active, flat = message
-        try:
-            started = time.perf_counter()
-            with tracer.span("serve.worker.evaluate", model=model, samples=len(flat)):
-                session = service.session_for(model, tuple(active))
-                probs, predictions, flags = session.evaluate(np.asarray(flat, dtype=np.int64))
-            registry.counter("serve_worker_batches_total").inc()
-            registry.counter("serve_worker_samples_total").inc(len(flat))
-            registry.histogram("serve_worker_eval_seconds").observe(time.perf_counter() - started)
-            reply = ("ok", probs, predictions, flags)
-        except Exception as exc:  # noqa: BLE001 - parent falls back in-process
-            reply = ("error", type(exc).__name__, str(exc))
-        try:
-            conn.send(reply)
-        except (OSError, BrokenPipeError):
-            break
-    with contextlib.suppress(OSError):
-        conn.close()
-
-
-@dataclass
-class _PoolWorker:
-    """One live evaluator: its process, pipe, and a send/recv serializer."""
-
-    slot: int
-    process: object
-    conn: object
-    lock: asyncio.Lock
-    alive: bool = True
-
-
-class WorkerPool:
-    """A fixed-size pool of forked evaluator processes behind duplex pipes.
-
-    Workers are forked from the warm parent, so they inherit the built base
-    sessions and the (already unlinked) shared-memory plane mapping for
-    free — a SIGKILLed worker can never leak ``/dev/shm``.  The pool is a
-    pure execution plane: round-robin job placement, per-worker pipes, crash
-    detection via pipe EOF, respawn-in-place, and a drain handshake that
-    ships each worker's metrics/tracing shard back for an exact merge
-    (the pipe-borne twin of the campaign's ``metrics.wNN.json`` merge).
-    """
-
-    def __init__(self, service: PolygraphService, size: int):
-        if size <= 0:
-            raise ValueError(f"pool size must be positive; got {size}")
-        self.service = service
-        self.size = size
-        self._ctx = mp.get_context("fork")
-        self._workers: list[_PoolWorker] = []
-        self._rr = 0
-        self._draining = False
-
-    def start(self) -> None:
-        self._workers = [self._spawn(slot) for slot in range(self.size)]
-
-    def _spawn(self, slot: int) -> _PoolWorker:
-        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
-        process = self._ctx.Process(
-            target=_pool_worker_main,
-            args=(slot, self.service, child_conn),
-            name=f"pgmr-serve-w{slot:02d}",
-            daemon=True,
-        )
-        process.start()
-        child_conn.close()
-        return _PoolWorker(slot=slot, process=process, conn=parent_conn, lock=asyncio.Lock())
-
-    @property
-    def pids(self) -> list[int]:
-        """PIDs of the currently live workers (ready-line / test surface)."""
-
-        return [int(w.process.pid) for w in self._workers if w.alive]
-
-    def _pick(self) -> _PoolWorker | None:
-        alive = [w for w in self._workers if w.alive]
-        if not alive:
-            return None
-        worker = alive[self._rr % len(alive)]
-        self._rr += 1
-        return worker
-
-    def _bury(self, worker: _PoolWorker) -> None:
-        """Retire a crashed worker and respawn its slot.
-
-        ``serve_worker_restarts_total`` counts the respawns; during drain the
-        slot stays empty instead (no point forking into a shutdown).
-        """
-
-        if not worker.alive:
-            return
-        worker.alive = False
-        with contextlib.suppress(OSError):
-            worker.conn.close()
-        if worker.process.is_alive():
-            worker.process.kill()
-        worker.process.join(timeout=5.0)
-        if not self._draining:
-            get_registry().counter("serve_worker_restarts_total").inc()
-            self._workers[worker.slot] = self._spawn(worker.slot)
-
-    async def evaluate(
-        self, model: str, active: list[str], flat: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Ship one evaluation job to a worker; raw arrays back.
-
-        Pipe I/O runs on executor threads so the event loop keeps serving
-        while a worker computes.  A dead pipe (worker SIGKILLed mid-batch)
-        buries and respawns the worker and raises :class:`PoolFallback` —
-        the caller re-evaluates in-process, so the batch is still answered.
-        """
-
-        worker = self._pick()
-        if worker is None:
-            raise PoolFallback(FALLBACK_NO_WORKERS, "no live pool workers")
-        loop = asyncio.get_running_loop()
-        async with worker.lock:
-            try:
-                await loop.run_in_executor(None, worker.conn.send, (POOL_EVAL, model, list(active), flat))
-                reply = await loop.run_in_executor(None, worker.conn.recv)
-            except (EOFError, OSError, BrokenPipeError) as exc:
-                self._bury(worker)
-                raise PoolFallback(
-                    FALLBACK_WORKER_CRASH, f"worker w{worker.slot:02d} pipe failed: {exc!r}"
-                ) from exc
-        if reply[0] != "ok":
-            raise PoolFallback(FALLBACK_WORKER_ERROR, f"worker w{worker.slot:02d}: {reply[1]}: {reply[2]}")
-        get_registry().counter("serve_pool_jobs_total", worker=f"w{worker.slot:02d}").inc()
-        _, probs, predictions, flags = reply
-        return probs, predictions, flags
-
-    async def drain(self) -> int:
-        """Stop every worker, folding their observability shards into the
-        parent registry/tracer.  Returns the number of shards merged.
-
-        Shards merge in slot order through the same exact-arithmetic path as
-        campaign worker shards (counter add, gauge max, bucket add), so the
-        exported ``metrics.json`` accounts for every worker's evaluations.
-        """
-
-        self._draining = True
-        loop = asyncio.get_running_loop()
-        shards: list[tuple[int, dict, list[dict]]] = []
-        for worker in self._workers:
-            if not worker.alive:
-                continue
-            async with worker.lock:
-                try:
-                    await loop.run_in_executor(None, worker.conn.send, (POOL_DRAIN,))
-                    reply = await asyncio.wait_for(loop.run_in_executor(None, worker.conn.recv), timeout=30.0)
-                    if reply[0] == "metrics":
-                        shards.append((worker.slot, reply[1], reply[2]))
-                except (EOFError, OSError, BrokenPipeError, asyncio.TimeoutError):
-                    pass  # a dead worker's shard is lost; drain the rest
-            worker.alive = False
-            with contextlib.suppress(OSError):
-                worker.conn.close()
-            worker.process.join(timeout=5.0)
-            if worker.process.is_alive():  # pragma: no cover - stuck worker
-                worker.process.kill()
-                worker.process.join(timeout=5.0)
-        registry = get_registry()
-        tracer = get_tracer()
-        for _slot, metrics_dict, spans in sorted(shards, key=lambda shard: shard[0]):
-            registry.merge_dict(metrics_dict)
-            tracer.absorb(spans)
-        return len(shards)
-
-
-# ---------------------------------------------------------------------------
 # deadline / coalescing budgets
 # ---------------------------------------------------------------------------
 
@@ -1029,9 +782,14 @@ class ServeConfig:
     batch_sleep_s: float = 0.0
     metrics_out: str | None = None
     prom_out: str | None = None
-    # > 0 forks that many evaluator processes (the multi-process execution
-    # plane); 0 keeps evaluation in-process on the dispatcher
-    workers: int = 0
+
+    def __post_init__(self) -> None:
+        # below 1 the queue would be unbounded (asyncio.Queue's maxsize) and
+        # nothing would ever shed
+        for name in ("max_queue", "batch_max"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ConfigError(f"serve.{name}", "out-of-range", f"must be >= 1, got {value}")
 
 
 _STOP = object()
@@ -1059,10 +817,9 @@ class _BatchPlan:
 
     The dispatcher computes everything stateful here — validation verdicts,
     active/shed member selection (with its ``allow()`` probe side effects),
-    the breaker-state snapshot, and the pressure recording — *synchronously
-    at dispatch*, so pooled batches can execute concurrently without any
-    worker ever reading or racing on the board.  Execution downstream is a
-    pure function of the plan.
+    the breaker-state snapshot, and the pressure recording — before the
+    batch's sleep padding and evaluation, so execution downstream is a pure
+    function of the plan.
     """
 
     model: str
@@ -1078,9 +835,9 @@ class _Connection:
     at :data:`OUTBOX_LIMIT_BYTES`.
 
     :meth:`write` hands whole frames to the transport and never waits for
-    the socket, so concurrent batches append without a lock and cannot tear
-    frames.  A write that leaves more than the bound unsent closes the
-    connection as a slow reader."""
+    the socket, so batch replies and the read loop's inline replies append
+    without a lock and cannot tear frames.  A write that leaves more than
+    the bound unsent closes the connection as a slow reader."""
 
     def __init__(self, transport: asyncio.WriteTransport):
         self.transport = transport
@@ -1121,30 +878,10 @@ class ServeGateway:
         self._draining = False
         self._drained = asyncio.Event()
         self.bound_port: int | None = None
-        self._pool: WorkerPool | None = None
-        self._pool_sem: asyncio.Semaphore | None = None
-        self._inflight: set[asyncio.Task] = set()
-
-    @property
-    def worker_pids(self) -> list[int]:
-        """Live pool worker PIDs ([] when serving in-process)."""
-
-        return self._pool.pids if self._pool is not None else []
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
-        if self.config.workers > 0:
-            # Warm every servable base session *before* forking: workers
-            # inherit the fitted sessions (and the sealed shared-memory
-            # plane mapping) through fork instead of each rebuilding them.
-            # Models that won't serve warm lazily and fail per-request.
-            for model in self.service.store.models():
-                with contextlib.suppress(ServeError, DegradedEnsemble):
-                    self.service.base_session(model)
-            self._pool = WorkerPool(self.service, self.config.workers)
-            self._pool.start()
-            self._pool_sem = asyncio.Semaphore(self.config.workers)
         if self.config.host is not None:
             server = await asyncio.start_server(self._handle, self.config.host, self.config.port)
             self._servers.append(server)
@@ -1174,12 +911,6 @@ class ServeGateway:
         await self.queue.put(_STOP)
         if self._dispatcher is not None:
             await self._dispatcher
-        # pooled batches dispatched as tasks may still be executing: every
-        # already-accepted request completes before the pool shuts down
-        if self._inflight:
-            await asyncio.gather(*self._inflight, return_exceptions=True)
-        if self._pool is not None:
-            await self._pool.drain()  # folds worker shards into this registry
         await self._flush_outboxes()
         self._export_metrics()
         for task in list(self._handlers):
@@ -1274,7 +1005,7 @@ class ServeGateway:
 
     def _metrics_snapshot(self) -> dict:
         registry = get_registry()
-        snapshot = {
+        return {
             "requests": {outcome: registry.counter_value("serve_requests_total", outcome=outcome) for outcome in OUTCOMES},
             "shed": registry.counter_value("serve_shed_total"),
             "degraded": registry.counter_value("serve_degraded_total"),
@@ -1286,16 +1017,6 @@ class ServeGateway:
                 source: registry.counter_value("serve_reply_rows_total", source=source) for source in ROW_SOURCES
             },
         }
-        if self._pool is not None:
-            snapshot["pool"] = {
-                "workers": len(self._pool.pids),
-                "restarts": registry.counter_value("serve_worker_restarts_total"),
-                "fallbacks": {
-                    reason: registry.counter_value("serve_pool_fallback_total", reason=reason)
-                    for reason in (FALLBACK_NO_WORKERS, FALLBACK_WORKER_CRASH, FALLBACK_WORKER_ERROR)
-                },
-            }
-        return snapshot
 
     def _finish(self, replies: list[tuple[str, list[_Queued], list[bytes]]]) -> None:
         """Count and send terminal reply frames, given as ``(outcome,
@@ -1350,24 +1071,9 @@ class ServeGateway:
                     batch.append(extra)
             else:
                 stopping = await self._coalesce(batch)
-            # Policy runs here, synchronously, in dispatch order — batch N's
-            # board mutations are complete before batch N+1 is even planned,
-            # whether execution is serial (in-process) or concurrent (pool).
-            plans = self._plan_batch(batch)
-            if self._pool is None or self._pool_sem is None:
-                await self._run_plans(plans)
-            else:
-                await self._pool_sem.acquire()
-                task = asyncio.create_task(self._run_plans(plans))
-                self._inflight.add(task)
-                task.add_done_callback(self._batch_task_done)
-
-    def _batch_task_done(self, task: asyncio.Task) -> None:
-        self._inflight.discard(task)
-        if self._pool_sem is not None:
-            self._pool_sem.release()
-        if not task.cancelled() and task.exception() is not None:  # pragma: no cover - defensive
-            get_registry().counter("serve_batch_task_errors_total").inc()
+            # one batch at a time: batch N is answered before batch N+1 is
+            # planned, so the board sees every batch's pressure in order
+            await self._execute(batch)
 
     def _batch_budget_s(self, batch: list[_Queued], now: float) -> float:
         """The scarcest remaining deadline in the batch (coalescing must not
@@ -1407,7 +1113,8 @@ class ServeGateway:
         return False
 
     async def _execute(self, batch: list[_Queued]) -> None:
-        """Plan then run one batch — the serial composite (tests drive it)."""
+        """Plan then run one batch: what the dispatcher does with every
+        batch it coalesces."""
 
         await self._run_plans(self._plan_batch(batch))
 
@@ -1418,8 +1125,7 @@ class ServeGateway:
         samples become error payloads in the plan), selects active/shed
         members, snapshots breaker states for the payloads, and records this
         batch's pressure verdict — the complete set of board reads and
-        writes, so execution never touches shared policy state and pooled
-        batches can overlap freely.
+        writes, so execution never touches shared policy state.
         """
 
         registry = get_registry()
@@ -1460,8 +1166,7 @@ class ServeGateway:
     async def _run_plans(self, plans: list[_BatchPlan]) -> None:
         """Execute planned work: sleep-padding, deadline filtering, tensor
         evaluation, response frames, then one :meth:`_finish` for the whole
-        batch.  Touches no policy state, so any number of these may be in
-        flight at once in pooled mode."""
+        batch.  Touches no policy state."""
 
         registry = get_registry()
         if self.config.batch_sleep_s > 0.0:
@@ -1491,23 +1196,20 @@ class ServeGateway:
                 )
             if not live:
                 continue
-            frames = await self._evaluate_plan(plan, live)
+            frames = self._evaluate_plan(plan, live)
             outcome = self.service.static_stanza(plan.model, plan.active, plan.shed)["outcome"]
             if outcome == OUTCOME_DEGRADED:
                 registry.counter("serve_degraded_total").inc(len(live))
             replies.append((outcome, live, frames))
         self._finish(replies)
 
-    async def _evaluate_plan(self, plan: _BatchPlan, live: list[_Queued]) -> list[bytes]:
+    def _evaluate_plan(self, plan: _BatchPlan, live: list[_Queued]) -> list[bytes]:
         """Reply frames for one plan's surviving requests, from the row memo
         of the plan's session (:meth:`PolygraphService.reply_frames`).
 
-        Only the memo's cold rows are evaluated, once each: by a pool worker
-        when a pool is up, in-process otherwise, and in-process as the
-        always-correct fallback when the pool fails
-        (``serve_pool_fallback_total{reason}``).  A fully warm batch
-        evaluates nothing and sends no job to a worker.  Either way the
-        rows' text comes from one encoder and one splice, so the frames
+        Only the memo's cold rows are evaluated, once each, by the session
+        serving the plan's members; a fully warm batch evaluates nothing.
+        The rows' text comes from one encoder and one splice, so the frames
         equal the serial :meth:`PolygraphService.respond` reference byte for
         byte.  ``serve_reply_rows_total{source}`` counts every reply row as
         ``evaluated`` here or served from the ``memo``."""
@@ -1517,7 +1219,7 @@ class ServeGateway:
         memo = self.service.row_memo(plan.model, plan.active)
         cold = memo.cold(requests)
         if cold.size:
-            memo.fill(cold, *(await self._evaluate_rows(plan, cold)))
+            memo.fill(cold, *self.service.session_for(plan.model, tuple(plan.active)).evaluate(cold))
         rows = sum(len(r.samples) for r in requests)
         registry.counter("serve_reply_rows_total", source=ROW_EVALUATED).inc(cold.size)
         registry.counter("serve_reply_rows_total", source=ROW_MEMO).inc(rows - cold.size)
@@ -1528,23 +1230,6 @@ class ServeGateway:
             shed=plan.shed,
             breaker_states=plan.breaker_states,
         )
-
-    async def _evaluate_rows(
-        self, plan: _BatchPlan, rows: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``ModelSession.evaluate`` of ``rows`` under the plan's members:
-        on a pool worker when a pool is up, in-process otherwise or when
-        the pool fails."""
-
-        if self._pool is not None:
-            try:
-                arrays = await self._pool.evaluate(plan.model, plan.active, rows)
-            except PoolFallback as exc:
-                get_registry().counter("serve_pool_fallback_total", reason=exc.reason).inc()
-            else:
-                get_registry().counter("serve_pool_samples_total").inc(len(rows))
-                return arrays
-        return self.service.session_for(plan.model, tuple(plan.active)).evaluate(rows)
 
 
 def _salvage_id(frame: bytes) -> str:
@@ -1564,7 +1249,7 @@ def _salvage_id(frame: bytes) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _build_store(args) -> tuple[ArtifactStore, SharedMemoryPlane | None]:
+def _build_store(args) -> ArtifactStore:
     cache_root = Path(args.cache)
     if args.synthetic_models > 0:
         from .faults import build_synthetic_model
@@ -1574,24 +1259,11 @@ def _build_store(args) -> tuple[ArtifactStore, SharedMemoryPlane | None]:
             name = f"net-{i:02d}"
             if name not in existing:
                 build_synthetic_model(cache_root, name, n_val=96, n_test=96, seed=args.seed + i)
-    plane = None
-    if not args.no_plane:
-        throwaway = ArtifactStore(cache_root)
-        plane = SharedMemoryPlane.publish(throwaway, throwaway.models(), max_bytes=args.cache_bytes)
-    cache = ArtifactCache(max_bytes=args.cache_bytes, plane=plane)
-    return ArtifactStore(cache_root, cache=cache), plane
+    return ArtifactStore(cache_root, cache=ArtifactCache(max_bytes=args.cache_bytes))
 
 
-async def _serve(args) -> int:
-    store, plane = _build_store(args)
-    board = BreakerBoard(BreakerPolicy(failure_threshold=args.failure_threshold, cooldown_ticks=args.cooldown_ticks))
-    service = PolygraphService(
-        store,
-        min_members=args.min_members,
-        keep_members=args.keep_members,
-        breakers=board,
-    )
-    config = ServeConfig(
+def _config(args) -> ServeConfig:
+    return ServeConfig(
         host=None if args.unix else args.host,
         port=args.port,
         unix_path=args.unix,
@@ -1603,7 +1275,17 @@ async def _serve(args) -> int:
         batch_sleep_s=args.batch_sleep,
         metrics_out=args.metrics_out,
         prom_out=args.prom_out,
-        workers=args.serve_workers,
+    )
+
+
+async def _serve(args, config: ServeConfig) -> int:
+    store = _build_store(args)
+    board = BreakerBoard(BreakerPolicy(failure_threshold=args.failure_threshold, cooldown_ticks=args.cooldown_ticks))
+    service = PolygraphService(
+        store,
+        min_members=args.min_members,
+        keep_members=args.keep_members,
+        breakers=board,
     )
     gateway = ServeGateway(service, config)
     await gateway.start()
@@ -1614,14 +1296,7 @@ async def _serve(args) -> int:
         with contextlib.suppress(NotImplementedError):
             loop.add_signal_handler(sig, shutdown.set)
 
-    ready = {
-        "ready": True,
-        "models": store.models(),
-        "port": gateway.bound_port,
-        "unix": args.unix,
-        "workers": gateway.worker_pids,
-        "plane": plane.describe() if plane is not None else None,
-    }
+    ready = {"ready": True, "models": store.models(), "port": gateway.bound_port, "unix": args.unix}
     print(json.dumps(ready, sort_keys=True), flush=True)
 
     await shutdown.wait()
@@ -1637,17 +1312,6 @@ async def _serve(args) -> int:
         "deadline_exceeded": registry.counter_value("serve_deadline_exceeded_total"),
         "slow_reader_closed": registry.counter_value("serve_slow_reader_closed_total"),
     }
-    if args.serve_workers > 0:
-        # worker shards are already merged (pool drain precedes export)
-        summary["pool"] = {
-            "workers": args.serve_workers,
-            "restarts": registry.counter_value("serve_worker_restarts_total"),
-            "worker_batches": registry.counter_value("serve_worker_batches_total"),
-            "fallbacks": {
-                reason: registry.counter_value("serve_pool_fallback_total", reason=reason)
-                for reason in (FALLBACK_NO_WORKERS, FALLBACK_WORKER_CRASH, FALLBACK_WORKER_ERROR)
-            },
-        }
     print(json.dumps(summary, sort_keys=True), flush=True)
     return 0
 
@@ -1696,15 +1360,12 @@ def main(argv: list[str] | None = None) -> int:
         default=0.0,
         help="pad each executed batch by this many seconds (bench/smoke: pins the service rate)",
     )
-    parser.add_argument(
-        "--serve-workers",
-        type=int,
-        default=0,
-        help="fork this many evaluator processes (0 = evaluate in-process on the dispatcher)",
-    )
+    # Older command lines pass these: evaluation is always in-process, so
+    # --serve-workers accepts only 0, and --no-plane has nothing to skip.
+    parser.add_argument("--serve-workers", type=int, choices=[0], default=0, help=argparse.SUPPRESS)
     parser.add_argument("--failure-threshold", type=int, default=3, help="overloaded batches before a member sheds")
     parser.add_argument("--cooldown-ticks", type=int, default=2, help="batches an open breaker waits before probing")
-    parser.add_argument("--no-plane", action="store_true", help="skip the shared-memory plane warmup")
+    parser.add_argument("--no-plane", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument("--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES)
     parser.add_argument("--metrics-out", default=None, help="write metrics JSON here on drain")
     parser.add_argument("--prom-out", default=None, help="write Prometheus text exposition here on drain")
@@ -1712,7 +1373,11 @@ def main(argv: list[str] | None = None) -> int:
     if args.keep_members is None:
         args.keep_members = args.min_members
     try:
-        return asyncio.run(_serve(args))
+        config = _config(args)
+    except ConfigError as exc:
+        parser.error(str(exc))
+    try:
+        return asyncio.run(_serve(args, config))
     except KeyboardInterrupt:  # pragma: no cover - direct Ctrl-C race
         return 0
 

@@ -137,38 +137,6 @@ class Tracer:
 
         return [r.to_dict() for r in self.finished()]
 
-    def absorb(self, records: list[dict]) -> int:
-        """Fold another tracer's exported spans (:meth:`to_dicts` output)
-        into this ring buffer — how serve pool workers' spans reach the
-        parent's export on drain.
-
-        Span ids are remapped onto this tracer's id sequence in two passes
-        (assign every absorbed span a fresh id first, then rewrite parent
-        links) so intra-batch parent/child structure survives and absorbed
-        ids can never collide with locally issued ones.  ``start_s`` stays
-        relative to the *source* tracer's epoch — spans are out-of-band
-        observability, not a synchronized clock.  Returns the number of
-        spans absorbed.
-        """
-
-        if not records:
-            return 0
-        with self._lock:
-            remap = {int(r["span_id"]): next(self._ids) for r in records}
-            for r in records:
-                parent = r.get("parent_id")
-                self._finished.append(
-                    SpanRecord(
-                        span_id=remap[int(r["span_id"])],
-                        parent_id=remap.get(int(parent)) if parent is not None else None,
-                        name=str(r["name"]),
-                        start_s=float(r["start_s"]),
-                        duration_s=float(r["duration_s"]),
-                        attrs=dict(r.get("attrs", {})),
-                    )
-                )
-        return len(records)
-
 
 _default_tracer = Tracer()
 

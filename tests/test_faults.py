@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from polygraphmr.decision import LogisticDecisionModule
+from polygraphmr.decision import LogisticDecisionModule, ensemble_features
 from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import ConfigError, DegradedEnsemble
 from polygraphmr.faults import (
@@ -87,6 +87,68 @@ class TestInjectors:
         assert np.isfinite(repaired).all()
         np.testing.assert_allclose(repaired.sum(axis=1), 1.0, atol=1e-9)
         assert (repaired >= 0).all()
+
+
+def _f32(*bits: int) -> np.ndarray:
+    """float32 values from their IEEE-754 bit patterns."""
+
+    return np.array(bits, dtype=np.uint32).view(np.float32)
+
+
+SUBNORMAL = 0x00000001  # 1.4e-45, the smallest float32 subnormal
+NEG_SUBNORMAL = 0x80000001
+QUARTER = 0x3E800000  # 0.25
+POS_INF, NEG_INF, NAN = 0x7F800000, 0xFF800000, 0x7FC00000
+
+
+class TestDenormalBitflips:
+    """Bit flips in a float32 probability row can leave subnormals, ±inf or
+    NaN behind (the exponent bits cleared or all set).  These tests pin
+    what :func:`sanitize_probs_batch` makes of such rows today, check it
+    against :func:`tests.oracles.sanitize_probs`, and check that the gate
+    still scores the repaired stack with finite numbers."""
+
+    # (flipped row, repaired row): non-finite -> 0, negatives clip to 0, and
+    # a row left with no mass becomes uniform
+    PINNED = [
+        (_f32(SUBNORMAL, 0, NAN, POS_INF), [1.0, 0.0, 0.0, 0.0]),
+        (_f32(SUBNORMAL, SUBNORMAL, SUBNORMAL, SUBNORMAL), [0.25, 0.25, 0.25, 0.25]),
+        (_f32(NEG_INF, NAN, NEG_SUBNORMAL, 0), [0.25, 0.25, 0.25, 0.25]),
+        (_f32(QUARTER, QUARTER, QUARTER, POS_INF), [1 / 3, 1 / 3, 1 / 3, 0.0]),
+        (_f32(SUBNORMAL, 0, 0, SUBNORMAL), [0.5, 0.0, 0.0, 0.5]),
+    ]
+
+    @pytest.mark.parametrize(("flipped", "repaired"), PINNED)
+    def test_sanitize_pins_each_row(self, flipped, repaired):
+        out = sanitize_probs_batch(flipped[None])
+        assert out.dtype == np.float64
+        assert out[0].tolist() == repaired
+        assert np.array_equal(out, oracles.sanitize_probs(flipped[None]))
+
+    def test_repaired_stack_gives_finite_features_and_gate_scores(self, tmp_path):
+        """The pinned rows planted in ORG and a companion member of a real
+        session's float32 test stack: the repaired stack matches the oracle
+        member by member, and its six features and gate scores are finite."""
+
+        build_synthetic_model(tmp_path, "quad", n_val=96, n_test=96, n_classes=4, seed=3)
+        session = EnsembleRuntime(ArtifactStore(tmp_path)).session("quad")
+        stack = session.test_stack[:, : 2 * len(self.PINNED)].astype(np.float32)
+        for i, (flipped, _) in enumerate(self.PINNED):
+            stack[0, i] = flipped  # ORG
+            stack[2, len(self.PINNED) + i] = flipped
+        finite = stack[np.isfinite(stack)]
+        subnormal = (finite != 0.0) & (np.abs(finite) < np.finfo(np.float32).tiny)
+        assert subnormal.any() and np.isnan(stack).any() and {np.inf, -np.inf} <= set(stack[np.isinf(stack)].tolist())
+        repaired = sanitize_probs_batch(stack)
+        for member in range(stack.shape[0]):
+            assert np.array_equal(repaired[member], oracles.sanitize_probs(stack[member]))
+        for i, (_, row) in enumerate(self.PINNED):
+            assert repaired[0, i].tolist() == row
+
+        features = ensemble_features(repaired)
+        assert np.isfinite(features).all()
+        scores = session.module.predict_proba(features)
+        assert np.isfinite(scores).all() and ((scores >= 0.0) & (scores <= 1.0)).all()
 
 
 class TestSyntheticModel:

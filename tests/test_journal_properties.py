@@ -18,7 +18,6 @@ and for worker shards via :func:`scan_campaign`.
 
 from __future__ import annotations
 
-import json
 import tempfile
 from pathlib import Path
 

@@ -25,16 +25,18 @@ import pytest
 from polygraphmr.breaker import OPEN, BreakerBoard, BreakerPolicy
 from polygraphmr.decision import LogisticDecisionModule, misprediction_targets
 from polygraphmr.ensemble import EnsembleRuntime
-from polygraphmr.errors import RetryPolicy
+from polygraphmr.errors import ConfigError, RetryPolicy
 from polygraphmr.metrics import get_registry
 from polygraphmr.serve import (
     DRAIN_FLUSH_S,
+    MAX_SAMPLES_PER_REQUEST,
     OUTBOX_LIMIT_BYTES,
     OUTCOME_DEADLINE,
     OUTCOME_DEGRADED,
     OUTCOME_ERROR,
     OUTCOME_OK,
     OUTCOME_OVERLOADED,
+    OUTCOMES,
     PolygraphService,
     ServeConfig,
     ServeGateway,
@@ -42,6 +44,7 @@ from polygraphmr.serve import (
     _Connection,
     _Queued,
     coalesce_slices,
+    flat_sample_indices,
     main,
     request_frame,
     response_frame,
@@ -49,16 +52,12 @@ from polygraphmr.serve import (
 from polygraphmr.store import ArtifactStore
 
 from . import oracles
-from .slow_reader import (
-    DRAIN_WITHIN_S,
-    REPLY_WITHIN_S,
-    assert_slow_reader_isolated,
-    max_size_request,
-    open_non_reader,
-    settle,
-)
 
 MODEL = "tinynet"
+N_TEST = 160  # test rows of the ``synthetic_cache`` fixture's model
+REPLY_WITHIN_S = 1.0
+DRAIN_WITHIN_S = DRAIN_FLUSH_S + 5.0
+SETTLE_WITHIN_S = 10.0
 
 
 @pytest.fixture()
@@ -89,6 +88,31 @@ async def tcp_send_raw(port: int, frame: bytes) -> dict:
     raw = await reader.readline()
     writer.close()
     return json.loads(raw)
+
+
+def max_size_request(rid: str) -> ServeRequest:
+    return ServeRequest(id=rid, model=MODEL, samples=tuple(i % N_TEST for i in range(MAX_SAMPLES_PER_REQUEST)))
+
+
+async def open_non_reader(port: int) -> asyncio.StreamWriter:
+    """A connection whose client never reads.  Its small receive buffer
+    keeps the kernel's share of the replies small, so the outcome does not
+    depend on socket autotuning."""
+
+    sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.setblocking(False)
+    await asyncio.get_running_loop().sock_connect(sock, ("127.0.0.1", port))
+    _reader, writer = await asyncio.open_connection(sock=sock)
+    return writer
+
+
+async def settle(predicate, what: str, within_s: float = SETTLE_WITHIN_S) -> None:
+    deadline = time.monotonic() + within_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            raise AssertionError(f"gateway never {what} within {within_s} s")
+        await asyncio.sleep(0.01)
 
 
 class TestDifferential:
@@ -482,7 +506,67 @@ class TestOutbox:
 
 class TestSlowReader:
     def test_non_reader_is_isolated_then_closed_by_the_drain_flush_window(self, synthetic_cache, service):
-        assert_slow_reader_isolated(make_gateway(service), synthetic_cache)
+        """One client sends maximum-size requests and never reads its
+        replies while a second keeps asking and reading.  The non-reader's
+        replies (about 10 MB) are more than the two sockets' kernel buffers
+        absorb and less than ``OUTBOX_LIMIT_BYTES``, so they sit in the
+        outbox until drain.  Meanwhile:
+
+        - each of the normal client's requests is answered within
+          ``REPLY_WITHIN_S``, byte for byte the serial ``respond`` frame;
+        - drain ends within ``DRAIN_WITHIN_S`` and closes the non-reader
+          once, in ``serve_slow_reader_closed_total``;
+        - ``serve_requests_total`` counts the normal client's frames plus
+          the non-reader's requests, and nothing else.
+        """
+
+        n_slow = 12
+        normal = [ServeRequest(id=f"n{i}", model=MODEL, samples=(i, 3 * i + 1, N_TEST - 1 - i)) for i in range(6)]
+        registry = get_registry()
+        gateway = make_gateway(service)
+
+        async def run():
+            await gateway.start()
+            try:
+                slow = await open_non_reader(gateway.bound_port)
+                for i in range(n_slow):
+                    slow.write(request_frame(max_size_request(f"s{i}")))
+                await slow.drain()
+                await settle(
+                    lambda: registry.counter_total("serve_requests_total") == n_slow,
+                    f"finished the non-reader's {n_slow} requests",
+                )
+                unsent = sum(conn.unsent for conn in gateway._connections)
+                reader, writer = await asyncio.open_connection("127.0.0.1", gateway.bound_port)
+                raws = []
+                for request in normal:
+                    writer.write(request_frame(request))
+                    raws.append(await asyncio.wait_for(reader.readline(), timeout=REPLY_WITHIN_S))
+                closed_before_drain = registry.counter_value("serve_slow_reader_closed_total")
+            finally:
+                started = time.monotonic()
+                await asyncio.wait_for(gateway.drain(), timeout=DRAIN_WITHIN_S)
+                drain_s = time.monotonic() - started
+            writer.close()
+            slow.close()
+            return raws, unsent, closed_before_drain, drain_s
+
+        raws, unsent, closed_before_drain, drain_s = asyncio.run(run())
+        assert unsent > 0, "the non-reader's replies all fit in the kernel: the scenario tested nothing"
+        assert closed_before_drain == 0, "the non-reader was closed below the outbox bound"
+        assert drain_s >= DRAIN_FLUSH_S, "drain closed the non-reader before its flush window ran out"
+        assert registry.counter_value("serve_slow_reader_closed_total") == 1
+
+        serial = PolygraphService(ArtifactStore(synthetic_cache))
+        for request, raw in zip(normal, raws):
+            assert raw == response_frame(serial.respond(request)), request.id
+        tally = {outcome: 0 for outcome in OUTCOMES}
+        for raw in raws:
+            tally[json.loads(raw)["outcome"]] += 1
+        tally[OUTCOME_OK] += n_slow
+        for outcome in OUTCOMES:
+            assert registry.counter_value("serve_requests_total", outcome=outcome) == tally[outcome], outcome
+        assert registry.histogram_for("serve_request_seconds").count == len(normal) + n_slow
 
     def test_outbox_past_the_bound_closes_the_non_reader_while_serving(self, synthetic_cache, service):
         """A non-reader whose replies outgrow ``OUTBOX_LIMIT_BYTES`` is
@@ -604,6 +688,72 @@ class TestTransportsAndOps:
         assert sum(snapshot["requests"].values()) == 1
 
 
+class TestDispatcher:
+    def test_batches_run_one_at_a_time(self, service, monkeypatch):
+        """The dispatcher awaits each batch's ``_execute`` before it takes
+        the next: with four single-request batches padded by 0.1 s, no two
+        are ever in flight together."""
+
+        running = peak = calls = 0
+        execute = ServeGateway._execute
+
+        async def counting_execute(self, batch):
+            nonlocal running, peak, calls
+            calls += 1
+            running += 1
+            peak = max(peak, running)
+            try:
+                await execute(self, batch)
+            finally:
+                running -= 1
+
+        monkeypatch.setattr(ServeGateway, "_execute", counting_execute)
+        requests = [ServeRequest(id=f"o{i}", model=MODEL, samples=(i,)) for i in range(4)]
+
+        async def run():
+            gateway = make_gateway(service, batch_max=1, coalesce_ms=0.0, batch_sleep_s=0.1)
+            await gateway.start()
+            try:
+                return await asyncio.gather(*[tcp_request(gateway.bound_port, r) for r in requests])
+            finally:
+                await gateway.drain()
+
+        results = asyncio.run(run())
+        assert [payload["outcome"] for payload, _ in results] == [OUTCOME_OK] * len(requests)
+        assert calls == len(requests)
+        assert peak == 1
+
+
+class TestConfigBounds:
+    """Below 1, ``asyncio.Queue(maxsize=...)`` is unbounded, so a queue
+    bound of 0 would silently switch shedding off."""
+
+    @pytest.mark.parametrize(("name", "value"), [("max_queue", 0), ("max_queue", -1), ("batch_max", 0)])
+    def test_config_refuses_bounds_below_one(self, name, value):
+        with pytest.raises(ConfigError) as excinfo:
+            ServeConfig(**{name: value})
+        assert excinfo.value.field == f"serve.{name}"
+        assert excinfo.value.reason == "out-of-range"
+
+    @pytest.mark.parametrize(("flag", "field"), [("--max-queue", "serve.max_queue"), ("--batch-max", "serve.batch_max")])
+    def test_cli_exits_2_naming_the_field(self, tmp_path, capsys, flag, field):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cache", str(tmp_path), flag, "0"])
+        assert excinfo.value.code == 2
+        assert field in capsys.readouterr().err
+
+    def test_serve_workers_accepts_only_zero_and_is_hidden(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--cache", str(tmp_path), "--serve-workers", "2"])
+        assert excinfo.value.code == 2
+        assert "--serve-workers" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--help"])
+        assert excinfo.value.code == 0
+        usage = capsys.readouterr().out
+        assert "--serve-workers" not in usage and "--no-plane" not in usage
+
+
 class TestCLI:
     def test_main_serves_until_sigterm_then_drains(self, tmp_path, capsys):
         """``main()`` end to end, in process: build a synthetic model, serve
@@ -656,6 +806,10 @@ class TestCLI:
                 str(metrics_path),
                 "--prom-out",
                 str(prom_path),
+                # older command lines (the benchmark's among them) still pass these
+                "--serve-workers",
+                "0",
+                "--no-plane",
             ]
         )
         thread.join(timeout=60.0)
@@ -670,10 +824,11 @@ class TestCLI:
 
         lines = [json.loads(line) for line in capsys.readouterr().out.splitlines() if line.strip()]
         ready, summary = lines[0], lines[-1]
+        assert sorted(ready) == ["models", "port", "ready", "unix"]
         assert ready["ready"] is True
         assert ready["models"] == ["net-00"]
         assert ready["unix"] == sock_path
-        assert summary["drained"] is True
+        assert summary["drained"] is True and "pool" not in summary
         assert summary["served"][OUTCOME_OK] == 1
         assert metrics_path.is_file()
         prom = prom_path.read_text(encoding="utf-8")
@@ -687,3 +842,90 @@ class TestCLI:
             if row["name"] == "serve_reply_rows_total"
         }
         assert rows == {"evaluated": 2, "memo": 0}
+
+
+class TestCheckSamples:
+    def test_valid_indices_pass(self, service):
+        service.check_samples(MODEL, ServeRequest(id="v", model=MODEL, samples=(0, 159, 42)))
+
+    @pytest.mark.parametrize(
+        ("samples", "first_bad"),
+        [
+            ((0, 160, 3, 9999), 1),
+            ((0, 170, 10**6, 160, 7), 1),  # the largest index is not the first bad one
+            ((5, 6, 160, 161, 9999, 1), 2),
+            ((200, 300, 400), 0),
+            ((0, 1, 2, 159, 160), 4),
+        ],
+    )
+    def test_first_offending_index_names_the_exact_field(self, service, samples, first_bad):
+        """With several indices out of range, the error names the *first*
+        one's field path, as the old per-index Python loop did."""
+
+        with pytest.raises(ConfigError) as excinfo:
+            service.check_samples(MODEL, ServeRequest(id="v", model=MODEL, samples=samples))
+        assert excinfo.value.field == f"request.samples[{first_bad}]"
+        assert excinfo.value.reason == "out-of-range"
+        assert "160 test samples" in excinfo.value.detail
+
+    def test_flat_sample_indices_concatenates_in_request_order(self):
+        requests = [
+            ServeRequest(id="a", model=MODEL, samples=(3, 1)),
+            ServeRequest(id="b", model=MODEL, samples=(4,)),
+        ]
+        flat = flat_sample_indices(requests)
+        assert flat.dtype == np.int64
+        assert flat.tolist() == [3, 1, 4]
+
+
+class TestEncoderByteIdentity:
+    def test_tolist_payloads_byte_identical_to_per_element_encoder(self, service):
+        """Regression pin: ``.tolist()`` fast-path encoding produces the
+        exact frames the old per-element ``float()``/``int()`` loops did."""
+
+        requests = [
+            ServeRequest(id="t0", model=MODEL, samples=(0, 7, 31)),
+            ServeRequest(id="t1", model=MODEL, samples=(159,)),
+            ServeRequest(id="t2", model=MODEL, samples=(12, 12, 13)),
+        ]
+        session = service.base_session(MODEL)
+        active = list(session.members)
+        flat = flat_sample_indices(requests)
+        probs, predictions, flags = session.evaluate(flat)
+        breaker_states = service.board.states_for(MODEL)
+
+        # the pre-vectorization encoder, verbatim
+        old_frames = []
+        offset = 0
+        for request in requests:
+            span = slice(offset, offset + len(request.samples))
+            offset += len(request.samples)
+            old_frames.append(
+                response_frame(
+                    {
+                        "id": request.id,
+                        "outcome": OUTCOME_OK,
+                        "model": MODEL,
+                        "members": list(session.members),
+                        "probs": [[float(p) for p in row] for row in probs[span]],
+                        "predictions": [int(p) for p in predictions[span]],
+                        "flags": [int(f) for f in flags[span]],
+                        "degraded": False,
+                        "shed": [],
+                        "missing": list(session.missing),
+                        "quarantined": dict(session.quarantined),
+                        "breakers": breaker_states,
+                    }
+                )
+            )
+
+        payloads = service.evaluate_requests(MODEL, requests, active=active, shed=[])
+        assert [response_frame(p) for p in payloads] == old_frames
+
+    def test_static_stanza_is_cached_and_shared(self, service):
+        first = service.static_stanza(MODEL, ["ORG", "pp-Gamma_2"], [])
+        second = service.static_stanza(MODEL, ["ORG", "pp-Gamma_2"], [])
+        assert first is second, "stanza cache missed on an identical key"
+        other = service.static_stanza(MODEL, ["ORG"], ["pp-Gamma_2"])
+        assert other is not first
+        assert other["shed"] == ["pp-Gamma_2"]
