@@ -10,27 +10,29 @@ Five phases, all against the same 4-model synthetic cache::
    produce a ``journal.jsonl`` byte-identical to the serial run's and (with
    each trial padded by ``--trial-sleep``, so the comparison measures the
    executor, not the model) complete at least 2x faster wall-clock.
-2. **Kill/drain** — SIGTERM the 4-worker run mid-campaign; every worker
+2. **Kill/drain** — SIGTERM a 4-worker run mid-campaign; every worker
    finishes its in-flight trial and journals it (exit 3, no lost records).
+   Trials are journalled in windows of 16 per model, so the phases that
+   interrupt a run give every worker two windows (128 trials) and signal it
+   once the first window is on disk.
 3. **Resume** — ``--resume`` completes the interrupted run; the merged
-   journal is byte-identical to the serial reference, every index exactly
-   once.
+   journal is byte-identical to an uninterrupted serial run, every index
+   exactly once.
 4. **Scenario sweep** — a 3-scenario declarative sweep
    (``--scenarios channel-bitflip-10pct,quantize-4bit,stuck-at-zero-1pct``)
    is SIGKILLed mid-run, resumed to completion, byte-compared against both
    a straight serial run and a ``--workers 4`` run, audited with ``verify``
    (exit 0), and its ``report`` must reconcile per-scenario trial counts
    exactly with the journal.
-5. **Batched identity + speedup** — a sleep-free 64-trial campaign runs
-   at batch size 1 (``--no-batch``: every trial on its own) and at
-   ``--batch-size 16``, serially and with 4 workers; every journal and
-   checkpoint must be byte-identical to the batch-size-1 run and verify
-   exit 0, the serial batched run must fit the decision gate exactly once
-   per model (its ``metrics.json``), and it must spend at least 1.5x less
-   in-run trial time: the sum of each run's ``campaign_trial_seconds``
-   histogram.  With no sleep padding and no interpreter start-up in it,
-   that ratio measures the batched kernels' compute against per-trial
-   execution; the wall-clock ratio is printed next to it.
+5. **Shared work, same bytes** — a sleep-free 64-trial campaign runs
+   serially, with 4 workers, with ``--no-cache`` and with the ignored
+   ``--no-batch`` flag; every journal and checkpoint must be byte-identical
+   and verify exit 0.  From the serial and 4-worker runs' ``metrics.json``:
+   one ``campaign_trial_seconds`` observation per trial, one decision-gate
+   fit per model, and one stack per split per model
+   (``ensemble_stacks_total``): the trials of a model share their roster,
+   stacks, gate and clean baseline.  These counts do not depend on the
+   host's speed.
 
 Every phase boundary is additionally audited with ``python -m
 polygraphmr.campaign verify`` — after the serial run, after the shard
@@ -55,6 +57,7 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
+from polygraphmr.batching import WINDOW_TRIALS  # noqa: E402
 from polygraphmr.campaign import CampaignJournal, scan_campaign  # noqa: E402
 from polygraphmr.metrics import METRICS_NAME, load_registry  # noqa: E402
 
@@ -62,9 +65,10 @@ N_TRIALS = 16
 N_MODELS = 4
 TRIAL_SLEEP_S = 0.2
 MIN_SPEEDUP = 2.0
-BATCHED_TRIALS = 64
-BATCH_SIZE = 16
-MIN_BATCHED_SPEEDUP = 1.5
+# runs that get interrupted: two journal windows per worker
+KILL_TRIALS = 2 * WINDOW_TRIALS * N_MODELS
+KILL_SLEEP_S = 0.03
+SHARED_TRIALS = 64
 SPEEDUP_RETRIES = 3  # shared CI runners can blip; retry the timing, not the bytes
 POLL_S = 0.05
 DEADLINE_S = 300.0
@@ -81,9 +85,9 @@ def campaign_cmd(
     workers: int,
     resume: bool = False,
     scenarios: bool = False,
-    batch_size: int | None = None,
     trials: int = N_TRIALS,
     trial_sleep: float = TRIAL_SLEEP_S,
+    extra: tuple[str, ...] = (),
 ) -> list[str]:
     cmd = [
         sys.executable,
@@ -110,12 +114,7 @@ def campaign_cmd(
         cmd += ["--scenarios", ",".join(SCENARIOS)]
     if resume:
         cmd.append("--resume")
-    # phases 1-4 time and kill the per-trial executor: their speedup floor
-    # and mid-run kill windows assume one sleep per trial, which batch
-    # sizes above 1 amortize away -- so they run at batch size 1, where
-    # every trial runs on its own; phase 5 passes a batch size
-    cmd += ["--no-batch"] if batch_size is None else ["--batch-size", str(batch_size)]
-    return cmd
+    return cmd + list(extra)
 
 
 def timed_run(cache: Path, out: Path, *, workers: int, **options) -> tuple[float, dict]:
@@ -231,9 +230,11 @@ def phase_equivalence_and_speedup(tmp: Path) -> None:
 def phase_kill_and_resume(tmp: Path) -> None:
     cache = tmp / "cache"
     out = tmp / "killed"
-    reference = (tmp / "serial" / "journal.jsonl").read_bytes()
+    long_run = {"trials": KILL_TRIALS, "trial_sleep": KILL_SLEEP_S}
+    timed_run(cache, tmp / "long-serial", workers=1, **long_run)
+    reference = (tmp / "long-serial" / "journal.jsonl").read_bytes()
 
-    proc = subprocess.Popen(campaign_cmd(cache, out, workers=4), env=ENV)
+    proc = subprocess.Popen(campaign_cmd(cache, out, workers=4, **long_run), env=ENV)
     deadline = time.monotonic() + DEADLINE_S
     while n_trials_journalled(out) < 3:
         if proc.poll() is not None:
@@ -247,23 +248,23 @@ def phase_kill_and_resume(tmp: Path) -> None:
     interrupted = n_trials_journalled(out)
     if proc.returncode != 3:
         raise SystemExit(f"FAIL: SIGTERMed parallel run exited {proc.returncode}, expected 3")
-    if interrupted >= N_TRIALS:
+    if interrupted >= KILL_TRIALS:
         print("note: SIGTERM landed after completion was unavoidable; journal already full")
     print(f"killed 4-worker run after {interrupted} journalled trial(s) (exit 3); resuming")
     verify_dir(out, "post-kill (shards intact)")
 
     resumed = subprocess.run(
-        campaign_cmd(cache, out, workers=4, resume=True), env=ENV, capture_output=True, text=True
+        campaign_cmd(cache, out, workers=4, resume=True, **long_run), env=ENV, capture_output=True, text=True
     )
     if resumed.returncode != 0:
         raise SystemExit(f"FAIL: resume exited {resumed.returncode}: {resumed.stderr}")
     summary = json.loads(resumed.stdout)
     trials = CampaignJournal(out / "journal.jsonl").trial_records()
-    if summary["completed"] != N_TRIALS or sorted(trials) != list(range(N_TRIALS)):
+    if summary["completed"] != KILL_TRIALS or sorted(trials) != list(range(KILL_TRIALS)):
         raise SystemExit(f"FAIL: resume left {sorted(trials)} / summary {summary}")
     if (out / "journal.jsonl").read_bytes() != reference:
         raise SystemExit("FAIL: resumed parallel journal differs from the serial reference")
-    print(f"OK: resume completed all {N_TRIALS} trials; merged journal byte-identical to serial")
+    print(f"OK: resume completed all {KILL_TRIALS} trials; merged journal byte-identical to serial")
     verify_dir(out, "post-resume merge")
 
 
@@ -274,9 +275,10 @@ def phase_scenario_sweep(tmp: Path) -> None:
 
     cache = tmp / "cache"
     serial_out, parallel_out, killed_out = tmp / "sc-serial", tmp / "sc-parallel", tmp / "sc-killed"
+    long_run = {"trials": KILL_TRIALS, "trial_sleep": KILL_SLEEP_S, "scenarios": True}
 
-    _, serial_summary = timed_run(cache, serial_out, workers=1, scenarios=True)
-    _, parallel_summary = timed_run(cache, parallel_out, workers=4, scenarios=True)
+    _, serial_summary = timed_run(cache, serial_out, workers=1, **long_run)
+    _, parallel_summary = timed_run(cache, parallel_out, workers=4, **long_run)
     reference = (serial_out / "journal.jsonl").read_bytes()
     if (parallel_out / "journal.jsonl").read_bytes() != reference:
         raise SystemExit("FAIL: scenario sweep: 4-worker journal differs from serial")
@@ -285,7 +287,7 @@ def phase_scenario_sweep(tmp: Path) -> None:
     print(f"OK: {len(SCENARIOS)}-scenario sweep byte-identical serial vs 4 workers")
 
     proc = subprocess.Popen(
-        campaign_cmd(cache, killed_out, workers=4, scenarios=True),
+        campaign_cmd(cache, killed_out, workers=4, **long_run),
         env=ENV,
         start_new_session=True,  # killpg must not reach the smoke runner itself
     )
@@ -302,7 +304,7 @@ def phase_scenario_sweep(tmp: Path) -> None:
     print(f"SIGKILLed scenario sweep after {n_trials_journalled(killed_out)} journalled trial(s); resuming")
 
     resumed = subprocess.run(
-        campaign_cmd(cache, killed_out, workers=4, resume=True, scenarios=True),
+        campaign_cmd(cache, killed_out, workers=4, resume=True, **long_run),
         env=ENV,
         capture_output=True,
         text=True,
@@ -332,71 +334,55 @@ def phase_scenario_sweep(tmp: Path) -> None:
     print(f"OK: report reconciles with the journal: {per_scenario} == {journalled} trial(s)")
 
 
-def trial_seconds(out: Path) -> float:
-    """A finished run's summed in-run trial time: the ``campaign_trial_seconds``
-    histogram sum in its ``metrics.json``, one observation per trial."""
-
+def run_metrics(out: Path):
     registry = load_registry(out / METRICS_NAME)
-    hist = registry.histogram_for("campaign_trial_seconds") if registry is not None else None
-    if hist is None or hist.count != BATCHED_TRIALS:
-        count = None if hist is None else hist.count
-        raise SystemExit(f"FAIL: {out.name} metrics.json observed {count} trial(s), want {BATCHED_TRIALS}")
-    return hist.sum
+    if registry is None:
+        raise SystemExit(f"FAIL: {out.name} wrote no readable {METRICS_NAME}")
+    return registry
 
 
-def phase_batched_identity_and_speedup(tmp: Path) -> None:
-    """The batch engine must be invisible on disk and must pay for itself.
+def phase_shared_work(tmp: Path) -> None:
+    """Every trial runs on its own, and the trials of a model share their
+    roster, stacks, gate and clean baseline through the runtime's memos.
 
-    Sleep-free, so every second timed is compute: the batch-size-1 run
-    (``--no-batch``) is the byte reference and the timing baseline, the
-    serial batched run must match its bytes, fit the decision gate once per
-    model and beat its summed in-run trial time by ``MIN_BATCHED_SPEEDUP``,
-    and a 4-worker batched run must match its bytes too.  The in-run sums
-    leave out interpreter start-up, which dominates both runs' wall-clock at
-    this shape."""
+    Sleep-free, 64 trials: the serial run is the byte reference for a
+    4-worker run, a ``--no-cache`` run (no shared arrays, so every trial
+    restacks) and a run passing the ignored ``--no-batch``.  The serial and
+    4-worker runs must count one trial-time observation per trial, one gate
+    fit per model and one stack per split per model.  Every check is a
+    count or a byte comparison, so none depends on the host's speed."""
 
     cache = tmp / "cache"
-    sleep_free = {"trials": BATCHED_TRIALS, "trial_sleep": 0.0}
+    sleep_free = {"trials": SHARED_TRIALS, "trial_sleep": 0.0}
+    reference_out = tmp / "shared-serial"
+    timed_run(cache, reference_out, workers=1, **sleep_free)
+    verify_dir(reference_out, "shared-serial")
+    runs = {
+        "shared-4w": {"workers": 4},
+        "shared-no-cache": {"workers": 1, "extra": ("--no-cache",)},
+        "shared-no-batch": {"workers": 1, "extra": ("--no-batch",)},
+    }
+    for label, options in runs.items():
+        timed_run(cache, tmp / label, **options, **sleep_free)
+        if _bytes(tmp / label) != _bytes(reference_out):
+            raise SystemExit(f"FAIL: {label} journal/checkpoint differ from the serial run")
+    verify_dir(tmp / "shared-4w", "shared-4w")
+    print(f"OK: serial, 4-worker, --no-cache and --no-batch journals byte-identical ({SHARED_TRIALS} trials)")
 
-    def reference_and_batched(label: str) -> float:
-        loop_out, batched_out = tmp / f"{label}-loop", tmp / f"{label}-serial"
-        loop_wall, _ = timed_run(cache, loop_out, workers=1, **sleep_free)
-        batched_wall, summary = timed_run(cache, batched_out, workers=1, batch_size=BATCH_SIZE, **sleep_free)
-        if summary["completed"] != BATCHED_TRIALS:
-            raise SystemExit(f"FAIL: {label} batched run completed {summary['completed']}/{BATCHED_TRIALS}")
-        if _bytes(batched_out) != _bytes(loop_out):
-            raise SystemExit(f"FAIL: {label} batched journal/checkpoint differ from the --no-batch run")
-        registry = load_registry(batched_out / METRICS_NAME)
-        hist = registry.histogram_for("decision_fit_seconds") if registry is not None else None
-        fits = hist.count if hist is not None else None
-        if fits != N_MODELS:
-            raise SystemExit(f"FAIL: {label} batched run fitted the gate {fits} time(s), want one per model")
-        loop_s, batched_s = trial_seconds(loop_out), trial_seconds(batched_out)
-        speedup = loop_s / batched_s if batched_s > 0 else float("inf")
-        print(
-            f"in-run trial time: batch size 1 {loop_s:.2f}s / batched {batched_s:.2f}s -> "
-            f"speedup {speedup:.2f}x (wall-clock {loop_wall:.2f}s / {batched_wall:.2f}s -> "
-            f"{loop_wall / batched_wall:.2f}x)"
-        )
-        return speedup
-
-    speedup = reference_and_batched("batched")
-    verify_dir(tmp / "batched-serial", "batched-serial")
-    parallel_out = tmp / "batched-4w"
-    timed_run(cache, parallel_out, workers=4, batch_size=BATCH_SIZE, **sleep_free)
-    if _bytes(parallel_out) != _bytes(tmp / "batched-loop"):
-        raise SystemExit("FAIL: batched-4w journal/checkpoint differ from the --no-batch run")
-    verify_dir(parallel_out, "batched-4w")
-    print(f"OK: --batch-size {BATCH_SIZE} journals byte-identical to the --no-batch run (serial and 4-worker)")
-
-    attempt = 1
-    while speedup < MIN_BATCHED_SPEEDUP and attempt < SPEEDUP_RETRIES:
-        attempt += 1
-        print(f"batched speedup below {MIN_BATCHED_SPEEDUP}x; re-timing (attempt {attempt}/{SPEEDUP_RETRIES})")
-        speedup = reference_and_batched(f"batched-retry-{attempt}")
-    if speedup < MIN_BATCHED_SPEEDUP:
-        raise SystemExit(f"FAIL: batched in-run speedup {speedup:.2f}x < {MIN_BATCHED_SPEEDUP}x over batch size 1")
-    print(f"OK: >= {MIN_BATCHED_SPEEDUP}x sleep-free in-run speedup from batching")
+    for out in (reference_out, tmp / "shared-4w"):
+        registry = run_metrics(out)
+        trials = registry.histogram_for("campaign_trial_seconds")
+        fits = registry.histogram_for("decision_fit_seconds")
+        counts = {
+            "trial-time observations": (trials.count if trials else None, SHARED_TRIALS),
+            "gate fits": (fits.count if fits else None, N_MODELS),
+            "val stacks": (registry.counter_value("ensemble_stacks_total", split="val"), N_MODELS),
+            "test stacks": (registry.counter_value("ensemble_stacks_total", split="test"), N_MODELS),
+        }
+        for what, (got, want) in counts.items():
+            if got != want:
+                raise SystemExit(f"FAIL: {out.name} counted {got} {what}, want {want}")
+        print(f"OK: {out.name}: {SHARED_TRIALS} trial-time observations, one gate fit and one stack per split per model")
 
 
 def main() -> int:
@@ -404,7 +390,7 @@ def main() -> int:
     phase_equivalence_and_speedup(tmp)
     phase_kill_and_resume(tmp)
     phase_scenario_sweep(tmp)
-    phase_batched_identity_and_speedup(tmp)
+    phase_shared_work(tmp)
     return 0
 
 

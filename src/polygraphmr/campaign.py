@@ -9,12 +9,11 @@ built around three guarantees:
 * **Tamper-evident write-ahead journal** — every trial outcome is one
   append-only JSONL record, sealed with a SHA-256 over its canonical JSON
   and hash-chained to its predecessor (:mod:`polygraphmr.journal`, format
-  v3).  Trials run in windows (:mod:`polygraphmr.batching`; ``--batch-size
-  N`` trials per model, ``--batch-size 1`` runs one trial per model per
-  window), and each finished window is flushed and fsynced in index order,
-  so a crash loses at most the unflushed window — which ``--resume``
-  re-runs to identical bytes — and a dropped, reordered, or spliced record
-  anywhere breaks the chain.  ``python -m
+  v4).  Trials run one at a time and are journalled in windows of 16
+  trials per model (:mod:`polygraphmr.batching`); each finished window is
+  flushed and fsynced in index order, so a crash loses at most the
+  unflushed window — which ``--resume`` re-runs to identical bytes — and a
+  dropped, reordered, or spliced record anywhere breaks the chain.  ``python -m
   polygraphmr.campaign verify <dir>`` audits a finished (or interrupted)
   campaign end to end: chain walk, checkpoint-sealed head, and a replay of
   every trial spec from the journalled config.
@@ -43,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import queue
 import signal
 import sys
 import threading
@@ -53,7 +53,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .batching import DEFAULT_BATCH_SIZE, BatchTrialEngine, plan_windows
+from .batching import execute_window, plan_windows
 from .breaker import BreakerBoard, BreakerPolicy, merge_snapshots, non_closed_in_snapshot
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
 from .ensemble import EnsembleRuntime
@@ -499,6 +499,40 @@ def checkpoint_payload(
 # -- trial execution -------------------------------------------------------
 
 
+class _TrialThread:
+    """The watchdog's daemon thread: runs trial bodies one at a time while
+    the caller waits with a timeout.  It lives as long as its executor
+    rather than one trial — at CIFAR shape a fresh thread per trial made
+    the trial's numpy stages measurably slower."""
+
+    def __init__(self) -> None:
+        self._jobs: queue.SimpleQueue = queue.SimpleQueue()
+        threading.Thread(target=self._serve, daemon=True, name="campaign-trial").start()
+
+    def _serve(self) -> None:
+        while (job := self._jobs.get()) is not None:
+            fn, spec, box, done = job
+            try:
+                box["value"] = fn(spec)
+            except BaseException as exc:  # noqa: BLE001 - the trial's error outcome
+                box["error"] = exc
+            done.set()
+
+    def run(self, fn, spec, timeout: float) -> dict | None:
+        """``fn(spec)``'s outcome (``{"value": …}`` or ``{"error": …}``), or
+        ``None`` when it is still running after ``timeout`` seconds."""
+
+        box: dict = {}
+        done = threading.Event()
+        self._jobs.put((fn, spec, box, done))
+        return box if done.wait(timeout) else None
+
+    def close(self) -> None:
+        """Exit once the job in hand (if any) returns."""
+
+        self._jobs.put(None)
+
+
 class TrialExecutor:
     """Executes single trials deterministically — the one code path shared by
     the serial runner and every parallel worker.
@@ -552,6 +586,14 @@ class TrialExecutor:
         self.cache = ArtifactCache(cache_bytes, plane=plane) if use_cache else None
         self._store: ArtifactStore | None = None
         self._runtimes: dict[str, EnsembleRuntime] = {}
+        self._runner: _TrialThread | None = None
+
+    def close(self) -> None:
+        """Let the watchdog's trial thread exit; a later trial starts a new one."""
+
+        if self._runner is not None:
+            self._runner.close()
+            self._runner = None
 
     @property
     def store(self) -> ArtifactStore:
@@ -642,18 +684,14 @@ class TrialExecutor:
                 return OUTCOME_OK, self._trial_fn(spec), None
             except Exception as exc:  # noqa: BLE001 - outcome, not crash
                 return OUTCOME_ERROR, None, exc
-        box: dict = {}
-
-        def target() -> None:
-            try:
-                box["value"] = self._trial_fn(spec)
-            except BaseException as exc:  # noqa: BLE001
-                box["error"] = exc
-
-        worker = threading.Thread(target=target, daemon=True, name=f"trial-{spec.index}")
-        worker.start()
-        worker.join(self.config.timeout_s)
-        if worker.is_alive():
+        if self._runner is None:
+            self._runner = _TrialThread()
+        box = self._runner.run(self._trial_fn, spec, self.config.timeout_s)
+        if box is None:
+            # the thread stays stuck in this trial; it exits once the trial
+            # returns, and the next trial gets a fresh thread
+            self._runner.close()
+            self._runner = None
             return OUTCOME_TIMEOUT, None, None
         if "error" in box:
             return OUTCOME_ERROR, None, box["error"]
@@ -761,11 +799,9 @@ class CampaignRunner:
     Only the execution step (:meth:`_execute`) is specific to this class:
     :class:`polygraphmr.parallel.ParallelCampaignRunner` overrides it to fan
     trials out to worker processes and inherits everything else.  Both run
-    trials through the same :class:`~polygraphmr.batching.BatchTrialEngine`
-    over a :class:`TrialExecutor`, which is what keeps their journals
-    byte-identical.  ``batch_size=1`` makes every chunk a single probe the
-    executor runs on its own; a custom ``trial_fn`` forces it, because a
-    faked trial body has no kernel equivalent.
+    every trial through :meth:`TrialExecutor.execute` and journal it in
+    :mod:`polygraphmr.batching` windows, which is what keeps their journals
+    byte-identical.
     """
 
     def __init__(
@@ -777,10 +813,7 @@ class CampaignRunner:
         audit: dict | None = None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         use_cache: bool = True,
-        batch_size: int = DEFAULT_BATCH_SIZE,
     ):
-        if batch_size < 1:  # refused, not clamped
-            raise CampaignError("bad-batch-size", f"batch_size must be >= 1, got {batch_size}")
         self.config = config
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
@@ -790,9 +823,6 @@ class CampaignRunner:
         self.trial_fn = trial_fn
         self.cache_bytes = cache_bytes
         self.use_cache = use_cache
-        # the batch size is executor tuning like the cache: it never enters
-        # the journalled config, because every size must produce the same bytes
-        self.batch_size = batch_size if trial_fn is None else 1
         self._stop = threading.Event()
         self.models = discover_models(config)
 
@@ -854,9 +884,8 @@ class CampaignRunner:
 
     def _execute(self, state: CampaignState, max_new_trials: int | None) -> tuple[dict[int, dict], dict]:
         """The execution step: plan windows over the pending trials, run each
-        through the :class:`~polygraphmr.batching.BatchTrialEngine`, and
-        flush every completed window to the journal in index order with one
-        fsync + one checkpoint per window.
+        trial through the executor, and flush every completed window to the
+        journal in index order with one fsync + one checkpoint per window.
 
         Returns ``(completed trials, summary fields)``.
         """
@@ -869,22 +898,21 @@ class CampaignRunner:
         bounded = pending if max_new_trials is None else pending[: max(0, max_new_trials)]
         stopped_early = len(bounded) < len(pending)
         new_trials = 0
-        engine = BatchTrialEngine(self.executor, batch_size=self.batch_size)
-        for window in plan_windows(bounded, len(self.models), self.batch_size):
-            if self._stop.is_set():
-                stopped_early = True
-                break
-            records, aborted = engine.execute_window(window, stop=self._stop)
-            if records:
-                self.journal.append_many(records)
-                journal_records += len(records)
-                for record in records:
-                    done[record["index"]] = record
-                new_trials += len(records)
-                self._write_checkpoint(done, journal_records, self.journal.head)
-            if aborted:
-                stopped_early = True
-                break
+        try:
+            for window in plan_windows(bounded, len(self.models)):
+                records, aborted = execute_window(self.executor, window, self._stop)
+                if records:
+                    self.journal.append_many(records)
+                    journal_records += len(records)
+                    for record in records:
+                        done[record["index"]] = record
+                    new_trials += len(records)
+                    self._write_checkpoint(done, journal_records, self.journal.head)
+                if aborted:
+                    stopped_early = True
+                    break
+        finally:
+            self.executor.close()
         return done, {"new_trials": new_trials, "stopped_early": stopped_early or self._stop.is_set()}
 
     def _finalize_metrics(self, completed: int) -> MetricsRegistry:
@@ -1385,8 +1413,9 @@ def main(argv: list[str] | None = None) -> int:
         "--trial-sleep",
         type=float,
         default=0.0,
-        help="artificial seconds of latency per trial (testing aid: the tests and "
-        "scripts/smoke_campaign.py use it to widen kill and speedup windows)",
+        help="artificial seconds of latency added to every trial, each trial "
+        "sleeping once (testing aid: the tests and scripts/smoke_campaign.py "
+        "use it to widen kill and speedup windows)",
     )
     parser.add_argument(
         "--cache-bytes",
@@ -1401,20 +1430,8 @@ def main(argv: list[str] | None = None) -> int:
         help="disable the verified-once artifact cache and the parallel "
         "shared-memory plane (every load re-reads and re-validates)",
     )
-    parser.add_argument(
-        "--batch-size",
-        type=int,
-        default=DEFAULT_BATCH_SIZE,
-        help="max trials per model batched through the streamed kernel; "
-        "journal bytes are identical at every size "
-        f"(default: {DEFAULT_BATCH_SIZE})",
-    )
-    parser.add_argument(
-        "--no-batch",
-        action="store_true",
-        help="same as --batch-size 1: every trial runs on its own, and each "
-        "window of one trial per model is journalled and checkpointed together",
-    )
+    # accepted and ignored: every trial runs on its own; benchmark/campaigns.py passes it
+    parser.add_argument("--no-batch", action="store_true", help=argparse.SUPPRESS)
     parser.add_argument(
         "--metrics-out",
         default=None,
@@ -1443,9 +1460,8 @@ def main(argv: list[str] | None = None) -> int:
         help="with --synthetic: number of models to build (default: 1)",
     )
     args = parser.parse_args(argv)
-    for flag, value in (("--workers", args.workers), ("--batch-size", args.batch_size)):
-        if value < 1:
-            parser.error(f"argument {flag}: must be >= 1, got {value}")
+    if args.workers < 1:
+        parser.error(f"argument --workers: must be >= 1, got {args.workers}")
 
     cache = args.cache
     if args.synthetic is not None:
@@ -1491,11 +1507,7 @@ def main(argv: list[str] | None = None) -> int:
         min_members=args.min_members,
         trial_sleep_s=args.trial_sleep,
     )
-    run_opts = {
-        "cache_bytes": args.cache_bytes,
-        "use_cache": not args.no_cache,
-        "batch_size": 1 if args.no_batch else args.batch_size,
-    }
+    run_opts = {"cache_bytes": args.cache_bytes, "use_cache": not args.no_cache}
     if args.workers > 1:
         from .parallel import ParallelCampaignRunner
 

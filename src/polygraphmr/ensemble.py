@@ -24,11 +24,15 @@ The store the runtime drives may carry a verified-once
 are then shared read-only across trials (and, via the shared-memory plane,
 across worker processes).  That is safe here because ``assemble`` copies
 members into its stacked tensor (``np.stack``) and never writes to a loaded
-array in place.
+array in place.  The stacked tensor is read-only too: ``assemble`` hands
+out the previous stack of a split again while its members are the very
+same cached arrays, and :meth:`EnsembleRuntime.member_plan` reuses the
+roster it scanned while the model directory lists the same files.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -203,6 +207,10 @@ class EnsembleRuntime:
         # clean test baselines, one per model: model -> ((members, test
         # artifact identity), the gate that scored it, baseline)
         self._baselines: dict[str, tuple[tuple, LogisticDecisionModule, CleanBaseline]] = {}
+        # default member plans: model -> (directory listing, plan)
+        self._plans: dict[str, tuple[frozenset, list[str]]] = {}
+        # the last stack per split: split -> (model, members, arrays, stack)
+        self._stacks: dict[str, tuple[str, list[str], list[np.ndarray], np.ndarray]] = {}
 
     # -- assembly --------------------------------------------------------
 
@@ -213,8 +221,23 @@ class EnsembleRuntime:
         Deliberately *not* restricted to already-valid artifacts: a stem
         whose files exist but are corrupt stays in the plan so the run can
         report it quarantined in a :class:`DegradedResult` instead of
-        silently pretending the ensemble was never bigger."""
+        silently pretending the ensemble was never bigger.
 
+        The default plan (no ``greedy``) depends only on which files the
+        model directory holds, so it is memoised on the directory listing:
+        a repeat call costs one ``listdir``, not a roster scan.  (The scan
+        also counts files this store quarantined and that were deleted
+        since; deleting them changes the listing too.)"""
+
+        listing = None
+        if greedy is None:
+            try:
+                listing = frozenset(os.listdir(self.store.model_dir(model)))
+            except OSError:
+                pass
+            memo = self._plans.get(model)
+            if listing is not None and memo is not None and memo[0] == listing:
+                return list(memo[1])
         manifest = self.store.scan_model(model)
         if greedy is not None and greedy in manifest.greedy:
             plan = manifest.greedy[greedy]
@@ -224,7 +247,9 @@ class EnsembleRuntime:
             plan = ["ORG"] + [s for s in plan if s != "ORG"]
         elif "ORG" not in plan:
             plan = ["ORG"] + plan
-        return plan
+        if listing is not None:
+            self._plans[model] = (listing, plan)
+        return list(plan)
 
     def assemble(self, model: str, split: str, *, members: list[str] | None = None) -> EnsembleBatch:
         """Load every planned member's probs for ``split``; quarantine, don't crash.
@@ -279,15 +304,35 @@ class EnsembleRuntime:
         ).inc()
         if len(survivors) < self.min_members:
             raise DegradedEnsemble(model, survivors, self.min_members)
-        stacked = np.stack([loaded[s] for s in survivors], axis=0)
         return EnsembleBatch(
             model=model,
             split=split,
             members=survivors,
-            stacked=stacked,
+            stacked=self._stack(model, split, survivors, [loaded[s] for s in survivors]),
             missing=missing,
             quarantined=quarantined,
         )
+
+    def _stack(self, model: str, split: str, members: list[str], arrays: list[np.ndarray]) -> np.ndarray:
+        """``np.stack(arrays)``, read-only; the split's previous stack when it
+        was built for the same model and members from these very array
+        objects.  Cached loads return one shared read-only array per file
+        identity, so a repeat trial reuses its stack; an uncached store
+        loads fresh arrays and always restacks."""
+
+        memo = self._stacks.get(split)
+        if (
+            memo is not None
+            and memo[0] == model
+            and memo[1] == members
+            and all(a is b for a, b in zip(memo[2], arrays))
+        ):
+            return memo[3]
+        stacked = np.stack(arrays, axis=0)
+        stacked.flags.writeable = False
+        self._stacks[split] = (model, members, arrays, stacked)
+        get_registry().counter("ensemble_stacks_total", split=split).inc()
+        return stacked
 
     # -- the fitted session ---------------------------------------------
 

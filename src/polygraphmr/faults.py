@@ -321,9 +321,7 @@ def corrupt_file_header(src: str | Path, dst: str | Path, *, n_bytes: int = 4, s
 class DegradationContext:
     """The fault-independent half of a degradation measurement: the model's
     fitted :class:`~polygraphmr.ensemble.ModelSession` and its clean-split
-    features, flags and metrics.  Prepared once and shared across every
-    fault evaluated against the same (model, breaker-steady) state — the
-    batch kernel's amortized work; :func:`degradation_report` supplies the
+    features, flags and metrics; :func:`degradation_report` supplies the
     per-fault half.
 
     The session's gate comes from the runtime's
@@ -346,26 +344,21 @@ def prepare_degradation(
     *,
     members: list[str] | None = None,
     runtime: EnsembleRuntime | None = None,
-    tick: bool = True,
 ) -> DegradationContext:
     """Build the model's :meth:`~polygraphmr.ensemble.EnsembleRuntime.session`
-    and measure its clean baseline.
+    and measure its clean baseline; ticks the runtime's breaker board once.
 
     Raises ``ValueError`` when ORG did not survive or the labels are missing
     or not sized to their split.  Without ``runtime`` a fresh one is built.
-    The session is assembled
-    afresh on every call (its breaker calls are per-trial history), while
-    the clean baseline comes from the runtime's
+    The session is assembled on every call (its breaker calls are per-trial
+    history) from the runtime's memoised roster and stacks, and the clean
+    baseline comes from its
     :meth:`~polygraphmr.ensemble.EnsembleRuntime.clean_baseline` memo.
-
-    ``tick=False`` skips the breaker-board tick — the batch kernel ticks
-    once per *trial* itself, so its one shared context prep must not
-    advance the board.
     """
 
     if runtime is None:
         runtime = EnsembleRuntime(store)
-    if tick and runtime.breakers is not None:
+    if runtime.breakers is not None:
         runtime.breakers.tick()
     session = runtime.session(model, members)
     if "ORG" not in session.members:
@@ -385,10 +378,9 @@ def prepare_degradation(
 
 def degradation_report(ctx: DegradationContext, spec, *, baselines: bool = False) -> dict:
     """Evaluate one fault against a prepared context: inject → sanitize →
-    features → predict → evaluate.  Every trial runs through here, probe or
-    batched, so one trial's arrays are live at a time and stay
-    cache-resident; the faulted stack is dropped before the gate computes
-    its scores.
+    features → predict → evaluate.  One trial's arrays are live at a time
+    and stay cache-resident; the faulted stack is dropped before the gate
+    computes its scores.
 
     ``baselines=True`` adds a ``baselines`` stanza (see
     :func:`_baselines_stanza`); campaigns leave it off, so journal bytes do

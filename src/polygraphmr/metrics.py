@@ -95,10 +95,9 @@ DEFAULT_LATENCY_BUCKETS = (
     30.0,
 )
 
-# Power-of-two sizing buckets for the campaign batch-size histogram: a batch
-# is at most --batch-size trials, and splits (breaker activity, window
-# tails) land in the lower buckets, so the distribution shows how often the
-# planner actually got to batch.
+# Power-of-two sizing buckets for the serving gateway's batch-size histogram
+# (serve_batch_size): a coalesced batch holds at most --batch-max requests,
+# so the distribution shows how full the dispatcher's batches run.
 BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
 LabelKey = tuple[tuple[str, str], ...]
@@ -248,9 +247,9 @@ class MetricsRegistry:
         key = (name, _label_key(labels))
         with self._lock:
             self._claim(name, "histogram")
-            bounds = self._buckets.setdefault(name, tuple(float(b) for b in buckets))
             h = self._histograms.get(key)
             if h is None:
+                bounds = self._buckets.setdefault(name, tuple(float(b) for b in buckets))
                 h = self._histograms[key] = Histogram(bounds, self._lock)
         return h
 

@@ -68,7 +68,7 @@ import sys
 import threading
 from pathlib import Path
 
-from .batching import DEFAULT_BATCH_SIZE, BatchTrialEngine, plan_windows
+from .batching import execute_window, plan_windows
 from .cache import DEFAULT_CACHE_BYTES, SharedMemoryPlane
 from .campaign import (
     CampaignConfig,
@@ -126,15 +126,13 @@ def _worker_main(
     progress,
     cache_bytes: int = DEFAULT_CACHE_BYTES,
     use_cache: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
     plane: SharedMemoryPlane | None = None,
 ) -> None:
     """One worker process: drain ``assignment`` through a private
-    :class:`TrialExecutor` and :class:`~polygraphmr.batching.BatchTrialEngine`
-    into a private journal shard.
+    :class:`TrialExecutor` into a private journal shard.
 
-    SIGTERM/SIGINT set a stop flag checked *between* chunks, so the
-    in-flight chunk always finishes and the window's finished prefix is
+    SIGTERM/SIGINT set a stop flag checked *between* trials, so the
+    in-flight trial always finishes and the window's finished prefix is
     journalled before exit — the same draining contract as the serial
     runner.
 
@@ -184,12 +182,9 @@ def _worker_main(
         # — each event carries the chain head *as of that record* so a
         # parent checkpoint taken mid-window stays position-consistent with
         # the shard chain on resume
-        engine = BatchTrialEngine(executor, batch_size=batch_size)
         n_owned = len({index % len(models) for index in assignment}) or 1
-        for window in plan_windows(assignment, n_owned, batch_size):
-            if stop.is_set():
-                break
-            records, aborted = engine.execute_window(window, stop=stop)
+        for window in plan_windows(assignment, n_owned):
+            records, aborted = execute_window(executor, window, stop)
             seals = shard.append_many(records)
             for record, seal in zip(records, seals):
                 progress.put((worker_id, record["index"], record["outcome"], seal))
@@ -298,7 +293,6 @@ class ParallelCampaignRunner(CampaignRunner):
                     progress,
                     self.cache_bytes,
                     self.use_cache,
-                    self.batch_size,
                     plane,
                 ),
                 name=f"campaign-w{worker_id:02d}",

@@ -103,6 +103,8 @@ class ArtifactStore:
         self.cache = cache
         self.quarantine: dict[str, str] = {}
         self.salvaged: dict[str, SalvageReport] = {}
+        # artifact paths built so far: every trial asks for the same few
+        self._paths: dict[tuple[str, str], Path] = {}
 
     def fresh(self) -> ArtifactStore:
         """A new store over the same root with the same policy but empty
@@ -128,14 +130,20 @@ class ArtifactStore:
             return []
         return sorted(p.name for p in self.root.iterdir() if p.is_dir())
 
+    def _path(self, model: str, filename: str) -> Path:
+        path = self._paths.get((model, filename))
+        if path is None:
+            path = self._paths[(model, filename)] = self.model_dir(model) / filename
+        return path
+
     def probs_path(self, model: str, stem: str, split: str) -> Path:
-        return self.model_dir(model) / f"{stem}.{split}.probs.npz"
+        return self._path(model, f"{stem}.{split}.probs.npz")
 
     def weights_path(self, model: str, stem: str) -> Path:
-        return self.model_dir(model) / f"{stem}.weights.npz"
+        return self._path(model, f"{stem}.weights.npz")
 
     def labels_path(self, model: str, split: str) -> Path:
-        return self.model_dir(model) / f"labels.{split}.npz"
+        return self._path(model, f"labels.{split}.npz")
 
     # -- quarantine ------------------------------------------------------
 

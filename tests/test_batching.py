@@ -1,14 +1,17 @@
-"""Differential suite for the batched trial engine: batching is an execution
-detail, so every campaign artifact — journal bytes, chain links, checkpoint —
-must be byte-identical to the serial per-trial loop's, across scenario
-sweeps, timeouts, tripping breakers, kills, and worker × batch-size combos.
+"""The campaign trial loop: every trial runs on its own through
+``TrialExecutor.execute`` and is journalled in windows of
+``WINDOW_TRIALS`` trials per model.  The window is a flush cadence only —
+the journal holds exactly what the executor returned, in index order, and a
+run interrupted mid-window resumes to the same bytes.  What the trials of a
+model share (roster, stacks, gate, clean baseline) is memoised per model
+and must stay invisible on disk: a memo-free run journals the same bytes.
 Plus hypothesis properties pinning the vectorized injectors to the
 loop-based reference oracles element-for-element."""
 
 from __future__ import annotations
 
 import dataclasses
-import threading
+import os
 import tracemalloc
 
 import numpy as np
@@ -16,13 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polygraphmr.batching import (
-    DEFAULT_BATCH_SIZE,
-    PRISTINE_BREAKER,
-    BatchTrialEngine,
-    board_is_steady,
-    plan_windows,
-)
+from polygraphmr.batching import WINDOW_TRIALS, plan_windows
 from polygraphmr.campaign import (
     CHECKPOINT_NAME,
     JOURNAL_NAME,
@@ -41,12 +38,10 @@ from polygraphmr.faults import (
     SURFACES,
     FaultSpec,
     apply_fault_batch,
-    corrupt_file_truncate,
-    prepare_degradation,
+    measure_degradation,
     sanitize_probs_batch,
 )
 from polygraphmr.metrics import get_registry
-from polygraphmr.parallel import ParallelCampaignRunner
 from polygraphmr.scenarios import builtin_scenarios, resolve_scenarios
 from polygraphmr.store import ArtifactStore
 
@@ -76,42 +71,24 @@ def _fits() -> int:
     return get_registry().histogram("decision_fit_seconds").count
 
 
+def _stacks(split: str) -> int:
+    return get_registry().counter_value("ensemble_stacks_total", split=split)
+
+
 class TestPlanner:
     def test_windows_tile_the_pending_list_in_order(self):
-        pending = list(range(23))
-        windows = plan_windows(pending, 4, 4)
+        pending = list(range(70))
+        windows = plan_windows(pending, 4)
         assert [w for win in windows for w in win] == pending
-        assert [len(w) for w in windows] == [16, 7]
+        assert [len(w) for w in windows] == [64, 6]
 
-    def test_degenerate_sizes_clamp_to_one(self):
-        assert plan_windows([5, 9], 0, 0) == [[5], [9]]
-        assert plan_windows([], 4, 16) == []
+    def test_degenerate_model_count_clamps_to_one(self):
+        assert plan_windows(list(range(20)), 0) == [list(range(16)), list(range(16, 20))]
+        assert plan_windows([], 4) == []
 
-    def test_span_scales_with_models_so_each_gets_a_full_batch(self):
-        windows = plan_windows(list(range(12)), 3, 2)
-        assert [len(w) for w in windows] == [6, 6]
-
-
-class TestBoardSteadiness:
-    PRE = {"tick_count": 4, "breakers": {"m/a": dict(PRISTINE_BREAKER)}}
-
-    def test_one_tick_no_activity_is_steady(self):
-        post = {"tick_count": 5, "breakers": {"m/a": dict(PRISTINE_BREAKER)}}
-        assert board_is_steady(self.PRE, post)
-
-    def test_new_pristine_entry_is_steady(self):
-        post = {
-            "tick_count": 5,
-            "breakers": {"m/a": dict(PRISTINE_BREAKER), "m/b": dict(PRISTINE_BREAKER)},
-        }
-        assert board_is_steady(self.PRE, post)
-
-    def test_tick_skew_changed_entry_or_lost_entry_break_steadiness(self):
-        assert not board_is_steady(self.PRE, {"tick_count": 6, "breakers": {"m/a": dict(PRISTINE_BREAKER)}})
-        tripped = dict(PRISTINE_BREAKER, consecutive_failures=1)
-        assert not board_is_steady(self.PRE, {"tick_count": 5, "breakers": {"m/a": tripped}})
-        assert not board_is_steady(self.PRE, {"tick_count": 5, "breakers": {"m/b": dict(PRISTINE_BREAKER)}})
-        assert not board_is_steady(self.PRE, {"tick_count": 5, "breakers": {}})
+    def test_span_scales_with_models_so_each_gets_a_full_window(self):
+        assert WINDOW_TRIALS == 16
+        assert [len(w) for w in plan_windows(list(range(100)), 3)] == [48, 48, 4]
 
 
 class TestJournalBatchFlush:
@@ -126,218 +103,114 @@ class TestJournalBatchFlush:
         seals = many.append_many([dict(r) for r in records])
         assert (tmp_path / "many.jsonl").read_bytes() == (tmp_path / "one.jsonl").read_bytes()
         assert seals == heads
-        assert many.head == one.head
         assert many.append_many([]) == []
 
 
-class TestSerialBatchedEquivalence:
-    @pytest.mark.parametrize("batch_size", [1, 3, DEFAULT_BATCH_SIZE, 64])
-    def test_legacy_campaign_is_byte_identical(self, multi_model_cache, tmp_path, batch_size):
+class TestWindowLoop:
+    def test_journal_holds_what_the_executor_returns(self, multi_model_cache, tmp_path):
         config = _config(multi_model_cache)
-        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
-        summary = CampaignRunner(config, tmp_path / "batched", batch_size=batch_size).run()
+        summary = CampaignRunner(config, tmp_path / "out").run()
         assert summary["completed"] == config.n_trials
-        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
-        assert verify_campaign(tmp_path / "batched")["exit_code"] == 0
-        if batch_size > 1:
-            batched = get_registry().counter("campaign_batched_trials_total").value
-            assert batched > 0, "batched fast path never engaged"
+        executor = TrialExecutor(config, discover_models(config))
+        expected = [executor.execute(i) for i in range(config.n_trials)]
+        journalled = CampaignJournal(tmp_path / "out" / JOURNAL_NAME).trial_records()
+        got = [{k: v for k, v in journalled[i].items() if k not in ("prev", "sha256")} for i in sorted(journalled)]
+        assert got == expected
+        assert verify_campaign(tmp_path / "out")["exit_code"] == 0
 
-    @pytest.mark.parametrize("batch_size", [2, 8])
-    def test_scenario_sweep_is_byte_identical(self, synthetic_cache, tmp_path, batch_size):
-        config = _sweep_config(synthetic_cache, n_trials=9)
-        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
-        CampaignRunner(config, tmp_path / "batched", batch_size=batch_size).run()
-        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
-        assert verify_campaign(tmp_path / "batched")["exit_code"] == 0
-
-    def test_tripping_breakers_fall_back_to_the_serial_path(self, multi_model_cache, tmp_path):
-        victim = multi_model_cache / "net-01"
-        for split in ("val", "test"):
-            target = victim / f"pp-Gamma_2.{split}.probs.npz"
-            corrupt_file_truncate(target, target, keep_fraction=0.2, seed=5)
-        config = _config(multi_model_cache, failure_threshold=2, cooldown_ticks=1)
-        serial = CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
-        assert serial["breakers"], "stressor failed to trip any breaker"
-        batched = CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
-        assert batched["breakers"] == serial["breakers"]
-        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
-        fallback = get_registry().counter(
-            "campaign_batch_fallback_total", reason="breaker-activity"
-        ).value
-        assert fallback > 0, "breaker activity never forced a serial fallback"
-
-    def test_timeouts_are_journalled_identically(self, multi_model_cache, tmp_path, monkeypatch):
-        # the trial body blocks until the test ends, so it outlasts the
-        # watchdog by construction: every probe times out and the whole
-        # campaign replays down the serial path
-        release = threading.Event()
-
-        def blocked(self, spec):
-            release.wait()
-            return {}
-
-        monkeypatch.setattr(TrialExecutor, "_run_trial", blocked)
-        config = _config(multi_model_cache, n_trials=8, timeout_s=0.02)
-        try:
-            serial = CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
-            assert serial["outcomes"].get("trial_timeout") == 8
-            CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
-        finally:
-            release.set()
-        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
-
-    def test_kernel_timeout_falls_back_to_serial_replay(self, synthetic_cache, tmp_path, monkeypatch):
-        config = _config(synthetic_cache, n_trials=4, timeout_s=0.75)
-        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
-
-        def stall(self, model, indices):  # never touches the executor
-            import time
-
-            time.sleep(10)
-
-        monkeypatch.setattr(BatchTrialEngine, "_run_batch", stall)
-        CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
-        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
-        assert get_registry().counter("campaign_batch_fallback_total", reason="timeout").value > 0
-        # the rebuild discards the runtime and its memoised gate: the probe's
-        # fit plus one refit for the serial replay
-        assert _fits() == 2
-
-    def test_kernel_error_falls_back_to_serial_replay(self, synthetic_cache, tmp_path, monkeypatch):
-        config = _config(synthetic_cache, n_trials=4)
-        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
-
-        def explode(self, model, indices):
-            raise RuntimeError("kernel blew up")
-
-        monkeypatch.setattr(BatchTrialEngine, "_run_batch", explode)
-        CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
-        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
-        assert get_registry().counter("campaign_batch_fallback_total", reason="error").value > 0
-        assert _fits() == 2
-
-    def test_interrupted_batched_run_resumes_to_identical_bytes(self, multi_model_cache, tmp_path):
+    def test_interrupted_mid_window_run_resumes_to_identical_bytes(self, multi_model_cache, tmp_path):
         config = _config(multi_model_cache)
-        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
-        partial = CampaignRunner(config, tmp_path / "batched", batch_size=4).run(max_new_trials=5)
+        CampaignRunner(config, tmp_path / "straight").run()
+        partial = CampaignRunner(config, tmp_path / "out").run(max_new_trials=5)
         assert partial["stopped_early"] and partial["completed"] == 5
-        resumed = CampaignRunner(config, tmp_path / "batched", batch_size=4).run(resume=True)
+        resumed = CampaignRunner(config, tmp_path / "out").run(resume=True)
         assert resumed["completed"] == config.n_trials
-        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
-        assert verify_campaign(tmp_path / "batched")["exit_code"] == 0
+        assert _bytes(tmp_path / "out") == _bytes(tmp_path / "straight")
+        assert verify_campaign(tmp_path / "out")["exit_code"] == 0
 
-    def test_custom_trial_fn_disables_batching(self, bare_cache, tmp_path):
-        config = _config(bare_cache("m"), n_trials=3)
-        runner = CampaignRunner(
-            config, tmp_path / "out", trial_fn=lambda spec: {"model": spec.model}
-        )
-        assert runner.batch_size == 1  # faked trial bodies have no kernel
-        assert runner.run()["completed"] == 3
+
+class TestSharedWorkIsMemoised:
+    """A model's trials share one roster scan and one stack per split while
+    its files do not change, and the sharing never shows on disk."""
+
+    def test_one_scan_and_one_stack_per_split_over_64_trials(self, synthetic_cache, tmp_path, monkeypatch):
+        scans = []
+        real = ArtifactStore.scan_model
+        monkeypatch.setattr(ArtifactStore, "scan_model", lambda self, m: scans.append(m) or real(self, m))
+        config = _config(synthetic_cache, n_trials=64)
+        assert CampaignRunner(config, tmp_path / "out").run()["outcomes"]["ok"] == 64
+        assert scans == ["tinynet"]
+        assert _stacks("val") == _stacks("test") == 1
+        assert _fits() == 1
+
+    def test_uncached_run_is_byte_identical_to_a_cached_run(self, multi_model_cache, tmp_path):
+        config = _sweep_config(multi_model_cache)
+        CampaignRunner(config, tmp_path / "cached").run()
+        assert _stacks("test") == 4  # one per model
+        CampaignRunner(config, tmp_path / "uncached", use_cache=False).run()
+        assert _stacks("test") == config.n_trials  # fresh arrays, restacked every trial
+        assert _bytes(tmp_path / "uncached") == _bytes(tmp_path / "cached")
 
 
 class TestGateFitOncePerModel:
     """Each model's runtime memoises its fitted gate, so a run fits it once
-    whatever the chunking — and the journal bytes do not move."""
+    — and the journal bytes do not move."""
 
-    def test_one_fit_per_model_batched_and_per_trial(self, synthetic_cache, add_model, tmp_path):
+    def test_one_fit_per_model(self, synthetic_cache, add_model, tmp_path):
         add_model(synthetic_cache, "net-b")
         config = _config(synthetic_cache, n_trials=32)
-        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
+        CampaignRunner(config, tmp_path / "out").run()
         assert _fits() == 2
-        CampaignRunner(config, tmp_path / "batched", batch_size=DEFAULT_BATCH_SIZE).run()
-        assert get_registry().counter("campaign_batched_trials_total").value > 0
-        assert _fits() == 2
-        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
 
-    @pytest.mark.parametrize("options", [{"batch_size": 1}, {"batch_size": 4}], ids=["serial", "batched"])
-    def test_weights_faults_leave_the_memoised_gate_pristine(self, synthetic_cache, tmp_path, options):
+    def test_weights_faults_leave_the_memoised_gate_pristine(self, synthetic_cache, tmp_path):
         config = _config(
             synthetic_cache,
             n_trials=8,
             scenarios=scenarios_config_field(resolve_scenarios(["gate-weights-bitflip-1"])),
         )
-        runner = CampaignRunner(config, tmp_path / "out", **options)
+        runner = CampaignRunner(config, tmp_path / "out")
         assert runner.run()["outcomes"]["ok"] == 8
-        if runner.batch_size > 1:
-            assert get_registry().counter("campaign_batched_trials_total").value > 0
         assert _fits() == 1  # one gate served every trial
         gate = runner.executor.runtime_for("tinynet").session("tinynet").module
         fresh = EnsembleRuntime(ArtifactStore(synthetic_cache)).session("tinynet").module
         assert gate.w.tobytes() == fresh.w.tobytes() and gate.b == fresh.b
 
-
-class TestStreamedKernel:
-    """The kernel streams each trial through inject → sanitize → features →
-    predict → evaluate; its stages copy once and never write their inputs."""
-
-    @pytest.mark.parametrize("kind", ["bitflip", "gaussian"])
-    def test_batch_peak_memory_is_one_trial_not_the_batch(self, wide_cache, kind, monkeypatch):
-        import polygraphmr.batching as batching
-
-        config = _config(wide_cache, n_trials=16, kinds=(kind,), rates=(0.01,), sigmas=(0.05,))
-        executor = TrialExecutor(config, discover_models(config))
-        model = executor.models[0]
-        ctx = prepare_degradation(
-            executor.store, model, runtime=executor.runtime_for(model), tick=False
-        )
-        # the context (session stacks, clean baseline) is built before
-        # tracing starts, so the peak is the streamed trials' own arrays
-        monkeypatch.setattr(batching, "prepare_degradation", lambda *args, **kwargs: ctx)
-        stack_bytes = ctx.session.test_stack.astype(np.float64).nbytes
-        engine = BatchTrialEngine(executor, batch_size=16)
-        tracemalloc.start()
-        try:
-            records = engine._run_batch(model, list(range(16)))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert sorted(records) == list(range(16))
-        # streaming keeps one trial's faulted stack and features live; a
-        # kernel holding the whole batch's stacks peaks near 16× instead
-        assert peak < 3 * stack_bytes, f"peak {peak / stack_bytes:.2f}× one trial's stack"
-
-    def test_weights_trial_after_probs_trials_matches_batch_size_one(self, synthetic_cache, tmp_path):
-        """A gate-weights trial scores the context's shared clean features
-        after the chunk's probs trials ran the gate on their own features;
-        it must journal what it journals when every trial runs alone."""
+    def test_weights_trial_after_probs_trials_matches_a_fresh_executor(self, synthetic_cache):
+        """A gate-weights trial scores the shared clean features after probs
+        trials ran the shared gate on their own features; it must report
+        what it reports on an executor that ran nothing before it."""
 
         sweep = ("channel-bitflip-10pct", "gate-weights-bitflip-1")
         base = _sweep_config(synthetic_cache, n_trials=8, scenarios=scenarios_config_field(resolve_scenarios(sweep)))
         for seed in range(100):
             config = dataclasses.replace(base, seed=seed)
             executor = TrialExecutor(config, discover_models(config))
-            order = [executor.derive_spec(i).scenario for i in range(1, 8)]
+            order = [executor.derive_spec(i).scenario for i in range(8)]
             if order[0] == sweep[0] and sweep[1] in order:
                 break
         else:
-            pytest.fail("no seed puts a weights trial after a probs trial in one chunk")
-        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
-        get_registry().reset()
-        CampaignRunner(config, tmp_path / "batched", batch_size=8).run()
-        assert get_registry().counter("campaign_batched_trials_total").value == 7
-        for reason in ("error", "timeout", "breaker-activity"):
-            assert get_registry().counter("campaign_batch_fallback_total", reason=reason).value == 0
-        assert _bytes(tmp_path / "batched") == _bytes(tmp_path / "serial")
+            pytest.fail("no seed puts a weights trial after a probs trial")
+        index = order.index(sweep[1])
+        records = [executor.execute(i) for i in range(index + 1)]
+        spec = executor.derive_spec(index)
+        fresh = measure_degradation(ArtifactStore(synthetic_cache), spec.model, executor.fault_for(spec))
+        assert records[index]["result"] == fresh
 
 
 class TestCleanBaselineMemo:
     """Each runtime scores a member set's clean test split once per test
     artifact identity and gate; the journal does not move."""
 
-    @pytest.mark.parametrize("batch_size", [1, DEFAULT_BATCH_SIZE])
-    def test_one_clean_scoring_per_model_in_a_steady_run(
-        self, synthetic_cache, add_model, tmp_path, clean_scorings, batch_size
-    ):
+    def test_one_clean_scoring_per_model_in_a_steady_run(self, synthetic_cache, add_model, tmp_path, clean_scorings):
         add_model(synthetic_cache, "net-b")
         config = _config(synthetic_cache, n_trials=32)
-        assert CampaignRunner(config, tmp_path / "out", batch_size=batch_size).run()["outcomes"]["ok"] == 32
+        assert CampaignRunner(config, tmp_path / "out").run()["outcomes"]["ok"] == 32
         assert len(clean_scorings) == 2
 
     def test_journal_bytes_match_a_run_that_never_reuses_the_baseline(self, multi_model_cache, tmp_path, monkeypatch):
         sweep = resolve_scenarios(SWEEP + ("gate-weights-bitflip-1",))
         config = _sweep_config(multi_model_cache, n_trials=16, scenarios=scenarios_config_field(sweep))
-        CampaignRunner(config, tmp_path / "memo", batch_size=4).run()
+        CampaignRunner(config, tmp_path / "memo").run()
         real = EnsembleRuntime.clean_baseline
 
         def fresh(self, session):
@@ -345,34 +218,77 @@ class TestCleanBaselineMemo:
             return real(self, session)
 
         monkeypatch.setattr(EnsembleRuntime, "clean_baseline", fresh)
-        CampaignRunner(config, tmp_path / "fresh", batch_size=4).run()
+        CampaignRunner(config, tmp_path / "fresh").run()
         assert _bytes(tmp_path / "memo") == _bytes(tmp_path / "fresh")
 
 
-class TestThreeWayEquivalenceMatrix:
-    @pytest.mark.parametrize(("workers", "batch_size"), [(2, 1), (2, 8), (4, 4)])
-    def test_serial_parallel_batched_all_match(self, multi_model_cache, tmp_path, workers, batch_size):
-        config = _config(multi_model_cache)
-        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
-        CampaignRunner(config, tmp_path / "batched", batch_size=batch_size).run()
-        par = ParallelCampaignRunner(
-            config, tmp_path / "par", workers=workers, batch_size=batch_size
-        ).run()
-        assert par["failed_workers"] == []
-        reference = _bytes(tmp_path / "serial")
-        assert _bytes(tmp_path / "batched") == reference
-        assert _bytes(tmp_path / "par") == reference
-        assert verify_campaign(tmp_path / "par")["exit_code"] == 0
+class TestMemoInvalidation:
+    """Files changing between trials: the next trial must see them exactly as
+    a fresh runtime would."""
 
-    def test_scenario_sweep_three_way(self, multi_model_cache, tmp_path):
-        config = _sweep_config(multi_model_cache)
-        CampaignRunner(config, tmp_path / "serial", batch_size=1).run()
-        CampaignRunner(config, tmp_path / "batched", batch_size=4).run()
-        par = ParallelCampaignRunner(config, tmp_path / "par", workers=4, batch_size=4).run()
-        assert par["failed_workers"] == []
-        reference = _bytes(tmp_path / "serial")
-        assert _bytes(tmp_path / "batched") == reference
-        assert _bytes(tmp_path / "par") == reference
+    def _executor(self, cache, n_trials=8) -> TrialExecutor:
+        config = _config(cache, n_trials=n_trials)
+        return TrialExecutor(config, discover_models(config))
+
+    def _fresh_result(self, cache, executor, index) -> dict:
+        spec = executor.derive_spec(index)
+        return measure_degradation(ArtifactStore(cache), spec.model, executor.fault_for(spec))
+
+    def test_added_and_removed_member_replans_like_a_fresh_scan(self, synthetic_cache, write_probs):
+        executor = self._executor(synthetic_cache)
+        runtime = executor.runtime_for("tinynet")
+        mdir = synthetic_cache / "tinynet"
+
+        def fresh_plan():
+            return EnsembleRuntime(ArtifactStore(synthetic_cache)).member_plan("tinynet")
+
+        executor.execute(0)
+        org = {split: np.load(mdir / f"ORG.{split}.probs.npz")["probs"] for split in ("val", "test")}
+        for split, probs in org.items():
+            write_probs(mdir / f"pp-AdHist.{split}.probs.npz", np.roll(probs, 1, axis=-1))
+        record = executor.execute(1)
+        assert runtime.member_plan("tinynet") == fresh_plan()
+        assert "pp-AdHist" in record["result"]["members"]
+        assert record["result"] == self._fresh_result(synthetic_cache, executor, 1)
+        for path in mdir.glob("pp-AdHist.*"):
+            path.unlink()
+        record = executor.execute(2)
+        assert runtime.member_plan("tinynet") == fresh_plan()
+        assert "pp-AdHist" not in record["result"]["members"]
+        assert record["result"] == self._fresh_result(synthetic_cache, executor, 2)
+
+    def test_member_rewritten_in_place_is_restacked(self, synthetic_cache, write_probs):
+        executor = self._executor(synthetic_cache)
+        executor.execute(0)
+        assert _stacks("test") == 1
+        path = synthetic_cache / "tinynet" / "pp-Hist.test.probs.npz"
+        write_probs(path, np.roll(np.load(path)["probs"], 1, axis=-1))
+        st = os.stat(path)  # a new signature even where timestamps are coarse
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns + 1_000_000_000))
+        record = executor.execute(1)
+        assert _stacks("test") == 2 and _stacks("val") == 1
+        assert record["result"] == self._fresh_result(synthetic_cache, executor, 1)
+
+
+class TestPerTrialMemory:
+    @pytest.mark.parametrize("kind", ["bitflip", "gaussian"])
+    def test_peak_memory_is_one_trial(self, wide_cache, kind):
+        """After a warm-up trial, trials reuse the memoised stacks and free
+        their own arrays: 16 trials peak near one trial's faulted stack, not
+        a restack per trial nor the sum over trials."""
+
+        config = _config(wide_cache, n_trials=17, kinds=(kind,), rates=(0.01,), sigmas=(0.05,))
+        executor = TrialExecutor(config, discover_models(config))
+        executor.execute(0)
+        stack_bytes = executor.runtime_for("wide").session("wide").test_stack.nbytes
+        tracemalloc.start()
+        try:
+            records = [executor.execute(i) for i in range(1, 17)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(r["outcome"] == "ok" for r in records)
+        assert peak < 3 * stack_bytes, f"peak {peak / stack_bytes:.2f}× one trial's stack"
 
 
 class TestScenarioResolutionHoisting:
@@ -391,7 +307,7 @@ class TestScenarioResolutionHoisting:
         monkeypatch.setattr(
             scenarios_mod, "parse_scenario", lambda d: calls.append(1) or real(d)
         )
-        summary = CampaignRunner(config, tmp_path / "out", batch_size=4).run()
+        summary = CampaignRunner(config, tmp_path / "out").run()
         assert summary["completed"] == config.n_trials
         assert len(calls) == len(SWEEP), "scenario list was re-parsed in the hot loop"
 

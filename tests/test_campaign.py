@@ -206,9 +206,9 @@ class TestRunner:
 
     @pytest.mark.parametrize("models", [(), ("a", "b", "c")], ids=["one-model", "three-models"])
     def test_request_stop_finishes_in_flight_trial(self, tmp_path, bare_cache, models):
-        # at batch size 1 a window holds one trial per model: with three
-        # models the stop lands mid-window, and the window's finished
-        # prefix (trials 0 and 1) is journalled, nothing more
+        # all five trials fall in one journal window: the stop lands
+        # mid-window, and the window's finished prefix (trials 0 and 1) is
+        # journalled, nothing more
         cache = bare_cache(*models)
         config = CampaignConfig(cache=str(cache), n_trials=5)
         runner = CampaignRunner(config, tmp_path / "out", trial_fn=_fake_trial)
@@ -227,13 +227,6 @@ class TestRunner:
         assert summary["completed"] == 2
         assert summary["stopped_early"]
         assert len(runner.journal.trial_records()) == 2
-
-    @pytest.mark.parametrize("batch_size", [0, -4])
-    def test_bad_batch_size_is_refused(self, tmp_path, bare_cache, batch_size):
-        config = CampaignConfig(cache=str(bare_cache()), n_trials=1)
-        with pytest.raises(CampaignError) as exc_info:
-            CampaignRunner(config, tmp_path / "out", batch_size=batch_size)
-        assert exc_info.value.reason == "bad-batch-size"
 
 
 class TestKillResumeDeterminism:
@@ -315,6 +308,17 @@ class TestCLI:
         assert sorted(trials) == [0, 1]
         assert all(r["outcome"] == OUTCOME_OK for r in trials.values())
 
+    def test_no_batch_is_a_hidden_no_op(self, tmp_path, capsys):
+        args = ["--synthetic", str(tmp_path / "cache"), "--trials", "3", "--seed", "7"]
+        assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+        assert main([*args, "--out", str(tmp_path / "no-batch"), "--no-batch"]) == 0
+        for name in (JOURNAL_NAME, CHECKPOINT_NAME):
+            assert (tmp_path / "no-batch" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+        capsys.readouterr()
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        assert "batch" not in capsys.readouterr().out
+
     def test_refusing_an_existing_journal_exits_2(self, tmp_path, capsys):
         args = ["--synthetic", str(tmp_path / "cache"), "--out", str(tmp_path / "out"), "--trials", "1"]
         assert main(args) == 0
@@ -324,7 +328,7 @@ class TestCLI:
 
     @pytest.mark.parametrize(
         ("flag", "value"),
-        [("--workers", "0"), ("--workers", "-1"), ("--batch-size", "0"), ("--batch-size", "-4")],
+        [("--workers", "0"), ("--workers", "-1")],
     )
     def test_out_of_range_counts_exit_2_naming_the_flag(self, tmp_path, capsys, flag, value):
         out = tmp_path / "out"

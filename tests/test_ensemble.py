@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from polygraphmr.cache import ArtifactCache
 from polygraphmr.decision import ensemble_features
 from polygraphmr.ensemble import DegradedResult, EnsembleResult, EnsembleRuntime, ModelSkipped
 from polygraphmr.errors import DegradedEnsemble
@@ -159,6 +160,30 @@ class TestSessionStacks:
         assert session.val_stack.tobytes() == expected.tobytes()
         assert not np.shares_memory(session.val_stack, val.stacked)
         assert np.shares_memory(session.test_stack, test.stacked)
+
+
+def _stacks(split: str) -> int:
+    return get_registry().counter_value("ensemble_stacks_total", split=split)
+
+
+class TestRosterAndStackMemos:
+    """The default member plan is memoised on the model directory's listing
+    and each split's stack on its members' cached arrays; neither memo may
+    be changed through what it hands out.  (Files changing between trials:
+    ``tests/test_batching.py::TestMemoInvalidation``.)"""
+
+    def test_default_plan_is_a_copy(self, synthetic_cache):
+        runtime = EnsembleRuntime(ArtifactStore(synthetic_cache, cache=ArtifactCache()))
+        runtime.member_plan("tinynet").append("pp-Nope")
+        assert "pp-Nope" not in runtime.member_plan("tinynet")
+
+    def test_repeat_sessions_share_read_only_stacks(self, synthetic_cache):
+        runtime = EnsembleRuntime(ArtifactStore(synthetic_cache, cache=ArtifactCache()))
+        first, again = runtime.session("tinynet"), runtime.session("tinynet")
+        assert again.test_stack is first.test_stack and again.val_stack is first.val_stack
+        assert _stacks("val") == _stacks("test") == 1
+        with pytest.raises(ValueError):
+            first.test_stack[0, 0, 0] = 1.0
 
 
 def _rewrite(path, write, key):

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from polygraphmr.batching import WINDOW_TRIALS
 from polygraphmr.cache import PLANE_PREFIX
 from polygraphmr.campaign import (
     CHECKPOINT_NAME,
@@ -76,12 +77,6 @@ class TestAssignment:
         with pytest.raises(CampaignError) as exc_info:
             ParallelCampaignRunner(_config(tmp_path), tmp_path / "out", workers=0)
         assert exc_info.value.reason == "bad-workers"
-
-    @pytest.mark.parametrize("batch_size", [0, -4])
-    def test_bad_batch_size_is_refused(self, tmp_path, batch_size):
-        with pytest.raises(CampaignError) as exc_info:
-            ParallelCampaignRunner(_config(tmp_path), tmp_path / "out", batch_size=batch_size)
-        assert exc_info.value.reason == "bad-batch-size"
 
 
 class TestSerialParallelEquivalence:
@@ -225,10 +220,7 @@ class TestStopAndResume:
         CampaignRunner(config, tmp_path / "serial").run()
 
         shm_before = _shm_entries()
-        # per-trial drain contract: pin the per-trial loop (the batched
-        # runner amortizes trial_sleep_s, finishing before the timer fires;
-        # its window-abort stop path is covered in test_batching.py)
-        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4, batch_size=1)
+        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4)
         threading.Timer(0.3, runner.request_stop).start()
         partial = runner.run()
         assert partial["stopped_early"]
@@ -254,7 +246,7 @@ class TestStopAndResume:
         config = _config(multi_model_cache, n_trials=2 * N_TRIALS, trial_sleep_s=0.1)
         CampaignRunner(config, tmp_path / "serial").run()
 
-        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4, batch_size=1)
+        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4)
         threading.Timer(0.3, runner.request_stop).start()
         assert runner.run()["stopped_early"]
 
@@ -266,12 +258,11 @@ class TestStopAndResume:
         ).read_bytes()
 
     def test_torn_shard_tail_is_repaired_on_resume(self, multi_model_cache, tmp_path):
-        # four 0.1 s trials per worker on the per-trial loop: the sleep alone
-        # outlasts the 0.2 s stop timer, so the run is interrupted with its
-        # shards on disk however fast the trial body runs (batched, the
-        # sleep is paid once per window and the run finished first)
+        # four 0.1 s trials per worker: the sleep alone outlasts the 0.2 s
+        # stop timer, so the run is interrupted with its shards on disk
+        # however fast the trial body runs
         config = _config(multi_model_cache, trial_sleep_s=0.1)
-        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4, batch_size=1)
+        runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4)
         threading.Timer(0.2, runner.request_stop).start()
         assert runner.run()["stopped_early"]
         shard = tmp_path / "par" / shard_name(0)
@@ -317,7 +308,12 @@ def _wait_gone(pids: list[int], timeout: float = 60.0) -> None:
 
 class TestKillMatrix:
     """SIGKILL a random worker, and separately the parent, mid-campaign;
-    ``--resume`` must complete with every index journalled exactly once."""
+    ``--resume`` must complete with every index journalled exactly once,
+    to the bytes of an uninterrupted serial run."""
+
+    # two journal windows per worker, so the kill lands after the first
+    # window's flush and before the second's
+    N_TRIALS = 2 * WINDOW_TRIALS * 4
 
     def _cli(self, cache: Path, out: Path, *extra: str) -> list[str]:
         return [
@@ -329,13 +325,13 @@ class TestKillMatrix:
             "--out",
             str(out),
             "--trials",
-            str(N_TRIALS),
+            str(self.N_TRIALS),
             "--seed",
             "7",
             "--workers",
             "4",
             "--trial-sleep",
-            "0.15",
+            "0.02",
             *extra,
         ]
 
@@ -354,16 +350,20 @@ class TestKillMatrix:
         raise AssertionError("no worker journalled a trial in time")
 
     @pytest.mark.parametrize("victim", ["worker", "parent"])
-    def test_sigkill_then_resume_journals_every_index_once(
-        self, victim, multi_model_cache, tmp_path
-    ):
+    def test_sigkill_then_resume_matches_serial(self, victim, multi_model_cache, tmp_path):
+        serial_out = tmp_path / "serial"
+        reference = subprocess.run(
+            self._cli(multi_model_cache, serial_out, "--workers", "1"),
+            env=self._env(),
+            capture_output=True,
+            timeout=300,
+        )
+        assert reference.returncode == 0, reference.stderr.decode()
+
         out = tmp_path / "out"
         shm_before = _shm_entries()
-        # per-trial loop pinned: batching flushes whole windows, so a
-        # 4-trial assignment journals in one burst and the kill races run
-        # completion; the mid-batch kill has its own test below
         proc = subprocess.Popen(
-            self._cli(multi_model_cache, out, "--no-batch"),
+            self._cli(multi_model_cache, out),
             env=self._env(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
@@ -394,77 +394,24 @@ class TestKillMatrix:
         assert _shm_entries() == shm_before
 
         resume = subprocess.run(
-            self._cli(multi_model_cache, out, "--resume", "--no-batch"),
+            self._cli(multi_model_cache, out, "--resume"),
             env=self._env(),
             capture_output=True,
             timeout=300,
         )
         assert resume.returncode == 0, resume.stderr.decode()
         summary = json.loads(resume.stdout)
-        assert summary["completed"] == N_TRIALS
+        assert summary["completed"] == self.N_TRIALS
 
         trials = CampaignJournal(out / JOURNAL_NAME).trial_records()
-        assert sorted(trials) == list(range(N_TRIALS))
+        assert sorted(trials) == list(range(self.N_TRIALS))
         assert not shard_journals(out)
         raw = (out / JOURNAL_NAME).read_text().splitlines()
         indices = [json.loads(line)["index"] for line in raw if '"trial"' in line]
         assert indices == sorted(set(indices)), "an index was journalled twice"
-        assert _shm_entries() == shm_before
-
-    @pytest.mark.parametrize("victim", ["worker", "parent"])
-    def test_sigkill_mid_batch_then_resume_matches_serial(
-        self, victim, multi_model_cache, tmp_path
-    ):
-        """The batched variant of the kill matrix: --batch-size 2 keeps two
-        window flushes in flight per worker, so the SIGKILL lands between
-        (or inside) batches; --resume must complete the campaign to bytes
-        identical to an uninterrupted serial run, and verify exit 0."""
-
-        serial_out = tmp_path / "serial"
-        reference = subprocess.run(
-            self._cli(multi_model_cache, serial_out, "--workers", "1", "--no-batch"),
-            env=self._env(),
-            capture_output=True,
-            timeout=300,
-        )
-        assert reference.returncode == 0, reference.stderr.decode()
-
-        out = tmp_path / "out"
-        proc = subprocess.Popen(
-            self._cli(multi_model_cache, out, "--batch-size", "2"),
-            env=self._env(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            start_new_session=True,
-        )
-        try:
-            self._wait_for_progress(out)
-            workers = _child_pids(proc.pid)
-            assert workers, "campaign spawned no worker processes"
-            if victim == "worker":
-                os.kill(workers[len(workers) // 2], signal.SIGKILL)
-                proc.wait(timeout=120)
-            else:
-                os.kill(proc.pid, signal.SIGKILL)
-                proc.wait(timeout=120)
-                _wait_gone(workers)
-        finally:
-            if proc.poll() is None:
-                os.killpg(proc.pid, signal.SIGKILL)
-            proc.stdout.close()
-            proc.stderr.close()
-
-        resume = subprocess.run(
-            self._cli(multi_model_cache, out, "--resume", "--batch-size", "2"),
-            env=self._env(),
-            capture_output=True,
-            timeout=300,
-        )
-        assert resume.returncode == 0, resume.stderr.decode()
-        summary = json.loads(resume.stdout)
-        assert summary["completed"] == N_TRIALS
         assert (out / JOURNAL_NAME).read_bytes() == (serial_out / JOURNAL_NAME).read_bytes()
         assert (out / CHECKPOINT_NAME).read_bytes() == (
             serial_out / CHECKPOINT_NAME
         ).read_bytes()
         assert verify_campaign(out)["exit_code"] == 0
+        assert _shm_entries() == shm_before

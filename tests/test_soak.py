@@ -74,9 +74,7 @@ class TestMetricsReconcileWithJournal:
             cooldown_ticks=1,
         )
         out = tmp_path / "out"
-        # the reconciliation below counts assemble calls per trial, which the
-        # batched kernel deliberately amortizes — pin the per-trial loop
-        runner = ParallelCampaignRunner(config, out, workers=4, batch_size=1)
+        runner = ParallelCampaignRunner(config, out, workers=4)
         summary = runner.run()
         assert summary["completed"] == N_TRIALS
         assert summary["failed_workers"] == []
