@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
+import time
 import tracemalloc
 
 import numpy as np
@@ -19,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polygraphmr.batching import WINDOW_TRIALS, plan_windows
+from polygraphmr.batching import WINDOW_TRIALS, execute_window, plan_windows
 from polygraphmr.campaign import (
     CHECKPOINT_NAME,
     JOURNAL_NAME,
@@ -38,6 +40,7 @@ from polygraphmr.faults import (
     SURFACES,
     FaultSpec,
     apply_fault_batch,
+    corrupt_file_truncate,
     measure_degradation,
     sanitize_probs_batch,
 )
@@ -127,6 +130,201 @@ class TestWindowLoop:
         assert resumed["completed"] == config.n_trials
         assert _bytes(tmp_path / "out") == _bytes(tmp_path / "straight")
         assert verify_campaign(tmp_path / "out")["exit_code"] == 0
+
+
+class _CountingExecutor:
+    """Stands in for a TrialExecutor: records the indices it ran and sets
+    ``stop`` once ``stop_after`` trials have finished."""
+
+    def __init__(self, stop: threading.Event, stop_after: int | None):
+        self.stop, self.stop_after, self.ran = stop, stop_after, []
+
+    def execute(self, index: int) -> dict:
+        self.ran.append(index)
+        if self.stop_after is not None and len(self.ran) >= self.stop_after:
+            self.stop.set()
+        return {"index": index}
+
+
+class TestExecuteWindow:
+    @pytest.mark.parametrize("stop_after", [1, 3, 5, None])
+    def test_stop_ends_the_window_after_the_in_flight_trial(self, stop_after):
+        stop = threading.Event()
+        executor = _CountingExecutor(stop, stop_after)
+        window = [4, 9, 12, 17, 30]
+        records, aborted = execute_window(executor, window, stop)
+        ran = window if stop_after is None else window[:stop_after]
+        assert executor.ran == ran
+        assert records == [{"index": i} for i in ran]
+        # a stop raised by the window's last trial finds nothing left to skip
+        assert aborted == (len(ran) < len(window))
+
+    def test_a_stop_raised_before_the_window_runs_nothing(self):
+        stop = threading.Event()
+        stop.set()
+        executor = _CountingExecutor(stop, None)
+        assert execute_window(executor, [0, 1, 2], stop) == ([], True)
+        assert executor.ran == []
+
+
+class TestFlushCadence:
+    """One journal flush and one checkpoint per window of WINDOW_TRIALS
+    trials per model, whatever the trials cost."""
+
+    @pytest.mark.parametrize(
+        ("cache_fixture", "n_trials", "windows"),
+        [
+            ("synthetic_cache", WINDOW_TRIALS, 1),
+            ("synthetic_cache", 2 * WINDOW_TRIALS + 8, 3),
+            ("multi_model_cache", 12, 1),
+            ("multi_model_cache", 4 * WINDOW_TRIALS + 1, 2),
+        ],
+    )
+    def test_one_flush_and_one_checkpoint_per_window(
+        self, request, tmp_path, monkeypatch, cache_fixture, n_trials, windows
+    ):
+        cache = request.getfixturevalue(cache_fixture)
+        flushes, checkpoints = [], []
+        real_append, real_checkpoint = CampaignJournal.append_many, CampaignRunner._write_checkpoint
+
+        def append_many(self, records):
+            flushes.append([r["index"] for r in records])
+            return real_append(self, records)
+
+        def write_checkpoint(self, *args):
+            checkpoints.append(1)
+            return real_checkpoint(self, *args)
+
+        monkeypatch.setattr(CampaignJournal, "append_many", append_many)
+        monkeypatch.setattr(CampaignRunner, "_write_checkpoint", write_checkpoint)
+        config = _config(cache, n_trials=n_trials)
+        assert CampaignRunner(config, tmp_path / "out").run()["completed"] == n_trials
+        assert [i for flush in flushes for i in flush] == list(range(n_trials))
+        assert len(flushes) == len(checkpoints) == windows
+
+
+class TestResumeAcrossWindows:
+    """A run stopped before, on, or after a window boundary resumes to the
+    bytes of a run that never stopped."""
+
+    N_TRIALS = 2 * WINDOW_TRIALS + 8
+
+    @pytest.mark.parametrize(
+        "stop_at", [1, WINDOW_TRIALS - 1, WINDOW_TRIALS, WINDOW_TRIALS + 1, 2 * WINDOW_TRIALS + 1]
+    )
+    def test_stop_after_n_then_resume_is_byte_identical(self, synthetic_cache, tmp_path, stop_at):
+        config = _config(synthetic_cache, n_trials=self.N_TRIALS)
+        CampaignRunner(config, tmp_path / "straight").run()
+        partial = CampaignRunner(config, tmp_path / "out").run(max_new_trials=stop_at)
+        assert partial["stopped_early"] and partial["completed"] == stop_at
+        assert sorted(CampaignJournal(tmp_path / "out" / JOURNAL_NAME).trial_records()) == list(range(stop_at))
+        resumed = CampaignRunner(config, tmp_path / "out").run(resume=True)
+        assert resumed["completed"] == self.N_TRIALS
+        assert _bytes(tmp_path / "out") == _bytes(tmp_path / "straight")
+        assert verify_campaign(tmp_path / "out")["exit_code"] == 0
+
+    def test_tripping_breakers_resume_to_identical_bytes(self, multi_model_cache, tmp_path):
+        victim = multi_model_cache / "net-01"
+        for split in ("val", "test"):
+            target = victim / f"pp-Gamma_2.{split}.probs.npz"
+            corrupt_file_truncate(target, target, keep_fraction=0.2, seed=5)
+        config = _config(multi_model_cache, failure_threshold=2, cooldown_ticks=1)
+        straight = CampaignRunner(config, tmp_path / "straight").run()
+        assert straight["breakers"], "stressor failed to trip any breaker"
+        CampaignRunner(config, tmp_path / "out").run(max_new_trials=5)
+        resumed = CampaignRunner(config, tmp_path / "out").run(resume=True)
+        assert resumed["breakers"] == straight["breakers"]
+        assert _bytes(tmp_path / "out") == _bytes(tmp_path / "straight")
+
+    def test_custom_trial_fn_is_journalled_through_the_windows(self, bare_cache, tmp_path):
+        n_trials = WINDOW_TRIALS + 4
+        config = _config(bare_cache("m"), n_trials=n_trials)
+        runner = CampaignRunner(config, tmp_path / "out", trial_fn=lambda spec: {"seed": spec.fault_seed})
+        assert runner.run()["completed"] == n_trials
+        trials = CampaignJournal(tmp_path / "out" / JOURNAL_NAME).trial_records()
+        assert sorted(trials) == list(range(n_trials))
+        executor = TrialExecutor(config, ["m"])
+        assert [trials[i]["result"] for i in range(n_trials)] == [
+            {"seed": executor.derive_spec(i).fault_seed} for i in range(n_trials)
+        ]
+
+
+class TestWatchdog:
+    def test_timeouts_are_journalled_and_resume_identically(self, multi_model_cache, tmp_path, monkeypatch):
+        # the trial body blocks until the test ends, so it outlasts the
+        # watchdog by construction: every trial times out
+        release = threading.Event()
+
+        def blocked(self, spec):
+            release.wait()
+            return {}
+
+        monkeypatch.setattr(TrialExecutor, "_run_trial", blocked)
+        config = _config(multi_model_cache, n_trials=8, timeout_s=0.02)
+        try:
+            straight = CampaignRunner(config, tmp_path / "straight").run()
+            assert straight["outcomes"] == {"ok": 0, "error": 0, "trial_timeout": 8}
+            CampaignRunner(config, tmp_path / "out").run(max_new_trials=3)
+            CampaignRunner(config, tmp_path / "out").run(resume=True)
+        finally:
+            release.set()
+        assert _bytes(tmp_path / "out") == _bytes(tmp_path / "straight")
+        # the registry holds the latest run: the resume's five trials
+        assert get_registry().counter("campaign_watchdog_fired_total").value == 5
+
+    def test_next_trial_after_a_timeout_runs_on_a_new_thread(self, synthetic_cache, monkeypatch):
+        """The trial thread lives across trials; a timed-out trial keeps its
+        thread, which exits once the trial returns, and later trials run on
+        a new one against a rebuilt store — reporting what a fresh store
+        reports."""
+
+        release = threading.Event()
+        threads: dict[int, threading.Thread] = {}
+        real = TrialExecutor._run_trial
+
+        def run_trial(self, spec):
+            threads[spec.index] = threading.current_thread()
+            if spec.index == 1:
+                release.wait()
+            return real(self, spec)
+
+        monkeypatch.setattr(TrialExecutor, "_run_trial", run_trial)
+        config = _config(synthetic_cache, n_trials=5, timeout_s=2.0)
+        executor = TrialExecutor(config, discover_models(config))
+        try:
+            records = [executor.execute(i) for i in range(5)]
+        finally:
+            release.set()
+            executor.close()
+        assert [r["outcome"] for r in records] == ["ok", "trial_timeout", "ok", "ok", "ok"]
+        assert threads[0] is threads[1]
+        assert threads[2] is not threads[1] and threads[2] is threads[3] is threads[4]
+        for index in (0, 2, 3, 4):
+            spec = executor.derive_spec(index)
+            fresh = measure_degradation(ArtifactStore(synthetic_cache), spec.model, executor.fault_for(spec))
+            assert records[index]["result"] == fresh
+        deadline = time.monotonic() + 30
+        while any(t.is_alive() for t in threads.values()) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert not any(t.is_alive() for t in threads.values()), "a trial thread outlived its executor"
+
+
+class TestMemoisedRuntimeMatchesAFreshOne:
+    """Every trial reports what a fresh, memo-free store and runtime report
+    for its spec, on every built-in scenario — the memos are invisible."""
+
+    @pytest.mark.parametrize("scenario", sorted(builtin_scenarios()))
+    def test_every_trial_matches_a_fresh_runtime(self, synthetic_cache, scenario):
+        config = _config(
+            synthetic_cache, n_trials=4, scenarios=scenarios_config_field(resolve_scenarios([scenario]))
+        )
+        executor = TrialExecutor(config, discover_models(config))
+        for index in range(config.n_trials):
+            record = executor.execute(index)
+            assert record["outcome"] == "ok"
+            spec = executor.derive_spec(index)
+            fresh = measure_degradation(ArtifactStore(synthetic_cache), spec.model, executor.fault_for(spec))
+            assert record["result"] == fresh, f"trial {index} diverged from a fresh runtime"
 
 
 class TestSharedWorkIsMemoised:

@@ -339,6 +339,15 @@ class TestCLI:
         assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
         assert not (out / JOURNAL_NAME).exists()  # refused before any trial ran
 
+    def test_batch_size_flag_is_refused_as_unknown(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["--synthetic", str(tmp_path / "cache"), "--out", str(out), "--trials", "3", "--batch-size", "4"]
+        with pytest.raises(SystemExit) as exc_info:
+            main(args)
+        assert exc_info.value.code == 2
+        assert "unrecognized arguments: --batch-size" in capsys.readouterr().err
+        assert not (out / JOURNAL_NAME).exists()
+
     def test_audit_json_lands_in_header(self, tmp_path, capsys):
         audit_path = tmp_path / "audit.json"
         audit_path.write_text(json.dumps({"totals": {"valid": 1, "corrupt": 2}}))
