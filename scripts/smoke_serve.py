@@ -22,10 +22,10 @@ Four phases against one gateway subprocess over a synthetic cache::
    summary's per-outcome counts reconcile exactly with the responses
    received plus the slow reader's requests, and the metrics JSON +
    Prometheus dumps are written and parseable.
-4. **Hygiene** — serving publishes no shared memory: the running gateway
-   maps no ``/dev/shm/pgmr-*`` segment (read from ``/proc/<pid>/maps``,
-   where even an unlinked segment shows), no ``pgmr-*`` entry appears under
-   ``/dev/shm``, and after exit a fresh connection attempt must be refused.
+4. **Hygiene** — serving uses no shared memory: the running gateway maps
+   nothing under ``/dev/shm`` (read from ``/proc/<pid>/maps``, where even
+   an unlinked segment shows), no new entry appears under ``/dev/shm``, and
+   after exit a fresh connection attempt must be refused.
 
 Exits 0 on success; any deviation is a hard failure.  Run by CI on every
 push.
@@ -35,8 +35,8 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
-import glob
 import json
+import os
 import signal
 import socket
 import subprocess
@@ -64,16 +64,21 @@ ENV = {"PYTHONPATH": str(REPO_ROOT / "src")}
 
 
 def shm_segments() -> list[str]:
-    return sorted(glob.glob("/dev/shm/pgmr-*"))
+    """Every entry under ``/dev/shm``, whoever made it."""
+
+    try:
+        return sorted(f"/dev/shm/{name}" for name in os.listdir("/dev/shm"))
+    except FileNotFoundError:  # pragma: no cover - no /dev/shm
+        return []
 
 
 def mapped_segments(pid: int) -> list[str]:
-    """The ``pgmr-*`` shared-memory segments process ``pid`` maps, unlinked
-    ones included; empty where ``/proc`` has no maps file."""
+    """The ``/dev/shm`` paths process ``pid`` maps, unlinked ones included;
+    empty where ``/proc`` has no maps file."""
 
     try:
         with open(f"/proc/{pid}/maps", encoding="utf-8") as fh:
-            return sorted({line.split()[-2] for line in fh if "/dev/shm/pgmr-" in line})
+            return sorted({line.split(maxsplit=5)[-1].strip() for line in fh if " /dev/shm/" in line})
     except FileNotFoundError:  # pragma: no cover - no procfs
         return []
 

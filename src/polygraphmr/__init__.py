@@ -6,8 +6,7 @@ Layers (see ``docs/ARCHITECTURE.md``):
    (:mod:`polygraphmr.store`, :mod:`polygraphmr.integrity`,
    :mod:`polygraphmr.manifest`, :mod:`polygraphmr.naming`), with opt-in
    carving of damaged archives (:mod:`polygraphmr.salvage`) and a
-   verified-once artifact cache with a zero-copy shared-memory plane for
-   parallel campaigns (:mod:`polygraphmr.cache`).
+   verified-once artifact cache (:mod:`polygraphmr.cache`).
 2. Ensemble runtime — graceful-degradation assembly + decision module
    (:mod:`polygraphmr.ensemble`, :mod:`polygraphmr.decision`), guarded by
    per-submodel circuit breakers (:mod:`polygraphmr.breaker`).
@@ -21,7 +20,7 @@ Layers (see ``docs/ARCHITECTURE.md``):
 """
 
 from .breaker import BreakerBoard, BreakerPolicy, CircuitBreaker
-from .cache import ArtifactCache, SharedMemoryPlane
+from .cache import ArtifactCache
 from .decision import DetectionMetrics, LogisticDecisionModule
 from .ensemble import DegradedResult, EnsembleResult, EnsembleRuntime, ModelSession, ModelSkipped
 from .errors import (
@@ -151,7 +150,6 @@ __all__ = [
     "ServeError",
     "ServeGateway",
     "ServeRequest",
-    "SharedMemoryPlane",
     "Span",
     "SpanRecord",
     "Tracer",

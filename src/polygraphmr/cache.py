@@ -1,33 +1,24 @@
-"""Verified-once artifact cache and zero-copy shared-memory plane.
+"""Verified-once artifact cache.
 
 Fault-injection campaigns evaluate the same submodel probability artifacts
 thousands of times.  Without caching, every trial re-reads each npz from
-disk and re-runs full container + semantic validation, and every forked
-worker redoes all of it after ``fork``.  This module removes that redundant
-work in two layers:
+disk and re-runs full container + semantic validation.
+:class:`ArtifactCache` removes that redundant work: an in-process bounded
+LRU keyed by ``(path, kind)`` that memoizes *validated* values — a hit
+skips disk I/O, CRC, and simplex checks entirely.  Each entry carries the
+file's ``(size, mtime_ns)`` stat signature; a signature change invalidates
+the entry and forces a re-validation.  Paths that failed validation are
+*negative-cached* so a corrupt cache member costs one ``stat`` per trial
+instead of a full failed parse.
 
-:class:`ArtifactCache`
-    An in-process bounded LRU keyed by ``(path, kind)`` that memoizes
-    *validated* values — a hit skips disk I/O, CRC, and simplex checks
-    entirely.  Each entry carries the file's ``(size, mtime_ns)`` stat
-    signature; a signature change invalidates the entry and forces a
-    re-validation.  Paths that failed validation are *negative-cached* so a
-    corrupt cache member costs one ``stat`` per trial instead of a full
-    failed parse.
+A parallel campaign needs nothing more: every trial of a model runs on one
+worker (:func:`polygraphmr.parallel.trial_owner`), so each worker's private
+cache validates its own models' artifacts once and no artifact is read by
+two workers.
 
-:class:`SharedMemoryPlane`
-    A read-only, zero-copy publication of a parallel campaign's working
-    set.  The parent loads and validates every artifact once, copies the
-    arrays into a single ``multiprocessing.shared_memory`` segment, and
-    immediately unlinks it; forked workers inherit the mapping and serve
-    ``writeable=False`` views out of it — amortized O(1) store loads per
-    trial regardless of worker count.  When shared memory is unavailable,
-    ``publish`` returns ``None`` and campaigns fall back to per-worker
-    loading, which is always correct.
-
-Both layers are strictly transparent: they change *when* bytes are read
-and checked, never what a trial observes.  Journal and checkpoint bytes
-are identical with the cache on or off (see ``tests/test_cache.py``).
+The cache is strictly transparent: it changes *when* bytes are read and
+checked, never what a trial observes.  Journal and checkpoint bytes are
+identical with the cache on or off (see ``tests/test_cache.py``).
 """
 
 from __future__ import annotations
@@ -36,41 +27,25 @@ import os
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import count
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactCorrupt, ArtifactMissing, IntegrityMismatch, TransientIOError
-from .integrity import probe_artifact
 from .metrics import get_registry
-from .tracing import get_tracer
-
-try:  # pragma: no cover - present on every supported platform
-    from multiprocessing import shared_memory
-except ImportError:  # pragma: no cover
-    shared_memory = None
 
 __all__ = [
     "DEFAULT_CACHE_BYTES",
-    "PLANE_PREFIX",
     "ArtifactCache",
     "CacheEntry",
     "NegativeEntry",
-    "SharedMemoryPlane",
     "stat_signature",
 ]
 
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
-PLANE_PREFIX = "pgmr-"
 
-# Shared-memory offsets are aligned so views start on cache-line boundaries.
-_ALIGN = 64
 # Marker value for "container probed sound"; its accounting cost is nominal.
 PROBE_OK = "probe-ok"
 _PROBE_NBYTES = 64
-
-_plane_seq = count()
 
 
 def stat_signature(path: str | Path) -> tuple[int, int] | None:
@@ -96,7 +71,6 @@ class CacheEntry:
     sig: tuple[int, int]
     value: object
     nbytes: int
-    source: str = "memory"
     # the SalvageReport that produced the value, when it was carved rather
     # than cleanly loaded — lets a cached store restore its salvage registry
     salvage: object | None = None
@@ -146,16 +120,10 @@ class ArtifactCache:
     double-insert is harmless; the lock only protects the LRU bookkeeping.
     """
 
-    def __init__(
-        self,
-        max_bytes: int = DEFAULT_CACHE_BYTES,
-        *,
-        plane: SharedMemoryPlane | None = None,
-    ) -> None:
+    def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
         if max_bytes <= 0:
             raise ValueError(f"max_bytes must be positive, got {max_bytes}")
         self.max_bytes = int(max_bytes)
-        self.plane = plane
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[str, str], CacheEntry] = OrderedDict()
         self._negative: dict[str, NegativeEntry] = {}
@@ -191,27 +159,10 @@ class ArtifactCache:
             if entry is not None:
                 if entry.sig == sig:
                     self._entries.move_to_end((spath, kind))
-                    registry.counter(
-                        "artifact_cache_hits_total", kind=kind, source=entry.source
-                    ).inc()
+                    registry.counter("artifact_cache_hits_total", kind=kind).inc()
                     return entry
                 self._drop(spath, kind)
                 registry.counter("artifact_cache_invalidations_total", kind=kind).inc()
-        if self.plane is not None:
-            shared = self.plane.lookup(spath, kind, sig)
-            if isinstance(shared, NegativeEntry):
-                with self._lock:
-                    self._negative[spath] = shared
-                registry.counter("artifact_cache_negative_hits_total", kind=kind).inc()
-                return shared
-            if shared is not None:
-                # Promote into the LRU so repeat lookups skip the plane
-                # index; plane entries are zero-copy (nbytes == 0) and never
-                # pressure the byte budget.
-                with self._lock:
-                    self._entries[(spath, kind)] = shared
-                registry.counter("artifact_cache_hits_total", kind=kind, source="plane").inc()
-                return shared
         registry.counter("artifact_cache_misses_total", kind=kind).inc()
         return None
 
@@ -309,271 +260,4 @@ class ArtifactCache:
                 "negative_entries": len(self._negative),
                 "bytes": self._bytes,
                 "max_bytes": self.max_bytes,
-                "plane": self.plane is not None,
             }
-
-
-@dataclass(frozen=True)
-class PlaneRecord:
-    """One published artifact in a :class:`SharedMemoryPlane` index."""
-
-    kind: str  # "probs" | "labels" | "probe" | "negative"
-    sig: tuple[int, int]
-    dtype: str = ""
-    shape: tuple[int, ...] = ()
-    offset: int = 0
-    exc_type: str = ""
-    reason: str = ""
-    detail: str = ""
-
-
-def _aligned(nbytes: int) -> int:
-    return (nbytes + _ALIGN - 1) // _ALIGN * _ALIGN
-
-
-class SharedMemoryPlane:
-    """Read-only, zero-copy publication of a campaign's validated working set.
-
-    Lifecycle (fork inheritance — never attach-by-name):
-
-    1. The parent calls :meth:`publish` *before forking*: it loads and
-       validates every artifact once, copies the arrays into a single
-       shared-memory segment, and immediately **unlinks** the segment.  The
-       mapping stays valid for this process and every child forked from it,
-       but no ``/dev/shm`` entry outlives the copy — SIGKILL at any point
-       leaks nothing.
-    2. Forked workers inherit the plane object through ``Process`` args
-       (the ``fork`` start method passes it by reference, not pickling) and
-       serve ``writeable=False`` numpy views out of the mapping.
-    3. Everyone calls :meth:`close` best-effort; process exit reclaims the
-       mapping regardless.
-
-    :meth:`publish` returns ``None`` whenever shared memory is unavailable
-    or nothing is publishable; callers then fall back to per-worker
-    loading, which is always correct — the plane is an accelerator, never
-    a dependency.
-    """
-
-    def __init__(self, shm: object | None, index: dict[str, PlaneRecord], nbytes: int) -> None:
-        self._shm = shm
-        self.index = index
-        self.nbytes = nbytes
-        self._views: dict[str, np.ndarray] = {}
-        self.sealed = shm is None
-
-    # ------------------------------------------------------------------
-    # publication (parent side)
-
-    @classmethod
-    def publish(
-        cls,
-        store,
-        models: list[str],
-        *,
-        max_bytes: int = DEFAULT_CACHE_BYTES,
-    ) -> SharedMemoryPlane | None:
-        """Load, validate, and share the working set for ``models``.
-
-        ``store`` should be a throwaway :class:`~polygraphmr.store.ArtifactStore`
-        with the campaign's ``allow_salvaged`` policy and no cache — every
-        load here is the one verification the whole campaign amortizes.
-        Salvaged arrays are *not* published (workers re-carve locally so
-        their stores record the salvage); weights bundles publish only a
-        probe verdict (they are small and model-fit wants private copies).
-        """
-
-        registry = get_registry()
-        with get_tracer().span("cache.plane.publish", models=len(models)) as span:
-            if shared_memory is None:
-                span.set(outcome="unavailable")
-                return None
-            try:
-                index, arrays, total, skipped = cls._collect(store, models, max_bytes)
-            except Exception as exc:  # pragma: no cover - defensive fallback
-                span.set(outcome="collect-failed", error=type(exc).__name__)
-                return None
-            if not index:
-                span.set(outcome="empty")
-                return None
-            shm = None
-            if total:
-                shm = cls._create_segment(total)
-                if shm is None:
-                    span.set(outcome="no-segment")
-                    return None
-                for spath, arr in arrays:
-                    rec = index[spath]
-                    dst = np.ndarray(
-                        rec.shape, dtype=np.dtype(rec.dtype), buffer=shm.buf, offset=rec.offset
-                    )
-                    dst[:] = arr
-                    del dst
-            plane = cls(shm, index, total)
-            # Unlink before any fork: children inherit the mapping, the
-            # name never has to survive, and a SIGKILL leaks nothing.
-            plane.seal()
-            for rec in index.values():
-                registry.counter("artifact_cache_plane_published_total", kind=rec.kind).inc()
-            if skipped:
-                registry.counter(
-                    "artifact_cache_plane_skipped_total", reason="budget-or-salvage"
-                ).inc(skipped)
-            registry.gauge("artifact_cache_plane_bytes").set(float(total))
-            span.set(outcome="published", records=len(index), bytes=total, skipped=skipped)
-            return plane
-
-    @classmethod
-    def _collect(
-        cls, store, models: list[str], max_bytes: int
-    ) -> tuple[dict[str, PlaneRecord], list[tuple[str, np.ndarray]], int, int]:
-        """Walk the models' artifact files and build the publication plan."""
-
-        from .store import _ARTIFACT_RE
-
-        index: dict[str, PlaneRecord] = {}
-        arrays: list[tuple[str, np.ndarray]] = []
-        offset = 0
-        skipped = 0
-
-        def add_array(spath: str, kind: str, sig: tuple[int, int], arr: np.ndarray) -> bool:
-            nonlocal offset, skipped
-            if offset + arr.nbytes > max_bytes:
-                skipped += 1
-                return False
-            index[spath] = PlaneRecord(
-                kind=kind,
-                sig=sig,
-                dtype=arr.dtype.str,
-                shape=tuple(arr.shape),
-                offset=offset,
-            )
-            arrays.append((spath, arr))
-            offset = _aligned(offset + arr.nbytes)
-            return True
-
-        for model in sorted(set(models)):
-            model_dir = store.model_dir(model)
-            if not model_dir.is_dir():
-                continue
-            for name in sorted(p.name for p in model_dir.iterdir() if p.is_file()):
-                path = model_dir / name
-                spath = str(path)
-                sig = stat_signature(path)
-                if sig is None:
-                    continue
-                match = _ARTIFACT_RE.match(name)
-                if match and match.group("split"):
-                    stem, split = match.group("stem"), match.group("split")
-                    try:
-                        arr = store.load_probs(model, stem, split)
-                    except (ArtifactCorrupt, IntegrityMismatch) as exc:
-                        index[spath] = PlaneRecord(
-                            kind="negative",
-                            sig=sig,
-                            exc_type=type(exc).__name__,
-                            reason=exc.reason,
-                            detail=exc.detail,
-                        )
-                        continue
-                    except (ArtifactMissing, TransientIOError):
-                        continue
-                    if store.is_salvaged(path):
-                        # Workers must re-carve so their own stores record
-                        # the salvage; publishing would hide the damage.
-                        skipped += 1
-                        continue
-                    add_array(spath, "probs", sig, arr)
-                elif match:
-                    report = probe_artifact(path)
-                    if report.ok:
-                        index[spath] = PlaneRecord(kind="probe", sig=sig)
-                elif name.startswith("labels.") and name.endswith(".npz"):
-                    split = name.split(".")[1]
-                    arr = store.load_labels(model, split)
-                    if arr is not None:
-                        add_array(spath, "labels", sig, arr)
-        return index, arrays, offset, skipped
-
-    @staticmethod
-    def _create_segment(total: int):
-        """A fresh anonymous-ish segment, or ``None`` if /dev/shm refuses."""
-
-        for _ in range(8):
-            name = f"{PLANE_PREFIX}{os.getpid()}-{next(_plane_seq)}"
-            try:
-                return shared_memory.SharedMemory(create=True, size=total, name=name)
-            except FileExistsError:
-                continue
-            except OSError:
-                return None
-        return None
-
-    # ------------------------------------------------------------------
-    # consumption (any process post-fork)
-
-    def lookup(
-        self, path: str | Path, kind: str, sig: tuple[int, int]
-    ) -> CacheEntry | NegativeEntry | None:
-        """A zero-copy entry for ``path`` if published with a matching
-        signature, else ``None``.  Negative records match every kind."""
-
-        rec = self.index.get(str(path))
-        if rec is None or rec.sig != sig:
-            return None
-        if rec.kind == "negative":
-            return NegativeEntry(
-                sig=rec.sig, exc_type=rec.exc_type, reason=rec.reason, detail=rec.detail
-            )
-        if rec.kind == "probe":
-            if kind != "probe":
-                return None
-            return CacheEntry(kind=kind, sig=sig, value=PROBE_OK, nbytes=0, source="plane")
-        if rec.kind != kind:
-            return None
-        view = self._view(str(path), rec)
-        if view is None:
-            return None
-        return CacheEntry(kind=kind, sig=sig, value=view, nbytes=0, source="plane")
-
-    def _view(self, spath: str, rec: PlaneRecord) -> np.ndarray | None:
-        if self._shm is None:
-            return None
-        view = self._views.get(spath)
-        if view is None:
-            view = np.ndarray(
-                rec.shape, dtype=np.dtype(rec.dtype), buffer=self._shm.buf, offset=rec.offset
-            )
-            view.setflags(write=False)
-            self._views[spath] = view
-        return view
-
-    # ------------------------------------------------------------------
-    # lifecycle
-
-    def seal(self) -> None:
-        """Unlink the segment name.  Existing mappings — this process and
-        every child forked from it — stay valid.  Idempotent."""
-
-        if self.sealed:
-            return
-        self.sealed = True
-        try:
-            self._shm.unlink()
-        except (FileNotFoundError, OSError):  # pragma: no cover - already gone
-            pass
-
-    def close(self) -> None:
-        """Best-effort release of this process's mapping.
-
-        With numpy views outstanding the underlying mmap cannot be released
-        early (``BufferError``); that is fine — process exit reclaims it,
-        and the name is already unlinked.
-        """
-
-        self._views.clear()
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-        except BufferError:  # views still referenced somewhere
-            pass

@@ -500,10 +500,11 @@ def checkpoint_payload(
 
 
 class _TrialThread:
-    """The watchdog's daemon thread: runs trial bodies one at a time while
-    the caller waits with a timeout.  It lives as long as its executor
-    rather than one trial — at CIFAR shape a fresh thread per trial made
-    the trial's numpy stages measurably slower."""
+    """The watchdog's daemon thread: runs every trial body, one at a time,
+    while the caller waits (with the timeout, when one is set).  It lives
+    as long as its executor rather than one trial — at CIFAR shape a fresh
+    thread per trial, or the main thread itself, made the trial's numpy
+    stages measurably slower."""
 
     def __init__(self) -> None:
         self._jobs: queue.SimpleQueue = queue.SimpleQueue()
@@ -518,9 +519,10 @@ class _TrialThread:
                 box["error"] = exc
             done.set()
 
-    def run(self, fn, spec, timeout: float) -> dict | None:
+    def run(self, fn, spec, timeout: float | None) -> dict | None:
         """``fn(spec)``'s outcome (``{"value": …}`` or ``{"error": …}``), or
-        ``None`` when it is still running after ``timeout`` seconds."""
+        ``None`` when it is still running after ``timeout`` seconds
+        (``None``: wait for as long as it runs)."""
 
         box: dict = {}
         done = threading.Event()
@@ -559,11 +561,9 @@ class TrialExecutor:
     (``use_cache=False`` disables it) shared by every store generation it
     builds — including rebuilds after a trial timeout, because cached
     entries are immutable validated values an abandoned thread cannot
-    corrupt.  A parallel worker passes the parent's published
-    :class:`~polygraphmr.cache.SharedMemoryPlane` as ``plane`` so cache
-    misses resolve zero-copy instead of re-reading the disk.  Cache
-    settings are executor tuning, not campaign identity: they never enter
-    the journalled config.
+    corrupt.  A parallel worker builds its own executor, so its cache holds
+    only the artifacts of the models it owns.  Cache settings are executor
+    tuning, not campaign identity: they never enter the journalled config.
     """
 
     def __init__(
@@ -574,7 +574,6 @@ class TrialExecutor:
         trial_fn=None,
         cache_bytes: int = DEFAULT_CACHE_BYTES,
         use_cache: bool = True,
-        plane=None,
     ):
         self.config = config
         self.models = list(models)
@@ -583,7 +582,7 @@ class TrialExecutor:
         # the hot loop and must not re-parse the config's canonical JSON
         self.scenarios = config.scenario_objects()
         self.boards: dict[str, BreakerBoard] = {}
-        self.cache = ArtifactCache(cache_bytes, plane=plane) if use_cache else None
+        self.cache = ArtifactCache(cache_bytes) if use_cache else None
         self._store: ArtifactStore | None = None
         self._runtimes: dict[str, EnsembleRuntime] = {}
         self._runner: _TrialThread | None = None
@@ -677,16 +676,13 @@ class TrialExecutor:
         return measure_degradation(self.store, spec.model, fault, runtime=self.runtime_for(spec.model))
 
     def _call_with_watchdog(self, spec: TrialSpec):
-        """(outcome, value, error) — never raises, never hangs past the timeout."""
+        """(outcome, value, error) — never raises, never hangs past the
+        timeout (``timeout_s <= 0`` waits for the trial however long it runs)."""
 
-        if self.config.timeout_s <= 0:
-            try:
-                return OUTCOME_OK, self._trial_fn(spec), None
-            except Exception as exc:  # noqa: BLE001 - outcome, not crash
-                return OUTCOME_ERROR, None, exc
         if self._runner is None:
             self._runner = _TrialThread()
-        box = self._runner.run(self._trial_fn, spec, self.config.timeout_s)
+        timeout = self.config.timeout_s if self.config.timeout_s > 0 else None
+        box = self._runner.run(self._trial_fn, spec, timeout)
         if box is None:
             # the thread stays stuck in this trial; it exits once the trial
             # returns, and the next trial gets a fresh thread
@@ -1427,8 +1423,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--no-cache",
         action="store_true",
-        help="disable the verified-once artifact cache and the parallel "
-        "shared-memory plane (every load re-reads and re-validates)",
+        help="disable the verified-once artifact cache (every load re-reads "
+        "and re-validates)",
     )
     # accepted and ignored: every trial runs on its own; benchmark/campaigns.py passes it
     parser.add_argument("--no-batch", action="store_true", help=argparse.SUPPRESS)

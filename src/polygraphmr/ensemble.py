@@ -21,10 +21,9 @@ discarding the runtime discards both memos.
 
 The store the runtime drives may carry a verified-once
 :class:`~polygraphmr.cache.ArtifactCache`: the probability arrays it serves
-are then shared read-only across trials (and, via the shared-memory plane,
-across worker processes).  That is safe here because ``assemble`` copies
-members into its stacked tensor (``np.stack``) and never writes to a loaded
-array in place.  The stacked tensor is read-only too: ``assemble`` hands
+are then shared read-only across trials.  That is safe here because
+``assemble`` copies members into its stacked tensor (``np.stack``) and
+never writes to a loaded array in place.  The stacked tensor is read-only too: ``assemble`` hands
 out the previous stack of a split again while its members are the very
 same cached arrays, and :meth:`EnsembleRuntime.member_plan` reuses the
 roster it scanned while the model directory lists the same files.

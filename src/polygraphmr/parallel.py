@@ -46,17 +46,11 @@ guarantees:
   under *any* worker count.
 
 Worker state is never shared across ``fork``: each worker constructs its
-own :class:`~polygraphmr.store.ArtifactStore` and ensemble runtimes after
-the fork, inside its own :class:`TrialExecutor`.  The one deliberate
-exception is the read-only **shared-memory plane**
-(:class:`~polygraphmr.cache.SharedMemoryPlane`): before forking, the
-parent loads and validates the campaign's artifact working set once,
-copies it into a shared-memory segment, and unlinks the segment name —
-workers inherit the mapping and serve zero-copy ``writeable=False`` views
-out of it, so store loads are amortized O(1) per trial regardless of
-worker count.  If the plane cannot be published (no shared memory, empty
-working set), workers silently fall back to loading from disk into their
-private caches.
+own :class:`~polygraphmr.store.ArtifactStore`, artifact cache and ensemble
+runtimes after the fork, inside its own :class:`TrialExecutor`.  Because
+ownership is partitioned by model, each artifact is loaded and validated
+by exactly one worker's cache — the same loads, hits and misses a serial
+run makes, split across processes.
 """
 
 from __future__ import annotations
@@ -69,7 +63,7 @@ import threading
 from pathlib import Path
 
 from .batching import execute_window, plan_windows
-from .cache import DEFAULT_CACHE_BYTES, SharedMemoryPlane
+from .cache import DEFAULT_CACHE_BYTES
 from .campaign import (
     CampaignConfig,
     CampaignJournal,
@@ -85,7 +79,6 @@ from .campaign import (
 )
 from .errors import CampaignError
 from .metrics import MetricsRegistry, get_registry, metrics_shard_name, set_registry
-from .store import ArtifactStore
 from .tracing import get_tracer
 
 __all__ = ["trial_owner", "worker_assignments", "ParallelCampaignRunner"]
@@ -126,7 +119,6 @@ def _worker_main(
     progress,
     cache_bytes: int = DEFAULT_CACHE_BYTES,
     use_cache: bool = True,
-    plane: SharedMemoryPlane | None = None,
 ) -> None:
     """One worker process: drain ``assignment`` through a private
     :class:`TrialExecutor` into a private journal shard.
@@ -135,10 +127,6 @@ def _worker_main(
     in-flight trial always finishes and the window's finished prefix is
     journalled before exit — the same draining contract as the serial
     runner.
-
-    ``plane`` is the parent's pre-published shared-memory working set,
-    inherited through ``fork`` (never re-attached by name — the parent
-    unlinked the segment before forking, so the mapping is the only handle).
     """
 
     stop = threading.Event()
@@ -174,7 +162,6 @@ def _worker_main(
             trial_fn=trial_fn,
             cache_bytes=cache_bytes,
             use_cache=use_cache,
-            plane=plane,
         )
         executor.restore_boards(done_trials)
         # window over the models this worker owns, flush whole windows
@@ -254,20 +241,6 @@ class ParallelCampaignRunner(CampaignRunner):
         assignment, checkpoint per-worker high-water marks as progress
         arrives, then re-scan the shards once every worker has exited."""
 
-        # Publish the working set once, pre-fork: every artifact is loaded
-        # and validated here exactly one time, then served zero-copy to all
-        # workers.  The throwaway store carries the campaign's salvage
-        # policy and no cache — these loads ARE the verification everyone
-        # else amortizes.  `publish` unlinks the segment before returning,
-        # so no /dev/shm entry can outlive this process, however it dies.
-        plane = None
-        if self.use_cache and self.trial_fn is None and self.models:
-            plane = SharedMemoryPlane.publish(
-                ArtifactStore(self.config.cache, allow_salvaged=self.config.allow_salvaged),
-                self.models,
-                max_bytes=self.cache_bytes,
-            )
-
         n_workers = min(self.workers, max(1, len(self.models)))
         assignments = worker_assignments(
             self.config.n_trials, len(self.models), n_workers, set(state.trials)
@@ -293,7 +266,6 @@ class ParallelCampaignRunner(CampaignRunner):
                     progress,
                     self.cache_bytes,
                     self.use_cache,
-                    plane,
                 ),
                 name=f"campaign-w{worker_id:02d}",
             )
@@ -322,10 +294,6 @@ class ParallelCampaignRunner(CampaignRunner):
         for proc in procs.values():
             proc.join()
         progress.close()
-        if plane is not None:
-            # best-effort: the segment name is long unlinked; this just
-            # releases the parent's mapping early instead of at process exit
-            plane.close()
 
         # the shards are authoritative — a worker may have journalled a trial
         # and died before its progress event was consumed

@@ -1361,7 +1361,8 @@ def main(argv: list[str] | None = None) -> int:
         help="pad each executed batch by this many seconds (bench/smoke: pins the service rate)",
     )
     # Older command lines pass these: evaluation is always in-process, so
-    # --serve-workers accepts only 0, and --no-plane has nothing to skip.
+    # --serve-workers accepts only 0.  --no-plane is a no-op kept only
+    # because benchmark/serve_load.py still passes it.
     parser.add_argument("--serve-workers", type=int, choices=[0], default=0, help=argparse.SUPPRESS)
     parser.add_argument("--failure-threshold", type=int, default=3, help="overloaded batches before a member sheds")
     parser.add_argument("--cooldown-ticks", type=int, default=2, help="batches an open breaker waits before probing")

@@ -78,15 +78,10 @@ class ArtifactStore:
     therefore build their *own* store after ``fork`` (see
     :class:`polygraphmr.campaign.TrialExecutor`, which constructs the store
     lazily, and :meth:`fresh` for an explicit re-open) rather than share a
-    parent's instance across processes.  The attached ``cache`` is the
-    deliberate exception: an :class:`~polygraphmr.cache.ArtifactCache` and
-    its optional :class:`~polygraphmr.cache.SharedMemoryPlane` hold only
-    immutable validated values keyed by stat signature, so a forked worker
-    keeps the parent's plane (zero-copy read-only views into memory the
-    parent published and unlinked *before* forking) while rebuilding every
-    other piece of store state.  When no plane is available the worker's
-    private cache simply starts cold and fills from disk — slower, never
-    wrong.
+    parent's instance across processes.  The same holds for the attached
+    :class:`~polygraphmr.cache.ArtifactCache`: each worker's executor owns
+    a private cache that starts cold and fills from disk with the
+    artifacts of the models that worker owns.
     """
 
     def __init__(

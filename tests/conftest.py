@@ -4,6 +4,7 @@ built here, never inline in a test file), plus paths into the real (seed)
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,16 @@ except ImportError:
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED_CACHE = REPO_ROOT / ".repro_cache"
+
+
+def shm_entries() -> set[str]:
+    """Every entry under ``/dev/shm``, whoever made it: a campaign or a
+    gateway that leaves one behind fails the before/after comparison."""
+
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:  # pragma: no cover - non-Linux fallback
+        return set()
 
 
 @pytest.fixture(autouse=True)

@@ -15,7 +15,6 @@ from pathlib import Path
 import pytest
 
 from polygraphmr.batching import WINDOW_TRIALS
-from polygraphmr.cache import PLANE_PREFIX
 from polygraphmr.campaign import (
     CHECKPOINT_NAME,
     JOURNAL_NAME,
@@ -31,14 +30,9 @@ from polygraphmr.faults import corrupt_file_truncate
 from polygraphmr.metrics import METRICS_NAME, load_registry, metrics_shards
 from polygraphmr.parallel import ParallelCampaignRunner, trial_owner, worker_assignments
 
+from .conftest import shm_entries
+
 N_TRIALS = 16
-
-
-def _shm_entries() -> set[str]:
-    try:
-        return {f for f in os.listdir("/dev/shm") if f.startswith(PLANE_PREFIX)}
-    except FileNotFoundError:  # pragma: no cover - non-Linux fallback
-        return set()
 
 
 def _config(cache, **overrides) -> CampaignConfig:
@@ -219,13 +213,13 @@ class TestStopAndResume:
         config = _config(multi_model_cache, n_trials=2 * N_TRIALS, trial_sleep_s=0.1)
         CampaignRunner(config, tmp_path / "serial").run()
 
-        shm_before = _shm_entries()
+        shm_before = shm_entries()
         runner = ParallelCampaignRunner(config, tmp_path / "par", workers=4)
         threading.Timer(0.3, runner.request_stop).start()
         partial = runner.run()
         assert partial["stopped_early"]
         assert partial["failed_workers"] == []  # SIGTERM drain is a clean exit
-        assert _shm_entries() == shm_before  # no plane segment outlives the run
+        assert shm_entries() == shm_before  # the run leaves nothing in /dev/shm
         assert 0 < partial["completed"] < config.n_trials
         assert shard_journals(tmp_path / "par")  # shards kept for resume
 
@@ -361,7 +355,7 @@ class TestKillMatrix:
         assert reference.returncode == 0, reference.stderr.decode()
 
         out = tmp_path / "out"
-        shm_before = _shm_entries()
+        shm_before = shm_entries()
         proc = subprocess.Popen(
             self._cli(multi_model_cache, out),
             env=self._env(),
@@ -389,9 +383,9 @@ class TestKillMatrix:
             proc.stdout.close()
             proc.stderr.close()
 
-        # the plane segment is unlinked before any fork, so even SIGKILL
+        # no campaign code creates a shared-memory segment, so even SIGKILL
         # mid-campaign cannot strand a /dev/shm entry
-        assert _shm_entries() == shm_before
+        assert shm_entries() == shm_before
 
         resume = subprocess.run(
             self._cli(multi_model_cache, out, "--resume"),
@@ -414,4 +408,4 @@ class TestKillMatrix:
             serial_out / CHECKPOINT_NAME
         ).read_bytes()
         assert verify_campaign(out)["exit_code"] == 0
-        assert _shm_entries() == shm_before
+        assert shm_entries() == shm_before
