@@ -18,12 +18,14 @@ Five phases, all against the same 4-model synthetic cache::
 3. **Resume** — ``--resume`` completes the interrupted run; the merged
    journal is byte-identical to an uninterrupted serial run, every index
    exactly once.
-4. **Scenario sweep** — a 3-scenario declarative sweep
-   (``--scenarios channel-bitflip-10pct,quantize-4bit,stuck-at-zero-1pct``)
-   is SIGKILLed mid-run, resumed to completion, byte-compared against both
-   a straight serial run and a ``--workers 4`` run, audited with ``verify``
-   (exit 0), and its ``report`` must reconcile per-scenario trial counts
-   exactly with the journal.
+4. **Scenario sweep** — a 5-scenario declarative sweep
+   (``--scenarios channel-bitflip-10pct,quantize-4bit,stuck-at-zero-1pct,``
+   ``tensor-bitflip-0.1pct,element-bitflip-8``: dense faults, and sparse
+   ones whose trials recompute only the samples they touch) is SIGKILLed
+   mid-run, resumed to completion, byte-compared against both a straight
+   serial run and a ``--workers 4`` run, audited with ``verify`` (exit 0),
+   and its ``report`` must reconcile per-scenario trial counts exactly
+   with the journal.
 5. **Shared work, same bytes** — a sleep-free 64-trial campaign runs
    serially, with 4 workers, with ``--no-cache`` and with the ignored
    ``--no-batch`` flag; every journal and checkpoint must be byte-identical
@@ -75,7 +77,14 @@ DEADLINE_S = 300.0
 ENV = {"PYTHONPATH": str(REPO_ROOT / "src")}
 
 
-SCENARIOS = ("channel-bitflip-10pct", "quantize-4bit", "stuck-at-zero-1pct")
+# dense faults, then sparse ones (a trial gathers only the samples they touch)
+SCENARIOS = (
+    "channel-bitflip-10pct",
+    "quantize-4bit",
+    "stuck-at-zero-1pct",
+    "tensor-bitflip-0.1pct",
+    "element-bitflip-8",
+)
 
 
 def campaign_cmd(

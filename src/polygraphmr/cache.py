@@ -24,8 +24,10 @@ identical with the cache on or off (see ``tests/test_cache.py``).
 from __future__ import annotations
 
 import os
+import stat
 import threading
 from collections import OrderedDict
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,6 +40,8 @@ __all__ = [
     "ArtifactCache",
     "CacheEntry",
     "NegativeEntry",
+    "is_file",
+    "stat_once",
     "stat_signature",
 ]
 
@@ -48,6 +52,42 @@ PROBE_OK = "probe-ok"
 _PROBE_NBYTES = 64
 
 
+# the active stat_once() memo of this thread: path -> os.stat result or None
+_scope = threading.local()
+
+
+@contextmanager
+def stat_once():
+    """Within the block, each path is statted at most once on this thread:
+    :func:`stat_signature` and :func:`is_file` answer from the first
+    ``stat``.  A trial prepares under one scope, so it sees one identity
+    per artifact file, and a file rewritten after that ``stat`` shows as
+    changed to the next trial.  Nested scopes share the outer memo."""
+
+    if getattr(_scope, "memo", None) is not None:
+        yield
+        return
+    _scope.memo = {}
+    try:
+        yield
+    finally:
+        _scope.memo = None
+
+
+def _stat(path: str | Path) -> os.stat_result | None:
+    memo = getattr(_scope, "memo", None)
+    key = os.fspath(path)
+    if memo is not None and key in memo:
+        return memo[key]
+    try:
+        st = os.stat(key)
+    except OSError:
+        st = None
+    if memo is not None:
+        memo[key] = st
+    return st
+
+
 def stat_signature(path: str | Path) -> tuple[int, int] | None:
     """``(st_size, st_mtime_ns)`` for ``path``, or ``None`` if unstattable.
 
@@ -56,11 +96,15 @@ def stat_signature(path: str | Path) -> tuple[int, int] | None:
     missing-file handling stays authoritative.
     """
 
-    try:
-        st = os.stat(path)
-    except OSError:
-        return None
-    return (st.st_size, st.st_mtime_ns)
+    st = _stat(path)
+    return None if st is None else (st.st_size, st.st_mtime_ns)
+
+
+def is_file(path: str | Path) -> bool:
+    """``Path.is_file`` through the :func:`stat_once` memo."""
+
+    st = _stat(path)
+    return st is not None and stat.S_ISREG(st.st_mode)
 
 
 @dataclass

@@ -16,8 +16,9 @@ workers each build their own runtime after ``fork`` via
 :class:`polygraphmr.campaign.TrialExecutor` rather than inherit the
 parent's.  :meth:`EnsembleRuntime.fit_gate` fits each member set's gate once
 per val-artifact identity, and :meth:`EnsembleRuntime.clean_baseline`
-scores each gate's clean test split once per test-artifact identity;
-discarding the runtime discards both memos.
+scores each gate's clean test split once per test-artifact identity (its
+entry also holds the fault module's per-dtype references of the sanitized
+clean split); discarding the runtime discards both memos.
 
 The store the runtime drives may carry a verified-once
 :class:`~polygraphmr.cache.ArtifactCache`: the probability arrays it serves
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .breaker import BreakerBoard
-from .cache import stat_signature
+from .cache import is_file, stat_signature
 from .decision import DetectionMetrics, LogisticDecisionModule, ensemble_features, misprediction_targets
 from .errors import DegradedEnsemble
 from .metrics import get_registry
@@ -166,6 +167,10 @@ class CleanBaseline:
     targets: np.ndarray  # 1 where ORG mispredicts
     flags: np.ndarray  # the gate's decision flags
     metrics: DetectionMetrics
+    # per fault dtype, the faults module's reference of the sanitized clean
+    # split (faults.FaultReference): memoised here, so the key that
+    # invalidates this baseline invalidates them too
+    references: dict = field(default_factory=dict, compare=False, repr=False)
 
 
 def _score_clean(session: ModelSession) -> CleanBaseline:
@@ -275,7 +280,7 @@ class EnsembleRuntime:
                 registry.counter("ensemble_member_skips_total", reason="circuit-open").inc()
                 continue
             path = self.store.probs_path(model, stem, split)
-            if not path.is_file():
+            if not is_file(path):
                 missing.append(stem)
                 registry.counter("ensemble_member_skips_total", reason="missing").inc()
                 continue

@@ -2,16 +2,28 @@
 
 One seeded, reproducible tensor injector plus artifact-level damage:
 
-* **Tensor faults** — :func:`apply_fault_batch` is the one surface × fault
-  model injector (MRFI).  A surface selects the cells (a ``rate`` fraction
-  of the whole tensor, a ``rate`` fraction of last-axis channels, or
-  ``count`` addressed elements); a fault model perturbs them (IEEE-754
-  bit-flip, additive gaussian, quantization rounding, stuck-at-0/1).  It
-  takes a leading batch axis with one seed per slice, and a single tensor
-  is a batch of one (``arr[None]``).  The declarative
+* **Tensor faults** — an injection is two steps.  :func:`draw_fault` draws
+  a :class:`FaultDraw` from the seed on one slice's shape: the flat
+  indices a surface selects (a ``rate`` fraction of the whole tensor, a
+  ``rate`` fraction of last-axis channels, or ``count`` addressed
+  elements) and, per index, what the fault model does there (IEEE-754
+  bit-flip, additive gaussian, quantization rounding, stuck-at-0/1).
+  :meth:`FaultDraw.apply` then writes that draw in place into any number
+  of slices.  :func:`apply_fault_batch`, :meth:`FaultSpec.apply_batch` and
+  :meth:`polygraphmr.scenarios.ScenarioFault.apply_batch` compose the two
+  on a copy, with one seed per slice of a leading batch axis; a single
+  tensor is a batch of one (``arr[None]``).  The declarative
   :mod:`polygraphmr.scenarios` subsystem drives it; :class:`FaultSpec`, the
   legacy ``--kind/--rate/--sigma`` sweep's fault, drives it for bit-flips
-  and keeps its own whole-tensor gaussian noise.
+  and keeps its own whole-tensor gaussian noise (a draw with no index
+  selection: every element).
+* **Sparse trials** — every member of a trial shares its seed, so they
+  share one selection, and most selections touch few samples.
+  :func:`degradation_report` gathers only the touched samples, injects,
+  sanitizes, featurizes and scores them, and splices them into a memoised
+  reference of the clean split; a dense fault (the legacy gaussian, the
+  ``channel`` surface, or more than :data:`DENSE_SHARE` of the samples)
+  runs the same steps over every sample.  Both give the same bytes.
 * **Artifact-level** — byte truncation and header damage applied to copies
   of ``.npz`` files, used to exercise the store's quarantine path.
 
@@ -26,13 +38,13 @@ import io
 import json
 import shutil
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
-from .decision import DetectionMetrics, baseline_aucs, ensemble_features
+from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, stat_once
+from .decision import FEATURE_NAMES, DetectionMetrics, baseline_aucs, ensemble_features, misprediction_targets
 from .ensemble import EnsembleRuntime, ModelSession
 from .errors import ConfigError
 from .metrics import get_registry
@@ -42,8 +54,12 @@ __all__ = [
     "SURFACES",
     "FAULT_MODELS",
     "FAULT_SPEC_KINDS",
+    "DENSE_SHARE",
     "FaultSpec",
+    "FaultDraw",
+    "fault_dtype",
     "select_fault_indices",
+    "draw_fault",
     "apply_fault_batch",
     "sanitize_probs_batch",
     "corrupt_file_truncate",
@@ -58,6 +74,14 @@ __all__ = [
 SURFACES = ("tensor", "channel", "element")
 FAULT_MODELS = ("bitflip", "gaussian", "quantize", "stuck0", "stuck1")
 FAULT_SPEC_KINDS = ("bitflip", "gaussian")
+
+# a trial whose selection touches more than this share of the test samples
+# runs over every sample: at CIFAR shape the gather-and-splice trial broke
+# even with the whole-split one between 0.80 and 0.86 of the samples, for
+# bit-flips (float32) and stuck-at-0 (float64) alike; 0.75 keeps a margin
+DENSE_SHARE = 0.75
+# samples per slab when a fault reference is built (see _fault_reference)
+REFERENCE_SLAB = 1000
 
 
 def _require_number(field: str, value, *, low: float | None = None, high: float | None = None) -> None:
@@ -96,6 +120,27 @@ class FaultSpec:
         _require_number("fault.rate", self.rate, low=0.0, high=1.0)
         _require_number("fault.sigma", self.sigma, low=0.0)
 
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the fault is injected in (:func:`fault_dtype`)."""
+
+        return fault_dtype(self.kind)
+
+    def draw(self, shape: tuple[int, ...], *, seed: int | None = None) -> FaultDraw:
+        """This fault's draw on one slice of ``shape``, from ``seed``
+        (default ``self.seed``).
+
+        ``bitflip`` is exactly the tensor-surface bit-flip: the same
+        (choice, integers) draws, and no draw at all when the rate rounds to
+        zero hits.  ``gaussian`` noise covers the *whole* tensor with no
+        index selection, a stream no surface draws."""
+
+        seed = self.seed if seed is None else seed
+        if self.kind == "bitflip":
+            return draw_fault(shape, surface="tensor", kind="bitflip", rate=self.rate, seed=seed)
+        noise = np.random.default_rng(seed).normal(0.0, self.sigma, size=shape)
+        return FaultDraw("gaussian", None, noise.reshape(-1))
+
     def apply_batch(self, stacked: np.ndarray, *, seeds=None) -> np.ndarray:
         """Inject this fault into every slice of ``stacked``; ``out[b]``
         depends only on ``stacked[b]`` and ``seeds[b]``, so a single tensor
@@ -107,26 +152,7 @@ class FaultSpec:
         slice's float32 elements; ``gaussian`` adds N(0, sigma) noise to
         every element (float64)."""
 
-        stacked = np.asarray(stacked)
-        if stacked.ndim < 2:
-            raise ConfigError("fault.batch", "bad-shape", f"need a batch axis, got shape {stacked.shape}")
-        seeds = _batch_seeds(self.seed, stacked.shape[0], seeds)
-        if self.kind == "bitflip":
-            # the legacy whole-tensor bitflip is exactly the tensor-surface
-            # bitflip: the same (choice, integers) draws, and no draw at all
-            # when the rate rounds to zero hits
-            return apply_fault_batch(stacked, surface="tensor", kind="bitflip", rate=self.rate, seeds=seeds)
-        # legacy gaussian noise covers the *whole* tensor (no index
-        # selection), a stream no surface draws, so it keeps its own path
-        out = np.array(stacked, dtype=np.float64, order="C")
-        noise_for: dict[int, np.ndarray] = {}
-        for b, seed in enumerate(seeds):
-            noise = noise_for.get(seed)
-            if noise is None:
-                rng = np.random.default_rng(seed)
-                noise = noise_for[seed] = rng.normal(0.0, self.sigma, size=out.shape[1:])
-            out[b] += noise
-        return out
+        return _inject_batch(stacked, self.dtype, self.seed, seeds, self.draw)
 
     def describe(self) -> dict:
         """The journalled ``fault`` stanza of a degradation report."""
@@ -174,6 +200,98 @@ def select_fault_indices(
     raise ConfigError("scenario.surface", "unknown-surface", f"got {surface!r}; known surfaces: {', '.join(SURFACES)}")
 
 
+def fault_dtype(kind: str) -> np.dtype:
+    """The dtype a fault model works in: float32 for ``bitflip`` (its bits
+    are IEEE-754 single-precision bits), float64 for every other kind."""
+
+    if kind == "bitflip":
+        return np.dtype(np.float32)
+    if kind in FAULT_MODELS:
+        return np.dtype(np.float64)
+    raise ConfigError("scenario.kind", "unknown-kind", f"got {kind!r}; known kinds: {', '.join(FAULT_MODELS)}")
+
+
+@dataclass(frozen=True)
+class FaultDraw:
+    """One seed's injection on one slice shape, drawn before anything is
+    written: the flat element indices the surface selected (``None``:
+    every element) and, per index, the bit to flip (``bitflip``) or the
+    noise to add (``gaussian``).  ``quantize`` snaps to multiples of
+    ``step``; ``stuck0``/``stuck1`` need no values."""
+
+    kind: str
+    idx: np.ndarray | None
+    vals: np.ndarray | None = None
+    step: float = 0.0
+
+    def samples(self, width: int) -> np.ndarray | None:
+        """The sorted samples the draw touches, a sample being one row of
+        ``width`` elements of the slice, or ``None`` when it covers every
+        element."""
+
+        if self.idx is None:
+            return None
+        hit = np.zeros(-(-int(self.idx.max(initial=-1) + 1) // width), dtype=bool)
+        hit[self.idx // width] = True
+        return np.flatnonzero(hit)
+
+    def on_rows(self, rows: np.ndarray, width: int) -> FaultDraw:
+        """This draw re-addressed to a gather of the sorted samples
+        ``rows``, which must hold every sample it touches (:meth:`samples`)."""
+
+        sample, column = np.divmod(self.idx, width)
+        return replace(self, idx=np.searchsorted(rows, sample) * width + column)
+
+    def apply(self, flat: np.ndarray) -> None:
+        """Inject into every row of ``flat`` in place; ``flat`` is 2-D and
+        C-ordered, one slice per row (``(B, L)``, ``L`` the slice size), in
+        :func:`fault_dtype` of the kind.  Every row gets the same draw."""
+
+        if self.idx is None:
+            cells = slice(None)
+        elif self.idx.size:
+            cells = self.idx
+        else:
+            return
+        if self.kind == "bitflip":
+            flat.view(np.uint32)[:, cells] ^= np.uint32(1) << self.vals
+        elif self.kind == "gaussian":
+            flat[:, cells] += self.vals
+        elif self.kind == "quantize":
+            flat[:, cells] = np.round(flat[:, cells] / self.step) * self.step
+        elif self.kind == "stuck0":
+            flat[:, cells] = 0.0
+        else:
+            flat[:, cells] = 1.0
+
+
+def draw_fault(
+    shape: tuple[int, ...],
+    *,
+    surface: str,
+    kind: str,
+    rate: float = 0.0,
+    sigma: float = 0.0,
+    step: float = 0.0,
+    count: int = 0,
+    seed: int,
+) -> FaultDraw:
+    """One surface × fault-model draw on one slice of ``shape``: the
+    selection (:func:`select_fault_indices`) first, then its bit positions
+    or noise values, all from ``np.random.default_rng(seed)``."""
+
+    fault_dtype(kind)
+    rng = np.random.default_rng(seed)
+    idx = select_fault_indices(shape, surface, rate=rate, count=count, rng=rng)
+    vals: np.ndarray | None = None
+    if idx.size:
+        if kind == "bitflip":
+            vals = rng.integers(0, 32, size=idx.size, dtype=np.uint32)
+        elif kind == "gaussian":
+            vals = rng.normal(0.0, sigma, size=idx.size)
+    return FaultDraw(kind, idx, vals, step)
+
+
 def _batch_seeds(default: int, n: int, seeds) -> list[int]:
     if seeds is None:
         return [int(default)] * n
@@ -183,6 +301,33 @@ def _batch_seeds(default: int, n: int, seeds) -> list[int]:
             "fault.seeds", "bad-shape", f"got {len(seeds)} seeds for a batch of {n}"
         )
     return seeds
+
+
+def _inject_batch(stacked: np.ndarray, dtype: np.dtype, default_seed: int, seeds, draw) -> np.ndarray:
+    """The two injection steps over a batch: one C-ordered copy of
+    ``stacked`` in ``dtype``, then ``draw(slice_shape, seed=seed)`` applied
+    in place to the slices of that seed.  Draws are made once per *unique*
+    seed (the members of one trial share theirs), and slices sharing the
+    only seed take it in one vectorized write."""
+
+    stacked = np.asarray(stacked)
+    if stacked.ndim < 2:
+        raise ConfigError("fault.batch", "bad-shape", f"need a batch axis, got shape {stacked.shape}")
+    seeds = _batch_seeds(default_seed, stacked.shape[0], seeds)
+    out = np.array(stacked, dtype=dtype, order="C")
+    if not seeds or out[0].size == 0:
+        return out
+    flat = out.reshape(len(seeds), -1)
+    draws: dict[int, FaultDraw] = {}
+    for seed in seeds:
+        if seed not in draws:
+            draws[seed] = draw(out.shape[1:], seed=seed)
+    if len(draws) == 1:
+        draws[seeds[0]].apply(flat)
+    else:
+        for b, seed in enumerate(seeds):
+            draws[seed].apply(flat[b : b + 1])
+    return out
 
 
 def apply_fault_batch(
@@ -206,67 +351,15 @@ def apply_fault_batch(
     clamp them to 0.0 / 1.0.  The surface decides *which* elements those
     are (:func:`select_fault_indices`, on one slice's shape).
 
-    ``out[b]`` depends only on ``stacked[b]`` and ``seeds[b]``: slice
-    ``b`` draws its selection, then its bit positions or noise values, from
-    ``np.random.default_rng(seeds[b])``, so a single tensor is a batch of
-    one (``arr[None]``) and any batch equals its slices run one by one.
-    Draws are memoized per *unique* seed, which makes the members of one
-    trial (one seed) draw once, not once per member; the dtype conversion
-    (in the one copy) and the element mutations run as single vectorized
-    operations across the whole batch.
+    ``out[b]`` depends only on ``stacked[b]`` and ``seeds[b]``: slice ``b``
+    gets :func:`draw_fault` of ``seeds[b]``, so a single tensor is a batch
+    of one (``arr[None]``) and any batch equals its slices run one by one.
     """
 
-    stacked = np.asarray(stacked)
-    if stacked.ndim < 2:
-        raise ConfigError("fault.batch", "bad-shape", f"need a batch axis, got shape {stacked.shape}")
-    n_batch = stacked.shape[0]
-    seeds = _batch_seeds(0, n_batch, seeds)
-    # one C-ordered copy, converting the dtype on the way: the flat view
-    # below writes through to it
-    if kind == "bitflip":
-        out = np.array(stacked, dtype=np.float32, order="C")
-    elif kind in ("gaussian", "quantize", "stuck0", "stuck1"):
-        out = np.array(stacked, dtype=np.float64, order="C")
-    else:
-        raise ConfigError("scenario.kind", "unknown-kind", f"got {kind!r}; known kinds: {', '.join(FAULT_MODELS)}")
-    if n_batch == 0 or out[0].size == 0:
-        return out
+    def draw(shape, *, seed):
+        return draw_fault(shape, surface=surface, kind=kind, rate=rate, sigma=sigma, step=step, count=count, seed=seed)
 
-    # each unique seed's draw sequence: selection first, then the values
-    draws: dict[int, tuple[np.ndarray, np.ndarray | None]] = {}
-    for seed in seeds:
-        if seed in draws:
-            continue
-        rng = np.random.default_rng(seed)
-        idx = select_fault_indices(out.shape[1:], surface, rate=rate, count=count, rng=rng)
-        vals: np.ndarray | None = None
-        if idx.size:
-            if kind == "bitflip":
-                vals = rng.integers(0, 32, size=idx.size, dtype=np.uint32)
-            elif kind == "gaussian":
-                vals = rng.normal(0.0, sigma, size=idx.size)
-        draws[seed] = (idx, vals)
-
-    if not draws[seeds[0]][0].size:
-        # selection count is shape-determined, so it is empty for every seed
-        return out
-
-    flat = out.reshape(n_batch, -1)
-    idx_all = np.stack([draws[s][0] for s in seeds], axis=0)
-    batch_rows = np.arange(n_batch)[:, None]
-    if kind == "bitflip":
-        bits_all = np.stack([draws[s][1] for s in seeds], axis=0)
-        flat.view(np.uint32)[batch_rows, idx_all] ^= np.uint32(1) << bits_all
-    elif kind == "gaussian":
-        noise_all = np.stack([draws[s][1] for s in seeds], axis=0)
-        flat[batch_rows, idx_all] += noise_all
-    elif kind == "quantize":
-        flat[batch_rows, idx_all] = np.round(flat[batch_rows, idx_all] / step) * step
-    elif kind == "stuck0":
-        flat[batch_rows, idx_all] = 0.0
-    else:
-        flat[batch_rows, idx_all] = 1.0
-    return out
+    return _inject_batch(stacked, fault_dtype(kind), 0, seeds, draw)
 
 
 def sanitize_probs_batch(arr: np.ndarray) -> np.ndarray:
@@ -274,11 +367,17 @@ def sanitize_probs_batch(arr: np.ndarray) -> np.ndarray:
     non-finite → 0, clip to [0, 1], renormalise rows (uniform if a row dies).
 
     Rows live on the *last* axis and every step is per-row, so any number of
-    leading batch axes (members, trials) may ride along."""
+    leading batch axes (members, trials) may ride along.  Works on one
+    float64 copy (converting float32 on the way); the input is never
+    written."""
 
-    # the one copy (converting float32 on the way); every step after it
-    # works in place, so the input is never written
-    out = np.array(arr, dtype=np.float64, order="C")
+    return _sanitize_in_place(np.array(arr, dtype=np.float64, order="C"))
+
+
+def _sanitize_in_place(out: np.ndarray) -> np.ndarray:
+    """:func:`sanitize_probs_batch`'s steps, in place on a float64 array
+    the caller owns; returns it."""
+
     np.copyto(out, 0.0, where=~np.isfinite(out))
     np.clip(out, 0.0, 1.0, out=out)
     sums = out.sum(axis=-1, keepdims=True)
@@ -329,13 +428,28 @@ class DegradationContext:
     per (member set, artifact identity) rather than once per context, and
     the clean fields from its
     :meth:`~polygraphmr.ensemble.EnsembleRuntime.clean_baseline` memo, so
-    every context of that runtime shares them and none may write to them."""
+    every context of that runtime shares them and none may write to them.
+    ``references`` is that memo entry's store of :class:`FaultReference`
+    values, one per fault dtype."""
 
     session: ModelSession
     clean_features: np.ndarray
     clean_targets: np.ndarray
     clean_flags: np.ndarray
     clean: DetectionMetrics
+    references: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class FaultReference:
+    """The gate's view of ``sanitize_probs_batch(clean.astype(dtype))``, the
+    test split as a fault of that dtype leaves every sample it does not
+    touch: per sample, the features, ORG's misprediction target and the
+    gate's score.  Read-only."""
+
+    features: np.ndarray  # (N_test, 6)
+    targets: np.ndarray
+    scores: np.ndarray
 
 
 def prepare_degradation(
@@ -353,34 +467,115 @@ def prepare_degradation(
     The session is assembled on every call (its breaker calls are per-trial
     history) from the runtime's memoised roster and stacks, and the clean
     baseline comes from its
-    :meth:`~polygraphmr.ensemble.EnsembleRuntime.clean_baseline` memo.
+    :meth:`~polygraphmr.ensemble.EnsembleRuntime.clean_baseline` memo.  All
+    of it runs under one :func:`~polygraphmr.cache.stat_once` scope, so each
+    artifact file is statted once per call.
     """
 
     if runtime is None:
         runtime = EnsembleRuntime(store)
     if runtime.breakers is not None:
         runtime.breakers.tick()
-    session = runtime.session(model, members)
-    if "ORG" not in session.members:
-        raise ValueError(f"model {model!r}: ORG did not survive validation; cannot define targets")
-    if session.module is None or session.test_labels is None:
-        raise ValueError(f"model {model!r}: labels required to measure detection quality")
-
-    baseline = runtime.clean_baseline(session)
+    with stat_once():
+        session = runtime.session(model, members)
+        if "ORG" not in session.members:
+            raise ValueError(f"model {model!r}: ORG did not survive validation; cannot define targets")
+        if session.module is None or session.test_labels is None:
+            raise ValueError(f"model {model!r}: labels required to measure detection quality")
+        baseline = runtime.clean_baseline(session)
     return DegradationContext(
         session=session,
         clean_features=baseline.features,
         clean_targets=baseline.targets,
         clean_flags=baseline.flags,
         clean=baseline.metrics,
+        references=baseline.references,
     )
+
+
+def _inject_rows(stack: np.ndarray, draw: FaultDraw, rows, dtype: np.dtype) -> np.ndarray:
+    """``stack[:, rows]`` as one new C-ordered array of ``dtype`` (a trial's
+    one copy of its samples) with ``draw`` applied in place; ``rows`` is
+    ``slice(None)`` or sorted sample indices ``draw`` is addressed to."""
+
+    if isinstance(rows, slice):
+        out = np.array(stack[:, rows], dtype=dtype, order="C")
+    else:
+        out = np.take(stack, rows, axis=1).astype(dtype, copy=False)
+    draw.apply(out.reshape(out.shape[0], -1))
+    return out
+
+
+def _score_rows(session: ModelSession, faulted: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sanitize the test samples ``rows`` as ``faulted`` holds them and
+    return their features, ORG's misprediction targets and the gate's
+    scores.  Every step is per sample, so a sample's results do not depend
+    on which samples ride along.  The caller hands over ``faulted``: a
+    float64 one is sanitized in place, any other is dropped once its
+    sanitized copy exists."""
+
+    if faulted.dtype == np.float64:
+        sanitized = _sanitize_in_place(faulted)
+    else:
+        sanitized = sanitize_probs_batch(faulted)
+    del faulted
+    features = ensemble_features(sanitized)
+    targets = misprediction_targets(sanitized[session.members.index("ORG")], session.test_labels[rows])
+    del sanitized
+    return features, targets, session.module.predict_proba(features)
+
+
+def _fault_reference(ctx: DegradationContext, dtype: np.dtype) -> FaultReference:
+    """The memoised :class:`FaultReference` of ``dtype``, built on first use
+    in slabs of :data:`REFERENCE_SLAB` samples, so the build never holds a
+    copy of the whole split."""
+
+    ref = ctx.references.get(dtype)
+    if ref is not None:
+        return ref
+    stack = ctx.session.test_stack
+    n = stack.shape[1]
+    ref = FaultReference(np.empty((n, len(FEATURE_NAMES))), np.empty(n), np.empty(n))
+    for lo in range(0, n, REFERENCE_SLAB):
+        rows = slice(lo, lo + REFERENCE_SLAB)
+        ref.features[rows], ref.targets[rows], ref.scores[rows] = _score_rows(
+            ctx.session, np.array(stack[:, rows], dtype=dtype, order="C"), rows
+        )
+    for array in (ref.features, ref.targets, ref.scores):
+        array.flags.writeable = False
+    ctx.references[dtype] = ref
+    return ref
+
+
+def _faulted_scores(ctx: DegradationContext, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features, targets and gate scores of the test split under a probs
+    fault.  Only the samples the fault's draw touches are gathered,
+    injected, sanitized and scored, then spliced into copies of the
+    :class:`FaultReference`; a dense draw (no index selection, or more than
+    :data:`DENSE_SHARE` of the samples) takes every sample as its rows."""
+
+    stack = ctx.session.test_stack
+    m, n, c = stack.shape
+    draw = spec.draw(stack.shape[1:])
+    rows = draw.samples(c)
+    if rows is None or rows.size > DENSE_SHARE * n:
+        return _score_rows(ctx.session, _inject_rows(stack, draw, slice(None), spec.dtype), slice(None))
+    touched = _score_rows(ctx.session, _inject_rows(stack, draw.on_rows(rows, c), rows, spec.dtype), rows)
+    ref = _fault_reference(ctx, spec.dtype)
+    spliced = tuple(whole.copy() for whole in (ref.features, ref.targets, ref.scores))
+    for whole, part in zip(spliced, touched):
+        whole[rows] = part
+    return spliced
 
 
 def degradation_report(ctx: DegradationContext, spec, *, baselines: bool = False) -> dict:
     """Evaluate one fault against a prepared context: inject → sanitize →
-    features → predict → evaluate.  One trial's arrays are live at a time
-    and stay cache-resident; the faulted stack is dropped before the gate
-    computes its scores.
+    features → predict → evaluate, over the samples the fault touches
+    (:func:`_faulted_scores`; every sample when the fault is dense).  Every
+    step is per sample, so splicing the touched samples into the memoised
+    clean reference gives the bytes the whole split would.  One trial's
+    arrays are live at a time and the faulted rows are dropped before the
+    gate computes its scores.
 
     ``baselines=True`` adds a ``baselines`` stanza (see
     :func:`_baselines_stanza`); campaigns leave it off, so journal bytes do
@@ -395,11 +590,7 @@ def degradation_report(ctx: DegradationContext, spec, *, baselines: bool = False
         features, targets = ctx.clean_features, ctx.clean_targets
         scores = faulted_gate.predict_proba(features)
     else:
-        faulted_stack = sanitize_probs_batch(spec.apply_batch(ctx.session.test_stack))
-        targets = ctx.session.test_targets(faulted_stack)
-        features = ensemble_features(faulted_stack)
-        del faulted_stack
-        scores = module.predict_proba(features)
+        features, targets, scores = _faulted_scores(ctx, spec)
     faulted = module.evaluate(scores, targets)
     faulted_flags = module.flag(scores)
     report = {
@@ -610,7 +801,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # Imported here, not at module top: scenarios imports apply_fault_batch from
+    # Imported here, not at module top: scenarios imports the injector from
     # this module, so the package level must stay one-directional.
     from .scenarios import builtin_scenarios, resolve_scenarios
 

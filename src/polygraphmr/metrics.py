@@ -103,8 +103,24 @@ BATCH_SIZE_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 LabelKey = tuple[tuple[str, str], ...]
 
 
+# label sets seen before, as passed -> their sorted key; only all-string
+# sets are kept, so values that compare equal but print differently (1 and
+# True) can never share an entry
+_LABEL_KEYS: dict[tuple, LabelKey] = {}
+_LABEL_KEYS_MAX = 4096
+
+
 def _label_key(labels: dict[str, object]) -> LabelKey:
-    return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
+    raw = tuple(labels.items())
+    try:
+        key = _LABEL_KEYS.get(raw)
+    except TypeError:  # an unhashable label value
+        key = None
+    if key is None:
+        key = tuple(sorted((str(k), str(v)) for k, v in raw))
+        if len(_LABEL_KEYS) < _LABEL_KEYS_MAX and all(type(v) is str for _, v in raw):
+            _LABEL_KEYS[raw] = key
+    return key
 
 
 class Counter:

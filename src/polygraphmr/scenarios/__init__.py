@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..faults import FAULT_MODELS, SURFACES, _require_number, apply_fault_batch
+from ..faults import FAULT_MODELS, SURFACES, FaultDraw, _inject_batch, _require_number, draw_fault, fault_dtype
 from ..journal import canonical_json, sha256_hex
 
 try:
@@ -166,9 +166,9 @@ class Scenario:
 @dataclass(frozen=True)
 class ScenarioFault:
     """A scenario bound to one trial's seed — the duck-typed fault object
-    :func:`polygraphmr.faults.measure_degradation` consumes (``apply_batch``
-    / ``describe`` / ``seed`` / ``target``), mirroring
-    :class:`polygraphmr.faults.FaultSpec`."""
+    :func:`polygraphmr.faults.measure_degradation` consumes (``dtype`` /
+    ``draw`` / ``apply_batch`` / ``describe`` / ``seed`` / ``target``),
+    mirroring :class:`polygraphmr.faults.FaultSpec`."""
 
     scenario: Scenario
     seed: int = 0
@@ -177,28 +177,37 @@ class ScenarioFault:
     def target(self) -> str:
         return self.scenario.target
 
-    def apply_batch(self, stacked: np.ndarray, *, seeds=None) -> np.ndarray:
-        """Inject the scenario into every slice of ``stacked`` through
-        :func:`~polygraphmr.faults.apply_fault_batch`; ``out[b]`` depends
-        only on ``stacked[b]`` and ``seeds[b]``, so a single tensor is a
-        batch of one (``fault.apply_batch(arr[None])[0]``).  ``seeds``
-        defaults to this fault's seed for every slice; the input is never
-        mutated."""
+    @property
+    def dtype(self) -> np.dtype:
+        """The dtype the fault is injected in (:func:`~polygraphmr.faults.fault_dtype`)."""
+
+        return fault_dtype(self.scenario.kind)
+
+    def draw(self, shape: tuple[int, ...], *, seed: int | None = None) -> FaultDraw:
+        """The scenario's :func:`~polygraphmr.faults.draw_fault` on one
+        slice of ``shape``, from ``seed`` (default: this fault's seed)."""
 
         s = self.scenario
-        stacked = np.asarray(stacked)
-        if seeds is None:
-            seeds = [self.seed] * stacked.shape[0]
-        return apply_fault_batch(
-            stacked,
+        return draw_fault(
+            shape,
             surface=s.surface,
             kind=s.kind,
             rate=s.rate,
             sigma=s.sigma,
             step=s.step,
             count=s.count,
-            seeds=seeds,
+            seed=self.seed if seed is None else seed,
         )
+
+    def apply_batch(self, stacked: np.ndarray, *, seeds=None) -> np.ndarray:
+        """Inject the scenario into every slice of ``stacked``: a copy, then
+        each slice's :meth:`draw` applied in place; ``out[b]`` depends
+        only on ``stacked[b]`` and ``seeds[b]``, so a single tensor is a
+        batch of one (``fault.apply_batch(arr[None])[0]``).  ``seeds``
+        defaults to this fault's seed for every slice; the input is never
+        mutated."""
+
+        return _inject_batch(stacked, self.dtype, self.seed, seeds, self.draw)
 
     def describe(self) -> dict:
         """The journalled ``fault`` stanza: full scenario identity + seed."""

@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cache import ArtifactCache, NegativeEntry
+from .cache import ArtifactCache, NegativeEntry, is_file
 from .errors import ArtifactCorrupt, ArtifactMissing, IntegrityMismatch, RetryPolicy, TransientIOError
 from .integrity import check_probs, check_weights, load_npz_validated, probe_artifact
 from .metrics import get_registry
@@ -337,7 +337,7 @@ class ArtifactStore:
 
         path = self.labels_path(model, split)
         with self._observed_load("labels") as obs:
-            if not path.is_file() or self.is_quarantined(path):
+            if not is_file(path) or self.is_quarantined(path):
                 obs["result"] = "quarantined-hit" if self.is_quarantined(path) else "missing"
                 return None
             if self.cache is not None:
@@ -400,7 +400,7 @@ class ArtifactStore:
             return ArtifactStatus(SALVAGED, "salvaged", f"{report.n_recovered} member(s) recovered")
         if self.is_quarantined(path):
             return ArtifactStatus(CORRUPT, self.quarantine[str(path)])
-        if not path.is_file():
+        if not is_file(path):
             return ArtifactStatus(MISSING, "not-found")
         # Cached verdicts make the per-trial roster scan O(stat): probs use
         # the full validated array (so the assemble that follows hits too),

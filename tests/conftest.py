@@ -90,6 +90,18 @@ def wide_cache(tmp_path: Path) -> Path:
 
 
 @pytest.fixture()
+def delta_cache(tmp_path: Path) -> Path:
+    """A cache root holding one 6-member model named ``delta`` (300 val +
+    1201 test samples, 10 classes): large enough that the built-in sparse
+    faults touch a few percent of the samples, and one sample more than a
+    whole number of 1200-sample slabs."""
+
+    root = tmp_path / "delta"
+    build_synthetic_model(root, "delta", members=tuple(standard_roster()[:6]), n_val=300, n_test=1201, seed=9)
+    return root
+
+
+@pytest.fixture()
 def demo_cache(tmp_path: Path) -> Path:
     """A cache root holding :func:`build_synthetic_model`'s default model
     (``synthetic``, 200 val + 200 test samples, seed 0)."""

@@ -533,6 +533,42 @@ class TestPerTrialMemory:
         assert all(r["outcome"] == "ok" for r in records)
         assert peak < 3 * stack_bytes, f"peak {peak / stack_bytes:.2f}× one trial's stack"
 
+    def test_sparse_bitflip_trial_peaks_below_a_quarter_stack(self, wide_cache):
+        """A 0.1% bit-flip trial after warm-up gathers the few samples it
+        touches and splices them into the memoised reference: it peaks below
+        a quarter of one float64 test stack."""
+
+        config = _config(wide_cache, n_trials=3, kinds=("bitflip",), rates=(0.001,))
+        executor = TrialExecutor(config, discover_models(config))
+        executor.execute(0)  # warm-up: stacks, gate, clean baseline, float32 reference
+        float64_stack = executor.runtime_for("wide").session("wide").test_stack.size * 8
+        tracemalloc.start()
+        try:
+            record = executor.execute(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record["outcome"] == "ok"
+        assert peak < float64_stack / 4, f"peak {peak / float64_stack:.3f}× one float64 stack"
+
+
+class TestWarmTrialStats:
+    def test_each_artifact_file_is_statted_once_per_warm_trial(self, wide_cache, monkeypatch):
+        """A warm trial stats each member's val and test probs and the two
+        label files once: 22 calls at 10 members, none twice."""
+
+        config = _config(wide_cache, n_trials=3)
+        executor = TrialExecutor(config, discover_models(config))
+        executor.execute(0)
+        statted = []
+        real = os.stat
+        monkeypatch.setattr(os, "stat", lambda path, *a, **k: statted.append(os.fspath(path)) or real(path, *a, **k))
+        assert executor.execute(1)["outcome"] == "ok"
+        monkeypatch.undo()
+        members = executor.runtime_for("wide").session("wide").members
+        assert len(members) == 10
+        assert len(statted) == len(set(statted)) == 2 * (len(members) + 1)
+
 
 class TestScenarioResolutionHoisting:
     def test_one_resolution_per_campaign(self, synthetic_cache, tmp_path, monkeypatch):

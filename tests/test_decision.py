@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,25 @@ class TestFeatures:
         support = stacked.mean(axis=0)[np.arange(40), org_vote]
         np.testing.assert_array_equal(feats[:, FEATURE_NAMES.index("org_support")], support)
         np.testing.assert_array_equal(feats[:, FEATURE_NAMES.index("org_max_prob")], stacked[0].max(axis=1))
+
+    def test_read_only_stack_votes_in_slabs_with_the_same_bytes(self):
+        """numpy's argmax copies a read-only operand whole; the features of
+        a read-only CIFAR-shaped stack must peak near the writeable ones and
+        equal them bit for bit."""
+
+        stack = _toy_stack(m=10, n=10_000, c=10)
+        frozen = stack.copy()
+        frozen.flags.writeable = False
+        peaks = []
+        for arr in (stack, frozen):
+            tracemalloc.start()
+            try:
+                feats = ensemble_features(arr)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert np.array_equal(feats, ensemble_features(stack))
+        assert peaks[1] < peaks[0] + 2 * stack.nbytes // 10, f"read-only peak {peaks[1]} vs writeable {peaks[0]}"
 
     def test_targets(self):
         org = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
@@ -110,6 +131,20 @@ class TestTraining:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             LogisticDecisionModule().predict_proba(np.zeros((2, 3)))
+
+
+class TestScoresPerSample:
+    def test_a_row_scores_the_same_alone_as_in_any_batch(self):
+        """A one-row feature matrix must not take a kernel that rounds
+        differently: every sample's score equals its score in the batch."""
+
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(400, len(FEATURE_NAMES))) * rng.uniform(0.1, 10.0, size=len(FEATURE_NAMES))
+        module = LogisticDecisionModule().fit(x, (rng.random(400) < 0.3).astype(float))
+        batch = module.predict_proba(x)
+        alone = np.concatenate([module.predict_proba(x[i : i + 1]) for i in range(len(x))])
+        pairs = np.concatenate([module.predict_proba(x[i : i + 2]) for i in range(0, len(x), 2)])
+        assert np.array_equal(alone, batch) and np.array_equal(pairs, batch)
 
 
 class TestMetrics:

@@ -8,6 +8,7 @@ import os
 import numpy as np
 import pytest
 
+from polygraphmr import faults
 from polygraphmr.decision import LogisticDecisionModule, ensemble_features
 from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import ConfigError, DegradedEnsemble
@@ -284,10 +285,17 @@ class TestDegradationMeasurement:
         )
         ctx = prepare_degradation(synthetic_store, "tinynet")
         assert len(calls) == 1  # clean flags and metrics
+        # a sparse fault scores the samples it touches; the first of its
+        # dtype also scores the memoised clean reference, once per slab
+        slabs = -(-ctx.session.n_samples // faults.REFERENCE_SLAB)
         degradation_report(ctx, FaultSpec("bitflip", rate=0.01, seed=3))
-        assert len(calls) == 2
+        assert len(calls) == 2 + slabs
+        degradation_report(ctx, FaultSpec("bitflip", rate=0.01, seed=4))
+        assert len(calls) == 3 + slabs
+        degradation_report(ctx, FaultSpec("gaussian", sigma=0.05, seed=4))  # dense
+        assert len(calls) == 4 + slabs
         EnsembleRuntime(synthetic_store).run_model("tinynet")
-        assert len(calls) == 3
+        assert len(calls) == 5 + slabs
 
 
 class TestPrepareDegradationChecks:

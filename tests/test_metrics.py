@@ -52,6 +52,23 @@ class TestCounterAndGauge:
         reg.gauge("workers").set(4)
         assert reg.gauge_value("workers") == 4.0
 
+    def test_label_keys_are_memoised_and_never_alias(self):
+        """A repeated all-string label set reuses its sorted key; values that
+        compare equal but print differently keep their own series."""
+
+        from polygraphmr.metrics import _label_key
+
+        assert _label_key({"kind": "probs", "result": "hit"}) is _label_key({"kind": "probs", "result": "hit"})
+        assert _label_key({"result": "hit", "kind": "probs"}) == (("kind", "probs"), ("result", "hit"))
+        assert _label_key({"v": 1}) == (("v", "1"),) and _label_key({"v": True}) == (("v", "True"),)
+        assert _label_key({"v": ["unhashable"]}) == (("v", "['unhashable']"),)
+        reg = MetricsRegistry()
+        reg.counter("events_total", v=1).inc()
+        reg.counter("events_total", v=True).inc(2)
+        reg.counter("events_total", v="1").inc(4)
+        assert reg.counter_value("events_total", v=True) == 2
+        assert reg.counter_value("events_total", v=1) == 5  # 1 and "1" print alike
+
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
         reg.counter("x")
