@@ -27,8 +27,9 @@ __all__ = [
     "misprediction_targets",
 ]
 
-# samples per argmax slab over a read-only stack (see ensemble_features_batch)
-VOTE_SLAB = 1000
+# probability rows (one member's view of one sample) per argmax slab, see
+# ensemble_features_batch: 1000 CIFAR samples of 10 members
+VOTE_SLAB = 10_000
 
 # the gate's feature columns, in order (see :func:`ensemble_features_batch`)
 FEATURE_NAMES = (
@@ -86,8 +87,8 @@ def ensemble_features_batch(batched: np.ndarray) -> np.ndarray:
     reduces over the member or class axis elementwise, so ``out[b]``
     depends on ``batched[b]`` alone; the majority vote is a vote tally +
     argmax, which breaks ties toward the lowest class.  Each statistic is
-    computed in the input's dtype and stored as float64.  A read-only input
-    is voted in slabs of :data:`VOTE_SLAB` samples, with the same result.
+    computed in the input's dtype and stored as float64.  Votes are taken in
+    slabs of :data:`VOTE_SLAB` probability rows.
     """
 
     b, _, n, c = batched.shape
@@ -96,14 +97,14 @@ def ensemble_features_batch(batched: np.ndarray) -> np.ndarray:
     eps = 1e-12
     out[..., 0] = -(mean * np.log(mean + eps)).sum(axis=2)  # entropy
     out[..., 1] = mean.max(axis=2)
-    if batched.flags.writeable:
-        votes = batched.argmax(axis=3)  # (B, M, N)
-    else:
-        # numpy's argmax copies a read-only operand whole first (8 MB at
-        # CIFAR shape for a memoised stack); slabs bound that copy
-        votes = np.empty(batched.shape[:3], dtype=np.intp)
-        for lo in range(0, n, VOTE_SLAB):
-            votes[..., lo : lo + VOTE_SLAB] = batched[:, :, lo : lo + VOTE_SLAB].argmax(axis=3)
+    # numpy's argmax copies a read-only operand whole first (8 MB at CIFAR
+    # shape for a memoised stack); contiguous slabs of rows bound that copy
+    # and leave a writeable operand uncopied
+    flat = batched.reshape(-1, c)
+    votes = np.empty(len(flat), dtype=np.intp)
+    for lo in range(0, len(flat), VOTE_SLAB):
+        votes[lo : lo + VOTE_SLAB] = flat[lo : lo + VOTE_SLAB].argmax(axis=1)
+    votes = votes.reshape(batched.shape[:3])  # (B, M, N)
     # one tally over every (trial, sample) row: vote v of row r lands in bin r·C + v
     rows = np.arange(b * n).reshape(b, 1, n)
     counts = np.bincount((votes + rows * c).ravel(), minlength=b * n * c).reshape(b, n, c)
@@ -252,15 +253,7 @@ class LogisticDecisionModule:
             raise RuntimeError("decision module is not fitted")
         start = time.perf_counter()
         x = self._standardise(features, fit=False)
-        if len(x) == 1:
-            # numpy takes a one-row product down its dot-product kernel, which
-            # rounds differently from the matrix-vector kernel that scores
-            # more rows; a doubled row keeps a sample's score independent of
-            # how many samples are scored with it
-            x = np.concatenate([x, x])
-            out = self._sigmoid(x @ self.w + self.b)[:1]
-        else:
-            out = self._sigmoid(x @ self.w + self.b)
+        out = self._sigmoid(x @ self.w + self.b)
         get_registry().histogram("decision_predict_seconds").observe(time.perf_counter() - start)
         return out
 

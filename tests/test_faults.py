@@ -8,7 +8,6 @@ import os
 import numpy as np
 import pytest
 
-from polygraphmr import faults
 from polygraphmr.decision import LogisticDecisionModule, ensemble_features
 from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import ConfigError, DegradedEnsemble
@@ -281,21 +280,19 @@ class TestDegradationMeasurement:
         calls = []
         predict_proba = LogisticDecisionModule.predict_proba
         monkeypatch.setattr(
-            LogisticDecisionModule, "predict_proba", lambda m, f: calls.append(1) or predict_proba(m, f)
+            LogisticDecisionModule, "predict_proba", lambda m, f: calls.append(len(f)) or predict_proba(m, f)
         )
         ctx = prepare_degradation(synthetic_store, "tinynet")
         assert len(calls) == 1  # clean flags and metrics
-        # a sparse fault scores the samples it touches; the first of its
-        # dtype also scores the memoised clean reference, once per slab
-        slabs = -(-ctx.session.n_samples // faults.REFERENCE_SLAB)
+        # sparse or dense, the gate scores the whole split once: a sparse
+        # fault's first use of its reference scores nothing more
+        n = ctx.session.n_samples
         degradation_report(ctx, FaultSpec("bitflip", rate=0.01, seed=3))
-        assert len(calls) == 2 + slabs
         degradation_report(ctx, FaultSpec("bitflip", rate=0.01, seed=4))
-        assert len(calls) == 3 + slabs
         degradation_report(ctx, FaultSpec("gaussian", sigma=0.05, seed=4))  # dense
-        assert len(calls) == 4 + slabs
+        assert calls == [n] * 4
         EnsembleRuntime(synthetic_store).run_model("tinynet")
-        assert len(calls) == 5 + slabs
+        assert len(calls) == 5
 
 
 class TestPrepareDegradationChecks:

@@ -109,7 +109,7 @@ class TestDifferential:
         assert 0 < gathered[0].size < 0.05 * n and 0 < gathered[1].size <= 8
 
     def test_one_sample_fault_equals_the_chain(self, delta_ctx):
-        """A single touched sample scores a one-row feature matrix."""
+        """A single touched sample is featurized as a one-row stack."""
 
         one = Scenario(name="one", surface="element", kind="gaussian", sigma=0.3, count=1)
         for seed in range(24):
@@ -163,13 +163,15 @@ class TestReferenceMemo:
         degradation_report(first, FaultSpec("bitflip", rate=0.001, seed=1))
         degradation_report(first, builtin_scenarios()["stuck-at-one-0.1pct"].fault(1))
         assert set(first.references) == {F32, np.dtype(np.float64)}
+        # the synthetic artifacts hold float32 values: one reference serves both
+        assert first.references[F32] is first.references[np.dtype(np.float64)]
         again = prepare_degradation(runtime.store, "delta", runtime=runtime)
         assert again.references is first.references
         before = dict(first.references)
         degradation_report(again, FaultSpec("bitflip", rate=0.001, seed=2))
         assert all(again.references[k] is v for k, v in before.items())
         for ref in before.values():
-            for array in (ref.features, ref.targets, ref.scores):
+            for array in (ref.features, ref.targets):
                 assert not array.flags.writeable
 
     def test_each_dtype_splices_into_its_own_reference(self, delta_ctx):
@@ -193,6 +195,25 @@ class TestReferenceMemo:
             assert_same(_faulted_scores(ctx, spec), chain(ctx.session, spec))
         f32, f64 = ctx.references[F32], ctx.references[np.dtype(np.float64)]
         assert not np.array_equal(f32.features, f64.features)
+
+    @pytest.mark.parametrize("first", [F32, np.dtype(np.float64)])
+    def test_float32_valued_split_shares_one_reference(self, delta_ctx, monkeypatch, first):
+        """Sanitizing widens to float64, so on a split of float32 values the
+        float32 reference is the float64 one: it is built once, whichever
+        dtype asks first, and both dtypes still equal the chain."""
+
+        built = []
+        real = faults._featurize_rows
+        monkeypatch.setattr(faults, "_featurize_rows", lambda s, f, rows: built.append(f.dtype) or real(s, f, rows))
+        bitflip = FaultSpec("bitflip", rate=0.001, seed=1)
+        stuck = builtin_scenarios()["stuck-at-one-0.1pct"].fault(1)
+        specs = [bitflip, stuck] if first == F32 else [stuck, bitflip]
+        for spec in specs + specs:
+            assert_same(_faulted_scores(delta_ctx, spec), chain(delta_ctx.session, spec))
+        slabs = -(-delta_ctx.session.n_samples // faults.REFERENCE_SLAB)
+        # four trials featurize their own rows; the reference is built once, in float32 slabs
+        assert built.count(F32) == 2 + slabs and built.count(np.dtype(np.float64)) == 2
+        assert delta_ctx.references[F32] is delta_ctx.references[np.dtype(np.float64)]
 
     def test_dense_faults_build_no_reference(self, delta_ctx):
         degradation_report(delta_ctx, FaultSpec("gaussian", sigma=0.05, seed=1))
