@@ -56,7 +56,7 @@ import numpy as np
 from .batching import execute_window, plan_windows
 from .breaker import BreakerBoard, BreakerPolicy, merge_snapshots, non_closed_in_snapshot
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
-from .ensemble import EnsembleRuntime
+from .ensemble import EnsembleRuntime, check_min_members
 from .errors import CampaignError, ConfigError
 from .faults import FaultSpec, build_synthetic_model, measure_degradation
 from .journal import (
@@ -1328,6 +1328,23 @@ def _csv(cast):
     return parse
 
 
+def _check_legacy_sweep(kinds, rates, sigmas) -> None:
+    """Refuse a ``--kinds/--rates/--sigmas`` sweep no trial could run: an
+    empty list, or a value :class:`~polygraphmr.faults.FaultSpec` rejects.
+    Only the CLI checks; :func:`config_from_dict` takes a journalled config
+    as it is, so existing journals audit as before."""
+
+    for name, values in (("kinds", kinds), ("rates", rates), ("sigmas", sigmas)):
+        if not values:
+            raise ConfigError(f"config.{name}", "missing-field", f"--{name} needs at least one value")
+    for kind in kinds:
+        FaultSpec(kind)
+    for rate in rates:
+        FaultSpec("bitflip", rate=rate)
+    for sigma in sigmas:
+        FaultSpec("gaussian", sigma=sigma)
+
+
 def verify_main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="python -m polygraphmr.campaign verify",
@@ -1459,6 +1476,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.workers < 1:
         parser.error(f"argument --workers: must be >= 1, got {args.workers}")
 
+    scenarios: tuple[str, ...] = ()
+    try:
+        check_min_members(args.min_members)
+        if args.scenarios:
+            from .scenarios import resolve_scenarios
+
+            scenarios = scenarios_config_field(resolve_scenarios(args.scenarios))
+        else:
+            _check_legacy_sweep(args.kinds, args.rates, args.sigmas)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+
     cache = args.cache
     if args.synthetic is not None:
         if args.synthetic_models <= 1:
@@ -1476,16 +1506,6 @@ def main(argv: list[str] | None = None) -> int:
             audit = json.loads(Path(args.audit_json).read_text(encoding="utf-8")).get("totals")
         except (OSError, json.JSONDecodeError) as exc:
             print(f"warning: could not read audit json {args.audit_json!r}: {exc!r}", file=sys.stderr)
-
-    scenarios: tuple[str, ...] = ()
-    if args.scenarios:
-        from .scenarios import resolve_scenarios
-
-        try:
-            scenarios = scenarios_config_field(resolve_scenarios(args.scenarios))
-        except ConfigError as exc:
-            print(f"scenario error: {exc}", file=sys.stderr)
-            return 2
 
     config = CampaignConfig(
         cache=str(cache),

@@ -40,7 +40,7 @@ import numpy as np
 from .breaker import BreakerBoard
 from .cache import is_file, stat_signature
 from .decision import DetectionMetrics, LogisticDecisionModule, ensemble_features, misprediction_targets
-from .errors import DegradedEnsemble
+from .errors import ConfigError, DegradedEnsemble
 from .metrics import get_registry
 from .store import ArtifactStore
 from .tracing import get_tracer
@@ -193,6 +193,15 @@ def _restack(batch: EnsembleBatch, members: list[str]) -> np.ndarray:
     return batch.stacked[[batch.members.index(s) for s in members]]
 
 
+def check_min_members(min_members: int) -> None:
+    """Refuse a ``min_members`` below 1: an ensemble of no members has no
+    stack to assemble, so the refusal names the field here instead of a
+    bare ``ValueError`` on the first request or trial."""
+
+    if min_members < 1:
+        raise ConfigError("ensemble.min_members", "out-of-range", f"must be >= 1, got {min_members!r}")
+
+
 class EnsembleRuntime:
     """Drives assemble → aggregate → decide over an :class:`ArtifactStore`."""
 
@@ -203,6 +212,7 @@ class EnsembleRuntime:
         min_members: int = 2,
         breakers: BreakerBoard | None = None,
     ):
+        check_min_members(min_members)
         self.store = store
         self.min_members = min_members
         self.breakers = breakers

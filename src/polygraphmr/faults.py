@@ -3,19 +3,20 @@
 One seeded, reproducible tensor injector plus artifact-level damage:
 
 * **Tensor faults** — an injection is two steps.  :func:`draw_fault` draws
-  a :class:`FaultDraw` from the seed on one slice's shape: the flat
-  indices a surface selects (a ``rate`` fraction of the whole tensor, a
-  ``rate`` fraction of last-axis channels, or ``count`` addressed
-  elements) and, per index, what the fault model does there (IEEE-754
-  bit-flip, additive gaussian, quantization rounding, stuck-at-0/1).
-  :meth:`FaultDraw.apply` then writes that draw in place into any number
-  of slices.  :func:`apply_fault_batch`, :meth:`FaultSpec.apply_batch` and
-  :meth:`polygraphmr.scenarios.ScenarioFault.apply_batch` compose the two
-  on a copy, with one seed per slice of a leading batch axis; a single
-  tensor is a batch of one (``arr[None]``).  The declarative
-  :mod:`polygraphmr.scenarios` subsystem drives it; :class:`FaultSpec`, the
-  legacy ``--kind/--rate/--sigma`` sweep's fault, drives it for bit-flips
-  and keeps its own whole-tensor gaussian noise (a draw with no index
+  a :class:`FaultDraw` from the fault's seed on one slice's shape: the
+  flat indices a surface selects (a ``rate`` fraction of the whole
+  tensor, a ``rate`` fraction of last-axis channels, or ``count``
+  addressed elements) and, per index, what the fault model does there
+  (IEEE-754 bit-flip, additive gaussian, quantization rounding,
+  stuck-at-0/1).  :func:`_inject` then copies a stack and writes that one
+  draw in place into every member's slice: the members of a trial share
+  its seed, so they share its draw.  :meth:`FaultSpec.apply_batch` and
+  :meth:`polygraphmr.scenarios.ScenarioFault.apply_batch` are the two
+  steps on a whole stack; a single tensor is a batch of one
+  (``arr[None]``).  The declarative :mod:`polygraphmr.scenarios`
+  subsystem drives it; :class:`FaultSpec`, the legacy
+  ``--kind/--rate/--sigma`` sweep's fault, drives it for bit-flips and
+  keeps its own whole-tensor gaussian noise (a draw with no index
   selection: every element).
 * **Sparse trials** — every member of a trial shares its seed, so they
   share one selection, and most selections touch few samples.
@@ -61,7 +62,6 @@ __all__ = [
     "fault_dtype",
     "select_fault_indices",
     "draw_fault",
-    "apply_fault_batch",
     "sanitize_probs_batch",
     "corrupt_file_truncate",
     "corrupt_file_header",
@@ -127,33 +127,29 @@ class FaultSpec:
 
         return fault_dtype(self.kind)
 
-    def draw(self, shape: tuple[int, ...], *, seed: int | None = None) -> FaultDraw:
-        """This fault's draw on one slice of ``shape``, from ``seed``
-        (default ``self.seed``).
+    def draw(self, shape: tuple[int, ...]) -> FaultDraw:
+        """This fault's draw on one slice of ``shape``, from ``self.seed``.
 
         ``bitflip`` is exactly the tensor-surface bit-flip: the same
         (choice, integers) draws, and no draw at all when the rate rounds to
         zero hits.  ``gaussian`` noise covers the *whole* tensor with no
         index selection, a stream no surface draws."""
 
-        seed = self.seed if seed is None else seed
         if self.kind == "bitflip":
-            return draw_fault(shape, surface="tensor", kind="bitflip", rate=self.rate, seed=seed)
-        noise = np.random.default_rng(seed).normal(0.0, self.sigma, size=shape)
+            return draw_fault(shape, surface="tensor", kind="bitflip", rate=self.rate, seed=self.seed)
+        noise = np.random.default_rng(self.seed).normal(0.0, self.sigma, size=shape)
         return FaultDraw("gaussian", None, noise.reshape(-1))
 
-    def apply_batch(self, stacked: np.ndarray, *, seeds=None) -> np.ndarray:
-        """Inject this fault into every slice of ``stacked``; ``out[b]``
-        depends only on ``stacked[b]`` and ``seeds[b]``, so a single tensor
-        is a batch of one (``spec.apply_batch(arr[None])[0]``).  ``seeds``
-        defaults to ``self.seed`` for every batch slice (the members of one
-        trial share its seed); the input is never mutated.
+    def apply_batch(self, stacked: np.ndarray) -> np.ndarray:
+        """This fault's :meth:`draw` injected into a copy of every slice of
+        ``stacked`` (:func:`_inject`); a single tensor is a batch of one
+        (``spec.apply_batch(arr[None])[0]``).
 
         ``bitflip`` flips one random bit in a ``rate`` fraction of the
         slice's float32 elements; ``gaussian`` adds N(0, sigma) noise to
         every element (float64)."""
 
-        return _inject_batch(stacked, self.dtype, self.seed, seeds, self.draw)
+        return _inject(stacked, self.draw(np.shape(stacked)[1:]), self.dtype)
 
     def describe(self) -> dict:
         """The journalled ``fault`` stanza of a degradation report."""
@@ -293,74 +289,23 @@ def draw_fault(
     return FaultDraw(kind, idx, vals, step)
 
 
-def _batch_seeds(default: int, n: int, seeds) -> list[int]:
-    if seeds is None:
-        return [int(default)] * n
-    seeds = [int(s) for s in seeds]
-    if len(seeds) != n:
-        raise ConfigError(
-            "fault.seeds", "bad-shape", f"got {len(seeds)} seeds for a batch of {n}"
-        )
-    return seeds
+def _inject(stack: np.ndarray, draw: FaultDraw, dtype: np.dtype, rows=slice(None)) -> np.ndarray:
+    """The one injector: ``stack[:, rows]`` as a new C-ordered array of
+    ``dtype`` with ``draw`` applied in place to every slice of the leading
+    (member) axis; the input is never written.  ``rows`` is ``slice(None)``
+    or the sorted sample indices ``draw`` is addressed to
+    (:meth:`FaultDraw.on_rows`)."""
 
-
-def _inject_batch(stacked: np.ndarray, dtype: np.dtype, default_seed: int, seeds, draw) -> np.ndarray:
-    """The two injection steps over a batch: one C-ordered copy of
-    ``stacked`` in ``dtype``, then ``draw(slice_shape, seed=seed)`` applied
-    in place to the slices of that seed.  Draws are made once per *unique*
-    seed (the members of one trial share theirs), and slices sharing the
-    only seed take it in one vectorized write."""
-
-    stacked = np.asarray(stacked)
-    if stacked.ndim < 2:
-        raise ConfigError("fault.batch", "bad-shape", f"need a batch axis, got shape {stacked.shape}")
-    seeds = _batch_seeds(default_seed, stacked.shape[0], seeds)
-    out = np.array(stacked, dtype=dtype, order="C")
-    if not seeds or out[0].size == 0:
-        return out
-    flat = out.reshape(len(seeds), -1)
-    draws: dict[int, FaultDraw] = {}
-    for seed in seeds:
-        if seed not in draws:
-            draws[seed] = draw(out.shape[1:], seed=seed)
-    if len(draws) == 1:
-        draws[seeds[0]].apply(flat)
+    stack = np.asarray(stack)
+    if stack.ndim < 2:
+        raise ConfigError("fault.batch", "bad-shape", f"need a batch axis, got shape {stack.shape}")
+    if isinstance(rows, slice):
+        out = np.array(stack[:, rows], dtype=dtype, order="C")
     else:
-        for b, seed in enumerate(seeds):
-            draws[seed].apply(flat[b : b + 1])
+        out = np.take(stack, rows, axis=1).astype(dtype, copy=False)
+    if out.size:
+        draw.apply(out.reshape(out.shape[0], -1))
     return out
-
-
-def apply_fault_batch(
-    stacked: np.ndarray,
-    *,
-    surface: str,
-    kind: str,
-    rate: float = 0.0,
-    sigma: float = 0.0,
-    step: float = 0.0,
-    count: int = 0,
-    seeds,
-) -> np.ndarray:
-    """One surface × fault-model injection into every slice of a batch;
-    returns a new array, the input is never mutated.
-
-    ``bitflip`` flips one random IEEE-754 bit per selected float32 element;
-    ``gaussian`` adds N(0, sigma) to the selected elements; ``quantize``
-    snaps them to the nearest multiple of ``step`` (a storage-grid rounding
-    perturbation, e.g. ``step=1/16`` ≈ 4-bit cells); ``stuck0``/``stuck1``
-    clamp them to 0.0 / 1.0.  The surface decides *which* elements those
-    are (:func:`select_fault_indices`, on one slice's shape).
-
-    ``out[b]`` depends only on ``stacked[b]`` and ``seeds[b]``: slice ``b``
-    gets :func:`draw_fault` of ``seeds[b]``, so a single tensor is a batch
-    of one (``arr[None]``) and any batch equals its slices run one by one.
-    """
-
-    def draw(shape, *, seed):
-        return draw_fault(shape, surface=surface, kind=kind, rate=rate, sigma=sigma, step=step, count=count, seed=seed)
-
-    return _inject_batch(stacked, fault_dtype(kind), 0, seeds, draw)
 
 
 def sanitize_probs_batch(arr: np.ndarray) -> np.ndarray:
@@ -492,19 +437,6 @@ def prepare_degradation(
     )
 
 
-def _inject_rows(stack: np.ndarray, draw: FaultDraw, rows, dtype: np.dtype) -> np.ndarray:
-    """``stack[:, rows]`` as one new C-ordered array of ``dtype`` (a trial's
-    one copy of its samples) with ``draw`` applied in place; ``rows`` is
-    ``slice(None)`` or sorted sample indices ``draw`` is addressed to."""
-
-    if isinstance(rows, slice):
-        out = np.array(stack[:, rows], dtype=dtype, order="C")
-    else:
-        out = np.take(stack, rows, axis=1).astype(dtype, copy=False)
-    draw.apply(out.reshape(out.shape[0], -1))
-    return out
-
-
 def _featurize_rows(session: ModelSession, faulted: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
     """Sanitize the test samples ``rows`` as ``faulted`` holds them and
     return their features and ORG's misprediction targets.  Every step is
@@ -573,9 +505,9 @@ def _faulted_scores(ctx: DegradationContext, spec) -> tuple[np.ndarray, np.ndarr
     draw = spec.draw(stack.shape[1:])
     rows = draw.samples(c)
     if rows is None or rows.size > DENSE_SHARE * n:
-        features, targets = _featurize_rows(session, _inject_rows(stack, draw, slice(None), spec.dtype), slice(None))
+        features, targets = _featurize_rows(session, _inject(stack, draw, spec.dtype), slice(None))
     else:
-        touched = _featurize_rows(session, _inject_rows(stack, draw.on_rows(rows, c), rows, spec.dtype), rows)
+        touched = _featurize_rows(session, _inject(stack, draw.on_rows(rows, c), spec.dtype, rows), rows)
         ref = _fault_reference(ctx, spec.dtype)
         features, targets = ref.features.copy(), ref.targets.copy()
         features[rows], targets[rows] = touched
@@ -602,7 +534,8 @@ def degradation_report(ctx: DegradationContext, spec, *, baselines: bool = False
         # the gate is shared by every trial of the runtime, so the faulted
         # weights go on a shallow copy and the shared gate is never written
         faulted_gate = copy.copy(module)
-        faulted_gate.w = np.asarray(spec.apply_batch(module.w[None])[0], dtype=np.float64)
+        w = _inject(module.w[None], spec.draw(module.w.shape), spec.dtype)[0]
+        faulted_gate.w = np.asarray(w, dtype=np.float64)
         features, targets = ctx.clean_features, ctx.clean_targets
         scores = faulted_gate.predict_proba(features)
     else:
@@ -667,8 +600,8 @@ def measure_degradation(
 
     ``spec`` is any seeded fault — a :class:`FaultSpec` or a
     :class:`polygraphmr.scenarios.ScenarioFault`; it needs
-    ``apply_batch(stacked, *, seeds=None)``, ``describe()``, a ``seed``
-    attribute, and (optionally) a ``target`` attribute.
+    ``dtype``, ``draw(shape)``, ``describe()``, a ``seed`` attribute, and
+    (optionally) a ``target`` attribute.
 
     Trains the decision module on clean ``val`` data, then evaluates on the
     clean ``test`` split and on a faulted copy.  For ``target="probs"``
@@ -837,23 +770,23 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"{s.name}  surface={s.surface} kind={s.kind} target={s.target}  sha256={s.config_hash()[:12]}")
         return 0
 
+    scenario = None
+    try:
+        if args.scenario is not None:
+            scenario = resolve_scenarios([args.scenario])[0]
+            spec = scenario.fault(args.seed)
+        else:
+            spec = FaultSpec(kind=args.kind, rate=args.rate, sigma=args.sigma, seed=args.seed)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
     cache = None if args.no_cache else ArtifactCache(args.cache_bytes)
     if args.synthetic is not None:
         build_synthetic_model(args.synthetic, seed=args.seed)
         store = ArtifactStore(args.synthetic, cache=cache)
     else:
         store = ArtifactStore(args.cache, cache=cache)
-
-    scenario = None
-    if args.scenario is not None:
-        try:
-            scenario = resolve_scenarios([args.scenario])[0]
-        except ConfigError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        spec = scenario.fault(args.seed)
-    else:
-        spec = FaultSpec(kind=args.kind, rate=args.rate, sigma=args.sigma, seed=args.seed)
     models = [args.model] if args.model else store.models()
     reports = []
     for model in models:

@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..faults import FAULT_MODELS, SURFACES, FaultDraw, _inject_batch, _require_number, draw_fault, fault_dtype
+from ..faults import FAULT_MODELS, SURFACES, FaultDraw, _inject, _require_number, draw_fault, fault_dtype
 from ..journal import canonical_json, sha256_hex
 
 try:
@@ -183,9 +183,9 @@ class ScenarioFault:
 
         return fault_dtype(self.scenario.kind)
 
-    def draw(self, shape: tuple[int, ...], *, seed: int | None = None) -> FaultDraw:
+    def draw(self, shape: tuple[int, ...]) -> FaultDraw:
         """The scenario's :func:`~polygraphmr.faults.draw_fault` on one
-        slice of ``shape``, from ``seed`` (default: this fault's seed)."""
+        slice of ``shape``, from this fault's seed."""
 
         s = self.scenario
         return draw_fault(
@@ -196,18 +196,15 @@ class ScenarioFault:
             sigma=s.sigma,
             step=s.step,
             count=s.count,
-            seed=self.seed if seed is None else seed,
+            seed=self.seed,
         )
 
-    def apply_batch(self, stacked: np.ndarray, *, seeds=None) -> np.ndarray:
-        """Inject the scenario into every slice of ``stacked``: a copy, then
-        each slice's :meth:`draw` applied in place; ``out[b]`` depends
-        only on ``stacked[b]`` and ``seeds[b]``, so a single tensor is a
-        batch of one (``fault.apply_batch(arr[None])[0]``).  ``seeds``
-        defaults to this fault's seed for every slice; the input is never
-        mutated."""
+    def apply_batch(self, stacked: np.ndarray) -> np.ndarray:
+        """This fault's :meth:`draw` injected into a copy of every slice of
+        ``stacked`` (:func:`~polygraphmr.faults._inject`); a single tensor
+        is a batch of one (``fault.apply_batch(arr[None])[0]``)."""
 
-        return _inject_batch(stacked, self.dtype, self.seed, seeds, self.draw)
+        return _inject(stacked, self.draw(np.shape(stacked)[1:]), self.dtype)
 
     def describe(self) -> dict:
         """The journalled ``fault`` stanza: full scenario identity + seed."""

@@ -111,7 +111,7 @@ import numpy as np
 
 from .breaker import BreakerBoard, BreakerPolicy
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
-from .ensemble import EnsembleRuntime, ModelSession
+from .ensemble import EnsembleRuntime, ModelSession, check_min_members
 from .errors import ConfigError, DegradedEnsemble, RetryPolicy, ServeError
 from .metrics import BATCH_SIZE_BUCKETS, get_registry
 from .store import ArtifactStore
@@ -1375,6 +1375,7 @@ def main(argv: list[str] | None = None) -> int:
         args.keep_members = args.min_members
     try:
         config = _config(args)
+        check_min_members(args.min_members)
     except ConfigError as exc:
         parser.error(str(exc))
     try:

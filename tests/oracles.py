@@ -1,9 +1,10 @@
 """Slow, obviously-correct reference implementations the vectorized kernels
 are checked against.  Used only by tests; the program runs the batched
 kernels (:func:`polygraphmr.decision.ensemble_features_batch`,
-:func:`polygraphmr.faults.sanitize_probs_batch`,
-:func:`polygraphmr.faults.apply_fault_batch`,
-:meth:`polygraphmr.faults.FaultSpec.apply_batch`), the rank-based
+:func:`polygraphmr.faults.sanitize_probs_batch`, and the injector: one
+seed's :func:`polygraphmr.faults.draw_fault` or
+:meth:`polygraphmr.faults.FaultSpec.draw`, written into every member's
+slice by :meth:`polygraphmr.faults.FaultDraw.apply`), the rank-based
 ``polygraphmr.decision._rank_auc`` and the gate's split ``_sigmoid`` and
 Newton fit."""
 

@@ -39,8 +39,10 @@ from polygraphmr.faults import (
     FAULT_MODELS,
     SURFACES,
     FaultSpec,
-    apply_fault_batch,
+    _inject,
     corrupt_file_truncate,
+    draw_fault,
+    fault_dtype,
     measure_degradation,
     sanitize_probs_batch,
 )
@@ -599,16 +601,16 @@ class TestScenarioResolutionHoisting:
 @st.composite
 def _batch_case(draw):
     """A batch of 2-D slices (a member's probs) or 1-D slices (the shape of
-    the gate-weights vector), with one seed per slice."""
+    the gate-weights vector), and the one seed every slice shares."""
 
     b = draw(st.integers(min_value=1, max_value=4))
     n = draw(st.integers(min_value=2, max_value=6))
     c = draw(st.integers(min_value=2, max_value=5))
     shape = draw(st.sampled_from([(b, n, c), (b, n * c)]))
-    seeds = draw(st.lists(st.integers(min_value=0, max_value=5), min_size=b, max_size=b))
+    seed = draw(st.integers(min_value=0, max_value=5))
     base = draw(st.integers(min_value=0, max_value=99))
     stacked = np.random.default_rng(base).random(shape)
-    return stacked, seeds
+    return stacked, seed
 
 
 FAULT_PARAMS = st.fixed_dictionaries(
@@ -623,20 +625,38 @@ FAULT_PARAMS = st.fixed_dictionaries(
 )
 
 
+def _assert_each_slice(inject, stacked: np.ndarray, expected) -> None:
+    """``inject(stacked)`` equals ``expected(slice)`` on every slice, dtype
+    included, and so does each slice injected as a batch of one; the input
+    is never written."""
+
+    before = stacked.copy()
+    batched = inject(stacked)
+    assert np.array_equal(stacked, before), "injection mutated its input"
+    for i in range(len(stacked)):
+        want = expected(stacked[i])
+        assert batched[i].dtype == want.dtype
+        assert np.array_equal(batched[i], want), f"slice {i} diverged from the oracle"
+        assert np.array_equal(inject(stacked[i][None])[0], want), f"batch of one diverged at slice {i}"
+
+
 class TestVectorizedInjectorProperties:
+    """Every member of a trial shares its seed, so every slice of a batch
+    gets the same draw and each must equal the per-tensor oracle run with a
+    generator of that seed."""
+
     @settings(max_examples=40)
     @given(case=_batch_case(), params=FAULT_PARAMS)
-    def test_apply_fault_batch_equals_serial_loop(self, case, params):
-        stacked, seeds = case
-        before = stacked.copy()
-        batched = apply_fault_batch(stacked, seeds=seeds, **params)
-        assert np.array_equal(stacked, before), "batched injection mutated its input"
-        for i, seed in enumerate(seeds):
-            expected = oracles.apply_fault(stacked[i], rng=np.random.default_rng(seed), **params)
-            assert batched[i].dtype == expected.dtype
-            assert np.array_equal(batched[i], expected), f"slice {i} diverged from the oracle"
-            one = apply_fault_batch(stacked[i][None], seeds=[seed], **params)[0]
-            assert np.array_equal(one, expected), f"batch of one diverged at slice {i}"
+    def test_draw_fault_equals_the_oracle_on_every_slice(self, case, params):
+        """The full surface × kind grid: :func:`draw_fault` on one slice's
+        shape, applied by the injector every trial uses."""
+
+        stacked, seed = case
+        _assert_each_slice(
+            lambda s: _inject(s, draw_fault(s.shape[1:], seed=seed, **params), fault_dtype(params["kind"])),
+            stacked,
+            lambda one: oracles.apply_fault(one, rng=np.random.default_rng(seed), **params),
+        )
 
     @settings(max_examples=40)
     @given(
@@ -646,27 +666,25 @@ class TestVectorizedInjectorProperties:
         sigma=st.sampled_from([0.0, 0.7]),
     )
     def test_fault_spec_apply_batch_equals_serial_loop(self, case, kind, rate, sigma):
-        stacked, seeds = case
-        spec = FaultSpec(kind=kind, rate=rate, sigma=sigma, seed=seeds[0])
-        before = stacked.copy()
-        batched = spec.apply_batch(stacked, seeds=seeds)
-        assert np.array_equal(stacked, before)
-        for i, seed in enumerate(seeds):
+        stacked, seed = case
+        spec = FaultSpec(kind=kind, rate=rate, sigma=sigma, seed=seed)
+
+        def oracle(one):
             rng = np.random.default_rng(seed)
             if kind == "bitflip":
-                expected = oracles.inject_bitflips(stacked[i], rate=rate, rng=rng)
-            else:
-                expected = oracles.inject_gaussian(stacked[i], sigma=sigma, rng=rng)
-            assert np.array_equal(batched[i], expected)
+                return oracles.inject_bitflips(one, rate=rate, rng=rng)
+            return oracles.inject_gaussian(one, sigma=sigma, rng=rng)
+
+        _assert_each_slice(spec.apply_batch, stacked, oracle)
 
     @settings(max_examples=30)
     @given(case=_batch_case(), name=st.sampled_from(sorted(builtin_scenarios())))
     def test_scenario_fault_apply_batch_equals_serial_loop(self, case, name):
-        stacked, seeds = case
+        stacked, seed = case
         scenario = builtin_scenarios()[name]
-        batched = scenario.fault(seeds[0]).apply_batch(stacked, seeds=seeds)
-        for i, seed in enumerate(seeds):
-            assert np.array_equal(batched[i], oracles.apply_scenario(scenario, stacked[i], seed))
+        _assert_each_slice(
+            scenario.fault(seed).apply_batch, stacked, lambda one: oracles.apply_scenario(scenario, one, seed)
+        )
 
     @settings(max_examples=40)
     @given(

@@ -339,6 +339,28 @@ class TestCLI:
         assert f"argument {flag}: must be >= 1, got {value}" in capsys.readouterr().err
         assert not (out / JOURNAL_NAME).exists()  # refused before any trial ran
 
+    @pytest.mark.parametrize(
+        ("flags", "field"),
+        [
+            (["--rates", ""], "config.rates"),
+            (["--kinds", ""], "config.kinds"),
+            (["--sigmas", ""], "config.sigmas"),
+            (["--kinds", "bitflip,rowhammer"], "fault.kind"),
+            (["--rates", "3.5"], "fault.rate"),
+            (["--sigmas=-0.1"], "fault.sigma"),
+            (["--min-members", "0"], "ensemble.min_members"),
+        ],
+    )
+    def test_unrunnable_settings_exit_2_and_write_nothing(self, tmp_path, capsys, flags, field):
+        """Refused before the synthetic cache or ``--out`` is written, so
+        the plain rerun is not refused with ``journal-exists``."""
+
+        args = ["--synthetic", str(tmp_path / "cache"), "--out", str(tmp_path / "out"), "--trials", "2"]
+        assert main([*args, *flags]) == 2
+        assert capsys.readouterr().err.startswith(f"config error: {field}: ")
+        assert list(tmp_path.iterdir()) == []
+        assert main(args) == 0
+
     def test_batch_size_flag_is_refused_as_unknown(self, tmp_path, capsys):
         out = tmp_path / "out"
         args = ["--synthetic", str(tmp_path / "cache"), "--out", str(out), "--trials", "3", "--batch-size", "4"]

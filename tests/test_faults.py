@@ -370,6 +370,12 @@ class TestCLI:
         assert rc == 2
         assert "quantize-4bit" in capsys.readouterr().err
 
+    def test_out_of_range_rate_exits_2_naming_the_field(self, tmp_path, capsys):
+        rc = main(["--synthetic", str(tmp_path / "demo"), "--rate", "3"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: fault.rate: out-of-range")
+        assert not (tmp_path / "demo").exists()
+
     def test_list_scenarios(self, capsys):
         assert main(["--list-scenarios"]) == 0
         out = capsys.readouterr().out

@@ -12,7 +12,7 @@ from polygraphmr.errors import ConfigError
 from polygraphmr.faults import (
     FAULT_MODELS,
     SURFACES,
-    apply_fault_batch,
+    draw_fault,
     select_fault_indices,
 )
 from polygraphmr.scenarios import (
@@ -198,7 +198,7 @@ class TestInjectionSemantics:
         with pytest.raises(ConfigError):
             select_fault_indices((4, 4), "plane", rate=0.5, rng=rng)
         with pytest.raises(ConfigError):
-            apply_fault_batch(_arr()[None], surface="tensor", kind="rowhammer", rate=0.5, seeds=[0])
+            draw_fault((20, 10), surface="tensor", kind="rowhammer", rate=0.5, seed=0)
 
     def test_injectors_never_mutate_input(self):
         arr = _arr((16, 8))

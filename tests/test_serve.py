@@ -16,6 +16,8 @@ import json
 import os
 import signal
 import socket
+import subprocess
+import sys
 import threading
 import time
 
@@ -52,6 +54,7 @@ from polygraphmr.serve import (
 from polygraphmr.store import ArtifactStore
 
 from . import oracles
+from .conftest import REPO_ROOT
 
 MODEL = "tinynet"
 N_TEST = 160  # test rows of the ``synthetic_cache`` fixture's model
@@ -741,6 +744,32 @@ class TestConfigBounds:
             main(["--cache", str(tmp_path), flag, "0"])
         assert excinfo.value.code == 2
         assert field in capsys.readouterr().err
+
+    def test_service_refuses_min_members_below_one(self, synthetic_cache):
+        """With no members required, a model whose test members are all
+        corrupt assembles an empty stack; the ``ValueError`` that raised
+        killed the dispatcher, so the service refuses the setting instead."""
+
+        with pytest.raises(ConfigError) as excinfo:
+            PolygraphService(ArtifactStore(synthetic_cache), min_members=0)
+        assert (excinfo.value.field, excinfo.value.reason) == ("ensemble.min_members", "out-of-range")
+
+    def test_cli_refuses_min_members_below_one_before_binding(self, tmp_path):
+        """A subprocess with a timeout: a gateway that took the flag would
+        build its cache, bind and serve until signalled."""
+
+        cache = tmp_path / "cache"
+        argv = ["--cache", str(cache), "--synthetic-models", "1", "--unix", str(tmp_path / "gw.sock")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "polygraphmr.serve", *argv, "--min-members", "0"],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "ensemble.min_members: out-of-range" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_serve_workers_accepts_only_zero_and_is_hidden(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -92,9 +92,11 @@ class TestDifferential:
 
     def test_sparse_faults_take_the_row_path_and_dense_ones_do_not(self, delta_ctx, monkeypatch):
         gathered = []
-        real = faults._inject_rows
+        real = faults._inject
         monkeypatch.setattr(
-            faults, "_inject_rows", lambda stack, draw, rows, dtype: gathered.append(rows) or real(stack, draw, rows, dtype)
+            faults,
+            "_inject",
+            lambda stack, draw, dtype, rows=slice(None): gathered.append(rows) or real(stack, draw, dtype, rows),
         )
         n = delta_ctx.session.n_samples
         for spec in (
@@ -141,10 +143,10 @@ class TestDifferential:
             target = "probs"
             dtype = F32
 
-            def draw(self, shape, *, seed=None):
+            def draw(self, shape):
                 return draw
 
-            def apply_batch(self, stacked, *, seeds=None):
+            def apply_batch(self, stacked):
                 out = np.array(stacked, dtype=np.float32, order="C")
                 draw.apply(out.reshape(out.shape[0], -1))
                 return out
