@@ -9,7 +9,9 @@ skips disk I/O, CRC, and simplex checks entirely.  Each entry carries the
 file's ``(size, mtime_ns)`` stat signature; a signature change invalidates
 the entry and forces a re-validation.  Paths that failed validation are
 *negative-cached* so a corrupt cache member costs one ``stat`` per trial
-instead of a full failed parse.
+instead of a full failed parse.  The store's one load pipeline
+(:meth:`polygraphmr.store.ArtifactStore._load`) is the only writer: it
+caches what it checked and never caches a transient read failure.
 
 A parallel campaign needs nothing more: every trial of a model runs on one
 worker (:func:`polygraphmr.parallel.trial_owner`), so each worker's private
@@ -47,7 +49,8 @@ __all__ = [
 
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
 
-# Marker value for "container probed sound"; its accounting cost is nominal.
+# The ``probe`` kind's value: "container probed sound" (the roster scan's
+# view of a weights file); its accounting cost is nominal.
 PROBE_OK = "probe-ok"
 _PROBE_NBYTES = 64
 
@@ -250,15 +253,6 @@ class ArtifactCache:
             registry.counter("artifact_cache_evictions_total").inc(evicted)
         registry.gauge("artifact_cache_bytes").set(float(held))
         return frozen
-
-    def put_probe(self, path: str | Path) -> None:
-        """Record that ``path``'s container probed sound (CRC-complete).
-
-        Enough for roster scans to accept the file without re-reading it;
-        full loads still validate content on first use.
-        """
-
-        self.put(path, "probe", PROBE_OK)
 
     def put_negative(
         self,

@@ -32,7 +32,6 @@ __all__ = [
     "load_npz_validated",
     "check_probs",
     "check_weights",
-    "probe_artifact",
 ]
 
 ZIP_MAGIC = b"PK\x03\x04"
@@ -209,15 +208,3 @@ def check_weights(arrays: dict[str, np.ndarray], *, path: str | Path = "<memory>
             raise IntegrityMismatch(path, "weights-not-finite", f"tensor {name!r} has NaN/Inf")
     return arrays
 
-
-def probe_artifact(path: str | Path) -> IntegrityReport:
-    """Best-effort probe that never raises: classify a file as ok/corrupt/missing."""
-
-    p = Path(path)
-    try:
-        data = read_bytes(p)
-    except ArtifactMissing:
-        return IntegrityReport(str(p), False, "not-found", "file absent")
-    except Exception as exc:  # transient IO exhausted, permissions, ...
-        return IntegrityReport(str(p), False, "io-error", repr(exc))
-    return validate_zip_container(p, data=data)

@@ -112,7 +112,7 @@ import numpy as np
 from .breaker import BreakerBoard, BreakerPolicy
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
 from .ensemble import EnsembleRuntime, ModelSession, check_min_members
-from .errors import ConfigError, DegradedEnsemble, RetryPolicy, ServeError
+from .errors import ConfigError, DegradedEnsemble, PolygraphError, RetryPolicy, ServeError, TransientIOError
 from .metrics import BATCH_SIZE_BUCKETS, get_registry
 from .store import ArtifactStore
 
@@ -710,7 +710,8 @@ class PolygraphService:
         The gateway's memo frames must be byte-identical to
         ``response_frame`` of this (given the same board state and no
         overload) — the differential tests and the benchmark's reply check
-        compare against it directly.
+        compare against it directly.  Any polygraphmr error, a store read
+        that failed included, is an error payload, as on the gateway.
         """
 
         try:
@@ -718,7 +719,7 @@ class PolygraphService:
             self.check_samples(request.model, request)
             active, shed = self.active_members(request.model)
             return self.evaluate_requests(request.model, [request], active=active, shed=shed)[0]
-        except (ServeError, ConfigError, DegradedEnsemble) as exc:
+        except PolygraphError as exc:
             return error_payload(request.id, exc)
 
 
@@ -731,6 +732,8 @@ def error_payload(rid: str, exc: BaseException) -> dict:
         error["detail"] = exc.detail
     if isinstance(exc, DegradedEnsemble):
         error["reason"] = "degraded-below-minimum"
+    if isinstance(exc, TransientIOError):
+        error["reason"] = "io-error"
     return {"id": rid, "outcome": OUTCOME_ERROR, "error": error}
 
 
@@ -1122,10 +1125,11 @@ class ServeGateway:
         """All of a batch's policy, synchronously at dispatch time.
 
         Groups the batch by model, validates (unknown model / out-of-range
-        samples become error payloads in the plan), selects active/shed
-        members, snapshots breaker states for the payloads, and records this
-        batch's pressure verdict — the complete set of board reads and
-        writes, so execution never touches shared policy state.
+        samples / a session the store cannot build become error payloads in
+        the plan), selects active/shed members, snapshots breaker states for
+        the payloads, and records this batch's pressure verdict — the
+        complete set of board reads and writes, so execution never touches
+        shared policy state.
         """
 
         registry = get_registry()
@@ -1146,7 +1150,9 @@ class ServeGateway:
             plans.append(plan)
             try:
                 self.service.base_session(model)
-            except (ServeError, DegradedEnsemble) as exc:
+            except PolygraphError as exc:
+                # unknown model, too few members or a failed store read; a
+                # session that failed is not memoised, so the next batch retries
                 plan.errors = [(q, error_payload(q.request.id, exc)) for q in queued_group]
                 continue
             for queued in queued_group:
@@ -1196,7 +1202,12 @@ class ServeGateway:
                 )
             if not live:
                 continue
-            frames = self._evaluate_plan(plan, live)
+            try:
+                frames = self._evaluate_plan(plan, live)
+            except PolygraphError as exc:  # a derived session re-reads the val labels
+                frames = [response_frame(error_payload(q.request.id, exc)) for q in live]
+                replies.append((OUTCOME_ERROR, live, frames))
+                continue
             outcome = self.service.static_stanza(plan.model, plan.active, plan.shed)["outcome"]
             if outcome == OUTCOME_DEGRADED:
                 registry.counter("serve_degraded_total").inc(len(live))

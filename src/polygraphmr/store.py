@@ -13,6 +13,8 @@ Layout it understands::
 
 The store never lets a bad file crash a scan: corrupt artifacts are
 quarantined with a structured reason and simply drop out of the usable set.
+Every load, and every record of a roster scan, runs one pipeline,
+:meth:`ArtifactStore._load`, configured per artifact kind by ``_KINDS``.
 """
 
 from __future__ import annotations
@@ -20,13 +22,15 @@ from __future__ import annotations
 import re
 import time
 from contextlib import contextmanager
+from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .cache import ArtifactCache, NegativeEntry, is_file
+from .cache import PROBE_OK, ArtifactCache, NegativeEntry, is_file
 from .errors import ArtifactCorrupt, ArtifactMissing, IntegrityMismatch, RetryPolicy, TransientIOError
-from .integrity import check_probs, check_weights, load_npz_validated, probe_artifact
+from .integrity import check_probs, check_weights, load_npz_validated, read_bytes, validate_zip_container
 from .metrics import get_registry
 from .manifest import (
     CORRUPT,
@@ -48,12 +52,47 @@ _GREEDY_RE = re.compile(r"^greedy-(\d+)\.json$")
 _ARTIFACT_RE = re.compile(r"^(?P<stem>ORG|pp-[^.]+|replica-\d{3})\.(?:(?P<split>val|test)\.probs|weights)\.npz$")
 
 
+def _check_labels(arrays: dict[str, np.ndarray], *, path: Path) -> np.ndarray:
+    labels = np.asarray(arrays["labels"]).reshape(-1)
+    if not np.issubdtype(labels.dtype, np.integer):
+        raise IntegrityMismatch(path, "labels-bad-dtype", f"expected integers, got {labels.dtype}")
+    return labels.astype(np.int64)
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """How :meth:`ArtifactStore._load` reads and checks one artifact kind."""
+
+    keys: tuple[str, ...] | None  # npz members the check needs (None: any)
+    check: Callable[..., object]  # check(arrays, path=...) -> the served value
+    carve: bool  # a corrupt container may be carved (``allow_salvaged``)
+    container_only: bool = False  # serve PROBE_OK; ``check`` sees carved arrays only
+
+
+_KINDS = {
+    "probs": _Kind(("probs",), lambda arrays, path: check_probs(arrays["probs"], path=path), carve=True),
+    "weights": _Kind(None, check_weights, carve=True),
+    "labels": _Kind(("labels",), _check_labels, carve=False),
+    # the roster scan's view of a weights file
+    "probe": _Kind(None, check_weights, carve=True, container_only=True),
+}
+
+# ``_load``'s default ``found``: the cache has not been consulted yet
+_LOOKUP = object()
+
+
+def _salvaged_status(r: SalvageReport) -> ArtifactStatus:
+    detail = f"{r.n_recovered} member(s), {r.rows_recovered} rows recovered, {r.n_lost} lost"
+    return ArtifactStatus(SALVAGED, "salvaged", detail)
+
+
 class ArtifactStore:
     """Read-only access to a cache root with validation and quarantine.
 
     Quarantine is cumulative per store instance: any artifact that fails
     container or semantic validation is recorded in :attr:`quarantine`
-    (path → reason) and treated as absent from then on.
+    (path → reason) and treated as absent from then on.  A read whose
+    retries ran out (:class:`TransientIOError`) is not: the next load retries.
 
     With ``allow_salvaged=True``, an artifact whose *container* is corrupt
     gets one best-effort carving pass (:func:`polygraphmr.salvage.salvage_npz`)
@@ -72,16 +111,12 @@ class ArtifactStore:
     reason, salvage) is the one an uncached store would reach on the same
     bytes.
 
-    **Fork-safety.**  The store keeps no open file handles — every load
-    reads whole files into memory — but its quarantine/salvage registries
-    are mutable per-instance state.  Multiprocess campaign workers must
-    therefore build their *own* store after ``fork`` (see
-    :class:`polygraphmr.campaign.TrialExecutor`, which constructs the store
-    lazily, and :meth:`fresh` for an explicit re-open) rather than share a
-    parent's instance across processes.  The same holds for the attached
-    :class:`~polygraphmr.cache.ArtifactCache`: each worker's executor owns
-    a private cache that starts cold and fills from disk with the
-    artifacts of the models that worker owns.
+    **Fork-safety.**  The store keeps no open file handles, but its
+    quarantine/salvage registries are mutable per-instance state, so each
+    campaign worker builds its *own* store after ``fork`` (see
+    :class:`polygraphmr.campaign.TrialExecutor` and :meth:`fresh`) and owns
+    a private :class:`~polygraphmr.cache.ArtifactCache` that starts cold and
+    fills with the artifacts of the models that worker owns.
     """
 
     def __init__(
@@ -142,39 +177,19 @@ class ArtifactStore:
 
     # -- quarantine ------------------------------------------------------
 
-    def _quarantine(self, path: Path, reason: str) -> None:
-        self.quarantine[str(path)] = reason
-
     def is_quarantined(self, path: str | Path) -> bool:
         return str(path) in self.quarantine
 
     def is_salvaged(self, path: str | Path) -> bool:
         return str(path) in self.salvaged
 
-    # -- salvage ---------------------------------------------------------
-
-    def _try_salvage(self, path: Path) -> SalvageReport | None:
-        """One carving pass over a container-corrupt artifact, or ``None``."""
-
-        if not self.allow_salvaged:
-            return None
-        try:
-            report = salvage_npz(path)
-        except ArtifactMissing:
-            return None
-        return report if report.ok else None
-
     # -- loading ---------------------------------------------------------
 
     @contextmanager
     def _observed_load(self, kind: str):
-        """Meter one ``load_*`` call: result counter + latency histogram.
-
-        The yielded mutable dict lets the body refine the success result
-        (``hit`` vs ``salvaged``); failure results are classified from the
-        exception type.  Strictly out-of-band — observing can never change
-        what the load returns or raises.
-        """
+        """Meter one load: result counter + latency histogram.  The body
+        may refine the yielded success result; a failure is classified by
+        its exception type.  Observing never changes what a load returns."""
 
         obs = {"result": "hit"}
         start = time.perf_counter()
@@ -197,23 +212,82 @@ class ArtifactStore:
             registry.counter("store_load_total", kind=kind, result=obs["result"]).inc()
             registry.histogram("store_load_seconds", kind=kind).observe(time.perf_counter() - start)
 
-    def _raise_negative(self, path: Path, neg: NegativeEntry) -> None:
-        """Surface a negative-cache verdict the way an uncached store would
-        on a repeat encounter: quarantine locally, then raise the remembered
-        failure (one ``stat`` paid, no re-parse)."""
+    def _load(self, path: Path, kind: str, found: object = _LOOKUP) -> object:
+        """The one load pipeline every artifact kind goes through.
 
-        self._quarantine(path, neg.reason)
-        if neg.exc_type == "IntegrityMismatch":
-            raise IntegrityMismatch(path, neg.reason, neg.detail)
-        raise ArtifactCorrupt(path, neg.reason, "previously quarantined")
+        In order: refuse a quarantined path; consult the cache (``found``
+        is a lookup the caller already made); read and check the file; on
+        a corrupt container, carve it once if :attr:`allow_salvaged` and
+        the kind allows it; quarantine and negative-cache a corrupt or
+        mismatched file; cache the checked value; and meter the load once.
+        A :class:`TransientIOError` fails this load only — nothing is
+        remembered, so the next load reads the file again.
+        """
 
-    def _cache_negative(self, path: Path, exc: ArtifactCorrupt | IntegrityMismatch) -> None:
-        if self.cache is not None:
-            self.cache.put_negative(
-                path, exc_type=type(exc).__name__, reason=exc.reason, detail=exc.detail
-            )
+        spec = _KINDS[kind]
+        with self._observed_load(kind) as obs:
+            if self.is_quarantined(path):
+                raise ArtifactCorrupt(path, self.quarantine[str(path)], "previously quarantined")
+            if found is _LOOKUP:
+                found = None if self.cache is None else self.cache.lookup(path, kind)
+            if isinstance(found, NegativeEntry):
+                self.quarantine[str(path)] = found.reason
+                if found.exc_type == "IntegrityMismatch":
+                    raise IntegrityMismatch(path, found.reason, found.detail)
+                raise ArtifactCorrupt(path, found.reason, "previously quarantined")
+            if found is not None:
+                value, report = found.value, found.salvage
+                obs["result"] = "cache-hit"
+            else:
+                report = None
+                try:
+                    try:
+                        value = self._read(path, spec)
+                    except ArtifactCorrupt:
+                        carved = self._carve(path, spec)
+                        if carved is None:
+                            raise
+                        report, value = carved
+                except (ArtifactCorrupt, IntegrityMismatch) as exc:
+                    self.quarantine[str(path)] = exc.reason
+                    if self.cache is not None:
+                        self.cache.put_negative(
+                            path, exc_type=type(exc).__name__, reason=exc.reason, detail=exc.detail
+                        )
+                    raise
+                if self.cache is not None:
+                    value = self.cache.put(path, kind, value, salvage=report)
+            if report is not None:
+                self.salvaged[str(path)] = report
+                obs["result"] = "cache-salvaged" if found is not None else "salvaged"
+            return value
 
-    def load_probs(self, model: str, stem: str, split: str, *, n_classes: int | None = None) -> np.ndarray:
+    def _read(self, path: Path, spec: _Kind) -> object:
+        """Read ``path`` once and return the checked value ``spec`` serves."""
+
+        if spec.container_only:
+            validate_zip_container(path, data=read_bytes(path, policy=self.retry_policy)).raise_if_bad()
+            return PROBE_OK
+        arrays = load_npz_validated(path, expect_keys=spec.keys, policy=self.retry_policy)
+        return spec.check(arrays, path=path)
+
+    def _carve(self, path: Path, spec: _Kind) -> tuple[SalvageReport, object] | None:
+        """One carving pass over a container-corrupt artifact: the report
+        and the checked value when the arrays ``spec`` needs survive the
+        cut and pass its check, else ``None``.  Carving rescues bytes, not
+        meaning, so a carved value gets the same check as a clean one."""
+
+        if not (self.allow_salvaged and spec.carve):
+            return None
+        try:
+            report = salvage_npz(path)
+            if not report.ok or any(k not in report.arrays for k in spec.keys or ()):
+                return None
+            return report, spec.check(dict(report.arrays), path=path)
+        except (ArtifactMissing, IntegrityMismatch):
+            return None
+
+    def load_probs(self, model: str, stem: str, split: str) -> np.ndarray:
         """Load and validate one probability matrix; raises on any problem.
 
         With a cache attached, a verified hit skips disk I/O, CRC, and the
@@ -221,230 +295,63 @@ class ArtifactStore:
         re-raises the remembered failure after a single ``stat``.
         """
 
-        path = self.probs_path(model, stem, split)
-        with self._observed_load("probs") as obs:
-            if self.is_quarantined(path):
-                raise ArtifactCorrupt(path, self.quarantine[str(path)], "previously quarantined")
-            if self.cache is not None:
-                found = self.cache.lookup(path, "probs")
-                if isinstance(found, NegativeEntry):
-                    self._raise_negative(path, found)
-                if found is not None:
-                    arr = found.value
-                    if n_classes is not None and arr.shape[1] != n_classes:
-                        # stricter caller than the one that validated the
-                        # entry; quarantine here but leave the cache alone —
-                        # the array is still valid for lenient callers
-                        self._quarantine(path, "probs-bad-classes")
-                        raise IntegrityMismatch(
-                            path,
-                            "probs-bad-classes",
-                            f"expected {n_classes} classes, got {arr.shape[1]}",
-                        )
-                    if found.salvage is not None:
-                        self.salvaged[str(path)] = found.salvage
-                        obs["result"] = "cache-salvaged"
-                    else:
-                        obs["result"] = "cache-hit"
-                    return arr
-            try:
-                arrays = load_npz_validated(path, expect_keys=("probs",), policy=self.retry_policy)
-                out = check_probs(arrays["probs"], path=path, n_classes=n_classes)
-            except ArtifactCorrupt as exc:
-                report = self._try_salvage(path)
-                if report is not None and "probs" in report.arrays:
-                    try:
-                        out = check_probs(report.arrays["probs"], path=path, n_classes=n_classes)
-                    except IntegrityMismatch:
-                        pass
-                    else:
-                        self.salvaged[str(path)] = report
-                        obs["result"] = "salvaged"
-                        if self.cache is not None:
-                            out = self.cache.put(path, "probs", out, salvage=report)
-                        return out
-                self._quarantine(path, exc.reason)
-                self._cache_negative(path, exc)
-                raise
-            except IntegrityMismatch as exc:
-                self._quarantine(path, exc.reason)
-                self._cache_negative(path, exc)
-                raise
-            if self.cache is not None:
-                out = self.cache.put(path, "probs", out)
-            return out
+        return self._load(self.probs_path(model, stem, split), "probs")
 
     def load_weights(self, model: str, stem: str) -> dict[str, np.ndarray]:
-        """Load and validate one weights bundle; raises on any problem."""
+        """Load and validate one weights bundle; raises on any problem.  A
+        shallow copy: the arrays stay shared (read-only when cached)."""
 
-        path = self.weights_path(model, stem)
-        with self._observed_load("weights") as obs:
-            if self.is_quarantined(path):
-                raise ArtifactCorrupt(path, self.quarantine[str(path)], "previously quarantined")
-            if self.cache is not None:
-                found = self.cache.lookup(path, "weights")
-                if isinstance(found, NegativeEntry):
-                    self._raise_negative(path, found)
-                if found is not None:
-                    if found.salvage is not None:
-                        self.salvaged[str(path)] = found.salvage
-                        obs["result"] = "cache-salvaged"
-                    else:
-                        obs["result"] = "cache-hit"
-                    # shallow copy: callers may add/drop keys, the arrays
-                    # themselves stay shared and read-only
-                    return dict(found.value)
-            try:
-                arrays = load_npz_validated(path, policy=self.retry_policy)
-                out = check_weights(arrays, path=path)
-            except ArtifactCorrupt as exc:
-                report = self._try_salvage(path)
-                if report is not None:
-                    try:
-                        out = check_weights(dict(report.arrays), path=path)
-                    except IntegrityMismatch:
-                        pass
-                    else:
-                        self.salvaged[str(path)] = report
-                        obs["result"] = "salvaged"
-                        if self.cache is not None:
-                            out = dict(self.cache.put(path, "weights", out, salvage=report))
-                        return out
-                self._quarantine(path, exc.reason)
-                self._cache_negative(path, exc)
-                raise
-            except IntegrityMismatch as exc:
-                self._quarantine(path, exc.reason)
-                self._cache_negative(path, exc)
-                raise
-            if self.cache is not None:
-                out = dict(self.cache.put(path, "weights", out))
-            return out
+        return dict(self._load(self.weights_path(model, stem), "weights"))
 
-    def try_load_probs(
-        self, model: str, stem: str, split: str, *, n_classes: int | None = None
-    ) -> np.ndarray | None:
+    def try_load_probs(self, model: str, stem: str, split: str) -> np.ndarray | None:
         """Like :meth:`load_probs` but returns ``None`` (after quarantining)
-        instead of raising — the degraded-mode workhorse."""
+        instead of raising — the degraded-mode workhorse.  A
+        :class:`TransientIOError` still raises: nothing was quarantined."""
 
         try:
-            return self.load_probs(model, stem, split, n_classes=n_classes)
+            return self.load_probs(model, stem, split)
         except (ArtifactCorrupt, ArtifactMissing, IntegrityMismatch):
             return None
 
     def load_labels(self, model: str, split: str) -> np.ndarray | None:
-        """Optional ground-truth labels (``labels.<split>.npz``, key ``labels``)."""
+        """Optional ground-truth labels (``labels.<split>.npz``, key
+        ``labels``, integer dtype) as ``int64``; ``None`` when the file is
+        missing, corrupt or mismatched.  Labels are never carved."""
 
-        path = self.labels_path(model, split)
-        with self._observed_load("labels") as obs:
-            if not is_file(path) or self.is_quarantined(path):
-                obs["result"] = "quarantined-hit" if self.is_quarantined(path) else "missing"
-                return None
-            if self.cache is not None:
-                found = self.cache.lookup(path, "labels")
-                if isinstance(found, NegativeEntry):
-                    self._quarantine(path, found.reason)
-                    obs["result"] = "corrupt" if found.exc_type == "ArtifactCorrupt" else "mismatch"
-                    return None
-                if found is not None:
-                    obs["result"] = "cache-hit"
-                    return found.value
-            try:
-                arrays = load_npz_validated(path, expect_keys=("labels",), policy=self.retry_policy)
-            except (ArtifactCorrupt, IntegrityMismatch) as exc:
-                self._quarantine(path, exc.reason)
-                self._cache_negative(path, exc)
-                obs["result"] = "corrupt" if isinstance(exc, ArtifactCorrupt) else "mismatch"
-                return None
-            labels = np.asarray(arrays["labels"]).reshape(-1)
-            if not np.issubdtype(labels.dtype, np.integer):
-                self._quarantine(path, "labels-bad-dtype")
-                if self.cache is not None:
-                    self.cache.put_negative(
-                        path, exc_type="IntegrityMismatch", reason="labels-bad-dtype"
-                    )
-                obs["result"] = "mismatch"
-                return None
-            out = labels.astype(np.int64)
-            if self.cache is not None:
-                out = self.cache.put(path, "labels", out)
-            return out
+        try:
+            return self._load(self.labels_path(model, split), "labels")
+        except (ArtifactCorrupt, ArtifactMissing, IntegrityMismatch):
+            return None
 
     # -- manifests -------------------------------------------------------
 
-    def _salvage_status(self, path: Path, kind: str) -> ArtifactStatus | None:
-        """SALVAGED status when carving rescues what ``kind`` needs, else ``None``."""
-
-        report = self._try_salvage(path)
-        if report is None:
-            return None
-        try:
-            if kind == "probs":
-                if "probs" not in report.arrays:
-                    return None
-                check_probs(report.arrays["probs"], path=path)
-            else:
-                check_weights(dict(report.arrays), path=path)
-        except IntegrityMismatch:
-            return None
-        self.salvaged[str(path)] = report
-        return ArtifactStatus(
-            SALVAGED,
-            "salvaged",
-            f"{report.n_recovered} member(s), {report.rows_recovered} rows recovered, {report.n_lost} lost",
-        )
-
     def _status_of(self, path: Path, kind: str) -> ArtifactStatus:
+        """One manifest record's status, through :meth:`_load`: probs get
+        the full load (so the assemble that follows hits the cache), weights
+        only the container probe.  Never raises."""
+
         if self.is_salvaged(path):
-            report = self.salvaged[str(path)]
-            return ArtifactStatus(SALVAGED, "salvaged", f"{report.n_recovered} member(s) recovered")
+            return _salvaged_status(self.salvaged[str(path)])
         if self.is_quarantined(path):
             return ArtifactStatus(CORRUPT, self.quarantine[str(path)])
         if not is_file(path):
             return ArtifactStatus(MISSING, "not-found")
-        # Cached verdicts make the per-trial roster scan O(stat): probs use
-        # the full validated array (so the assemble that follows hits too),
-        # weights need only the container-probe marker.  Negative verdicts
-        # become CORRUPT statuses built from the remembered strings — no
-        # exception is constructed, mirroring the probe path below.
-        cache_kind = "probs" if kind == "probs" else "probe"
-        if self.cache is not None:
-            found = self.cache.lookup(path, cache_kind)
-            if isinstance(found, NegativeEntry):
-                self._quarantine(path, found.reason)
-                return ArtifactStatus(CORRUPT, found.reason, found.detail)
-            if found is not None:
-                if found.salvage is not None:
-                    self.salvaged[str(path)] = found.salvage
-                    report = found.salvage
-                    return ArtifactStatus(
-                        SALVAGED, "salvaged", f"{report.n_recovered} member(s) recovered"
-                    )
-                return ArtifactStatus(VALID)
-        report = probe_artifact(path)
-        if not report.ok:
-            status = self._salvage_status(path, kind)
-            if status is not None:
-                return status
-            self._quarantine(path, report.reason)
-            if self.cache is not None:
-                self.cache.put_negative(
-                    path, exc_type="ArtifactCorrupt", reason=report.reason, detail=report.detail
-                )
-            return ArtifactStatus(CORRUPT, report.reason, report.detail)
-        # container is sound; run the cheap semantic check for probs
-        if kind == "probs":
-            try:
-                arrays = load_npz_validated(path, expect_keys=("probs",), policy=self.retry_policy)
-                checked = check_probs(arrays["probs"], path=path)
-            except (ArtifactCorrupt, IntegrityMismatch) as exc:
-                self._quarantine(path, exc.reason)
-                self._cache_negative(path, exc)
-                return ArtifactStatus(CORRUPT, exc.reason, exc.detail)
-            if self.cache is not None:
-                self.cache.put(path, "probs", checked)
-        elif self.cache is not None:
-            self.cache.put_probe(path)
+        kind = "probs" if kind == "probs" else "probe"
+        found = None if self.cache is None else self.cache.lookup(path, kind)
+        if isinstance(found, NegativeEntry):
+            # rebuilt from the remembered strings: no exception constructed
+            self.quarantine[str(path)] = found.reason
+            return ArtifactStatus(CORRUPT, found.reason, found.detail)
+        try:
+            self._load(path, kind, found)
+        except (ArtifactCorrupt, IntegrityMismatch) as exc:
+            return ArtifactStatus(CORRUPT, exc.reason, exc.detail)
+        except TransientIOError as exc:
+            return ArtifactStatus(CORRUPT, "io-error", repr(exc))
+        except ArtifactMissing:
+            return ArtifactStatus(MISSING, "not-found")
+        if self.is_salvaged(path):
+            return _salvaged_status(self.salvaged[str(path)])
         return ArtifactStatus(VALID)
 
     def scan_model(self, model: str) -> ModelManifest:
@@ -467,7 +374,7 @@ class ArtifactStore:
                     try:
                         manifest.greedy[f"greedy-{gm.group(1)}"] = resolve_greedy_file(mdir / f)
                     except (ArtifactCorrupt, ValueError):
-                        self._quarantine(mdir / f, "bad-json")
+                        self.quarantine[str(mdir / f)] = "bad-json"
                     continue
                 am = _ARTIFACT_RE.match(f)
                 if am:

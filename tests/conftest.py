@@ -164,6 +164,33 @@ def write_labels():
 
 
 @pytest.fixture()
+def failing_reads(monkeypatch):
+    """Factory that makes file reads fail: ``fail(name, times, exc)`` makes
+    the next ``times`` reads (default: every read) of any file called
+    ``name`` raise ``exc``; ``fail(name, 0)`` heals it.  Returns the reads
+    still to fail, by file name."""
+
+    left: dict[str, float] = {}
+    raised: dict[str, type[OSError]] = {}
+    real = Path.read_bytes
+
+    def read_bytes(self: Path) -> bytes:
+        if left.get(self.name, 0) > 0:
+            left[self.name] -= 1
+            raise raised[self.name](f"{self}: injected read failure")
+        return real(self)
+
+    monkeypatch.setattr(Path, "read_bytes", read_bytes)
+
+    def fail(name: str, times: float = float("inf"), exc: type[OSError] = OSError) -> dict[str, float]:
+        left[name] = times
+        raised[name] = exc
+        return left
+
+    return fail
+
+
+@pytest.fixture()
 def clean_scorings(monkeypatch) -> list:
     """Records the member list of every clean-baseline scoring a runtime
     computes (memo misses of ``EnsembleRuntime.clean_baseline``)."""

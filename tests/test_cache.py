@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import os
+from collections import Counter
 import subprocess
 import sys
 from pathlib import Path
@@ -21,16 +22,17 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from polygraphmr.cache import ArtifactCache, CacheEntry, NegativeEntry, stat_signature
+from polygraphmr.cache import PROBE_OK, ArtifactCache, CacheEntry, NegativeEntry, stat_signature
 from polygraphmr.campaign import CampaignConfig, CampaignRunner
+from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import ArtifactCorrupt, IntegrityMismatch
 from polygraphmr.faults import corrupt_file_truncate
-from polygraphmr.manifest import CORRUPT, SALVAGED
+from polygraphmr.manifest import CORRUPT, SALVAGED, VALID
 from polygraphmr.metrics import get_registry
 from polygraphmr.parallel import ParallelCampaignRunner
 from polygraphmr.store import ArtifactStore
 
-from .conftest import REPO_ROOT, shm_entries
+from .conftest import REPO_ROOT, SYNTH_MEMBERS, shm_entries
 
 ZIP_MAGIC = b"PK\x03\x04"
 
@@ -51,20 +53,29 @@ def _member_offsets(data: bytes) -> list[int]:
         i += 4
 
 
-def _write_salvageable_probs(path: Path, *, probs: np.ndarray | None = None) -> np.ndarray:
-    """An npz whose ``probs`` member is intact but whose container is broken
+def _write_salvageable(path: Path, **member: np.ndarray) -> None:
+    """An npz whose one named member is intact but whose container is broken
     (same construction as the salvage-layer tests): member order is
-    (probs, filler) and the cut lands inside filler."""
+    (member, filler) and the cut lands inside filler."""
 
-    if probs is None:
-        probs = _valid_probs()
     filler = np.arange(4096, dtype=np.float64)
-    np.savez(path, probs=probs, filler=filler)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    np.savez(path, **member, filler=filler)
     data = path.read_bytes()
     offsets = _member_offsets(data)
     assert len(offsets) >= 2, "expected two members"
     path.write_bytes(data[: offsets[1] + 40])
+
+
+def _write_salvageable_probs(path: Path, *, probs: np.ndarray | None = None) -> np.ndarray:
+    if probs is None:
+        probs = _valid_probs()
+    _write_salvageable(path, probs=probs)
     return probs
+
+
+def _status(store: ArtifactStore, model: str, filename: str):
+    return {r.filename: r for r in store.scan_model(model).records}[filename].status
 
 
 class TestArtifactCacheLRU:
@@ -237,27 +248,12 @@ class TestNegativeCache:
         assert rec.status.status == CORRUPT
         assert rec.status.reason == {r.filename: r for r in m1.records}[rec.filename].status.reason
 
-    def test_stricter_n_classes_on_hit_raises_without_poisoning(self, tmp_path, write_probs):
-        root = tmp_path / "cache"
-        write_probs(root / "m" / "ORG.val.probs.npz", _valid_probs(c=10))
-        cache = ArtifactCache()
-        ArtifactStore(root, cache=cache).load_probs("m", "ORG", "val")
-
-        strict = ArtifactStore(root, cache=cache)
-        with pytest.raises(IntegrityMismatch) as exc_info:
-            strict.load_probs("m", "ORG", "val", n_classes=7)
-        assert exc_info.value.reason == "probs-bad-classes"
-        # the entry is still valid for lenient callers: no negative verdict
-        lenient = ArtifactStore(root, cache=cache)
-        assert lenient.load_probs("m", "ORG", "val").shape[1] == 10
-
-
     def test_put_negative_drops_every_kind_for_the_path(self, tmp_path):
         p = tmp_path / "f.npz"
         p.write_bytes(b"bytes")
         cache = ArtifactCache()
         cache.put(p, "probs", np.zeros(16))
-        cache.put_probe(p)
+        cache.put(p, "probe", PROBE_OK)
         cache.put_negative(p, exc_type="ArtifactCorrupt", reason="npz-bad-zip", detail="cut")
         # the container is bad for every view of it, and its bytes are released
         for kind in ("probs", "probe"):
@@ -314,6 +310,115 @@ class TestSalvageInterplay:
             s1.fresh().load_probs("m", "ORG", "val")
         assert exc_info.value.detail == "previously quarantined"
         assert cache.stats()["negative_entries"] == 1
+
+
+class TestWeightsPipeline:
+    """Weights go through the same load path as probs: quarantine, negative
+    cache and salvage — while the roster scan only probes their container."""
+
+    def test_corrupt_weights_are_quarantined_and_negative_cached(self, synthetic_cache):
+        cache = ArtifactCache()
+        store = ArtifactStore(synthetic_cache, cache=cache)
+        path = store.weights_path("tinynet", "pp-Hist")
+        corrupt_file_truncate(path, path, keep_fraction=0.3, seed=1)
+
+        with pytest.raises(ArtifactCorrupt) as first:
+            store.load_weights("tinynet", "pp-Hist")
+        assert store.is_quarantined(path)
+        assert cache.stats()["negative_entries"] == 1
+        with pytest.raises(ArtifactCorrupt) as again:
+            store.fresh().load_weights("tinynet", "pp-Hist")
+        assert again.value.detail == "previously quarantined"
+        status = _status(store.fresh(), "tinynet", "pp-Hist.weights.npz")
+        assert (status.status, status.reason) == (CORRUPT, first.value.reason)
+
+    def test_salvageable_weights_are_salvaged_by_scan_and_load_and_cached(self, tmp_path):
+        root = tmp_path / "cache"
+        path = root / "m" / "ORG.weights.npz"
+        dense = np.linspace(-1.0, 1.0, 64).reshape(8, 8)
+        _write_salvageable(path, dense=dense)
+        s1 = ArtifactStore(root, allow_salvaged=True, cache=ArtifactCache())
+
+        assert _status(s1, "m", "ORG.weights.npz").status == SALVAGED
+        s2 = s1.fresh()
+        carved = s2.load_weights("m", "ORG")
+        assert set(carved) == {"dense"}
+        np.testing.assert_array_equal(carved["dense"], dense)
+        assert s2.is_salvaged(path)
+        s3 = s2.fresh()
+        assert s3.load_weights("m", "ORG")["dense"] is carved["dense"]
+        assert s3.is_salvaged(path)  # restored from the cached entry
+        registry = get_registry()
+        assert registry.counter_value("store_load_total", kind="weights", result="salvaged") == 1
+        assert registry.counter_value("store_load_total", kind="weights", result="cache-salvaged") == 1
+
+    def test_nan_weights_in_a_sound_container_scan_valid_but_do_not_load(self, tmp_path):
+        root = tmp_path / "cache"
+        path = root / "m" / "ORG.weights.npz"
+        path.parent.mkdir(parents=True)
+        np.savez(path, dense=np.full((4, 4), np.nan))
+        store = ArtifactStore(root, cache=ArtifactCache())
+
+        assert _status(store, "m", "ORG.weights.npz").status == VALID  # container probe only
+        with pytest.raises(IntegrityMismatch) as exc_info:
+            store.load_weights("m", "ORG")
+        assert exc_info.value.reason == "weights-not-finite"
+        assert store.is_quarantined(path)
+
+
+class TestOneLoadPath:
+    def test_cold_session_reads_each_artifact_once_and_meters_it(self, synthetic_cache, monkeypatch):
+        """The roster scan's load is the load the assemble then hits: one
+        read (and one CRC pass) per probs file, every load counted."""
+
+        reads: Counter[str] = Counter()
+        real = Path.read_bytes
+        monkeypatch.setattr(Path, "read_bytes", lambda self: reads.update([self.name]) or real(self))
+        session = EnsembleRuntime(ArtifactStore(synthetic_cache, cache=ArtifactCache())).session("tinynet")
+
+        assert session.members[0] == "ORG" and len(session.members) == len(SYNTH_MEMBERS)
+        n_probs = 2 * len(SYNTH_MEMBERS)
+        assert sum(1 for name in reads if name.endswith(".probs.npz")) == n_probs
+        assert set(reads.values()) == {1}  # probs, weights and labels alike
+        registry = get_registry()
+        assert registry.counter_value("store_load_total", kind="probs", result="hit") == n_probs
+        assert registry.counter_value("store_load_total", kind="probs", result="cache-hit") == n_probs
+        assert registry.counter_value("store_load_total", kind="probe", result="hit") == len(SYNTH_MEMBERS)
+        assert registry.histogram_for("store_load_seconds", kind="probs").count == 2 * n_probs
+
+    def test_labels_negative_hit_is_a_quarantined_hit(self, synthetic_cache):
+        cache = ArtifactCache()
+        store = ArtifactStore(synthetic_cache, cache=cache)
+        path = store.labels_path("tinynet", "val")
+        corrupt_file_truncate(path, path, keep_fraction=0.3, seed=2)
+
+        assert store.load_labels("tinynet", "val") is None
+        assert store.fresh().load_labels("tinynet", "val") is None
+        registry = get_registry()
+        assert registry.counter_value("store_load_total", kind="labels", result="corrupt") == 1
+        assert registry.counter_value("store_load_total", kind="labels", result="quarantined-hit") == 1
+
+    def test_float_labels_raise_a_counted_mismatch(self, synthetic_cache, write_labels):
+        store = ArtifactStore(synthetic_cache, cache=ArtifactCache())
+        write_labels(store.labels_path("tinynet", "test"), np.zeros(160, dtype=np.float32))
+
+        assert store.load_labels("tinynet", "test") is None
+        assert store.is_quarantined(store.labels_path("tinynet", "test"))
+        registry = get_registry()
+        assert registry.counter_value("errors_total", type="IntegrityMismatch", reason="labels-bad-dtype") == 1
+        assert registry.counter_value("store_load_total", kind="labels", result="mismatch") == 1
+
+    def test_salvaged_verdict_reads_the_same_fresh_cached_and_repeated(self, tmp_path):
+        root = tmp_path / "cache"
+        _write_salvageable_probs(root / "m" / "ORG.val.probs.npz")
+        s1 = ArtifactStore(root, allow_salvaged=True, cache=ArtifactCache())
+
+        fresh = _status(s1, "m", "ORG.val.probs.npz")
+        repeated = _status(s1, "m", "ORG.val.probs.npz")
+        cached = _status(s1.fresh(), "m", "ORG.val.probs.npz")
+        assert fresh.status == SALVAGED
+        assert fresh == repeated == cached
+        assert fresh.detail.startswith("1 member(s), 40 rows recovered")
 
 
 class TestCacheDeterminism:

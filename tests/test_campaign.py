@@ -31,6 +31,8 @@ from polygraphmr.campaign import (
 )
 from polygraphmr.errors import CampaignError
 
+from .conftest import SYNTH_MEMBERS
+
 
 def _fake_trial(spec):
     return {"model": spec.model, "kind": spec.kind}
@@ -284,6 +286,25 @@ class TestKillResumeDeterminism:
         assert summary["new_trials"] == 0
         assert summary["completed"] == self.N
         assert (tmp_path / "out" / JOURNAL_NAME).read_bytes() == before
+
+
+class TestTransientReads:
+    def test_one_failed_read_does_not_drop_a_member_for_the_campaign(self, synthetic_cache, tmp_path, failing_reads):
+        """The roster scan meets one exhausted read (the default policy's
+        three attempts) of a member's test probs; the assemble that follows
+        reads it again, so every trial keeps all five members — as a run
+        resumed after the hiccup would."""
+
+        name = "pp-Hist.test.probs.npz"
+        left = failing_reads(name, 3)
+        config = CampaignConfig(cache=str(synthetic_cache), n_trials=6, seed=7, timeout_s=60.0)
+        assert CampaignRunner(config, tmp_path / "out").run()["completed"] == 6
+        assert left[name] == 0
+
+        records = list(CampaignJournal(tmp_path / "out" / JOURNAL_NAME).trial_records().values())
+        assert [r["outcome"] for r in records] == [OUTCOME_OK] * 6
+        assert {len(r["result"]["members"]) for r in records} == {len(SYNTH_MEMBERS)}
+        assert not any(r["result"]["degraded"] for r in records)
 
 
 class TestCLI:

@@ -17,7 +17,6 @@ from polygraphmr.integrity import (
     check_probs,
     check_weights,
     load_npz_validated,
-    probe_artifact,
     validate_zip_container,
 )
 
@@ -67,11 +66,6 @@ class TestContainerValidation:
         report = validate_zip_container(p)
         assert not report.ok
         assert report.reason in ("truncated", "bad-zip")
-
-    def test_probe_never_raises_on_missing(self, tmp_path):
-        report = probe_artifact(tmp_path / "ghost.npz")
-        assert not report.ok
-        assert report.reason == "not-found"
 
 
 class TestLoadNpz:

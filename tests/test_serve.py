@@ -61,6 +61,7 @@ N_TEST = 160  # test rows of the ``synthetic_cache`` fixture's model
 REPLY_WITHIN_S = 1.0
 DRAIN_WITHIN_S = DRAIN_FLUSH_S + 5.0
 SETTLE_WITHIN_S = 10.0
+FAILED_READ_REPLY_S = 3.0
 
 
 @pytest.fixture()
@@ -725,6 +726,74 @@ class TestDispatcher:
         assert [payload["outcome"] for payload, _ in results] == [OUTCOME_OK] * len(requests)
         assert calls == len(requests)
         assert peak == 1
+
+
+class TestStoreErrors:
+    """A store read that fails answers ``outcome=error`` and never ends the
+    dispatcher; the failed session is not kept, so a later batch retries."""
+
+    @staticmethod
+    def _service(synthetic_cache, **kwargs) -> PolygraphService:
+        store = ArtifactStore(synthetic_cache, retry_policy=RetryPolicy(sleep=lambda _s: None))
+        return PolygraphService(store, **kwargs)
+
+    @staticmethod
+    async def _ask(port: int, rid: str) -> dict:
+        request = ServeRequest(id=rid, model=MODEL, samples=(len(rid), 1))
+        payload, _ = await asyncio.wait_for(tcp_request(port, request), FAILED_READ_REPLY_S)
+        return payload
+
+    def test_unreadable_labels_answer_error_then_recover(self, synthetic_cache, failing_reads):
+        service = self._service(synthetic_cache)
+        failing_reads("labels.test.npz", exc=PermissionError)
+
+        async def run():
+            gateway = make_gateway(service)
+            await gateway.start()
+            try:
+                failed = await asyncio.gather(*(self._ask(gateway.bound_port, f"f{i}") for i in range(2)))
+                failing_reads("labels.test.npz", 0)
+                return failed, await self._ask(gateway.bound_port, "healed")
+            finally:
+                await asyncio.wait_for(gateway.drain(), DRAIN_WITHIN_S)
+
+        failed, healed = asyncio.run(run())
+        for payload in failed:
+            assert payload["outcome"] == OUTCOME_ERROR
+            assert payload["error"]["reason"] == "io-error"
+        assert healed["outcome"] == OUTCOME_OK
+
+    def test_unreadable_val_labels_fail_only_the_derived_session(self, synthetic_cache, failing_reads):
+        board = BreakerBoard(BreakerPolicy(failure_threshold=1, cooldown_ticks=10**6))
+        service = self._service(synthetic_cache, breakers=board)
+
+        async def run():
+            gateway = make_gateway(service)
+            await gateway.start()
+            try:
+                full = await self._ask(gateway.bound_port, "full")
+                board.record_failure(MODEL, full["members"][-1])  # shed: a narrower session refits
+                failing_reads("labels.val.npz", exc=PermissionError)
+                failed = await self._ask(gateway.bound_port, "failed")
+                failing_reads("labels.val.npz", 0)
+                return full, failed, await self._ask(gateway.bound_port, "healed")
+            finally:
+                await asyncio.wait_for(gateway.drain(), DRAIN_WITHIN_S)
+
+        full, failed, healed = asyncio.run(run())
+        assert full["outcome"] == OUTCOME_OK
+        assert failed["outcome"] == OUTCOME_ERROR
+        assert failed["error"]["reason"] == "io-error"
+        assert healed["outcome"] == OUTCOME_DEGRADED
+        assert healed["shed"] == [full["members"][-1]]
+
+    def test_respond_answers_a_failed_read_with_an_error_payload(self, synthetic_cache, failing_reads):
+        service = self._service(synthetic_cache)
+        request = ServeRequest(id="r", model=MODEL, samples=(0,))
+        failing_reads("labels.test.npz", exc=PermissionError)
+        assert service.respond(request)["error"]["reason"] == "io-error"
+        failing_reads("labels.test.npz", 0)
+        assert service.respond(request)["outcome"] == OUTCOME_OK
 
 
 class TestConfigBounds:

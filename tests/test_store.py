@@ -2,11 +2,17 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from polygraphmr.errors import ArtifactCorrupt, ArtifactMissing
+from polygraphmr.cache import ArtifactCache
+from polygraphmr.errors import ArtifactCorrupt, ArtifactMissing, RetryPolicy, TransientIOError
 from polygraphmr.faults import corrupt_file_header, corrupt_file_truncate
+from polygraphmr.manifest import CORRUPT
+from polygraphmr.metrics import get_registry
+from polygraphmr.store import ArtifactStore
 
 from .conftest import SEED_CACHE, SYNTH_MEMBERS
 
@@ -78,6 +84,31 @@ class TestQuarantine:
         assert rec.status.reason in ("truncated", "bad-zip", "bad-npy")
 
 
+class TestTransientReads:
+    def test_a_failed_read_is_retried_not_quarantined(self, synthetic_cache, failing_reads):
+        """An exhausted read says ``io-error`` in that scan's manifest and
+        fails that load, but nothing remembers it: the next load retries."""
+
+        cache = ArtifactCache()
+        store = ArtifactStore(synthetic_cache, cache=cache, retry_policy=RetryPolicy(sleep=lambda _s: None))
+        path = store.probs_path("tinynet", "pp-Hist", "test")
+        left = failing_reads(path.name, 3)  # the policy's three attempts: one exhausted read
+        rec = {r.filename: r for r in store.scan_model("tinynet").records}[path.name]
+        assert (rec.status.status, rec.status.reason) == (CORRUPT, "io-error")
+        assert left[path.name] == 0
+        assert not store.is_quarantined(path)
+        assert cache.stats()["negative_entries"] == 0
+        assert store.fresh().load_probs("tinynet", "pp-Hist", "test").shape == (160, 10)
+
+        uncached = ArtifactStore(synthetic_cache, retry_policy=store.retry_policy)
+        failing_reads(path.name, 3)
+        with pytest.raises(TransientIOError):
+            uncached.load_probs("tinynet", "pp-Hist", "test")
+        assert not uncached.is_quarantined(path)
+        assert uncached.try_load_probs("tinynet", "pp-Hist", "test") is not None
+        assert get_registry().counter_value("store_load_total", kind="probs", result="io-error") == 2
+
+
 @pytest.mark.skipif(not SEED_CACHE.is_dir(), reason="seed cache absent")
 class TestSeedCache:
     """The real .repro_cache: every npz was damaged by the capture pipeline.
@@ -94,6 +125,19 @@ class TestSeedCache:
         for manifest in cache.models.values():
             for rec in manifest.quarantined():
                 assert rec.status.reason
+
+    @pytest.mark.parametrize("allow_salvaged", [False, True])
+    def test_manifest_totals_and_reasons_are_pinned(self, allow_salvaged):
+        """The committed seed cache's verdicts, record by record in
+        aggregate: carving must rescue none of it (the cuts run through the
+        member headers), and no read path may move a verdict."""
+
+        cache = ArtifactStore(SEED_CACHE, allow_salvaged=allow_salvaged).scan_all().to_dict()
+        assert cache["totals"] == {"valid": 0, "corrupt": 536, "missing": 43, "salvaged": 0}
+        reasons = Counter(
+            (rec["status"], rec["reason"]) for model in cache["models"].values() for rec in model["records"]
+        )
+        assert reasons == {("corrupt", "no-eocd"): 495, ("corrupt", "truncated"): 41, ("missing", "not-found"): 43}
 
     def test_every_seed_artifact_loads_or_quarantines(self, seed_store):
         for npz in sorted(SEED_CACHE.glob("*/*.npz")):
