@@ -296,7 +296,8 @@ class EnsembleRuntime:
                 continue
             probs = self.store.try_load_probs(model, stem, split)
             if probs is None:
-                quarantined[stem] = self.store.quarantine.get(str(path), "unknown")
+                # not quarantined: the read failed, and only this session loses the member
+                quarantined[stem] = self.store.quarantine.get(str(path), "io-error")
                 registry.counter("ensemble_member_skips_total", reason="quarantined").inc()
                 if self.breakers is not None:
                     self.breakers.record_failure(model, stem)

@@ -66,7 +66,7 @@ class _Kind:
     keys: tuple[str, ...] | None  # npz members the check needs (None: any)
     check: Callable[..., object]  # check(arrays, path=...) -> the served value
     carve: bool  # a corrupt container may be carved (``allow_salvaged``)
-    container_only: bool = False  # serve PROBE_OK; ``check`` sees carved arrays only
+    container_only: bool = False  # serve PROBE_OK; ``check`` runs on carved arrays only
 
 
 _KINDS = {
@@ -239,15 +239,8 @@ class ArtifactStore:
                 value, report = found.value, found.salvage
                 obs["result"] = "cache-hit"
             else:
-                report = None
                 try:
-                    try:
-                        value = self._read(path, spec)
-                    except ArtifactCorrupt:
-                        carved = self._carve(path, spec)
-                        if carved is None:
-                            raise
-                        report, value = carved
+                    report, value = self._read(path, spec)
                 except (ArtifactCorrupt, IntegrityMismatch) as exc:
                     self.quarantine[str(path)] = exc.reason
                     if self.cache is not None:
@@ -262,30 +255,31 @@ class ArtifactStore:
                 obs["result"] = "cache-salvaged" if found is not None else "salvaged"
             return value
 
-    def _read(self, path: Path, spec: _Kind) -> object:
-        """Read ``path`` once and return the checked value ``spec`` serves."""
+    def _read(self, path: Path, spec: _Kind) -> tuple[SalvageReport | None, object]:
+        """Read ``path`` once; return the salvage report (``None`` for a
+        clean read) and the checked value ``spec`` serves.  A corrupt
+        container gets one carving pass when :attr:`allow_salvaged` and the
+        kind allow it (not ``bad-npy``: that zip is sound, one member's
+        payload is not).  Carving rescues bytes, not meaning, so carved
+        arrays get the same check as a clean read's."""
 
-        if spec.container_only:
-            validate_zip_container(path, data=read_bytes(path, policy=self.retry_policy)).raise_if_bad()
-            return PROBE_OK
-        arrays = load_npz_validated(path, expect_keys=spec.keys, policy=self.retry_policy)
-        return spec.check(arrays, path=path)
-
-    def _carve(self, path: Path, spec: _Kind) -> tuple[SalvageReport, object] | None:
-        """One carving pass over a container-corrupt artifact: the report
-        and the checked value when the arrays ``spec`` needs survive the
-        cut and pass its check, else ``None``.  Carving rescues bytes, not
-        meaning, so a carved value gets the same check as a clean one."""
-
-        if not (self.allow_salvaged and spec.carve):
-            return None
         try:
-            report = salvage_npz(path)
-            if not report.ok or any(k not in report.arrays for k in spec.keys or ()):
-                return None
-            return report, spec.check(dict(report.arrays), path=path)
-        except (ArtifactMissing, IntegrityMismatch):
-            return None
+            if spec.container_only:
+                validate_zip_container(path, data=read_bytes(path, policy=self.retry_policy)).raise_if_bad()
+                return None, PROBE_OK
+            arrays = load_npz_validated(path, expect_keys=spec.keys, policy=self.retry_policy)
+            return None, spec.check(arrays, path=path)
+        except ArtifactCorrupt as exc:
+            if not (self.allow_salvaged and spec.carve) or exc.reason == "bad-npy":
+                raise
+            try:
+                report = salvage_npz(path)
+                if report.ok and all(k in report.arrays for k in spec.keys or ()):
+                    value = spec.check(dict(report.arrays), path=path)
+                    return report, PROBE_OK if spec.container_only else value
+            except (ArtifactMissing, IntegrityMismatch):
+                pass
+            raise
 
     def load_probs(self, model: str, stem: str, split: str) -> np.ndarray:
         """Load and validate one probability matrix; raises on any problem.
@@ -304,22 +298,29 @@ class ArtifactStore:
         return dict(self._load(self.weights_path(model, stem), "weights"))
 
     def try_load_probs(self, model: str, stem: str, split: str) -> np.ndarray | None:
-        """Like :meth:`load_probs` but returns ``None`` (after quarantining)
-        instead of raising — the degraded-mode workhorse.  A
-        :class:`TransientIOError` still raises: nothing was quarantined."""
+        """Like :meth:`load_probs` but returns ``None`` instead of raising —
+        the degraded-mode workhorse.  A bad file is quarantined first; a
+        read that failed (:class:`TransientIOError`) is not, so it costs
+        the member for this call only and the next call reads again."""
 
         try:
             return self.load_probs(model, stem, split)
-        except (ArtifactCorrupt, ArtifactMissing, IntegrityMismatch):
+        except (ArtifactCorrupt, ArtifactMissing, IntegrityMismatch, TransientIOError):
             return None
 
     def load_labels(self, model: str, split: str) -> np.ndarray | None:
         """Optional ground-truth labels (``labels.<split>.npz``, key
         ``labels``, integer dtype) as ``int64``; ``None`` when the file is
-        missing, corrupt or mismatched.  Labels are never carved."""
+        missing, corrupt or mismatched.  Labels are never carved, and an
+        absent file is normal: it counts as ``missing`` but raises nothing."""
 
+        path = self.labels_path(model, split)
+        if not is_file(path):
+            with self._observed_load("labels") as obs:
+                obs["result"] = "missing"
+            return None
         try:
-            return self._load(self.labels_path(model, split), "labels")
+            return self._load(path, "labels")
         except (ArtifactCorrupt, ArtifactMissing, IntegrityMismatch):
             return None
 

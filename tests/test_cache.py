@@ -13,10 +13,12 @@ Covers the three guarantees the cache layer makes:
 from __future__ import annotations
 
 import hashlib
+import io
 import os
 from collections import Counter
 import subprocess
 import sys
+import zipfile
 from pathlib import Path
 
 import numpy as np
@@ -352,6 +354,17 @@ class TestWeightsPipeline:
         assert registry.counter_value("store_load_total", kind="weights", result="salvaged") == 1
         assert registry.counter_value("store_load_total", kind="weights", result="cache-salvaged") == 1
 
+    def test_a_salvaged_probe_caches_the_marker_not_the_arrays(self, tmp_path):
+        root = tmp_path / "cache"
+        path = root / "m" / "ORG.weights.npz"
+        _write_salvageable(path, dense=np.zeros((64, 64)))
+        cache = ArtifactCache()
+
+        assert _status(ArtifactStore(root, allow_salvaged=True, cache=cache), "m", "ORG.weights.npz").status == SALVAGED
+        entry = cache.lookup(path, "probe")
+        assert entry.value == PROBE_OK and entry.salvage is not None
+        assert cache.stats()["bytes"] == entry.nbytes < 64 * 64 * 8
+
     def test_nan_weights_in_a_sound_container_scan_valid_but_do_not_load(self, tmp_path):
         root = tmp_path / "cache"
         path = root / "m" / "ORG.weights.npz"
@@ -407,6 +420,37 @@ class TestOneLoadPath:
         registry = get_registry()
         assert registry.counter_value("errors_total", type="IntegrityMismatch", reason="labels-bad-dtype") == 1
         assert registry.counter_value("store_load_total", kind="labels", result="mismatch") == 1
+
+    def test_missing_labels_count_missing_without_an_error(self, synthetic_cache):
+        store = ArtifactStore(synthetic_cache, cache=ArtifactCache())
+        store.labels_path("tinynet", "val").unlink()
+
+        assert store.load_labels("tinynet", "val") is None
+        registry = get_registry()
+        assert registry.counter_value("store_load_total", kind="labels", result="missing") == 1
+        assert registry.counter_value("errors_total", type="ArtifactMissing", reason="not-found") == 0
+
+    def test_bad_npy_in_a_sound_container_is_corrupt_even_with_salvage(self, tmp_path):
+        """Carving is for a corrupt container.  Here the zip is sound and
+        only one member's payload is not an ``.npy``, so the verdict is
+        ``bad-npy`` from scan and load alike, with ``allow_salvaged`` too."""
+
+        root = tmp_path / "cache"
+        path = root / "m" / "ORG.val.probs.npz"
+        path.parent.mkdir(parents=True)
+        buf = io.BytesIO()
+        np.save(buf, _valid_probs())
+        with zipfile.ZipFile(path, "w") as zf:
+            zf.writestr("probs.npy", buf.getvalue())
+            zf.writestr("junk.npy", b"\x93NUMPY\x01\x00 not an npy header")
+
+        status = _status(ArtifactStore(root, allow_salvaged=True), "m", "ORG.val.probs.npz")
+        assert (status.status, status.reason) == (CORRUPT, "bad-npy")
+        store = ArtifactStore(root, allow_salvaged=True)
+        with pytest.raises(ArtifactCorrupt) as exc_info:
+            store.load_probs("m", "ORG", "val")
+        assert exc_info.value.reason == "bad-npy"
+        assert store.is_quarantined(path) and not store.is_salvaged(path)
 
     def test_salvaged_verdict_reads_the_same_fresh_cached_and_repeated(self, tmp_path):
         root = tmp_path / "cache"

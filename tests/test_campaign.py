@@ -306,6 +306,19 @@ class TestTransientReads:
         assert {len(r["result"]["members"]) for r in records} == {len(SYNTH_MEMBERS)}
         assert not any(r["result"]["degraded"] for r in records)
 
+    def test_a_member_that_stays_unreadable_degrades_every_trial(self, synthetic_cache, tmp_path, failing_reads):
+        """Every read of one member's test probs fails: each trial's session
+        runs without that member (degraded, ``ok``) instead of failing."""
+
+        failing_reads("pp-Hist.test.probs.npz")
+        config = CampaignConfig(cache=str(synthetic_cache), n_trials=6, seed=7, timeout_s=60.0)
+        assert CampaignRunner(config, tmp_path / "out").run()["completed"] == 6
+
+        records = list(CampaignJournal(tmp_path / "out" / JOURNAL_NAME).trial_records().values())
+        assert [r["outcome"] for r in records] == [OUTCOME_OK] * 6
+        assert all(r["result"]["degraded"] for r in records)
+        assert {frozenset(r["result"]["members"]) for r in records} == {frozenset(SYNTH_MEMBERS) - {"pp-Hist"}}
+
 
 class TestCLI:
     def test_synthetic_end_to_end(self, tmp_path, capsys):

@@ -54,7 +54,7 @@ from polygraphmr.serve import (
 from polygraphmr.store import ArtifactStore
 
 from . import oracles
-from .conftest import REPO_ROOT
+from .conftest import REPO_ROOT, SYNTH_MEMBERS
 
 MODEL = "tinynet"
 N_TEST = 160  # test rows of the ``synthetic_cache`` fixture's model
@@ -786,6 +786,28 @@ class TestStoreErrors:
         assert failed["error"]["reason"] == "io-error"
         assert healed["outcome"] == OUTCOME_DEGRADED
         assert healed["shed"] == [full["members"][-1]]
+
+    def test_a_member_that_stays_unreadable_is_served_without(self, synthetic_cache, failing_reads):
+        """Every read of one member's test probs fails: the base session is
+        built once without it, and every reply is degraded, not an error."""
+
+        service = self._service(synthetic_cache)
+        failing_reads("pp-Hist.test.probs.npz", exc=PermissionError)
+
+        async def run():
+            gateway = make_gateway(service)
+            await gateway.start()
+            try:
+                first = await asyncio.gather(*(self._ask(gateway.bound_port, f"a{i}") for i in range(2)))
+                return [*first, await self._ask(gateway.bound_port, "later")]
+            finally:
+                await asyncio.wait_for(gateway.drain(), DRAIN_WITHIN_S)
+
+        for payload in asyncio.run(run()):
+            assert payload["outcome"] == OUTCOME_DEGRADED
+            assert "pp-Hist" not in payload["members"]
+            assert len(payload["members"]) == len(SYNTH_MEMBERS) - 1
+        assert get_registry().counter_value("serve_sessions_built_total", kind="base") == 1
 
     def test_respond_answers_a_failed_read_with_an_error_payload(self, synthetic_cache, failing_reads):
         service = self._service(synthetic_cache)
