@@ -15,8 +15,9 @@ Layers (see ``docs/ARCHITECTURE.md``):
    crash-safe, resumable campaign runner over it
    (:mod:`polygraphmr.campaign`).
 4. Error taxonomy + bounded retry (:mod:`polygraphmr.errors`).
-5. Observability — out-of-band metrics registry and tracing spans
-   (:mod:`polygraphmr.metrics`, :mod:`polygraphmr.tracing`).
+5. Observability — the out-of-band metrics registry
+   (:mod:`polygraphmr.metrics`), the one timing mechanism: timed hot paths
+   observe their latency histograms directly.
 """
 
 from .breaker import BreakerBoard, BreakerPolicy, CircuitBreaker
@@ -51,7 +52,6 @@ from .metrics import (
 from .naming import display_to_stem, resolve_greedy_file, stem_to_display
 from .salvage import SalvageReport, salvage_npz
 from .store import ArtifactStore
-from .tracing import Span, SpanRecord, Tracer, get_tracer, set_tracer
 
 __version__ = "0.1.0"
 
@@ -150,16 +150,12 @@ __all__ = [
     "ServeError",
     "ServeGateway",
     "ServeRequest",
-    "Span",
-    "SpanRecord",
-    "Tracer",
     "TransientIOError",
     "TrialExecutor",
     "TrialSpec",
     "builtin_scenarios",
     "display_to_stem",
     "get_registry",
-    "get_tracer",
     "load_registry",
     "measure_degradation",
     "merge_registries",
@@ -172,7 +168,6 @@ __all__ = [
     "retry_with_backoff",
     "salvage_npz",
     "set_registry",
-    "set_tracer",
     "stem_to_display",
     "verify_campaign",
     "__version__",

@@ -35,6 +35,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError
 from .metrics import get_registry
 
 __all__ = [
@@ -42,12 +43,22 @@ __all__ = [
     "ArtifactCache",
     "CacheEntry",
     "NegativeEntry",
+    "check_cache_bytes",
     "is_file",
     "stat_once",
     "stat_signature",
 ]
 
 DEFAULT_CACHE_BYTES = 256 * 1024 * 1024
+
+
+def check_cache_bytes(max_bytes: int) -> None:
+    """Refuse a cache budget below one byte, naming the field, so a CLI can
+    reject ``--cache-bytes`` before it writes or binds anything."""
+
+    if max_bytes <= 0:
+        raise ConfigError("cache.max_bytes", "out-of-range", f"max_bytes must be positive, got {max_bytes!r}")
+
 
 # The ``probe`` kind's value: "container probed sound" (the roster scan's
 # view of a weights file); its accounting cost is nominal.
@@ -168,8 +179,7 @@ class ArtifactCache:
     """
 
     def __init__(self, max_bytes: int = DEFAULT_CACHE_BYTES) -> None:
-        if max_bytes <= 0:
-            raise ValueError(f"max_bytes must be positive, got {max_bytes}")
+        check_cache_bytes(max_bytes)
         self.max_bytes = int(max_bytes)
         self._lock = threading.Lock()
         self._entries: OrderedDict[tuple[str, str], CacheEntry] = OrderedDict()

@@ -55,7 +55,7 @@ import numpy as np
 
 from .batching import execute_window, plan_windows
 from .breaker import BreakerBoard, BreakerPolicy, merge_snapshots, non_closed_in_snapshot
-from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
+from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, check_cache_bytes
 from .ensemble import EnsembleRuntime, check_min_members
 from .errors import CampaignError, ConfigError
 from .faults import FaultSpec, build_synthetic_model, measure_degradation
@@ -87,7 +87,6 @@ from .metrics import (
     metrics_shards,
 )
 from .store import ArtifactStore
-from .tracing import get_tracer
 
 __all__ = [
     "OUTCOME_OK",
@@ -706,24 +705,20 @@ class TrialExecutor:
     def execute(self, index: int) -> dict:
         """Run one trial and build its (deterministic) journal record.
 
-        Each trial is wrapped in a tracing span and metered into the
-        ``campaign_trial_seconds`` histogram / ``campaign_trials_total``
-        counter — all out-of-band; the returned record carries no timing.
+        Each trial observes its wall time into the ``campaign_trial_seconds``
+        histogram once, whatever its outcome, and counts into
+        ``campaign_trials_total`` — all out-of-band; the returned record
+        carries no timing.
         """
 
         registry = get_registry()
         spec = self.derive_spec(index)
-        with get_tracer().span(
-            "campaign.trial",
-            index=index,
-            model=spec.model,
-            observe=registry.histogram("campaign_trial_seconds"),
-        ) as span:
+        start = time.perf_counter()
+        try:
             if self.config.trial_sleep_s > 0:
                 time.sleep(self.config.trial_sleep_s)
             pre_breakers = self.board_for(spec.model).snapshot()
             outcome, value, error = self._call_with_watchdog(spec)
-            span.set(outcome=outcome)
             record = {
                 "type": "trial",
                 "index": index,
@@ -739,6 +734,8 @@ class TrialExecutor:
                 record["result"] = value
             elif outcome == OUTCOME_ERROR:
                 record["error"] = repr(error)
+        finally:
+            registry.histogram("campaign_trial_seconds").observe(time.perf_counter() - start)
         registry.counter("campaign_trials_total", outcome=outcome).inc()
         if spec.scenario is not None:
             registry.counter(
@@ -938,13 +935,12 @@ class CampaignRunner:
         *new* trials this call executes — tests use it to simulate a
         mid-campaign crash.
 
-        The process-global metrics registry and tracer are reset on entry so
-        the campaign's ``metrics.json`` describes exactly one run, even when
+        The process-global metrics registry is reset on entry so the
+        campaign's ``metrics.json`` describes exactly one run, even when
         several runners execute in the same process.
         """
 
         get_registry().reset()
-        get_tracer().reset()
         state = self._open(resume)
         done, fields = self._execute(state, max_new_trials)
         if all(i in done for i in range(self.config.n_trials)) and shard_journals(self.out_dir):
@@ -1007,8 +1003,7 @@ def verify_campaign(out_dir: str | Path) -> dict:
     or 4 (replay mismatch: the chain is intact but records don't re-derive
     from the config).  Verified-record and failure tallies flow into the
     ``journal_records_verified_total`` / ``journal_chain_breaks_total`` /
-    ``journal_replay_mismatches_total`` counters, under a ``journal.verify``
-    tracing span.
+    ``journal_replay_mismatches_total`` counters.
 
     Trust model: the chain makes *silent* history rewrites detectable — any
     splice forces re-sealing every later record and changes the chain head.
@@ -1020,14 +1015,12 @@ def verify_campaign(out_dir: str | Path) -> dict:
 
     out = Path(out_dir)
     registry = get_registry()
-    with get_tracer().span("journal.verify", out_dir=str(out)) as span:
-        report = _verify_campaign(out)
-        registry.counter("journal_records_verified_total").inc(report["records_verified"])
-        if report["status"] == "chain-break":
-            registry.counter("journal_chain_breaks_total").inc()
-        elif report["status"] == "replay-mismatch":
-            registry.counter("journal_replay_mismatches_total").inc()
-        span.set(status=report["status"], records_verified=report["records_verified"])
+    report = _verify_campaign(out)
+    registry.counter("journal_records_verified_total").inc(report["records_verified"])
+    if report["status"] == "chain-break":
+        registry.counter("journal_chain_breaks_total").inc()
+    elif report["status"] == "replay-mismatch":
+        registry.counter("journal_replay_mismatches_total").inc()
     return report
 
 
@@ -1479,6 +1472,8 @@ def main(argv: list[str] | None = None) -> int:
     scenarios: tuple[str, ...] = ()
     try:
         check_min_members(args.min_members)
+        if not args.no_cache:
+            check_cache_bytes(args.cache_bytes)
         if args.scenarios:
             from .scenarios import resolve_scenarios
 
@@ -1549,9 +1544,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.metrics_out:
             merged.write_json(args.metrics_out)
         if args.metrics_prom:
-            prom = Path(args.metrics_prom)
-            prom.parent.mkdir(parents=True, exist_ok=True)
-            prom.write_text(merged.to_prometheus(), encoding="utf-8")
+            merged.write_prometheus(args.metrics_prom)
     json.dump(summary, sys.stdout, indent=2)
     sys.stdout.write("\n")
     return 0 if summary["completed"] == config.n_trials else 3

@@ -33,6 +33,7 @@ roster it scanned while the model directory lists the same files.
 from __future__ import annotations
 
 import os
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -43,7 +44,6 @@ from .decision import DetectionMetrics, LogisticDecisionModule, ensemble_feature
 from .errors import ConfigError, DegradedEnsemble
 from .metrics import get_registry
 from .store import ArtifactStore
-from .tracing import get_tracer
 
 __all__ = ["EnsembleBatch", "EnsembleResult", "DegradedResult", "ModelSkipped", "ModelSession", "CleanBaseline", "EnsembleRuntime"]
 
@@ -461,13 +461,13 @@ class EnsembleRuntime:
         """
 
         registry = get_registry()
-        with get_tracer().span(
-            "ensemble.run_model", model=model, observe=registry.histogram("ensemble_run_seconds")
-        ) as span:
+        start = time.perf_counter()
+        try:
             result = self._run_model_inner(model, members=members, greedy=greedy)
-            span.set(status=result.status)
             registry.counter("ensemble_runs_total", status=result.status).inc()
             return result
+        finally:
+            registry.histogram("ensemble_run_seconds").observe(time.perf_counter() - start)
 
     def _run_model_inner(
         self, model: str, *, members: list[str] | None = None, greedy: str | None = None

@@ -777,11 +777,11 @@ def main(argv: list[str] | None = None) -> int:
             spec = scenario.fault(args.seed)
         else:
             spec = FaultSpec(kind=args.kind, rate=args.rate, sigma=args.sigma, seed=args.seed)
+        cache = None if args.no_cache else ArtifactCache(args.cache_bytes)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    cache = None if args.no_cache else ArtifactCache(args.cache_bytes)
     if args.synthetic is not None:
         build_synthetic_model(args.synthetic, seed=args.seed)
         store = ArtifactStore(args.synthetic, cache=cache)
@@ -798,9 +798,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.metrics_out:
         registry.write_json(args.metrics_out)
     if args.metrics_prom:
-        prom = Path(args.metrics_prom)
-        prom.parent.mkdir(parents=True, exist_ok=True)
-        prom.write_text(registry.to_prometheus(), encoding="utf-8")
+        registry.write_prometheus(args.metrics_prom)
     if args.json:
         payload = {
             "schema": "polygraphmr/faults-report/v1",

@@ -242,29 +242,19 @@ class CampaignJournal:
         self._head = head
 
     def append(self, record: dict) -> None:
-        """Durably append one chained record: single write, flush, fsync.
+        """Durably append one chained record: :meth:`append_many` of one."""
 
-        The first append after opening an existing journal reads it to
-        recover the chain head, repairing any crash-torn tail so the new
-        record lands on a clean line; a journal whose committed history
-        fails verification refuses the append (scan raises).
-        """
-
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        if self._head is None:
-            _, chain = self.scan(repair=True)
-            self._head = chain[-1] if chain else self.genesis
-        line, seal = seal_record(record, self._head)
-        with open(self.path, "a", encoding="utf-8") as fh:
-            fh.write(line + "\n")
-            fh.flush()
-            os.fsync(fh.fileno())
-        self._head = seal
+        self.append_many([record])
 
     def append_many(self, records: list[dict]) -> list[str]:
         """Durably append a run of chained records with one write + fsync.
 
-        Byte-identical to calling :meth:`append` once per record — each
+        The first append after opening an existing journal reads it to
+        recover the chain head, repairing any crash-torn tail so the new
+        records land on a clean line; a journal whose committed history
+        fails verification refuses the append (scan raises).
+
+        Byte-identical to appending the records one at a time — each
         record is sealed against the previous one's hash in order — but the
         batch runner's window flush pays the open/flush/fsync cost once per
         window instead of once per trial.  A crash mid-write tears at most

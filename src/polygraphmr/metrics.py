@@ -32,6 +32,13 @@ A process-global default registry (:func:`get_registry`) keeps the wiring
 zero-cost for callers; multiprocess campaign workers reset it after
 ``fork`` so their shards hold only their own deltas.
 
+The registry is the program's one timing mechanism: a timed hot path takes
+``time.perf_counter()`` on entry and observes the elapsed seconds into its
+histogram.  ``campaign_trial_seconds`` (per trial) and
+``ensemble_run_seconds`` (per ``run_model`` call) observe in a ``finally``,
+once per call whatever the outcome.  No timing is kept that the exports
+below do not carry.
+
 Campaign counters of note: ``campaign_trials_total{outcome}`` for every
 trial, plus ``campaign_scenario_trials_total{scenario, outcome}`` when the
 campaign sweeps declarative scenarios (:mod:`polygraphmr.scenarios`) — the
@@ -360,17 +367,15 @@ class MetricsRegistry:
 
     # -- exports ---------------------------------------------------------
 
-    def write_json(self, path: str | Path, *, extra: dict | None = None) -> Path:
-        """Write the registry (plus optional out-of-band extras, e.g. tracing
-        spans) as deterministic JSON."""
+    def write_json(self, path: str | Path) -> Path:
+        """Write the registry as deterministic JSON."""
 
-        p = Path(path)
-        p.parent.mkdir(parents=True, exist_ok=True)
-        payload = self.to_dict()
-        if extra:
-            payload.update(extra)
-        p.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
-        return p
+        return _write_text(path, json.dumps(self.to_dict(), sort_keys=True, indent=2) + "\n")
+
+    def write_prometheus(self, path: str | Path) -> Path:
+        """Write the registry as Prometheus text (:meth:`to_prometheus`)."""
+
+        return _write_text(path, self.to_prometheus())
 
     def to_prometheus(self) -> str:
         """Prometheus text exposition (0.0.4) of every metric."""
@@ -411,6 +416,13 @@ class MetricsRegistry:
             lines.append(f"{name}_sum{labelstr(labels)} {fmt(h.sum)}")
             lines.append(f"{name}_count{labelstr(labels)} {h.count}")
         return "\n".join(lines) + "\n"
+
+
+def _write_text(path: str | Path, text: str) -> Path:
+    p = Path(path)
+    p.parent.mkdir(parents=True, exist_ok=True)
+    p.write_text(text, encoding="utf-8")
+    return p
 
 
 def merge_registries(registries) -> MetricsRegistry:

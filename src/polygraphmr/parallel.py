@@ -79,7 +79,6 @@ from .campaign import (
 )
 from .errors import CampaignError
 from .metrics import MetricsRegistry, get_registry, metrics_shard_name, set_registry
-from .tracing import get_tracer
 
 __all__ = ["trial_owner", "worker_assignments", "ParallelCampaignRunner"]
 
@@ -139,10 +138,9 @@ def _worker_main(
     signal.signal(signal.SIGTERM, handle_stop)
     signal.signal(signal.SIGINT, handle_stop)
 
-    # fork duplicated the parent's metric and tracing state into this
-    # process; start fresh so the shard carries only this worker's deltas
+    # fork duplicated the parent's metrics registry into this process;
+    # start fresh so the shard carries only this worker's deltas
     set_registry(MetricsRegistry())
-    get_tracer().reset()
 
     def write_metrics_shard() -> None:
         try:

@@ -110,7 +110,7 @@ from pathlib import Path
 import numpy as np
 
 from .breaker import BreakerBoard, BreakerPolicy
-from .cache import DEFAULT_CACHE_BYTES, ArtifactCache
+from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, check_cache_bytes
 from .ensemble import EnsembleRuntime, ModelSession, check_min_members
 from .errors import ConfigError, DegradedEnsemble, PolygraphError, RetryPolicy, ServeError, TransientIOError
 from .metrics import BATCH_SIZE_BUCKETS, get_registry
@@ -938,9 +938,7 @@ class ServeGateway:
         if self.config.metrics_out:
             registry.write_json(self.config.metrics_out)
         if self.config.prom_out:
-            path = Path(self.config.prom_out)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            path.write_text(registry.to_prometheus(), encoding="utf-8")
+            registry.write_prometheus(self.config.prom_out)
 
     # -- connection handling ---------------------------------------------
 
@@ -1387,6 +1385,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config(args)
         check_min_members(args.min_members)
+        check_cache_bytes(args.cache_bytes)
     except ConfigError as exc:
         parser.error(str(exc))
     try:

@@ -14,7 +14,6 @@ from polygraphmr.faults import build_synthetic_model
 from polygraphmr.metrics import get_registry
 from polygraphmr.naming import standard_roster
 from polygraphmr.store import ArtifactStore
-from polygraphmr.tracing import get_tracer
 
 try:  # hypothesis is a dev extra; only the property tests need it
     from hypothesis import settings
@@ -41,13 +40,11 @@ def shm_entries() -> set[str]:
 
 @pytest.fixture(autouse=True)
 def _reset_observability():
-    """Metrics/tracing are process-global; isolate every test from the last."""
+    """Metrics are process-global; isolate every test from the last."""
 
     get_registry().reset()
-    get_tracer().reset()
     yield
     get_registry().reset()
-    get_tracer().reset()
 
 SYNTH_MEMBERS = ("ORG", "pp-Gamma_2", "pp-Hist", "pp-FlipX", "replica-001")
 

@@ -383,6 +383,8 @@ class TestCLI:
             (["--rates", "3.5"], "fault.rate"),
             (["--sigmas=-0.1"], "fault.sigma"),
             (["--min-members", "0"], "ensemble.min_members"),
+            (["--cache-bytes", "0"], "cache.max_bytes"),
+            (["--cache-bytes=-1"], "cache.max_bytes"),
         ],
     )
     def test_unrunnable_settings_exit_2_and_write_nothing(self, tmp_path, capsys, flags, field):
@@ -394,6 +396,11 @@ class TestCLI:
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
         assert list(tmp_path.iterdir()) == []
         assert main(args) == 0
+
+    def test_cache_budget_is_unchecked_without_a_cache(self, tmp_path, capsys):
+        args = ["--synthetic", str(tmp_path / "cache"), "--out", str(tmp_path / "out"), "--trials", "2"]
+        assert main([*args, "--no-cache", "--cache-bytes", "0"]) == 0
+        capsys.readouterr()
 
     def test_batch_size_flag_is_refused_as_unknown(self, tmp_path, capsys):
         out = tmp_path / "out"

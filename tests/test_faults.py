@@ -376,6 +376,17 @@ class TestCLI:
         assert capsys.readouterr().err.startswith("error: fault.rate: out-of-range")
         assert not (tmp_path / "demo").exists()
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_non_positive_cache_bytes_exits_2_naming_the_field(self, tmp_path, capsys, budget):
+        rc = main(["--synthetic", str(tmp_path / "demo"), f"--cache-bytes={budget}"])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith("error: cache.max_bytes: out-of-range")
+        assert not (tmp_path / "demo").exists()
+
+    def test_cache_budget_is_unchecked_without_a_cache(self, tmp_path, capsys):
+        assert main(["--synthetic", str(tmp_path / "demo"), "--no-cache", "--cache-bytes", "0"]) == 0
+        capsys.readouterr()
+
     def test_list_scenarios(self, capsys):
         assert main(["--list-scenarios"]) == 0
         out = capsys.readouterr().out

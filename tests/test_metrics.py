@@ -1,4 +1,4 @@
-"""Metrics registry, tracing spans, and their wiring into the hot paths:
+"""Metrics registry and its wiring into the hot paths:
 store loads, breaker transitions, retry exhaustion, error taxonomy, and the
 campaign metrics lifecycle (shard cleanup + ``metrics.json``)."""
 
@@ -6,13 +6,23 @@ from __future__ import annotations
 
 import json
 import pathlib
+import threading
 
 import pytest
 
 from polygraphmr.breaker import CLOSED, HALF_OPEN, OPEN, BreakerPolicy, CircuitBreaker
-from polygraphmr.campaign import CampaignConfig, CampaignRunner
+from polygraphmr.campaign import (
+    OUTCOME_ERROR,
+    OUTCOME_OK,
+    OUTCOME_TIMEOUT,
+    CampaignConfig,
+    CampaignRunner,
+    TrialExecutor,
+)
+from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import (
     CampaignError,
+    DegradedEnsemble,
     RetryPolicy,
     TransientIOError,
     retry_with_backoff,
@@ -28,7 +38,6 @@ from polygraphmr.metrics import (
     metrics_shards,
 )
 from polygraphmr.store import ArtifactStore
-from polygraphmr.tracing import Tracer
 
 
 class TestCounterAndGauge:
@@ -188,35 +197,6 @@ class TestShardDiscovery:
         assert shards[0].name == "metrics.w00.json"
 
 
-class TestTracing:
-    def test_spans_nest_and_record_attrs(self):
-        tracer = Tracer()
-        with tracer.span("outer", model="m") as outer:
-            with tracer.span("inner") as inner:
-                inner.set(outcome="ok")
-            assert inner.parent_id == outer.span_id
-        records = tracer.finished()
-        assert [r.name for r in records] == ["inner", "outer"]
-        assert records[0].parent_id == records[1].span_id
-        assert records[0].attrs == {"outcome": "ok"}
-        assert records[1].duration_s >= records[0].duration_s
-
-    def test_span_observes_duration_into_histogram(self):
-        tracer = Tracer()
-        reg = MetricsRegistry()
-        h = reg.histogram("lat")
-        with tracer.span("timed", observe=h):
-            pass
-        assert h.count == 1
-
-    def test_reset_drops_spans(self):
-        tracer = Tracer()
-        with tracer.span("a"):
-            pass
-        tracer.reset()
-        assert tracer.finished() == []
-
-
 class TestHotPathWiring:
     def test_store_load_hit_is_counted_and_timed(self, synthetic_store):
         reg = get_registry()
@@ -224,6 +204,19 @@ class TestHotPathWiring:
         assert reg.counter_value("store_load_total", kind="probs", result="hit") == 1
         h = reg.histogram_for("store_load_seconds", kind="probs")
         assert h is not None and h.count == 1
+
+    def test_run_model_is_timed_once_per_call_beside_its_status_count(self, synthetic_store):
+        reg = get_registry()
+        runtime = EnsembleRuntime(synthetic_store)
+        for calls in (1, 2):
+            assert runtime.run_model("tinynet").status == "full"
+            assert reg.counter_value("ensemble_runs_total", status="full") == calls
+            assert reg.histogram_for("ensemble_run_seconds").count == calls
+        # a call that raises is still timed, but has no status to count
+        with pytest.raises(DegradedEnsemble):
+            runtime.run_model("absent")
+        assert reg.counter_total("ensemble_runs_total") == 2
+        assert reg.histogram_for("ensemble_run_seconds").count == 3
 
     def test_error_taxonomy_counter_counts_construction(self):
         reg = get_registry()
@@ -310,6 +303,30 @@ class TestCampaignMetricsLifecycle:
         on_disk = load_registry(metrics_path)
         assert on_disk is not None
         assert on_disk.counter_total("campaign_trials_total") == 4
+
+    @pytest.mark.parametrize("outcome", [OUTCOME_OK, OUTCOME_ERROR, OUTCOME_TIMEOUT])
+    def test_every_trial_is_timed_once_whatever_its_outcome(self, bare_cache, outcome):
+        release = threading.Event()
+
+        def trial(spec):
+            if outcome == OUTCOME_ERROR:
+                raise RuntimeError("injected")
+            if outcome == OUTCOME_TIMEOUT:
+                release.wait(30)
+            return {}
+
+        timeout_s = 0.1 if outcome == OUTCOME_TIMEOUT else 120.0
+        config = CampaignConfig(cache=str(bare_cache("m")), n_trials=2, timeout_s=timeout_s)
+        executor = TrialExecutor(config, ["m"], trial_fn=trial)
+        reg = get_registry()
+        try:
+            for index in range(2):
+                assert executor.execute(index)["outcome"] == outcome
+                assert reg.histogram_for("campaign_trial_seconds").count == index + 1
+        finally:
+            release.set()
+            executor.close()
+        assert reg.counter_value("campaign_trials_total", outcome=outcome) == 2
 
     def test_watchdog_fires_are_counted(self, tmp_path, bare_cache):
         import time as time_mod

@@ -862,6 +862,21 @@ class TestConfigBounds:
         assert "ensemble.min_members: out-of-range" in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
+    def test_cli_refuses_cache_bytes_below_one_before_binding(self, tmp_path):
+        cache = tmp_path / "cache"
+        argv = ["--cache", str(cache), "--synthetic-models", "1", "--unix", str(tmp_path / "gw.sock")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "polygraphmr.serve", *argv, "--cache-bytes", "0"],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert "cache.max_bytes: out-of-range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
     def test_serve_workers_accepts_only_zero_and_is_hidden(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main(["--cache", str(tmp_path), "--serve-workers", "2"])
