@@ -6,6 +6,11 @@ top-1 prediction is wrong.  Here it is a logistic regression over six
 agreement statistics of the stacked probability tensor, fitted by Newton's
 method on the ``val`` split and evaluated on ``test`` — pure numpy, no
 external ML dependency.
+
+The features are computed class-major (:func:`plane_features`): the
+``(M, N, C)`` stack as ``C`` contiguous planes of shape ``(M, N)``, so each
+reduction over a sample's classes (row sums, votes) is ``C - 1`` whole-plane
+ufunc calls in the order numpy's row reductions use, bit-equal to them.
 """
 
 from __future__ import annotations
@@ -22,14 +27,19 @@ __all__ = [
     "DetectionMetrics",
     "LogisticDecisionModule",
     "baseline_aucs",
+    "class_major",
     "ensemble_features",
     "ensemble_features_batch",
     "misprediction_targets",
+    "plane_argmax",
+    "plane_features",
+    "plane_sums",
 ]
 
-# probability rows (one member's view of one sample) per argmax slab, see
-# ensemble_features_batch: 1000 CIFAR samples of 10 members
-VOTE_SLAB = 10_000
+# samples per class-major copy in ensemble_features_batch: the gate fit and
+# the clean baseline featurize a whole memoised split (8 MB at CIFAR shape),
+# and copying it whole raised a campaign-cifar command's peak RSS by 3-4 MB
+FEATURE_SLAB = 1000
 
 # the gate's feature columns, in order (see :func:`ensemble_features_batch`)
 FEATURE_NAMES = (
@@ -75,7 +85,110 @@ def ensemble_features(stacked: np.ndarray) -> np.ndarray:
 
 def ensemble_features_batch(batched: np.ndarray) -> np.ndarray:
     """Feature matrices ``(B, N, 6)`` from a batch of stacked tensors
-    ``(B, M, N, C)``, ORG at member index 0.
+    ``(B, M, N, C)``, ORG at member index 0: :func:`plane_features` of
+    class-major copies (:func:`class_major`) of :data:`FEATURE_SLAB`
+    samples at a time.  Every feature is per sample, so the slabs do not
+    change a byte."""
+
+    n = batched.shape[2]
+    out = np.empty((batched.shape[0], n, len(FEATURE_NAMES)), dtype=np.result_type(batched.dtype, np.float64))
+    for lo in range(0, n, FEATURE_SLAB):
+        out[:, lo : lo + FEATURE_SLAB] = plane_features(class_major(batched[:, :, lo : lo + FEATURE_SLAB]))[0]
+    return out
+
+
+def class_major(arr: np.ndarray, dtype=None) -> np.ndarray:
+    """A C-ordered copy of ``arr`` with its last (class) axis moved to the
+    front: ``(..., C)`` becomes ``C`` contiguous planes ``(C, ...)``, in
+    ``dtype`` (default: ``arr``'s).  The input is never written."""
+
+    return np.array(np.moveaxis(arr, -1, 0), dtype=dtype, order="C")
+
+
+def plane_sums(planes: np.ndarray) -> np.ndarray:
+    """``planes.sum(axis=0)`` added in the order numpy's ``sum(axis=-1)``
+    adds one row of the row-major layout, so the two are bit-equal.
+
+    numpy sums a contiguous row pairwise: below 8 elements in sequence;
+    up to 128 in eight interleaved accumulators, combined as a tree, then
+    the tail in sequence; above that it splits the row in two (the first
+    half a multiple of 8) and adds the halves' sums.  The reduction starts
+    from the identity, so ``0.0`` is added last (it only turns ``-0.0``
+    into ``0.0``).  Each step is a whole-plane ufunc call into buffers
+    allocated once per call."""
+
+    out = np.empty(planes.shape[1:], dtype=planes.dtype)
+    _pairwise_into(planes, out)
+    out += 0.0
+    return out
+
+
+def _pairwise_into(planes: np.ndarray, out: np.ndarray) -> None:
+    n = len(planes)
+    if n > 128:
+        half = n // 2 - (n // 2) % 8
+        _pairwise_into(planes[:half], out)
+        rest = np.empty_like(out)
+        _pairwise_into(planes[half:], rest)
+        out += rest
+    elif n < 8:
+        out[...] = planes[0] if n else 0.0
+        for k in range(1, n):
+            out += planes[k]
+    else:
+        block = n - n % 8
+        acc = planes[:8]
+        if block > 8:
+            acc = planes[:8] + planes[8:16]
+            for lo in range(16, block, 8):
+                acc += planes[lo : lo + 8]
+        # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the tail
+        right = np.empty_like(out)
+        scratch = np.empty_like(out)
+        np.add(acc[0], acc[1], out=out)
+        np.add(acc[2], acc[3], out=right)
+        out += right
+        np.add(acc[4], acc[5], out=right)
+        np.add(acc[6], acc[7], out=scratch)
+        right += scratch
+        out += right
+        for k in range(block, n):
+            out += planes[k]
+
+
+def plane_argmax(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``argmax(axis=0)`` of ``planes`` and the value there, with numpy's
+    ``argmax`` semantics: the first maximum wins, and a NaN beats every
+    number, the first NaN winning.  Votes are the smallest unsigned dtype
+    that holds ``C - 1``.
+
+    One pass per plane: a strict-greater compare against the running
+    maximum, and a blend ``max(votes, gt · k)`` (``k`` exceeds every
+    earlier vote) instead of a masked write, which costs far more on
+    random masks.  NaN is rare (sanitized planes hold none), so the rows
+    whose maximum went NaN are re-voted afterwards from a gather."""
+
+    c = len(planes)
+    votes = np.zeros(planes.shape[1:], dtype=np.min_scalar_type(max(c - 1, 0)))
+    best = planes[0].copy()
+    gt = np.empty(best.shape, dtype=bool)
+    step = np.empty_like(votes)
+    for k in range(1, c):
+        np.greater(planes[k], best, out=gt)
+        np.maximum(best, planes[k], out=best)
+        np.multiply(gt.view(np.uint8), votes.dtype.type(k), out=step)
+        np.maximum(votes, step, out=votes)
+    nan = np.flatnonzero(np.isnan(best))
+    if nan.size:
+        votes.reshape(-1)[nan] = np.isnan(planes.reshape(c, -1)[:, nan]).argmax(axis=0)
+    return votes, best
+
+
+def plane_features(planes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The gate's feature matrices ``(..., N, 6)`` and every member's vote
+    ``(..., M, N)`` from class-major planes ``(C, ..., M, N)``
+    (:func:`class_major` of ``(..., M, N, C)`` stacks), ORG at member
+    index 0.
 
     Six agreement statistics per sample, in :data:`FEATURE_NAMES` order:
     the member-mean probabilities' entropy and maximum, the share of
@@ -84,40 +197,32 @@ def ensemble_features_batch(batched: np.ndarray) -> np.ndarray:
     class: how strongly the redundant submodels back ORG's answer) and
     ORG's own max probability.  They do not depend on the member count, so
     the layout stays the same when members drop out.  Every statistic
-    reduces over the member or class axis elementwise, so ``out[b]``
-    depends on ``batched[b]`` alone; the majority vote is a vote tally +
-    argmax, which breaks ties toward the lowest class.  Each statistic is
-    computed in the input's dtype and stored as float64.  Votes are taken in
-    slabs of :data:`VOTE_SLAB` probability rows.
-    """
+    reduces over the member or class axis elementwise, so a sample's row
+    depends on that sample alone.  Votes are :func:`plane_argmax`; the
+    majority is the most-voted class, ties toward the lowest.  Each
+    statistic is computed in the planes' dtype and stored as float64, and
+    equals the row-major computation bit for bit (:func:`plane_sums`)."""
 
-    b, _, n, c = batched.shape
-    out = np.empty((b, n, len(FEATURE_NAMES)), dtype=np.result_type(batched.dtype, np.float64))
-    mean = batched.mean(axis=1)  # (B, N, C)
+    c, m = planes.shape[0], planes.shape[-2]
+    mean = planes.mean(axis=-2)  # (C, ..., N)
+    out = np.empty((*mean.shape[1:], len(FEATURE_NAMES)), dtype=np.result_type(planes.dtype, np.float64))
     eps = 1e-12
-    out[..., 0] = -(mean * np.log(mean + eps)).sum(axis=2)  # entropy
-    out[..., 1] = mean.max(axis=2)
-    # numpy's argmax copies a read-only operand whole first (8 MB at CIFAR
-    # shape for a memoised stack); contiguous slabs of rows bound that copy
-    # and leave a writeable operand uncopied
-    flat = batched.reshape(-1, c)
-    votes = np.empty(len(flat), dtype=np.intp)
-    for lo in range(0, len(flat), VOTE_SLAB):
-        votes[lo : lo + VOTE_SLAB] = flat[lo : lo + VOTE_SLAB].argmax(axis=1)
-    votes = votes.reshape(batched.shape[:3])  # (B, M, N)
-    # one tally over every (trial, sample) row: vote v of row r lands in bin r·C + v
-    rows = np.arange(b * n).reshape(b, 1, n)
-    counts = np.bincount((votes + rows * c).ravel(), minlength=b * n * c).reshape(b, n, c)
-    majority = counts.argmax(axis=2)  # (B, N)
-    org_vote = votes[:, 0]  # (B, N)
-    out[..., 2] = (votes == majority[:, None, :]).mean(axis=1)  # agreement
+    out[..., 0] = -plane_sums(mean * np.log(mean + eps))  # entropy
+    out[..., 1] = mean.max(axis=0)
+    votes, top = plane_argmax(planes)  # (..., M, N)
+    # the votes tallied per class, as planes: counts[k] = members voting k
+    counts = np.empty((c, *mean.shape[1:]), dtype=np.min_scalar_type(m))
+    hit = np.empty(votes.shape, dtype=bool)
+    for k in range(c):
+        np.equal(votes, k, out=hit)
+        np.add.reduce(hit.view(np.uint8), axis=-2, out=counts[k])
+    majority, agreeing = plane_argmax(counts)  # (..., N)
+    org_vote = votes[..., 0, :]
+    np.divide(agreeing, m, out=out[..., 2])  # agreement
     out[..., 3] = org_vote != majority
-    org_top = org_vote[..., None]
-    out[..., 4] = np.take_along_axis(mean, org_top, axis=2)[..., 0]  # ORG support
-    # ORG's max prob is the prob of its vote (argmax picks a row's first NaN,
-    # so NaN rows match ``max`` too) — a gather instead of a second row scan
-    out[..., 5] = np.take_along_axis(batched[:, 0], org_top, axis=2)[..., 0]
-    return out
+    out[..., 4] = np.take_along_axis(mean, org_vote[None].astype(np.intp), axis=0)[0]  # ORG support
+    out[..., 5] = top[..., 0, :]  # ORG's max prob: the prob of its vote
+    return out, votes
 
 
 def misprediction_targets(org_probs: np.ndarray, labels: np.ndarray) -> np.ndarray:

@@ -8,12 +8,13 @@ One seeded, reproducible tensor injector plus artifact-level damage:
   tensor, a ``rate`` fraction of last-axis channels, or ``count``
   addressed elements) and, per index, what the fault model does there
   (IEEE-754 bit-flip, additive gaussian, quantization rounding,
-  stuck-at-0/1).  :func:`_inject` then copies a stack and writes that one
-  draw in place into every member's slice: the members of a trial share
-  its seed, so they share its draw.  :meth:`FaultSpec.apply_batch` and
+  stuck-at-0/1).  :func:`_inject` then copies a stack into class-major
+  planes ``(C, M, N)`` (:meth:`FaultDraw.apply`) and writes that one draw
+  into every member: the members of a trial share its seed, so they share
+  its draw.  :meth:`FaultSpec.apply_batch` and
   :meth:`polygraphmr.scenarios.ScenarioFault.apply_batch` are the two
-  steps on a whole stack; a single tensor is a batch of one
-  (``arr[None]``).  The declarative :mod:`polygraphmr.scenarios`
+  steps on a whole stack, returned in its layout; a single tensor is a
+  batch of one (``arr[None]``).  The declarative :mod:`polygraphmr.scenarios`
   subsystem drives it; :class:`FaultSpec`, the legacy
   ``--kind/--rate/--sigma`` sweep's fault, drives it for bit-flips and
   keeps its own whole-tensor gaussian noise (a draw with no index
@@ -25,7 +26,11 @@ One seeded, reproducible tensor injector plus artifact-level damage:
   reference of the clean split before the gate scores every sample in one
   call; a dense fault (the legacy gaussian, the ``channel`` surface, or
   more than :data:`DENSE_SHARE` of the samples) runs the same steps over
-  every sample.  Both give the same bytes.
+  every sample.  Both give the same bytes.  From injection to features
+  the samples stay class-major, so every reduction over a sample's ``C``
+  classes is ``C - 1`` whole-plane calls
+  (:func:`~polygraphmr.decision.plane_features`) rather than one numpy
+  call per ``C``-wide row.
 * **Artifact-level** — byte truncation and header damage applied to copies
   of ``.npz`` files, used to exercise the store's quarantine path.
 
@@ -46,7 +51,7 @@ from pathlib import Path
 import numpy as np
 
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, stat_once
-from .decision import FEATURE_NAMES, DetectionMetrics, baseline_aucs, ensemble_features, misprediction_targets
+from .decision import FEATURE_NAMES, DetectionMetrics, baseline_aucs, class_major, plane_features, plane_sums
 from .ensemble import EnsembleRuntime, ModelSession
 from .errors import ConfigError
 from .metrics import get_registry
@@ -149,7 +154,7 @@ class FaultSpec:
         slice's float32 elements; ``gaussian`` adds N(0, sigma) noise to
         every element (float64)."""
 
-        return _inject(stacked, self.draw(np.shape(stacked)[1:]), self.dtype)
+        return _apply_batch(self, stacked)
 
     def describe(self) -> dict:
         """The journalled ``fault`` stanza of a degradation report."""
@@ -239,27 +244,37 @@ class FaultDraw:
         sample, column = np.divmod(self.idx, width)
         return replace(self, idx=np.searchsorted(rows, sample) * width + column)
 
-    def apply(self, flat: np.ndarray) -> None:
-        """Inject into every row of ``flat`` in place; ``flat`` is 2-D and
-        C-ordered, one slice per row (``(B, L)``, ``L`` the slice size), in
-        :func:`fault_dtype` of the kind.  Every row gets the same draw."""
+    def apply(self, planes: np.ndarray, members: np.ndarray) -> None:
+        """Write ``members`` ``(B, R, C)`` (one slice per member, ``R``
+        samples of ``C`` classes) into the class-major ``planes``
+        ``(C, B, R)``, in :func:`fault_dtype` of the kind, with the draw
+        applied to every member: the slice's flat index ``sample·C + class``
+        is ``planes[class, :, sample]``.  Every member gets the same draw.
 
+        Each member is one transposing copy; a draw with no selection adds
+        its noise in that copy."""
+
+        c = planes.shape[0]
         if self.idx is None:
-            cells = slice(None)
-        elif self.idx.size:
-            cells = self.idx
-        else:
+            noise = np.ascontiguousarray(self.vals.reshape(-1, c).T)
+            for i, member in enumerate(members):
+                np.add(member.T, noise, out=planes[:, i])
             return
+        for i, member in enumerate(members):
+            planes[:, i] = member.T
+        if not self.idx.size:
+            return
+        sample, column = np.divmod(self.idx, c)
         if self.kind == "bitflip":
-            flat.view(np.uint32)[:, cells] ^= np.uint32(1) << self.vals
+            planes.view(np.uint32)[column, :, sample] ^= (np.uint32(1) << self.vals)[:, None]
         elif self.kind == "gaussian":
-            flat[:, cells] += self.vals
+            planes[column, :, sample] += self.vals[:, None]
         elif self.kind == "quantize":
-            flat[:, cells] = np.round(flat[:, cells] / self.step) * self.step
+            planes[column, :, sample] = np.round(planes[column, :, sample] / self.step) * self.step
         elif self.kind == "stuck0":
-            flat[:, cells] = 0.0
+            planes[column, :, sample] = 0.0
         else:
-            flat[:, cells] = 1.0
+            planes[column, :, sample] = 1.0
 
 
 def draw_fault(
@@ -290,22 +305,32 @@ def draw_fault(
 
 
 def _inject(stack: np.ndarray, draw: FaultDraw, dtype: np.dtype, rows=slice(None)) -> np.ndarray:
-    """The one injector: ``stack[:, rows]`` as a new C-ordered array of
-    ``dtype`` with ``draw`` applied in place to every slice of the leading
-    (member) axis; the input is never written.  ``rows`` is ``slice(None)``
-    or the sorted sample indices ``draw`` is addressed to
+    """The one injector: ``stack[:, rows]`` as new class-major planes
+    ``(C, B, R)`` of ``dtype`` (:meth:`FaultDraw.apply`), ``C`` the last
+    axis and ``B`` the leading (member) axis, with ``draw`` applied to every
+    member; the input is never written.  ``rows`` is ``slice(None)`` or the
+    sorted sample indices ``draw`` is addressed to
     (:meth:`FaultDraw.on_rows`)."""
 
     stack = np.asarray(stack)
     if stack.ndim < 2:
         raise ConfigError("fault.batch", "bad-shape", f"need a batch axis, got shape {stack.shape}")
-    if isinstance(rows, slice):
-        out = np.array(stack[:, rows], dtype=dtype, order="C")
-    else:
-        out = np.take(stack, rows, axis=1).astype(dtype, copy=False)
-    if out.size:
-        draw.apply(out.reshape(out.shape[0], -1))
-    return out
+    members = stack[:, rows] if isinstance(rows, slice) else np.take(stack, rows, axis=1)
+    members = members.reshape(len(members), -1, stack.shape[-1])
+    b, r, c = members.shape
+    planes = np.empty((c, b, r), dtype=dtype)
+    if planes.size:
+        draw.apply(planes, members)
+    return planes
+
+
+def _apply_batch(fault, stacked: np.ndarray) -> np.ndarray:
+    """``fault``'s draw injected into a copy of every slice of ``stacked``,
+    in ``stacked``'s layout: the ``apply_batch`` of :class:`FaultSpec` and
+    :class:`~polygraphmr.scenarios.ScenarioFault`."""
+
+    planes = _inject(stacked, fault.draw(np.shape(stacked)[1:]), fault.dtype)
+    return np.ascontiguousarray(np.moveaxis(planes, 0, -1)).reshape(np.shape(stacked))
 
 
 def sanitize_probs_batch(arr: np.ndarray) -> np.ndarray:
@@ -314,25 +339,27 @@ def sanitize_probs_batch(arr: np.ndarray) -> np.ndarray:
 
     Rows live on the *last* axis and every step is per-row, so any number of
     leading batch axes (members, trials) may ride along.  Works on one
-    float64 copy (converting float32 on the way); the input is never
+    float64 class-major copy (:func:`_sanitize_planes`); the input is never
     written."""
 
-    return _sanitize_in_place(np.array(arr, dtype=np.float64, order="C"))
+    planes = _sanitize_planes(class_major(arr, np.float64))
+    return np.ascontiguousarray(np.moveaxis(planes, 0, -1))
 
 
-def _sanitize_in_place(out: np.ndarray) -> np.ndarray:
-    """:func:`sanitize_probs_batch`'s steps, in place on a float64 array
-    the caller owns; returns it."""
+def _sanitize_planes(planes: np.ndarray) -> np.ndarray:
+    """:func:`sanitize_probs_batch`'s steps, in place on float64 class-major
+    planes ``(C, ...)`` the caller owns; returns them.  The row sums are
+    :func:`~polygraphmr.decision.plane_sums`, bit-equal to numpy's."""
 
-    np.copyto(out, 0.0, where=~np.isfinite(out))
-    np.clip(out, 0.0, 1.0, out=out)
-    sums = out.sum(axis=-1, keepdims=True)
+    np.copyto(planes, 0.0, where=~np.isfinite(planes))
+    np.clip(planes, 0.0, 1.0, out=planes)
+    sums = plane_sums(planes)
     dead = sums <= 0.0
     if dead.any():
-        np.copyto(out, 1.0 / out.shape[-1], where=dead)
+        np.copyto(planes, 1.0 / len(planes), where=dead)
         sums[dead] = 1.0
-    out /= sums
-    return out
+    planes /= sums
+    return planes
 
 
 def corrupt_file_truncate(src: str | Path, dst: str | Path, *, keep_fraction: float, seed: int = 0) -> Path:
@@ -437,21 +464,19 @@ def prepare_degradation(
     )
 
 
-def _featurize_rows(session: ModelSession, faulted: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-    """Sanitize the test samples ``rows`` as ``faulted`` holds them and
-    return their features and ORG's misprediction targets.  Every step is
-    per sample, so a sample's results do not depend on which samples ride
-    along.  The caller hands over ``faulted``: a float64 one is sanitized
-    in place, any other is dropped once its sanitized copy exists."""
+def _featurize_rows(session: ModelSession, planes: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+    """Sanitize the test samples ``rows`` as the class-major ``planes``
+    ``(C, M, R)`` hold them and return their features and ORG's
+    misprediction targets, read from ORG's votes.  Every step is per
+    sample, so a sample's results do not depend on which samples ride
+    along.  The caller hands over ``planes``: float64 ones are sanitized in
+    place, any other is dropped once its float64 copy exists."""
 
-    if faulted.dtype == np.float64:
-        sanitized = _sanitize_in_place(faulted)
-    else:
-        sanitized = sanitize_probs_batch(faulted)
-    del faulted
-    features = ensemble_features(sanitized)
-    targets = misprediction_targets(sanitized[session.members.index("ORG")], session.test_labels[rows])
-    return features, targets
+    if planes.dtype != np.float64:
+        planes = planes.astype(np.float64)
+    features, votes = plane_features(_sanitize_planes(planes))
+    org = votes[session.members.index("ORG")]
+    return features, (org != session.test_labels[rows]).astype(np.float64)
 
 
 def _slabs(n: int):
@@ -481,7 +506,7 @@ def _fault_reference(ctx: DegradationContext, dtype: np.dtype) -> FaultReference
         ref = FaultReference(np.empty((n, len(FEATURE_NAMES))), np.empty(n))
         for rows in _slabs(n):
             ref.features[rows], ref.targets[rows] = _featurize_rows(
-                ctx.session, np.array(stack[:, rows], dtype=dtype, order="C"), rows
+                ctx.session, class_major(stack[:, rows], dtype), rows
             )
         for array in (ref.features, ref.targets):
             array.flags.writeable = False
@@ -534,7 +559,7 @@ def degradation_report(ctx: DegradationContext, spec, *, baselines: bool = False
         # the gate is shared by every trial of the runtime, so the faulted
         # weights go on a shallow copy and the shared gate is never written
         faulted_gate = copy.copy(module)
-        w = _inject(module.w[None], spec.draw(module.w.shape), spec.dtype)[0]
+        w = _inject(module.w[None], spec.draw(module.w.shape), spec.dtype).reshape(-1)
         faulted_gate.w = np.asarray(w, dtype=np.float64)
         features, targets = ctx.clean_features, ctx.clean_targets
         scores = faulted_gate.predict_proba(features)

@@ -56,6 +56,7 @@ from pathlib import Path
 
 __all__ = [
     "DEFAULT_LATENCY_BUCKETS",
+    "REQUEST_LATENCY_BUCKETS",
     "BATCH_SIZE_BUCKETS",
     "Counter",
     "Gauge",
@@ -100,6 +101,14 @@ DEFAULT_LATENCY_BUCKETS = (
     5.0,
     10.0,
     30.0,
+)
+
+# The serving gateway's per-request latency (serve_request_seconds): a
+# closed-loop reply takes about 0.5-2 ms on a 2-core host, where the default
+# edges are 0.5, 1 and 2.5 ms, so every p50 and p90 read as one of those.
+# Edges every 0.1 ms up to 2 ms resolve them; above that, the default edges.
+REQUEST_LATENCY_BUCKETS = tuple(round(0.0001 * k, 4) for k in range(1, 21)) + tuple(
+    b for b in DEFAULT_LATENCY_BUCKETS if b > 0.002
 )
 
 # Power-of-two sizing buckets for the serving gateway's batch-size histogram

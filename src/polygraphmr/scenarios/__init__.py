@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..errors import ConfigError
-from ..faults import FAULT_MODELS, SURFACES, FaultDraw, _inject, _require_number, draw_fault, fault_dtype
+from ..faults import FAULT_MODELS, SURFACES, FaultDraw, _apply_batch, _require_number, draw_fault, fault_dtype
 from ..journal import canonical_json, sha256_hex
 
 try:
@@ -204,7 +204,7 @@ class ScenarioFault:
         ``stacked`` (:func:`~polygraphmr.faults._inject`); a single tensor
         is a batch of one (``fault.apply_batch(arr[None])[0]``)."""
 
-        return _inject(stacked, self.draw(np.shape(stacked)[1:]), self.dtype)
+        return _apply_batch(self, stacked)
 
     def describe(self) -> dict:
         """The journalled ``fault`` stanza: full scenario identity + seed."""

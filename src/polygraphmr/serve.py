@@ -113,7 +113,7 @@ from .breaker import BreakerBoard, BreakerPolicy
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, check_cache_bytes
 from .ensemble import EnsembleRuntime, ModelSession, check_min_members
 from .errors import ConfigError, DegradedEnsemble, PolygraphError, RetryPolicy, ServeError, TransientIOError
-from .metrics import BATCH_SIZE_BUCKETS, get_registry
+from .metrics import BATCH_SIZE_BUCKETS, REQUEST_LATENCY_BUCKETS, get_registry
 from .store import ArtifactStore
 
 __all__ = [
@@ -1030,7 +1030,7 @@ class ServeGateway:
         it was sent).  Each connection gets all of its frames in one write."""
 
         registry = get_registry()
-        observe = registry.histogram("serve_request_seconds").observe
+        observe = registry.histogram("serve_request_seconds", buckets=REQUEST_LATENCY_BUCKETS).observe
         now = time.perf_counter()
         outboxes: dict[_Connection, list[bytes]] = {}
         for outcome, queued, frames in replies:

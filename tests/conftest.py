@@ -98,6 +98,17 @@ def delta_cache(tmp_path: Path) -> Path:
     return root
 
 
+@pytest.fixture(scope="session")
+def cifar_cache(tmp_path_factory) -> Path:
+    """A cache root holding one CIFAR-shaped model named ``cifar`` (10
+    members, 10k val + 10k test samples, 10 classes), the benchmark's
+    shape; built once per session and never written."""
+
+    root = tmp_path_factory.mktemp("cifar")
+    build_synthetic_model(root, "cifar", members=tuple(standard_roster()[:10]), n_val=10_000, n_test=10_000, seed=1)
+    return root
+
+
 @pytest.fixture()
 def demo_cache(tmp_path: Path) -> Path:
     """A cache root holding :func:`build_synthetic_model`'s default model

@@ -1,12 +1,17 @@
 """Slow, obviously-correct reference implementations the vectorized kernels
-are checked against.  Used only by tests; the program runs the batched
-kernels (:func:`polygraphmr.decision.ensemble_features_batch`,
-:func:`polygraphmr.faults.sanitize_probs_batch`, and the injector: one
-seed's :func:`polygraphmr.faults.draw_fault` or
+are checked against.  Used only by tests; the program runs the class-major
+kernels (:func:`polygraphmr.decision.plane_features` behind
+:func:`~polygraphmr.decision.ensemble_features_batch`, the plane sanitize
+behind :func:`polygraphmr.faults.sanitize_probs_batch`, and the injector:
+one seed's :func:`polygraphmr.faults.draw_fault` or
 :meth:`polygraphmr.faults.FaultSpec.draw`, written into every member's
-slice by :meth:`polygraphmr.faults.FaultDraw.apply`), the rank-based
-``polygraphmr.decision._rank_auc`` and the gate's split ``_sigmoid`` and
-Newton fit."""
+class planes by :meth:`polygraphmr.faults.FaultDraw.apply`), the
+rank-based ``polygraphmr.decision._rank_auc`` and the gate's split
+``_sigmoid`` and Newton fit.
+
+Besides the per-sample loops, the row-major kernels the class-major ones
+replaced are kept here (``row_major_*``): numpy calls per ``C``-wide row,
+fast enough to check a whole CIFAR-shaped trial against bit for bit."""
 
 from __future__ import annotations
 
@@ -14,7 +19,8 @@ import math
 
 import numpy as np
 
-from polygraphmr.faults import select_fault_indices
+from polygraphmr.decision import FEATURE_NAMES
+from polygraphmr.faults import FaultDraw, select_fault_indices
 
 
 def apply_fault(
@@ -228,3 +234,92 @@ def pairwise_auc(scores: np.ndarray, targets: np.ndarray) -> float:
         for q in neg:
             wins += 1.0 if p > q else 0.5 if p == q else 0.0
     return wins / (len(pos) * len(neg))
+
+
+# ---------------------------------------------------------------------------
+# the row-major trial kernels: one numpy reduction over every C-wide row
+# ---------------------------------------------------------------------------
+
+
+def row_major_inject(stack: np.ndarray, draw: FaultDraw, dtype, rows=slice(None)) -> np.ndarray:
+    """``stack[:, rows]`` as a new C-ordered ``(M, R, C)`` array of ``dtype``
+    with ``draw`` applied to every member's flat slice (a draw with no
+    selection covers every element)."""
+
+    if isinstance(rows, slice):
+        out = np.array(stack[:, rows], dtype=dtype, order="C")
+    else:
+        out = np.take(stack, rows, axis=1).astype(dtype, copy=False)
+    flat = out.reshape(out.shape[0], -1)
+    if draw.idx is None:
+        cells = slice(None)
+    elif draw.idx.size:
+        cells = draw.idx
+    else:
+        return out
+    if draw.kind == "bitflip":
+        flat.view(np.uint32)[:, cells] ^= np.uint32(1) << draw.vals
+    elif draw.kind == "gaussian":
+        flat[:, cells] += draw.vals
+    elif draw.kind == "quantize":
+        flat[:, cells] = np.round(flat[:, cells] / draw.step) * draw.step
+    elif draw.kind == "stuck0":
+        flat[:, cells] = 0.0
+    else:
+        flat[:, cells] = 1.0
+    return out
+
+
+def row_major_sanitize(arr: np.ndarray) -> np.ndarray:
+    """``sanitize_probs_batch`` on one float64 row-major copy: row sums by
+    ``sum(axis=-1)``."""
+
+    out = np.array(arr, dtype=np.float64, order="C")
+    np.copyto(out, 0.0, where=~np.isfinite(out))
+    np.clip(out, 0.0, 1.0, out=out)
+    sums = out.sum(axis=-1, keepdims=True)
+    dead = sums <= 0.0
+    if dead.any():
+        np.copyto(out, 1.0 / out.shape[-1], where=dead)
+        sums[dead] = 1.0
+    out /= sums
+    return out
+
+
+def row_major_features_batch(batched: np.ndarray) -> np.ndarray:
+    """``ensemble_features_batch`` on the ``(B, M, N, C)`` layout: votes by
+    ``argmax(axis=1)`` over every C-wide row, the majority by one
+    ``bincount`` tally and a row ``argmax``."""
+
+    b, _, n, c = batched.shape
+    out = np.empty((b, n, len(FEATURE_NAMES)), dtype=np.result_type(batched.dtype, np.float64))
+    mean = batched.mean(axis=1)  # (B, N, C)
+    eps = 1e-12
+    out[..., 0] = -(mean * np.log(mean + eps)).sum(axis=2)
+    out[..., 1] = mean.max(axis=2)
+    votes = batched.reshape(-1, c).argmax(axis=1).reshape(batched.shape[:3])  # (B, M, N)
+    # one tally over every (trial, sample) row: vote v of row r lands in bin r·C + v
+    rows = np.arange(b * n).reshape(b, 1, n)
+    counts = np.bincount((votes + rows * c).ravel(), minlength=b * n * c).reshape(b, n, c)
+    majority = counts.argmax(axis=2)
+    org_vote = votes[:, 0]
+    out[..., 2] = (votes == majority[:, None, :]).mean(axis=1)
+    out[..., 3] = org_vote != majority
+    org_top = org_vote[..., None]
+    out[..., 4] = np.take_along_axis(mean, org_top, axis=2)[..., 0]
+    out[..., 5] = np.take_along_axis(batched[:, 0], org_top, axis=2)[..., 0]
+    return out
+
+
+def row_major_chain(session, spec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Features, targets and gate scores of ``session``'s whole test split
+    under the probs fault ``spec``, through the row-major kernels: inject,
+    sanitize, features, ORG's ``argmax`` targets, predict."""
+
+    stack = session.test_stack
+    faulted = row_major_inject(stack, spec.draw(stack.shape[1:]), spec.dtype)
+    repaired = row_major_sanitize(faulted)
+    features = row_major_features_batch(repaired[None])[0]
+    org = repaired[session.members.index("ORG")]
+    targets = (org.argmax(axis=1) != session.test_labels).astype(np.float64)
+    return features, targets, session.module.predict_proba(features)

@@ -554,6 +554,27 @@ class TestPerTrialMemory:
         assert record["outcome"] == "ok"
         assert peak < float64_stack / 4, f"peak {peak / float64_stack:.3f}× one float64 stack"
 
+    def test_dense_gaussian_trial_peaks_at_one_set_of_planes(self, wide_cache):
+        """A legacy gaussian trial after warm-up injects straight into
+        class-major planes and sanitizes them in place: the planes, the
+        noise and a few sample-sized buffers, below 1.6× one float64 test
+        stack (the row-major kernel read 1.59× here, the class-major one
+        1.47×).  A row-major faulted copy kept next to the planes would add
+        a whole stack."""
+
+        config = _config(wide_cache, n_trials=2, kinds=("gaussian",), sigmas=(0.05,))
+        executor = TrialExecutor(config, discover_models(config))
+        executor.execute(0)
+        float64_stack = executor.runtime_for("wide").session("wide").test_stack.size * 8
+        tracemalloc.start()
+        try:
+            record = executor.execute(1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert record["outcome"] == "ok"
+        assert peak < 1.6 * float64_stack, f"peak {peak / float64_stack:.3f}× one float64 stack"
+
 
 class TestWarmTrialStats:
     def test_each_artifact_file_is_statted_once_per_warm_trial(self, wide_cache, monkeypatch):
@@ -626,6 +647,12 @@ FAULT_PARAMS = st.fixed_dictionaries(
 )
 
 
+# row widths reaching each branch of numpy's pairwise row sum, which the
+# class-major kernels reproduce: in sequence below 8, one block of eight
+# accumulators from 8 (CIFAR's 10), several blocks from 16, split above 128
+CLASS_COUNTS = st.integers(min_value=2, max_value=20) | st.just(130)
+
+
 def _assert_each_slice(inject, stacked: np.ndarray, expected) -> None:
     """``inject(stacked)`` equals ``expected(slice)`` on every slice, dtype
     included, and so does each slice injected as a batch of one; the input
@@ -653,8 +680,13 @@ class TestVectorizedInjectorProperties:
         shape, applied by the injector every trial uses."""
 
         stacked, seed = case
+
+        def inject(s):
+            planes = _inject(s, draw_fault(s.shape[1:], seed=seed, **params), fault_dtype(params["kind"]))
+            return np.moveaxis(planes, 0, -1).reshape(s.shape)
+
         _assert_each_slice(
-            lambda s: _inject(s, draw_fault(s.shape[1:], seed=seed, **params), fault_dtype(params["kind"])),
+            inject,
             stacked,
             lambda one: oracles.apply_fault(one, rng=np.random.default_rng(seed), **params),
         )
@@ -691,7 +723,7 @@ class TestVectorizedInjectorProperties:
     @given(
         b=st.integers(min_value=1, max_value=3),
         n=st.integers(min_value=1, max_value=5),
-        c=st.integers(min_value=2, max_value=4),
+        c=CLASS_COUNTS,
         base=st.integers(min_value=0, max_value=99),
         poison=st.sampled_from(
             ["none", "nan", "inf", "-inf", "negative", "dead-row", "nan-row", "inf-row"]
@@ -730,13 +762,14 @@ class TestVectorizedInjectorProperties:
         b=st.integers(min_value=1, max_value=3),
         m=st.integers(min_value=2, max_value=4),
         n=st.integers(min_value=2, max_value=6),
-        c=st.integers(min_value=2, max_value=4),
+        c=CLASS_COUNTS,
         base=st.integers(min_value=0, max_value=99),
-        shape=st.sampled_from(["random", "all-distinct", "two-way-tie", "nan-row", "inf-row", "zero-row"]),
+        shape=st.sampled_from(["random", "all-distinct", "two-way-tie", "nan-row", "nan-cell", "inf-row", "zero-row"]),
     )
     def test_ensemble_features_batch_equals_serial_loop(self, b, m, n, c, base, shape):
         """Each batch slice, and the batch-of-one form, equals the scalar
-        oracle — on tied votes and non-finite or all-zero rows too."""
+        oracle — on tied votes, rows with a NaN (the first NaN wins the
+        vote), and non-finite or all-zero rows too."""
 
         rng = np.random.default_rng(base)
         majority = None
@@ -763,6 +796,10 @@ class TestVectorizedInjectorProperties:
         stacked = stacked / stacked.sum(axis=-1, keepdims=True)
         if shape == "nan-row":
             stacked[:, 0, 0, :] = np.nan
+        elif shape == "nan-cell":
+            # a NaN past a row's first class: argmax votes the NaN's class
+            stacked[:, -1, 0, c // 2] = np.nan
+            stacked[:, 0, -1, c - 1] = np.nan
         elif shape == "inf-row":
             stacked[:, -1, 0, :] = np.inf
         elif shape == "zero-row":

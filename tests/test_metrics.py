@@ -28,7 +28,9 @@ from polygraphmr.errors import (
     retry_with_backoff,
 )
 from polygraphmr.metrics import (
+    DEFAULT_LATENCY_BUCKETS,
     METRICS_NAME,
+    REQUEST_LATENCY_BUCKETS,
     Histogram,
     MetricsRegistry,
     get_registry,
@@ -106,6 +108,18 @@ class TestHistogram:
         assert h.quantile(0.5) == 0.1
         assert h.quantile(0.75) == 1.0
         assert h.quantile(1.0) == 10.0
+
+    def test_request_latency_buckets_resolve_sub_millisecond_replies(self):
+        """A serve reply takes about 0.7-1.3 ms: the request histogram's
+        p50 and p90 there are 0.1 ms apart, not the default edges 1 and
+        2.5 ms; above 2 ms it keeps the default edges."""
+
+        reg = MetricsRegistry()
+        h = reg.histogram("serve_request_seconds", buckets=REQUEST_LATENCY_BUCKETS)
+        for v in [0.00068] * 5 + [0.00094] * 4 + [0.0013]:
+            h.observe(v)
+        assert h.quantile(0.5) == 0.0007 and h.quantile(0.9) == 0.001 and h.quantile(1.0) == 0.0013
+        assert REQUEST_LATENCY_BUCKETS[20:] == tuple(b for b in DEFAULT_LATENCY_BUCKETS if b > 0.002)
 
     def test_empty_quantile_is_none_and_overflow_reports_last_bound(self):
         reg = MetricsRegistry()

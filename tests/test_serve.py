@@ -28,7 +28,7 @@ from polygraphmr.breaker import OPEN, BreakerBoard, BreakerPolicy
 from polygraphmr.decision import LogisticDecisionModule, misprediction_targets
 from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import ConfigError, RetryPolicy
-from polygraphmr.metrics import get_registry
+from polygraphmr.metrics import BATCH_SIZE_BUCKETS, REQUEST_LATENCY_BUCKETS, get_registry
 from polygraphmr.serve import (
     DRAIN_FLUSH_S,
     MAX_SAMPLES_PER_REQUEST,
@@ -433,6 +433,8 @@ class TestDrain:
         assert refused, "gateway kept accepting connections after drain"
         hist = get_registry().histogram_for("serve_request_seconds")
         assert hist is not None and hist.count == n
+        assert hist.bounds == REQUEST_LATENCY_BUCKETS
+        assert get_registry().histogram_for("serve_batch_size").bounds == BATCH_SIZE_BUCKETS
 
 
 class RecordingTransport:

@@ -2,7 +2,9 @@
 fault touches and splices them into the memoised clean reference.  The
 reference is the whole-split public chain, ``sanitize_probs_batch(
 spec.apply_batch(stack))`` → ``ensemble_features`` → ``test_targets`` →
-``predict_proba``; every array must equal it bit for bit."""
+``predict_proba``; every array must equal it bit for bit.  At CIFAR shape
+a trial must also equal the row-major kernels the class-major ones
+replaced (``tests/oracles.py``), which the public chain no longer runs."""
 
 from __future__ import annotations
 
@@ -147,15 +149,47 @@ class TestDifferential:
                 return draw
 
             def apply_batch(self, stacked):
-                out = np.array(stacked, dtype=np.float32, order="C")
-                draw.apply(out.reshape(out.shape[0], -1))
-                return out
+                return oracles.row_major_inject(stacked, draw, np.float32)
 
         planted = DegradationContext(session=_with_stack(session, stack), **_clean_fields(session, stack))
         faulted = Planted().apply_batch(stack)
         assert np.isposinf(faulted[0, 3, 0]) and np.isnan(faulted[0, 3, 1:3]).all() and np.isneginf(faulted[1, 3, 0])
         assert 0 < abs(faulted[2, 9, 0]) < np.finfo(np.float32).tiny
         assert_same(_faulted_scores(planted, Planted()), chain(planted.session, Planted()))
+
+
+CIFAR_FAULTS = (
+    [FaultSpec("gaussian", sigma=sigma, seed=seed) for sigma in (0.02, 0.05, 0.1, 2.0) for seed in (0, 1, 2)]
+    + [FaultSpec("bitflip", rate=rate, seed=seed) for rate in (0.001, 0.01, 0.05, 1.0) for seed in (0, 1, 2)]
+    + [builtin_scenarios()[name].fault(seed) for name in PROBS_SCENARIOS for seed in (0, 1, 2)]
+)
+
+
+def _fault_id(spec) -> str:
+    if isinstance(spec, FaultSpec):
+        return f"{spec.kind}-{spec.rate if spec.kind == 'bitflip' else spec.sigma}-{spec.seed}"
+    return f"{spec.scenario.name}-{spec.seed}"
+
+
+@pytest.fixture(scope="module")
+def cifar_ctx(cifar_cache):
+    return prepare_degradation(ArtifactStore(cifar_cache), "cifar")
+
+
+class TestCifarShapeRowMajor:
+    # casting the signalling NaN a flip leaves (0x7FA00000) to float64 warns
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    @pytest.mark.parametrize("spec", CIFAR_FAULTS, ids=_fault_id)
+    def test_trial_equals_the_row_major_kernels(self, cifar_ctx, spec):
+        """Every float-sensitive step (the row sums, the votes, ORG's
+        targets) must give the row-major kernels' bytes at the benchmark's
+        shape, where the 10-wide rows take numpy's 8-accumulator sum."""
+
+        want = oracles.row_major_chain(cifar_ctx.session, spec)
+        assert_same(_faulted_scores(cifar_ctx, spec), want)
+        with mock.patch.object(faults, "_faulted_scores", lambda ctx, spec: want):
+            report = degradation_report(cifar_ctx, spec, baselines=True)
+        assert degradation_report(cifar_ctx, spec, baselines=True) == report
 
 
 class TestReferenceMemo:
@@ -349,14 +383,13 @@ class TestDeltaProperty:
         spec = data.draw(_fault(n, c))
         stack = np.random.default_rng(n * c).random((m, n, c)).astype(spec.dtype)
         draw = spec.draw((n, c))
-        whole = stack.copy()
-        draw.apply(whole.reshape(m, -1))
+        whole = faults._inject(stack, draw, spec.dtype)  # (C, M, N)
+        assert np.array_equal(np.moveaxis(whole, 0, -1), oracles.row_major_inject(stack, draw, spec.dtype), equal_nan=True)
         rows = draw.samples(c)
         if rows is None:
             return
         assert np.array_equal(rows, np.unique(draw.idx // c))
-        gathered = np.ascontiguousarray(stack[:, rows])
-        draw.on_rows(rows, c).apply(gathered.reshape(m, -1))
-        assert np.array_equal(gathered, whole[:, rows], equal_nan=True)
+        gathered = faults._inject(stack, draw.on_rows(rows, c), spec.dtype, rows)
+        assert np.array_equal(gathered, whole[:, :, rows], equal_nan=True)
         untouched = np.setdiff1d(np.arange(n), rows)
-        assert np.array_equal(whole[:, untouched], stack[:, untouched])
+        assert np.array_equal(np.moveaxis(whole[:, :, untouched], 0, -1), stack[:, untouched])
