@@ -4,15 +4,13 @@
 Usage::
 
     PYTHONPATH=src python scripts/audit_cache.py [--cache .repro_cache] \
-        [--json] [--strict] [--fail-on-corrupt] [--allow-salvaged]
+        [--json] [--strict] [--fail-on-corrupt]
 
 ``--json`` emits the machine-readable manifest (consumed by the campaign
 CLI's ``--audit-json`` and by CI).  Exit status is 0 unless ``--strict``
 (fail on any corrupt *or missing* artifact) or ``--fail-on-corrupt`` (fail
-on corrupt only; missing is tolerated) is given.  With ``--allow-salvaged``,
-corrupt containers whose needed arrays can be carved out count as
-``salvaged`` instead of ``corrupt``.  The scan itself never crashes on a bad
-file — that is the whole point of the store.
+on corrupt only; missing is tolerated) is given.  The scan itself never
+crashes on a bad file — that is the whole point of the store.
 """
 
 from __future__ import annotations
@@ -28,24 +26,13 @@ from polygraphmr.store import ArtifactStore  # noqa: E402
 
 
 def format_table(cache) -> str:
-    rows = [("model", "valid", "corrupt", "missing", "salvaged", "usable stems")]
+    rows = [("model", "valid", "corrupt", "missing", "usable stems")]
     for name, manifest in sorted(cache.models.items()):
         usable = ",".join(manifest.usable_stems()) or "-"
         if len(usable) > 48:
             usable = usable[:45] + "..."
-        rows.append(
-            (
-                name,
-                str(manifest.n_valid),
-                str(manifest.n_corrupt),
-                str(manifest.n_missing),
-                str(manifest.n_salvaged),
-                usable,
-            )
-        )
-    rows.append(
-        ("TOTAL", str(cache.n_valid), str(cache.n_corrupt), str(cache.n_missing), str(cache.n_salvaged), "")
-    )
+        rows.append((name, str(manifest.n_valid), str(manifest.n_corrupt), str(manifest.n_missing), usable))
+    rows.append(("TOTAL", str(cache.n_valid), str(cache.n_corrupt), str(cache.n_missing), ""))
     widths = [max(len(r[i]) for r in rows) for i in range(len(rows[0]))]
     lines = []
     for i, row in enumerate(rows):
@@ -69,14 +56,9 @@ def main(argv: list[str] | None = None) -> int:
         action="store_true",
         help="exit non-zero if any artifact is corrupt (missing is tolerated)",
     )
-    parser.add_argument(
-        "--allow-salvaged",
-        action="store_true",
-        help="count corrupt containers with carvable arrays as salvaged",
-    )
     args = parser.parse_args(argv)
 
-    store = ArtifactStore(args.cache, allow_salvaged=args.allow_salvaged)
+    store = ArtifactStore(args.cache)
     cache = store.scan_all()
     if not cache.models:
         print(f"no model directories found under {args.cache!r}", file=sys.stderr)

@@ -4,8 +4,7 @@ Layers (see ``docs/ARCHITECTURE.md``):
 
 1. Artifact store — validated, quarantining access to ``.repro_cache``
    (:mod:`polygraphmr.store`, :mod:`polygraphmr.integrity`,
-   :mod:`polygraphmr.manifest`, :mod:`polygraphmr.naming`), with opt-in
-   carving of damaged archives (:mod:`polygraphmr.salvage`) and a
+   :mod:`polygraphmr.manifest`, :mod:`polygraphmr.naming`), with a
    verified-once artifact cache (:mod:`polygraphmr.cache`).
 2. Ensemble runtime — graceful-degradation assembly + decision module
    (:mod:`polygraphmr.ensemble`, :mod:`polygraphmr.decision`), guarded by
@@ -50,7 +49,6 @@ from .metrics import (
     set_registry,
 )
 from .naming import display_to_stem, resolve_greedy_file, stem_to_display
-from .salvage import SalvageReport, salvage_npz
 from .store import ArtifactStore
 
 __version__ = "0.1.0"
@@ -143,7 +141,6 @@ __all__ = [
     "PolygraphError",
     "PolygraphService",
     "RetryPolicy",
-    "SalvageReport",
     "Scenario",
     "ScenarioFault",
     "ServeConfig",
@@ -166,7 +163,6 @@ __all__ = [
     "resolve_greedy_file",
     "resolve_scenarios",
     "retry_with_backoff",
-    "salvage_npz",
     "set_registry",
     "stem_to_display",
     "verify_campaign",

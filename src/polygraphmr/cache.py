@@ -129,9 +129,6 @@ class CacheEntry:
     sig: tuple[int, int]
     value: object
     nbytes: int
-    # the SalvageReport that produced the value, when it was carved rather
-    # than cleanly loaded — lets a cached store restore its salvage registry
-    salvage: object | None = None
 
 
 @dataclass(frozen=True)
@@ -226,14 +223,7 @@ class ArtifactCache:
     # ------------------------------------------------------------------
     # insertions
 
-    def put(
-        self,
-        path: str | Path,
-        kind: str,
-        value: object,
-        *,
-        salvage: object | None = None,
-    ) -> object:
+    def put(self, path: str | Path, kind: str, value: object) -> object:
         """Insert a *validated* value; returns the (read-only) cached value.
 
         Values larger than the whole budget are frozen but not cached.  Any
@@ -246,7 +236,7 @@ class ArtifactCache:
         frozen, nbytes = _freeze(value)
         if sig is None or nbytes > self.max_bytes:
             return frozen
-        entry = CacheEntry(kind=kind, sig=sig, value=frozen, nbytes=nbytes, salvage=salvage)
+        entry = CacheEntry(kind=kind, sig=sig, value=frozen, nbytes=nbytes)
         registry = get_registry()
         evicted = 0
         with self._lock:

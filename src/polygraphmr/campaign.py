@@ -148,7 +148,6 @@ class CampaignConfig:
     # ``scenarios_config_field``; recover objects with ``scenario_objects``.
     scenarios: tuple[str, ...] = ()
     timeout_s: float = 120.0  # <= 0 disables the watchdog
-    allow_salvaged: bool = False
     failure_threshold: int = 3
     cooldown_ticks: int = 2
     min_members: int = 2
@@ -164,7 +163,8 @@ class CampaignConfig:
             "sigmas": list(self.sigmas),
             "models": list(self.models),
             "timeout_s": self.timeout_s,
-            "allow_salvaged": self.allow_salvaged,
+            # format constant kept so v4 headers keep their bytes; the v5 bump removes it
+            "allow_salvaged": False,
             "failure_threshold": self.failure_threshold,
             "cooldown_ticks": self.cooldown_ticks,
             "min_members": self.min_members,
@@ -222,7 +222,6 @@ def config_from_dict(d: dict) -> CampaignConfig:
             parse_scenario(s, source="config.scenarios").canonical_json() for s in d.get("scenarios", [])
         ),
         timeout_s=d["timeout_s"],
-        allow_salvaged=d["allow_salvaged"],
         failure_threshold=d["failure_threshold"],
         cooldown_ticks=d["cooldown_ticks"],
         min_members=d["min_members"],
@@ -549,8 +548,8 @@ class TrialExecutor:
     of the same model, never on interleaving.
 
     The executor opens its own :class:`ArtifactStore` lazily, so a parallel
-    worker constructs it *after* ``fork`` — quarantine registries, salvage
-    caches, and runtimes are never shared across processes.
+    worker constructs it *after* ``fork`` — quarantine registries, caches
+    and runtimes are never shared across processes.
 
     ``trial_fn(spec) -> dict`` is injectable for tests (e.g. to fake a hang
     for the watchdog); the default runs
@@ -596,11 +595,7 @@ class TrialExecutor:
     @property
     def store(self) -> ArtifactStore:
         if self._store is None:
-            self._store = ArtifactStore(
-                self.config.cache,
-                allow_salvaged=self.config.allow_salvaged,
-                cache=self.cache,
-            )
+            self._store = ArtifactStore(self.config.cache, cache=self.cache)
         return self._store
 
     def board_for(self, model: str) -> BreakerBoard:
@@ -1411,7 +1406,6 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument("--timeout", type=float, default=120.0, help="per-trial watchdog seconds; <=0 disables")
     parser.add_argument("--resume", action="store_true", help="continue at the first unfinished trial")
-    parser.add_argument("--allow-salvaged", action="store_true", help="serve carved arrays from corrupt npz")
     parser.add_argument("--failure-threshold", type=int, default=3)
     parser.add_argument("--cooldown-ticks", type=int, default=2)
     parser.add_argument("--min-members", type=int, default=2)
@@ -1471,6 +1465,8 @@ def main(argv: list[str] | None = None) -> int:
 
     scenarios: tuple[str, ...] = ()
     try:
+        if args.trials < 0:
+            raise ConfigError("config.n_trials", "out-of-range", f"--trials must be >= 0, got {args.trials}")
         check_min_members(args.min_members)
         if not args.no_cache:
             check_cache_bytes(args.cache_bytes)
@@ -1512,7 +1508,6 @@ def main(argv: list[str] | None = None) -> int:
         models=args.models,
         scenarios=scenarios,
         timeout_s=args.timeout,
-        allow_salvaged=args.allow_salvaged,
         failure_threshold=args.failure_threshold,
         cooldown_ticks=args.cooldown_ticks,
         min_members=args.min_members,

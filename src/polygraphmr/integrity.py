@@ -35,7 +35,6 @@ __all__ = [
 ]
 
 ZIP_MAGIC = b"PK\x03\x04"
-CDH_MAGIC = b"PK\x01\x02"
 EOCD_MAGIC = b"PK\x05\x06"
 SIMPLEX_ATOL = 1e-3
 

@@ -13,7 +13,6 @@ SPLITS = ("val", "test")
 VALID = "valid"
 CORRUPT = "corrupt"
 MISSING = "missing"
-SALVAGED = "salvaged"  # container corrupt, but the needed arrays were carved out
 
 
 @dataclass(frozen=True)
@@ -38,7 +37,7 @@ class ArtifactRecord:
 
     @property
     def ok(self) -> bool:
-        return self.status.status in (VALID, SALVAGED)
+        return self.status.status == VALID
 
 
 def expected_filenames(stem: str) -> list[tuple[str, str | None, str]]:
@@ -73,10 +72,6 @@ class ModelManifest:
     def n_missing(self) -> int:
         return len(self.by_status(MISSING))
 
-    @property
-    def n_salvaged(self) -> int:
-        return len(self.by_status(SALVAGED))
-
     def usable_stems(self, *, splits: Iterable[str] = SPLITS) -> list[str]:
         """Stems whose probs artifacts are valid for *all* requested splits."""
 
@@ -106,7 +101,6 @@ class ModelManifest:
             "valid": self.n_valid,
             "corrupt": self.n_corrupt,
             "missing": self.n_missing,
-            "salvaged": self.n_salvaged,
             "usable_stems": self.usable_stems(),
             "greedy": self.greedy,
             "unexpected": self.unexpected,
@@ -143,10 +137,6 @@ class CacheManifest:
     def n_missing(self) -> int:
         return sum(m.n_missing for m in self.models.values())
 
-    @property
-    def n_salvaged(self) -> int:
-        return sum(m.n_salvaged for m in self.models.values())
-
     def to_dict(self) -> dict:
         return {
             "root": self.root,
@@ -154,7 +144,6 @@ class CacheManifest:
                 "valid": self.n_valid,
                 "corrupt": self.n_corrupt,
                 "missing": self.n_missing,
-                "salvaged": self.n_salvaged,
             },
             "models": {name: m.to_dict() for name, m in sorted(self.models.items())},
         }

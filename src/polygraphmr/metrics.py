@@ -14,8 +14,7 @@ Three metric kinds, chosen for **exact mergeable state**:
   associative, unlike last-write-wins).
 * **Histogram** — fixed, finite bucket upper bounds with integer per-bucket
   counts plus an observation count and value sum.  Merge = bucket-wise
-  integer addition; quantile estimates come from the cumulative bucket
-  counts (Prometheus-style upper-bound estimates).
+  integer addition.
 
 Bucket counts and counters are integers, so shard merges are *exact* and
 order-independent; only the histogram ``sum`` is a float, folded with
@@ -74,10 +73,7 @@ EXPORT_VERSION = 1
 
 # Prometheus-style latency buckets (seconds), wide enough for sub-ms npz
 # loads and multi-second sleep-padded benchmark trials alike.  The
-# 50 ms–1 s band is deliberately dense: benchmark trials land there, and
-# quantiles resolve to the smallest bucket bound >= the true value, so
-# coarse edges would round every sub-second p50/p95/p99 up to the same
-# number (the old 0.25/0.5 gap reported p50 = p95 = p99 = 0.5 s).
+# 50 ms–1 s band is deliberately dense: benchmark trials land there.
 DEFAULT_LATENCY_BUCKETS = (
     0.0005,
     0.001,
@@ -199,27 +195,6 @@ class Histogram:
             self.bucket_counts[i] += 1
             self.count += 1
             self.sum = math.fsum((self.sum, v))
-
-    def quantile(self, q: float) -> float | None:
-        """Upper-bound quantile estimate from the cumulative bucket counts.
-
-        Returns the smallest bucket bound whose cumulative count reaches
-        ``q * count`` (the Prometheus ``histogram_quantile`` convention);
-        observations in the overflow bucket report the largest finite bound.
-        ``None`` when the histogram is empty.
-        """
-
-        if not 0.0 <= q <= 1.0:
-            raise ValueError(f"quantile must be in [0, 1]; got {q}")
-        if self.count == 0:
-            return None
-        target = q * self.count
-        cumulative = 0
-        for bound, n in zip(self.bounds, self.bucket_counts):
-            cumulative += n
-            if cumulative >= target:
-                return bound
-        return self.bounds[-1]
 
     def merge_from(self, other: Histogram) -> None:
         if self.bounds != other.bounds:

@@ -164,9 +164,6 @@ OUTCOME_DEADLINE = "deadline_exceeded"
 OUTCOME_ERROR = "error"
 OUTCOMES = (OUTCOME_OK, OUTCOME_DEGRADED, OUTCOME_OVERLOADED, OUTCOME_DEADLINE, OUTCOME_ERROR)
 
-# shed reasons reported per excluded member
-SHED_LOAD = "load-shed"
-
 # where a reply row's text came from (``serve_reply_rows_total{source}``)
 ROW_MEMO = "memo"
 ROW_EVALUATED = "evaluated"

@@ -35,7 +35,6 @@ from .metrics import get_registry
 from .manifest import (
     CORRUPT,
     MISSING,
-    SALVAGED,
     VALID,
     ArtifactRecord,
     ArtifactStatus,
@@ -44,7 +43,6 @@ from .manifest import (
     expected_filenames,
 )
 from .naming import resolve_greedy_file, standard_roster
-from .salvage import SalvageReport, salvage_npz
 
 __all__ = ["ArtifactStore"]
 
@@ -64,26 +62,20 @@ class _Kind:
     """How :meth:`ArtifactStore._load` reads and checks one artifact kind."""
 
     keys: tuple[str, ...] | None  # npz members the check needs (None: any)
-    check: Callable[..., object]  # check(arrays, path=...) -> the served value
-    carve: bool  # a corrupt container may be carved (``allow_salvaged``)
-    container_only: bool = False  # serve PROBE_OK; ``check`` runs on carved arrays only
+    # check(arrays, path=...) -> the served value; None: probe the container, serve PROBE_OK
+    check: Callable[..., object] | None
 
 
 _KINDS = {
-    "probs": _Kind(("probs",), lambda arrays, path: check_probs(arrays["probs"], path=path), carve=True),
-    "weights": _Kind(None, check_weights, carve=True),
-    "labels": _Kind(("labels",), _check_labels, carve=False),
+    "probs": _Kind(("probs",), lambda arrays, path: check_probs(arrays["probs"], path=path)),
+    "weights": _Kind(None, check_weights),
+    "labels": _Kind(("labels",), _check_labels),
     # the roster scan's view of a weights file
-    "probe": _Kind(None, check_weights, carve=True, container_only=True),
+    "probe": _Kind(None, None),
 }
 
 # ``_load``'s default ``found``: the cache has not been consulted yet
 _LOOKUP = object()
-
-
-def _salvaged_status(r: SalvageReport) -> ArtifactStatus:
-    detail = f"{r.n_recovered} member(s), {r.rows_recovered} rows recovered, {r.n_lost} lost"
-    return ArtifactStatus(SALVAGED, "salvaged", detail)
 
 
 class ArtifactStore:
@@ -94,25 +86,16 @@ class ArtifactStore:
     (path → reason) and treated as absent from then on.  A read whose
     retries ran out (:class:`TransientIOError`) is not: the next load retries.
 
-    With ``allow_salvaged=True``, an artifact whose *container* is corrupt
-    gets one best-effort carving pass (:func:`polygraphmr.salvage.salvage_npz`)
-    before quarantine: if the needed arrays survive the cut and pass the same
-    semantic checks as a clean load, they are served and the path is recorded
-    in :attr:`salvaged` (path → :class:`SalvageReport`) instead.  Semantic
-    failures (wrong shape, off-simplex rows) are never salvaged — carving can
-    rescue bytes, not meaning.
-
     With a ``cache`` attached (:class:`~polygraphmr.cache.ArtifactCache`),
     loads memoize their *validated* results keyed by stat signature: a hit
     skips disk I/O, CRC, and the semantic checks entirely, and a path that
     already failed validation is negative-cached so repeat encounters cost
     one ``stat`` instead of a full failed parse.  Caching changes timing
     only — every verdict a cached store reaches (served array, quarantine
-    reason, salvage) is the one an uncached store would reach on the same
-    bytes.
+    reason) is the one an uncached store would reach on the same bytes.
 
     **Fork-safety.**  The store keeps no open file handles, but its
-    quarantine/salvage registries are mutable per-instance state, so each
+    quarantine registry is mutable per-instance state, so each
     campaign worker builds its *own* store after ``fork`` (see
     :class:`polygraphmr.campaign.TrialExecutor` and :meth:`fresh`) and owns
     a private :class:`~polygraphmr.cache.ArtifactCache` that starts cold and
@@ -124,31 +107,22 @@ class ArtifactStore:
         root: str | Path,
         *,
         retry_policy: RetryPolicy | None = None,
-        allow_salvaged: bool = False,
         cache: ArtifactCache | None = None,
     ):
         self.root = Path(root)
         self.retry_policy = retry_policy
-        self.allow_salvaged = allow_salvaged
         self.cache = cache
         self.quarantine: dict[str, str] = {}
-        self.salvaged: dict[str, SalvageReport] = {}
         # artifact paths built so far: every trial asks for the same few
         self._paths: dict[tuple[str, str], Path] = {}
 
     def fresh(self) -> ArtifactStore:
         """A new store over the same root with the same policy but empty
-        quarantine/salvage state — the safe way to hand a store's
-        configuration to a forked worker.  The cache is carried over: its
-        entries are immutable validated values, safe to share across store
-        generations."""
+        quarantine — the safe way to hand a store's configuration to a
+        forked worker.  The cache is carried over: its entries are immutable
+        validated values, safe to share across store generations."""
 
-        return ArtifactStore(
-            self.root,
-            retry_policy=self.retry_policy,
-            allow_salvaged=self.allow_salvaged,
-            cache=self.cache,
-        )
+        return ArtifactStore(self.root, retry_policy=self.retry_policy, cache=self.cache)
 
     # -- paths -----------------------------------------------------------
 
@@ -179,9 +153,6 @@ class ArtifactStore:
 
     def is_quarantined(self, path: str | Path) -> bool:
         return str(path) in self.quarantine
-
-    def is_salvaged(self, path: str | Path) -> bool:
-        return str(path) in self.salvaged
 
     # -- loading ---------------------------------------------------------
 
@@ -216,10 +187,9 @@ class ArtifactStore:
         """The one load pipeline every artifact kind goes through.
 
         In order: refuse a quarantined path; consult the cache (``found``
-        is a lookup the caller already made); read and check the file; on
-        a corrupt container, carve it once if :attr:`allow_salvaged` and
-        the kind allows it; quarantine and negative-cache a corrupt or
-        mismatched file; cache the checked value; and meter the load once.
+        is a lookup the caller already made); read and check the file;
+        quarantine and negative-cache a corrupt or mismatched file; cache
+        the checked value; and meter the load once.
         A :class:`TransientIOError` fails this load only — nothing is
         remembered, so the next load reads the file again.
         """
@@ -236,50 +206,27 @@ class ArtifactStore:
                     raise IntegrityMismatch(path, found.reason, found.detail)
                 raise ArtifactCorrupt(path, found.reason, "previously quarantined")
             if found is not None:
-                value, report = found.value, found.salvage
                 obs["result"] = "cache-hit"
-            else:
-                try:
-                    report, value = self._read(path, spec)
-                except (ArtifactCorrupt, IntegrityMismatch) as exc:
-                    self.quarantine[str(path)] = exc.reason
-                    if self.cache is not None:
-                        self.cache.put_negative(
-                            path, exc_type=type(exc).__name__, reason=exc.reason, detail=exc.detail
-                        )
-                    raise
-                if self.cache is not None:
-                    value = self.cache.put(path, kind, value, salvage=report)
-            if report is not None:
-                self.salvaged[str(path)] = report
-                obs["result"] = "cache-salvaged" if found is not None else "salvaged"
-            return value
-
-    def _read(self, path: Path, spec: _Kind) -> tuple[SalvageReport | None, object]:
-        """Read ``path`` once; return the salvage report (``None`` for a
-        clean read) and the checked value ``spec`` serves.  A corrupt
-        container gets one carving pass when :attr:`allow_salvaged` and the
-        kind allow it (not ``bad-npy``: that zip is sound, one member's
-        payload is not).  Carving rescues bytes, not meaning, so carved
-        arrays get the same check as a clean read's."""
-
-        try:
-            if spec.container_only:
-                validate_zip_container(path, data=read_bytes(path, policy=self.retry_policy)).raise_if_bad()
-                return None, PROBE_OK
-            arrays = load_npz_validated(path, expect_keys=spec.keys, policy=self.retry_policy)
-            return None, spec.check(arrays, path=path)
-        except ArtifactCorrupt as exc:
-            if not (self.allow_salvaged and spec.carve) or exc.reason == "bad-npy":
-                raise
+                return found.value
             try:
-                report = salvage_npz(path)
-                if report.ok and all(k in report.arrays for k in spec.keys or ()):
-                    value = spec.check(dict(report.arrays), path=path)
-                    return report, PROBE_OK if spec.container_only else value
-            except (ArtifactMissing, IntegrityMismatch):
-                pass
-            raise
+                value = self._read(path, spec)
+            except (ArtifactCorrupt, IntegrityMismatch) as exc:
+                self.quarantine[str(path)] = exc.reason
+                if self.cache is not None:
+                    self.cache.put_negative(
+                        path, exc_type=type(exc).__name__, reason=exc.reason, detail=exc.detail
+                    )
+                raise
+            return value if self.cache is None else self.cache.put(path, kind, value)
+
+    def _read(self, path: Path, spec: _Kind) -> object:
+        """Read ``path`` once and return the checked value ``spec`` serves."""
+
+        if spec.check is None:
+            validate_zip_container(path, data=read_bytes(path, policy=self.retry_policy)).raise_if_bad()
+            return PROBE_OK
+        arrays = load_npz_validated(path, expect_keys=spec.keys, policy=self.retry_policy)
+        return spec.check(arrays, path=path)
 
     def load_probs(self, model: str, stem: str, split: str) -> np.ndarray:
         """Load and validate one probability matrix; raises on any problem.
@@ -311,8 +258,8 @@ class ArtifactStore:
     def load_labels(self, model: str, split: str) -> np.ndarray | None:
         """Optional ground-truth labels (``labels.<split>.npz``, key
         ``labels``, integer dtype) as ``int64``; ``None`` when the file is
-        missing, corrupt or mismatched.  Labels are never carved, and an
-        absent file is normal: it counts as ``missing`` but raises nothing."""
+        missing, corrupt or mismatched.  An absent file is normal: it counts
+        as ``missing`` but raises nothing."""
 
         path = self.labels_path(model, split)
         if not is_file(path):
@@ -331,8 +278,6 @@ class ArtifactStore:
         the full load (so the assemble that follows hits the cache), weights
         only the container probe.  Never raises."""
 
-        if self.is_salvaged(path):
-            return _salvaged_status(self.salvaged[str(path)])
         if self.is_quarantined(path):
             return ArtifactStatus(CORRUPT, self.quarantine[str(path)])
         if not is_file(path):
@@ -351,8 +296,6 @@ class ArtifactStore:
             return ArtifactStatus(CORRUPT, "io-error", repr(exc))
         except ArtifactMissing:
             return ArtifactStatus(MISSING, "not-found")
-        if self.is_salvaged(path):
-            return _salvaged_status(self.salvaged[str(path)])
         return ArtifactStatus(VALID)
 
     def scan_model(self, model: str) -> ModelManifest:

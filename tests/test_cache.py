@@ -5,7 +5,7 @@ Covers the three guarantees the cache layer makes:
 * **Transparency** — journal and checkpoint bytes are identical with the
   cache on vs. off, and serial vs. 4-worker.
 * **Safety** — cached arrays are read-only, stat-signature changes force
-  re-validation, quarantine/salvage verdicts survive the cache round-trip.
+  re-validation, quarantine verdicts survive the cache round-trip.
 * **Validated once per fleet** — model-partitioned workers make exactly the
   serial run's cache lookups, and leave nothing in ``/dev/shm``.
 """
@@ -29,51 +29,18 @@ from polygraphmr.campaign import CampaignConfig, CampaignRunner
 from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import ArtifactCorrupt, IntegrityMismatch
 from polygraphmr.faults import corrupt_file_truncate
-from polygraphmr.manifest import CORRUPT, SALVAGED, VALID
+from polygraphmr.manifest import CORRUPT, VALID
 from polygraphmr.metrics import get_registry
 from polygraphmr.parallel import ParallelCampaignRunner
 from polygraphmr.store import ArtifactStore
 
 from .conftest import REPO_ROOT, SYNTH_MEMBERS, shm_entries
 
-ZIP_MAGIC = b"PK\x03\x04"
-
 
 def _valid_probs(n: int = 40, c: int = 10, seed: int = 5) -> np.ndarray:
     rng = np.random.default_rng(seed)
     raw = rng.uniform(0.1, 1.0, size=(n, c))
     return (raw / raw.sum(axis=1, keepdims=True)).astype(np.float32)
-
-
-def _member_offsets(data: bytes) -> list[int]:
-    offsets, i = [], 0
-    while True:
-        i = data.find(ZIP_MAGIC, i)
-        if i < 0:
-            return offsets
-        offsets.append(i)
-        i += 4
-
-
-def _write_salvageable(path: Path, **member: np.ndarray) -> None:
-    """An npz whose one named member is intact but whose container is broken
-    (same construction as the salvage-layer tests): member order is
-    (member, filler) and the cut lands inside filler."""
-
-    filler = np.arange(4096, dtype=np.float64)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    np.savez(path, **member, filler=filler)
-    data = path.read_bytes()
-    offsets = _member_offsets(data)
-    assert len(offsets) >= 2, "expected two members"
-    path.write_bytes(data[: offsets[1] + 40])
-
-
-def _write_salvageable_probs(path: Path, *, probs: np.ndarray | None = None) -> np.ndarray:
-    if probs is None:
-        probs = _valid_probs()
-    _write_salvageable(path, probs=probs)
-    return probs
 
 
 def _status(store: ArtifactStore, model: str, filename: str):
@@ -277,37 +244,14 @@ class TestNegativeCache:
         assert isinstance(got, CacheEntry) and got.value is value
         assert cache.stats()["negative_entries"] == 0
 
-
-class TestSalvageInterplay:
-    def test_salvaged_artifact_is_cached_as_salvaged(self, tmp_path):
-        root = tmp_path / "cache"
-        (root / "m").mkdir(parents=True)
-        path = root / "m" / "ORG.val.probs.npz"
-        _write_salvageable_probs(path)
-        cache = ArtifactCache()
-        s1 = ArtifactStore(root, allow_salvaged=True, cache=cache)
-        carved = s1.load_probs("m", "ORG", "val")
-        assert s1.is_salvaged(path)
-
-        s2 = s1.fresh()
-        again = s2.load_probs("m", "ORG", "val")
-        assert again is carved
-        assert s2.is_salvaged(path)  # salvage registry restored from the entry
-        registry = get_registry()
-        assert registry.counter_value("store_load_total", kind="probs", result="salvaged") == 1
-        assert registry.counter_value("store_load_total", kind="probs", result="cache-salvaged") == 1
-        status = s2.fresh().scan_model("m").records[0].status
-        assert status.status == SALVAGED
-
-    def test_unsalvageable_artifact_is_negative_cached(self, tmp_path, write_probs):
+    def test_truncated_artifact_is_negative_cached(self, tmp_path, write_probs):
         root = tmp_path / "cache"
         path = write_probs(root / "m" / "ORG.val.probs.npz", _valid_probs())
         corrupt_file_truncate(path, path, keep_fraction=0.05, seed=3)  # probs data destroyed
         cache = ArtifactCache()
-        s1 = ArtifactStore(root, allow_salvaged=True, cache=cache)
+        s1 = ArtifactStore(root, cache=cache)
         with pytest.raises(ArtifactCorrupt):
             s1.load_probs("m", "ORG", "val")
-        assert not s1.is_salvaged(path)
         with pytest.raises(ArtifactCorrupt) as exc_info:
             s1.fresh().load_probs("m", "ORG", "val")
         assert exc_info.value.detail == "previously quarantined"
@@ -315,8 +259,8 @@ class TestSalvageInterplay:
 
 
 class TestWeightsPipeline:
-    """Weights go through the same load path as probs: quarantine, negative
-    cache and salvage — while the roster scan only probes their container."""
+    """Weights go through the same load path as probs: quarantine and the
+    negative cache — while the roster scan only probes their container."""
 
     def test_corrupt_weights_are_quarantined_and_negative_cached(self, synthetic_cache):
         cache = ArtifactCache()
@@ -333,37 +277,6 @@ class TestWeightsPipeline:
         assert again.value.detail == "previously quarantined"
         status = _status(store.fresh(), "tinynet", "pp-Hist.weights.npz")
         assert (status.status, status.reason) == (CORRUPT, first.value.reason)
-
-    def test_salvageable_weights_are_salvaged_by_scan_and_load_and_cached(self, tmp_path):
-        root = tmp_path / "cache"
-        path = root / "m" / "ORG.weights.npz"
-        dense = np.linspace(-1.0, 1.0, 64).reshape(8, 8)
-        _write_salvageable(path, dense=dense)
-        s1 = ArtifactStore(root, allow_salvaged=True, cache=ArtifactCache())
-
-        assert _status(s1, "m", "ORG.weights.npz").status == SALVAGED
-        s2 = s1.fresh()
-        carved = s2.load_weights("m", "ORG")
-        assert set(carved) == {"dense"}
-        np.testing.assert_array_equal(carved["dense"], dense)
-        assert s2.is_salvaged(path)
-        s3 = s2.fresh()
-        assert s3.load_weights("m", "ORG")["dense"] is carved["dense"]
-        assert s3.is_salvaged(path)  # restored from the cached entry
-        registry = get_registry()
-        assert registry.counter_value("store_load_total", kind="weights", result="salvaged") == 1
-        assert registry.counter_value("store_load_total", kind="weights", result="cache-salvaged") == 1
-
-    def test_a_salvaged_probe_caches_the_marker_not_the_arrays(self, tmp_path):
-        root = tmp_path / "cache"
-        path = root / "m" / "ORG.weights.npz"
-        _write_salvageable(path, dense=np.zeros((64, 64)))
-        cache = ArtifactCache()
-
-        assert _status(ArtifactStore(root, allow_salvaged=True, cache=cache), "m", "ORG.weights.npz").status == SALVAGED
-        entry = cache.lookup(path, "probe")
-        assert entry.value == PROBE_OK and entry.salvage is not None
-        assert cache.stats()["bytes"] == entry.nbytes < 64 * 64 * 8
 
     def test_nan_weights_in_a_sound_container_scan_valid_but_do_not_load(self, tmp_path):
         root = tmp_path / "cache"
@@ -430,10 +343,9 @@ class TestOneLoadPath:
         assert registry.counter_value("store_load_total", kind="labels", result="missing") == 1
         assert registry.counter_value("errors_total", type="ArtifactMissing", reason="not-found") == 0
 
-    def test_bad_npy_in_a_sound_container_is_corrupt_even_with_salvage(self, tmp_path):
-        """Carving is for a corrupt container.  Here the zip is sound and
-        only one member's payload is not an ``.npy``, so the verdict is
-        ``bad-npy`` from scan and load alike, with ``allow_salvaged`` too."""
+    def test_bad_npy_in_a_sound_container_is_corrupt_from_scan_and_load(self, tmp_path):
+        """The zip is sound and only one member's payload is not an
+        ``.npy``, so the verdict is ``bad-npy`` from scan and load alike."""
 
         root = tmp_path / "cache"
         path = root / "m" / "ORG.val.probs.npz"
@@ -444,25 +356,13 @@ class TestOneLoadPath:
             zf.writestr("probs.npy", buf.getvalue())
             zf.writestr("junk.npy", b"\x93NUMPY\x01\x00 not an npy header")
 
-        status = _status(ArtifactStore(root, allow_salvaged=True), "m", "ORG.val.probs.npz")
+        status = _status(ArtifactStore(root), "m", "ORG.val.probs.npz")
         assert (status.status, status.reason) == (CORRUPT, "bad-npy")
-        store = ArtifactStore(root, allow_salvaged=True)
+        store = ArtifactStore(root)
         with pytest.raises(ArtifactCorrupt) as exc_info:
             store.load_probs("m", "ORG", "val")
         assert exc_info.value.reason == "bad-npy"
-        assert store.is_quarantined(path) and not store.is_salvaged(path)
-
-    def test_salvaged_verdict_reads_the_same_fresh_cached_and_repeated(self, tmp_path):
-        root = tmp_path / "cache"
-        _write_salvageable_probs(root / "m" / "ORG.val.probs.npz")
-        s1 = ArtifactStore(root, allow_salvaged=True, cache=ArtifactCache())
-
-        fresh = _status(s1, "m", "ORG.val.probs.npz")
-        repeated = _status(s1, "m", "ORG.val.probs.npz")
-        cached = _status(s1.fresh(), "m", "ORG.val.probs.npz")
-        assert fresh.status == SALVAGED
-        assert fresh == repeated == cached
-        assert fresh.detail.startswith("1 member(s), 40 rows recovered")
+        assert store.is_quarantined(path)
 
 
 class TestCacheDeterminism:

@@ -385,6 +385,7 @@ class TestCLI:
             (["--min-members", "0"], "ensemble.min_members"),
             (["--cache-bytes", "0"], "cache.max_bytes"),
             (["--cache-bytes=-1"], "cache.max_bytes"),
+            (["--trials=-1"], "config.n_trials"),
         ],
     )
     def test_unrunnable_settings_exit_2_and_write_nothing(self, tmp_path, capsys, flags, field):
@@ -397,19 +398,26 @@ class TestCLI:
         assert list(tmp_path.iterdir()) == []
         assert main(args) == 0
 
+    def test_zero_trials_is_an_empty_complete_campaign(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["--synthetic", str(tmp_path / "cache"), "--out", str(out), "--trials", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["completed"] == 0
+        assert main(["verify", str(out)]) == 0
+
     def test_cache_budget_is_unchecked_without_a_cache(self, tmp_path, capsys):
         args = ["--synthetic", str(tmp_path / "cache"), "--out", str(tmp_path / "out"), "--trials", "2"]
         assert main([*args, "--no-cache", "--cache-bytes", "0"]) == 0
         capsys.readouterr()
 
-    def test_batch_size_flag_is_refused_as_unknown(self, tmp_path, capsys):
+    @pytest.mark.parametrize("flags", [["--batch-size", "4"], ["--allow-salvaged"]])
+    def test_removed_flags_are_refused_as_unknown(self, tmp_path, capsys, flags):
         out = tmp_path / "out"
-        args = ["--synthetic", str(tmp_path / "cache"), "--out", str(out), "--trials", "3", "--batch-size", "4"]
+        args = ["--synthetic", str(tmp_path / "cache"), "--out", str(out), "--trials", "3", *flags]
         with pytest.raises(SystemExit) as exc_info:
             main(args)
         assert exc_info.value.code == 2
-        assert "unrecognized arguments: --batch-size" in capsys.readouterr().err
-        assert not (out / JOURNAL_NAME).exists()
+        assert f"unrecognized arguments: {' '.join(flags)}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_audit_json_lands_in_header(self, tmp_path, capsys):
         audit_path = tmp_path / "audit.json"

@@ -488,6 +488,62 @@ class TestV3Journals:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
+V4_DIRS = Path(__file__).parent / "data" / "journal_v4"
+
+
+class TestV4Journals:
+    """Directories written by the v4 release whose store could still carve
+    damaged archives: their headers journal ``allow_salvaged``, which the
+    config now writes as the constant ``false`` so v4 header bytes stay put."""
+
+    def _copy(self, tmp_path, name):
+        return Path(shutil.copytree(V4_DIRS / name, tmp_path / name))
+
+    @staticmethod
+    def _header_line(out):
+        return (out / JOURNAL_NAME).read_bytes().splitlines(keepends=True)[0]
+
+    @pytest.mark.parametrize("name", ["serial", "sharded"])
+    def test_verify_accepts_a_v4_directory(self, tmp_path, name):
+        out = self._copy(tmp_path, name)
+        assert main(["verify", str(out)]) == 0
+        report = verify_campaign(out)
+        assert report["ok"], report["first_bad"]
+        assert json.loads(self._header_line(out))["version"] == 4
+        assert bool(report["shards"]) == (name == "sharded")
+
+    @pytest.mark.parametrize("name", ["serial", "sharded"])
+    def test_a_fresh_run_writes_the_fixture_header_byte_for_byte(self, tmp_path, monkeypatch, name):
+        fixture = self._header_line(V4_DIRS / name)
+        header = json.loads(fixture)
+        monkeypatch.chdir(tmp_path)  # the journalled cache path is relative
+        for model in header["models"]:
+            (tmp_path / header["config"]["cache"] / model).mkdir(parents=True)
+        runner = CampaignRunner(config_from_dict(header["config"]), tmp_path / "fresh", trial_fn=_fake_trial)
+        runner.run(max_new_trials=0)
+        assert self._header_line(tmp_path / "fresh") == fixture
+
+    def test_a_journalled_allow_salvaged_true_verifies_but_does_not_resume(self, tmp_path, monkeypatch, capsys):
+        out = self._copy(tmp_path, "serial")
+        journal_path = out / JOURNAL_NAME
+        records = [json.loads(line) for line in journal_path.read_text().splitlines()]
+        records[0]["config"]["allow_salvaged"] = True
+        journal_path.unlink()
+        journal = CampaignJournal(journal_path, genesis=chain_genesis(config_chain_hash(records[0]["config"])))
+        journal.append_many(records)
+        checkpoint = read_checkpoint(out / CHECKPOINT_NAME)
+        write_checkpoint(out / CHECKPOINT_NAME, {**checkpoint, "chain_head": journal.head})
+        assert main(["verify", str(out)]) == 0
+
+        monkeypatch.chdir(tmp_path)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        capsys.readouterr()
+        args = ["--cache", "cc", "--out", str(out), "--trials", "6", "--seed", "7", "--resume"]
+        assert main(args) == 2
+        assert capsys.readouterr().err.startswith("campaign error: config-mismatch")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
 class TestVerifyShards:
     def test_interrupted_parallel_campaign_verifies_with_shards(self, tmp_path, bare_cache):
         _, out = _interrupted_parallel_run(tmp_path, bare_cache)

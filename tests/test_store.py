@@ -126,14 +126,12 @@ class TestSeedCache:
             for rec in manifest.quarantined():
                 assert rec.status.reason
 
-    @pytest.mark.parametrize("allow_salvaged", [False, True])
-    def test_manifest_totals_and_reasons_are_pinned(self, allow_salvaged):
+    def test_manifest_totals_and_reasons_are_pinned(self):
         """The committed seed cache's verdicts, record by record in
-        aggregate: carving must rescue none of it (the cuts run through the
-        member headers), and no read path may move a verdict."""
+        aggregate: no read path may move a verdict."""
 
-        cache = ArtifactStore(SEED_CACHE, allow_salvaged=allow_salvaged).scan_all().to_dict()
-        assert cache["totals"] == {"valid": 0, "corrupt": 536, "missing": 43, "salvaged": 0}
+        cache = ArtifactStore(SEED_CACHE).scan_all().to_dict()
+        assert cache["totals"] == {"valid": 0, "corrupt": 536, "missing": 43}
         reasons = Counter(
             (rec["status"], rec["reason"]) for model in cache["models"].values() for rec in model["records"]
         )
