@@ -386,6 +386,7 @@ class TestCLI:
             (["--cache-bytes", "0"], "cache.max_bytes"),
             (["--cache-bytes=-1"], "cache.max_bytes"),
             (["--trials=-1"], "config.n_trials"),
+            (["--trials", "-2"], "config.n_trials"),
         ],
     )
     def test_unrunnable_settings_exit_2_and_write_nothing(self, tmp_path, capsys, flags, field):
@@ -397,6 +398,16 @@ class TestCLI:
         assert capsys.readouterr().err.startswith(f"config error: {field}: ")
         assert list(tmp_path.iterdir()) == []
         assert main(args) == 0
+
+    def test_negative_trials_are_refused_on_resume_and_leave_the_directory_as_is(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        args = ["--synthetic", str(tmp_path / "cache"), "--out", str(out), "--trials", "2"]
+        assert main(args) == 0
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main([*args, "--trials=-1", "--resume"]) == 2
+        assert capsys.readouterr().err.startswith("config error: config.n_trials: ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_zero_trials_is_an_empty_complete_campaign(self, tmp_path, capsys):
         out = tmp_path / "out"
@@ -483,6 +494,19 @@ class TestScenarioCampaign:
     def test_config_round_trips_through_journalled_dict(self, synthetic_cache):
         config = _scenario_config(synthetic_cache)
         assert config_from_dict(config.to_dict()) == config
+
+    def test_allow_salvaged_is_journalled_as_the_constant_false(self, synthetic_cache):
+        for config in (CampaignConfig(cache=str(synthetic_cache)), _scenario_config(synthetic_cache)):
+            d = config.to_dict()
+            assert d["allow_salvaged"] is False
+            assert list(d).index("allow_salvaged") == list(d).index("timeout_s") + 1
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_config_from_dict_ignores_a_journalled_allow_salvaged(self, synthetic_cache, value):
+        config = CampaignConfig(cache=str(synthetic_cache), n_trials=3, seed=5)
+        d = {**config.to_dict(), "allow_salvaged": value}
+        assert config_from_dict(d) == config
+        assert config_from_dict(d).to_dict()["allow_salvaged"] is False
 
     def test_sweep_runs_resumes_verifies_and_reports(self, synthetic_cache, tmp_path):
         """The acceptance criterion, in-process: a 3-scenario sweep killed
