@@ -15,9 +15,11 @@ Five phases, all against the same 4-model synthetic cache::
    Trials are journalled in windows of 16 per model, so the phases that
    interrupt a run give every worker two windows (128 trials) and signal it
    once the first window is on disk.
-3. **Resume** — ``--resume`` completes the interrupted run; the merged
-   journal is byte-identical to an uninterrupted serial run, every index
-   exactly once.
+3. **Resume** — first, in a copy, ``--resume`` must refuse a shard whose
+   chain is rooted outside the campaign (exit 2, ``journal-chain-broken``)
+   and leave the copy unchanged; then ``--resume`` completes the
+   interrupted run; the merged journal is byte-identical to an
+   uninterrupted serial run, every index exactly once.
 4. **Scenario sweep** — a 5-scenario declarative sweep
    (``--scenarios channel-bitflip-10pct,quantize-4bit,stuck-at-zero-1pct,``
    ``tensor-bitflip-0.1pct,element-bitflip-8``: dense faults, and sparse
@@ -61,6 +63,7 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from polygraphmr.batching import WINDOW_TRIALS  # noqa: E402
 from polygraphmr.campaign import CampaignJournal, scan_campaign  # noqa: E402
+from polygraphmr.journal import chain_genesis  # noqa: E402
 from polygraphmr.metrics import METRICS_NAME, load_registry  # noqa: E402
 
 N_TRIALS = 16
@@ -187,6 +190,31 @@ def verify_detects_flipped_byte(out: Path) -> None:
     )
 
 
+def resume_refuses_foreign_shard(cache: Path, out: Path, options: dict) -> None:
+    """Negative control: in a copy of an interrupted campaign, add
+    ``journal.w09.jsonl`` holding a shard's records (w00's when it has any)
+    re-sealed from the anonymous genesis — a chain rooted outside this
+    campaign.  ``--resume`` must exit 2 naming ``journal-chain-broken`` and
+    leave every file of the copy unchanged."""
+
+    import shutil
+
+    copy = out.parent / (out.name + "-foreign")
+    shutil.copytree(out, copy)
+    source = next(p for p in sorted(copy.glob("journal.w*.jsonl")) if p.stat().st_size)
+    records = CampaignJournal(source).read()
+    CampaignJournal(copy / "journal.w09.jsonl", genesis=chain_genesis()).append_many(records)
+    before = {p.name: p.read_bytes() for p in copy.iterdir()}
+    proc = subprocess.run(
+        campaign_cmd(cache, copy, workers=4, resume=True, **options), env=ENV, capture_output=True, text=True
+    )
+    if proc.returncode != 2 or not proc.stderr.startswith("campaign error: journal-chain-broken"):
+        raise SystemExit(f"FAIL: resume with a foreign-rooted shard exited {proc.returncode}: {proc.stderr}")
+    if {p.name: p.read_bytes() for p in copy.iterdir()} != before:
+        raise SystemExit("FAIL: a refused resume changed the campaign directory")
+    print(f"OK: resume refused a shard re-sealed from {source.name} outside the campaign's root (exit 2)")
+
+
 def _bytes(out: Path) -> tuple[bytes, bytes]:
     return (out / "journal.jsonl").read_bytes(), (out / "checkpoint.json").read_bytes()
 
@@ -261,6 +289,7 @@ def phase_kill_and_resume(tmp: Path) -> None:
         print("note: SIGTERM landed after completion was unavoidable; journal already full")
     print(f"killed 4-worker run after {interrupted} journalled trial(s) (exit 3); resuming")
     verify_dir(out, "post-kill (shards intact)")
+    resume_refuses_foreign_shard(cache, out, long_run)
 
     resumed = subprocess.run(
         campaign_cmd(cache, out, workers=4, resume=True, **long_run), env=ENV, capture_output=True, text=True

@@ -324,7 +324,11 @@ def discover_models(config: CampaignConfig) -> list[str]:
     return ArtifactStore(config.cache).models()
 
 
-# -- resume guards ----------------------------------------------------------
+# -- resume and audit rules -------------------------------------------------
+
+VERIFY_OK = 0
+VERIFY_CHAIN_BREAK = 3
+VERIFY_REPLAY_MISMATCH = 4
 
 
 def _version_mismatch_detail(found) -> str:
@@ -378,10 +382,8 @@ def seal_finding(
     versions: tuple[int, ...] = (JOURNAL_VERSION,),
 ) -> tuple[str, int | None, str, str] | None:
     """The first header or checkpoint-seal finding in a campaign directory,
-    as ``(file, line, reason, detail)``, or ``None`` when every rule holds.
-
-    The one rule set behind both ``--resume`` (:func:`validate_resume`
-    raises the finding) and ``campaign verify`` (which reports it):
+    as ``(file, line, reason, detail)``, or ``None`` when every rule holds —
+    the second step of :func:`campaign_finding`:
 
     * the canonical journal opens with a header of one of ``versions`` (by
       default only this runner's) whose ``prev`` is that version's genesis
@@ -458,14 +460,88 @@ def seal_finding(
     return None
 
 
+def replay_finding(state: CampaignState, config: CampaignConfig) -> tuple[str, int | None, str, str] | None:
+    """The replay audit: the first trial whose journalled record does not
+    re-derive from ``config`` and the header's model roster, as ``(file,
+    line, reason, detail)``, or ``None`` — proof that the journal records
+    the campaign it claims to."""
+
+    models = state.header.get("models")
+    if state.trials and (not isinstance(models, list) or not models):
+        file, line = min(state.where.values())
+        return file, line, "journal-bad-header", "header has no model roster to re-derive trial specs from"
+    outcomes = {OUTCOME_OK, OUTCOME_ERROR, OUTCOME_TIMEOUT}
+    for idx, (file, line) in sorted(state.where.items(), key=lambda kv: kv[1]):
+        r = state.trials[idx]
+        if not isinstance(idx, int) or not (0 <= idx < config.n_trials):
+            return file, line, "trial-out-of-range", f"trial index {idx!r} outside [0, {config.n_trials})"
+        if r.get("outcome") not in outcomes:
+            return file, line, "unknown-outcome", f"outcome {r.get('outcome')!r}"
+        try:
+            expected = derive_trial_spec(config, list(models), idx).to_dict()
+        except Exception as exc:  # noqa: BLE001 - any derivation failure is a finding
+            return file, line, "spec-underivable", f"trial {idx} cannot be re-derived: {exc!r}"
+        if r.get("spec") != expected:
+            detail = f"trial {idx}'s journalled spec does not re-derive from the journalled config"
+            return file, line, "spec-mismatch", detail
+    return None
+
+
+def campaign_finding(
+    state: CampaignState, checkpoint: dict | None, config: CampaignConfig | None = None, *,
+    checkpoint_problem: str | None = None,
+) -> tuple[int, str, int | None, str, str] | None:
+    """The first finding in a campaign directory, as ``(exit code, file,
+    line, reason, detail)``, or ``None`` when every rule holds.
+
+    The one rule list behind both ``--resume`` (:func:`validate_resume`
+    passes the resuming ``config`` and raises the finding) and ``campaign
+    verify`` (which reports it), in order:
+
+    1. :func:`~polygraphmr.journal.scan_campaign`'s chain walks, every file
+       from its own root;
+    2. :func:`seal_finding` — the header and the checkpoint seal;
+    3. a checkpoint that fails its checksum (``checkpoint_problem``);
+    4. the scan's cross-file pass: unknown records, duplicate trials, and
+       trials two files disagree on;
+    5. a journalled config that does not parse, then :func:`replay_finding`
+       — exit code 4, every other finding is 3.
+
+    Resume forgives only crash damage: crash tails, which it then repairs,
+    and a checkpoint that fails its checksum, which the journal overrides
+    (it reads one as ``None`` and passes no problem).  It extends only this
+    runner's format version; verify audits every one of
+    :data:`~polygraphmr.journal.VERIFIABLE_VERSIONS`.
+    """
+
+    resume = config is not None
+    issue = next((i for i in state.issues if not (resume and i.crash)), None)
+    finding = issue.as_finding() if issue is not None else None
+    versions = (JOURNAL_VERSION,) if resume else VERIFIABLE_VERSIONS
+    finding = finding or seal_finding(state, checkpoint, config, versions=versions)
+    if finding is None and checkpoint_problem == "checkpoint-invalid":
+        finding = CHECKPOINT_NAME, None, "checkpoint-invalid", "checkpoint exists but fails its checksum"
+    if finding is None and state.conflict is not None:
+        finding = state.conflict.as_finding()
+    if finding is None and not resume:
+        try:
+            config = config_from_dict(state.header["config"])
+        except (KeyError, TypeError, ValueError) as exc:  # ValueError covers ConfigError
+            finding = JOURNAL_NAME, 1, "journal-bad-header", f"journalled config is malformed: {exc!r}"
+    if finding is not None:
+        return (VERIFY_CHAIN_BREAK, *finding)
+    replay = replay_finding(state, config)
+    return None if replay is None else (VERIFY_REPLAY_MISMATCH, *replay)
+
+
 def validate_resume(state: CampaignState, config: CampaignConfig, checkpoint: dict | None) -> dict:
     """Resume guard: returns the verified header record, or raises the first
-    :func:`seal_finding` as a :class:`CampaignError` — extending tampered or
-    foreign evidence is never allowed."""
+    :func:`campaign_finding` as a :class:`CampaignError` — extending history
+    ``campaign verify`` rejects is never allowed."""
 
-    finding = seal_finding(state, checkpoint, config)
+    finding = campaign_finding(state, checkpoint, config)
     if finding is not None:
-        file, line, reason, detail = finding
+        _code, file, line, reason, detail = finding
         where = file if line is None else f"{file} line {line}"
         raise CampaignError(reason, f"{where}: {detail}")
     return state.header
@@ -834,26 +910,30 @@ class CampaignRunner:
         self._stop.set()
 
     def _open(self, resume: bool) -> CampaignState:
-        """Open the directory: start a fresh journal, resume one (after tail
-        repair and :func:`validate_resume`), or refuse to clobber records.
+        """Open the directory: start a fresh journal, resume one (after
+        :func:`validate_resume`, then crash-tail repair), or refuse to
+        clobber records.  A refusal writes nothing.
 
         Returns the directory's state — the canonical journal *and* any
         shards a parallel run left behind — with the header in place.
         """
 
-        state = scan_campaign(self.out_dir, repair=True)
-        if not (state.canonical_records or state.trials):
-            state.header = header_record(self.config, self.models, self.audit)
-            self.journal.append(state.header)
-            state.canonical_records, state.canonical_chain = 1, [self.journal.head]
-        elif not resume:
+        state = scan_campaign(self.out_dir)
+        fresh = not (state.canonical_chain or state.trials or state.finding)
+        if not (fresh or resume):
             raise CampaignError(
                 "journal-exists",
                 f"{self.journal.path} (or a shard) already holds records; "
                 "pass resume=True / --resume",
             )
-        else:
+        if not fresh:
             validate_resume(state, self.config, read_checkpoint(self.checkpoint_path))
+        state.repair()
+        if fresh:
+            state.header = header_record(self.config, self.models, self.audit)
+            self.journal.append(state.header)
+            state.canonical_chain = [self.journal.head]
+        else:
             self.journal.prime_head(state.canonical_chain[-1])
             # pin the model roster to what the interrupted run saw, so the
             # index -> model assignment cannot drift if the cache changed
@@ -879,7 +959,7 @@ class CampaignRunner:
         """
 
         done = dict(state.trials)
-        journal_records = state.canonical_records
+        journal_records = len(state.canonical_chain)
         self.executor.models = self.models
         self.executor.restore_boards(done)
         pending = [i for i in range(self.config.n_trials) if i not in done]
@@ -961,38 +1041,18 @@ class CampaignRunner:
 
 # -- verification (`campaign verify`) ---------------------------------------
 
-VERIFY_OK = 0
-VERIFY_CHAIN_BREAK = 3
-VERIFY_REPLAY_MISMATCH = 4
-
-
-def _strip_links(record: dict) -> dict:
-    """A record's chained identity minus its chain position — what must agree
-    when the same trial appears in the canonical journal and a shard."""
-
-    return {k: v for k, v in record.items() if k not in ("prev", "sha256")}
-
 
 def verify_campaign(out_dir: str | Path) -> dict:
     """Audit a campaign directory end to end; returns the verification report.
 
-    Four passes, stopping at the exact first offending record:
-
-    1. **Chain walk** — every canonical-journal record's seal and ``prev``
-       link; then every shard's chain, each rooted at its own shard genesis.
-    2. **Header and checkpoint seal** — :func:`seal_finding`, the very rules
-       ``--resume`` applies: the header is rooted at the genesis hash of its
-       journalled config, and a well-typed checkpoint seals chain heads (and
-       counts) the journal and every shard actually carry.  Unlike
-       ``--resume``, verify accepts every format in
-       :data:`~polygraphmr.journal.VERIFIABLE_VERSIONS` (v3 and v4), each
-       checked against its own version's genesis.
-    3. **Cross-file consistency** — a trial journalled in two files must be
-       identical (minus chain position); duplicate indices within a file are
-       refused.
-    4. **Replay audit** — every trial's journalled spec must re-derive
-       exactly from the journalled config + model roster, proving the
-       journal replay-matches the campaign it claims to record.
+    :func:`~polygraphmr.journal.scan_campaign` reads the directory and
+    :func:`campaign_finding` — the very rules ``--resume`` applies — names
+    the exact first offending record: the chain walk of the canonical
+    journal and of every shard (each rooted at its own genesis), the header
+    and checkpoint seal, cross-file consistency, and the replay audit.
+    Unlike ``--resume``, verify forgives nothing and accepts every format
+    in :data:`~polygraphmr.journal.VERIFIABLE_VERSIONS` (v3 and v4), each
+    checked against its own version's genesis.
 
     ``exit_code`` is 0 (ok), 3 (chain break: seal/link/checkpoint damage),
     or 4 (replay mismatch: the chain is intact but records don't re-derive
@@ -1033,9 +1093,25 @@ def _verify_campaign(out: Path) -> dict:
         "checkpoint": {"present": False},
         "first_bad": None,
     }
-
-    def fail(status: str, code: int, file: str, line: int | None, reason: str, detail: str) -> dict:
-        report["status"] = status
+    if not (out / JOURNAL_NAME).is_file():
+        finding = (VERIFY_CHAIN_BREAK, JOURNAL_NAME, None, "journal-missing", f"no {JOURNAL_NAME} in {out}")
+    else:
+        state = scan_campaign(out)
+        cp_payload, cp_problem = load_checkpoint(out / CHECKPOINT_NAME)
+        finding = campaign_finding(state, cp_payload, checkpoint_problem=cp_problem)
+        report["records_verified"] = len(state.canonical_chain) + sum(map(len, state.shard_chains.values()))
+        report["trials"] = len(state.trials)
+        for worker, chain in sorted(state.shard_chains.items()):
+            report["shards"][f"{worker:02d}"] = {"records": len(chain), "chain_head": chain[-1] if chain else None}
+        if cp_payload is not None:
+            report["checkpoint"] = {
+                "present": True,
+                "journal_records": cp_payload.get("journal_records"),
+                "chain_head": cp_payload.get("chain_head"),
+            }
+    if finding is not None:
+        code, file, line, reason, detail = finding
+        report["status"] = "chain-break" if code == VERIFY_CHAIN_BREAK else "replay-mismatch"
         report["exit_code"] = code
         report["first_bad"] = {
             "file": file,
@@ -1044,129 +1120,12 @@ def _verify_campaign(out: Path) -> dict:
             "reason": reason,
             "detail": detail,
         }
-        return report
-
-    def chain_fail(file: str, line: int | None, reason: str, detail: str) -> dict:
-        return fail("chain-break", VERIFY_CHAIN_BREAK, file, line, reason, detail)
-
-    def replay_fail(file: str, line: int | None, reason: str, detail: str) -> dict:
-        return fail("replay-mismatch", VERIFY_REPLAY_MISMATCH, file, line, reason, detail)
-
-    journal_path = out / JOURNAL_NAME
-    if not journal_path.is_file():
-        return chain_fail(JOURNAL_NAME, None, "journal-missing", f"no {JOURNAL_NAME} in {out}")
-
-    # 1. chains: every seal and every internal link, in line order — the
-    # canonical journal, then each shard rooted at its own shard genesis
-    records, chain, issue = walk_chain(journal_path)
-    report["records_verified"] += len(records)
-    if issue is not None:
-        return chain_fail(JOURNAL_NAME, issue.line, issue.reason, issue.detail)
-    header = records[0] if records and records[0].get("type") == "header" else None
-    cfg_dict = header.get("config") if header is not None else None
-    config_sha = config_chain_hash(cfg_dict) if isinstance(cfg_dict, dict) else None
-    # shards are rooted in the header's format version; any other header
-    # version is refused by seal_finding below
-    version = header.get("version") if header is not None else None
-    version = version if version in VERIFIABLE_VERSIONS else JOURNAL_VERSION
-    files = [(JOURNAL_NAME, 2, records[1:])]  # (name, first line, records after any header)
-    shard_chains: dict[int, list[str]] = {}
-    for worker, shard in sorted(shard_journals(out).items()):
-        name = shard.path.name
-        genesis = None if config_sha is None else chain_genesis(config_sha, shard=worker, version=version)
-        s_records, s_chain, s_issue = walk_chain(shard.path, genesis=genesis)
-        report["records_verified"] += len(s_records)
-        if s_issue is not None:
-            return chain_fail(name, s_issue.line, s_issue.reason, s_issue.detail)
-        shard_chains[worker] = s_chain
-        report["shards"][f"{worker:02d}"] = {
-            "records": len(s_records),
-            "chain_head": s_chain[-1] if s_chain else None,
-        }
-        files.append((name, 1, s_records))
-
-    # 2. header and checkpoint seal: the same rules --resume applies
-    cp_payload, cp_problem = load_checkpoint(out / CHECKPOINT_NAME)
-    if cp_payload is not None:
-        report["checkpoint"] = {
-            "present": True,
-            "journal_records": cp_payload.get("journal_records"),
-            "chain_head": cp_payload.get("chain_head"),
-        }
-    held = {r.get("index"): r for _, _, rs in files for r in rs if r.get("type") == "trial"}
-    report["trials"] = len(held)
-    state = CampaignState(header, held, len(records), canonical_chain=chain, shard_chains=shard_chains)
-    finding = seal_finding(state, cp_payload, versions=VERIFIABLE_VERSIONS)
-    if finding is not None:
-        return chain_fail(*finding)
-    if cp_problem == "checkpoint-invalid":
-        return chain_fail(
-            CHECKPOINT_NAME, None, "checkpoint-invalid", "checkpoint exists but fails its checksum"
-        )
-    report["chain_head"] = chain[-1]
-
-    # 3. cross-file consistency: trial provenance, index -> (file, line, record)
-    trials: dict = {}
-    for name, first, file_records in files:
-        for lineno, r in enumerate(file_records, start=first):
-            if r.get("type") != "trial":
-                return chain_fail(
-                    name, lineno, "journal-unknown-record", f"unexpected record type {r.get('type')!r}"
-                )
-            idx = r.get("index")
-            if idx not in trials:
-                trials[idx] = (name, lineno, r)
-                continue
-            ofile, oline, other = trials[idx]
-            if ofile == name:
-                return chain_fail(
-                    name,
-                    lineno,
-                    "journal-duplicate-trial",
-                    f"trial {idx!r} already journalled at {ofile} line {oline}",
-                )
-            if _strip_links(r) != _strip_links(other):
-                return chain_fail(
-                    name, lineno, "journal-record-conflict", f"trial {idx!r} disagrees with {ofile} line {oline}"
-                )
-
-    # 4. replay audit: every trial must re-derive from the journalled config
-    try:
-        config = config_from_dict(cfg_dict)
-    except (KeyError, TypeError, ValueError) as exc:  # ValueError covers ConfigError
-        return chain_fail(JOURNAL_NAME, 1, "journal-bad-header", f"journalled config is malformed: {exc!r}")
-    models = header.get("models")
-    if trials and (not isinstance(models, list) or not models):
-        file, line, _ = min(trials.values(), key=lambda v: (v[0], v[1]))
-        return replay_fail(
-            file, line, "journal-bad-header", "header has no model roster to re-derive trial specs from"
-        )
-    outcomes = {OUTCOME_OK, OUTCOME_ERROR, OUTCOME_TIMEOUT}
-    for idx, (file, line, r) in sorted(trials.items(), key=lambda kv: (kv[1][0], kv[1][1])):
-        if not isinstance(idx, int) or not (0 <= idx < config.n_trials):
-            return replay_fail(
-                file, line, "trial-out-of-range", f"trial index {idx!r} outside [0, {config.n_trials})"
-            )
-        if r.get("outcome") not in outcomes:
-            return replay_fail(file, line, "unknown-outcome", f"outcome {r.get('outcome')!r}")
-        try:
-            expected = derive_trial_spec(config, list(models), idx).to_dict()
-        except Exception as exc:  # noqa: BLE001 - any derivation failure is a finding
-            return replay_fail(
-                file, line, "spec-underivable", f"trial {idx} cannot be re-derived: {exc!r}"
-            )
-        if r.get("spec") != expected:
-            return replay_fail(
-                file,
-                line,
-                "spec-mismatch",
-                f"trial {idx}'s journalled spec does not re-derive from the journalled config",
-            )
-    report["complete"] = all(i in trials for i in range(config.n_trials))
-
-    report["ok"] = True
-    report["status"] = "ok"
-    report["exit_code"] = VERIFY_OK
+        if code == VERIFY_CHAIN_BREAK:
+            return report
+    report["chain_head"] = state.canonical_chain[-1]
+    if finding is None:
+        report["complete"] = state.complete(state.header["config"]["n_trials"])
+        report.update(ok=True, status="ok", exit_code=VERIFY_OK)
     return report
 
 
@@ -1197,6 +1156,7 @@ def report_campaign(out_dir: str | Path) -> dict:
 
     out = Path(out_dir)
     state = scan_campaign(out)
+    state.raise_finding()
     if state.header is None:
         raise CampaignError("journal-no-header", f"no verifiable header record in {out}")
     rows: dict[str, dict] = {}

@@ -8,7 +8,6 @@ parsing message strings.
 
 from __future__ import annotations
 
-import random
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -184,50 +183,24 @@ T = TypeVar("T")
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Bounded exponential backoff with deterministic seeded jitter.
+    """Bounded exponential backoff.
 
-    ``sleep`` is injectable so tests never actually wait.  The jitter is drawn
-    from a PRNG seeded with ``seed`` alone, so the same policy always produces
-    the same sleep schedule — a resumed campaign retries exactly like the run
-    it replaces.  ``max_total_sleep`` caps the summed backoff of one
-    :func:`retry_with_backoff` call so a retry storm cannot stall a sweep.
+    ``sleep`` is injectable so tests never actually wait.  The gap after
+    failed attempt ``k`` is ``min(base_delay * 2**k, max_delay)``, so the same
+    policy always produces the same sleep schedule — a resumed campaign
+    retries exactly like the run it replaces.
     """
 
     attempts: int = 3
     base_delay: float = 0.05
     max_delay: float = 1.0
-    jitter: float = 0.0  # fraction of each delay added, in [0, 1]
-    seed: int = 0
-    max_total_sleep: float = 5.0
     retry_on: tuple[type[BaseException], ...] = (OSError,)
     sleep: Callable[[float], None] = field(default=time.sleep)
 
-    def delay_for(self, attempt: int, *, rng: random.Random | None = None) -> float:
-        delay = min(self.base_delay * (2**attempt), self.max_delay)
-        if self.jitter > 0.0 and rng is not None:
-            delay *= 1.0 + self.jitter * rng.random()
-        return delay
-
     def schedule(self) -> list[float]:
-        """The full (deterministic) sleep schedule this policy would follow,
-        after jitter and the total-sleep cap — handy for tests and audits."""
+        """The sleep between each pair of attempts, in order."""
 
-        rng = random.Random(self.seed)
-        out: list[float] = []
-        budget = self.max_total_sleep
-        for attempt in range(max(0, self.attempts - 1)):
-            delay = min(self.delay_for(attempt, rng=rng), budget)
-            out.append(delay)
-            budget -= delay
-        return out
-
-    def sleep_budget_clamped(self) -> bool:
-        """Whether ``max_total_sleep`` truncates this policy's backoff — i.e.
-        the uncapped delays would sleep longer than the budget allows."""
-
-        rng = random.Random(self.seed)
-        uncapped = sum(self.delay_for(a, rng=rng) for a in range(max(0, self.attempts - 1)))
-        return uncapped > self.max_total_sleep
+        return [min(self.base_delay * (2**k), self.max_delay) for k in range(max(0, self.attempts - 1))]
 
 
 def retry_with_backoff(
@@ -243,9 +216,7 @@ def retry_with_backoff(
     wrapped in :class:`TransientIOError` so callers can distinguish "the disk
     hiccuped" from "the file is garbage".
 
-    Sleeps follow ``policy.schedule()``: seeded jitter keeps the schedule
-    reproducible across runs, and the summed sleep never exceeds
-    ``policy.max_total_sleep``.
+    Sleeps follow ``policy.schedule()``.
     """
 
     policy = policy or RetryPolicy()
@@ -263,6 +234,4 @@ def retry_with_backoff(
     # Exhaustion is a countable event, not just a journalled one: the sweep
     # dashboards need to see retry storms without parsing error strings.
     get_registry().counter("retry_exhausted_total").inc()
-    if policy.sleep_budget_clamped():
-        get_registry().counter("retry_sleep_budget_exhausted_total").inc()
     raise TransientIOError(path, policy.attempts, last)

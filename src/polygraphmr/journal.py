@@ -28,10 +28,15 @@ closes that gap with a hash chain:
 Crash-tolerance is unchanged from v2: appends are single-write + fsync, so
 a crash can only tear the *final* line, and reading forgives exactly that.
 A well-sealed record with the wrong ``prev`` can never be produced by a
-crash, so a broken link anywhere — even on the last line — is tampering
-and raises.  :func:`walk_chain` is the stricter auditor's walk used by
-``python -m polygraphmr.campaign verify``: it forgives nothing and reports
-the exact first offending line.
+crash, so a broken link anywhere — even on the last line — is tampering.
+
+:func:`walk_chain` is the only loop over journal lines: it stops at the
+exact first offending line and says whether a crash could have left it
+(:attr:`ChainIssue.crash`).  :func:`scan_campaign` is the one reader of a
+campaign directory, behind ``--resume``, ``campaign verify`` and
+``campaign report`` alike: it walks the canonical journal and every shard,
+each from its own root, cross-checks trials journalled in more than one
+place, and records what it found; its callers decide what to forgive.
 """
 
 from __future__ import annotations
@@ -151,36 +156,43 @@ def _parse_sealed(line: bytes) -> tuple[dict | None, str | None, str | None]:
 
 @dataclass(frozen=True)
 class ChainIssue:
-    """The exact first offending line found by :func:`walk_chain`."""
+    """The exact first offending line of a journal file (or, from
+    :func:`scan_campaign`'s cross-file pass, of a trial record)."""
 
     path: str
     line: int  # 1-based line number in the file
     reason: str
     detail: str = ""
+    offset: int = 0  # byte length of the verified prefix before ``line``
+    crash: bool = False  # a crash mid-append could have left it: a torn final line
+
+    def as_finding(self) -> tuple[str, int, str, str]:
+        """``(file name, line, reason, detail)``, the form every audit rule reports."""
+
+        return Path(self.path).name, self.line, self.reason, self.detail
 
 
 def walk_chain(
     path: str | Path, genesis: str | None = None
 ) -> tuple[list[dict], list[str], ChainIssue | None]:
-    """Strict audit walk: ``(verified records, their seals, first issue)``.
+    """``(verified records, their seals, first issue)``: the one loop over
+    journal lines.
 
-    Unlike :meth:`CampaignJournal.scan`, nothing is forgiven: a torn or
-    unterminated final line, a seal failure, a broken link, and (when
-    ``genesis`` is given) a first record not rooted at the genesis hash all
-    stop the walk with a :class:`ChainIssue` naming the exact first bad
-    line.  The records and seals returned are the verified prefix before
-    that line.
+    A seal failure, a broken link, (when ``genesis`` is given) a first
+    record not rooted at the genesis hash, and an unterminated final line
+    all stop the walk with a :class:`ChainIssue` naming the exact first bad
+    line; the records and seals returned are the verified prefix before
+    it.  Appends are sequential, so a crash can only leave the *final*
+    line bad: unterminated, or terminated but failing its seal.  Such an
+    issue is marked ``crash``; a broken link never is — no crash writes a
+    well-sealed record with the wrong ``prev``.
     """
 
     p = Path(path)
     records: list[dict] = []
     chain: list[str] = []
-    if not p.is_file():
-        return records, chain, None
-    raw = p.read_bytes()
-    if not raw:
-        return records, chain, None
-    lines = raw.split(b"\n")
+    lines = (p.read_bytes() if p.is_file() else b"").split(b"\n")
+    offset = 0
     for i, line in enumerate(lines[:-1]):
         payload, seal, bad = _parse_sealed(line)
         detail = ""
@@ -192,24 +204,26 @@ def walk_chain(
                 want = "the genesis hash" if not chain else "the previous record's seal"
                 detail = f"prev {linked}… does not link to {want} {expected[:12]}…"
         if bad is not None:
-            if not detail:
-                detail = (
-                    "line is not valid JSON"
-                    if bad == "journal-unparseable-line"
-                    else "record fails its sha256 seal"
-                )
-            return records, chain, ChainIssue(str(p), i + 1, bad, detail)
+            unparseable = bad == "journal-unparseable-line"
+            detail = detail or ("line is not valid JSON" if unparseable else "record fails its sha256 seal")
+            crash = bad != "journal-chain-broken" and i == len(lines) - 2
+            return records, chain, ChainIssue(str(p), i + 1, bad, detail, offset, crash)
         records.append(payload)
         chain.append(seal)
-    if lines[-1]:
-        return records, chain, ChainIssue(
-            str(p),
-            len(lines),
-            "journal-torn-tail",
-            "unterminated final line (crash-torn write); resume or repair the campaign "
-            "before auditing",
-        )
+        offset += len(line) + 1
+    if lines[-1]:  # the trailing newline commits an append: even a well-sealed line without one is torn
+        detail = "unterminated final line (crash-torn write); resume or repair the campaign before auditing"
+        return records, chain, ChainIssue(str(p), len(lines), "journal-torn-tail", detail, offset, True)
     return records, chain, None
+
+
+def _truncate(path: str | Path, offset: int) -> None:
+    """Cut a crash-torn tail off ``path`` so the next append starts on a fresh line."""
+
+    with open(path, "r+b") as fh:
+        fh.truncate(offset)
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 class CampaignJournal:
@@ -288,55 +302,26 @@ class CampaignJournal:
         return seals
 
     def scan(self, *, repair: bool = False) -> tuple[list[dict], list[str]]:
-        """``(verified records, their seal hashes)``.
+        """``(verified records, their seal hashes)``: :func:`walk_chain`
+        plus one rule.
 
-        A torn or corrupt *final* line is dropped — that is exactly the
-        crash-mid-append this journal exists to survive.  Seal damage
-        anywhere earlier means committed history was altered and raises
-        :class:`CampaignError`; so does a broken chain link *anywhere*,
-        including the final line, because no crash can produce a well-sealed
-        record whose ``prev`` doesn't match its predecessor.  The first
-        record's link to the genesis hash is deliberately not checked here
-        (a scan doesn't know the campaign config); root checks live in
-        :func:`polygraphmr.campaign.seal_finding`, the one rule set both
-        ``--resume`` and ``campaign verify`` apply.
-
-        With ``repair=True`` a torn tail is also truncated off the file so
-        the next append starts on a fresh line.
+        A crash issue (a torn final line — exactly the crash-mid-append this
+        journal exists to survive) is dropped; with ``repair=True`` it is
+        also truncated off the file so the next append starts on a fresh
+        line.  Any other issue means committed history was altered and
+        raises :class:`CampaignError`.  The first record's link to the
+        genesis hash is not checked here (a scan doesn't know the campaign
+        config); :func:`scan_campaign` and
+        :func:`polygraphmr.campaign.seal_finding` check roots.
         """
 
-        if not self.path.is_file():
-            self._head = self.genesis
-            return [], []
-        records: list[dict] = []
-        chain: list[str] = []
-        raw = self.path.read_bytes()
-        lines = raw.split(b"\n")
-        offset = 0
-        for i, line in enumerate(lines):
-            if i == len(lines) - 1:
-                # ``line`` is whatever follows the last "\n" (b"" when the
-                # file ends cleanly).  The trailing newline is what commits
-                # an append, so even a checksum-valid tail here is a torn
-                # write: drop it — counting it would leave the file without
-                # a terminator and make the *next* append glue onto it.
-                break
-            payload, seal, bad = _parse_sealed(line)
-            if bad is None and chain and payload.get("prev") != chain[-1]:
-                bad = "journal-chain-broken"
-            if bad is not None:
-                if bad != "journal-chain-broken" and i >= len(lines) - 2:
-                    break  # last line, torn (with or without the final \n)
-                raise CampaignError(bad, f"{self.path} line {i + 1}")
-            records.append(payload)
-            chain.append(seal)
-            offset += len(line) + 1
-        if repair and offset < len(raw):
-            with open(self.path, "r+b") as fh:
-                fh.truncate(offset)
-                fh.flush()
-                os.fsync(fh.fileno())
-        if repair or offset == len(raw):
+        records, chain, issue = walk_chain(self.path)
+        if issue is not None:
+            if not issue.crash:
+                raise CampaignError(issue.reason, f"{self.path} line {issue.line}")
+            if repair:
+                _truncate(self.path, issue.offset)
+        if issue is None or repair:
             # only cache the head when the file ends exactly at the verified
             # prefix — appending after un-truncated torn bytes would glue
             self._head = chain[-1] if chain else self.genesis
@@ -377,41 +362,101 @@ def shard_journals(out_dir: str | Path) -> dict[int, CampaignJournal]:
     return out
 
 
+def _strip_links(record: dict) -> dict:
+    """A record's chained identity minus its chain position — what must agree
+    when the same trial appears in the canonical journal and a shard."""
+
+    return {k: v for k, v in record.items() if k not in ("prev", "sha256")}
+
+
 @dataclass
 class CampaignState:
-    """Everything on disk about a campaign: the canonical journal plus any
-    worker shards, deduplicated by trial index (canonical wins), with the
-    verified chain seals of every file."""
+    """Everything on disk about a campaign, as :func:`scan_campaign` reads
+    it: the verified prefix and chain seals of the canonical journal and of
+    every worker shard, each trial's first record and where it lies, and
+    what the reader found wrong."""
 
     header: dict | None
-    trials: dict[int, dict]
-    canonical_records: int  # verified record count in journal.jsonl
-    shard_counts: dict[int, int] = field(default_factory=dict)  # worker -> trial records
-    canonical_chain: list[str] = field(default_factory=list)  # seal per canonical record
+    canonical_chain: list[str] = field(default_factory=list)  # seal per verified canonical record
     shard_chains: dict[int, list[str]] = field(default_factory=dict)  # worker -> seals
+    trials: dict[int, dict] = field(default_factory=dict)
+    where: dict[int, tuple[str, int]] = field(default_factory=dict)  # index -> (file name, line)
+    issues: list[ChainIssue] = field(default_factory=list)  # first bad line per damaged file
+    conflict: ChainIssue | None = None  # first cross-file finding
+
+    @property
+    def finding(self) -> ChainIssue | None:
+        """The first thing wrong that no crash could have left, or ``None``."""
+
+        return next((issue for issue in self.issues if not issue.crash), self.conflict)
+
+    def raise_finding(self) -> None:
+        """Raise :attr:`finding`, if any, as a :class:`CampaignError`."""
+
+        if self.finding is not None:
+            file, line, reason, detail = self.finding.as_finding()
+            raise CampaignError(reason, f"{file} line {line}: {detail}")
+
+    def repair(self) -> None:
+        """Truncate every crash tail off its file; the verified prefixes stay."""
+
+        for issue in self.issues:
+            if issue.crash:
+                _truncate(issue.path, issue.offset)
+        self.issues = [issue for issue in self.issues if not issue.crash]
 
     def complete(self, n_trials: int) -> bool:
         return all(i in self.trials for i in range(n_trials))
 
 
 def scan_campaign(out_dir: str | Path, *, repair: bool = False) -> CampaignState:
-    """Read the canonical journal *and* every shard; with ``repair=True``,
-    torn tails are truncated in place (the resume path)."""
+    """The one reader of a campaign directory.
 
-    canonical = CampaignJournal(Path(out_dir) / JOURNAL_NAME)
-    records, chain = canonical.scan(repair=repair)
+    Walks the canonical journal, then every shard from its own genesis
+    (derived from the header's config and format version), then cross-checks
+    the verified records: after the header every record must be a trial, no
+    file may journal a trial twice, and a trial journalled in two files must
+    be the same record minus its chain position.  Nothing raises: each
+    file's first bad line lands in ``issues`` and the first cross-file
+    finding in ``conflict``.  With ``repair=True`` crash tails are truncated
+    (:meth:`CampaignState.repair`); without it they are reported.
+    """
+
+    records, chain, issue = walk_chain(Path(out_dir) / JOURNAL_NAME)
     header = records[0] if records and records[0].get("type") == "header" else None
-    trials = {r["index"]: r for r in records if r.get("type") == "trial"}
-    shard_counts: dict[int, int] = {}
-    shard_chains: dict[int, list[str]] = {}
-    for worker, shard in shard_journals(out_dir).items():
-        shard_records, shard_chain = shard.scan(repair=repair)
-        shard_trials = [r for r in shard_records if r.get("type") == "trial"]
-        shard_counts[worker] = len(shard_trials)
-        shard_chains[worker] = shard_chain
-        for r in shard_trials:
-            trials.setdefault(r["index"], r)
-    return CampaignState(header, trials, len(records), shard_counts, chain, shard_chains)
+    cfg, version = (header or {}).get("config"), (header or {}).get("version")
+    config_sha = config_chain_hash(cfg) if isinstance(cfg, dict) else None
+    # shards are rooted in the header's format version; the header rules refuse any other
+    version = version if version in VERIFIABLE_VERSIONS else JOURNAL_VERSION
+    state = CampaignState(header, chain, issues=[issue] if issue else [])
+    files = [(JOURNAL_NAME, 2, records[1:])]  # (name, first line, records after any header)
+    for worker, shard in sorted(shard_journals(out_dir).items()):
+        genesis = None if config_sha is None else chain_genesis(config_sha, shard=worker, version=version)
+        s_records, state.shard_chains[worker], s_issue = walk_chain(shard.path, genesis)
+        state.issues += [s_issue] if s_issue else []
+        files.append((shard.path.name, 1, s_records))
+    # cross-file pass: index every trial by its first record; the first record
+    # that is no trial, repeats a trial in its own file, or disagrees with
+    # another file's record of the same trial is the conflict
+    for name, first, file_records in files:
+        for line, r in enumerate(file_records, start=first):
+            idx = r.get("index")
+            ofile, oline = state.where.get(idx, (None, None))
+            if r.get("type") != "trial":
+                found = "journal-unknown-record", f"unexpected record type {r.get('type')!r}"
+            elif ofile is None:
+                state.trials[idx], state.where[idx] = r, (name, line)
+                continue
+            elif ofile == name:
+                found = "journal-duplicate-trial", f"trial {idx!r} already journalled at {ofile} line {oline}"
+            elif _strip_links(r) != _strip_links(state.trials[idx]):
+                found = "journal-record-conflict", f"trial {idx!r} disagrees with {ofile} line {oline}"
+            else:
+                continue
+            state.conflict = state.conflict or ChainIssue(name, line, *found)
+    if repair:
+        state.repair()
+    return state
 
 
 def merge_journal(out_dir: str | Path, header: dict, trials: dict[int, dict]) -> tuple[Path, str]:

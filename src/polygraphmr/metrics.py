@@ -196,15 +196,6 @@ class Histogram:
             self.count += 1
             self.sum = math.fsum((self.sum, v))
 
-    def merge_from(self, other: Histogram) -> None:
-        if self.bounds != other.bounds:
-            raise ValueError(f"cannot merge histograms with different buckets: {self.bounds} != {other.bounds}")
-        with self._lock:
-            for i, n in enumerate(other.bucket_counts):
-                self.bucket_counts[i] += n
-            self.count += other.count
-            self.sum = math.fsum((self.sum, other.sum))
-
 
 class MetricsRegistry:
     """Named, labelled metrics for one process (or one merged campaign).
@@ -335,19 +326,6 @@ class MetricsRegistry:
             h.count += int(row["count"])
             h.sum = math.fsum((h.sum, float(row["sum"])))
         return reg
-
-    def merge_from(self, other: MetricsRegistry) -> MetricsRegistry:
-        """Fold ``other`` into this registry: counters add, gauges take the
-        max, histograms add bucket-wise.  Returns ``self``."""
-
-        for (name, labels), c in sorted(other._counters.items()):
-            self.counter(name, **dict(labels)).inc(c.value)
-        for (name, labels), g in sorted(other._gauges.items()):
-            mine = self.gauge(name, **dict(labels))
-            mine.set(max(mine.value, g.value))
-        for (name, labels), h in sorted(other._histograms.items()):
-            self.histogram(name, buckets=h.bounds, **dict(labels)).merge_from(h)
-        return self
 
     # -- exports ---------------------------------------------------------
 

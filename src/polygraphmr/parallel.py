@@ -35,8 +35,8 @@ guarantees:
   the unified hash chain from the campaign's canonical genesis — and
   deletes the shards.  A crash
   at any point — including between the replace and the shard cleanup —
-  loses nothing: resume re-scans canonical + shards and deduplicates by
-  index (duplicate records are byte-identical because trials are
+  loses nothing: resume re-scans canonical + shards and accepts a trial
+  journalled in both only when the two records agree (they do: trials are
   deterministic).  The re-linked journal is byte-identical to a serial
   run's, chain and all.
 * **SIGTERM draining.**  The parent forwards SIGTERM to every worker;
@@ -243,8 +243,8 @@ class ParallelCampaignRunner(CampaignRunner):
         assignments = worker_assignments(
             self.config.n_trials, len(self.models), n_workers, set(state.trials)
         )
-        canonical_records, canonical_head = state.canonical_records, state.canonical_chain[-1]
-        marks = dict(state.shard_counts)
+        canonical_records, canonical_head = len(state.canonical_chain), state.canonical_chain[-1]
+        marks = {w: len(c) for w, c in state.shard_chains.items()}
         heads = {w: c[-1] for w, c in state.shard_chains.items() if c}
         progress = self._ctx.Queue()
         procs: dict[int, mp.process.BaseProcess] = {}
@@ -296,13 +296,14 @@ class ParallelCampaignRunner(CampaignRunner):
         # the shards are authoritative — a worker may have journalled a trial
         # and died before its progress event was consumed
         state = scan_campaign(self.out_dir, repair=True)
+        state.raise_finding()
         complete = state.complete(self.config.n_trials)
         if not complete:
             self._checkpoint(
                 set(state.trials),
                 canonical_records,
                 canonical_head,
-                state.shard_counts,
+                {w: len(c) for w, c in state.shard_chains.items()},
                 {w: c[-1] for w, c in state.shard_chains.items() if c},
             )
         get_registry().gauge("campaign_workers").set(float(n_workers))

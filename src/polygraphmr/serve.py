@@ -60,12 +60,11 @@ its member as a probe, and a calm queue closes it again.  A breaker opened
 by corrupt artifacts produces the same ``degraded`` responses — overload and
 corruption share one shedding mechanism.
 
-**Deadline budgets.**  ``deadline_ms`` rides the
-:class:`~polygraphmr.errors.RetryPolicy` sleep-budget machinery: the
-dispatcher's coalescing waits are a ``RetryPolicy`` schedule whose
-``max_total_sleep`` is the scarcest remaining budget in the batch, and a
-request whose budget is exhausted by the time its batch executes is answered
-``deadline_exceeded`` instead of evaluated.
+**Deadline budgets.**  The dispatcher's coalescing waits
+(:func:`coalesce_slices`) never add up to more than the scarcest remaining
+``deadline_ms`` budget in the batch, and a request whose budget is exhausted
+by the time its batch executes is answered ``deadline_exceeded`` instead of
+evaluated.
 
 **One evaluation path.**  Batches run one at a time, in-process, on the
 dispatcher: :meth:`ServeGateway._plan_batch` ticks the breaker board,
@@ -112,7 +111,7 @@ import numpy as np
 from .breaker import BreakerBoard, BreakerPolicy
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, check_cache_bytes
 from .ensemble import EnsembleRuntime, ModelSession, check_min_members
-from .errors import ConfigError, DegradedEnsemble, PolygraphError, RetryPolicy, ServeError, TransientIOError
+from .errors import ConfigError, DegradedEnsemble, PolygraphError, ServeError, TransientIOError
 from .metrics import BATCH_SIZE_BUCKETS, REQUEST_LATENCY_BUCKETS, get_registry
 from .store import ArtifactStore
 
@@ -742,21 +741,21 @@ COALESCE_SLICES = 4  # the coalescing window is polled in this many waits
 
 
 def coalesce_slices(window_s: float, budget_s: float, *, n: int = COALESCE_SLICES) -> list[float]:
-    """The dispatcher's coalescing waits as a ``RetryPolicy`` sleep schedule.
-
-    ``n`` equal slices of the coalescing window, clamped by the batch's
-    scarcest remaining deadline budget via ``RetryPolicy.max_total_sleep`` —
-    the same machinery that caps retry backoff caps how long a request may
-    sit waiting for batch companions.
+    """The dispatcher's coalescing waits: ``n`` slices of ``window_s / n``,
+    each cut to what is left of ``budget_s`` (the batch's scarcest remaining
+    deadline budget), with zero slices dropped — so a request never sits
+    waiting for batch companions past its deadline.
     """
 
-    if window_s <= 0.0 or budget_s <= 0.0:
-        return []
     piece = window_s / n
-    policy = RetryPolicy(
-        attempts=n + 1, base_delay=piece, max_delay=piece, jitter=0.0, max_total_sleep=budget_s
-    )
-    return [delay for delay in policy.schedule() if delay > 0.0]
+    slices: list[float] = []
+    for _ in range(n):
+        delay = min(piece, budget_s)
+        if delay <= 0.0:
+            break
+        slices.append(delay)
+        budget_s -= delay
+    return slices
 
 
 # ---------------------------------------------------------------------------

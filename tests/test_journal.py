@@ -27,8 +27,11 @@ from polygraphmr.campaign import (
     CampaignRunner,
     config_from_dict,
     config_genesis,
+    derive_trial_spec,
     main,
     read_checkpoint,
+    report_main,
+    scan_campaign,
     verify_campaign,
     write_checkpoint,
 )
@@ -127,6 +130,48 @@ _TAMPER_REASONS = {
     "worker-over-count": "journal-behind-checkpoint",
     "worker-head-forged": {"serial": "journal-behind-checkpoint", "parallel": "journal-chain-broken"},
     "canonical-head-forged": "journal-chain-broken",
+}
+
+
+def _forge_shard(out, config, case):
+    """Add ``journal.w07.jsonl`` holding the records of one reader ``case``,
+    sealed and chained — rooted at worker 7's genesis unless the case is a
+    foreign root."""
+
+    state = scan_campaign(out)
+    models = state.header["models"]
+    pending = max(set(range(config.n_trials)) - set(state.trials))
+
+    def trial(index, **changes):
+        spec = derive_trial_spec(config, models, index % config.n_trials).to_dict()
+        record = {"type": "trial", "index": index, "spec": {**spec, "index": index}, "outcome": "ok"}
+        return {**record, "result": {"forged": True}, **changes}
+
+    if case == "conflict":
+        journalled = min(state.trials)
+        records = [{**state.trials[journalled], "result": {"forged": True}}]
+    elif case == "duplicate":
+        records = [trial(pending), trial(pending)]
+    elif case == "forged-spec":
+        forged = trial(pending)
+        forged["spec"]["fault_seed"] += 1
+        records = [forged]
+    elif case == "out-of-range":
+        records = [trial(config.n_trials)]
+    else:
+        records = [trial(pending)]
+    config_sha = config_chain_hash(config.to_dict())
+    genesis = chain_genesis() if case == "foreign-root" else chain_genesis(config_sha, shard=7)
+    CampaignJournal(out / "journal.w07.jsonl", genesis=genesis).append_many(records)
+
+
+# reader case -> (reason, line in journal.w07.jsonl, verify exit code)
+_READER_FINDINGS = {
+    "foreign-root": ("journal-chain-broken", 1, 3),
+    "conflict": ("journal-record-conflict", 1, 3),
+    "duplicate": ("journal-duplicate-trial", 2, 3),
+    "forged-spec": ("spec-mismatch", 1, 4),
+    "out-of-range": ("trial-out-of-range", 1, 4),
 }
 
 
@@ -352,6 +397,65 @@ class TestVerifyCampaign:
         (out / JOURNAL_NAME).write_bytes(bytes(raw))
         verify_campaign(out)
         assert registry.counter_total("journal_chain_breaks_total") == 1
+
+
+class TestOneReader:
+    """``--resume`` and ``verify`` read a campaign directory through one
+    reader (``scan_campaign``) and one rule list, so a shard that verify
+    rejects is never extended — and never re-sealed into a journal that
+    verifies."""
+
+    @pytest.mark.parametrize("runner", ["serial", "parallel"])
+    @pytest.mark.parametrize("case", list(_READER_FINDINGS))
+    def test_resume_refuses_what_verify_rejects(self, tmp_path, bare_cache, capsys, case, runner):
+        if runner == "serial":
+            config, out = _run_campaign(tmp_path, bare_cache, n_trials=6, max_new_trials=2)
+            resumer = CampaignRunner(config, out, trial_fn=_fake_trial)
+            workers = "1"
+        else:
+            config, out = _interrupted_parallel_run(tmp_path, bare_cache)
+            resumer = ParallelCampaignRunner(config, out, workers=2, trial_fn=_fake_trial)
+            workers = "2"
+        _forge_shard(out, config, case)
+        reason, line, code = _READER_FINDINGS[case]
+
+        report = verify_campaign(out)
+        assert report["exit_code"] == code
+        assert report["first_bad"]["reason"] == reason
+        assert (report["first_bad"]["file"], report["first_bad"]["line"]) == ("journal.w07.jsonl", line)
+
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        with pytest.raises(CampaignError) as exc_info:
+            resumer.run(resume=True)
+        assert exc_info.value.reason == reason
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+        capsys.readouterr()
+        argv = ["--cache", config.cache, "--out", str(out), "--trials", str(config.n_trials)]
+        argv += ["--seed", str(config.seed), "--workers", workers, "--resume"]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"campaign error: {reason}")
+        assert "Traceback" not in err
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_report_refuses_a_broken_link_and_reads_past_a_torn_tail(self, tmp_path, bare_cache, capsys):
+        _, out = _run_campaign(tmp_path, bare_cache)
+        intact = (out / JOURNAL_NAME).read_bytes()
+        with open(out / JOURNAL_NAME, "ab") as fh:
+            fh.write(b'{"type": "trial", "torn')
+        torn = (out / JOURNAL_NAME).read_bytes()
+        capsys.readouterr()
+        assert report_main([str(out), "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["completed"] == 3
+        assert (out / JOURNAL_NAME).read_bytes() == torn  # a report never repairs
+
+        lines = intact.splitlines(keepends=True)
+        (out / JOURNAL_NAME).write_bytes(b"".join(lines[:2] + lines[3:]))  # drop trial 1
+        assert report_main([str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("report error: journal-chain-broken")
+        assert "line 3" in err
 
 
 class TestResumeRefusals:

@@ -13,7 +13,8 @@ The v3 journal's contract has two layers:
   journal that fails verification.
 
 Hypothesis drives random damage against both, for the canonical journal
-and for worker shards via :func:`scan_campaign`.
+and for worker shards via :func:`scan_campaign`, which records each damaged
+file's typed issue instead of raising.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from polygraphmr.campaign import (  # noqa: E402
     scan_campaign,
     shard_name,
 )
-from polygraphmr.journal import chain_genesis, walk_chain  # noqa: E402
+from polygraphmr.journal import chain_genesis, config_chain_hash, walk_chain  # noqa: E402
 from polygraphmr.errors import CampaignError  # noqa: E402
 
 # journal payloads are arbitrary JSON objects; keep them small but varied
@@ -227,21 +228,25 @@ def test_record_reordering_breaks_the_chain_at_the_first_moved_line(records, dat
 @settings(max_examples=40)
 @given(data=st.data())
 def test_shard_damage_never_corrupts_the_merged_view(data):
-    """scan_campaign over canonical + shards: damaging any one file either
-    raises a typed error or yields a state in which every surviving trial
-    record is exactly the one that was appended, each index once."""
+    """scan_campaign over canonical + shards: damaging any one file leaves
+    at most a typed issue naming that file, never a cross-file finding, and
+    every surviving trial record is exactly the one that was appended, each
+    index once."""
 
     n = data.draw(st.integers(min_value=2, max_value=8), label="n_trials")
     workers = data.draw(st.integers(min_value=1, max_value=3), label="workers")
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         header = {"type": "header", "version": JOURNAL_VERSION, "config": {"n_trials": n}}
-        CampaignJournal(out / JOURNAL_NAME).append(header)
+        config_sha = config_chain_hash(header["config"])
+        CampaignJournal(out / JOURNAL_NAME, genesis=chain_genesis(config_sha)).append(header)
         originals: dict[int, dict] = {}
         for index in range(n):
             record = {"type": "trial", "index": index, "outcome": "ok", "spec": {"i": index}}
             originals[index] = record
-            CampaignJournal(out / shard_name(index % workers)).append(record)
+            worker = index % workers
+            shard = CampaignJournal(out / shard_name(worker), genesis=chain_genesis(config_sha, shard=worker))
+            shard.append(record)
 
         files = sorted(p for p in out.iterdir() if p.suffix == ".jsonl")
         target = files[data.draw(st.integers(min_value=0, max_value=len(files) - 1), label="file")]
@@ -253,12 +258,11 @@ def test_shard_damage_never_corrupts_the_merged_view(data):
             raw[pos] ^= data.draw(st.integers(min_value=1, max_value=255), label="mask")
             target.write_bytes(bytes(raw))
 
-        try:
-            state = scan_campaign(out, repair=True)
-        except CampaignError as exc:
-            assert exc.reason in _TYPED_REASONS
-        else:
-            seen = sorted(state.trials)
-            assert seen == sorted(set(seen))  # each index at most once
-            for index, record in state.trials.items():
-                assert _strip_chain(record) == originals[index]
+        state = scan_campaign(out, repair=True)
+        assert state.conflict is None
+        assert all(issue.reason in _TYPED_REASONS and not issue.crash for issue in state.issues)
+        assert {Path(issue.path) for issue in state.issues} <= {target}
+        seen = sorted(state.trials)
+        assert seen == sorted(set(seen))  # each index at most once
+        for index, record in state.trials.items():
+            assert _strip_chain(record) == originals[index]

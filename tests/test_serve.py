@@ -263,14 +263,14 @@ class TestRowMemo:
 
 
 class TestDeadlines:
-    def test_coalesce_slices_ride_the_retry_policy_schedule(self):
-        """The dispatcher's coalescing waits ARE a RetryPolicy sleep schedule
-        with max_total_sleep as the deadline budget."""
+    def test_coalesce_slices_split_the_window_within_the_deadline_budget(self):
+        """Equal slices of the coalescing window, each cut to the deadline
+        budget left, zero slices dropped — pinned to the lists the earlier
+        RetryPolicy-schedule implementation returned."""
 
-        assert coalesce_slices(0.02, 10.0) == RetryPolicy(
-            attempts=5, base_delay=0.005, max_delay=0.005, jitter=0.0, max_total_sleep=10.0
-        ).schedule()
-        assert sum(coalesce_slices(0.02, 0.003)) <= 0.003 + 1e-12
+        assert coalesce_slices(0.02, 10.0) == [0.005, 0.005, 0.005, 0.005]
+        assert coalesce_slices(0.02, 0.012) == [0.005, 0.005, 0.002]
+        assert coalesce_slices(0.02, 0.003) == [0.003]
         assert coalesce_slices(0.02, 0.0) == []
         assert coalesce_slices(0.0, 1.0) == []
 
