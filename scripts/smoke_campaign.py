@@ -15,9 +15,11 @@ Five phases, all against the same 4-model synthetic cache::
    Trials are journalled in windows of 16 per model, so the phases that
    interrupt a run give every worker two windows (128 trials) and signal it
    once the first window is on disk.
-3. **Resume** — first, in a copy, ``--resume`` must refuse a shard whose
-   chain is rooted outside the campaign (exit 2, ``journal-chain-broken``)
-   and leave the copy unchanged; then ``--resume`` completes the
+3. **Resume** — first, in copies, ``verify`` (exit 3) and ``--resume``
+   (exit 2) must refuse a shard whose chain is rooted outside the campaign
+   (``journal-chain-broken``) and a shard's records under another spelling
+   of its name (``journal-shard-alias``), and leave each copy unchanged;
+   then ``--resume`` completes the
    interrupted run; the merged journal is byte-identical to an
    uninterrupted serial run, every index exactly once.
 4. **Scenario sweep** — a 5-scenario declarative sweep
@@ -190,29 +192,59 @@ def verify_detects_flipped_byte(out: Path) -> None:
     )
 
 
-def resume_refuses_foreign_shard(cache: Path, out: Path, options: dict) -> None:
-    """Negative control: in a copy of an interrupted campaign, add
-    ``journal.w09.jsonl`` holding a shard's records (w00's when it has any)
-    re-sealed from the anonymous genesis — a chain rooted outside this
-    campaign.  ``--resume`` must exit 2 naming ``journal-chain-broken`` and
-    leave every file of the copy unchanged."""
+def _refused(cache: Path, copy: Path, options: dict, reason: str, label: str) -> None:
+    """``campaign verify`` must exit 3 and ``--resume`` exit 2, both naming
+    ``reason``, and neither may change a file of ``copy``."""
 
-    import shutil
-
-    copy = out.parent / (out.name + "-foreign")
-    shutil.copytree(out, copy)
-    source = next(p for p in sorted(copy.glob("journal.w*.jsonl")) if p.stat().st_size)
-    records = CampaignJournal(source).read()
-    CampaignJournal(copy / "journal.w09.jsonl", genesis=chain_genesis()).append_many(records)
     before = {p.name: p.read_bytes() for p in copy.iterdir()}
+    verify = subprocess.run(
+        [sys.executable, "-m", "polygraphmr.campaign", "verify", str(copy), "--json"],
+        env=ENV,
+        capture_output=True,
+        text=True,
+    )
+    named = json.loads(verify.stdout)["first_bad"]["reason"] if verify.returncode == 3 else None
+    if named != reason:
+        raise SystemExit(f"FAIL: verify with {label} exited {verify.returncode}: {verify.stdout}{verify.stderr}")
     proc = subprocess.run(
         campaign_cmd(cache, copy, workers=4, resume=True, **options), env=ENV, capture_output=True, text=True
     )
-    if proc.returncode != 2 or not proc.stderr.startswith("campaign error: journal-chain-broken"):
-        raise SystemExit(f"FAIL: resume with a foreign-rooted shard exited {proc.returncode}: {proc.stderr}")
+    if proc.returncode != 2 or not proc.stderr.startswith(f"campaign error: {reason}"):
+        raise SystemExit(f"FAIL: resume with {label} exited {proc.returncode}: {proc.stderr}")
     if {p.name: p.read_bytes() for p in copy.iterdir()} != before:
-        raise SystemExit("FAIL: a refused resume changed the campaign directory")
-    print(f"OK: resume refused a shard re-sealed from {source.name} outside the campaign's root (exit 2)")
+        raise SystemExit(f"FAIL: verify or a refused resume changed the campaign directory ({label})")
+
+
+def resume_refuses_foreign_and_aliased_shards(cache: Path, out: Path, options: dict) -> None:
+    """Negative controls, each in its own copy of an interrupted campaign
+    (``source`` is the first shard holding records):
+
+    * ``journal.w09.jsonl`` holds ``source``'s records re-sealed from the
+      anonymous genesis — a chain rooted outside this campaign
+      (``journal-chain-broken``);
+    * ``source`` is left empty and its records move to another spelling of
+      its name, ``journal.w0NN.jsonl`` (``journal-shard-alias``).
+
+    ``campaign verify`` must exit 3 and ``--resume`` exit 2 naming the
+    reason, and every file of the copy must stay unchanged."""
+
+    import shutil
+
+    source = next(p for p in sorted(out.glob("journal.w*.jsonl")) if p.stat().st_size)
+    foreign = out.parent / (out.name + "-foreign")
+    shutil.copytree(out, foreign)
+    records = CampaignJournal(source).read()
+    CampaignJournal(foreign / "journal.w09.jsonl", genesis=chain_genesis()).append_many(records)
+    _refused(cache, foreign, options, "journal-chain-broken", "a foreign-rooted shard")
+    print(f"OK: verify and resume refused a shard re-sealed from {source.name} outside the campaign's root")
+
+    aliased = out.parent / (out.name + "-alias")
+    shutil.copytree(out, aliased)
+    alias = source.name.replace("journal.w", "journal.w0", 1)
+    (aliased / alias).write_bytes(source.read_bytes())
+    (aliased / source.name).write_bytes(b"")
+    _refused(cache, aliased, options, "journal-shard-alias", "an aliased shard")
+    print(f"OK: verify and resume refused {source.name}'s records under the alias {alias}")
 
 
 def _bytes(out: Path) -> tuple[bytes, bytes]:
@@ -289,7 +321,7 @@ def phase_kill_and_resume(tmp: Path) -> None:
         print("note: SIGTERM landed after completion was unavoidable; journal already full")
     print(f"killed 4-worker run after {interrupted} journalled trial(s) (exit 3); resuming")
     verify_dir(out, "post-kill (shards intact)")
-    resume_refuses_foreign_shard(cache, out, long_run)
+    resume_refuses_foreign_and_aliased_shards(cache, out, long_run)
 
     resumed = subprocess.run(
         campaign_cmd(cache, out, workers=4, resume=True, **long_run), env=ENV, capture_output=True, text=True

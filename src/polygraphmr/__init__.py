@@ -22,7 +22,7 @@ Layers (see ``docs/ARCHITECTURE.md``):
 from .breaker import BreakerBoard, BreakerPolicy, CircuitBreaker
 from .cache import ArtifactCache
 from .decision import DetectionMetrics, LogisticDecisionModule
-from .ensemble import DegradedResult, EnsembleResult, EnsembleRuntime, ModelSession, ModelSkipped
+from .ensemble import EnsembleRuntime, ModelSession
 from .errors import (
     ArtifactCorrupt,
     ArtifactError,
@@ -123,9 +123,7 @@ __all__ = [
     "ConfigError",
     "Counter",
     "DegradedEnsemble",
-    "DegradedResult",
     "DetectionMetrics",
-    "EnsembleResult",
     "EnsembleRuntime",
     "FaultSpec",
     "FrameAssembler",
@@ -136,7 +134,6 @@ __all__ = [
     "MetricsRegistry",
     "ModelManifest",
     "ModelSession",
-    "ModelSkipped",
     "ParallelCampaignRunner",
     "PolygraphError",
     "PolygraphService",

@@ -12,10 +12,11 @@ pair therefore gets a small state machine:
   load; success closes it, failure re-opens it.
 
 The cool-down is measured in runtime *ticks* (one tick per
-:meth:`~polygraphmr.ensemble.EnsembleRuntime.run_model` call, i.e. per
-campaign trial), never wall-clock time, so a resumed campaign replays the
-same open/half-open/closed transitions as the run it replaces.  The whole
-board serialises to plain JSON for the campaign journal.
+:func:`~polygraphmr.faults.prepare_degradation` call, i.e. per campaign
+trial, and one per gateway batch), never wall-clock time, so a resumed
+campaign replays the same open/half-open/closed transitions as the run it
+replaces.  The whole board serialises to plain JSON for the campaign
+journal.
 """
 
 from __future__ import annotations
@@ -128,7 +129,8 @@ class BreakerBoard:
         return self._breakers.setdefault(self.key(model, stem), CircuitBreaker(self.policy))
 
     def tick(self) -> int:
-        """Advance the trial clock; called once per ``run_model``/trial."""
+        """Advance the trial clock; called once per ``prepare_degradation``
+        call (one per trial) and once per gateway batch."""
 
         self.tick_count += 1
         return self.tick_count
@@ -153,7 +155,7 @@ class BreakerBoard:
 
     def states_for(self, model: str) -> dict[str, str]:
         """Non-closed breaker states for one model's stems — what a
-        :class:`~polygraphmr.ensemble.DegradedResult` reports."""
+        degraded gateway reply reports."""
 
         prefix = f"{model}/"
         return {

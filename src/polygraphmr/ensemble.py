@@ -1,12 +1,14 @@
 """Graceful-degradation ensemble runtime.
 
 Assembles whatever submodel artifacts validated into a stacked probability
-tensor, aggregates predictions, and runs the decision module end-to-end
-(train on ``val``, evaluate on ``test``).  :meth:`EnsembleRuntime.session`
-is the one builder of that fitted state: :meth:`~EnsembleRuntime.run_model`,
-the fault-degradation measurement and the serving gateway all evaluate the
-:class:`ModelSession` it returns.  A model with quarantined or missing
-members still produces a result — explicitly marked degraded and naming the
+tensor and fits the decision module on ``val``.  :meth:`EnsembleRuntime.session`
+is the one builder of that fitted state, and two programs evaluate the
+:class:`ModelSession` it returns: the fault-degradation measurement (the
+campaign and ``python -m polygraphmr.faults``, through
+:func:`~polygraphmr.faults.prepare_degradation` and
+:meth:`EnsembleRuntime.clean_baseline`) and the serving gateway (through
+:meth:`ModelSession.evaluate`).  A model with quarantined or missing members
+still yields a session — its ``missing`` and ``quarantined`` name the
 members that dropped out — and only when fewer than ``min_members`` survive
 does it raise :class:`DegradedEnsemble`.
 
@@ -33,7 +35,6 @@ roster it scanned while the model directory lists the same files.
 from __future__ import annotations
 
 import os
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,10 +46,7 @@ from .errors import ConfigError, DegradedEnsemble
 from .metrics import get_registry
 from .store import ArtifactStore
 
-__all__ = ["EnsembleBatch", "EnsembleResult", "DegradedResult", "ModelSkipped", "ModelSession", "CleanBaseline", "EnsembleRuntime"]
-
-FULL = "full"
-DEGRADED = "degraded"
+__all__ = ["EnsembleBatch", "ModelSession", "CleanBaseline", "EnsembleRuntime"]
 
 
 @dataclass
@@ -61,43 +59,6 @@ class EnsembleBatch:
     stacked: np.ndarray  # (M, N, C)
     missing: list[str] = field(default_factory=list)
     quarantined: dict[str, str] = field(default_factory=dict)  # stem -> reason
-
-    @property
-    def degraded(self) -> bool:
-        return bool(self.missing or self.quarantined)
-
-
-@dataclass
-class EnsembleResult:
-    """End-to-end outcome: ensemble predictions + misprediction detection."""
-
-    model: str
-    status: str  # FULL
-    members: list[str]
-    predictions: np.ndarray  # ensemble top-1 per test sample
-    flags: np.ndarray  # 1 where the decision module predicts ORG is wrong
-    metrics: DetectionMetrics | None  # None when no labels are available
-    missing: list[str] = field(default_factory=list)
-    quarantined: dict[str, str] = field(default_factory=dict)
-    breakers: dict[str, str] = field(default_factory=dict)  # stem -> non-closed state
-
-
-@dataclass
-class DegradedResult(EnsembleResult):
-    """Same payload as :class:`EnsembleResult`, but explicitly degraded:
-    ``missing`` / ``quarantined`` name the members that did not make it."""
-
-    def __post_init__(self) -> None:
-        self.status = DEGRADED
-
-
-@dataclass(frozen=True)
-class ModelSkipped:
-    """A model for which no ensemble could run at all, with the reason."""
-
-    model: str
-    reason: str
-    detail: str = ""
 
 
 @dataclass
@@ -203,7 +164,7 @@ def check_min_members(min_members: int) -> None:
 
 
 class EnsembleRuntime:
-    """Drives assemble → aggregate → decide over an :class:`ArtifactStore`."""
+    """Drives assemble → fit → score over an :class:`ArtifactStore`."""
 
     def __init__(
         self,
@@ -228,39 +189,30 @@ class EnsembleRuntime:
 
     # -- assembly --------------------------------------------------------
 
-    def member_plan(self, model: str, *, greedy: str | None = None) -> list[str]:
-        """Which stems to attempt: a greedy selection if requested and
-        parseable, otherwise every stem with artifacts on disk.
+    def member_plan(self, model: str) -> list[str]:
+        """Which stems to attempt: every stem with artifacts on disk, ORG
+        first.
 
         Deliberately *not* restricted to already-valid artifacts: a stem
-        whose files exist but are corrupt stays in the plan so the run can
-        report it quarantined in a :class:`DegradedResult` instead of
-        silently pretending the ensemble was never bigger.
+        whose files exist but are corrupt stays in the plan so the session
+        reports it quarantined instead of silently pretending the ensemble
+        was never bigger.
 
-        The default plan (no ``greedy``) depends only on which files the
-        model directory holds, so it is memoised on the directory listing:
-        a repeat call costs one ``listdir``, not a roster scan.  (The scan
-        also counts files this store quarantined and that were deleted
-        since; deleting them changes the listing too.)"""
+        The plan depends only on which files the model directory holds, so
+        it is memoised on the directory listing: a repeat call costs one
+        ``listdir``, not a roster scan.  (The scan also counts files this
+        store quarantined and that were deleted since; deleting them
+        changes the listing too.)"""
 
-        listing = None
-        if greedy is None:
-            try:
-                listing = frozenset(os.listdir(self.store.model_dir(model)))
-            except OSError:
-                pass
-            memo = self._plans.get(model)
-            if listing is not None and memo is not None and memo[0] == listing:
-                return list(memo[1])
-        manifest = self.store.scan_model(model)
-        if greedy is not None and greedy in manifest.greedy:
-            plan = manifest.greedy[greedy]
-        else:
-            plan = manifest.present_stems()
-        if "ORG" in plan:  # keep ORG first: feature layout and targets rely on it
-            plan = ["ORG"] + [s for s in plan if s != "ORG"]
-        elif "ORG" not in plan:
-            plan = ["ORG"] + plan
+        try:
+            listing = frozenset(os.listdir(self.store.model_dir(model)))
+        except OSError:
+            listing = None
+        memo = self._plans.get(model)
+        if listing is not None and memo is not None and memo[0] == listing:
+            return list(memo[1])
+        # ORG first: feature layout and targets rely on it
+        plan = ["ORG"] + [s for s in self.store.scan_model(model).present_stems() if s != "ORG"]
         if listing is not None:
             self._plans[model] = (listing, plan)
         return list(plan)
@@ -279,7 +231,7 @@ class EnsembleRuntime:
         """
 
         registry = get_registry()
-        plan = members if members is not None else self.member_plan(model, greedy=None)
+        plan = members if members is not None else self.member_plan(model)
         loaded: dict[str, np.ndarray] = {}
         missing: list[str] = []
         quarantined: dict[str, str] = {}
@@ -440,76 +392,3 @@ class EnsembleRuntime:
             quarantined=quarantined,
             test_labels=test_labels,
         )
-
-    @staticmethod
-    def aggregate(batch: EnsembleBatch) -> np.ndarray:
-        """Ensemble top-1 prediction per sample: argmax of the member-mean probs."""
-
-        return batch.stacked.mean(axis=0).argmax(axis=1)
-
-    # -- end to end ------------------------------------------------------
-
-    def run_model(self, model: str, *, members: list[str] | None = None, greedy: str | None = None) -> EnsembleResult:
-        """Train the decision module on val, evaluate on test, for one model.
-
-        Members are the intersection of the survivors on both splits so the
-        feature layout is identical at train and eval time.  Returns
-        :class:`DegradedResult` whenever any planned member dropped out.
-
-        Each call advances the breaker board's trial clock by one tick, so
-        open-breaker cool-downs are counted in trials, not wall-clock.
-        """
-
-        registry = get_registry()
-        start = time.perf_counter()
-        try:
-            result = self._run_model_inner(model, members=members, greedy=greedy)
-            registry.counter("ensemble_runs_total", status=result.status).inc()
-            return result
-        finally:
-            registry.histogram("ensemble_run_seconds").observe(time.perf_counter() - start)
-
-    def _run_model_inner(
-        self, model: str, *, members: list[str] | None = None, greedy: str | None = None
-    ) -> EnsembleResult:
-        if self.breakers is not None:
-            self.breakers.tick()
-        plan = members if members is not None else self.member_plan(model, greedy=greedy)
-        session = self.session(model, plan)
-
-        metrics = None
-        flags = np.zeros(session.n_samples, dtype=np.int64)
-        if session.module is not None:
-            scores = session.module.predict_proba(ensemble_features(session.test_stack))
-            flags = session.module.flag(scores)
-            if session.test_labels is not None:
-                metrics = session.module.evaluate(scores, session.test_targets())
-
-        batch = EnsembleBatch(model=model, split="test", members=session.members, stacked=session.test_stack)
-        predictions = self.aggregate(batch)
-        breaker_states = self.breakers.states_for(model) if self.breakers is not None else {}
-        cls = DegradedResult if session.degraded else EnsembleResult
-        return cls(
-            model=model,
-            status=FULL,
-            members=session.members,
-            predictions=predictions,
-            flags=flags,
-            metrics=metrics,
-            missing=session.missing,
-            quarantined=session.quarantined,
-            breakers=breaker_states,
-        )
-
-    def run_cache(self) -> dict[str, EnsembleResult | ModelSkipped]:
-        """Run every model in the cache; skips (never raises) per-model failures."""
-
-        outcomes: dict[str, EnsembleResult | ModelSkipped] = {}
-        for model in self.store.models():
-            try:
-                outcomes[model] = self.run_model(model)
-            except DegradedEnsemble as exc:
-                outcomes[model] = ModelSkipped(model, "degraded-below-minimum", str(exc))
-            except Exception as exc:  # noqa: BLE001 - the contract is "never crash the sweep"
-                outcomes[model] = ModelSkipped(model, "error", repr(exc))
-        return outcomes

@@ -157,10 +157,11 @@ def _parse_sealed(line: bytes) -> tuple[dict | None, str | None, str | None]:
 @dataclass(frozen=True)
 class ChainIssue:
     """The exact first offending line of a journal file (or, from
-    :func:`scan_campaign`'s cross-file pass, of a trial record)."""
+    :func:`scan_campaign`'s cross-file pass, of a trial record), or a file
+    named like a shard that is not one (``line`` is ``None``)."""
 
     path: str
-    line: int  # 1-based line number in the file
+    line: int | None  # 1-based line number in the file; None when the whole file is the finding
     reason: str
     detail: str = ""
     offset: int = 0  # byte length of the verified prefix before ``line``
@@ -349,17 +350,23 @@ def shard_name(worker: int) -> str:
     return f"journal.w{worker:02d}.jsonl"
 
 
-def shard_journals(out_dir: str | Path) -> dict[int, CampaignJournal]:
-    """Every journal shard in ``out_dir``, keyed by worker id."""
+def _shard_files(out_dir: str | Path) -> list[tuple[int, Path]]:
+    """``(worker id, path)`` of every file in ``out_dir`` named like a shard."""
 
-    out: dict[int, CampaignJournal] = {}
     d = Path(out_dir)
-    if d.is_dir():
-        for p in sorted(d.iterdir()):
-            m = _SHARD_RE.match(p.name)
-            if m:
-                out[int(m.group(1))] = CampaignJournal(p)
-    return out
+    if not d.is_dir():
+        return []
+    return [(int(m.group(1)), p) for p in sorted(d.iterdir()) if (m := _SHARD_RE.match(p.name))]
+
+
+def shard_journals(out_dir: str | Path) -> dict[int, CampaignJournal]:
+    """Every journal shard in ``out_dir``, keyed by worker id.
+
+    A worker's shard is the file :func:`shard_name` names; another spelling
+    of the same id (``journal.w007.jsonl`` for worker 7) is an alias, not a
+    shard, and :func:`scan_campaign` reports it."""
+
+    return {w: CampaignJournal(p) for w, p in _shard_files(out_dir) if p.name == shard_name(w)}
 
 
 def _strip_links(record: dict) -> dict:
@@ -381,7 +388,7 @@ class CampaignState:
     shard_chains: dict[int, list[str]] = field(default_factory=dict)  # worker -> seals
     trials: dict[int, dict] = field(default_factory=dict)
     where: dict[int, tuple[str, int]] = field(default_factory=dict)  # index -> (file name, line)
-    issues: list[ChainIssue] = field(default_factory=list)  # first bad line per damaged file
+    issues: list[ChainIssue] = field(default_factory=list)  # aliased shard names, first bad line per damaged file
     conflict: ChainIssue | None = None  # first cross-file finding
 
     @property
@@ -395,7 +402,8 @@ class CampaignState:
 
         if self.finding is not None:
             file, line, reason, detail = self.finding.as_finding()
-            raise CampaignError(reason, f"{file} line {line}: {detail}")
+            where = file if line is None else f"{file} line {line}"
+            raise CampaignError(reason, f"{where}: {detail}")
 
     def repair(self) -> None:
         """Truncate every crash tail off its file; the verified prefixes stay."""
@@ -414,11 +422,14 @@ def scan_campaign(out_dir: str | Path, *, repair: bool = False) -> CampaignState
 
     Walks the canonical journal, then every shard from its own genesis
     (derived from the header's config and format version), then cross-checks
-    the verified records: after the header every record must be a trial, no
-    file may journal a trial twice, and a trial journalled in two files must
-    be the same record minus its chain position.  Nothing raises: each
-    file's first bad line lands in ``issues`` and the first cross-file
-    finding in ``conflict``.  With ``repair=True`` crash tails are truncated
+    the verified records: after the header every record must be a trial with
+    an integer index, no file may journal a trial twice, and a trial
+    journalled in two files must be the same record minus its chain
+    position.  A file named like a shard under another spelling of its
+    worker id than :func:`shard_name`'s (``journal.w007.jsonl``) is not
+    read; it is reported as ``journal-shard-alias``.  Nothing raises: each
+    aliased name and each file's first bad line land in ``issues`` and the
+    first cross-file finding in ``conflict``.  With ``repair=True`` crash tails are truncated
     (:meth:`CampaignState.repair`); without it they are reported.
     """
 
@@ -429,6 +440,10 @@ def scan_campaign(out_dir: str | Path, *, repair: bool = False) -> CampaignState
     # shards are rooted in the header's format version; the header rules refuse any other
     version = version if version in VERIFIABLE_VERSIONS else JOURNAL_VERSION
     state = CampaignState(header, chain, issues=[issue] if issue else [])
+    for worker, path in _shard_files(out_dir):
+        if path.name != shard_name(worker):
+            detail = f"aliases worker {worker}'s shard {shard_name(worker)}; a shard is read only under that name"
+            state.issues.append(ChainIssue(str(path), None, "journal-shard-alias", detail))
     files = [(JOURNAL_NAME, 2, records[1:])]  # (name, first line, records after any header)
     for worker, shard in sorted(shard_journals(out_dir).items()):
         genesis = None if config_sha is None else chain_genesis(config_sha, shard=worker, version=version)
@@ -436,21 +451,22 @@ def scan_campaign(out_dir: str | Path, *, repair: bool = False) -> CampaignState
         state.issues += [s_issue] if s_issue else []
         files.append((shard.path.name, 1, s_records))
     # cross-file pass: index every trial by its first record; the first record
-    # that is no trial, repeats a trial in its own file, or disagrees with
-    # another file's record of the same trial is the conflict
+    # that is no trial, has no integer index, repeats a trial in its own file,
+    # or disagrees with another file's record of the same trial is the conflict
     for name, first, file_records in files:
         for line, r in enumerate(file_records, start=first):
             idx = r.get("index")
-            ofile, oline = state.where.get(idx, (None, None))
             if r.get("type") != "trial":
                 found = "journal-unknown-record", f"unexpected record type {r.get('type')!r}"
-            elif ofile is None:
+            elif type(idx) is not int:  # bool is an int subclass: True would alias trial 1
+                found = "trial-out-of-range", f"trial index {idx!r} is not an integer"
+            elif (where := state.where.get(idx)) is None:
                 state.trials[idx], state.where[idx] = r, (name, line)
                 continue
-            elif ofile == name:
-                found = "journal-duplicate-trial", f"trial {idx!r} already journalled at {ofile} line {oline}"
+            elif where[0] == name:
+                found = "journal-duplicate-trial", f"trial {idx!r} already journalled at {where[0]} line {where[1]}"
             elif _strip_links(r) != _strip_links(state.trials[idx]):
-                found = "journal-record-conflict", f"trial {idx!r} disagrees with {ofile} line {oline}"
+                found = "journal-record-conflict", f"trial {idx!r} disagrees with {where[0]} line {where[1]}"
             else:
                 continue
             state.conflict = state.conflict or ChainIssue(name, line, *found)

@@ -33,9 +33,8 @@ zero-cost for callers; multiprocess campaign workers reset it after
 
 The registry is the program's one timing mechanism: a timed hot path takes
 ``time.perf_counter()`` on entry and observes the elapsed seconds into its
-histogram.  ``campaign_trial_seconds`` (per trial) and
-``ensemble_run_seconds`` (per ``run_model`` call) observe in a ``finally``,
-once per call whatever the outcome.  No timing is kept that the exports
+histogram.  ``campaign_trial_seconds`` (per trial) observes in a
+``finally``, once per trial whatever the outcome.  No timing is kept that the exports
 below do not carry.
 
 Campaign counters of note: ``campaign_trials_total{outcome}`` for every

@@ -6,8 +6,8 @@ from __future__ import annotations
 import shutil
 
 from polygraphmr.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard, BreakerPolicy, CircuitBreaker
-from polygraphmr.ensemble import DegradedResult, EnsembleRuntime
-from polygraphmr.faults import corrupt_file_truncate
+from polygraphmr.ensemble import EnsembleRuntime
+from polygraphmr.faults import corrupt_file_truncate, prepare_degradation
 from polygraphmr.store import ArtifactStore
 
 from .conftest import SYNTH_MEMBERS
@@ -131,17 +131,20 @@ class TestRuntimeIntegration:
 
         synthetic_store.try_load_probs = counting
 
-        results = []
+        contexts, states = [], []
         for _ in range(3):
             attempts.append(0)
-            results.append(runtime.run_model("tinynet", members=list(SYNTH_MEMBERS)))
+            contexts.append(
+                prepare_degradation(synthetic_store, "tinynet", members=list(SYNTH_MEMBERS), runtime=runtime)
+            )
+            states.append(board.states_for("tinynet"))
 
         assert attempts == [2, 0, 1]
-        assert all(isinstance(r, DegradedResult) for r in results)
-        assert results[1].quarantined["pp-Hist"] == "circuit-open"
-        assert results[1].breakers.get("pp-Hist") == OPEN
+        assert all(ctx.session.degraded for ctx in contexts)
+        assert contexts[1].session.quarantined["pp-Hist"] == "circuit-open"
+        assert states[1].get("pp-Hist") == OPEN
         # the half-open probe on trial 3 failed again, so the breaker re-opened
-        assert results[2].breakers.get("pp-Hist") == OPEN
+        assert states[2].get("pp-Hist") == OPEN
         assert board.state("tinynet", "pp-Hist") == OPEN
 
     def test_breaker_closes_after_artifacts_are_repaired(self, synthetic_cache):
@@ -154,8 +157,8 @@ class TestRuntimeIntegration:
         board = BreakerBoard(BreakerPolicy(failure_threshold=1, cooldown_ticks=1))
 
         tripped = EnsembleRuntime(ArtifactStore(synthetic_cache), breakers=board)
-        first = tripped.run_model("tinynet", members=list(SYNTH_MEMBERS))
-        assert isinstance(first, DegradedResult)
+        first = prepare_degradation(tripped.store, "tinynet", members=list(SYNTH_MEMBERS), runtime=tripped)
+        assert first.session.degraded
         assert board.state("tinynet", "pp-Hist") == OPEN
 
         for split in ("val", "test"):  # repair: restore valid (ORG-shaped) probs
@@ -165,11 +168,11 @@ class TestRuntimeIntegration:
             )
 
         recovered = EnsembleRuntime(ArtifactStore(synthetic_cache), breakers=board)
-        second = recovered.run_model("tinynet", members=list(SYNTH_MEMBERS))
+        second = prepare_degradation(recovered.store, "tinynet", members=list(SYNTH_MEMBERS), runtime=recovered)
         assert board.state("tinynet", "pp-Hist") == CLOSED
-        assert "pp-Hist" in second.members
-        assert not isinstance(second, DegradedResult)
-        assert second.breakers == {}
+        assert "pp-Hist" in second.session.members
+        assert not second.session.degraded
+        assert board.states_for("tinynet") == {}
 
     def test_missing_files_never_trip_breakers(self, synthetic_store, synthetic_cache):
         for split in ("val", "test"):
@@ -177,6 +180,6 @@ class TestRuntimeIntegration:
         board = BreakerBoard(BreakerPolicy(failure_threshold=1, cooldown_ticks=1))
         runtime = EnsembleRuntime(synthetic_store, breakers=board)
         for _ in range(3):
-            result = runtime.run_model("tinynet", members=list(SYNTH_MEMBERS))
+            ctx = prepare_degradation(synthetic_store, "tinynet", members=list(SYNTH_MEMBERS), runtime=runtime)
         assert board.state("tinynet", "pp-FlipX") == CLOSED
-        assert "pp-FlipX" in result.missing
+        assert "pp-FlipX" in ctx.session.missing

@@ -1,4 +1,4 @@
-"""Ensemble runtime: full runs, graceful degradation, seed-cache sweep."""
+"""Ensemble runtime: the fitted session, its memos, graceful degradation."""
 
 from __future__ import annotations
 
@@ -8,8 +8,7 @@ import numpy as np
 import pytest
 
 from polygraphmr.cache import ArtifactCache
-from polygraphmr.decision import ensemble_features
-from polygraphmr.ensemble import DegradedResult, EnsembleResult, EnsembleRuntime, ModelSkipped
+from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import DegradedEnsemble
 from polygraphmr.faults import corrupt_file_truncate, prepare_degradation
 from polygraphmr.metrics import get_registry
@@ -21,50 +20,34 @@ from .conftest import SYNTH_MEMBERS
 
 class TestFullEnsemble:
     def test_end_to_end_result(self, synthetic_store):
-        runtime = EnsembleRuntime(synthetic_store)
-        result = runtime.run_model("tinynet")
-        assert isinstance(result, EnsembleResult) and not isinstance(result, DegradedResult)
-        assert result.status == "full"
-        assert result.members[0] == "ORG"
-        assert set(result.members) == set(SYNTH_MEMBERS)
-        assert result.predictions.shape == result.flags.shape
-        assert result.metrics is not None
+        ctx = prepare_degradation(synthetic_store, "tinynet")
+        assert not ctx.session.degraded
+        assert ctx.session.members[0] == "ORG"
+        assert set(ctx.session.members) == set(SYNTH_MEMBERS)
         # the decision module must beat coin-flipping at ranking mispredictions
-        assert result.metrics.auc > 0.6
-
-    def test_greedy_member_plan(self, synthetic_store):
-        runtime = EnsembleRuntime(synthetic_store)
-        plan = runtime.member_plan("tinynet", greedy="greedy-4")
-        assert plan == ["ORG", "pp-Gamma_2", "pp-Hist", "pp-FlipX"]
-
-    def test_aggregate_is_member_mean_argmax(self, synthetic_store):
-        runtime = EnsembleRuntime(synthetic_store)
-        batch = runtime.assemble("tinynet", "test")
-        assert np.array_equal(runtime.aggregate(batch), batch.stacked.mean(0).argmax(1))
+        assert ctx.clean.auc > 0.6
 
 
 class TestOneSession:
-    """``run_model``, the degradation measurement and the serving gateway all
-    evaluate the one session :meth:`EnsembleRuntime.session` builds."""
+    """The degradation measurement and the serving gateway both evaluate the
+    one session :meth:`EnsembleRuntime.session` builds."""
 
     @pytest.mark.parametrize("quarantine", [False, True], ids=["clean", "one-quarantined"])
     def test_callers_agree(self, synthetic_store, synthetic_cache, write_probs, quarantine):
         if quarantine:
             write_probs(synthetic_store.probs_path("tinynet", "pp-Hist", "test"), np.full((8, 10), 0.1))
-        result = EnsembleRuntime(ArtifactStore(synthetic_cache)).run_model("tinynet")
         ctx = prepare_degradation(ArtifactStore(synthetic_cache), "tinynet")
         session = PolygraphService(ArtifactStore(synthetic_cache)).base_session("tinynet")
-        served = session.module.predict(ensemble_features(session.test_stack))
+        _, predictions, flags = session.evaluate(np.arange(session.n_samples))
 
-        assert np.array_equal(result.flags, ctx.clean_flags)
-        assert np.array_equal(result.flags, served)
-        for view in (ctx.session, session):
-            assert (view.members, view.missing, view.quarantined) == (
-                result.members,
-                result.missing,
-                result.quarantined,
-            )
-        assert ("pp-Hist" in result.quarantined) == quarantine
+        assert np.array_equal(flags, ctx.clean_flags)
+        assert np.array_equal(predictions, session.test_stack.mean(0).argmax(1))
+        assert (ctx.session.members, ctx.session.missing, ctx.session.quarantined) == (
+            session.members,
+            session.missing,
+            session.quarantined,
+        )
+        assert ("pp-Hist" in session.quarantined) == quarantine
 
 
 def _fits() -> int:
@@ -85,7 +68,6 @@ class TestGateMemo:
         runtime = EnsembleRuntime(synthetic_store)
         gate = runtime.session("tinynet").module
         assert runtime.session("tinynet").module is gate
-        runtime.run_model("tinynet")
         assert _fits() == 1
 
     @pytest.mark.parametrize("artifact", ["member-probs", "labels"])
@@ -267,31 +249,28 @@ class TestDegradedMode:
         corrupt_file_truncate(src, synthetic_store.probs_path("tinynet", "pp-Hist", "val"), keep_fraction=0.3, seed=21)
         (synthetic_cache / "tinynet" / "pp-FlipX.val.probs.npz").unlink()
         (synthetic_cache / "tinynet" / "pp-FlipX.test.probs.npz").unlink()
-        runtime = EnsembleRuntime(synthetic_store)
-        result = runtime.run_model("tinynet")  # no explicit members
-        assert isinstance(result, DegradedResult)
-        assert "pp-FlipX" in result.missing  # weights remain, probs gone
-        assert "pp-Hist" in result.quarantined
+        session = EnsembleRuntime(synthetic_store).session("tinynet")  # no explicit members
+        assert session.degraded
+        assert "pp-FlipX" in session.missing  # weights remain, probs gone
+        assert "pp-Hist" in session.quarantined
 
     def test_missing_member_yields_degraded_result(self, synthetic_store, synthetic_cache):
         for split in ("val", "test"):
             (synthetic_cache / "tinynet" / f"pp-FlipX.{split}.probs.npz").unlink()
-        runtime = EnsembleRuntime(synthetic_store)
-        result = runtime.run_model("tinynet", members=list(SYNTH_MEMBERS))
-        assert isinstance(result, DegradedResult)
-        assert result.status == "degraded"
-        assert "pp-FlipX" in result.missing
-        assert result.metrics is not None  # still produces a usable answer
+        session = EnsembleRuntime(synthetic_store).session("tinynet", list(SYNTH_MEMBERS))
+        assert session.degraded
+        assert "pp-FlipX" in session.missing and "pp-FlipX" not in session.members
+        # still produces a usable answer: a fitted gate and labelled test split
+        assert session.module is not None and session.test_labels is not None
 
     def test_corrupt_member_named_in_quarantine(self, synthetic_store, synthetic_cache):
         src = synthetic_store.probs_path("tinynet", "ORG", "val")
         dst = synthetic_store.probs_path("tinynet", "pp-Hist", "val")
         corrupt_file_truncate(src, dst, keep_fraction=0.3, seed=11)
-        runtime = EnsembleRuntime(synthetic_store)
-        result = runtime.run_model("tinynet", members=list(SYNTH_MEMBERS))
-        assert isinstance(result, DegradedResult)
-        assert "pp-Hist" in result.quarantined
-        assert result.quarantined["pp-Hist"]  # structured reason present
+        session = EnsembleRuntime(synthetic_store).session("tinynet", list(SYNTH_MEMBERS))
+        assert session.degraded
+        assert "pp-Hist" in session.quarantined
+        assert session.quarantined["pp-Hist"]  # structured reason present
 
     def test_below_minimum_raises_degraded_ensemble(self, synthetic_store):
         runtime = EnsembleRuntime(synthetic_store, min_members=3)
@@ -305,53 +284,3 @@ class TestDegradedMode:
         runtime = EnsembleRuntime(synthetic_store)
         batch = runtime.assemble("tinynet", "val", members=list(SYNTH_MEMBERS))
         assert batch.quarantined.get("replica-001") == "probs-shape-disagrees"
-
-
-class TestSeedCacheSweep:
-    def test_run_cache_never_raises(self, seed_store):
-        """Every seed model is wholly corrupt, so the sweep must report a
-        structured skip per model rather than crash."""
-
-        runtime = EnsembleRuntime(seed_store)
-        outcomes = runtime.run_cache()
-        assert set(outcomes) == set(seed_store.models())
-        for model, outcome in outcomes.items():
-            assert isinstance(outcome, (EnsembleResult, ModelSkipped)), model
-            if isinstance(outcome, ModelSkipped):
-                assert outcome.reason in ("degraded-below-minimum", "error")
-
-    def test_mixed_cache_runs_valid_model_and_skips_corrupt(self, synthetic_cache, seed_store):
-        """A cache mixing one valid model with a corrupt one degrades per-model."""
-
-        import shutil
-
-        shutil.copytree(seed_store.model_dir("resnet20"), synthetic_cache / "resnet20")
-        runtime = EnsembleRuntime(ArtifactStore(synthetic_cache))
-        outcomes = runtime.run_cache()
-        assert isinstance(outcomes["tinynet"], EnsembleResult)
-        assert isinstance(outcomes["resnet20"], ModelSkipped)
-
-
-class TestRunCacheDeterminism:
-    def test_two_sweeps_are_byte_identical(self, synthetic_cache, add_model):
-        """Campaign results are only trustworthy if the sweep itself is
-        deterministic: two fresh store+runtime pairs over the same cache must
-        visit models in the same order and produce byte-identical outputs."""
-
-        add_model(synthetic_cache, "aaanet", n_val=96, n_test=96, seed=3)
-
-        def sweep():
-            runtime = EnsembleRuntime(ArtifactStore(synthetic_cache))
-            return runtime.run_cache()
-
-        first, second = sweep(), sweep()
-        assert list(first) == list(second) == ["aaanet", "tinynet"]  # sorted, stable
-        for model in first:
-            a, b = first[model], second[model]
-            assert isinstance(a, EnsembleResult), model
-            assert a.members == b.members
-            assert a.predictions.dtype == b.predictions.dtype
-            assert a.predictions.tobytes() == b.predictions.tobytes()
-            assert a.flags.tobytes() == b.flags.tobytes()
-            if a.metrics is not None:
-                assert a.metrics == b.metrics

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -291,13 +292,11 @@ class TestDegradationMeasurement:
         degradation_report(ctx, FaultSpec("bitflip", rate=0.01, seed=4))
         degradation_report(ctx, FaultSpec("gaussian", sigma=0.05, seed=4))  # dense
         assert calls == [n] * 4
-        EnsembleRuntime(synthetic_store).run_model("tinynet")
-        assert len(calls) == 5
 
 
 class TestPrepareDegradationChecks:
-    """The session checks ``run_model`` and serve make hold for the
-    degradation measurement too."""
+    """The session checks serve makes hold for the degradation measurement
+    too."""
 
     def test_split_survivors_below_minimum_raise(self, synthetic_store, write_probs):
         # val survivors {ORG, A}, test survivors {ORG, B}: each split alone
@@ -337,6 +336,33 @@ class TestCLI:
         assert rc == 1
         (report,) = out["reports"]
         assert "error" in report
+
+    def test_mixed_cache_measures_the_valid_model_and_reports_the_corrupt_one(
+        self, synthetic_cache, seed_store, capsys
+    ):
+        """A cache mixing one valid model with a wholly corrupt one degrades
+        per model: metrics for the first, an ``error`` entry for the second."""
+
+        shutil.copytree(seed_store.model_dir("resnet20"), synthetic_cache / "resnet20")
+        rc = main(["--cache", str(synthetic_cache), "--json"])
+        reports = {r["model"]: r for r in json.loads(capsys.readouterr().out)["reports"]}
+        assert rc == 0
+        assert set(reports) == {"resnet20", "tinynet"}
+        assert "error" not in reports["tinynet"] and reports["tinynet"]["clean"]["auc"] > 0.5
+        assert "error" in reports["resnet20"]
+
+    def test_two_sweeps_print_identical_bytes(self, synthetic_cache, add_model, capsys):
+        """The sweep is only trustworthy if it is deterministic: two runs over
+        the same cache visit the models in sorted order and print the same
+        bytes."""
+
+        add_model(synthetic_cache, "aaanet", n_val=96, n_test=96, seed=3)
+        outputs = []
+        for _ in range(2):
+            assert main(["--cache", str(synthetic_cache), "--json"]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1]
+        assert [r["model"] for r in json.loads(outputs[0])["reports"]] == ["aaanet", "tinynet"]
 
     def test_explicit_cache_dir(self, tmp_path, capsys):
         build_synthetic_model(tmp_path, "m1", seed=5)

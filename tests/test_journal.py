@@ -136,7 +136,9 @@ _TAMPER_REASONS = {
 def _forge_shard(out, config, case):
     """Add ``journal.w07.jsonl`` holding the records of one reader ``case``,
     sealed and chained — rooted at worker 7's genesis unless the case is a
-    foreign root."""
+    foreign root.  The alias case leaves ``journal.w07.jsonl`` empty and puts
+    a record sealed from the anonymous genesis in ``journal.w007.jsonl``,
+    another spelling of worker 7's shard."""
 
     state = scan_campaign(out)
     models = state.header["models"]
@@ -158,20 +160,26 @@ def _forge_shard(out, config, case):
         records = [forged]
     elif case == "out-of-range":
         records = [trial(config.n_trials)]
+    elif case == "index-not-an-integer":
+        records = [{**trial(pending), "index": [pending]}]
     else:
         records = [trial(pending)]
     config_sha = config_chain_hash(config.to_dict())
-    genesis = chain_genesis() if case == "foreign-root" else chain_genesis(config_sha, shard=7)
-    CampaignJournal(out / "journal.w07.jsonl", genesis=genesis).append_many(records)
+    genesis = chain_genesis() if case in ("foreign-root", "shard-alias") else chain_genesis(config_sha, shard=7)
+    (out / "journal.w07.jsonl").write_bytes(b"")
+    name = "journal.w007.jsonl" if case == "shard-alias" else "journal.w07.jsonl"
+    CampaignJournal(out / name, genesis=genesis).append_many(records)
 
 
-# reader case -> (reason, line in journal.w07.jsonl, verify exit code)
+# reader case -> (reason, file and line it names, verify exit code)
 _READER_FINDINGS = {
-    "foreign-root": ("journal-chain-broken", 1, 3),
-    "conflict": ("journal-record-conflict", 1, 3),
-    "duplicate": ("journal-duplicate-trial", 2, 3),
-    "forged-spec": ("spec-mismatch", 1, 4),
-    "out-of-range": ("trial-out-of-range", 1, 4),
+    "foreign-root": ("journal-chain-broken", "journal.w07.jsonl", 1, 3),
+    "conflict": ("journal-record-conflict", "journal.w07.jsonl", 1, 3),
+    "duplicate": ("journal-duplicate-trial", "journal.w07.jsonl", 2, 3),
+    "forged-spec": ("spec-mismatch", "journal.w07.jsonl", 1, 4),
+    "out-of-range": ("trial-out-of-range", "journal.w07.jsonl", 1, 4),
+    "index-not-an-integer": ("trial-out-of-range", "journal.w07.jsonl", 1, 3),
+    "shard-alias": ("journal-shard-alias", "journal.w007.jsonl", None, 3),
 }
 
 
@@ -417,12 +425,12 @@ class TestOneReader:
             resumer = ParallelCampaignRunner(config, out, workers=2, trial_fn=_fake_trial)
             workers = "2"
         _forge_shard(out, config, case)
-        reason, line, code = _READER_FINDINGS[case]
+        reason, file, line, code = _READER_FINDINGS[case]
 
         report = verify_campaign(out)
         assert report["exit_code"] == code
         assert report["first_bad"]["reason"] == reason
-        assert (report["first_bad"]["file"], report["first_bad"]["line"]) == ("journal.w07.jsonl", line)
+        assert (report["first_bad"]["file"], report["first_bad"]["line"]) == (file, line)
 
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         with pytest.raises(CampaignError) as exc_info:
@@ -431,6 +439,8 @@ class TestOneReader:
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
         capsys.readouterr()
+        assert main(["verify", str(out)]) == code
+        assert capsys.readouterr().err.startswith(f"FAIL [{report['status']}] {reason} at {file}")
         argv = ["--cache", config.cache, "--out", str(out), "--trials", str(config.n_trials)]
         argv += ["--seed", str(config.seed), "--workers", workers, "--resume"]
         assert main(argv) == 2

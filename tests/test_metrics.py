@@ -19,10 +19,8 @@ from polygraphmr.campaign import (
     CampaignRunner,
     TrialExecutor,
 )
-from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import (
     CampaignError,
-    DegradedEnsemble,
     RetryPolicy,
     TransientIOError,
 )
@@ -203,19 +201,6 @@ class TestHotPathWiring:
         assert reg.counter_value("store_load_total", kind="probs", result="hit") == 1
         h = reg.histogram_for("store_load_seconds", kind="probs")
         assert h is not None and h.count == 1
-
-    def test_run_model_is_timed_once_per_call_beside_its_status_count(self, synthetic_store):
-        reg = get_registry()
-        runtime = EnsembleRuntime(synthetic_store)
-        for calls in (1, 2):
-            assert runtime.run_model("tinynet").status == "full"
-            assert reg.counter_value("ensemble_runs_total", status="full") == calls
-            assert reg.histogram_for("ensemble_run_seconds").count == calls
-        # a call that raises is still timed, but has no status to count
-        with pytest.raises(DegradedEnsemble):
-            runtime.run_model("absent")
-        assert reg.counter_total("ensemble_runs_total") == 2
-        assert reg.histogram_for("ensemble_run_seconds").count == 3
 
     def test_error_taxonomy_counter_counts_construction(self):
         reg = get_registry()
