@@ -36,9 +36,12 @@ Five phases, all against the same 4-model synthetic cache::
    and verify exit 0.  From the serial and 4-worker runs' ``metrics.json``:
    one ``campaign_trial_seconds`` observation per trial, one decision-gate
    fit per model, and one stack per split per model
-   (``ensemble_stacks_total``): the trials of a model share their roster,
-   stacks, gate and clean baseline.  These counts do not depend on the
-   host's speed.
+   (``ensemble_stacks_total``): the trials of a model share their stacks,
+   gate and clean baseline.  The ``--no-cache`` run, whose store loads
+   fresh arrays every trial, must still fit one gate per model, and no
+   run may count a ``store_load_total{kind="probe"}`` load: members are
+   planned from a directory listing, never a roster scan.  These counts do
+   not depend on the host's speed.
 
 Every phase boundary is additionally audited with ``python -m
 polygraphmr.campaign verify`` — after the serial run, after the shard
@@ -413,14 +416,16 @@ def run_metrics(out: Path):
 
 def phase_shared_work(tmp: Path) -> None:
     """Every trial runs on its own, and the trials of a model share their
-    roster, stacks, gate and clean baseline through the runtime's memos.
+    stacks, gate and clean baseline through the runtime.
 
     Sleep-free, 64 trials: the serial run is the byte reference for a
     4-worker run, a ``--no-cache`` run (no shared arrays, so every trial
     restacks) and a run passing the ignored ``--no-batch``.  The serial and
     4-worker runs must count one trial-time observation per trial, one gate
-    fit per model and one stack per split per model.  Every check is a
-    count or a byte comparison, so none depends on the host's speed."""
+    fit per model and one stack per split per model; the ``--no-cache`` run
+    one gate fit per model (its equal values keep the gate); and no run a
+    roster-scan probe load.  Every check is a count or a byte comparison,
+    so none depends on the host's speed."""
 
     cache = tmp / "cache"
     sleep_free = {"trials": SHARED_TRIALS, "trial_sleep": 0.0}
@@ -453,6 +458,17 @@ def phase_shared_work(tmp: Path) -> None:
             if got != want:
                 raise SystemExit(f"FAIL: {out.name} counted {got} {what}, want {want}")
         print(f"OK: {out.name}: {SHARED_TRIALS} trial-time observations, one gate fit and one stack per split per model")
+
+    fits = run_metrics(tmp / "shared-no-cache").histogram_for("decision_fit_seconds")
+    if (fits.count if fits else None) != N_MODELS:
+        raise SystemExit(f"FAIL: shared-no-cache counted {fits.count if fits else None} gate fits, want {N_MODELS}")
+    print("OK: shared-no-cache: one gate fit per model")
+    for out in (reference_out, *(tmp / label for label in runs)):
+        counters = run_metrics(out).to_dict()["counters"]
+        probes = [r for r in counters if r["name"] == "store_load_total" and r["labels"].get("kind") == "probe"]
+        if probes:
+            raise SystemExit(f"FAIL: {out.name} counted roster-scan probe loads: {probes}")
+    print("OK: no run scanned the roster (no store_load_total{kind=\"probe\"} series)")
 
 
 def main() -> int:

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import ConfigError
 from .metrics import get_registry
 
 __all__ = [
@@ -32,6 +33,7 @@ __all__ = [
     "BreakerPolicy",
     "CircuitBreaker",
     "BreakerBoard",
+    "check_breaker_policy",
     "merge_snapshots",
     "non_closed_in_snapshot",
 ]
@@ -51,6 +53,16 @@ class BreakerPolicy:
 
     failure_threshold: int = 3
     cooldown_ticks: int = 2
+
+
+def check_breaker_policy(failure_threshold: int, cooldown_ticks: int) -> None:
+    """Refuse a ``failure_threshold`` below 1 or a ``cooldown_ticks`` below
+    0, naming the field, before a CLI writes or binds anything."""
+
+    if failure_threshold < 1:
+        raise ConfigError("breaker.failure_threshold", "out-of-range", f"must be >= 1, got {failure_threshold!r}")
+    if cooldown_ticks < 0:
+        raise ConfigError("breaker.cooldown_ticks", "out-of-range", f"must be >= 0, got {cooldown_ticks!r}")
 
 
 class CircuitBreaker:

@@ -74,9 +74,10 @@ _scope = threading.local()
 def stat_once():
     """Within the block, each path is statted at most once on this thread:
     :func:`stat_signature` and :func:`is_file` answer from the first
-    ``stat``.  A trial prepares under one scope, so it sees one identity
-    per artifact file, and a file rewritten after that ``stat`` shows as
-    changed to the next trial.  Nested scopes share the outer memo."""
+    ``stat``.  A trial prepares under one scope, so the store's existence
+    check and the cache's lookup of one artifact file share one ``stat``,
+    and a file rewritten after it shows as changed to the next trial.
+    Nested scopes share the outer memo."""
 
     if getattr(_scope, "memo", None) is not None:
         yield

@@ -54,7 +54,7 @@ from pathlib import Path
 import numpy as np
 
 from .batching import execute_window, plan_windows
-from .breaker import BreakerBoard, BreakerPolicy, merge_snapshots, non_closed_in_snapshot
+from .breaker import BreakerBoard, BreakerPolicy, check_breaker_policy, merge_snapshots, non_closed_in_snapshot
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, check_cache_bytes
 from .ensemble import EnsembleRuntime, check_min_members
 from .errors import CampaignError, ConfigError
@@ -1428,6 +1428,9 @@ def main(argv: list[str] | None = None) -> int:
         if args.trials < 0:
             raise ConfigError("config.n_trials", "out-of-range", f"--trials must be >= 0, got {args.trials}")
         check_min_members(args.min_members)
+        check_breaker_policy(args.failure_threshold, args.cooldown_ticks)
+        if args.synthetic_models < 1:
+            raise ConfigError("synthetic.models", "out-of-range", f"must be >= 1, got {args.synthetic_models}")
         if not args.no_cache:
             check_cache_bytes(args.cache_bytes)
         if args.scenarios:
@@ -1442,7 +1445,7 @@ def main(argv: list[str] | None = None) -> int:
 
     cache = args.cache
     if args.synthetic is not None:
-        if args.synthetic_models <= 1:
+        if args.synthetic_models == 1:
             build_synthetic_model(args.synthetic, seed=args.seed)
         else:
             for i in range(args.synthetic_models):

@@ -12,41 +12,37 @@ still yields a session — its ``missing`` and ``quarantined`` name the
 members that dropped out — and only when fewer than ``min_members`` survive
 does it raise :class:`DegradedEnsemble`.
 
-A runtime instance (store + breaker board + memoised decision gates) is
-mutable state and must stay within one process: multiprocess campaign
-workers each build their own runtime after ``fork`` via
+A runtime instance (store + breaker board + one shared trial state per
+model) is mutable state and must stay within one process: multiprocess
+campaign workers each build their own runtime after ``fork`` via
 :class:`polygraphmr.campaign.TrialExecutor` rather than inherit the
-parent's.  :meth:`EnsembleRuntime.fit_gate` fits each member set's gate once
-per val-artifact identity, and :meth:`EnsembleRuntime.clean_baseline`
-scores each gate's clean test split once per test-artifact identity (its
-entry also holds the fault module's per-dtype references of the sanitized
-clean split); discarding the runtime discards both memos.
+parent's.  :meth:`EnsembleRuntime.session` reuses a model's gate and
+clean baseline (with the fault module's per-dtype references) while the
+store serves the same arrays for the same member set.
 
 The store the runtime drives may carry a verified-once
 :class:`~polygraphmr.cache.ArtifactCache`: the probability arrays it serves
 are then shared read-only across trials.  That is safe here because
 ``assemble`` copies members into its stacked tensor (``np.stack``) and
-never writes to a loaded array in place.  The stacked tensor is read-only too: ``assemble`` hands
-out the previous stack of a split again while its members are the very
-same cached arrays, and :meth:`EnsembleRuntime.member_plan` reuses the
-roster it scanned while the model directory lists the same files.
+never writes to a loaded array in place.  The stacked tensor is read-only
+too: ``assemble`` hands out a model's previous stack of a split again
+while the store serves the same arrays for its members.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .breaker import BreakerBoard
-from .cache import is_file, stat_signature
+from .cache import is_file
 from .decision import DetectionMetrics, LogisticDecisionModule, ensemble_features, misprediction_targets
 from .errors import ConfigError, DegradedEnsemble
 from .metrics import get_registry
 from .store import ArtifactStore
 
-__all__ = ["EnsembleBatch", "ModelSession", "CleanBaseline", "EnsembleRuntime"]
+__all__ = ["EnsembleBatch", "ModelSession", "CleanBaseline", "EnsembleRuntime", "fit_gate"]
 
 
 @dataclass
@@ -129,8 +125,8 @@ class CleanBaseline:
     flags: np.ndarray  # the gate's decision flags
     metrics: DetectionMetrics
     # per fault dtype, the faults module's reference of the sanitized clean
-    # split (faults.FaultReference): memoised here, so the key that
-    # invalidates this baseline invalidates them too
+    # split (faults.FaultReference): kept here, so whatever rescores this
+    # baseline drops them too
     references: dict = field(default_factory=dict, compare=False, repr=False)
 
 
@@ -145,6 +141,22 @@ def _score_clean(session: ModelSession) -> CleanBaseline:
     return CleanBaseline(features, targets, flags, module.evaluate(scores, targets))
 
 
+def fit_gate(
+    members: list[str], val_stack: np.ndarray, val_labels: np.ndarray | None
+) -> LogisticDecisionModule | None:
+    """A decision gate for ``members``, fitted on their ``val`` stack;
+    ``None`` when ORG is absent or the val labels are missing or do not
+    match the split.  Unmemoised: a runtime's sessions share their model's
+    gate, and the gateway keeps the sessions it derives."""
+
+    if val_labels is None or "ORG" not in members or len(val_labels) != val_stack.shape[1]:
+        return None
+    module = LogisticDecisionModule()
+    org_val = val_stack[members.index("ORG")]
+    module.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
+    return module
+
+
 def _restack(batch: EnsembleBatch, members: list[str]) -> np.ndarray:
     """``batch``'s stack over ``members``: the stack itself when it already
     holds exactly those members in that order, else one re-indexed copy."""
@@ -152,6 +164,32 @@ def _restack(batch: EnsembleBatch, members: list[str]) -> np.ndarray:
     if batch.members == members:
         return batch.stacked
     return batch.stacked[[batch.members.index(s) for s in members]]
+
+
+def _same_split(held: tuple, served: tuple) -> bool:
+    """Whether ``served`` (assembled stack, labels) is ``held``: the same
+    stack object (:meth:`EnsembleRuntime._stack` decides when the probs are
+    the same) and the same labels, by identity or, uncached, by value."""
+
+    (stack, labels), (new_stack, new_labels) = held, served
+    # array_equal is False for None against an array: labels are 1-D
+    return new_stack is stack and (new_labels is labels or np.array_equal(labels, new_labels))
+
+
+@dataclass
+class _SharedState:
+    """What the trials of one model share while the store serves the same
+    arrays for the same member set: per split, the key and its stack over
+    ``members``; the gate fitted on ``val``; and the clean baseline of
+    ``test`` once :meth:`EnsembleRuntime.clean_baseline` scores it."""
+
+    members: list[str]
+    val: tuple[np.ndarray, np.ndarray | None]  # (assembled stack, labels)
+    test: tuple[np.ndarray, np.ndarray | None]
+    val_stack: np.ndarray  # val over ``members``
+    test_stack: np.ndarray
+    gate: LogisticDecisionModule | None
+    baseline: CleanBaseline | None = None
 
 
 def check_min_members(min_members: int) -> None:
@@ -177,45 +215,25 @@ class EnsembleRuntime:
         self.store = store
         self.min_members = min_members
         self.breakers = breakers
-        # fitted gates: (model, members) -> (val artifact identity, gate)
-        self._gates: dict[tuple, tuple[tuple, LogisticDecisionModule]] = {}
-        # clean test baselines, one per model: model -> ((members, test
-        # artifact identity), the gate that scored it, baseline)
-        self._baselines: dict[str, tuple[tuple, LogisticDecisionModule, CleanBaseline]] = {}
-        # default member plans: model -> (directory listing, plan)
-        self._plans: dict[str, tuple[frozenset, list[str]]] = {}
-        # the last stack per split: split -> (model, members, arrays, stack)
-        self._stacks: dict[str, tuple[str, list[str], list[np.ndarray], np.ndarray]] = {}
+        # one shared trial state per model (see ``session``)
+        self._shared: dict[str, _SharedState] = {}
+        # the last stack per model and split: (model, split) -> (members, arrays, stack)
+        self._stacks: dict[tuple[str, str], tuple[list[str], list[np.ndarray], np.ndarray]] = {}
 
     # -- assembly --------------------------------------------------------
 
     def member_plan(self, model: str) -> list[str]:
-        """Which stems to attempt: every stem with artifacts on disk, ORG
-        first.
+        """Which stems to attempt: ORG, then every other stem with an
+        artifact file in the model directory
+        (:meth:`~polygraphmr.store.ArtifactStore.listed_stems`).
 
-        Deliberately *not* restricted to already-valid artifacts: a stem
-        whose files exist but are corrupt stays in the plan so the session
+        Deliberately *not* restricted to valid artifacts: a stem whose
+        files exist but are corrupt stays in the plan so the session
         reports it quarantined instead of silently pretending the ensemble
-        was never bigger.
+        was never bigger."""
 
-        The plan depends only on which files the model directory holds, so
-        it is memoised on the directory listing: a repeat call costs one
-        ``listdir``, not a roster scan.  (The scan also counts files this
-        store quarantined and that were deleted since; deleting them
-        changes the listing too.)"""
-
-        try:
-            listing = frozenset(os.listdir(self.store.model_dir(model)))
-        except OSError:
-            listing = None
-        memo = self._plans.get(model)
-        if listing is not None and memo is not None and memo[0] == listing:
-            return list(memo[1])
         # ORG first: feature layout and targets rely on it
-        plan = ["ORG"] + [s for s in self.store.scan_model(model).present_stems() if s != "ORG"]
-        if listing is not None:
-            self._plans[model] = (listing, plan)
-        return list(plan)
+        return ["ORG"] + [s for s in self.store.listed_stems(model) if s != "ORG"]
 
     def assemble(self, model: str, split: str, *, members: list[str] | None = None) -> EnsembleBatch:
         """Load every planned member's probs for ``split``; quarantine, don't crash.
@@ -247,6 +265,9 @@ class EnsembleRuntime:
                 registry.counter("ensemble_member_skips_total", reason="missing").inc()
                 continue
             probs = self.store.try_load_probs(model, stem, split)
+            if probs is None and not self.store.is_quarantined(path):
+                # retries ran out: one more round, so one exhausted read costs no member
+                probs = self.store.try_load_probs(model, stem, split)
             if probs is None:
                 # not quarantined: the read failed, and only this session loses the member
                 quarantined[stem] = self.store.quarantine.get(str(path), "io-error")
@@ -281,86 +302,48 @@ class EnsembleRuntime:
         )
 
     def _stack(self, model: str, split: str, members: list[str], arrays: list[np.ndarray]) -> np.ndarray:
-        """``np.stack(arrays)``, read-only; the split's previous stack when it
-        was built for the same model and members from these very array
-        objects.  Cached loads return one shared read-only array per file
-        identity, so a repeat trial reuses its stack; an uncached store
-        loads fresh arrays and always restacks."""
+        """``np.stack(arrays)``, read-only; the model's previous stack of
+        ``split`` when the store served the same arrays for the same
+        members.  This is the one place that decides it: cached arrays by
+        identity, before stacking; an uncached store's fresh copies by
+        value, dropping the new stack for the previous one when they are
+        equal, so the stack object stands for what the store served."""
 
-        memo = self._stacks.get(split)
-        if (
-            memo is not None
-            and memo[0] == model
-            and memo[1] == members
-            and all(a is b for a, b in zip(memo[2], arrays))
-        ):
-            return memo[3]
+        memo = self._stacks.get((model, split))
+        same_members = memo is not None and memo[0] == members
+        if same_members and all(a is b for a, b in zip(memo[1], arrays)):
+            return memo[2]
         stacked = np.stack(arrays, axis=0)
-        stacked.flags.writeable = False
-        self._stacks[split] = (model, members, arrays, stacked)
         get_registry().counter("ensemble_stacks_total", split=split).inc()
+        if same_members and np.array_equal(memo[2], stacked):
+            stacked = memo[2]
+        stacked.flags.writeable = False
+        self._stacks[(model, split)] = (members, arrays, stacked)
         return stacked
 
     # -- the fitted session ---------------------------------------------
-
-    def _split_identity(self, model: str, members: list[str], split: str) -> tuple | None:
-        """Stat signatures of the members' ``split`` probs and the ``split``
-        labels — the artifact cache's notion of file identity — or ``None``
-        when a file cannot be statted."""
-
-        paths = [self.store.probs_path(model, s, split) for s in members]
-        sigs = tuple(stat_signature(p) for p in [*paths, self.store.labels_path(model, split)])
-        return None if None in sigs else sigs
-
-    def fit_gate(self, model: str, members: list[str], val_stack: np.ndarray) -> LogisticDecisionModule | None:
-        """The decision gate for ``members``, fitted on their ``val`` stack;
-        ``None`` when ORG is absent or the val labels are missing or do not
-        match the split.
-
-        ``val_stack`` must be those members' ``val`` artifacts as this
-        runtime's store loaded them: the fit is a pure function of (model,
-        members, val files, val labels), so the gate is memoised on
-        the files' identity and fitted once per member set until a file
-        changes.  Callers share the returned gate and must not mutate it.
-        """
-
-        val_labels = self.store.load_labels(model, "val")
-        if val_labels is None or "ORG" not in members or len(val_labels) != val_stack.shape[1]:
-            return None
-        key = (model, tuple(members))
-        identity = self._split_identity(model, members, "val")
-        memo = self._gates.get(key)
-        if memo is not None and memo[0] == identity:
-            return memo[1]
-        module = LogisticDecisionModule()
-        org_val = val_stack[members.index("ORG")]
-        module.fit(ensemble_features(val_stack), misprediction_targets(org_val, val_labels))
-        if identity is not None:
-            self._gates[key] = (identity, module)
-        return module
 
     def clean_baseline(self, session: ModelSession) -> CleanBaseline:
         """The clean ``test`` split of ``session`` scored by its gate: the
         features, misprediction targets, flags and metrics every fault is
         measured against.  Needs the gate and the test labels.
 
-        A pure function of (members, their test files, test labels, gate),
-        so it is memoised on the member set, the test files' identity and
-        the gate object itself — a refitted gate is a miss.  Each model
-        keeps one entry: a new member set replaces the old one, so breaker
-        churn over member subsets cannot grow the memo.  Callers share the
+        Scored once while the model's entry (see :meth:`session`) holds
+        this session's gate, test stack and test labels.  Callers share the
         returned arrays, which are read-only.
         """
 
-        split = self._split_identity(session.model, session.members, "test")
-        identity = None if split is None else (tuple(session.members), split)
-        memo = self._baselines.get(session.model)
-        if memo is not None and memo[0] == identity and memo[1] is session.module:
-            return memo[2]
-        baseline = _score_clean(session)
-        if identity is not None:
-            self._baselines[session.model] = (identity, session.module, baseline)
-        return baseline
+        shared = self._shared.get(session.model)
+        if (
+            shared is None
+            or shared.gate is not session.module
+            or shared.test_stack is not session.test_stack
+            or shared.test[1] is not session.test_labels
+        ):
+            return _score_clean(session)
+        if shared.baseline is None:
+            shared.baseline = _score_clean(session)
+        return shared.baseline
 
     def session(self, model: str, members: list[str] | None = None) -> ModelSession:
         """Assemble both splits of ``model`` and fit its decision gate.
@@ -369,6 +352,13 @@ class EnsembleRuntime:
         feature layout is identical at fit and eval time.  Raises
         :class:`DegradedEnsemble` when fewer than ``min_members`` survive on
         either split or in their intersection.
+
+        One reuse rule: the model's entry keeps its gate while ``assemble``
+        returns the same val stack (see :meth:`_stack`) and the store the
+        same val labels (:func:`_same_split`) for the same members, and its
+        clean baseline while the same holds for test, so a gate is never
+        paired with values it was not fitted on.  A new member set replaces
+        the entry, so breaker churn cannot grow it.
         """
 
         plan = members if members is not None else self.member_plan(model)
@@ -377,18 +367,27 @@ class EnsembleRuntime:
         common = [s for s in val.members if s in set(test.members)]
         if len(common) < self.min_members:
             raise DegradedEnsemble(model, common, self.min_members)
-        val_stack, test_stack = _restack(val, common), _restack(test, common)
         quarantined = {**val.quarantined, **test.quarantined}
         test_labels = self.store.load_labels(model, "test")
-        if test_labels is not None and len(test_labels) != test_stack.shape[1]:
+        if test_labels is not None and len(test_labels) != test.stacked.shape[1]:
             test_labels = None
+        val_key = (val.stacked, self.store.load_labels(model, "val"))
+        test_key = (test.stacked, test_labels)
+        shared = self._shared.get(model)
+        if shared is None or shared.members != common or not _same_split(shared.val, val_key):
+            val_stack = _restack(val, common)
+            shared = self._shared[model] = _SharedState(
+                common, val_key, test_key, val_stack, _restack(test, common), fit_gate(common, val_stack, val_key[1])
+            )
+        elif not _same_split(shared.test, test_key):
+            shared.test, shared.test_stack, shared.baseline = test_key, _restack(test, common), None
         return ModelSession(
             model=model,
             members=common,
-            val_stack=val_stack,
-            test_stack=test_stack,
-            module=self.fit_gate(model, common, val_stack),
+            val_stack=shared.val_stack,
+            test_stack=shared.test_stack,
+            module=shared.gate,
             missing=sorted(s for s in plan if s not in common and s not in quarantined),
             quarantined=quarantined,
-            test_labels=test_labels,
+            test_labels=shared.test[1],
         )

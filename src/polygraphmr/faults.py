@@ -396,14 +396,13 @@ class DegradationContext:
     features, flags and metrics; :func:`degradation_report` supplies the
     per-fault half.
 
-    The session's gate comes from the runtime's
-    :meth:`~polygraphmr.ensemble.EnsembleRuntime.fit_gate` memo, fitted once
-    per (member set, artifact identity) rather than once per context, and
-    the clean fields from its
-    :meth:`~polygraphmr.ensemble.EnsembleRuntime.clean_baseline` memo, so
-    every context of that runtime shares them and none may write to them.
-    ``references`` is that memo entry's store of :class:`FaultReference`
-    values, one per fault dtype."""
+    The session's gate and the clean fields come from the runtime's shared
+    trial state for the model (see
+    :meth:`~polygraphmr.ensemble.EnsembleRuntime.session`), fitted and
+    scored once while the store serves the same arrays for the same member
+    set rather than once per context, so every context built on that state
+    shares them and none may write to them.  ``references`` is that state's
+    store of :class:`FaultReference` values, one per fault dtype."""
 
     session: ModelSession
     clean_features: np.ndarray
@@ -436,11 +435,11 @@ def prepare_degradation(
     Raises ``ValueError`` when ORG did not survive or the labels are missing
     or not sized to their split.  Without ``runtime`` a fresh one is built.
     The session is assembled on every call (its breaker calls are per-trial
-    history) from the runtime's memoised roster and stacks, and the clean
-    baseline comes from its
-    :meth:`~polygraphmr.ensemble.EnsembleRuntime.clean_baseline` memo.  All
-    of it runs under one :func:`~polygraphmr.cache.stat_once` scope, so each
-    artifact file is statted once per call.
+    history) from one listing of the model directory and the runtime's
+    stacks, and its gate and clean baseline come from the runtime's shared
+    trial state for the model.  All of it runs under one
+    :func:`~polygraphmr.cache.stat_once` scope, so each artifact file is
+    statted once per call.
     """
 
     if runtime is None:

@@ -16,7 +16,7 @@ import io
 import struct
 import zipfile
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,6 @@ import numpy as np
 from .errors import ArtifactCorrupt, ArtifactMissing, IntegrityMismatch, RetryPolicy, retry_with_backoff
 
 __all__ = [
-    "IntegrityReport",
     "EndOfCentralDirectory",
     "read_bytes",
     "find_eocd",
@@ -68,21 +67,6 @@ def find_eocd(data: bytes) -> EndOfCentralDirectory | None:
     return EndOfCentralDirectory(offset=at, n_total=n_total, cd_size=cd_size, cd_offset=cd_offset)
 
 
-@dataclass
-class IntegrityReport:
-    """Outcome of probing a single artifact without loading it fully."""
-
-    path: str
-    ok: bool
-    reason: str = "ok"
-    detail: str = ""
-    members: list[str] = field(default_factory=list)
-
-    def raise_if_bad(self) -> None:
-        if not self.ok:
-            raise ArtifactCorrupt(self.path, self.reason, self.detail)
-
-
 def read_bytes(path: str | Path, *, policy: RetryPolicy | None = None) -> bytes:
     """Read a file with bounded retry on transient IO errors.
 
@@ -96,12 +80,13 @@ def read_bytes(path: str | Path, *, policy: RetryPolicy | None = None) -> bytes:
     return retry_with_backoff(p.read_bytes, path=p, policy=policy)
 
 
-def validate_zip_container(path: str | Path, *, data: bytes | None = None) -> IntegrityReport:
+def validate_zip_container(path: str | Path, *, data: bytes | None = None) -> None:
     """Structurally validate a zip container without decompressing members.
 
     Checks, in order: non-empty, zip magic, EOCD record present, EOCD's
     central-directory offset within the file, and that ``zipfile`` can parse
-    the directory.  Each failure maps to a distinct reason code so the audit
+    the directory and its members pass CRC.  Each failure raises
+    :class:`ArtifactCorrupt` with a distinct reason code, so the audit
     report can say *how* a file is broken, not just that it is.
     """
 
@@ -109,29 +94,26 @@ def validate_zip_container(path: str | Path, *, data: bytes | None = None) -> In
     if data is None:
         data = read_bytes(p)
     if len(data) == 0:
-        return IntegrityReport(str(p), False, "empty", "0-byte file")
+        raise ArtifactCorrupt(p, "empty", "0-byte file")
     if not data.startswith(ZIP_MAGIC):
-        return IntegrityReport(str(p), False, "bad-magic", f"header={data[:4].hex()}")
+        raise ArtifactCorrupt(p, "bad-magic", f"header={data[:4].hex()}")
     eocd = find_eocd(data)
     if eocd is None:
-        return IntegrityReport(str(p), False, "no-eocd", "end-of-central-directory record missing")
+        raise ArtifactCorrupt(p, "no-eocd", "end-of-central-directory record missing")
     if not eocd.consistent:
-        return IntegrityReport(
-            str(p),
-            False,
+        raise ArtifactCorrupt(
+            p,
             "truncated",
             f"central directory claims offset={eocd.cd_offset} size={eocd.cd_size} "
             f"but EOCD sits at {eocd.offset} (bytes cut from the middle)",
         )
     try:
         with zipfile.ZipFile(io.BytesIO(data)) as zf:
-            members = zf.namelist()
             bad = zf.testzip()
-            if bad is not None:
-                return IntegrityReport(str(p), False, "bad-crc", f"member {bad!r} fails CRC")
     except (zipfile.BadZipFile, zlib.error, EOFError, OSError, ValueError) as exc:
-        return IntegrityReport(str(p), False, "bad-zip", repr(exc))
-    return IntegrityReport(str(p), True, members=members)
+        raise ArtifactCorrupt(p, "bad-zip", repr(exc)) from exc
+    if bad is not None:
+        raise ArtifactCorrupt(p, "bad-crc", f"member {bad!r} fails CRC")
 
 
 def load_npz_validated(
@@ -149,8 +131,7 @@ def load_npz_validated(
 
     p = Path(path)
     data = read_bytes(p, policy=policy)
-    report = validate_zip_container(p, data=data)
-    report.raise_if_bad()
+    validate_zip_container(p, data=data)
     try:
         with np.load(io.BytesIO(data), allow_pickle=False) as npz:
             arrays = {name: np.asarray(npz[name]) for name in npz.files}
@@ -163,13 +144,7 @@ def load_npz_validated(
     return arrays
 
 
-def check_probs(
-    arr: np.ndarray,
-    *,
-    path: str | Path = "<memory>",
-    n_classes: int | None = None,
-    atol: float = SIMPLEX_ATOL,
-) -> np.ndarray:
+def check_probs(arr: np.ndarray, *, path: str | Path = "<memory>") -> np.ndarray:
     """Validate a probability matrix: 2-D float, finite, rows on the simplex.
 
     Returns the array as ``float64`` on success.
@@ -179,18 +154,14 @@ def check_probs(
         raise IntegrityMismatch(path, "probs-bad-shape", f"expected 2-D, got shape {arr.shape}")
     if not np.issubdtype(arr.dtype, np.floating):
         raise IntegrityMismatch(path, "probs-bad-dtype", f"expected float, got {arr.dtype}")
-    if n_classes is not None and arr.shape[1] != n_classes:
-        raise IntegrityMismatch(
-            path, "probs-bad-classes", f"expected {n_classes} classes, got {arr.shape[1]}"
-        )
     out = arr.astype(np.float64, copy=False)
     if not np.isfinite(out).all():
         raise IntegrityMismatch(path, "probs-not-finite", "NaN or Inf present")
-    if (out < -atol).any() or (out > 1 + atol).any():
+    if (out < -SIMPLEX_ATOL).any() or (out > 1 + SIMPLEX_ATOL).any():
         raise IntegrityMismatch(path, "probs-out-of-range", "entries outside [0, 1]")
     row_sums = out.sum(axis=1)
     worst = float(np.abs(row_sums - 1.0).max()) if len(row_sums) else 0.0
-    if worst > atol:
+    if worst > SIMPLEX_ATOL:
         raise IntegrityMismatch(path, "probs-not-simplex", f"max |row_sum - 1| = {worst:.3g}")
     return out
 

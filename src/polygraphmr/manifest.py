@@ -82,16 +82,6 @@ class ModelManifest:
                 ok.setdefault(r.stem, set()).add(r.split)
         return sorted(s for s, got in ok.items() if all(w in got for w in wanted))
 
-    def present_stems(self) -> list[str]:
-        """Stems with at least one file on disk (valid *or* corrupt).
-
-        This is the honest planning set for the ensemble runtime: a stem
-        whose artifacts exist but are corrupt must be attempted (and then
-        reported quarantined/missing), not silently dropped from the plan.
-        """
-
-        return sorted({r.stem for r in self.records if r.status.status != MISSING})
-
     def quarantined(self) -> list[ArtifactRecord]:
         return self.by_status(CORRUPT)
 

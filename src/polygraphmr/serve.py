@@ -108,9 +108,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .breaker import BreakerBoard, BreakerPolicy
+from .breaker import BreakerBoard, BreakerPolicy, check_breaker_policy
 from .cache import DEFAULT_CACHE_BYTES, ArtifactCache, check_cache_bytes
-from .ensemble import EnsembleRuntime, ModelSession, check_min_members
+from .ensemble import EnsembleRuntime, ModelSession, check_min_members, fit_gate
 from .errors import ConfigError, DegradedEnsemble, PolygraphError, ServeError, TransientIOError
 from .metrics import BATCH_SIZE_BUCKETS, REQUEST_LATENCY_BUCKETS, get_registry
 from .store import ArtifactStore
@@ -489,7 +489,7 @@ class PolygraphService:
             members=list(members),
             val_stack=val_stack,
             test_stack=base.test_stack[rows],
-            module=self.runtime.fit_gate(model, list(members), val_stack),
+            module=fit_gate(list(members), val_stack, self.store.load_labels(model, "val")),
         )
         get_registry().counter("serve_sessions_built_total", kind="derived").inc()
         return session
@@ -1381,6 +1381,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _config(args)
         check_min_members(args.min_members)
+        check_breaker_policy(args.failure_threshold, args.cooldown_ticks)
+        if args.synthetic_models < 0:
+            raise ConfigError("synthetic.models", "out-of-range", f"must be >= 0, got {args.synthetic_models}")
         check_cache_bytes(args.cache_bytes)
     except ConfigError as exc:
         parser.error(str(exc))

@@ -15,10 +15,13 @@ The store never lets a bad file crash a scan: corrupt artifacts are
 quarantined with a structured reason and simply drop out of the usable set.
 Every load, and every record of a roster scan, runs one pipeline,
 :meth:`ArtifactStore._load`, configured per artifact kind by ``_KINDS``.
+The roster scan (:meth:`ArtifactStore.scan_model`) is the cache audit's;
+the ensemble runtime plans from :meth:`ArtifactStore.listed_stems`.
 """
 
 from __future__ import annotations
 
+import os
 import re
 import time
 from contextlib import contextmanager
@@ -149,6 +152,21 @@ class ArtifactStore:
     def labels_path(self, model: str, split: str) -> Path:
         return self._path(model, f"labels.{split}.npz")
 
+    def listed_stems(self, model: str) -> list[str]:
+        """The sorted stems with any artifact file in the model directory,
+        valid or not, or a file this store quarantined and that was deleted
+        since (reported, not planned away): one ``listdir``, no ``stat``."""
+
+        mdir = self.model_dir(model)
+        try:
+            names = os.listdir(mdir)
+        except OSError:
+            names = []
+        if self.quarantine:
+            prefix = f"{mdir}{os.sep}"
+            names += [path[len(prefix) :] for path in self.quarantine if path.startswith(prefix)]
+        return sorted({m.group("stem") for m in map(_ARTIFACT_RE.match, names) if m})
+
     # -- quarantine ------------------------------------------------------
 
     def is_quarantined(self, path: str | Path) -> bool:
@@ -223,7 +241,7 @@ class ArtifactStore:
         """Read ``path`` once and return the checked value ``spec`` serves."""
 
         if spec.check is None:
-            validate_zip_container(path, data=read_bytes(path, policy=self.retry_policy)).raise_if_bad()
+            validate_zip_container(path, data=read_bytes(path, policy=self.retry_policy))
             return PROBE_OK
         arrays = load_npz_validated(path, expect_keys=spec.keys, policy=self.retry_policy)
         return spec.check(arrays, path=path)
@@ -275,8 +293,8 @@ class ArtifactStore:
 
     def _status_of(self, path: Path, kind: str) -> ArtifactStatus:
         """One manifest record's status, through :meth:`_load`: probs get
-        the full load (so the assemble that follows hits the cache), weights
-        only the container probe.  Never raises."""
+        the full load (container and simplex checks), weights only the
+        container probe.  Never raises."""
 
         if self.is_quarantined(path):
             return ArtifactStatus(CORRUPT, self.quarantine[str(path)])
@@ -299,7 +317,8 @@ class ArtifactStore:
         return ArtifactStatus(VALID)
 
     def scan_model(self, model: str) -> ModelManifest:
-        """Build the available-vs-expected manifest for one model.
+        """Build the available-vs-expected manifest for one model: the
+        cache audit's view (``scripts/audit_cache.py``).
 
         Expected = the standard roster ∪ stems named by greedy files ∪ stems
         of files actually present, so both "file missing from roster" and
@@ -308,7 +327,6 @@ class ArtifactStore:
 
         mdir = self.model_dir(model)
         manifest = ModelManifest(model=model)
-        present_stems: set[str] = set()
         known: set[str] = set()
 
         if mdir.is_dir():
@@ -320,13 +338,10 @@ class ArtifactStore:
                     except (ArtifactCorrupt, ValueError):
                         self.quarantine[str(mdir / f)] = "bad-json"
                     continue
-                am = _ARTIFACT_RE.match(f)
-                if am:
-                    present_stems.add(am.group("stem"))
-                elif not f.startswith("labels."):
+                if not _ARTIFACT_RE.match(f) and not f.startswith("labels."):
                     manifest.unexpected.append(f)
 
-        expected_stems = set(standard_roster()) | present_stems
+        expected_stems = set(standard_roster()) | set(self.listed_stems(model))
         for stems in manifest.greedy.values():
             expected_stems.update(stems)
 

@@ -376,8 +376,9 @@ class TestMemoisedRuntimeMatchesAFreshOne:
 
 
 class TestSharedWorkIsMemoised:
-    """A model's trials share one roster scan and one stack per split while
-    its files do not change, and the sharing never shows on disk."""
+    """A model's trials share one stack per split while its files do not
+    change, plan their members without a roster scan, and the sharing never
+    shows on disk."""
 
     def test_one_scan_and_one_stack_per_split_over_64_trials(self, synthetic_cache, tmp_path, monkeypatch):
         scans = []
@@ -385,7 +386,7 @@ class TestSharedWorkIsMemoised:
         monkeypatch.setattr(ArtifactStore, "scan_model", lambda self, m: scans.append(m) or real(self, m))
         config = _config(synthetic_cache, n_trials=64)
         assert CampaignRunner(config, tmp_path / "out").run()["outcomes"]["ok"] == 64
-        assert scans == ["tinynet"]
+        assert scans == []
         assert _stacks("val") == _stacks("test") == 1
         assert _fits() == 1
 
@@ -460,7 +461,7 @@ class TestCleanBaselineMemo:
         real = EnsembleRuntime.clean_baseline
 
         def fresh(self, session):
-            self._baselines.clear()
+            self._shared.clear()
             return real(self, session)
 
         monkeypatch.setattr(EnsembleRuntime, "clean_baseline", fresh)
@@ -502,6 +503,22 @@ class TestMemoInvalidation:
         assert runtime.member_plan("tinynet") == fresh_plan()
         assert "pp-AdHist" not in record["result"]["members"]
         assert record["result"] == self._fresh_result(synthetic_cache, executor, 2)
+
+    def test_uncached_rewrite_under_the_same_stat_signature_refits(self, synthetic_cache, write_probs):
+        """Without the artifact cache the gate follows the values the store
+        serves, not the files' stat signatures: a same-size rewrite whose
+        timestamps are put back still gets a gate fitted on the new values."""
+
+        config = _config(synthetic_cache, n_trials=8)
+        executor = TrialExecutor(config, discover_models(config), use_cache=False)
+        executor.execute(0)
+        path = synthetic_cache / "tinynet" / "ORG.val.probs.npz"
+        st = os.stat(path)
+        write_probs(path, np.roll(np.load(path)["probs"], 1, axis=1))
+        os.utime(path, ns=(st.st_atime_ns, st.st_mtime_ns))
+        assert (os.stat(path).st_size, os.stat(path).st_mtime_ns) == (st.st_size, st.st_mtime_ns)
+        record = executor.execute(1)
+        assert record["result"] == self._fresh_result(synthetic_cache, executor, 1)
 
     def test_member_rewritten_in_place_is_restacked(self, synthetic_cache, write_probs):
         executor = self._executor(synthetic_cache)

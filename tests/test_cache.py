@@ -294,8 +294,9 @@ class TestWeightsPipeline:
 
 class TestOneLoadPath:
     def test_cold_session_reads_each_artifact_once_and_meters_it(self, synthetic_cache, monkeypatch):
-        """The roster scan's load is the load the assemble then hits: one
-        read (and one CRC pass) per probs file, every load counted."""
+        """The assemble's load is the only one: one read (and one CRC pass)
+        per probs file, every load counted, no roster probe and no weights
+        read."""
 
         reads: Counter[str] = Counter()
         real = Path.read_bytes
@@ -305,12 +306,13 @@ class TestOneLoadPath:
         assert session.members[0] == "ORG" and len(session.members) == len(SYNTH_MEMBERS)
         n_probs = 2 * len(SYNTH_MEMBERS)
         assert sum(1 for name in reads if name.endswith(".probs.npz")) == n_probs
-        assert set(reads.values()) == {1}  # probs, weights and labels alike
+        assert set(reads.values()) == {1}  # probs and labels alike
         registry = get_registry()
         assert registry.counter_value("store_load_total", kind="probs", result="hit") == n_probs
-        assert registry.counter_value("store_load_total", kind="probs", result="cache-hit") == n_probs
-        assert registry.counter_value("store_load_total", kind="probe", result="hit") == len(SYNTH_MEMBERS)
-        assert registry.histogram_for("store_load_seconds", kind="probs").count == 2 * n_probs
+        assert registry.counter_value("store_load_total", kind="probs", result="cache-hit") == 0
+        assert registry.histogram_for("store_load_seconds", kind="probe") is None
+        assert not any(name.endswith(".weights.npz") for name in reads)
+        assert registry.histogram_for("store_load_seconds", kind="probs").count == n_probs
 
     def test_labels_negative_hit_is_a_quarantined_hit(self, synthetic_cache):
         cache = ArtifactCache()

@@ -290,10 +290,10 @@ class TestKillResumeDeterminism:
 
 class TestTransientReads:
     def test_one_failed_read_does_not_drop_a_member_for_the_campaign(self, synthetic_cache, tmp_path, failing_reads):
-        """The roster scan meets one exhausted read (the default policy's
-        three attempts) of a member's test probs; the assemble that follows
-        reads it again, so every trial keeps all five members — as a run
-        resumed after the hiccup would."""
+        """The first trial's assemble meets one exhausted read (the default
+        policy's three attempts) of a member's test probs and reads it once
+        more, so every trial keeps all five members — as a run resumed after
+        the hiccup would."""
 
         name = "pp-Hist.test.probs.npz"
         left = failing_reads(name, 3)
@@ -387,6 +387,11 @@ class TestCLI:
             (["--cache-bytes=-1"], "cache.max_bytes"),
             (["--trials=-1"], "config.n_trials"),
             (["--trials", "-2"], "config.n_trials"),
+            (["--failure-threshold=-4", "--cooldown-ticks=-7"], "breaker.failure_threshold"),
+            (["--failure-threshold", "0"], "breaker.failure_threshold"),
+            (["--cooldown-ticks=-1"], "breaker.cooldown_ticks"),
+            (["--synthetic-models", "0"], "synthetic.models"),
+            (["--synthetic-models=-3"], "synthetic.models"),
         ],
     )
     def test_unrunnable_settings_exit_2_and_write_nothing(self, tmp_path, capsys, flags, field):
@@ -407,6 +412,23 @@ class TestCLI:
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert main([*args, "--trials=-1", "--resume"]) == 2
         assert capsys.readouterr().err.startswith("config error: config.n_trials: ")
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+    def test_journalled_out_of_range_breaker_is_audited_but_not_resumed(self, synthetic_cache, tmp_path, capsys):
+        """The auditor reads a journal as written; only a new run or a
+        resume checks the breaker settings, and the resume writes nothing."""
+
+        out = tmp_path / "out"
+        config = CampaignConfig(cache=str(synthetic_cache), n_trials=2, failure_threshold=-4, cooldown_ticks=-7)
+        CampaignRunner(config, out).run()
+        assert config_from_dict(CampaignJournal(out / JOURNAL_NAME).read()[0]["config"]) == config
+        assert main(["verify", str(out)]) == 0
+        assert main(["report", str(out)]) == 0
+        capsys.readouterr()
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        flags = ["--failure-threshold=-4", "--cooldown-ticks=-7", "--resume"]
+        assert main(["--cache", str(synthetic_cache), "--out", str(out), "--trials", "2", *flags]) == 2
+        assert capsys.readouterr().err.startswith("config error: breaker.failure_threshold: ")
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_zero_trials_is_an_empty_complete_campaign(self, tmp_path, capsys):

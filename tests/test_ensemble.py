@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import os
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 from polygraphmr.cache import ArtifactCache
 from polygraphmr.ensemble import EnsembleRuntime
 from polygraphmr.errors import DegradedEnsemble
-from polygraphmr.faults import corrupt_file_truncate, prepare_degradation
+from polygraphmr.faults import build_synthetic_model, corrupt_file_truncate, prepare_degradation
 from polygraphmr.metrics import get_registry
 from polygraphmr.serve import PolygraphService
 from polygraphmr.store import ArtifactStore
@@ -60,9 +61,9 @@ def _fresh_gate(cache):
 
 
 class TestGateMemo:
-    """``fit_gate`` is a pure function of (model, members, val artifacts, val
+    """A gate is a pure function of (model, members, val artifacts, val
     labels), so a runtime fits each member set once and refits only
-    when a val file's stat signature or the member set changes."""
+    when the val arrays the store serves or the member set change."""
 
     def test_sessions_share_one_fit(self, synthetic_store):
         runtime = EnsembleRuntime(synthetic_store)
@@ -149,9 +150,9 @@ def _stacks(split: str) -> int:
 
 
 class TestRosterAndStackMemos:
-    """The default member plan is memoised on the model directory's listing
-    and each split's stack on its members' cached arrays; neither memo may
-    be changed through what it hands out.  (Files changing between trials:
+    """Each split's stack is memoised on its members' cached arrays, and
+    neither it nor the default member plan may be changed through what the
+    runtime hands out.  (Files changing between trials:
     ``tests/test_batching.py::TestMemoInvalidation``.)"""
 
     def test_default_plan_is_a_copy(self, synthetic_cache):
@@ -167,6 +168,89 @@ class TestRosterAndStackMemos:
         with pytest.raises(ValueError):
             first.test_stack[0, 0, 0] = 1.0
 
+    def test_uncached_repeat_sessions_restack_equal_values_into_one_stack(self, synthetic_cache):
+        """Fresh arrays are stacked again, and the equal stack is dropped for
+        the previous one, so only one stack per split stays alive."""
+
+        runtime = EnsembleRuntime(ArtifactStore(synthetic_cache))
+        first, again = runtime.session("tinynet"), runtime.session("tinynet")
+        assert again.test_stack is first.test_stack and again.val_stack is first.val_stack
+        assert _stacks("val") == _stacks("test") == 2
+        assert again.module is first.module and _fits() == 1
+
+
+    def test_member_lost_on_one_split_reuses_the_gate_without_comparing_values(self, synthetic_cache, monkeypatch):
+        """A truncated test probs file leaves a member in val only, so each
+        session re-indexes the val stack onto the common members; with the
+        artifact cache, a repeat session still reuses the entry by identity
+        and holds no copy of its own."""
+
+        path = synthetic_cache / "tinynet" / "pp-Hist.test.probs.npz"
+        corrupt_file_truncate(path, path, keep_fraction=0.3, seed=5)
+        runtime = EnsembleRuntime(ArtifactStore(synthetic_cache, cache=ArtifactCache()))
+        first = runtime.session("tinynet")
+        assert "pp-Hist" not in first.members and first.quarantined
+        compared = []
+        real = np.array_equal
+        monkeypatch.setattr(np, "array_equal", lambda *a, **k: compared.append(1) or real(*a, **k))
+        again = runtime.session("tinynet")
+        assert compared == []
+        assert again.val_stack is first.val_stack and again.test_stack is first.test_stack
+        assert again.module is first.module and _fits() == 1
+
+def _scanned_plan(store: ArtifactStore, model: str) -> list[str]:
+    """ORG, then the stems whose roster-scan records are not all missing."""
+
+    manifest = store.scan_model(model)
+    present = sorted({r.stem for r in manifest.records if r.status.status != "missing"})
+    return ["ORG"] + [s for s in present if s != "ORG"]
+
+
+class TestListingPlan:
+    """The default member plan comes from one listing of the model
+    directory, and names the stems the audit's roster scan finds on disk."""
+
+    def test_plan_is_org_then_every_stem_with_a_file(self, tmp_path):
+        root = tmp_path / "cache"
+        members = ("ORG", "pp-Hist", "pp-FlipX", "pp-Gamma_2", "replica-001")
+        mdir = build_synthetic_model(root, "mixed", members=members, n_val=40, n_test=40, seed=3)
+        store = ArtifactStore(root)
+        test_probs = store.probs_path("mixed", "pp-FlipX", "test")
+        corrupt_file_truncate(test_probs, test_probs, keep_fraction=0.3, seed=4)
+        for split in ("val", "test"):  # weights only
+            store.probs_path("mixed", "pp-Gamma_2", split).unlink()
+        store.probs_path("mixed", "replica-001", "test").unlink()  # val probs only
+        store.weights_path("mixed", "replica-001").unlink()
+        (mdir / "notes.txt").write_text("not an artifact")
+        (mdir / "greedy-4.json").write_text(json.dumps(["ORG", "AdHist"]))  # pp-AdHist has no file
+        assert {"labels.val.npz", "labels.test.npz"} <= set(os.listdir(mdir))
+
+        plan = EnsembleRuntime(store).member_plan("mixed")
+        assert plan == ["ORG", "pp-FlipX", "pp-Gamma_2", "pp-Hist", "replica-001"]
+        assert plan == _scanned_plan(ArtifactStore(root), "mixed")
+
+    def test_quarantined_member_stays_planned_after_its_files_are_deleted(self, synthetic_cache):
+        """Deleting a member's files after this store quarantined one of
+        them leaves the member in the plan, as the roster scan still reports
+        the quarantined file: the session reports it missing."""
+
+        store = ArtifactStore(synthetic_cache)
+        runtime = EnsembleRuntime(store)
+        path = store.probs_path("tinynet", "pp-Hist", "test")
+        corrupt_file_truncate(path, path, keep_fraction=0.3, seed=6)
+        assert "pp-Hist" in runtime.session("tinynet").quarantined
+        for stale in (synthetic_cache / "tinynet").glob("pp-Hist.*"):
+            stale.unlink()
+        assert "pp-Hist" in runtime.member_plan("tinynet")
+        assert runtime.member_plan("tinynet") == _scanned_plan(store, "tinynet")
+        session = runtime.session("tinynet")
+        assert "pp-Hist" in session.missing and "pp-Hist" not in session.members
+
+    def test_plan_matches_the_scan_on_every_seed_model(self, seed_store):
+        for model in seed_store.models():
+            plan = EnsembleRuntime(seed_store.fresh()).member_plan(model)
+            assert plan == _scanned_plan(seed_store.fresh(), model), model
+
 
 def _rewrite(path, write, key):
     """Rewrite an npz artifact with shifted contents and a new stat signature."""
@@ -178,7 +262,7 @@ def _rewrite(path, write, key):
 
 class TestCleanBaselineMemo:
     """The clean test split is scored once per (model, members), test
-    artifact identity and gate."""
+    arrays and gate."""
 
     def test_one_scoring_per_member_set(self, synthetic_store, clean_scorings):
         calls = clean_scorings
@@ -202,7 +286,7 @@ class TestCleanBaselineMemo:
         runtime = EnsembleRuntime(synthetic_store)
         for members in (None, ["ORG", "pp-Hist"], None, ["ORG", "pp-Hist"]):
             prepare_degradation(synthetic_store, "tinynet", members=members, runtime=runtime)
-            assert len(runtime._baselines) == 1
+            assert len(runtime._shared) == 1
         assert len(calls) == 4
 
     @pytest.mark.parametrize("artifact", ["member-probs", "labels"])

@@ -811,6 +811,18 @@ class TestStoreErrors:
             assert len(payload["members"]) == len(SYNTH_MEMBERS) - 1
         assert get_registry().counter_value("serve_sessions_built_total", kind="base") == 1
 
+    def test_one_exhausted_read_does_not_degrade_the_base_session(self, synthetic_cache, failing_reads):
+        """The base session is built once and kept for the gateway's life,
+        so one exhausted read (the policy's three attempts) of a member's
+        test probs while it is built must not cost that member."""
+
+        service = self._service(synthetic_cache)
+        left = failing_reads("pp-Hist.test.probs.npz", 3)
+        payload = service.respond(ServeRequest(id="r", model=MODEL, samples=(0, 1)))
+        assert left["pp-Hist.test.probs.npz"] == 0
+        assert payload["outcome"] == OUTCOME_OK
+        assert sorted(payload["members"]) == sorted(SYNTH_MEMBERS)
+
     def test_respond_answers_a_failed_read_with_an_error_payload(self, synthetic_cache, failing_reads):
         service = self._service(synthetic_cache)
         request = ServeRequest(id="r", model=MODEL, samples=(0,))
@@ -877,6 +889,28 @@ class TestConfigBounds:
         assert proc.returncode == 2
         assert "cache.max_bytes: out-of-range" in proc.stderr
         assert "Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        ("flags", "field"),
+        [
+            (["--failure-threshold", "0"], "breaker.failure_threshold"),
+            (["--cooldown-ticks=-1"], "breaker.cooldown_ticks"),
+            (["--synthetic-models=-1"], "synthetic.models"),
+        ],
+    )
+    def test_cli_refuses_out_of_range_breaker_and_model_count_before_binding(self, tmp_path, flags, field):
+        cache = tmp_path / "cache"
+        argv = ["--cache", str(cache), "--unix", str(tmp_path / "gw.sock")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "polygraphmr.serve", *argv, *flags],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert f"{field}: out-of-range" in proc.stderr
         assert list(tmp_path.iterdir()) == []
 
     def test_serve_workers_accepts_only_zero_and_is_hidden(self, tmp_path, capsys):
