@@ -49,13 +49,15 @@ merge, after the SIGTERM kill (shards still present), and after the
 resume — plus one negative check that a single flipped byte makes verify
 fail with exit 3 naming the damaged record.
 
-Exits 0 on success; any deviation is a hard failure.  Run by CI on every
-push.
+Exits 0 on success and removes its temporary directory; any deviation
+is a hard failure, and the directory is kept and its path printed.  Run
+by CI on every push.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 import signal
 import subprocess
 import sys
@@ -171,8 +173,6 @@ def verify_detects_flipped_byte(out: Path) -> None:
     """Negative control: corrupt one byte in a copy of the campaign and
     verify must fail with exit 3, naming the damaged record."""
 
-    import shutil
-
     damaged = out.parent / (out.name + "-damaged")
     shutil.copytree(out, damaged)
     raw = bytearray((damaged / "journal.jsonl").read_bytes())
@@ -230,8 +230,6 @@ def resume_refuses_foreign_and_aliased_shards(cache: Path, out: Path, options: d
 
     ``campaign verify`` must exit 3 and ``--resume`` exit 2 naming the
     reason, and every file of the copy must stay unchanged."""
-
-    import shutil
 
     source = next(p for p in sorted(out.glob("journal.w*.jsonl")) if p.stat().st_size)
     foreign = out.parent / (out.name + "-foreign")
@@ -473,10 +471,15 @@ def phase_shared_work(tmp: Path) -> None:
 
 def main() -> int:
     tmp = Path(tempfile.mkdtemp(prefix="polygraphmr-smoke-"))
-    phase_equivalence_and_speedup(tmp)
-    phase_kill_and_resume(tmp)
-    phase_scenario_sweep(tmp)
-    phase_shared_work(tmp)
+    try:
+        phase_equivalence_and_speedup(tmp)
+        phase_kill_and_resume(tmp)
+        phase_scenario_sweep(tmp)
+        phase_shared_work(tmp)
+    except BaseException:
+        print(f"smoke directory kept for inspection: {tmp}", file=sys.stderr)
+        raise
+    shutil.rmtree(tmp)
     return 0
 
 

@@ -27,8 +27,9 @@ Four phases against one gateway subprocess over a synthetic cache::
    an unlinked segment shows), no new entry appears under ``/dev/shm``, and
    after exit a fresh connection attempt must be refused.
 
-Exits 0 on success; any deviation is a hard failure.  Run by CI on every
-push.
+Exits 0 on success and removes its temporary directory; any deviation
+is a hard failure, and the directory is kept and its path printed.  Run
+by CI on every push.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ import asyncio
 import contextlib
 import json
 import os
+import shutil
 import signal
 import socket
 import subprocess
@@ -302,9 +304,8 @@ def check_hygiene(port: int, before: list[str], mapped: list[str]) -> None:
     print("OK: no shared-memory segment mapped or published, listener gone")
 
 
-def main() -> int:
+def run(tmp: Path) -> None:
     shm_before = shm_segments()
-    tmp = Path(tempfile.mkdtemp(prefix="polygraphmr-smoke-serve-"))
     proc, port = start_gateway(tmp)
     slow = None
     try:
@@ -324,6 +325,16 @@ def main() -> int:
             outcomes[outcome] = outcomes.get(outcome, 0) + n
     check_reconciliation(summary, outcomes, tmp)
     check_hygiene(port, shm_before, mapped)
+
+
+def main() -> int:
+    tmp = Path(tempfile.mkdtemp(prefix="polygraphmr-smoke-serve-"))
+    try:
+        run(tmp)
+    except BaseException:
+        print(f"smoke directory kept for inspection: {tmp}", file=sys.stderr)
+        raise
+    shutil.rmtree(tmp)
     print("OK: serve smoke complete (slow reader included)")
     return 0
 

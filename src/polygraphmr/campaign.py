@@ -42,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import queue
 import signal
 import sys
@@ -1427,6 +1428,13 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.trials < 0:
             raise ConfigError("config.n_trials", "out-of-range", f"--trials must be >= 0, got {args.trials}")
+        # an infinite wait overflows the watchdog and the sleep; NaN silently disables the watchdog
+        for name, flag, value in (
+            ("timeout_s", "--timeout", args.timeout),
+            ("trial_sleep_s", "--trial-sleep", args.trial_sleep),
+        ):
+            if not math.isfinite(value):
+                raise ConfigError(f"config.{name}", "out-of-range", f"{flag} must be finite, got {value}")
         check_min_members(args.min_members)
         check_breaker_policy(args.failure_threshold, args.cooldown_ticks)
         if args.synthetic_models < 1:

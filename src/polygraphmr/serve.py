@@ -37,16 +37,18 @@ ignored).
 
 **Reply memo.**  A session never changes once built, so each test row's
 reply text (its ``probs`` row, prediction and flag) is a pure function of
-(session, row).  The gateway keeps a :class:`RowMemo` per session key
-``(model, active members)``, bounded by the test split (about 275 B a row);
-a batch evaluates only its *cold* rows, once each, and every reply frame is
-spliced from the rows' cached text, the batch's encoded breaker map and the
-cached text of the static stanza (:meth:`PolygraphService.reply_frames`).
-Warm replies thus skip evaluation and float formatting; a row's first use
-costs what it did before.  The dict path —
-:meth:`PolygraphService.respond` → ``evaluate_requests`` →
-``build_payloads`` → :func:`response_frame` — stays memo-free as the
-serial reference every gateway frame must equal byte for byte.
+(session, row).  :meth:`PolygraphService.served` keeps one
+:class:`ServedSet` per ``(model, active members)``: the session, its
+:class:`RowMemo` (bounded by the test split, about 275 B a row), the static
+stanza (``shed`` is the base members not active) and the stanza's reply
+template.  A batch evaluates only its *cold* rows, once each, and every
+reply frame is spliced from the rows' cached text, the batch's encoded
+breaker map and the template (:meth:`ServedSet.frames`).  Warm replies thus
+skip evaluation and float formatting; a row's first use costs what it did
+before.  The dict path — :meth:`PolygraphService.respond` →
+``evaluate_requests`` → ``build_payloads`` → :func:`response_frame` —
+stays memo-free as the serial reference every gateway frame must equal
+byte for byte.
 
 **Load shedding and degradation.**  Past ``max_queue`` pending requests the
 gateway replies ``overloaded`` immediately — the queue never grows beyond
@@ -68,8 +70,8 @@ evaluated.
 
 **One evaluation path.**  Batches run one at a time, in-process, on the
 dispatcher: :meth:`ServeGateway._plan_batch` ticks the breaker board,
-decides the ``active``/``shed`` member split and records pressure, then
-the batch's cold rows are evaluated and its frames spliced.  Shipping rows
+decides the active members and records pressure, then the batch's cold
+rows are evaluated and its frames spliced.  Shipping rows
 to forked evaluator processes was measured slower, on cold rows and on
 warm ones (``docs/ARCHITECTURE.md``, "One evaluation path").
 
@@ -131,6 +133,7 @@ __all__ = [
     "reply_template",
     "FrameAssembler",
     "RowMemo",
+    "ServedSet",
     "ModelSession",
     "PolygraphService",
     "ServeConfig",
@@ -423,6 +426,43 @@ class RowMemo:
         return f"{t[0]}{breakers}{t[1]}[{flags}]{t[2]}{rid}{t[3]}[{predictions}]{t[4]}[{probs}]{t[5]}".encode()
 
 
+@dataclass(frozen=True)
+class ServedSet:
+    """What one member set of a model serves, built once by
+    :meth:`PolygraphService.served`: its session (the base session, or one
+    derived from it), that session's :class:`RowMemo`, the static stanza
+    every reply of the set carries (members, degraded verdict, shed, missing
+    and quarantined rosters) and the stanza's :func:`reply_template`.  The
+    stanza is shared by reference; callers must treat it as frozen."""
+
+    session: ModelSession
+    memo: RowMemo
+    stanza: dict
+    template: tuple[str, ...]
+
+    def frames(self, requests: list[ServeRequest], breaker_states: dict) -> list[bytes]:
+        """The gateway's reply frames for ``requests``, spliced from the row
+        memo.
+
+        Only the memo's cold rows are evaluated, once each; a fully warm
+        batch evaluates nothing.  The breaker map is encoded once per call,
+        and the frames equal ``response_frame`` of
+        :meth:`PolygraphService.build_payloads`' payloads byte for byte.
+        ``serve_reply_rows_total{source}`` counts every reply row as
+        ``evaluated`` or served from the ``memo``."""
+
+        memo = self.memo
+        cold = memo.cold(requests)
+        if cold.size:
+            memo.fill(cold, *self.session.evaluate(cold))
+        rows = sum(len(r.samples) for r in requests)
+        registry = get_registry()
+        registry.counter("serve_reply_rows_total", source=ROW_EVALUATED).inc(cold.size)
+        registry.counter("serve_reply_rows_total", source=ROW_MEMO).inc(rows - cold.size)
+        breakers = _ENCODE(breaker_states)
+        return [memo.frame(self.template, breakers, request) for request in requests]
+
+
 class PolygraphService:
     """The gateway's compute core: sessions, breakers, and request payloads.
 
@@ -447,11 +487,7 @@ class PolygraphService:
         self.board = breakers if breakers is not None else BreakerBoard(BreakerPolicy())
         self.runtime = EnsembleRuntime(store, min_members=min_members, breakers=self.board)
         self._base: dict[str, ModelSession] = {}
-        self._derived: dict[tuple[str, tuple[str, ...]], ModelSession] = {}
-        # reply text per session, keyed like ``_derived`` (the base session too)
-        self._memos: dict[tuple[str, tuple[str, ...]], RowMemo] = {}
-        self._stanzas: dict[tuple[str, tuple[str, ...], tuple[str, ...]], dict] = {}
-        self._templates: dict[tuple[str, tuple[str, ...], tuple[str, ...]], tuple[str, ...]] = {}
+        self._served: dict[tuple[str, tuple[str, ...]], ServedSet] = {}
 
     # -- sessions --------------------------------------------------------
 
@@ -469,46 +505,53 @@ class PolygraphService:
         get_registry().counter("serve_sessions_built_total", kind="base").inc()
         return session
 
-    def session_for(self, model: str, members: tuple[str, ...]) -> ModelSession:
-        """A session restricted to ``members`` (a subset of the base session's,
-        in base order) — derived by slicing the resident stacks and refitting
-        the decision module on the narrower feature layout.  Cached: the
-        shed/recover cycle alternates between a handful of subsets."""
+    def served(self, model: str, active: list[str]) -> ServedSet:
+        """The :class:`ServedSet` of ``active`` members (a subset of the base
+        session's, in base order), built on first use and kept: the
+        shed/recover cycle alternates between a handful of subsets, and a
+        row warmed under one set is never served under another.
 
-        base = self.base_session(model)
-        if list(members) == base.members:
-            return base
-        key = (model, members)
-        session = self._derived.get(key)
-        if session is not None:
-            return session
-        rows = [base.members.index(s) for s in members]
-        val_stack = base.val_stack[rows]
-        session = self._derived[key] = replace(
-            base,
-            members=list(members),
-            val_stack=val_stack,
-            test_stack=base.test_stack[rows],
-            module=fit_gate(list(members), val_stack, self.store.load_labels(model, "val")),
-        )
-        get_registry().counter("serve_sessions_built_total", kind="derived").inc()
-        return session
-
-    def row_memo(self, model: str, active: list[str]) -> RowMemo:
-        """The reply-text memo of the session serving ``active`` members.
-        Keyed by member set, so a row warmed under one set is never served
-        under another; sized from the base session's test split."""
+        A narrower set's session is derived by slicing the base session's
+        stacks and refitting the gate on the narrower feature layout; that
+        re-reads the val labels, so it can fail, and a set that failed is
+        not kept."""
 
         key = (model, tuple(active))
-        memo = self._memos.get(key)
-        if memo is None:
-            memo = self._memos[key] = RowMemo(self.base_session(model).n_samples)
-        return memo
+        entry = self._served.get(key)
+        if entry is not None:
+            return entry
+        base = self.base_session(model)
+        session = base
+        if list(active) != base.members:
+            rows = [base.members.index(s) for s in active]
+            val_stack = base.val_stack[rows]
+            session = replace(
+                base,
+                members=list(active),
+                val_stack=val_stack,
+                test_stack=base.test_stack[rows],
+                module=fit_gate(list(active), val_stack, self.store.load_labels(model, "val")),
+            )
+            get_registry().counter("serve_sessions_built_total", kind="derived").inc()
+        shed = sorted(m for m in base.members if m not in active)
+        degraded = bool(shed or base.missing or base.quarantined)
+        stanza = {
+            "outcome": OUTCOME_DEGRADED if degraded else OUTCOME_OK,
+            "model": model,
+            "members": list(active),
+            "degraded": degraded,
+            "shed": shed,
+            "missing": list(base.missing),
+            "quarantined": dict(base.quarantined),
+        }
+        entry = self._served[key] = ServedSet(session, RowMemo(base.n_samples), stanza, reply_template(stanza))
+        return entry
 
     # -- breaker-driven member selection ---------------------------------
 
-    def active_members(self, model: str) -> tuple[list[str], list[str]]:
-        """(active, shed) member stems for the next batch of ``model``.
+    def active_members(self, model: str) -> list[str]:
+        """The member stems that serve the next batch of ``model``; the
+        rest of the base session's members are shed.
 
         Core members (the first ``keep_members`` of the base session) always
         serve; each sheddable member serves only while its breaker admits it.
@@ -517,14 +560,7 @@ class PolygraphService:
         """
 
         base = self.base_session(model)
-        active: list[str] = []
-        shed: list[str] = []
-        for i, stem in enumerate(base.members):
-            if i < self.keep_members or self.board.allow(model, stem):
-                active.append(stem)
-            else:
-                shed.append(stem)
-        return active, shed
+        return [stem for i, stem in enumerate(base.members) if i < self.keep_members or self.board.allow(model, stem)]
 
     def record_pressure(self, model: str, active: list[str], overloaded: bool) -> None:
         """Feed this batch's overload verdict to the sheddable breakers.
@@ -561,93 +597,36 @@ class PolygraphService:
             i = next(i for i, value in enumerate(samples) if value >= n)
             raise _bad(f"request.samples[{i}]", "out-of-range", f"model {model!r} has {n} test samples")
 
-    def static_stanza(self, model: str, active: list[str], shed: list[str]) -> dict:
-        """The response fields that are constant across every payload of a
-        ``(model, active, shed)`` combination — members, degraded verdict,
-        missing/quarantined rosters.  Cached and shared by reference: the
-        shed/recover cycle alternates between a handful of member subsets,
-        and re-building (and re-serialising state into) these lists per
-        request is pure overhead on the hot path.  Callers must treat the
-        returned mapping and its values as frozen."""
-
-        key = (model, tuple(active), tuple(shed))
-        stanza = self._stanzas.get(key)
-        if stanza is None:
-            base = self.base_session(model)
-            degraded = bool(shed or base.missing or base.quarantined)
-            stanza = {
-                "outcome": OUTCOME_DEGRADED if degraded else OUTCOME_OK,
-                "model": model,
-                "members": list(active),
-                "degraded": degraded,
-                "shed": sorted(shed),
-                "missing": list(base.missing),
-                "quarantined": dict(base.quarantined),
-            }
-            self._stanzas[key] = stanza
-        return stanza
-
-    def reply_frames(
-        self,
-        model: str,
-        requests: list[ServeRequest],
-        *,
-        active: list[str],
-        shed: list[str],
-        breaker_states: dict,
-    ) -> list[bytes]:
-        """The gateway's reply frames, spliced from the row memo.
-
-        Every row of ``requests`` must already be in :meth:`row_memo`'s memo
-        for ``active``.  The frames equal ``response_frame`` of
-        :meth:`build_payloads`' payloads byte for byte, without building
-        them: the static stanza's text is cached per ``(model, active,
-        shed)``, the breaker map is encoded once per batch, and each row's
-        text once per session."""
-
-        key = (model, tuple(active), tuple(shed))
-        template = self._templates.get(key)
-        if template is None:
-            template = self._templates[key] = reply_template(self.static_stanza(model, active, shed))
-        memo = self.row_memo(model, active)
-        breakers = _ENCODE(breaker_states)
-        return [memo.frame(template, breakers, request) for request in requests]
-
     def build_payloads(
         self,
-        model: str,
+        stanza: dict,
         requests: list[ServeRequest],
-        counts: list[int],
         probs: np.ndarray,
         predictions: np.ndarray,
         flags: np.ndarray,
         *,
-        active: list[str],
-        shed: list[str],
         breaker_states: dict,
     ) -> list[dict]:
-        """Slice raw evaluation arrays back into per-request payloads.
+        """Slice raw evaluation arrays (the rows of ``requests``, in order)
+        back into per-request payloads carrying ``stanza``.
 
         The dict-based serial reference: :meth:`respond` goes through here,
-        while the gateway sends :meth:`reply_frames`, which must equal
+        while the gateway sends :meth:`ServedSet.frames`, which must equal
         ``response_frame`` of these payloads byte for byte.  Pure assembly —
-        no policy, no board reads: everything dynamic
-        (``active``/``shed``/``breaker_states``) is decided by the caller
-        and passed in.  ``ndarray.tolist()`` does the number conversion in
-        one C call per array (bit-identical to the old per-element
-        ``float()``/``int()`` loops — enforced by a regression test), and
-        the static stanza is shared by reference across payloads.
+        no policy, no board reads.  ``ndarray.tolist()`` does the number
+        conversion in one C call per array (bit-identical to the old
+        per-element ``float()``/``int()`` loops — enforced by a regression
+        test), and the stanza is shared by reference across payloads.
         """
 
-        stanza = self.static_stanza(model, active, shed)
         probs_list = probs.tolist()
         predictions_list = predictions.tolist()
         flags_list = flags.tolist()
         payloads = []
         offset = 0
-        for request, count in zip(requests, counts):
-            span = slice(offset, offset + count)
-            offset += count
+        for request in requests:
+            span = slice(offset, offset + len(request.samples))
+            offset = span.stop
             payloads.append(
                 {
                     "id": request.id,
@@ -666,10 +645,10 @@ class PolygraphService:
         requests: list[ServeRequest],
         *,
         active: list[str] | None = None,
-        shed: list[str] | None = None,
         breaker_states: dict | None = None,
     ) -> list[dict]:
-        """Response payloads for same-model requests, evaluated as one tensor op.
+        """Response payloads for same-model requests served by ``active``
+        members (every member by default), evaluated as one tensor op.
 
         All requests' sample indices are concatenated, evaluated once, and
         sliced back per request — byte-identical to evaluating each request
@@ -677,27 +656,11 @@ class PolygraphService:
         serial reference (:meth:`respond`); it reads and fills no row memo.
         """
 
-        base = self.base_session(model)
-        if active is None:
-            active = list(base.members)
-        shed = list(shed or [])
-        session = self.session_for(model, tuple(active))
-        counts = [len(r.samples) for r in requests]
-        flat = flat_sample_indices(requests)
-        probs, predictions, flags = session.evaluate(flat)
+        served = self.served(model, self.base_session(model).members if active is None else active)
+        probs, predictions, flags = served.session.evaluate(flat_sample_indices(requests))
         if breaker_states is None:
             breaker_states = self.board.states_for(model)
-        return self.build_payloads(
-            model,
-            requests,
-            counts,
-            probs,
-            predictions,
-            flags,
-            active=active,
-            shed=shed,
-            breaker_states=breaker_states,
-        )
+        return self.build_payloads(served.stanza, requests, probs, predictions, flags, breaker_states=breaker_states)
 
     def respond(self, request: ServeRequest) -> dict:
         """The serial reference path: one request, straight through.
@@ -713,8 +676,7 @@ class PolygraphService:
         try:
             self.base_session(request.model)
             self.check_samples(request.model, request)
-            active, shed = self.active_members(request.model)
-            return self.evaluate_requests(request.model, [request], active=active, shed=shed)[0]
+            return self.evaluate_requests(request.model, [request], active=self.active_members(request.model))[0]
         except PolygraphError as exc:
             return error_payload(request.id, exc)
 
@@ -789,6 +751,11 @@ class ServeConfig:
             value = getattr(self, name)
             if value < 1:
                 raise ConfigError(f"serve.{name}", "out-of-range", f"must be >= 1, got {value}")
+        # the dispatcher waits this long: an infinite or NaN wait never ends
+        for name in ("coalesce_ms", "batch_sleep_s"):
+            value = getattr(self, name)
+            if not math.isfinite(value) or value < 0:
+                raise ConfigError(f"serve.{name}", "out-of-range", f"must be finite and >= 0, got {value}")
 
 
 _STOP = object()
@@ -815,7 +782,7 @@ class _BatchPlan:
     batch executes.
 
     The dispatcher computes everything stateful here — validation verdicts,
-    active/shed member selection (with its ``allow()`` probe side effects),
+    the active member selection (with its ``allow()`` probe side effects),
     the breaker-state snapshot, and the pressure recording — before the
     batch's sleep padding and evaluation, so execution downstream is a pure
     function of the plan.
@@ -825,7 +792,6 @@ class _BatchPlan:
     queued: list[_Queued] = field(default_factory=list)
     errors: list[tuple[_Queued, dict]] = field(default_factory=list)
     active: list[str] = field(default_factory=list)
-    shed: list[str] = field(default_factory=list)
     breaker_states: dict = field(default_factory=dict)
 
 
@@ -1120,7 +1086,7 @@ class ServeGateway:
 
         Groups the batch by model, validates (unknown model / out-of-range
         samples / a session the store cannot build become error payloads in
-        the plan), selects active/shed members, snapshots breaker states for
+        the plan), selects the active members, snapshots breaker states for
         the payloads, and records this batch's pressure verdict — the
         complete set of board reads and writes, so execution never touches
         shared policy state.
@@ -1158,15 +1124,15 @@ class ServeGateway:
                     plan.queued.append(queued)
             if not plan.queued:
                 continue
-            plan.active, plan.shed = self.service.active_members(model)
+            plan.active = self.service.active_members(model)
             plan.breaker_states = self.service.board.states_for(model)
             self.service.record_pressure(model, plan.active, overloaded)
         return plans
 
     async def _run_plans(self, plans: list[_BatchPlan]) -> None:
-        """Execute planned work: sleep-padding, deadline filtering, tensor
-        evaluation, response frames, then one :meth:`_finish` for the whole
-        batch.  Touches no policy state."""
+        """Execute planned work: sleep-padding, deadline filtering, then
+        each plan's frames from the :class:`ServedSet` of its members, then
+        one :meth:`_finish` for the whole batch.  Touches no policy state."""
 
         registry = get_registry()
         if self.config.batch_sleep_s > 0.0:
@@ -1196,45 +1162,18 @@ class ServeGateway:
                 )
             if not live:
                 continue
-            try:
-                frames = self._evaluate_plan(plan, live)
-            except PolygraphError as exc:  # a derived session re-reads the val labels
+            try:  # a derived session is built on first use, and re-reads the val labels
+                served = self.service.served(plan.model, plan.active)
+                frames = served.frames([q.request for q in live], plan.breaker_states)
+            except PolygraphError as exc:
                 frames = [response_frame(error_payload(q.request.id, exc)) for q in live]
                 replies.append((OUTCOME_ERROR, live, frames))
                 continue
-            outcome = self.service.static_stanza(plan.model, plan.active, plan.shed)["outcome"]
+            outcome = served.stanza["outcome"]
             if outcome == OUTCOME_DEGRADED:
                 registry.counter("serve_degraded_total").inc(len(live))
             replies.append((outcome, live, frames))
         self._finish(replies)
-
-    def _evaluate_plan(self, plan: _BatchPlan, live: list[_Queued]) -> list[bytes]:
-        """Reply frames for one plan's surviving requests, from the row memo
-        of the plan's session (:meth:`PolygraphService.reply_frames`).
-
-        Only the memo's cold rows are evaluated, once each, by the session
-        serving the plan's members; a fully warm batch evaluates nothing.
-        The rows' text comes from one encoder and one splice, so the frames
-        equal the serial :meth:`PolygraphService.respond` reference byte for
-        byte.  ``serve_reply_rows_total{source}`` counts every reply row as
-        ``evaluated`` here or served from the ``memo``."""
-
-        registry = get_registry()
-        requests = [q.request for q in live]
-        memo = self.service.row_memo(plan.model, plan.active)
-        cold = memo.cold(requests)
-        if cold.size:
-            memo.fill(cold, *self.service.session_for(plan.model, tuple(plan.active)).evaluate(cold))
-        rows = sum(len(r.samples) for r in requests)
-        registry.counter("serve_reply_rows_total", source=ROW_EVALUATED).inc(cold.size)
-        registry.counter("serve_reply_rows_total", source=ROW_MEMO).inc(rows - cold.size)
-        return self.service.reply_frames(
-            plan.model,
-            requests,
-            active=plan.active,
-            shed=plan.shed,
-            breaker_states=plan.breaker_states,
-        )
 
 
 def _salvage_id(frame: bytes) -> str:

@@ -392,6 +392,11 @@ class TestCLI:
             (["--cooldown-ticks=-1"], "breaker.cooldown_ticks"),
             (["--synthetic-models", "0"], "synthetic.models"),
             (["--synthetic-models=-3"], "synthetic.models"),
+            (["--timeout", "inf"], "config.timeout_s"),
+            (["--timeout", "nan"], "config.timeout_s"),
+            (["--timeout=-inf"], "config.timeout_s"),
+            (["--trial-sleep", "inf"], "config.trial_sleep_s"),
+            (["--trial-sleep", "nan"], "config.trial_sleep_s"),
         ],
     )
     def test_unrunnable_settings_exit_2_and_write_nothing(self, tmp_path, capsys, flags, field):

@@ -13,6 +13,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import json
+import math
 import os
 import signal
 import socket
@@ -260,6 +261,45 @@ class TestRowMemo:
         assert [p["outcome"] for p in recovered] == [OUTCOME_OK] * len(requests)
         assert recovered_frames == full_frames
         assert evaluated_rows() == narrowed  # every row came from the full set's memo
+
+    def test_shed_and_recover_build_one_served_set_per_member_set(self, synthetic_cache):
+        """A shed → deeper shed → recover → shed → recover cycle through the
+        gateway keeps one served set per member set it served, derives each
+        narrower set's session once, and reuses every set it returns to."""
+
+        board = BreakerBoard(BreakerPolicy(failure_threshold=1, cooldown_ticks=10**6))
+        service = PolygraphService(ArtifactStore(synthetic_cache), breakers=board)
+        members = service.base_session(MODEL).members
+        one, two = members[-1], members[-2]
+        steps = [((), ()), ((one,), ()), ((two,), ()), ((), (one, two)), ((one,), ()), ((), (one,))]
+
+        async def run():
+            gateway = make_gateway(service)
+            await gateway.start()
+            try:
+                replies = []
+                for i, (fail, recover) in enumerate(steps):
+                    for stem in fail:
+                        board.record_failure(MODEL, stem)
+                    for stem in recover:
+                        board.record_success(MODEL, stem)
+                    request = ServeRequest(id=f"c{i}", model=MODEL, samples=(i, 7))
+                    replies.append((await tcp_request(gateway.bound_port, request))[0])
+                return replies
+            finally:
+                await asyncio.wait_for(gateway.drain(), DRAIN_WITHIN_S)
+
+        replies = asyncio.run(run())
+        assert [p["shed"] for p in replies] == [[], [one], sorted([one, two]), [], [one], []]
+        assert [p["degraded"] for p in replies] == [False, True, True, False, True, False]
+        assert set(service._served) == {
+            (MODEL, tuple(members)),
+            (MODEL, tuple(m for m in members if m != one)),
+            (MODEL, tuple(m for m in members if m not in (one, two))),
+        }
+        registry = get_registry()
+        assert registry.counter_value("serve_sessions_built_total", kind="derived") == 2
+        assert registry.counter_value("serve_sessions_built_total", kind="base") == 1
 
 
 class TestDeadlines:
@@ -834,7 +874,8 @@ class TestStoreErrors:
 
 class TestConfigBounds:
     """Below 1, ``asyncio.Queue(maxsize=...)`` is unbounded, so a queue
-    bound of 0 would silently switch shedding off."""
+    bound of 0 would silently switch shedding off; a wait the dispatcher
+    cannot end is refused too."""
 
     @pytest.mark.parametrize(("name", "value"), [("max_queue", 0), ("max_queue", -1), ("batch_max", 0)])
     def test_config_refuses_bounds_below_one(self, name, value):
@@ -849,6 +890,44 @@ class TestConfigBounds:
             main(["--cache", str(tmp_path), flag, "0"])
         assert excinfo.value.code == 2
         assert field in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, -1.0])
+    @pytest.mark.parametrize("name", ["coalesce_ms", "batch_sleep_s"])
+    def test_config_refuses_a_wait_the_dispatcher_cannot_end(self, name, value):
+        """``asyncio.wait_for(timeout=nan)`` never fires and
+        ``asyncio.sleep(inf)`` never returns: one request would hang the
+        dispatcher, so the coalescing window and the batch padding must be
+        finite and non-negative."""
+
+        with pytest.raises(ConfigError) as excinfo:
+            ServeConfig(**{name: value})
+        assert (excinfo.value.field, excinfo.value.reason) == (f"serve.{name}", "out-of-range")
+
+    @pytest.mark.parametrize(
+        ("flags", "field"),
+        [
+            (["--coalesce-ms", "inf"], "serve.coalesce_ms"),
+            (["--coalesce-ms", "nan"], "serve.coalesce_ms"),
+            (["--coalesce-ms=-2"], "serve.coalesce_ms"),
+            (["--batch-sleep", "inf"], "serve.batch_sleep_s"),
+            (["--batch-sleep", "nan"], "serve.batch_sleep_s"),
+        ],
+    )
+    def test_cli_refuses_an_endless_wait_before_building_or_binding(self, tmp_path, flags, field):
+        """A subprocess with a timeout: a gateway that took the flag would
+        print ``ready`` and serve until signalled."""
+
+        argv = ["--cache", str(tmp_path / "cache"), "--synthetic-models", "1", "--unix", str(tmp_path / "gw.sock")]
+        proc = subprocess.run(
+            [sys.executable, "-m", "polygraphmr.serve", *argv, *flags],
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 2
+        assert f"{field}: out-of-range" in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
     def test_service_refuses_min_members_below_one(self, synthetic_cache):
         """With no members required, a model whose test members are all
@@ -1090,13 +1169,17 @@ class TestEncoderByteIdentity:
                 )
             )
 
-        payloads = service.evaluate_requests(MODEL, requests, active=active, shed=[])
+        payloads = service.evaluate_requests(MODEL, requests, active=active)
         assert [response_frame(p) for p in payloads] == old_frames
 
-    def test_static_stanza_is_cached_and_shared(self, service):
-        first = service.static_stanza(MODEL, ["ORG", "pp-Gamma_2"], [])
-        second = service.static_stanza(MODEL, ["ORG", "pp-Gamma_2"], [])
-        assert first is second, "stanza cache missed on an identical key"
-        other = service.static_stanza(MODEL, ["ORG"], ["pp-Gamma_2"])
+    def test_served_set_is_kept_and_its_stanza_shared(self, service):
+        first = service.served(MODEL, ["ORG", "pp-Gamma_2"])
+        assert service.served(MODEL, ("ORG", "pp-Gamma_2")) is first, "served-set cache missed on an identical key"
+        other = service.served(MODEL, ["ORG"])
         assert other is not first
-        assert other["shed"] == ["pp-Gamma_2"]
+        assert other.stanza["shed"] == sorted(set(SYNTH_MEMBERS) - {"ORG"})
+        assert first.stanza["shed"] == sorted(set(SYNTH_MEMBERS) - {"ORG", "pp-Gamma_2"})
+        requests = [ServeRequest(id=f"s{i}", model=MODEL, samples=(i,)) for i in range(2)]
+        payloads = service.evaluate_requests(MODEL, requests)
+        stanza = service.served(MODEL, service.base_session(MODEL).members).stanza
+        assert payloads[0]["members"] is payloads[1]["members"] is stanza["members"]

@@ -309,20 +309,20 @@ class TestSpliceIsCanonicalJson:
     )
     @settings(max_examples=30, suppress_health_check=[HealthCheck.function_scoped_fixture])
     def test_service_reply_frames_equal_the_serial_payloads(self, synthetic_cache, shed, breakers, batches):
-        """Through real sessions, full and derived: batches served from the
-        row memo (cold rows evaluated per batch, warm ones reused across
-        batches) give the frames of the dict-based serial reference."""
+        """Through real sessions, full and derived: each member set's
+        served entry sheds exactly the base members it does not serve, and
+        batches served from its row memo (cold rows evaluated per batch,
+        warm ones reused across batches) give the frames of the dict-based
+        serial reference."""
 
         service = PolygraphService(ArtifactStore(synthetic_cache))
         reference = PolygraphService(ArtifactStore(synthetic_cache))
         members = service.base_session("tinynet").members
         active = [m for m in members if m not in shed]
-        shed = sorted(shed)
-        session = service.session_for("tinynet", tuple(active))
-        memo = service.row_memo("tinynet", active)
+        served = service.served("tinynet", active)
+        assert served.stanza["shed"] == sorted(set(members) - set(active))
+        assert service.served("tinynet", list(active)) is served
         for batch in batches:
-            cold = memo.cold(batch)
-            memo.fill(cold, *session.evaluate(cold))
-            frames = service.reply_frames("tinynet", batch, active=active, shed=shed, breaker_states=breakers)
-            payloads = reference.evaluate_requests("tinynet", batch, active=active, shed=shed, breaker_states=breakers)
+            frames = served.frames(batch, breakers)
+            payloads = reference.evaluate_requests("tinynet", batch, active=active, breaker_states=breakers)
             assert frames == [response_frame(p) for p in payloads]
